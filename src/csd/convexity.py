@@ -6,6 +6,7 @@ The straightening maps are integral piecewise-linear bijections, stored as
 counterclockwise sector lists with one unimodular matrix per sector.
 """
 
+import functools
 import os
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from fractions import Fraction
 from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, cross, dot,
                        ccw_key, ccw_between, sort_ccw, rot90, sgn, convex_hull,
                        cycle_is_convex, point_in_hull, lattice_points_in_hull)
-from .lattice import pairing, p1_star, skew_form, unit
+from .lattice import FixedData, pairing, p1_star, skew_form, unit
 from .brokenline import Segment, Piece, validate_segment
 from .constructions import alpha_table, structure_constant, pair_from_segment
 
@@ -175,15 +176,34 @@ def depth_bound():
     return int(os.environ.get("CSD_DEPTH_BOUND", "16"))
 
 
-def chart_maps(fd, diagram=None, bound=None):
+def chart_maps(fd, bound=None):
     """All seed-chart straightening maps reachable by mutation; (maps, closed).
+
+    The charts depend only on the lattice data and the depth bound, so each
+    walk runs once per distinct (rank, unfrozen, skew, d, bound) and is
+    shared by equal FixedData objects.  The bound defaults to
+    CSD_DEPTH_BOUND, read on every call.  The returned list is a fresh copy;
+    the PLMap objects in it are shared and must not be mutated.
+    """
+    if bound is None:
+        bound = depth_bound()
+    maps, closed = _chart_maps_by_value(fd.rank, fd.unfrozen, fd.skew, fd.d, bound)
+    return list(maps), closed
+
+
+@functools.lru_cache(maxsize=16)
+def _chart_maps_by_value(rank, unfrozen, skew, d, bound):
+    maps, closed = _chart_maps(FixedData(rank, unfrozen, skew, d), bound)
+    return tuple(maps), closed
+
+
+def _chart_maps(fd, bound):
+    """The mutation walk behind chart_maps, uncached.
 
     In rank 2 every seed lies on one of the two alternating mutation walks
     from the initial seed.  Maps are collected modulo linear target
     coordinates, which convexity cannot see.
     """
-    if bound is None:
-        bound = depth_bound()
     ks = sorted(fd.unfrozen)
     phi0 = PLMap.identity().normalized()
     seen = {phi0.key()}
@@ -340,7 +360,7 @@ def _reversed_copy(seg):
     return reverse(seg)
 
 
-def is_blc_2d(fd, diagram, cycle, K=None, charts=None):
+def is_blc_2d(fd, diagram, cycle, K=None):
     """Chart-convexity check; cycle is a ccw vertex list (1 or 2 points allowed).
 
     Every collected map is a genuine seed chart, so a non-convex image is a
@@ -350,9 +370,7 @@ def is_blc_2d(fd, diagram, cycle, K=None, charts=None):
     if K is None:
         K = diagram.order
     cycle = [tuple(p) for p in cycle]
-    closed = True
-    if charts is None:
-        charts, closed = chart_maps(fd, diagram)
+    charts, closed = chart_maps(fd)
     for phi in charts:
         image, _ = map_cycle(phi, cycle)
         if not cycle_is_convex(image):
@@ -366,7 +384,7 @@ def is_blc_2d(fd, diagram, cycle, K=None, charts=None):
 
 def blc_hull_2d(fd, diagram, pts, max_rounds=64):
     """Smallest chart-convex region containing the points, as a base-chart cycle."""
-    charts, closed = chart_maps(fd, diagram)
+    charts, closed = chart_maps(fd)
     V = {tuple(p) for p in pts}
     flagged = not closed
     prev = None
@@ -391,13 +409,7 @@ def blc_hull_2d(fd, diagram, pts, max_rounds=64):
             V.update(tuple(p) for p in back)
     else:
         flagged = True
-    hull = convex_hull(V)
-    report_cycle = _prune_cycle(hull)
-    return report_cycle, flagged
-
-
-def _prune_cycle(hull):
-    return [tuple(p) for p in hull]
+    return [tuple(p) for p in convex_hull(V)], flagged
 
 
 def check_positive(fd, diagram, cycle, max_degree, K=None):
@@ -496,14 +508,15 @@ def _certify_failure(fd, diagram, cycle, seg, K, max_ab=24):
         return None
     try:
         pair, tr = pair_from_segment(fd, diagram, seg, tau)
+        if tr.a + tr.b > max_ab:
+            return None
+        p = tuple(pair.line1.initial)
+        q = tuple(pair.line2.initial)
+        r = tuple(pair.base)
+        # a non-generic probe endpoint near r raises; no certificate then
+        alpha = structure_constant(fd, diagram, p, q, r, K)
     except (ValueError, ZeroDivisionError, ArithmeticError):
         return None
-    if tr.a + tr.b > max_ab:
-        return None
-    p = tuple(pair.line1.initial)
-    q = tuple(pair.line2.initial)
-    r = tuple(pair.base)
-    alpha = structure_constant(fd, diagram, p, q, r, K)
     if alpha == 0:
         return None
     return {"p": p, "q": q, "r": r, "a": tr.a, "b": tr.b, "alpha": alpha}

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
+import pytest
+
+import csd.convexity as convexity
 from csd.brokenline import validate_segment
 from csd.convexity import (PLMap, shear_map, chart_maps, initial_shear_charts,
                            is_blc_2d, blc_hull_2d, check_positive,
                            main_theorem_harness, map_cycle)
 from csd.geometry import convex_hull, point_in_hull
+from csd.lattice import FixedData
 
 F = Fraction
 
@@ -47,6 +51,59 @@ def test_chart_counts(a2, g2, kron):
     assert len(maps) == 8 and closed
     maps, closed = chart_maps(kron)
     assert not closed
+
+
+@pytest.fixture
+def shear_calls(monkeypatch):
+    """Empty chart cache and a count of the shear maps the walk builds."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return shear_map(*args)
+
+    convexity._chart_maps_by_value.cache_clear()
+    monkeypatch.setattr(convexity, "shear_map", counting)
+    return calls
+
+
+def test_chart_maps_walk_runs_once_per_value(shear_calls):
+    a2 = FixedData.from_exchange([[0, 1], [-1, 0]], [1, 1])
+    maps, closed = chart_maps(a2)
+    walked = len(shear_calls)
+    assert walked > 0
+    assert chart_maps(a2) == (maps, closed)
+    # a separately built FixedData with equal values shares the entry
+    again = FixedData.from_exchange([[0, 1], [-1, 0]], [1, 1])
+    assert again is not a2
+    assert chart_maps(again) == (maps, closed)
+    assert len(shear_calls) == walked
+
+
+def test_chart_maps_reads_depth_bound(kron, monkeypatch):
+    monkeypatch.setenv("CSD_DEPTH_BOUND", "4")
+    short, _ = chart_maps(kron)
+    monkeypatch.setenv("CSD_DEPTH_BOUND", "16")
+    full, closed = chart_maps(kron)
+    assert len(short) < len(full)
+    assert not closed
+
+
+def test_chart_maps_returns_fresh_list(g2):
+    maps, _ = chart_maps(g2)
+    keys = [m.key() for m in maps]
+    maps.pop()
+    maps.append(PLMap.identity())
+    assert [m.key() for m in chart_maps(g2)[0]] == keys
+
+
+@pytest.mark.parametrize("bound", [4, 16])
+def test_chart_maps_match_uncached_walk(a2, g2, kron, bound):
+    for fd in (a2, g2, kron):
+        maps, closed = chart_maps(fd, bound)
+        walk, walk_closed = convexity._chart_maps(fd, bound)
+        assert [m.key() for m in maps] == [m.key() for m in walk]
+        assert closed == walk_closed
 
 
 def test_initial_shear_charts_subset(a2):
@@ -103,6 +160,14 @@ def test_is_blc_kronecker_unknown_and_false(kron, kron_diagram):
     assert not rep.closed
 
 
+def test_is_blc_kronecker_unit_square_unknown(kron, kron_diagram):
+    # convex in every chart of the unclosed walk, so still unknown
+    sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    rep = is_blc_2d(kron, kron_diagram, sq)
+    assert rep.verdict is None
+    assert not rep.closed
+
+
 def test_blc_hull_a2_diamond(a2, a2_diagram):
     pts = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))]
     hull, flagged = blc_hull_2d(a2, a2_diagram, pts)
@@ -143,3 +208,18 @@ def test_harness_small(a2, a2_diagram):
     rep = main_theorem_harness(a2, a2_diagram, 4, max_degree=3, K=6)
     assert rep["trials"] == 4
     assert not rep["disagreements"]
+
+
+def test_certify_failure_without_structure_constant(g2, g2_diagram, monkeypatch):
+    rep = is_blc_2d(g2, g2_diagram, G2_QUAD)
+    seg = rep.witnesses[0]
+    assert convexity._certify_failure(g2, g2_diagram, G2_QUAD, seg, 8) is not None
+    calls = []
+
+    def non_generic(*args):
+        calls.append(args)
+        raise ValueError("trajectory runs into the origin")
+
+    monkeypatch.setattr(convexity, "structure_constant", non_generic)
+    assert convexity._certify_failure(g2, g2_diagram, G2_QUAD, seg, 8) is None
+    assert calls
