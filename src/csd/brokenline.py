@@ -7,12 +7,12 @@ coefficient, and the point where it bends into the next piece.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, same_ray,
-                       cross, sgn)
-from .lattice import pairing, n_circ_primitive, cone_coords, cone_order, j_order, unit
-from .series import WallFunction, wf_mul, wf_pow, wf_coeff_pow, LaurentPoly
-from .scattering import on_support
+from .geometry import vadd, vsub, vneg, vscale, is_zero, primitive, same_ray, cross
+from .lattice import pairing, n_circ_primitive, cone_order
+from .series import wf_mul, wf_pow, wf_coeff_pow, LaurentPoly
+from .scattering import on_support, check_rank2
 
 
 class Piece:
@@ -80,26 +80,170 @@ class Segment:
         return "Segment(%r -> %r, T=%r, %r)" % (self.start, self.end, self.total_time, self.pieces)
 
 
-def wall_families(fd, diagram, point):
-    """Walls through the point grouped by support line, as (n0_primitive, m0, func)."""
-    groups = {}
-    for w in diagram.walls:
-        if not on_support(fd, w, point):
-            continue
-        n0 = n_circ_primitive(fd, w.normal)
-        key = tuple(abs(x) for x in primitive(n0))
-        groups.setdefault(key, []).append(w)
-    out = []
-    for ws in groups.values():
-        n0 = n_circ_primitive(fd, ws[0].normal)
-        m0 = ws[0].func.direction
-        f = ws[0].func
-        for w in ws[1:]:
-            if w.func.direction != m0:
+class _Family:
+    """Walls through one support line: primitive normal n0 in N°, direction
+    m0 and product function f.  The normal is also kept scaled by L, so a
+    bending power is an integer dot product; powers of f are tabulated."""
+
+    __slots__ = ("n0", "m0", "f", "a", "step", "powers")
+
+    def __init__(self, fd, L, walls):
+        self.n0 = n_circ_primitive(fd, walls[0].normal)
+        self.m0 = walls[0].func.direction
+        f = walls[0].func
+        for w in walls[1:]:
+            if w.func.direction != self.m0:
                 raise ValueError("walls sharing a support line disagree on function direction")
             f = wf_mul(f, w.func, len(f.coeffs) + len(w.func.coeffs))
-        out.append((n0, m0, f))
-    return out
+        self.f = f
+        self.a = tuple(x * (L // d) for x, d in zip(self.n0, fd.d))
+        self.step = cone_order(fd, self.m0)
+        self.powers = {}
+
+    def power_terms(self, pw, K):
+        """Terms (k, c) of f^pw whose shift k*m0 has order at most K."""
+        terms = self.powers.get((pw, K))
+        if terms is None:
+            kmax = int(Fraction(K) / self.step)
+            terms = wf_pow(self.f, pw, kmax).terms() if kmax >= 1 else []
+            self.powers[(pw, K)] = terms
+        return terms
+
+
+def _numerators(pos):
+    """(x, y, q) with pos = (x/q, y/q), q > 0 and x, y, q integers."""
+    a, b = pos
+    q = lcm(a.denominator, b.denominator)
+    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
+
+
+class SearchForm:
+    """A diagram's walls compiled for the backward broken-line search.
+
+    Wall normals are scaled by L = lcm(d), so <n, x> = (a . x) / L with an
+    integer vector a: a wall crossing is a sign test on the numerators of a
+    point, and a Fraction is built only for the walls a ray actually hits.
+    The form also holds the wall families of each set of walls that meet at
+    a point, the power tables of their functions, the monoid generators for
+    the integer monoid test, and the diagram's theta and alpha caches.  It
+    is built by search_form on the first search and reset by
+    scattering.complete_diagram, the only code that changes walls.
+    """
+
+    def __init__(self, fd, walls):
+        check_rank2(fd)
+        self.fd = fd
+        self.L = lcm(*fd.d)
+        self._scan = [(w, w.normal[0] * (self.L // fd.d[0]), w.normal[1] * (self.L // fd.d[1]),
+                       w.kind == "ray", w.direction) for w in walls]
+        self._gens = fd.monoid_gens
+        self._det = cross(*self._gens)
+        self._families = {}
+        self.thetas = {}
+        self.alphas = {}
+
+    def walls_through(self, point):
+        """The walls whose support contains the point."""
+        x, y, _ = _numerators(point)
+        out = []
+        for w, a0, a1, ray, (dx, dy) in self._scan:
+            if a0 * x + a1 * y != 0:
+                continue
+            if ray and (x or y) and (x * dy != y * dx or x * dx + y * dy <= 0):
+                continue
+            out.append(w)
+        return tuple(out)
+
+    def ray_events(self, pos, m):
+        """Wall crossings of the open ray pos + t*m, t > 0, grouped by t.
+
+        Returns (events, t_origin) where events is a sorted list of
+        (t, point, walls) and t_origin is the positive time the ray meets
+        the origin, or None.
+        """
+        x, y, q = _numerators(pos)
+        mx, my = m
+        t_origin = None
+        along = x * mx + y * my
+        if x * my == y * mx and along < 0:
+            t_origin = Fraction(-along, q * (mx * mx + my * my))
+        hits = {}
+        for w, a0, a1, ray, (dx, dy) in self._scan:
+            sd = a0 * mx + a1 * my
+            if sd == 0:
+                continue
+            s0 = a0 * x + a1 * y
+            # the ray meets the wall line at t = -s0 / (q * sd)
+            if s0 == 0 or (s0 > 0) == (sd > 0):
+                continue
+            # numerators of the meeting point over q * sd
+            px = sd * x - s0 * mx
+            py = sd * y - s0 * my
+            if px == 0 and py == 0:
+                continue
+            if ray and (px * dy != py * dx or (px * dx + py * dy) * sd <= 0):
+                continue
+            t = Fraction(-s0, q * sd)
+            hit = hits.get(t)
+            if hit is None:
+                hits[t] = ((Fraction(px, q * sd), Fraction(py, q * sd)), [w])
+            else:
+                hit[1].append(w)
+        events = [(t, pt, ws) for t, (pt, ws) in sorted(hits.items())]
+        if t_origin is not None:
+            events = [e for e in events if e[0] < t_origin]
+        return events, t_origin
+
+    def families(self, walls):
+        """Families of a tuple of walls, grouped by support line."""
+        fams = self._families.get(walls)
+        if fams is None:
+            groups = {}
+            for w in walls:
+                key = tuple(abs(x) for x in primitive(n_circ_primitive(self.fd, w.normal)))
+                groups.setdefault(key, []).append(w)
+            fams = [_Family(self.fd, self.L, ws) for ws in groups.values()]
+            self._families[walls] = fams
+        return fams
+
+    def bends(self, point, m_in, K):
+        """Exponents reachable by bending m_in at the point, as in allowed_bends."""
+        fams = self.families(self.walls_through(point))
+        if not fams:
+            raise ValueError("point %r lies on no wall" % (point,))
+        mx, my = m_in
+        out = [((mx, my), Fraction(1))]
+        for fam in fams:
+            pw = fam.a[0] * mx + fam.a[1] * my
+            if pw % self.L:
+                raise ValueError("non-integral bending power")
+            pw = abs(pw) // self.L
+            if pw == 0:
+                continue
+            sx, sy = fam.m0
+            out.extend(((mx + k * sx, my + k * sy), c) for k, c in fam.power_terms(pw, K))
+        return out
+
+    def in_monoid(self, p):
+        """True when p is a nonnegative integer combination of the monoid generators."""
+        g1, g2 = self._gens
+        a, ra = divmod(cross(p, g2), self._det)
+        b, rb = divmod(cross(g1, p), self._det)
+        return ra == 0 and rb == 0 and a >= 0 and b >= 0
+
+
+def search_form(fd, diagram):
+    """The diagram's SearchForm for fd, compiled on first use."""
+    form = diagram.compiled
+    if form is None or form.fd is not fd:
+        form = diagram.compiled = SearchForm(fd, diagram.walls)
+    return form
+
+
+def wall_families(fd, diagram, point):
+    """Walls through the point grouped by support line, as (n0_primitive, m0, func)."""
+    form = search_form(fd, diagram)
+    return [(fam.n0, fam.m0, fam.f) for fam in form.families(form.walls_through(point))]
 
 
 def allowed_bends(fd, diagram, point, m_in, K):
@@ -107,61 +251,7 @@ def allowed_bends(fd, diagram, point, m_in, K):
 
     Includes the trivial no-bend term.  K bounds the order of the shift.
     """
-    fams = wall_families(fd, diagram, point)
-    if not fams:
-        raise ValueError("point %r lies on no wall" % (point,))
-    out = [(tuple(m_in), Fraction(1))]
-    for n0, m0, f in fams:
-        pw = pairing(fd, n0, m_in)
-        if pw.denominator != 1:
-            raise ValueError("non-integral bending power")
-        pw = abs(int(pw))
-        if pw == 0:
-            continue
-        step = cone_order(fd, m0)
-        kmax = int(Fraction(K) / step)
-        if kmax < 1:
-            continue
-        g = wf_pow(f, pw, kmax)
-        for k, c in g.terms():
-            out.append((vadd(m_in, vscale(k, m0)), c))
-    return out
-
-
-def _ray_events(fd, diagram, pos, direction):
-    """Wall crossings of the open ray pos + t*direction, t > 0, grouped by t.
-
-    Returns (events, t_origin) where events is a sorted list of
-    (t, point, families) and t_origin is the positive time the ray meets the
-    origin, or None.
-    """
-    t_origin = None
-    if cross(pos, direction) == 0:
-        t = None
-        for i in range(len(pos)):
-            if direction[i] != 0:
-                t = Fraction(-pos[i], direction[i])
-                break
-        if t is not None and t > 0:
-            t_origin = t
-    hits = {}
-    for w in diagram.walls:
-        s0 = pairing(fd, w.normal, pos)
-        sd = pairing(fd, w.normal, direction)
-        if sd == 0:
-            continue
-        t = -s0 / sd
-        if t <= 0:
-            continue
-        pt = vadd(pos, vscale(t, direction))
-        if is_zero(pt):
-            continue
-        if on_support(fd, w, pt):
-            hits.setdefault(t, (pt, []))[1].append(w)
-    events = [(t, pt, ws) for t, (pt, ws) in sorted(hits.items())]
-    if t_origin is not None:
-        events = [e for e in events if e[0] < t_origin]
-    return events, t_origin
+    return search_form(fd, diagram).bends(point, m_in, K)
 
 
 def enumerate_lines(fd, diagram, initial, endpoint, K=None):
@@ -173,9 +263,9 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
         K = diagram.order
     if is_zero(initial):
         raise ValueError("initial exponent must be nonzero")
-    for w in diagram.walls:
-        if on_support(fd, w, endpoint):
-            raise ValueError("endpoint lies on a wall; perturb it first")
+    form = search_form(fd, diagram)
+    if form.walls_through(endpoint):
+        raise ValueError("endpoint lies on a wall; perturb it first")
     g1, g2 = fd.monoid_gens
     results = []
     for a in range(K + 1):
@@ -190,14 +280,10 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     return lines
 
 
-def _in_monoid(fd, p):
-    co = cone_coords(fd, p)
-    return co is not None and all(a >= 0 and a.denominator == 1 for a in co)
-
-
 def _trace(fd, diagram, pos, m_cur, p_rem, K, steps, results):
     """Backward search; steps collect (bend_point, m_before_bend, coeff) endpoint-first."""
-    events, t_origin = _ray_events(fd, diagram, pos, m_cur)
+    form = search_form(fd, diagram)
+    events, t_origin = form.ray_events(pos, m_cur)
     if t_origin is not None:
         # the traced ray would pass through the singular origin, silently
         # losing a family of lines; the endpoint must be perturbed
@@ -213,7 +299,7 @@ def _trace(fd, diagram, pos, m_cur, p_rem, K, steps, results):
             step = vsub(m_out, m_cur)
             m_prev = vsub(m_cur, step)
             p_new = vsub(p_rem, step)
-            if is_zero(m_prev) or not _in_monoid(fd, p_new):
+            if is_zero(m_prev) or not form.in_monoid(p_new):
                 continue
             _trace(fd, diagram, pt, m_prev, p_new, K,
                    steps + [(pt, m_cur, c)], results)
@@ -432,7 +518,7 @@ class PerturbedFamily:
                     total += dt
                 pieces.append(Piece(self.plan[i], self.coeffs[i], None, dt))
             return Segment(start, end, pieces, total), (tuple(self.plan), tuple(combi))
-        events, t_origin = _ray_events(self.fd, self.diagram, pos, m_cur)
+        events, t_origin = search_form(self.fd, self.diagram).ray_events(pos, m_cur)
         if t_origin is not None and not allow_degenerate:
             raise ValueError("unbounded piece runs into the origin")
         combi.append(tuple(sorted(primitive(w.normal) for _, _, ws in events for w in ws)))

@@ -17,7 +17,7 @@ from .series import (LaurentPoly, lp_mul, lp_add, lp_scale, lp_truncate,
                      wf_coeff_pow)
 from .scattering import on_support
 from .brokenline import (BrokenLine, Segment, Piece, enumerate_lines, theta,
-                         wall_families, reverse)
+                         wall_families, reverse, search_form)
 
 
 class BalancedPair:
@@ -132,9 +132,7 @@ def structure_constant(fd, diagram, p, q, r, K=None):
 
 
 def _theta_cached(fd, diagram, m, z0, K):
-    cache = getattr(diagram, "_theta_cache", None)
-    if cache is None:
-        cache = diagram._theta_cache = {}
+    cache = search_form(fd, diagram).thetas
     key = (tuple(m), tuple(z0), K)
     if key not in cache:
         cache[key] = theta(fd, diagram, m, z0, K)

@@ -15,7 +15,7 @@ from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, cross, dot,
                        ccw_key, ccw_between, sort_ccw, rot90, sgn, convex_hull,
                        cycle_is_convex, point_in_hull, lattice_points_in_hull)
 from .lattice import FixedData, pairing, p1_star, skew_form, unit
-from .brokenline import Segment, Piece, validate_segment
+from .brokenline import Segment, Piece, validate_segment, search_form
 from .constructions import alpha_table, structure_constant, pair_from_segment
 
 I2 = ((1, 0), (0, 1))
@@ -470,9 +470,7 @@ def _dilate(hull, k):
 
 
 def _alpha_cached(fd, diagram, p, q, K):
-    cache = getattr(diagram, "_alpha_cache", None)
-    if cache is None:
-        cache = diagram._alpha_cache = {}
+    cache = search_form(fd, diagram).alphas
     key = (tuple(sorted((tuple(p), tuple(q)))), K)
     if key not in cache:
         cache[key] = alpha_table(fd, diagram, p, q, K)

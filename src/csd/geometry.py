@@ -203,18 +203,3 @@ def line_line_intersection(p, u, q, v):
         return None
     t = Fraction(cross(vsub(q, p), v), den)
     return vadd(p, vscale(t, u))
-
-
-def segment_hits_line_through_origin(a, b, n_eval):
-    """Parameter t in [0,1] where segment a->b crosses {x : n_eval(x) = 0}.
-
-    n_eval is a linear functional given as a callable; returns None when the
-    segment does not cross the line transversally in its interior.
-    """
-    sa, sb = n_eval(a), n_eval(b)
-    if sa == sb:
-        return None
-    t = Fraction(sa, sa - sb)
-    if 0 < t < 1:
-        return t
-    return None

@@ -8,7 +8,7 @@ f-basis (f_i = e_i^* / d_i).  The exchange matrix is eps[i][j] = skew(e_i, e_j) 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .geometry import primitive, is_zero
+from .geometry import primitive, is_zero, cross
 
 
 class Seed:
@@ -157,8 +157,17 @@ def solve_linear(cols, target):
 
 
 def cone_coords(fd, m):
-    """Coordinates of m in the monoid-generator basis, or None if inconsistent."""
-    return solve_linear(fd.monoid_gens, m)
+    """Coordinates of m in the basis of the two monoid generators.
+
+    Cramer's rule: two cross products over the generators' determinant.
+    """
+    if fd.rank != 2 or len(fd.monoid_gens) != 2:
+        raise ValueError("cone coordinates need two monoid generators in rank 2")
+    g1, g2 = fd.monoid_gens
+    det = cross(g1, g2)
+    if det == 0:
+        raise ValueError("monoid generators are linearly dependent")
+    return Fraction(cross(m, g2), det), Fraction(cross(g1, m), det)
 
 
 def cone_order(fd, m):
@@ -168,7 +177,7 @@ def cone_order(fd, m):
     part of the cone, which is all the truncation bookkeeping needs.
     """
     co = cone_coords(fd, m)
-    if co is None or any(a < 0 for a in co):
+    if any(a < 0 for a in co):
         return None
     return sum(co)
 
@@ -176,8 +185,6 @@ def cone_order(fd, m):
 def j_order(fd, m):
     """Monomial-ideal adic order: sum of generator exponents, or None outside the monoid."""
     co = cone_coords(fd, m)
-    if co is None:
-        return None
     if any(a < 0 or a.denominator != 1 for a in co):
         return None
     return int(sum(co))

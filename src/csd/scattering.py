@@ -8,7 +8,7 @@ the origin acts trivially on both coordinate monomials up to the truncation.
 from fractions import Fraction
 
 from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, same_ray,
-                       sort_ccw, rot90, sgn, cross)
+                       sort_ccw, rot90, sgn, cross, dot)
 from .lattice import (FixedData, Seed, unit, pairing, p1_star, n_circ_primitive,
                       cone_order, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross
@@ -36,6 +36,9 @@ class Diagram:
         self.walls = list(walls)
         self.order = order
         self.saturated = saturated
+        # the walls compiled for broken-line search (brokenline.search_form),
+        # built on the first search; whatever changes walls must reset it
+        self.compiled = None
 
 
 def line_dir(fd, n):
@@ -71,10 +74,6 @@ def on_support(fd, wall, pt):
     return is_zero(pt) or same_ray(pt, wall.direction)
 
 
-def walls_at_point(fd, diagram, pt):
-    return [w for w in diagram.walls if on_support(fd, w, pt)]
-
-
 def initial_wall(fd, i):
     n = unit(fd.rank, i)
     p = p1_star(fd, n)
@@ -85,14 +84,20 @@ def initial_wall(fd, i):
     return Wall(canonical_normal(n), "line", line_dir(fd, n), WallFunction(m0, coeffs))
 
 
-def initial_diagram(fd, order, seed=None):
+def check_rank2(fd):
+    """Reject lattice data the rank-2 engine cannot handle."""
     if fd.rank != 2:
         raise ValueError("rank-2 construction only")
-    rows = [fd.exchange[i] for i in fd.unfrozen]
-    if len(rows) == 2 and cross(rows[0], rows[1]) == 0:
+    if fd.unfrozen != (0, 1):
+        raise ValueError("unfrozen must be [0, 1], got %r: the rank-2 engine "
+                         "needs both indices unfrozen" % (list(fd.unfrozen),))
+    rows = fd.exchange
+    if cross(rows[0], rows[1]) == 0:
         raise ValueError("degenerate skew form: the dual map is not injective")
-    if any(is_zero(r) for r in rows):
-        raise ValueError("degenerate skew form: the dual map is not injective")
+
+
+def initial_diagram(fd, order, seed=None):
+    check_rank2(fd)
     if seed is None:
         seed = Seed.identity(fd.rank)
     walls = [initial_wall(fd, i) for i in fd.unfrozen]
@@ -191,6 +196,7 @@ def complete_rank2(fd, order, seed=None):
 
 def complete_diagram(fd, diagram, max_rounds=100000):
     """Add outgoing-ray corrections until the loop acts trivially; idempotent."""
+    diagram.compiled = None
     for _ in range(max_rounds):
         disc = loop_discrepancy(fd, diagram)
         if all(not d for d in disc):
@@ -247,7 +253,7 @@ def leg_crossings(fd, diagram, a, b):
     """
     out = []
     v = vsub(b, a)
-    if is_zero(a) or is_zero(b) or (cross(a, b) == 0 and dot_(a, b) < 0):
+    if is_zero(a) or is_zero(b) or (cross(a, b) == 0 and dot(a, b) < 0):
         raise ValueError("path passes through the origin")
     for w in diagram.walls:
         sa = pairing(fd, w.normal, a)
@@ -274,10 +280,6 @@ def leg_crossings(fd, diagram, a, b):
         if t1 == t2 and cross(w1.normal, w2.normal) != 0:
             raise ValueError("path crosses two distinct walls at one point %r" % (p1,))
     return out
-
-
-def dot_(u, v):
-    return sum(x * y for x, y in zip(u, v))
 
 
 def path_ordered_product(fd, diagram, path, p):

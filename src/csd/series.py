@@ -64,17 +64,6 @@ def wf_mul(a, b, K):
     return WallFunction(a.direction, _conv(list(a.coeffs), list(b.coeffs), K), K)
 
 
-def _inv(coeffs, K):
-    out = [Fraction(0)] * K
-    for k in range(1, K + 1):
-        s = -(coeffs[k - 1] if k <= len(coeffs) else Fraction(0))
-        for j in range(1, k):
-            c = coeffs[j - 1] if j <= len(coeffs) else Fraction(0)
-            s -= c * out[k - j - 1]
-        out[k - 1] = s
-    return out
-
-
 def wf_pow(f, e, K):
     """Truncated integer power of f, negative powers included.
 

@@ -5,7 +5,12 @@ import pytest
 from csd.brokenline import (Piece, BrokenLine, Segment, wall_families,
                             allowed_bends, enumerate_lines, theta, reverse,
                             validate_segment, line_bounded_segment,
-                            PerturbedFamily)
+                            PerturbedFamily, _assemble)
+from csd.geometry import vadd, vsub, vscale, is_zero
+from csd.lattice import (FixedData, pairing, n_circ_primitive, cone_order,
+                         solve_linear)
+from csd.scattering import complete_rank2, on_support
+from csd.series import wf_mul, wf_pow
 
 F = Fraction
 
@@ -156,3 +161,75 @@ def test_perturbed_family(a2, a2_diagram):
     assert limit.endpoint == (F(1), F(0))
     assert [p.exponent for p in limit.pieces] == [(0, -1), (-1, -1), (-1, 0)]
     assert limit.pieces[0].bend_point == (F(0), F(0))
+
+
+# Reference search for the differential test, independent of SearchForm:
+# every wall pairing in rationals and the monoid test by Gaussian elimination.
+def _reference_lines(fd, diagram, initial, endpoint, K):
+    def events(pos, m):
+        hits = {}
+        for w in diagram.walls:
+            sd = pairing(fd, w.normal, m)
+            if sd == 0:
+                continue
+            t = -pairing(fd, w.normal, pos) / sd
+            pt = vadd(pos, vscale(t, m))
+            if t > 0 and not is_zero(pt) and on_support(fd, w, pt):
+                hits.setdefault(t, (pt, []))[1].append(w)
+        return [hits[t] for t in sorted(hits)]
+
+    def bends(walls, m):
+        # walls through a nonzero point share its line through the origin
+        n0, m0, f = n_circ_primitive(fd, walls[0].normal), walls[0].func.direction, walls[0].func
+        for w in walls[1:]:
+            f = wf_mul(f, w.func, len(f.coeffs) + len(w.func.coeffs))
+        pw = abs(int(pairing(fd, n0, m)))
+        kmax = int(F(K) / cone_order(fd, m0))
+        if pw == 0 or kmax < 1:
+            return []
+        return [(vadd(m, vscale(k, m0)), c) for k, c in wf_pow(f, pw, kmax).terms()]
+
+    def in_monoid(p):
+        co = solve_linear(fd.monoid_gens, p)
+        return co is not None and all(a >= 0 and a.denominator == 1 for a in co)
+
+    def trace(pos, m, p_rem, steps):
+        for pt, walls in events(pos, m):
+            for m_out, c in bends(walls, m):
+                step = vsub(m_out, m)
+                m_prev, p_new = vsub(m, step), vsub(p_rem, step)
+                if not is_zero(m_prev) and in_monoid(p_new):
+                    trace(pt, m_prev, p_new, steps + [(pt, m, c)])
+        if is_zero(p_rem):
+            results.append(steps + [(None, m, F(1))])
+
+    results = []
+    g1, g2 = fd.monoid_gens
+    for a in range(K + 1):
+        for b in range(K + 1 - a):
+            p = vadd(vscale(a, g1), vscale(b, g2))
+            if not is_zero(vadd(initial, p)):
+                trace(endpoint, vadd(initial, p), p, [])
+    return sorted((_assemble(endpoint, r) for r in results), key=BrokenLine.signature)
+
+
+DIFF_TYPES = [([[0, 1], [-1, 0]], [1, 1], 6), ([[0, 2], [-1, 0]], [1, 2], 6),
+              ([[0, 3], [-1, 0]], [1, 3], 6), ([[0, 2], [-2, 0]], [1, 1], 5),
+              ([[0, 3], [-3, 0]], [1, 1], 4)]
+DIFF_EXPONENTS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1),
+                  (2, -1), (-1, 2)]
+DIFF_ENDPOINTS = [(F(317, 101), F(29, 103)), (F(-211, 107), F(53, 109)),
+                  (F(-31, 113), F(-401, 127)), (F(97, 131), F(-13, 137))]
+
+
+@pytest.mark.parametrize("exchange,d,order", DIFF_TYPES,
+                         ids=["A2", "B2", "G2", "Kronecker", "W33"])
+def test_enumerate_matches_reference(exchange, d, order):
+    fd = FixedData.from_exchange(exchange, d)
+    diagram = complete_rank2(fd, order)
+    for m in DIFF_EXPONENTS:
+        for z in DIFF_ENDPOINTS:
+            got = enumerate_lines(fd, diagram, m, z, order)
+            want = _reference_lines(fd, diagram, m, z, order)
+            assert [(l.signature(), [p.coeff for p in l.pieces]) for l in got] == \
+                [(l.signature(), [p.coeff for p in l.pieces]) for l in want], (m, z)

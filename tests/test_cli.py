@@ -128,3 +128,12 @@ def test_usage_errors(paths):
     r = run_cli("theta", "--diagram", str(paths["a2"]),
                 "--direction", "1,0", "--endpoint", "0,1")
     assert r.returncode == 2
+
+
+def test_build_rejects_frozen_index(paths):
+    seed = paths["dir"] / "frozen_seed.json"
+    seed.write_text(json.dumps({"rank": 2, "unfrozen": [0], "d": [1, 1],
+                                "exchange": [[0, 1], [-1, 0]], "principal": False}))
+    r = run_cli("build", "--seed", str(seed), "--order", "6")
+    assert r.returncode == 2
+    assert "unfrozen" in r.stderr

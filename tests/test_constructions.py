@@ -4,12 +4,13 @@ import pytest
 
 from csd.geometry import vscale, vadd
 from csd.brokenline import (BrokenLine, Piece, Segment, enumerate_lines,
-                            line_bounded_segment, validate_segment)
+                            line_bounded_segment, validate_segment, theta)
 from csd.constructions import (BalancedPair, alpha_table, structure_constant,
                                ray_segment_intersection, segment_support,
                                construct_segment, glue_balanced,
                                pair_from_segment, fixed_generic_endpoint,
-                               generic_endpoint_near)
+                               generic_endpoint_near, _theta_cached)
+from csd.scattering import initial_diagram, complete_diagram
 
 F = Fraction
 
@@ -166,3 +167,15 @@ def test_construct_segment_trace(g2):
     assert seg.start == (F(1), F(-3))
     assert seg.end == tr.xt[0] == (F(2, 3), F(4, 3))
     assert seg.positions() == [seg.start] + tr.xt[::-1]
+
+
+def test_theta_cache_dropped_by_completion(a2):
+    # completion changes walls, so thetas cached on the incomplete diagram
+    # must not be served afterwards
+    diagram = initial_diagram(a2, 6)
+    z = (F(-317, 101), F(-29, 103))
+    before = _theta_cached(a2, diagram, (2, -1), z, 6)
+    complete_diagram(a2, diagram)
+    after = theta(a2, diagram, (2, -1), z, 6)
+    assert after != before
+    assert _theta_cached(a2, diagram, (2, -1), z, 6) == after

@@ -96,3 +96,15 @@ def test_with_principal_coefficients(a2):
     assert skew_form(big, unit(4, 1), unit(4, 3)) == 1
     assert skew_form(big, unit(4, 0), unit(4, 3)) == 0
     assert p1_star(big, unit(4, 0))[:2] == (0, 1)
+
+
+@pytest.mark.parametrize("exchange,d", [([[0, 1], [-1, 0]], [1, 1]), ([[0, 2], [-1, 0]], [1, 2]),
+                                        ([[0, 3], [-1, 0]], [1, 3]), ([[0, 2], [-2, 0]], [1, 1]),
+                                        ([[0, 3], [-3, 0]], [1, 1])],
+                         ids=["A2", "B2", "G2", "Kronecker", "W33"])
+def test_cone_coords_match_elimination(exchange, d):
+    fd = FixedData.from_exchange(exchange, d)
+    for x in range(-7, 8):
+        for y in range(-7, 8):
+            for m in [(x, y), (F(x, 3), F(y, 2))]:
+                assert cone_coords(fd, m) == solve_linear(fd.monoid_gens, m)

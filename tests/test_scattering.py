@@ -147,3 +147,9 @@ def test_path_ordered_product_open_path(a2, a2_diagram):
     p = LaurentPoly.monomial((1, 0), 6)
     out = path_ordered_product(a2, a2_diagram, path, p)
     assert out.terms == {(1, 0): 1, (1, 1): 1}
+
+
+def test_initial_diagram_rejects_frozen_index():
+    fd = FixedData.from_exchange([[0, 1], [-1, 0]], [1, 1], unfrozen=[0])
+    with pytest.raises(ValueError, match="unfrozen"):
+        initial_diagram(fd, 6)
