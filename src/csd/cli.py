@@ -32,6 +32,19 @@ def _point(s):
     return tuple(Fraction(p) for p in parts)
 
 
+def _int_at_least(lo):
+    """argparse type: an integer no smaller than lo."""
+    def parse(s):
+        try:
+            v = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r" % s)
+        if v < lo:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (lo, v))
+        return v
+    return parse
+
+
 def _fmt_point(p):
     return "(%s)" % ",".join(frac_to_str(c) for c in p)
 
@@ -63,7 +76,7 @@ def cmd_build(args):
 
 def cmd_theta(args):
     d = _load_diagram(args.diagram)
-    K = args.order or d.order
+    K = d.order if args.order is None else args.order
     t = theta(d.fd, d, _vec(args.direction), _point(args.endpoint), K)
     print(_fmt_poly(t))
     if args.out:
@@ -74,7 +87,7 @@ def cmd_theta(args):
 
 def cmd_multiply(args):
     d = _load_diagram(args.diagram)
-    K = args.order or d.order
+    K = d.order if args.order is None else args.order
     table = alpha_table(d.fd, d, _vec(args.p), _vec(args.q), K)
     for r in sorted(table):
         if table[r] != 0:
@@ -109,6 +122,8 @@ def cmd_pair_from_segment(args):
 def cmd_hull(args):
     d = _load_diagram(args.diagram)
     pts = serialize.points_from_json(serialize.load(args.points))
+    if not pts:
+        raise ValueError("--points lists no points")
     hull, flagged = blc_hull_2d(d.fd, d, pts)
     for p in hull:
         print(_fmt_point(p))
@@ -123,7 +138,9 @@ def cmd_hull(args):
 def cmd_check_positive(args):
     d = _load_diagram(args.diagram)
     poly = serialize.points_from_json(serialize.load(args.polygon))
-    K = args.order or d.order
+    if not poly:
+        raise ValueError("--polygon lists no points")
+    K = d.order if args.order is None else args.order
     rep = check_positive(d.fd, d, poly, args.max_degree, K)
     print("verdict: %s  (max_degree=%d, order=%d)"
           % (rep.verdict, args.max_degree, K))
@@ -136,7 +153,7 @@ def cmd_check_positive(args):
 
 def cmd_harness(args):
     d = _load_diagram(args.diagram)
-    K = args.order or d.order
+    K = d.order if args.order is None else args.order
     rep = main_theorem_harness(d.fd, d, args.trials, max_degree=args.max_degree,
                                K=K, perturb_seed=args.perturb_seed)
     print("trials=%d agree=%d skipped_unknown=%d certified_beyond_bound=%d "
@@ -176,7 +193,7 @@ def _parser():
 
     b = sub.add_parser("build", help="complete a diagram from a seed")
     b.add_argument("--seed", required=True)
-    b.add_argument("--order", type=int, required=True)
+    b.add_argument("--order", type=_int_at_least(0), required=True)
     b.add_argument("--out")
     b.set_defaults(fn=cmd_build)
 
@@ -184,7 +201,7 @@ def _parser():
     t.add_argument("--diagram", required=True)
     t.add_argument("--direction", required=True)
     t.add_argument("--endpoint", required=True)
-    t.add_argument("--order", type=int)
+    t.add_argument("--order", type=_int_at_least(0))
     t.add_argument("--out")
     t.set_defaults(fn=cmd_theta)
 
@@ -192,7 +209,7 @@ def _parser():
     m.add_argument("--diagram", required=True)
     m.add_argument("-p", required=True)
     m.add_argument("-q", required=True)
-    m.add_argument("--order", type=int)
+    m.add_argument("--order", type=_int_at_least(0))
     m.set_defaults(fn=cmd_multiply)
 
     sp = sub.add_parser("segment-from-pair", help="glue a balanced pair")
@@ -221,15 +238,15 @@ def _parser():
     cp = sub.add_parser("check-positive", help="bounded positivity scan")
     cp.add_argument("--diagram", required=True)
     cp.add_argument("--polygon", required=True)
-    cp.add_argument("--max-degree", type=int, default=3)
-    cp.add_argument("--order", type=int)
+    cp.add_argument("--max-degree", type=_int_at_least(2), default=3)
+    cp.add_argument("--order", type=_int_at_least(0))
     cp.set_defaults(fn=cmd_check_positive)
 
     ha = sub.add_parser("harness", help="positivity vs convexity on random polygons")
     ha.add_argument("--diagram", required=True)
     ha.add_argument("--trials", type=int, default=50)
-    ha.add_argument("--max-degree", type=int, default=3)
-    ha.add_argument("--order", type=int)
+    ha.add_argument("--max-degree", type=_int_at_least(2), default=3)
+    ha.add_argument("--order", type=_int_at_least(0))
     ha.add_argument("--perturb-seed", type=int, default=0)
     ha.set_defaults(fn=cmd_harness)
 

@@ -10,13 +10,16 @@ import functools
 import os
 import random
 from fractions import Fraction
+from math import gcd
 
-from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, cross, dot,
-                       ccw_key, ccw_between, sort_ccw, rot90, sgn, convex_hull,
-                       cycle_is_convex, point_in_hull, lattice_points_in_hull)
+from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, cross,
+                       ccw_key, ccw_between, sort_ccw, rot90, convex_hull,
+                       cycle_is_convex, compile_hull, homogeneous, rational)
 from .lattice import FixedData, pairing, p1_star, skew_form, unit
-from .brokenline import Segment, Piece, validate_segment, search_form
-from .constructions import alpha_table, structure_constant, pair_from_segment
+from .brokenline import Segment, Piece, validate_segment, search_form, reverse
+from .constructions import (alpha_table, structure_constant, pair_from_segment,
+                            fixed_generic_endpoint, _theta_cached)
+from .series import lp_mul
 
 I2 = ((1, 0), (0, 1))
 
@@ -30,12 +33,8 @@ def mat_mul(A, B):
                  for i in range(2))
 
 
-def mat_det(M):
-    return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-
-
 def mat_inv(M):
-    d = mat_det(M)
+    d = M[0][0] * M[1][1] - M[0][1] * M[1][0]
     if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
     return ((M[1][1] // d, -M[0][1] // d), (-M[1][0] // d, M[0][0] // d))
@@ -92,9 +91,11 @@ class PLMap:
         return secs[-1][1]
 
     def apply(self, v):
-        if is_zero(v):
+        """Image of a plain or homogeneous point; linear maps keep q as it is."""
+        x, y = v[0], v[1]
+        if x == 0 and y == 0:
             return tuple(v)
-        return mat_vec(self.matrix_at(primitive(v)), v)
+        return mat_vec(self.matrix_at((x, y)), (x, y)) + tuple(v[2:])
 
     def boundaries(self):
         if len(self.sectors) == 1:
@@ -238,16 +239,8 @@ def initial_shear_charts(fd):
     mutation walk, even for origin-containing regions.
     """
     maps = [PLMap.identity().normalized()]
-    for k in fd.unfrozen:
-        t = shear_map(fd, unit(fd.rank, k), fd.d[k])
-        maps.append(t.normalized())
-    uniq = []
-    seen = set()
-    for m in maps:
-        if m.key() not in seen:
-            seen.add(m.key())
-            uniq.append(m)
-    return uniq
+    maps += [shear_map(fd, unit(fd.rank, k), fd.d[k]).normalized() for k in fd.unfrozen]
+    return list({m.key(): m for m in maps}.values())
 
 
 class CheckReport:
@@ -264,100 +257,75 @@ class CheckReport:
 
 
 def _edge_fold_points(a, b, folds):
-    """Points where segment a->b crosses fold rays, ordered along the edge."""
+    """Points where segment a->b crosses fold rays, ordered along the edge (homogeneous)."""
+    (ax, ay, aq), (bx, by, bq) = a, b
+    vx, vy = bx * aq - ax * bq, by * aq - ay * bq  # (b - a)*aq*bq
     hits = []
-    v = vsub(b, a)
     for s in folds:
-        den = cross(v, s)
+        den = vx * s[1] - vy * s[0]
         if den == 0:
             continue
-        t = Fraction(cross(s, a), den)
-        if not (0 < t < 1):
+        c = s[0] * ay - s[1] * ax
+        if den < 0:
+            den, c = -den, -c
+        if not 0 < c * bq < den:  # the crossing is at t = c*bq/den along a->b
             continue
-        pt = vadd(a, vscale(t, v))
-        if dot(pt, s) >= 0:
-            hits.append((t, pt))
-    hits.sort()
-    out = []
-    for t, pt in hits:
-        if not out or out[-1] != pt:
-            out.append(pt)
-    return out
+        X, Y, q = ax * den + c * vx, ay * den + c * vy, aq * den
+        if X * s[0] + Y * s[1] >= 0:
+            g = gcd(X, Y, q)
+            hits.append((Fraction(c * bq, den), (X // g, Y // g, q // g)))
+    return list(dict.fromkeys(pt for _, pt in sorted(hits)))
 
 
 def refine_cycle(cycle, folds):
-    out = []
-    n = len(cycle)
-    for i in range(n):
-        a, b = cycle[i], cycle[(i + 1) % n]
-        out.append(tuple(a))
-        out.extend(tuple(p) for p in _edge_fold_points(a, b, folds))
-    return out
+    """The homogeneous cycle with the fold crossings of its edges inserted."""
+    return [p for a, b in zip(cycle, cycle[1:] + cycle[:1])
+            for p in [a] + _edge_fold_points(a, b, folds)]
 
 
 def map_cycle(phi, cycle):
-    refined = refine_cycle(cycle, phi.boundaries())
+    """(image, refined), homogeneous: the cycle refined at the folds of phi and its image."""
+    refined = refine_cycle([homogeneous(p) for p in cycle], phi.boundaries())
     return [phi.apply(p) for p in refined], refined
 
 
-def _polyline_from_chord(phi_inv, u, w):
-    """Pull a straight chart chord back through phi_inv as a base polyline."""
-    pts = [u] + _edge_fold_points(u, w, phi_inv.boundaries()) + [w]
-    return [phi_inv.apply(p) for p in pts]
-
-
-def _segment_from_polyline(poly):
+def _segment_from_polyline(poly, start, end):
+    """The segment along the homogeneous polyline from start to end, start != end."""
     pieces = []
-    total = Fraction(0)
-    for a, b in zip(poly, poly[1:]):
-        d = vsub(a, b)
-        if is_zero(d):
-            continue
-        m = primitive(d)
-        i = 0 if m[0] != 0 else 1
-        dt = Fraction(d[i], m[i])
-        total += dt
-        pieces.append(Piece(m, Fraction(1), None, dt))
-    if not pieces:
-        return None
-    return Segment(poly[0], poly[-1], pieces, total)
+    for (ax, ay, aq), (bx, by, bq) in zip(poly, poly[1:]):
+        dx, dy = ax * bq - bx * aq, ay * bq - by * aq  # (a - b)*aq*bq
+        if dx or dy:
+            g = gcd(dx, dy)
+            pieces.append(Piece((dx // g, dy // g), Fraction(1), None, Fraction(g, aq * bq)))
+    return Segment(start, end, pieces, sum(p.duration for p in pieces))
 
 
-def _region_contains(cycle, pt):
-    return point_in_hull(pt, convex_hull(cycle))
-
-
-def _convexity_witness(fd, diagram, cycle, phi):
-    """A validated broken-line segment with endpoints in the region leaving it."""
-    image, refined = map_cycle(phi, cycle)
+def _convexity_witness(fd, diagram, cycle, phi, image):
+    """A validated broken-line segment with endpoints in the region leaving it;
+    image is the homogeneous image of the cycle in the chart phi."""
+    region = compile_hull(convex_hull(cycle))
+    given = {homogeneous(p): p for p in cycle}
     phi_inv = phi.inverse()
+    folds = phi_inv.boundaries()
     n = len(image)
     for i in range(n):
         for j in range(i + 1, n):
             if image[i] == image[j]:
                 continue
-            poly = _polyline_from_chord(phi_inv, image[i], image[j])
-            probes = []
-            for a, b in zip(poly, poly[1:]):
-                probes.append(vscale(Fraction(1, 2), vadd(a, b)))
+            # the straight chart chord pulled back as a base polyline
+            chord = [image[i]] + _edge_fold_points(image[i], image[j], folds) + [image[j]]
+            poly = [phi_inv.apply(p) for p in chord]
+            probes = [(ax * bq + bx * aq, ay * bq + by * aq, 2 * aq * bq)
+                      for (ax, ay, aq), (bx, by, bq) in zip(poly, poly[1:])]
             probes.extend(poly[1:-1])
-            if all(_region_contains(cycle, p) for p in probes):
+            if all(region.contains(*p) for p in probes):
                 continue
-            seg = _segment_from_polyline(poly)
-            if seg is None:
-                continue
-            ok, _ = validate_segment(fd, diagram, seg)
-            if ok:
-                return seg
-            ok2, _ = validate_segment(fd, diagram, _reversed_copy(seg))
-            if ok2:
-                return _reversed_copy(seg)
+            ends = [given.get(p) or rational(p) for p in (poly[0], poly[-1])]
+            seg = _segment_from_polyline(poly, *ends)
+            for cand in (seg, reverse(seg)):
+                if validate_segment(fd, diagram, cand)[0]:
+                    return cand
     return None
-
-
-def _reversed_copy(seg):
-    from .brokenline import reverse
-    return reverse(seg)
 
 
 def is_blc_2d(fd, diagram, cycle, K=None):
@@ -370,11 +338,12 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     if K is None:
         K = diagram.order
     cycle = [tuple(p) for p in cycle]
+    points = [homogeneous(p) for p in cycle]
     charts, closed = chart_maps(fd)
     for phi in charts:
-        image, _ = map_cycle(phi, cycle)
+        image, _ = map_cycle(phi, points)
         if not cycle_is_convex(image):
-            wit = _convexity_witness(fd, diagram, cycle, phi)
+            wit = _convexity_witness(fd, diagram, cycle, phi, image)
             return CheckReport(False, [wit] if wit is not None else [],
                                order_checked=K, closed=closed)
     if not closed:
@@ -395,18 +364,9 @@ def blc_hull_2d(fd, diagram, pts, max_rounds=64):
         prev = hull
         for phi in charts:
             image, _ = map_cycle(phi, hull)
-            ih = convex_hull(image)
-            phi_inv = phi.inverse()
-            back = []
-            n = len(ih)
-            for i in range(n):
-                a = ih[i]
-                back.append(phi_inv.apply(a))
-                if n > 1:
-                    b = ih[(i + 1) % n]
-                    back.extend(phi_inv.apply(p)
-                                for p in _edge_fold_points(a, b, phi_inv.boundaries()))
-            V.update(tuple(p) for p in back)
+            # the chart hull and its fold crossings, pulled back
+            back, _ = map_cycle(phi.inverse(), convex_hull(rational(h) for h in image))
+            V.update(rational(h) for h in back)
     else:
         flagged = True
     return [tuple(p) for p in convex_hull(V)], flagged
@@ -421,52 +381,51 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     whose whole truncation triangle p+q+{order <= K} sits inside are skipped
     without any series work.
     """
+    _check_degree(max_degree)
     if K is None:
         K = diagram.order
-    cycle = [tuple(p) for p in cycle]
-    hull = convex_hull(cycle)
-    witnesses = []
-    from .series import lp_mul
-    from .constructions import fixed_generic_endpoint, _theta_cached
+    region = compile_hull(convex_hull(cycle))
     z0 = fixed_generic_endpoint(fd, diagram)
+
+    def violation(p, q, r, alpha):
+        # a and b are the degrees of the pair being scanned
+        w = {"p": p, "q": q, "r": r, "a": a, "b": b, "alpha": alpha}
+        return CheckReport(False, [w], degree_checked=max_degree, order_checked=K)
+
     for total in range(2, max_degree + 1):
         for a in range(1, total):
             b = total - a
             if a > b:
                 continue
-            pa = sorted(lattice_points_in_hull(_dilate(hull, a)), reverse=True)
-            pb = sorted(lattice_points_in_hull(_dilate(hull, b)), reverse=True)
-            target = _dilate(hull, a + b)
+            pa = sorted(region.dilate(a).lattice_points(), reverse=True)
+            pb = sorted(region.dilate(b).lattice_points(), reverse=True)
+            inside = region.dilate(a + b).contains
             for p in pa:
                 for q in pb:
                     if is_zero(p) or is_zero(q):
                         r = tuple(q) if is_zero(p) else tuple(p)
-                        if not point_in_hull(r, target):
-                            witnesses.append({"p": p, "q": q, "r": r, "a": a, "b": b,
-                                              "alpha": Fraction(1)})
-                            return CheckReport(False, witnesses, degree_checked=max_degree,
-                                               order_checked=K)
+                        if not inside(*r):
+                            return violation(p, q, r, Fraction(1))
                         continue
                     corners = [vadd(p, q)]
                     corners += [vadd(vadd(p, q), vscale(K, g)) for g in fd.monoid_gens]
-                    if all(point_in_hull(c, target) for c in corners):
+                    if all(inside(*c) for c in corners):
                         continue
                     prod = lp_mul(fd, _theta_cached(fd, diagram, p, z0, K),
                                   _theta_cached(fd, diagram, q, z0, K))
-                    if all(point_in_hull(e, target) for e in prod.terms):
+                    if all(inside(*e) for e in prod.terms):
                         continue
                     table = _alpha_cached(fd, diagram, p, q, K)
                     for r in sorted(table):
-                        if table[r] != 0 and not point_in_hull(r, target):
-                            witnesses.append({"p": p, "q": q, "r": r, "a": a, "b": b,
-                                              "alpha": table[r]})
-                            return CheckReport(False, witnesses, degree_checked=max_degree,
-                                               order_checked=K)
+                        if table[r] != 0 and not inside(*r):
+                            return violation(p, q, r, table[r])
     return CheckReport(True, degree_checked=max_degree, order_checked=K)
 
 
-def _dilate(hull, k):
-    return [vscale(k, p) for p in hull]
+def _check_degree(max_degree):
+    # degree 2 is the first with a pair to check; below it a True would be a guess
+    if max_degree < 2:
+        raise ValueError("max_degree must be at least 2, got %r" % (max_degree,))
 
 
 def _alpha_cached(fd, diagram, p, q, K):
@@ -491,13 +450,14 @@ def _random_polygon(rng):
 
 def _certify_failure(fd, diagram, cycle, seg, K, max_ab=24):
     """Turn a convexity witness segment into an explicit positivity violation."""
+    region = compile_hull(convex_hull(cycle))
     iv_t = Fraction(0)
     tau = None
     pos = seg.start
     for p in seg.pieces:
         dt = p.duration or Fraction(0)
         mid = vsub(pos, vscale(dt / 2, p.exponent))
-        if dt > 0 and not _region_contains(cycle, mid):
+        if dt > 0 and not region.contains(*homogeneous(mid)):
             tau = iv_t + dt / 2
             break
         pos = vsub(pos, vscale(dt, p.exponent))
@@ -522,6 +482,7 @@ def _certify_failure(fd, diagram, cycle, seg, K, max_ab=24):
 
 def main_theorem_harness(fd, diagram, trials, max_degree=3, K=None, perturb_seed=0):
     """Random polygons: positivity scan verdict vs chart-convexity verdict."""
+    _check_degree(max_degree)
     if K is None:
         K = diagram.order
     rng = random.Random(perturb_seed)

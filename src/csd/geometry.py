@@ -1,11 +1,15 @@
-"""Exact rational 2D geometry primitives.
+"""Exact 2D geometry primitives; nothing here touches floating point.
 
-All functions work on tuples of ints or Fractions; nothing here ever
-touches floating point.
+Points are tuples of ints or Fractions.  The polygon kernel works on
+integers alone: a point may also be homogeneous, (X, Y, q) with q > 0
+standing for (X/q, Y/q), and ``compile_hull`` turns a hull once into integer
+half-planes A*x + B*y >= N.  A point X/q is inside when A*X + B*Y >= N*q for
+every half-plane, and scaling the hull by k scales every N by k.
 """
 
 from fractions import Fraction
-from math import gcd
+from functools import cmp_to_key
+from math import ceil, floor, gcd, lcm
 
 
 def vadd(u, v):
@@ -50,20 +54,12 @@ def sgn(x):
 
 
 def primitive(v):
-    """Primitive integer vector with the same direction as v.
-
-    v may have Fraction entries; the result is integral.
-    """
+    """Primitive integer vector with the same direction as v (int or Fraction entries)."""
     if is_zero(v):
         raise ValueError("zero vector has no direction")
-    fr = [Fraction(a) for a in v]
-    den = 1
-    for a in fr:
-        den = den * a.denominator // gcd(den, a.denominator)
-    ints = [int(a * den) for a in fr]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
+    den = lcm(*(a.denominator for a in v))
+    ints = [a.numerator * (den // a.denominator) for a in v]
+    g = gcd(*ints)
     return tuple(a // g for a in ints)
 
 
@@ -80,32 +76,13 @@ def angle_class(v):
     return 1 if y > 0 else 3
 
 
-def ccw_key(v):
-    """Sort key for counterclockwise angular order starting at the positive x-axis."""
-    return (angle_class(v), _SlopeKey(v))
-
-
-class _SlopeKey:
+def _ccw_cmp(u, v):
     # within one angular class, u precedes v iff cross(u, v) > 0
-    __slots__ = ("v",)
+    return angle_class(u) - angle_class(v) or -cross(u, v)
 
-    def __init__(self, v):
-        self.v = v
 
-    def __lt__(self, other):
-        return cross(self.v, other.v) > 0
-
-    def __le__(self, other):
-        return cross(self.v, other.v) >= 0
-
-    def __gt__(self, other):
-        return cross(self.v, other.v) < 0
-
-    def __ge__(self, other):
-        return cross(self.v, other.v) <= 0
-
-    def __eq__(self, other):
-        return cross(self.v, other.v) == 0
+# sort key for counterclockwise angular order starting at the positive x-axis
+ccw_key = cmp_to_key(_ccw_cmp)
 
 
 def sort_ccw(dirs):
@@ -114,12 +91,18 @@ def sort_ccw(dirs):
 
 def ccw_between(a, x, b):
     """True if direction x lies in the ccw sector [a, b), a != b."""
-    ka, kx, kb = ccw_key(a), ccw_key(x), ccw_key(b)
-    if ka < kb:
-        return ka <= kx < kb
-    if kb < ka:
-        return kx >= ka or kx < kb
-    return False
+    ab = cross(a, b)
+    if ab > 0:
+        # narrower than a half-turn
+        return cross(a, x) >= 0 and cross(x, b) > 0
+    if ab < 0:
+        # the complement of the narrow sector [b, a)
+        return not (cross(b, x) >= 0 and cross(x, a) > 0)
+    if dot(a, b) > 0:
+        return False
+    # a half-plane: the left side of a, with a but not -a
+    ax = cross(a, x)
+    return ax > 0 or (ax == 0 and dot(a, x) > 0)
 
 
 def convex_hull(points):
@@ -128,6 +111,8 @@ def convex_hull(points):
     Degenerate inputs give 1 (single point) or 2 (segment endpoints) vertices.
     """
     pts = sorted(set(tuple(p) for p in points))
+    if not pts:
+        raise ValueError("convex hull of no points")
     if len(pts) == 1:
         return pts
     lower = []
@@ -147,59 +132,112 @@ def convex_hull(points):
     return hull
 
 
-def cycle_is_convex(cycle):
-    """True if the closed vertex cycle is convex and counterclockwise.
+def homogeneous(p):
+    """The point p as (X, Y, q), q > 0, gcd 1; homogeneous p is returned as is."""
+    if len(p) == 3:
+        return p
+    x, y = p
+    q = lcm(x.denominator, y.denominator)
+    return (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator), q)
 
-    Collinear consecutive points are allowed; a cycle of collinear points
-    counts as convex (degenerate).
-    """
+
+def rational(h):
+    """The homogeneous point h as a pair of Fractions."""
+    X, Y, q = h
+    return (Fraction(X, q), Fraction(Y, q))
+
+
+def cycle_is_convex(cycle):
+    """True if no two turns of the closed cycle (plain or homogeneous points)
+    have opposite orientation; a cycle of collinear points counts as convex."""
     n = len(cycle)
     if n <= 2:
         return True
+    pts = [homogeneous(p) for p in cycle]
     signs = set()
     for i in range(n):
-        a, b, c = cycle[i], cycle[(i + 1) % n], cycle[(i + 2) % n]
-        s = sgn(cross(vsub(b, a), vsub(c, b)))
-        if s:
-            signs.add(s)
+        # the turn's sign is the sign of the 3x3 determinant of the rows
+        (ax, ay, aq), (bx, by, bq), (cx, cy, cq) = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
+        signs.add(sgn(aq * (bx * cy - by * cx) - bq * (ax * cy - ay * cx)
+                      + cq * (ax * by - ay * bx)))
+    signs.discard(0)
     return len(signs) <= 1
+
+
+class HalfPlanes:
+    """A hull as integer half-planes A*x + B*y >= N, plus its bounding box."""
+
+    __slots__ = ("planes", "box")
+
+    def __init__(self, planes, box):
+        self.planes = planes
+        self.box = box  # (xmin, xmax, ymin, ymax)
+
+    def dilate(self, k):
+        """The hull scaled by the integer k > 0."""
+        return HalfPlanes([(A, B, k * N) for A, B, N in self.planes],
+                          tuple(k * c for c in self.box))
+
+    def contains(self, x, y, q=1):
+        """Whether the point (x/q, y/q), q > 0, lies in the hull (boundary counts)."""
+        for A, B, N in self.planes:
+            if A * x + B * y < N * q:
+                return False
+        return True
+
+    def lattice_points(self):
+        """Integer points of the hull, by column (x, then y, ascending)."""
+        x0, x1, y0, y1 = self.box
+        out = []
+        for x in range(ceil(x0), floor(x1) + 1):
+            lo, hi = ceil(y0), floor(y1)
+            for A, B, N in self.planes:
+                r = N - A * x  # B*y >= r
+                if B > 0:
+                    lo = max(lo, -(-r // B))
+                elif B < 0:
+                    hi = min(hi, r // B)
+                elif r > 0:
+                    hi = lo - 1
+            out.extend((x, y) for y in range(lo, hi + 1))
+        return out
+
+
+def compile_hull(hull):
+    """HalfPlanes of a ccw vertex list as ``convex_hull`` returns it.
+
+    One point gives four half-planes, a segment two opposite ones along it
+    and two end caps, a polygon one per edge.
+    """
+    pts = [homogeneous(p) for p in hull]
+    planes = []
+    if len(pts) == 1:
+        planes = [_plane(n, pts[0]) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    else:
+        for i, a in enumerate(pts):
+            b = pts[(i + 1) % len(pts)]
+            u = (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2])  # (b - a)*qa*qb
+            planes.append(_plane(rot90(u), a))
+            if len(pts) == 2:
+                # the edge b -> a gives the other side; cap the segment at a
+                planes.append(_plane(u, a))
+    box = tuple(f(Fraction(h[i], h[2]) for h in pts) for i in (0, 1) for f in (min, max))
+    return HalfPlanes(planes, box)
+
+
+def _plane(n, p):
+    """The half-plane n.x >= n.p through the homogeneous point p."""
+    X, Y, q = p
+    A, B, N = n[0] * q, n[1] * q, n[0] * X + n[1] * Y
+    g = gcd(A, B, N)
+    return (A // g, B // g, N // g)
 
 
 def point_in_hull(pt, hull):
     """Point containment for a ccw convex hull (boundary counts)."""
-    if len(hull) == 1:
-        return tuple(pt) == tuple(hull[0])
-    if len(hull) == 2:
-        a, b = hull
-        if cross(vsub(b, a), vsub(pt, a)) != 0:
-            return False
-        t = dot(vsub(pt, a), vsub(b, a))
-        return 0 <= t <= dot(vsub(b, a), vsub(b, a))
-    for i in range(len(hull)):
-        a = hull[i]
-        b = hull[(i + 1) % len(hull)]
-        if cross(vsub(b, a), vsub(pt, a)) < 0:
-            return False
-    return True
+    return compile_hull(hull).contains(*homogeneous(pt))
 
 
 def lattice_points_in_hull(hull):
     """All integer points inside a ccw convex hull with rational vertices."""
-    import math
-    xs = [Fraction(p[0]) for p in hull]
-    ys = [Fraction(p[1]) for p in hull]
-    out = []
-    for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
-        for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1):
-            if point_in_hull((x, y), hull):
-                out.append((x, y))
-    return out
-
-
-def line_line_intersection(p, u, q, v):
-    """Intersection of the lines p + t*u and q + s*v, or None if parallel."""
-    den = cross(u, v)
-    if den == 0:
-        return None
-    t = Fraction(cross(vsub(q, p), v), den)
-    return vadd(p, vscale(t, u))
+    return compile_hull(hull).lattice_points()

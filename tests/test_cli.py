@@ -137,3 +137,40 @@ def test_build_rejects_frozen_index(paths):
     r = run_cli("build", "--seed", str(seed), "--order", "6")
     assert r.returncode == 2
     assert "unfrozen" in r.stderr
+
+
+def test_empty_point_lists(paths):
+    empty = paths["dir"] / "empty.json"
+    empty.write_text("[]")
+    for cmd, flag in (("hull", "--points"), ("check-positive", "--polygon")):
+        r = run_cli(cmd, "--diagram", str(paths["g2"]), flag, str(empty))
+        assert r.returncode == 2
+        assert flag in r.stderr and "Traceback" not in r.stderr
+
+
+def test_max_degree_below_two(paths):
+    commands = (["check-positive", "--diagram", str(paths["g2"]), "--polygon", str(paths["quad"])],
+                ["harness", "--diagram", str(paths["a2"]), "--trials", "1"])
+    for cmd in commands:
+        for degree in ("0", "1", "-3"):
+            r = run_cli(*cmd, "--max-degree", degree)
+            assert r.returncode == 2
+            assert "--max-degree" in r.stderr and "verdict" not in r.stdout
+
+
+def test_order_zero_and_negative(paths):
+    # --order 0 truncates at order 0; it does not fall back to the diagram's order
+    r = run_cli("theta", "--diagram", str(paths["a2"]),
+                "--direction", "-1,0", "--endpoint", "2,1", "--order", "0")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "z^(-1,0)"
+    r = run_cli("multiply", "--diagram", str(paths["g2"]), "-p", "1,0", "-q", "-1,0",
+                "--order", "0")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "r=(0,0): 1"
+    for cmd in (["build", "--seed", str(paths["a2_seed"])],
+                ["theta", "--diagram", str(paths["a2"]), "--direction", "-1,0",
+                 "--endpoint", "2,1"]):
+        r = run_cli(*cmd, "--order", "-1")
+        assert r.returncode == 2
+        assert "--order" in r.stderr and "Traceback" not in r.stderr

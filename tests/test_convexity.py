@@ -204,6 +204,14 @@ def test_check_positive_a2(a2, a2_diagram):
     assert rep.verdict is False
 
 
+@pytest.mark.parametrize("degree", [1, 0, -3])
+def test_max_degree_below_two_rejected(a2, a2_diagram, degree):
+    with pytest.raises(ValueError, match="max_degree"):
+        check_positive(a2, a2_diagram, [(F(0), F(0)), (F(1), F(0))], degree)
+    with pytest.raises(ValueError, match="max_degree"):
+        main_theorem_harness(a2, a2_diagram, 1, max_degree=degree)
+
+
 def test_harness_small(a2, a2_diagram):
     rep = main_theorem_harness(a2, a2_diagram, 4, max_degree=3, K=6)
     assert rep["trials"] == 4

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from csd.geometry import (vadd, vsub, vneg, vscale, is_zero, dot, cross, rot90,
                           primitive, same_ray, sort_ccw, ccw_between, convex_hull,
-                          cycle_is_convex, point_in_hull, lattice_points_in_hull,
-                          line_line_intersection)
+                          cycle_is_convex, point_in_hull, lattice_points_in_hull)
 
 F = Fraction
 
@@ -62,6 +61,8 @@ def test_convex_hull():
     assert convex_hull(pts) == [(0, 0), (2, 0), (2, 2), (0, 2)]
     assert convex_hull([(1, 1)]) == [(1, 1)]
     assert convex_hull([(0, 0), (1, 1), (2, 2)]) == [(0, 0), (2, 2)]
+    with pytest.raises(ValueError):
+        convex_hull([])
 
 
 @given(st.lists(vec, min_size=1, max_size=12))
@@ -81,8 +82,3 @@ def test_lattice_points_in_hull():
     assert len(lattice_points_in_hull(hull)) == 9
     tri = [(F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 2))]
     assert lattice_points_in_hull(tri) == [(0, 0)]
-
-
-def test_line_line_intersection():
-    assert line_line_intersection((0, 0), (1, 1), (2, 0), (0, 1)) == (2, 2)
-    assert line_line_intersection((0, 0), (1, 1), (1, 0), (2, 2)) is None

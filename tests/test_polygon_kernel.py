@@ -1,0 +1,354 @@
+"""The integer polygon kernel against the Fraction polygon path it replaced.
+
+The reference functions below are the Fraction implementations of hull
+containment, the bounding-box lattice scan, chart images, convexity
+witnesses, broken-line hulls and the positivity scan.  They share the series
+layer (theta and alpha caches) with the program, so only the polygon
+arithmetic is compared.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from csd.brokenline import Segment, Piece, validate_segment, reverse
+from csd.constructions import fixed_generic_endpoint, _theta_cached
+from csd.convexity import (chart_maps, is_blc_2d, blc_hull_2d, check_positive,
+                           mat_vec, _alpha_cached)
+from csd.geometry import (vadd, vsub, vscale, is_zero, primitive, cross, dot, sgn,
+                          ccw_key, ccw_between, convex_hull, compile_hull,
+                          point_in_hull, lattice_points_in_hull, homogeneous)
+from csd.lattice import FixedData
+from csd.scattering import complete_rank2
+from csd.series import lp_mul
+
+F = Fraction
+
+
+# --- reference: the Fraction polygon path ---------------------------------
+
+def ref_point_in_hull(pt, hull):
+    if len(hull) == 1:
+        return tuple(pt) == tuple(hull[0])
+    if len(hull) == 2:
+        a, b = hull
+        if cross(vsub(b, a), vsub(pt, a)) != 0:
+            return False
+        t = dot(vsub(pt, a), vsub(b, a))
+        return 0 <= t <= dot(vsub(b, a), vsub(b, a))
+    for i in range(len(hull)):
+        a = hull[i]
+        b = hull[(i + 1) % len(hull)]
+        if cross(vsub(b, a), vsub(pt, a)) < 0:
+            return False
+    return True
+
+
+def ref_lattice_points(hull):
+    xs = [Fraction(p[0]) for p in hull]
+    ys = [Fraction(p[1]) for p in hull]
+    out = []
+    for x in range(math.ceil(min(xs)), math.floor(max(xs)) + 1):
+        for y in range(math.ceil(min(ys)), math.floor(max(ys)) + 1):
+            if ref_point_in_hull((x, y), hull):
+                out.append((x, y))
+    return out
+
+
+def ref_cycle_is_convex(cycle):
+    n = len(cycle)
+    if n <= 2:
+        return True
+    signs = set()
+    for i in range(n):
+        a, b, c = cycle[i], cycle[(i + 1) % n], cycle[(i + 2) % n]
+        s = sgn(cross(vsub(b, a), vsub(c, b)))
+        if s:
+            signs.add(s)
+    return len(signs) <= 1
+
+
+def ref_ccw_between(a, x, b):
+    ka, kx, kb = ccw_key(a), ccw_key(x), ccw_key(b)
+    if ka < kb:
+        return ka <= kx < kb
+    if kb < ka:
+        return kx >= ka or kx < kb
+    return False
+
+
+def ref_apply(phi, v):
+    if is_zero(v):
+        return tuple(v)
+    d = primitive(v)
+    secs = phi.sectors
+    M = secs[-1][1]
+    if len(secs) > 1:
+        for i, (start, Mi) in enumerate(secs):
+            if ref_ccw_between(start, d, secs[(i + 1) % len(secs)][0]):
+                M = Mi
+                break
+    return mat_vec(M, v)
+
+
+def ref_edge_fold_points(a, b, folds):
+    hits = []
+    v = vsub(b, a)
+    for s in folds:
+        den = cross(v, s)
+        if den == 0:
+            continue
+        t = Fraction(cross(s, a), den)
+        if not (0 < t < 1):
+            continue
+        pt = vadd(a, vscale(t, v))
+        if dot(pt, s) >= 0:
+            hits.append((t, pt))
+    hits.sort()
+    out = []
+    for t, pt in hits:
+        if not out or out[-1] != pt:
+            out.append(pt)
+    return out
+
+
+def ref_map_cycle(phi, cycle):
+    folds = phi.boundaries()
+    refined = []
+    for i, a in enumerate(cycle):
+        refined.append(tuple(a))
+        refined.extend(ref_edge_fold_points(a, cycle[(i + 1) % len(cycle)], folds))
+    return [ref_apply(phi, p) for p in refined]
+
+
+def ref_segment_from_polyline(poly):
+    pieces = []
+    total = Fraction(0)
+    for a, b in zip(poly, poly[1:]):
+        d = vsub(a, b)
+        if is_zero(d):
+            continue
+        m = primitive(d)
+        i = 0 if m[0] != 0 else 1
+        dt = Fraction(d[i], m[i])
+        total += dt
+        pieces.append(Piece(m, Fraction(1), None, dt))
+    if not pieces:
+        return None
+    return Segment(poly[0], poly[-1], pieces, total)
+
+
+def ref_convexity_witness(fd, diagram, cycle, phi):
+    image = ref_map_cycle(phi, cycle)
+    phi_inv = phi.inverse()
+    for i, j in itertools.combinations(range(len(image)), 2):
+        u, w = image[i], image[j]
+        if u == w:
+            continue
+        pts = [u] + ref_edge_fold_points(u, w, phi_inv.boundaries()) + [w]
+        poly = [ref_apply(phi_inv, p) for p in pts]
+        probes = [vscale(Fraction(1, 2), vadd(a, b)) for a, b in zip(poly, poly[1:])]
+        probes.extend(poly[1:-1])
+        if all(ref_point_in_hull(p, convex_hull(cycle)) for p in probes):
+            continue
+        seg = ref_segment_from_polyline(poly)
+        if seg is None:
+            continue
+        if validate_segment(fd, diagram, seg)[0]:
+            return seg
+        if validate_segment(fd, diagram, reverse(seg))[0]:
+            return reverse(seg)
+    return None
+
+
+def ref_is_blc(fd, diagram, cycle):
+    cycle = [tuple(p) for p in cycle]
+    charts, closed = chart_maps(fd)
+    for phi in charts:
+        if not ref_cycle_is_convex(ref_map_cycle(phi, cycle)):
+            wit = ref_convexity_witness(fd, diagram, cycle, phi)
+            return (False, [wit] if wit is not None else [], closed)
+    return (None, [], False) if not closed else (True, [], True)
+
+
+def ref_blc_hull(fd, diagram, pts, max_rounds=64):
+    charts, closed = chart_maps(fd)
+    V = {tuple(p) for p in pts}
+    flagged = not closed
+    prev = None
+    for _ in range(max_rounds):
+        hull = convex_hull(V)
+        if hull == prev:
+            break
+        prev = hull
+        for phi in charts:
+            ih = convex_hull(ref_map_cycle(phi, hull))
+            phi_inv = phi.inverse()
+            back = []
+            for i, a in enumerate(ih):
+                back.append(ref_apply(phi_inv, a))
+                if len(ih) > 1:
+                    b = ih[(i + 1) % len(ih)]
+                    back.extend(ref_apply(phi_inv, p)
+                                for p in ref_edge_fold_points(a, b, phi_inv.boundaries()))
+            V.update(tuple(p) for p in back)
+    else:
+        flagged = True
+    return [tuple(p) for p in convex_hull(V)], flagged
+
+
+def ref_check_positive(fd, diagram, cycle, max_degree, K):
+    hull = convex_hull([tuple(p) for p in cycle])
+    z0 = fixed_generic_endpoint(fd, diagram)
+
+    def dilate(k):
+        return [vscale(k, p) for p in hull]
+
+    for total in range(2, max_degree + 1):
+        for a in range(1, total):
+            b = total - a
+            if a > b:
+                continue
+            pa = sorted(ref_lattice_points(dilate(a)), reverse=True)
+            pb = sorted(ref_lattice_points(dilate(b)), reverse=True)
+            target = dilate(a + b)
+            for p in pa:
+                for q in pb:
+                    if is_zero(p) or is_zero(q):
+                        r = tuple(q) if is_zero(p) else tuple(p)
+                        if not ref_point_in_hull(r, target):
+                            return (False, [{"p": p, "q": q, "r": r, "a": a, "b": b,
+                                             "alpha": Fraction(1)}])
+                        continue
+                    corners = [vadd(p, q)]
+                    corners += [vadd(vadd(p, q), vscale(K, g)) for g in fd.monoid_gens]
+                    if all(ref_point_in_hull(c, target) for c in corners):
+                        continue
+                    prod = lp_mul(fd, _theta_cached(fd, diagram, p, z0, K),
+                                  _theta_cached(fd, diagram, q, z0, K))
+                    if all(ref_point_in_hull(e, target) for e in prod.terms):
+                        continue
+                    table = _alpha_cached(fd, diagram, p, q, K)
+                    for r in sorted(table):
+                        if table[r] != 0 and not ref_point_in_hull(r, target):
+                            return (False, [{"p": p, "q": q, "r": r, "a": a, "b": b,
+                                             "alpha": table[r]}])
+    return (True, [])
+
+
+# --- compiled hulls: containment and lattice points ------------------------
+
+coord = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 1, 2, 3, 4, 7]))
+point = st.tuples(coord, coord)
+
+
+def hulls(min_size, max_size):
+    return st.lists(point, min_size=min_size, max_size=max_size).map(convex_hull)
+
+
+any_hull = st.one_of(hulls(1, 1),
+                     st.tuples(point, point).filter(lambda ab: ab[0] != ab[1])
+                     .map(lambda ab: convex_hull(ab)),
+                     hulls(3, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_hull, st.integers(1, 4), st.lists(point, max_size=10),
+       st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=10))
+def test_compiled_containment_matches_reference(hull, k, rational_pts, int_pts):
+    dilated = [vscale(k, p) for p in hull]
+    compiled = compile_hull(hull).dilate(k)
+    # every vertex of the dilation, edge midpoints and points just off them
+    probes = list(dilated) + [vscale(k, p) for p in rational_pts] + rational_pts + int_pts
+    for a, b in zip(dilated, dilated[1:] + dilated[:1]):
+        mid = vscale(F(1, 2), vadd(a, b))
+        probes += [mid, vadd(mid, (F(1, 97), 0)), vadd(mid, (0, F(-1, 97)))]
+    for pt in probes:
+        expected = ref_point_in_hull(pt, dilated)
+        assert compiled.contains(*homogeneous(pt)) == expected, (hull, k, pt)
+        assert point_in_hull(pt, dilated) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_hull, st.integers(1, 4))
+def test_lattice_points_match_bounding_box_scan(hull, k):
+    dilated = [vscale(k, p) for p in hull]
+    expected = ref_lattice_points(dilated)
+    assert compile_hull(hull).dilate(k).lattice_points() == expected
+    assert lattice_points_in_hull(dilated) == expected
+
+
+def test_compiled_hull_shapes():
+    assert len(compile_hull([(F(1, 2), F(3))]).planes) == 4
+    assert len(compile_hull([(0, 0), (F(3, 2), F(1))]).planes) == 4
+    square = compile_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert len(square.planes) == 4
+    assert square.dilate(3).lattice_points() == [(x, y) for x in range(4) for y in range(4)]
+    # a segment between lattice points: only the points on it
+    seg = compile_hull([(0, 0), (2, 4)])
+    assert seg.lattice_points() == [(0, 0), (1, 2), (2, 4)]
+    assert seg.contains(1, 2, 1) and not seg.contains(1, 3, 1)
+    assert seg.contains(3, 6, 3) and not seg.contains(7, 14, 3)
+
+
+vec = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda v: v != (0, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vec, vec, vec)
+def test_ccw_between_matches_angle_keys(a, x, b):
+    assert ccw_between(a, x, b) == ref_ccw_between(a, x, b)
+
+
+# --- the polygon layer against the Fraction path ---------------------------
+
+def _bench_polygon(rng, vertices, origin, span):
+    pts = set()
+    while len(pts) < vertices:
+        pts.add((Fraction(rng.randint(-span, span), rng.choice((1, 1, 2))),
+                 Fraction(rng.randint(-span, span), rng.choice((1, 1, 2)))))
+    if origin:
+        pts.add((Fraction(0), Fraction(0)))
+    return convex_hull(pts)
+
+
+def _polygons(seed, small, large):
+    """small polygons in [-1, 1]^2 and large ones in [-6, 6]^2, bench style."""
+    rng = random.Random(seed)
+    out = [_bench_polygon(rng, 2 + j % 4, (j // 4) % 2 == 0, 1) for j in range(small)]
+    out += [_bench_polygon(rng, 2 + j % 4, j % 2 == 0, 6) for j in range(large)]
+    return out
+
+
+@pytest.mark.parametrize("name", ["A2", "Kronecker", "G2"])
+def test_verdicts_match_fraction_path(name, a2, a2_diagram, kron, kron_diagram,
+                                      g2, g2_diagram):
+    fd, diagram = {"A2": (a2, a2_diagram), "Kronecker": (kron, kron_diagram),
+                   "G2": (g2, g2_diagram)}[name]
+    for cycle in _polygons("kernel:" + name, 100, 20):
+        blc = is_blc_2d(fd, diagram, cycle, 6)
+        verdict, witnesses, closed = ref_is_blc(fd, diagram, cycle)
+        assert (blc.verdict, repr(blc.witnesses), blc.closed) == \
+            (verdict, repr(witnesses), closed), cycle
+        pos = check_positive(fd, diagram, cycle, 3, 6)
+        ref = ref_check_positive(fd, diagram, cycle, 3, 6)
+        assert (pos.verdict, repr(pos.witnesses)) == (ref[0], repr(ref[1])), cycle
+
+
+def test_int_vertices_keep_their_type(a2, a2_diagram):
+    tri = [(0, 0), (2, -6), (3, 3)]
+    rep = is_blc_2d(a2, a2_diagram, tri)
+    assert repr(rep.witnesses) == repr(ref_is_blc(a2, a2_diagram, tri)[1])
+
+
+def test_hulls_match_fraction_path(a2, a2_diagram, g2, g2_diagram):
+    b2 = FixedData.from_exchange([[0, 2], [-1, 0]], [1, 2])
+    grid = [(F(x), F(y)) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    for fd, diagram in ((a2, a2_diagram), (b2, complete_rank2(b2, 6)), (g2, g2_diagram)):
+        for pts in itertools.combinations(grid, 3):
+            assert repr(blc_hull_2d(fd, diagram, pts)) == \
+                repr(ref_blc_hull(fd, diagram, pts)), pts
