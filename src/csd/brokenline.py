@@ -123,10 +123,21 @@ class SearchForm:
     Wall normals are scaled by L = lcm(d), so <n, x> = (a . x) / L with an
     integer vector a: a wall crossing is a sign test on the numerators of a
     point, and a Fraction is built only for the walls a ray actually hits.
-    The form also holds the wall families of each set of walls that meet at
-    a point, the power tables of their functions, the monoid generators for
-    the integer monoid test, and the diagram's theta and alpha caches.  It
-    is built by search_form on the first search and reset by
+    The form also holds the monoid generators for the integer monoid test
+    and the diagram's caches:
+
+    - families: wall families, keyed by the tuple of walls met at a point,
+      each with its table of powers of f keyed by (power, K);
+    - thetas: theta functions, keyed by (m, endpoint, K);
+    - alphas: alpha tables, keyed by (unordered pair {p, q}, K);
+    - products: theta products at the expansion endpoint, keyed by
+      (unordered pair {p, q}, K);
+    - endpoint: the expansion endpoint, computed once.
+
+    Nothing is evicted.  Each entry is a value the diagram was asked for, so
+    a cache grows only with the distinct wall sets, (pair, K) and
+    (m, endpoint, K) its callers request, and it is dropped with the form.
+    The form is built by search_form on the first search and reset by
     scattering.complete_diagram, the only code that changes walls.
     """
 
@@ -141,6 +152,8 @@ class SearchForm:
         self._families = {}
         self.thetas = {}
         self.alphas = {}
+        self.products = {}
+        self.endpoint = None
 
     def walls_through(self, point):
         """The walls whose support contains the point."""

@@ -6,16 +6,15 @@ endpoint), and segment -> balanced pair (split at an interior time, read off
 exponents from the affine invariant x + t*m of each piece).
 """
 
+import heapq
 import warnings
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, same_ray,
-                       cross, dot, sgn)
-from .lattice import pairing, n_circ_primitive, cone_order
-from .series import (LaurentPoly, lp_mul, lp_add, lp_scale, lp_truncate,
-                     wf_coeff_pow)
-from .scattering import on_support
+                       cross, dot)
+from .lattice import pairing, n_circ_primitive, order_form
+from .series import lp_mul, wf_coeff_pow, _kept, _scaled
 from .brokenline import (BrokenLine, Segment, Piece, enumerate_lines, theta,
                          wall_families, reverse, search_form)
 
@@ -139,23 +138,54 @@ def _theta_cached(fd, diagram, m, z0, K):
     return cache[key]
 
 
+def _product_cached(fd, diagram, p, q, K):
+    """theta_p * theta_q at the expansion endpoint, built once per ({p, q}, K)."""
+    cache = search_form(fd, diagram).products
+    key = (tuple(sorted((tuple(p), tuple(q)))), K)
+    if key not in cache:
+        z0 = fixed_generic_endpoint(fd, diagram)
+        lo, hi = key[0]
+        cache[key] = lp_mul(fd, _theta_cached(fd, diagram, lo, z0, K),
+                            _theta_cached(fd, diagram, hi, z0, K))
+    return cache[key]
+
+
+def _alpha_cached(fd, diagram, p, q, K):
+    cache = search_form(fd, diagram).alphas
+    key = (tuple(sorted((tuple(p), tuple(q)))), K)
+    if key not in cache:
+        cache[key] = alpha_table(fd, diagram, p, q, K)
+    return cache[key]
+
+
 def fixed_generic_endpoint(fd, diagram):
-    """Endpoint for theta-basis expansions.
+    """Endpoint for theta-basis expansions, computed once per search form.
 
     Large coprime coordinates keep the ray through the endpoint clear of
     every exponent the truncated expansions can produce, so each theta
     keeps its leading monomial; wall-genericity is still checked.
     """
-    cands = [(9973, 9967), (9973, -9967), (-9967, 9973), (-9973, -9967),
-             (9967, 10007), (10007, -9973)]
-    for v in cands:
-        if all(pairing(fd, w.normal, v) != 0 for w in diagram.walls):
-            return v
-    raise ValueError("no generic probe point found")
+    form = search_form(fd, diagram)
+    if form.endpoint is None:
+        cands = [(9973, 9967), (9973, -9967), (-9967, 9973), (-9973, -9967),
+                 (9967, 10007), (10007, -9973)]
+        for v in cands:
+            if all(pairing(fd, w.normal, v) != 0 for w in diagram.walls):
+                form.endpoint = v
+                break
+        else:
+            raise ValueError("no generic probe point found")
+    return form.endpoint
 
 
 def alpha_table(fd, diagram, p, q, K=None):
-    """All r with alpha(p,q,r) != 0, by triangular decomposition in the theta basis."""
+    """All r with alpha(p,q,r) != 0, by triangular decomposition in the theta basis.
+
+    The remainder of theta_p * theta_q is held as integer numerators over one
+    denominator D, its exponents in a heap keyed by (order over p + q,
+    exponent).  Subtracting c * theta_e only adds terms of higher order than
+    e, so the heap yields the exponents in the order of a full scan.
+    """
     if K is None:
         K = diagram.order
     p, q = tuple(p), tuple(q)
@@ -165,20 +195,37 @@ def alpha_table(fd, diagram, p, q, K=None):
         return {p: Fraction(1)}
     z0 = fixed_generic_endpoint(fd, diagram)
     base = vadd(p, q)
-    tp = _theta_cached(fd, diagram, p, z0, K)
-    tq = _theta_cached(fd, diagram, q, z0, K)
-    rem = lp_truncate(fd, lp_mul(fd, tp, tq).terms, base, K)
+    ux, uy, vx, vy, _ = order_form(fd)
+    wx, wy = ux + vx, uy + vy
+
+    def key(e):
+        return wx * (e[0] - base[0]) + wy * (e[1] - base[1]), e
+
+    D, rem = _scaled(_product_cached(fd, diagram, p, q, K).terms)
+    heap = [key(e) for e in rem]
+    heapq.heapify(heap)
     out = {}
-    while rem.terms:
-        e = min(rem.terms, key=lambda e: (cone_order(fd, vsub(e, base)), e))
-        c = rem.terms[e]
-        out[e] = c
+    while heap:
+        e = heapq.heappop(heap)[1]
+        n = rem.pop(e)
+        if not n:
+            continue
+        out[e] = Fraction(n, D)
         th = _theta_cached(fd, diagram, e, z0, K)
-        if th.terms.get(tuple(e)) != 1:
+        if th.terms.get(e) != 1:
             raise ValueError("theta at %r has no unit leading term; "
                              "probe endpoint is not generic enough" % (e,))
-        rebased = lp_truncate(fd, th.terms, base, K)
-        rem = lp_add(fd, rem, lp_scale(rebased, -c))
+        De, nums = _scaled(th.terms)
+        if De != 1:
+            rem = {t: m * De for t, m in rem.items()}
+            D *= De
+        # the leading term cancels n exactly; every other term lies above e
+        for t, m in _kept(fd, nums, base, K).items():
+            if t != e:
+                if t not in rem:
+                    rem[t] = 0
+                    heapq.heappush(heap, key(t))
+                rem[t] -= n * m
     return out
 
 

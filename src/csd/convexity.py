@@ -16,10 +16,9 @@ from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, cross,
                        ccw_key, ccw_between, sort_ccw, rot90, convex_hull,
                        cycle_is_convex, compile_hull, homogeneous, rational)
 from .lattice import FixedData, pairing, p1_star, skew_form, unit
-from .brokenline import Segment, Piece, validate_segment, search_form, reverse
-from .constructions import (alpha_table, structure_constant, pair_from_segment,
-                            fixed_generic_endpoint, _theta_cached)
-from .series import lp_mul
+from .brokenline import Segment, Piece, validate_segment, reverse
+from .constructions import (structure_constant, pair_from_segment, _alpha_cached,
+                            _product_cached)
 
 I2 = ((1, 0), (0, 1))
 
@@ -338,6 +337,9 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     if K is None:
         K = diagram.order
     cycle = [tuple(p) for p in cycle]
+    if not cycle:
+        # every chart image of no points is convex, so True would be vacuous
+        raise ValueError("cycle lists no points")
     points = [homogeneous(p) for p in cycle]
     charts, closed = chart_maps(fd)
     for phi in charts:
@@ -385,7 +387,6 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     if K is None:
         K = diagram.order
     region = compile_hull(convex_hull(cycle))
-    z0 = fixed_generic_endpoint(fd, diagram)
 
     def violation(p, q, r, alpha):
         # a and b are the degrees of the pair being scanned
@@ -411,8 +412,7 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
                     corners += [vadd(vadd(p, q), vscale(K, g)) for g in fd.monoid_gens]
                     if all(inside(*c) for c in corners):
                         continue
-                    prod = lp_mul(fd, _theta_cached(fd, diagram, p, z0, K),
-                                  _theta_cached(fd, diagram, q, z0, K))
+                    prod = _product_cached(fd, diagram, p, q, K)
                     if all(inside(*e) for e in prod.terms):
                         continue
                     table = _alpha_cached(fd, diagram, p, q, K)
@@ -426,14 +426,6 @@ def _check_degree(max_degree):
     # degree 2 is the first with a pair to check; below it a True would be a guess
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2, got %r" % (max_degree,))
-
-
-def _alpha_cached(fd, diagram, p, q, K):
-    cache = search_form(fd, diagram).alphas
-    key = (tuple(sorted((tuple(p), tuple(q)))), K)
-    if key not in cache:
-        cache[key] = alpha_table(fd, diagram, p, q, K)
-    return cache[key]
 
 
 def _random_polygon(rng):

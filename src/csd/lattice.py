@@ -170,16 +170,34 @@ def cone_coords(fd, m):
     return Fraction(cross(m, g2), det), Fraction(cross(g1, m), det)
 
 
+def order_form(fd):
+    """Integer form of the cone coordinates: (ux, uy, vx, vy, D).
+
+    m has cone coordinates (u/D, v/D) with u = ux*m0 + uy*m1 and
+    v = vx*m0 + vy*m1, and D = |cross(g1, g2)| > 0.  So m lies in the cone
+    when u, v >= 0, and its cone_order is (u + v)/D.
+    """
+    if fd.rank != 2 or len(fd.monoid_gens) != 2:
+        raise ValueError("cone coordinates need two monoid generators in rank 2")
+    (ax, ay), (bx, by) = fd.monoid_gens
+    det = ax * by - ay * bx
+    if det == 0:
+        raise ValueError("monoid generators are linearly dependent")
+    s = 1 if det > 0 else -1
+    return s * by, -s * bx, -s * ay, s * ax, abs(det)
+
+
 def cone_order(fd, m):
     """Rational grading order of m in the cone spanned by the monoid generators.
 
     None when m is outside the cone.  Additive and positive on the nonzero
     part of the cone, which is all the truncation bookkeeping needs.
     """
-    co = cone_coords(fd, m)
-    if any(a < 0 for a in co):
+    ux, uy, vx, vy, D = order_form(fd)
+    u, v = ux * m[0] + uy * m[1], vx * m[0] + vy * m[1]
+    if u < 0 or v < 0:
         return None
-    return sum(co)
+    return Fraction(u + v, D)
 
 
 def j_order(fd, m):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, same_ray,
                        sort_ccw, rot90, sgn, cross, dot)
-from .lattice import (FixedData, Seed, unit, pairing, p1_star, n_circ_primitive,
+from .lattice import (Seed, unit, pairing, p1_star, n_circ_primitive,
                       cone_order, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross
 

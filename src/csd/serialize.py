@@ -47,8 +47,21 @@ def fd_to_json(fd, principal=False):
     }
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def fd_from_json(doc):
-    fd = FixedData.from_exchange(doc["exchange"], doc["d"], doc.get("unfrozen"))
+    """Lattice data from a seed document; malformed fields raise ValueError naming them."""
+    if not isinstance(doc, dict):
+        raise ValueError("seed must be a JSON object, got %s" % type(doc).__name__)
+    ex, d = doc["exchange"], doc["d"]
+    if not (isinstance(ex, list) and all(isinstance(row, list) and len(row) == len(ex)
+                                         and all(_is_int(x) for x in row) for row in ex)):
+        raise ValueError("exchange must be a square matrix of integers, got %r" % (ex,))
+    if not (isinstance(d, list) and len(d) == len(ex) and all(_is_int(x) and x >= 1 for x in d)):
+        raise ValueError("d must list one integer >= 1 per exchange row, got %r" % (d,))
+    fd = FixedData.from_exchange(ex, d, doc.get("unfrozen"))
     if doc.get("principal"):
         fd, _ = with_principal_coefficients(fd)
     return fd

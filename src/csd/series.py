@@ -2,13 +2,15 @@
 
 A WallFunction is f = 1 + sum_{k>=1} c_k z^{k*m0} with m0 a primitive lattice
 direction.  A LaurentPoly keeps a base exponent; truncation drops terms whose
-shift from the base exceeds the order in the adic grading.
+shift from the base exceeds the order in the adic grading.  Truncation, sums,
+products and crossings run on integer numerators; terms stay Fractions.
 """
 
 from fractions import Fraction
+from math import comb, lcm
 
-from .geometry import vadd, vsub, vscale, primitive
-from .lattice import cone_order, n_circ_primitive, pairing
+from .geometry import vadd, primitive
+from .lattice import n_circ_primitive, order_form
 
 
 class WallFunction:
@@ -23,11 +25,9 @@ class WallFunction:
         self.order = order
 
     def coeff(self, k):
-        if k == 0:
-            return Fraction(1)
         if 1 <= k <= len(self.coeffs):
             return self.coeffs[k - 1]
-        return Fraction(0)
+        return Fraction(1 if k == 0 else 0)
 
     def terms(self):
         """Nonzero terms (k, c_k) with k >= 1."""
@@ -44,24 +44,12 @@ class WallFunction:
         return "WallFunction(%r, %r)" % (self.direction, list(self.coeffs))
 
 
-def _conv(a, b, K):
-    # coefficient lists with implicit leading 1
-    out = [Fraction(0)] * K
-    for k in range(1, K + 1):
-        s = a[k - 1] if k <= len(a) else Fraction(0)
-        s += b[k - 1] if k <= len(b) else Fraction(0)
-        for j in range(1, k):
-            ca = a[j - 1] if j <= len(a) else Fraction(0)
-            cb = b[k - j - 1] if k - j <= len(b) else Fraction(0)
-            s += ca * cb
-        out[k - 1] = s
-    return out
-
-
 def wf_mul(a, b, K):
     if a.direction != b.direction:
         raise ValueError("direction mismatch")
-    return WallFunction(a.direction, _conv(list(a.coeffs), list(b.coeffs), K), K)
+    x, y = ((Fraction(1),) + f.coeffs + (Fraction(0),) * K for f in (a, b))
+    return WallFunction(a.direction, [sum(x[j] * y[k - j] for j in range(k + 1))
+                                      for k in range(1, K + 1)], K)
 
 
 def wf_pow(f, e, K):
@@ -71,44 +59,30 @@ def wf_pow(f, e, K):
     which costs O(K * #terms(f)) instead of repeated convolution.
     """
     fs = f.terms()
-    out = [Fraction(0)] * K
-
-    def g(n):
-        return Fraction(1) if n == 0 else out[n - 1]
-
+    out = [Fraction(1)]
     for n in range(1, K + 1):
         s = Fraction(0)
         for j, c in fs:
             if j > n:
                 break
-            s += ((e + 1) * j - n) * c * g(n - j)
-        out[n - 1] = s / n
-    return WallFunction(f.direction, out, K)
+            s += ((e + 1) * j - n) * c * out[n - j]
+        out.append(s / n)
+    return WallFunction(f.direction, out[1:], K)
 
 
 def wf_coeff_pow(f, e, k):
-    """Single coefficient of z^{k*m0} in f^e without building the whole series.
-
-    Bend checks can ask for very high orders; the one-term case is a plain
-    binomial and stays cheap even then.
-    """
-    from math import comb
+    """Single coefficient of z^{k*m0} in f^e; the one-term case is a binomial,
+    cheap even at the very high orders bend checks can ask for."""
+    ts = f.terms()
     if k == 0:
         return Fraction(1)
-    ts = f.terms()
-    if not ts:
+    if len(ts) > 1:
+        return wf_pow(f, e, k).coeff(k)
+    r, rest = divmod(k, ts[0][0]) if ts else (0, 1)
+    if rest or 0 <= e < r:
         return Fraction(0)
-    if len(ts) == 1:
-        j, c = ts[0]
-        if k % j:
-            return Fraction(0)
-        r = k // j
-        if e >= 0:
-            if r > e:
-                return Fraction(0)
-            return comb(e, r) * c ** r
-        return Fraction((-1) ** r * comb(r - e - 1, r)) * c ** r
-    return wf_pow(f, e, k).coeff(k)
+    c = ts[0][1] ** r
+    return comb(e, r) * c if e >= 0 else Fraction((-1) ** r * comb(r - e - 1, r)) * c
 
 
 class LaurentPoly:
@@ -133,26 +107,47 @@ class LaurentPoly:
         return sorted(self.terms.items())
 
 
-def lp_truncate(fd, terms, base, order):
+def _kept(fd, nums, base, order):
+    """The nonzero terms of nums whose shift from base has order at most order."""
+    ux, uy, vx, vy, D = order_form(fd)
+    bx, by = base
+    top = order * D
     kept = {}
-    for e, c in terms.items():
-        if c == 0:
-            continue
-        o = cone_order(fd, vsub(e, base))
-        if o is None:
+    for e, n in nums.items():
+        x, y = e[0] - bx, e[1] - by
+        u, v = ux * x + uy * y, vx * x + vy * y
+        if n and (u < 0 or v < 0):
             raise ValueError("term %r escapes the truncation cone over base %r" % (e, base))
-        if o <= order:
-            kept[e] = c
-    return LaurentPoly(kept, base, order)
+        if n and u + v <= top:
+            kept[e] = n
+    return kept
+
+
+def _scaled(*parts):
+    """(D, numerators) of the sum of term dicts, over their lcm denominator D."""
+    D = lcm(*(c.denominator for t in parts for c in t.values()))
+    nums = {}
+    for t in parts:
+        for e, c in t.items():
+            nums[e] = nums.get(e, 0) + c.numerator * (D // c.denominator)
+    return D, nums
+
+
+def _truncated(fd, D, nums, base, order):
+    """The LaurentPoly of the terms n / D whose shift from base has order at most order."""
+    p = LaurentPoly({}, base, order)
+    p.terms = {e: Fraction(n, D) for e, n in _kept(fd, nums, base, order).items()}
+    return p
+
+
+def lp_truncate(fd, terms, base, order):
+    return _truncated(fd, *_scaled(terms), base, order)
 
 
 def lp_add(fd, a, b):
     if a.base != b.base:
         raise ValueError("base mismatch in sum")
-    terms = dict(a.terms)
-    for e, c in b.terms.items():
-        terms[e] = terms.get(e, Fraction(0)) + c
-    return lp_truncate(fd, terms, a.base, min(a.order, b.order))
+    return _truncated(fd, *_scaled(a.terms, b.terms), a.base, min(a.order, b.order))
 
 
 def lp_scale(a, c):
@@ -160,39 +155,43 @@ def lp_scale(a, c):
 
 
 def lp_mul(fd, a, b):
-    base = vadd(a.base, b.base)
-    order = min(a.order, b.order)
+    """Product on integer numerators, divided once by both denominators."""
+    (da, na), (db, nb) = _scaled(a.terms), _scaled(b.terms)
     terms = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = vadd(e1, e2)
-            terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-    return lp_truncate(fd, terms, base, order)
+    for (x1, y1), c1 in na.items():
+        for (x2, y2), c2 in nb.items():
+            e = (x1 + x2, y1 + y2)
+            terms[e] = terms.get(e, 0) + c1 * c2
+    base, order = vadd(a.base, b.base), min(a.order, b.order)
+    return _truncated(fd, da * db, terms, base, order)
 
 
 def wall_cross(fd, p, f, n0, sign, K=None):
     """Apply the crossing automorphism z^m -> z^m * f^(sign * <n0', m>) termwise."""
-    if K is None:
-        K = p.order
-    K = min(K, p.order)
-    n0p = n_circ_primitive(fd, n0)
-    step = cone_order(fd, f.direction)
-    if step is None or step <= 0:
+    K = p.order if K is None else min(K, p.order)
+    ux, uy, vx, vy, D = order_form(fd)
+    sx, sy = f.direction
+    su, sv = ux * sx + uy * sy, vx * sx + vy * sy
+    if su < 0 or sv < 0 or su + sv == 0:
         raise ValueError("wall function direction outside the cone")
-    out = {}
-    for e, c in p.terms.items():
-        pw = sign * pairing(fd, n0p, e)
-        if pw.denominator != 1:
+    L = lcm(*fd.d)  # <n0', m> = (a . m) / L
+    ax, ay = (x * (L // d) for x, d in zip(n_circ_primitive(fd, n0), fd.d))
+    bx, by = p.base
+    Dp, nums = _scaled(p.terms)
+    steps = []
+    for e, n in nums.items():
+        pw, r = divmod(sign * (ax * e[0] + ay * e[1]), L)
+        if r:
             raise ValueError("non-integral crossing exponent")
-        used = cone_order(fd, vsub(e, p.base))
-        budget = K - used
-        kmax = int(budget / step)
-        if pw == 0 or kmax < 1 or f.is_one():
-            out[e] = out.get(e, Fraction(0)) + c
-            continue
-        g = wf_pow(f, int(pw), kmax)
-        out[e] = out.get(e, Fraction(0)) + c
-        for k, gc in g.terms():
-            ee = vadd(e, vscale(k, f.direction))
-            out[ee] = out.get(ee, Fraction(0)) + c * gc
-    return lp_truncate(fd, out, p.base, K)
+        x, y = e[0] - bx, e[1] - by
+        kmax = (K * D - (ux + vx) * x - (uy + vy) * y) // (su + sv)
+        g = wf_pow(f, pw, kmax).terms() if pw and kmax >= 1 and not f.is_one() else ()
+        steps.append((e, n, g))
+    Dg = lcm(*(c.denominator for _, _, g in steps for _, c in g))
+    out = {}
+    for (x, y), n, g in steps:
+        out[x, y] = out.get((x, y), 0) + n * Dg
+        for k, c in g:
+            e = (x + k * sx, y + k * sy)
+            out[e] = out.get(e, 0) + n * c.numerator * (Dg // c.denominator)
+    return _truncated(fd, Dp * Dg, out, p.base, K)

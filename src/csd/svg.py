@@ -6,7 +6,7 @@ inputs produce byte-identical documents.
 
 from fractions import Fraction
 
-from .geometry import vadd, vscale, vneg, is_zero
+from .geometry import vadd, vscale, vneg
 
 
 def _func_label(f):

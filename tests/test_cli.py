@@ -139,6 +139,20 @@ def test_build_rejects_frozen_index(paths):
     assert "unfrozen" in r.stderr
 
 
+@pytest.mark.parametrize("seed,field", [
+    ([1, 2], "seed must be a JSON object"),
+    ({"rank": 2, "unfrozen": [0, 1], "d": [1, 1], "exchange": "ab"}, "exchange"),
+    ({"rank": 2, "unfrozen": [0, 1], "d": [1, 1], "exchange": [[0, 1.5], [-1, 0]]}, "exchange"),
+    ({"rank": 2, "unfrozen": [0, 1], "d": [0, 1], "exchange": [[0, 1], [-1, 0]]}, "d must"),
+], ids=["list", "exchange-string", "exchange-float", "d-zero"])
+def test_build_rejects_malformed_seed(paths, seed, field):
+    path = paths["dir"] / "bad_seed.json"
+    path.write_text(json.dumps(seed))
+    r = run_cli("build", "--seed", str(path), "--order", "3")
+    assert r.returncode == 2
+    assert field in r.stderr and "Traceback" not in r.stderr
+
+
 def test_empty_point_lists(paths):
     empty = paths["dir"] / "empty.json"
     empty.write_text("[]")

@@ -2,15 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from collections import Counter
+
+import csd.constructions as constructions
 from csd.geometry import vscale, vadd
 from csd.brokenline import (BrokenLine, Piece, Segment, enumerate_lines,
-                            line_bounded_segment, validate_segment, theta)
+                            line_bounded_segment, validate_segment, theta, search_form)
 from csd.constructions import (BalancedPair, alpha_table, structure_constant,
                                ray_segment_intersection, segment_support,
                                construct_segment, glue_balanced,
                                pair_from_segment, fixed_generic_endpoint,
-                               generic_endpoint_near, _theta_cached)
-from csd.scattering import initial_diagram, complete_diagram
+                               generic_endpoint_near, _theta_cached, _product_cached)
+from csd.convexity import check_positive
+from csd.scattering import initial_diagram, complete_diagram, complete_rank2
+from csd.series import lp_mul
 
 F = Fraction
 
@@ -179,3 +184,67 @@ def test_theta_cache_dropped_by_completion(a2):
     after = theta(a2, diagram, (2, -1), z, 6)
     assert after != before
     assert _theta_cached(a2, diagram, (2, -1), z, 6) == after
+
+
+def test_theta_products_built_once_per_pair(g2, monkeypatch):
+    diagram = complete_rank2(g2, 8)
+    built = Counter()
+
+    def counted(fd, a, b):
+        built[tuple(sorted((a.base, b.base)))] += 1
+        return lp_mul(fd, a, b)
+
+    monkeypatch.setattr(constructions, "lp_mul", counted)
+    polygons = [[(F(-1), F(0)), (F(1), F(-3)), (F(2), F(-3)), (F(1), F(0))],
+                [(F(0), F(0)), (F(1), F(-1)), (F(1, 2), F(1))],
+                [(F(-1), F(-1)), (F(1), F(-1)), (F(1), F(1)), (F(-1), F(1))]]
+    for cycle in polygons:
+        check_positive(g2, diagram, cycle, 3, 8)
+    scanned = sum(built.values())
+    pairs = [((1, 0), (-1, 0)), ((0, 1), (1, -3)), ((2, -3), (-1, 1))]
+    for p, q in pairs + [(q, p) for p, q in pairs]:
+        alpha_table(g2, diagram, p, q, 8)
+    assert scanned > 0
+    assert set(built.values()) == {1}
+    assert sorted(built) == sorted(pq for pq, K in search_form(g2, diagram).products)
+    # another order is another product
+    alpha_table(g2, diagram, (1, 0), (-1, 0), 5)
+    assert sum(built.values()) == len(built) + 1
+
+
+def test_expansion_endpoint_computed_once(g2, monkeypatch):
+    diagram = complete_rank2(g2, 8)
+    z0 = fixed_generic_endpoint(g2, diagram)
+    assert search_form(g2, diagram).endpoint == z0
+
+    def no_pairing(*args):
+        raise AssertionError("endpoint recomputed")
+
+    monkeypatch.setattr(constructions, "pairing", no_pairing)
+    assert fixed_generic_endpoint(g2, diagram) == z0
+    alpha_table(g2, diagram, (1, 0), (-1, 0), 8)
+    check_positive(g2, diagram, [(F(-1), F(0)), (F(1), F(-3)), (F(2), F(-3))], 3, 8)
+
+
+def test_products_and_endpoint_dropped_by_completion(a2):
+    # completion changes walls, so products and the endpoint cached on the
+    # incomplete diagram must not be served afterwards
+    diagram = initial_diagram(a2, 6)
+    p, q = (1, -2), (0, -2)
+    before = _product_cached(a2, diagram, p, q, 6)
+    fixed_generic_endpoint(a2, diagram)
+    form = search_form(a2, diagram)
+    assert form.products and form.endpoint is not None
+    complete_diagram(a2, diagram)
+    assert diagram.compiled is None
+    z0 = fixed_generic_endpoint(a2, diagram)
+    after = lp_mul(a2, theta(a2, diagram, q, z0, 6), theta(a2, diagram, p, z0, 6))
+    assert after != before
+    assert _product_cached(a2, diagram, p, q, 6) == after
+    assert search_form(a2, diagram) is not form
+
+
+def test_alpha_table_symmetric(g2, g2_diagram):
+    box = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+    for p, q in zip(box, reversed(box)):
+        assert repr(alpha_table(g2, g2_diagram, p, q)) == repr(alpha_table(g2, g2_diagram, q, p))

@@ -147,6 +147,12 @@ def test_is_blc_degenerate_inputs(a2, a2_diagram):
     assert is_blc_2d(a2, a2_diagram, [(F(1), F(1)), (F(2), F(1))]).verdict is True
 
 
+def test_is_blc_rejects_empty_cycle(a2, a2_diagram):
+    # every chart image of no points is convex, so a verdict would be vacuous
+    with pytest.raises(ValueError, match="no points"):
+        is_blc_2d(a2, a2_diagram, [])
+
+
 def test_is_blc_kronecker_unknown_and_false(kron, kron_diagram):
     # truncated chart walks can still disprove convexity...
     sq = [(F(-1), F(-1)), (F(1), F(-1)), (F(1), F(1)), (F(-1), F(1))]
