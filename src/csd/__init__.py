@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for rank-2 cluster scattering diagrams."""
 
-from .lattice import FixedData, Seed
+from .lattice import FixedData
 from .scattering import Diagram, Wall, complete_rank2, complete_diagram
 from .series import WallFunction, LaurentPoly
 from .brokenline import BrokenLine, Segment, Piece, theta, enumerate_lines
@@ -10,7 +10,7 @@ from .convexity import (CheckReport, is_blc_2d, blc_hull_2d, check_positive,
                         main_theorem_harness)
 
 __all__ = [
-    "FixedData", "Seed", "Diagram", "Wall", "complete_rank2", "complete_diagram",
+    "FixedData", "Diagram", "Wall", "complete_rank2", "complete_diagram",
     "WallFunction", "LaurentPoly", "BrokenLine", "Segment", "Piece", "theta",
     "enumerate_lines", "BalancedPair", "structure_constant", "alpha_table",
     "construct_segment", "glue_balanced", "pair_from_segment", "CheckReport",

@@ -1,4 +1,4 @@
-"""Broken lines, theta functions, segments and perturbation families.
+"""Broken lines, theta functions and segments.
 
 A broken line is traced backward from its endpoint: a ray escaping to
 infinity, bending at wall crossings.  Pieces are stored unbounded-first;
@@ -12,7 +12,6 @@ from math import lcm
 from .geometry import vadd, vsub, vneg, vscale, is_zero, primitive, same_ray, cross
 from .lattice import pairing, n_circ_primitive, cone_order
 from .series import wf_mul, wf_pow, wf_coeff_pow, LaurentPoly
-from .scattering import on_support, check_rank2
 
 
 class Piece:
@@ -142,7 +141,6 @@ class SearchForm:
     """
 
     def __init__(self, fd, walls):
-        check_rank2(fd)
         self.fd = fd
         self.L = lcm(*fd.d)
         self._scan = [(w, w.normal[0] * (self.L // fd.d[0]), w.normal[1] * (self.L // fd.d[1]),
@@ -351,17 +349,18 @@ def reverse(segment):
     return Segment(segment.end, segment.start, pieces, segment.total_time)
 
 
-def _bend_ok(fd, diagram, point, m_prev, m_next):
-    """Check one bend of a segment; returns (ok, reason)."""
-    if m_prev == m_next:
-        return True, None
-    step = vsub(m_next, m_prev)
-    try:
-        fams = wall_families(fd, diagram, point)
-    except ValueError:
-        fams = []
+def bend_coefficient(fd, diagram, point, m_prev, m_next):
+    """Coefficient of the bend m_prev -> m_next at the point (1 if trivial).
+
+    Raises ValueError when the point lies on no wall or when no wall through
+    it gives the step a nonzero coefficient.
+    """
+    if tuple(m_prev) == tuple(m_next):
+        return Fraction(1)
+    fams = wall_families(fd, diagram, point)
     if not fams:
-        return False, "bend point %r lies on no wall" % (point,)
+        raise ValueError("bend point %r lies on no wall" % (point,))
+    step = vsub(m_next, m_prev)
     for n0, m0, f in fams:
         if not same_ray(step, m0):
             continue
@@ -370,14 +369,12 @@ def _bend_ok(fd, diagram, point, m_prev, m_next):
         if k.denominator != 1 or k < 1:
             continue
         pw = pairing(fd, n0, m_prev)
-        if pw.denominator != 1:
+        if pw.denominator != 1 or pw == 0:
             continue
-        pw = abs(int(pw))
-        if pw == 0:
-            continue
-        if wf_coeff_pow(f, pw, int(k)) > 0:
-            return True, None
-    return False, "bend %r -> %r at %r is not allowed" % (m_prev, m_next, point)
+        c = wf_coeff_pow(f, abs(int(pw)), int(k))
+        if c != 0:
+            return c
+    raise ValueError("bend %r -> %r at %r is not allowed" % (m_prev, m_next, point))
 
 
 def validate_segment(fd, diagram, segment):
@@ -396,9 +393,13 @@ def validate_segment(fd, diagram, segment):
         else:
             nxt = pos
         if i + 1 < n:
-            ok, why = _bend_ok(fd, diagram, nxt, p.exponent, segment.pieces[i + 1].exponent)
-            if not ok:
-                return False, why
+            m_next = segment.pieces[i + 1].exponent
+            try:
+                c = bend_coefficient(fd, diagram, nxt, p.exponent, m_next)
+            except ValueError as e:
+                return False, str(e)
+            if c <= 0:
+                return False, "bend %r -> %r at %r is not allowed" % (p.exponent, m_next, nxt)
         pos = nxt
     if tuple(pos) != tuple(segment.end):
         return False, "segment ends at %r, expected %r" % (pos, segment.end)
@@ -429,136 +430,3 @@ def line_bounded_segment(fd, line):
         pieces.append(Piece(p.exponent, p.coeff, None, dt))
         pos = nxt
     return Segment(start, line.endpoint, pieces, total)
-
-
-class PerturbedFamily:
-    """Generic deformations of a broken line: endpoint shifted by eps * v.
-
-    The plan (sequence of piece exponents) is re-traced for each eps; the
-    threshold below which the combinatorics are stable is found by halving.
-    """
-
-    def __init__(self, fd, diagram, line, v, K=None):
-        self.fd = fd
-        self.diagram = diagram
-        self.is_segment = isinstance(line, Segment)
-        self.endpoint = tuple(line.end if self.is_segment else line.endpoint)
-        self.plan = [p.exponent for p in line.pieces]
-        self.coeffs = [p.coeff for p in line.pieces]
-        self.first_duration = line.pieces[0].duration if self.is_segment else None
-        self.v = tuple(v)
-        self.K = diagram.order if K is None else K
-        self.threshold = self._find_threshold()
-
-    def at(self, eps):
-        eps = Fraction(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        line, _ = self._retrace(eps, allow_degenerate=False)
-        return line
-
-    def limit(self):
-        line, _ = self._retrace(Fraction(0), allow_degenerate=True)
-        return line
-
-    def _find_threshold(self, start=Fraction(1)):
-        eps = Fraction(start)
-        for _ in range(64):
-            a = self._try(eps)
-            b = self._try(eps / 2)
-            if a is not None and b is not None and a == b:
-                return eps
-            eps /= 2
-        raise ValueError("no stable perturbation threshold for v=%r" % (self.v,))
-
-    def _try(self, eps):
-        try:
-            _, combi = self._retrace(eps, allow_degenerate=False)
-            return combi
-        except ValueError:
-            return None
-
-    def _crossed(self, a, b):
-        """Primitive normals of walls crossed strictly between two points."""
-        out = []
-        v = vsub(b, a)
-        if is_zero(v):
-            return ()
-        for w in self.diagram.walls:
-            sa = pairing(self.fd, w.normal, a)
-            sb = pairing(self.fd, w.normal, b)
-            if sa == sb:
-                continue
-            t = sa / (sa - sb)
-            if 0 < t < 1 and on_support(self.fd, w, vadd(a, vscale(t, v))):
-                out.append(primitive(w.normal))
-        return tuple(sorted(out))
-
-    def _retrace(self, eps, allow_degenerate):
-        end = vadd(self.endpoint, vscale(eps, self.v))
-        s = len(self.plan)
-        starts = [None] * s
-        combi = []
-        pos = end
-        m_cur = self.plan[-1]
-        for idx in range(s - 1, 0, -1):
-            m_prev = self.plan[idx - 1]
-            step = vsub(m_cur, m_prev)
-            pt = self._bend_site(pos, m_cur, step, allow_degenerate)
-            if not (allow_degenerate and is_zero(pt)):
-                ok, why = _bend_ok(self.fd, self.diagram, pt, m_prev, m_cur)
-                if not ok:
-                    raise ValueError(why)
-            combi.append((None if is_zero(pt) else primitive(pt), tuple(step),
-                          self._crossed(pt, pos)))
-            starts[idx] = pt
-            pos = pt
-            m_cur = m_prev
-        if self.is_segment:
-            dur0 = self.first_duration
-            start = pos if dur0 is None else vadd(pos, vscale(dur0, m_cur))
-            pts = [start] + [starts[i] for i in range(1, s)] + [end]
-            pieces = []
-            total = Fraction(0)
-            for i in range(s):
-                d = vsub(pts[i], pts[i + 1])
-                if is_zero(d):
-                    dt = None
-                else:
-                    m = self.plan[i]
-                    j = 0 if m[0] != 0 else 1
-                    dt = Fraction(d[j], m[j])
-                    total += dt
-                pieces.append(Piece(self.plan[i], self.coeffs[i], None, dt))
-            return Segment(start, end, pieces, total), (tuple(self.plan), tuple(combi))
-        events, t_origin = search_form(self.fd, self.diagram).ray_events(pos, m_cur)
-        if t_origin is not None and not allow_degenerate:
-            raise ValueError("unbounded piece runs into the origin")
-        combi.append(tuple(sorted(primitive(w.normal) for _, _, ws in events for w in ws)))
-        pieces = []
-        for i in range(s):
-            end_pt = starts[i + 1] if i + 1 < s else None
-            pieces.append(Piece(self.plan[i], self.coeffs[i], end_pt))
-        return BrokenLine(end, pieces), (tuple(self.plan), tuple(combi))
-
-    def _bend_site(self, pos, m_cur, step, allow_degenerate):
-        """First point backward along m_cur on a wall line whose direction matches step."""
-        best = None
-        for w in self.diagram.walls:
-            if cross(step, w.func.direction) != 0:
-                continue
-            s0 = pairing(self.fd, w.normal, pos)
-            sd = pairing(self.fd, w.normal, m_cur)
-            if sd == 0:
-                continue
-            t = -s0 / sd
-            if t < 0 or (t == 0 and not allow_degenerate):
-                continue
-            pt = vadd(pos, vscale(t, m_cur))
-            if not (on_support(self.fd, w, pt) or (allow_degenerate and is_zero(pt))):
-                continue
-            if best is None or t < best[0]:
-                best = (t, pt)
-        if best is None:
-            raise ValueError("no wall available for bend step %r from %r" % (step, pos))
-        return best[1]

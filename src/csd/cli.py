@@ -63,8 +63,6 @@ def _load_diagram(path):
 
 def cmd_build(args):
     fd = serialize.fd_from_json(serialize.load(args.seed))
-    if fd.rank != 2:
-        raise ValueError("build requires a rank-2 seed")
     diagram = complete_rank2(fd, args.order)
     doc = serialize.diagram_to_json(diagram)
     if args.out:
@@ -215,8 +213,8 @@ def _parser():
     sp = sub.add_parser("segment-from-pair", help="glue a balanced pair")
     sp.add_argument("--diagram", required=True)
     sp.add_argument("--pair", required=True)
-    sp.add_argument("-a", type=int, required=True)
-    sp.add_argument("-b", type=int, required=True)
+    sp.add_argument("-a", type=_int_at_least(1), required=True)
+    sp.add_argument("-b", type=_int_at_least(1), required=True)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_segment_from_pair)
 
@@ -224,8 +222,8 @@ def _parser():
     ps.add_argument("--diagram", required=True)
     ps.add_argument("--segment", required=True)
     ps.add_argument("--tau", required=True)
-    ps.add_argument("-a", type=int)
-    ps.add_argument("-b", type=int)
+    ps.add_argument("-a", type=_int_at_least(1))
+    ps.add_argument("-b", type=_int_at_least(1))
     ps.add_argument("--out")
     ps.set_defaults(fn=cmd_pair_from_segment)
 
@@ -244,7 +242,7 @@ def _parser():
 
     ha = sub.add_parser("harness", help="positivity vs convexity on random polygons")
     ha.add_argument("--diagram", required=True)
-    ha.add_argument("--trials", type=int, default=50)
+    ha.add_argument("--trials", type=_int_at_least(1), default=50)
     ha.add_argument("--max-degree", type=_int_at_least(2), default=3)
     ha.add_argument("--order", type=_int_at_least(0))
     ha.add_argument("--perturb-seed", type=int, default=0)

@@ -11,12 +11,11 @@ import warnings
 from fractions import Fraction
 from math import lcm
 
-from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, same_ray,
-                       cross, dot)
+from .geometry import vadd, vsub, vneg, vscale, is_zero, primitive
 from .lattice import pairing, n_circ_primitive, order_form
-from .series import lp_mul, wf_coeff_pow, _kept, _scaled
+from .series import lp_mul, _kept, _scaled
 from .brokenline import (BrokenLine, Segment, Piece, enumerate_lines, theta,
-                         wall_families, reverse, search_form)
+                         bend_coefficient, reverse, search_form)
 
 
 class BalancedPair:
@@ -229,23 +228,6 @@ def alpha_table(fd, diagram, p, q, K=None):
     return out
 
 
-def ray_segment_intersection(x, lam1, m, lam2, ray):
-    """Intersection of the segment [lam1*x, lam2*m] with the ray R_{>=0}*ray."""
-    p1 = vscale(Fraction(lam1), x)
-    p2 = vscale(Fraction(lam2), m)
-    c1 = cross(p1, ray)
-    c2 = cross(p2, ray)
-    if c1 == c2:
-        raise ValueError("segment parallel to or inside the ray line")
-    t = Fraction(c1, c1 - c2)
-    if not (0 <= t <= 1):
-        raise ValueError("segment misses the ray line")
-    pt = vadd(p1, vscale(t, vsub(p2, p1)))
-    if dot(pt, ray) < 0:
-        raise ValueError("segment meets the line on the opposite ray")
-    return pt
-
-
 def _dual_perp(fd, v):
     """Primitive n with <n, v> = 0 (wall normal of the line containing v)."""
     return primitive((fd.d[0] * v[1], -fd.d[1] * v[0]))
@@ -254,23 +236,17 @@ def _dual_perp(fd, v):
 def _endpoint_first(gamma):
     """(exponents m_0..m_s endpoint-first, bend points x_1..x_s endpoint-first)."""
     ms = [p.exponent for p in reversed(gamma.pieces)]
+    if any(m == n for m, n in zip(ms, ms[1:])):
+        raise ValueError("broken line bends trivially: two consecutive pieces "
+                         "share an exponent")
     bends = [p.bend_point for p in reversed(gamma.pieces[:-1])]
     return ms, bends
-
-
-def _bend_normals(fd, ms):
-    """n_{0,i} in N° for i = 1..s, from the bend steps m_{i-1} - m_i."""
-    out = [None]
-    for i in range(1, len(ms)):
-        step = vsub(ms[i - 1], ms[i])
-        out.append(n_circ_primitive(fd, _dual_perp(fd, step)))
-    return out
 
 
 def segment_support(fd, gamma, a, b):
     """Support polyline of the dilated segment: x~_0 .. x~_s plus m_s/a."""
     ms, _ = _endpoint_first(gamma)
-    ns = _bend_normals(fd, ms)
+    ns = _bend_normals_from(fd, ms)
     x0 = gamma.endpoint
     xt = [vscale(Fraction(1, a + b), x0)]
     for i in range(1, len(ms)):
@@ -297,31 +273,10 @@ def _rho_list(fd, ms, ns):
     return rho
 
 
-def bend_coefficient(fd, diagram, point, m_prev, m_next):
-    """Coefficient of the allowed bend m_prev -> m_next at the point (1 if trivial)."""
-    if tuple(m_prev) == tuple(m_next):
-        return Fraction(1)
-    step = vsub(m_next, m_prev)
-    for n0, m0, f in wall_families(fd, diagram, point):
-        if not same_ray(step, m0):
-            continue
-        i = 0 if m0[0] != 0 else 1
-        k = Fraction(step[i], m0[i])
-        if k.denominator != 1 or k < 1:
-            continue
-        pw = abs(int(pairing(fd, n0, m_prev)))
-        if pw == 0:
-            continue
-        c = wf_coeff_pow(f, pw, int(k))
-        if c != 0:
-            return c
-    raise ValueError("bend %r -> %r at %r is not allowed" % (m_prev, m_next, point))
-
-
 def attach_monomials(fd, support, gamma, a, b, lam):
     """Monomials on the support polyline; returns a Segment with a .trace."""
     ms, _ = _endpoint_first(gamma)
-    ns = _bend_normals(fd, ms)
+    ns = _bend_normals_from(fd, ms)
     s = len(ms) - 1
     xt = support[:s + 1]
     rho = _rho_list(fd, ms, ns)
@@ -379,8 +334,8 @@ def glue_balanced(fd, diagram, pair, a, b):
     g1, g2 = pair.line1, pair.line2
     ms1, _ = _endpoint_first(g1)
     ms2, _ = _endpoint_first(g2)
-    rho1 = _rho_list(fd, ms1, _bend_normals(fd, ms1))[0]
-    rho2 = _rho_list(fd, ms2, _bend_normals(fd, ms2))[0]
+    rho1 = _rho_list(fd, ms1, _bend_normals_from(fd, ms1))[0]
+    rho2 = _rho_list(fd, ms2, _bend_normals_from(fd, ms2))[0]
     side1 = construct_segment(fd, g1, a, b, rho2)
     side2 = construct_segment(fd, g2, b, a, rho1)
     back = reverse(side2)

@@ -229,19 +229,6 @@ def _chart_maps(fd, bound):
     return maps, closed
 
 
-def initial_shear_charts(fd):
-    """Identity plus the two initial-wall straightenings.
-
-    These are genuine charts, so non-convexity in any of them disproves
-    broken-line convexity.  The converse fails: a segment may bend at both
-    initial walls, and straightening that needs a chart deeper in the
-    mutation walk, even for origin-containing regions.
-    """
-    maps = [PLMap.identity().normalized()]
-    maps += [shear_map(fd, unit(fd.rank, k), fd.d[k]).normalized() for k in fd.unfrozen]
-    return list({m.key(): m for m in maps}.values())
-
-
 class CheckReport:
     def __init__(self, verdict, witnesses=None, degree_checked=None,
                  order_checked=None, closed=True):

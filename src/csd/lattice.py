@@ -1,4 +1,4 @@
-"""Cluster fixed data: lattices, pairings, seeds, principal coefficients.
+"""Cluster fixed data: lattices and pairings.
 
 Coordinate conventions: elements of N are integer vectors in the seed basis
 (e_i); elements of the dual M-degree lattice are integer vectors in the
@@ -11,44 +11,35 @@ from math import gcd, lcm
 from .geometry import primitive, is_zero, cross
 
 
-class Seed:
-    """A basis of N; the identity in the standard chart."""
-
-    def __init__(self, basis):
-        self.basis = tuple(tuple(int(x) for x in row) for row in basis)
-
-    @classmethod
-    def identity(cls, rank):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)))
-
-    def __eq__(self, other):
-        return isinstance(other, Seed) and self.basis == other.basis
-
-    def __repr__(self):
-        return "Seed(%r)" % (self.basis,)
-
-
 class FixedData:
     """Lattice data: rank, unfrozen indices, skew form, multipliers d_i.
 
-    monoid_gens default to {p1_star(e_i) : i unfrozen}; a larger user-supplied
-    cone changes j_order.
+    The engine works in rank 2 with both indices unfrozen and a
+    non-degenerate antisymmetric skew form; any other data is rejected here.
+    The monoid generators are {p1_star(e_i) : i unfrozen}.
     """
 
-    def __init__(self, rank, unfrozen, skew, d, monoid_gens=None):
+    def __init__(self, rank, unfrozen, skew, d):
+        if rank != 2:
+            raise ValueError("rank-2 construction only: exchange must be a 2x2 "
+                             "matrix, got rank %r" % (rank,))
         self.rank = rank
         self.unfrozen = tuple(unfrozen)
         self.skew = tuple(tuple(Fraction(x) for x in row) for row in skew)
         self.d = tuple(int(x) for x in d)
-        if gcd(*self.d) != 1 and len(self.d) > 1:
+        if gcd(*self.d) != 1:
             raise ValueError("multipliers d_i must have gcd 1")
         for i in range(rank):
             for j in range(rank):
                 if self.skew[i][j] != -self.skew[j][i]:
                     raise ValueError("skew form is not antisymmetric")
-        if monoid_gens is None:
-            monoid_gens = [p1_star(self, unit(rank, i)) for i in self.unfrozen]
-        self.monoid_gens = tuple(tuple(int(x) for x in g) for g in monoid_gens)
+        if self.unfrozen != (0, 1):
+            raise ValueError("unfrozen must be [0, 1], got %r: the rank-2 engine "
+                             "needs both indices unfrozen" % (list(self.unfrozen),))
+        rows = self.exchange
+        if cross(rows[0], rows[1]) == 0:
+            raise ValueError("degenerate skew form: the dual map is not injective")
+        self.monoid_gens = tuple(p1_star(self, unit(rank, i)) for i in self.unfrozen)
 
     @classmethod
     def from_exchange(cls, exchange, d, unfrozen=None):
@@ -84,10 +75,7 @@ def skew_form(fd, n1, n2):
 
 
 def p1_star(fd, n):
-    """The image {n, .} in the f-basis; n must be supported on unfrozen indices."""
-    for i in range(fd.rank):
-        if n[i] != 0 and i not in fd.unfrozen:
-            raise ValueError("n has frozen components")
+    """The image {n, .} in the f-basis."""
     out = []
     for j in range(fd.rank):
         v = sum(Fraction(n[i]) * fd.skew[i][j] * fd.d[j] for i in range(fd.rank))
@@ -106,23 +94,6 @@ def n_circ_primitive(fd, n):
     for i in range(fd.rank):
         k = lcm(k, fd.d[i] // gcd(abs(np[i]), fd.d[i]))
     return tuple(k * x for x in np)
-
-
-def with_principal_coefficients(fd, seed=None):
-    """Double the rank: new lattice N + M-degree-lattice with the standard extension."""
-    r = fd.rank
-    skew = [[Fraction(0)] * (2 * r) for _ in range(2 * r)]
-    for i in range(r):
-        for j in range(r):
-            skew[i][j] = fd.skew[i][j]
-    for i in range(r):
-        for j in range(r):
-            # <e_i, f_j> = delta_ij / d_j
-            v = Fraction(1, fd.d[j]) if i == j else Fraction(0)
-            skew[i][r + j] = v
-            skew[r + j][i] = -v
-    new = FixedData(2 * r, fd.unfrozen, skew, fd.d + fd.d)
-    return new, Seed.identity(2 * r)
 
 
 def solve_linear(cols, target):
@@ -156,20 +127,6 @@ def solve_linear(cols, target):
     return tuple(sol)
 
 
-def cone_coords(fd, m):
-    """Coordinates of m in the basis of the two monoid generators.
-
-    Cramer's rule: two cross products over the generators' determinant.
-    """
-    if fd.rank != 2 or len(fd.monoid_gens) != 2:
-        raise ValueError("cone coordinates need two monoid generators in rank 2")
-    g1, g2 = fd.monoid_gens
-    det = cross(g1, g2)
-    if det == 0:
-        raise ValueError("monoid generators are linearly dependent")
-    return Fraction(cross(m, g2), det), Fraction(cross(g1, m), det)
-
-
 def order_form(fd):
     """Integer form of the cone coordinates: (ux, uy, vx, vy, D).
 
@@ -177,12 +134,8 @@ def order_form(fd):
     v = vx*m0 + vy*m1, and D = |cross(g1, g2)| > 0.  So m lies in the cone
     when u, v >= 0, and its cone_order is (u + v)/D.
     """
-    if fd.rank != 2 or len(fd.monoid_gens) != 2:
-        raise ValueError("cone coordinates need two monoid generators in rank 2")
     (ax, ay), (bx, by) = fd.monoid_gens
     det = ax * by - ay * bx
-    if det == 0:
-        raise ValueError("monoid generators are linearly dependent")
     s = 1 if det > 0 else -1
     return s * by, -s * bx, -s * ay, s * ax, abs(det)
 
@@ -198,11 +151,3 @@ def cone_order(fd, m):
     if u < 0 or v < 0:
         return None
     return Fraction(u + v, D)
-
-
-def j_order(fd, m):
-    """Monomial-ideal adic order: sum of generator exponents, or None outside the monoid."""
-    co = cone_coords(fd, m)
-    if any(a < 0 or a.denominator != 1 for a in co):
-        return None
-    return int(sum(co))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, same_ray,
                        sort_ccw, rot90, sgn, cross, dot)
-from .lattice import (Seed, unit, pairing, p1_star, n_circ_primitive,
+from .lattice import (unit, pairing, p1_star, n_circ_primitive,
                       cone_order, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross
 
@@ -30,9 +30,8 @@ class Wall:
 
 
 class Diagram:
-    def __init__(self, fd, seed, walls, order, saturated):
+    def __init__(self, fd, walls, order, saturated):
         self.fd = fd
-        self.seed = seed
         self.walls = list(walls)
         self.order = order
         self.saturated = saturated
@@ -52,10 +51,6 @@ def canonical_normal(n):
         if x != 0:
             return np if x > 0 else vneg(np)
     raise ValueError("zero normal")
-
-
-def classify(fd, wall):
-    return "INCOMING" if is_incoming(fd, wall) else "OUTGOING"
 
 
 def is_incoming(fd, wall):
@@ -84,24 +79,9 @@ def initial_wall(fd, i):
     return Wall(canonical_normal(n), "line", line_dir(fd, n), WallFunction(m0, coeffs))
 
 
-def check_rank2(fd):
-    """Reject lattice data the rank-2 engine cannot handle."""
-    if fd.rank != 2:
-        raise ValueError("rank-2 construction only")
-    if fd.unfrozen != (0, 1):
-        raise ValueError("unfrozen must be [0, 1], got %r: the rank-2 engine "
-                         "needs both indices unfrozen" % (list(fd.unfrozen),))
-    rows = fd.exchange
-    if cross(rows[0], rows[1]) == 0:
-        raise ValueError("degenerate skew form: the dual map is not injective")
-
-
-def initial_diagram(fd, order, seed=None):
-    check_rank2(fd)
-    if seed is None:
-        seed = Seed.identity(fd.rank)
+def initial_diagram(fd, order):
     walls = [initial_wall(fd, i) for i in fd.unfrozen]
-    return Diagram(fd, seed, walls, order, False)
+    return Diagram(fd, walls, order, False)
 
 
 def loop_events(fd, diagram):
@@ -189,9 +169,9 @@ def _loop_sign_at(fd, normal, support_dir):
     return _crossing_sign(fd, normal, rot90(support_dir))
 
 
-def complete_rank2(fd, order, seed=None):
+def complete_rank2(fd, order):
     """Complete the initial diagram to consistency at the given truncation order."""
-    return complete_diagram(fd, initial_diagram(fd, order, seed))
+    return complete_diagram(fd, initial_diagram(fd, order))
 
 
 def complete_diagram(fd, diagram, max_rounds=100000):

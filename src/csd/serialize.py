@@ -8,7 +8,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .lattice import FixedData, with_principal_coefficients
+from .lattice import FixedData
 from .series import WallFunction
 from .scattering import Wall, Diagram
 from .brokenline import Piece, BrokenLine, Segment
@@ -37,13 +37,13 @@ def point_from_json(v):
     return tuple(Fraction(c) for c in v)
 
 
-def fd_to_json(fd, principal=False):
+def fd_to_json(fd):
     return {
         "rank": fd.rank,
         "unfrozen": list(fd.unfrozen),
         "d": list(fd.d),
         "exchange": [[int(x) for x in row] for row in fd.exchange],
-        "principal": bool(principal),
+        "principal": False,
     }
 
 
@@ -61,10 +61,10 @@ def fd_from_json(doc):
         raise ValueError("exchange must be a square matrix of integers, got %r" % (ex,))
     if not (isinstance(d, list) and len(d) == len(ex) and all(_is_int(x) and x >= 1 for x in d)):
         raise ValueError("d must list one integer >= 1 per exchange row, got %r" % (d,))
-    fd = FixedData.from_exchange(ex, d, doc.get("unfrozen"))
-    if doc.get("principal"):
-        fd, _ = with_principal_coefficients(fd)
-    return fd
+    if doc.get("principal", False) is not False:
+        raise ValueError("principal must be false: principal coefficients are "
+                         "not supported, got %r" % (doc["principal"],))
+    return FixedData.from_exchange(ex, d, doc.get("unfrozen"))
 
 
 def wallfunction_to_json(f):
@@ -110,9 +110,9 @@ def wall_from_json(doc, fd):
     return Wall(n, kind, direction, wallfunction_from_json(doc["func"]))
 
 
-def diagram_to_json(diagram, principal=False):
+def diagram_to_json(diagram):
     return {
-        "seed": fd_to_json(diagram.fd, principal),
+        "seed": fd_to_json(diagram.fd),
         "order": diagram.order,
         "saturated": bool(diagram.saturated),
         "walls": [wall_to_json(w) for w in diagram.walls],
@@ -120,10 +120,14 @@ def diagram_to_json(diagram, principal=False):
 
 
 def diagram_from_json(doc):
-    from .lattice import Seed
+    """A diagram from its document; a malformed top level raises ValueError naming it."""
+    if not isinstance(doc, dict):
+        raise ValueError("diagram must be a JSON object, got %s" % type(doc).__name__)
+    if not isinstance(doc["walls"], list):
+        raise ValueError("walls must be a JSON list, got %s" % type(doc["walls"]).__name__)
     fd = fd_from_json(doc["seed"])
     walls = [wall_from_json(w, fd) for w in doc["walls"]]
-    return Diagram(fd, Seed.identity(fd.rank), walls, doc["order"], doc["saturated"])
+    return Diagram(fd, walls, doc["order"], doc["saturated"])
 
 
 def brokenline_to_json(line):

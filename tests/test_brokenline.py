@@ -5,7 +5,7 @@ import pytest
 from csd.brokenline import (Piece, BrokenLine, Segment, wall_families,
                             allowed_bends, enumerate_lines, theta, reverse,
                             validate_segment, line_bounded_segment,
-                            PerturbedFamily, _assemble)
+                            bend_coefficient, _assemble)
 from csd.geometry import vadd, vsub, vscale, is_zero
 from csd.lattice import (FixedData, pairing, n_circ_primitive, cone_order,
                          solve_linear)
@@ -144,25 +144,6 @@ def test_line_bounded_segment_validates(a2, a2_diagram):
         line_bounded_segment(a2, straight)
 
 
-def test_perturbed_family(a2, a2_diagram):
-    # both bends of this plan degenerate to the origin in the limit
-    line = BrokenLine((F(1), F(0)),
-                      [Piece((0, -1), 1, (F(0), F(0))),
-                       Piece((-1, -1), 1, (F(0), F(0))),
-                       Piece((-1, 0), 1, None)])
-    fam = PerturbedFamily(a2, a2_diagram, line, (1, 3), 6)
-    eps = fam.threshold / 2
-    moved = fam.at(eps)
-    assert moved.endpoint == (1 + eps, 3 * eps)
-    assert [p.exponent for p in moved.pieces] == [(0, -1), (-1, -1), (-1, 0)]
-    assert [p.exponent for p in fam.at(eps / 2).pieces] == \
-        [p.exponent for p in moved.pieces]
-    limit = fam.limit()
-    assert limit.endpoint == (F(1), F(0))
-    assert [p.exponent for p in limit.pieces] == [(0, -1), (-1, -1), (-1, 0)]
-    assert limit.pieces[0].bend_point == (F(0), F(0))
-
-
 # Reference search for the differential test, independent of SearchForm:
 # every wall pairing in rationals and the monoid test by Gaussian elimination.
 def _reference_lines(fd, diagram, initial, endpoint, K):
@@ -233,3 +214,25 @@ def test_enumerate_matches_reference(exchange, d, order):
             want = _reference_lines(fd, diagram, m, z, order)
             assert [(l.signature(), [p.coeff for p in l.pieces]) for l in got] == \
                 [(l.signature(), [p.coeff for p in l.pieces]) for l in want], (m, z)
+
+
+@pytest.mark.parametrize("exchange,d,order", DIFF_TYPES,
+                         ids=["A2", "B2", "G2", "Kronecker", "W33"])
+def test_bend_coefficients_match_search(exchange, d, order):
+    # the coefficient a line carries is the product of its bend coefficients,
+    # and the bounded part of every bent line is a valid segment
+    fd = FixedData.from_exchange(exchange, d)
+    diagram = complete_rank2(fd, order)
+    bent = 0
+    for m in DIFF_EXPONENTS:
+        for z in DIFF_ENDPOINTS[:2]:
+            for line in enumerate_lines(fd, diagram, m, z, order):
+                coeff = F(1)
+                for p, q in zip(line.pieces, line.pieces[1:]):
+                    coeff *= bend_coefficient(fd, diagram, p.bend_point, p.exponent, q.exponent)
+                assert coeff == line.coeff, (m, z, line)
+                if len(line.pieces) > 1:
+                    ok, why = validate_segment(fd, diagram, line_bounded_segment(fd, line))
+                    assert ok, (m, z, why)
+                    bent += 1
+    assert bent > 0

@@ -188,3 +188,38 @@ def test_order_zero_and_negative(paths):
         r = run_cli(*cmd, "--order", "-1")
         assert r.returncode == 2
         assert "--order" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("doc,field", [
+    ([1, 2], "diagram must be a JSON object"),
+    ({"seed": [1, 2], "order": 6, "saturated": True, "walls": []}, "seed must be a JSON object"),
+    ({"seed": {"rank": 2, "unfrozen": [0, 1], "d": [1, 1], "exchange": [[0, 1], [-1, 0]],
+               "principal": False}, "order": 6, "saturated": True, "walls": 5},
+     "walls must be a JSON list"),
+], ids=["list", "seed-list", "walls-int"])
+def test_theta_rejects_malformed_diagram(paths, doc, field):
+    path = paths["dir"] / "bad_diagram.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("theta", "--diagram", str(path), "--direction", "-1,0", "--endpoint", "2,1")
+    assert r.returncode == 2
+    assert field in r.stderr and "Traceback" not in r.stderr
+
+
+def test_harness_rejects_nonpositive_trials(paths):
+    for trials in ("0", "-3"):
+        r = run_cli("harness", "--diagram", str(paths["a2"]), "--trials", trials)
+        assert r.returncode == 2
+        assert "--trials" in r.stderr and "trials=" not in r.stdout
+
+
+def test_dilation_factors_must_be_positive(paths):
+    # the flag is rejected while parsing, before any input file is read
+    commands = (["segment-from-pair", "--pair", str(paths["dir"] / "pair.json")],
+                ["pair-from-segment", "--segment", str(paths["seg"]), "--tau", "5/2"])
+    for cmd in commands:
+        for flag, other in (("-a", "-b"), ("-b", "-a")):
+            for value in ("0", "-1"):
+                r = run_cli(cmd[0], "--diagram", str(paths["g2"]), *cmd[1:],
+                            flag, value, other, "6")
+                assert r.returncode == 2
+                assert "argument %s" % flag in r.stderr and "Traceback" not in r.stderr

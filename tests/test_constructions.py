@@ -9,7 +9,7 @@ from csd.geometry import vscale, vadd
 from csd.brokenline import (BrokenLine, Piece, Segment, enumerate_lines,
                             line_bounded_segment, validate_segment, theta, search_form)
 from csd.constructions import (BalancedPair, alpha_table, structure_constant,
-                               ray_segment_intersection, segment_support,
+                               segment_support,
                                construct_segment, glue_balanced,
                                pair_from_segment, fixed_generic_endpoint,
                                generic_endpoint_near, _theta_cached, _product_cached)
@@ -70,15 +70,6 @@ def test_generic_endpoints(g2, g2_diagram):
     assert all(pairing(g2, w.normal, z) != 0 for w in g2_diagram.walls)
 
 
-def test_ray_segment_intersection():
-    assert ray_segment_intersection((2, 0), 1, (0, 2), 1, (1, 1)) == (1, 1)
-    assert ray_segment_intersection((4, 0), F(1, 2), (0, 4), F(1, 2), (1, 1)) == (1, 1)
-    with pytest.raises(ValueError):
-        ray_segment_intersection((2, 0), 1, (0, 2), 1, (-1, -1))
-    with pytest.raises(ValueError):
-        ray_segment_intersection((1, 0), 1, (2, 0), 1, (0, 1))
-
-
 def test_segment_support(g2):
     xt = segment_support(g2, zigzag_line(), 1, 2)
     assert xt == [(F(2, 3), F(4, 3)), (F(0), F(2, 5)), (F(-1, 6), F(0)),
@@ -106,6 +97,15 @@ def test_glue_rejects_unbalanced(g2, g2_diagram):
     l1 = BrokenLine((F(0), F(3)), [Piece((1, 0), 1, None)])
     pair = BalancedPair(l1, l1, (0, 3))
     with pytest.raises(ValueError):
+        glue_balanced(g2, g2_diagram, pair, 1, 1)
+
+
+def test_glue_rejects_trivial_bend(g2, g2_diagram):
+    l1 = BrokenLine((F(0), F(3)), [Piece((1, 0), 1, None)])
+    l2 = BrokenLine((F(0), F(3)), [Piece((-1, 3), 1, (F(0), F(3))),
+                                   Piece((-1, 3), 1, None)])
+    pair = BalancedPair(l1, l2, (0, 3))
+    with pytest.raises(ValueError, match="consecutive pieces"):
         glue_balanced(g2, g2_diagram, pair, 1, 1)
 
 

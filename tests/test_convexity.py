@@ -4,7 +4,7 @@ import pytest
 
 import csd.convexity as convexity
 from csd.brokenline import validate_segment
-from csd.convexity import (PLMap, shear_map, chart_maps, initial_shear_charts,
+from csd.convexity import (PLMap, shear_map, chart_maps,
                            is_blc_2d, blc_hull_2d, check_positive,
                            main_theorem_harness, map_cycle)
 from csd.geometry import convex_hull, point_in_hull
@@ -106,18 +106,11 @@ def test_chart_maps_match_uncached_walk(a2, g2, kron, bound):
         assert closed == walk_closed
 
 
-def test_initial_shear_charts_subset(a2):
-    small = initial_shear_charts(a2)
-    assert len(small) == 3
-    full, _ = chart_maps(a2)
-    keys = {m.key() for m in full}
-    assert all(m.key() in keys for m in small)
-
-
 def test_initial_shears_are_one_sided(a2, a2_diagram):
     # convex in the identity and both initial straightenings...
     from csd.geometry import cycle_is_convex
-    for phi in initial_shear_charts(a2):
+    shears = [shear_map(a2, (1, 0), 1), shear_map(a2, (0, 1), 1)]
+    for phi in [PLMap.identity()] + shears:
         image, _ = map_cycle(phi, A2_BAD_TRIANGLE)
         assert cycle_is_convex(image)
     # ...yet a deeper chart exposes non-convexity

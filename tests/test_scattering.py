@@ -4,7 +4,7 @@ import pytest
 
 from csd.lattice import FixedData, cone_order
 from csd.series import WallFunction, LaurentPoly
-from csd.scattering import (Wall, classify, is_incoming, initial_diagram,
+from csd.scattering import (Wall, is_incoming, initial_diagram,
                             complete_rank2, complete_diagram, check_consistent,
                             loop_discrepancy, apply_loop, path_ordered_product,
                             leg_crossings, line_dir, canonical_normal)
@@ -41,18 +41,17 @@ def test_initial_walls(a2, g2):
 
 
 def test_initial_diagram_rejects_degenerate():
-    fd = FixedData(2, (0, 1), [[0, 0], [0, 0]], [1, 1])
     with pytest.raises(ValueError):
-        initial_diagram(fd, 4)
+        initial_diagram(FixedData(2, (0, 1), [[0, 0], [0, 0]], [1, 1]), 4)
 
 
 def test_classify(a2, a2_diagram):
     kinds = {}
     for w in a2_diagram.walls:
-        kinds.setdefault(classify(a2, w), []).append(w)
-    assert len(kinds["INCOMING"]) == 2
-    assert len(kinds["OUTGOING"]) == 1
-    assert all(w.kind == "line" for w in kinds["INCOMING"])
+        kinds.setdefault(is_incoming(a2, w), []).append(w)
+    assert len(kinds[True]) == 2
+    assert len(kinds[False]) == 1
+    assert all(w.kind == "line" for w in kinds[True])
     # an outgoing ray placed along the image of its own normal is incoming
     w = Wall((1, 0), "ray", (0, 1), WallFunction((0, 1), [1]))
     assert is_incoming(a2, w)
@@ -109,7 +108,7 @@ def test_corrections_are_outgoing_and_integral(a2, g2, kron,
         for w in diagram.walls:
             if w.kind != "ray":
                 continue
-            assert classify(fd, w) == "OUTGOING"
+            assert not is_incoming(fd, w)
             for k, c in w.func.terms():
                 assert c.denominator == 1 and c > 0
                 assert cone_order(fd, tuple(k * x for x in w.func.direction)) is not None
@@ -150,6 +149,5 @@ def test_path_ordered_product_open_path(a2, a2_diagram):
 
 
 def test_initial_diagram_rejects_frozen_index():
-    fd = FixedData.from_exchange([[0, 1], [-1, 0]], [1, 1], unfrozen=[0])
     with pytest.raises(ValueError, match="unfrozen"):
-        initial_diagram(fd, 6)
+        initial_diagram(FixedData.from_exchange([[0, 1], [-1, 0]], [1, 1], unfrozen=[0]), 6)

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from csd import serialize
 from csd.brokenline import Piece, BrokenLine, Segment, enumerate_lines
 from csd.constructions import BalancedPair
@@ -28,10 +30,14 @@ def test_fd_roundtrip(g2):
 
 
 def test_fd_principal(a2):
-    doc = serialize.fd_to_json(a2, principal=True)
-    back = serialize.fd_from_json(doc)
-    assert back.rank == 4
-    assert back.unfrozen == (0, 1)
+    doc = serialize.fd_to_json(a2)
+    assert doc["principal"] is False
+    assert serialize.fd_from_json(doc).exchange == a2.exchange
+    del doc["principal"]
+    assert serialize.fd_from_json(doc).exchange == a2.exchange
+    doc["principal"] = True
+    with pytest.raises(ValueError, match="principal"):
+        serialize.fd_from_json(doc)
 
 
 def test_wallfunction_sparse_roundtrip():
