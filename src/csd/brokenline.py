@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import lcm
 
 from .geometry import vadd, vsub, vneg, vscale, is_zero, primitive, same_ray, cross
-from .lattice import pairing, n_circ_primitive, cone_order
+from .lattice import pairing, n_circ_primitive, scaled_normal, cone_order
 from .series import wf_mul, wf_pow, wf_coeff_pow, LaurentPoly
 
 
@@ -86,7 +86,7 @@ class _Family:
 
     __slots__ = ("n0", "m0", "f", "a", "step", "powers")
 
-    def __init__(self, fd, L, walls):
+    def __init__(self, fd, walls):
         self.n0 = n_circ_primitive(fd, walls[0].normal)
         self.m0 = walls[0].func.direction
         f = walls[0].func
@@ -95,7 +95,7 @@ class _Family:
                 raise ValueError("walls sharing a support line disagree on function direction")
             f = wf_mul(f, w.func, len(f.coeffs) + len(w.func.coeffs))
         self.f = f
-        self.a = tuple(x * (L // d) for x, d in zip(self.n0, fd.d))
+        self.a = scaled_normal(fd, self.n0)
         self.step = cone_order(fd, self.m0)
         self.powers = {}
 
@@ -142,9 +142,9 @@ class SearchForm:
 
     def __init__(self, fd, walls):
         self.fd = fd
-        self.L = lcm(*fd.d)
-        self._scan = [(w, w.normal[0] * (self.L // fd.d[0]), w.normal[1] * (self.L // fd.d[1]),
-                       w.kind == "ray", w.direction) for w in walls]
+        self.L = fd.L
+        self._scan = [(w, *scaled_normal(fd, w.normal), w.kind == "ray", w.direction)
+                      for w in walls]
         self._gens = fd.monoid_gens
         self._det = cross(*self._gens)
         self._families = {}
@@ -213,7 +213,7 @@ class SearchForm:
             for w in walls:
                 key = tuple(abs(x) for x in primitive(n_circ_primitive(self.fd, w.normal)))
                 groups.setdefault(key, []).append(w)
-            fams = [_Family(self.fd, self.L, ws) for ws in groups.values()]
+            fams = [_Family(self.fd, ws) for ws in groups.values()]
             self._families[walls] = fams
         return fams
 

@@ -25,11 +25,20 @@ def _vec(s):
     return tuple(int(p) for p in parts)
 
 
+def _fraction(s):
+    """argparse type: a rational number such as '5/2'."""
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("expected a rational number, got %r" % s)
+
+
 def _point(s):
+    """argparse type: a rational point 'x,y'."""
     parts = s.split(",")
     if len(parts) != 2:
-        raise ValueError("expected 'x,y', got %r" % s)
-    return tuple(Fraction(p) for p in parts)
+        raise argparse.ArgumentTypeError("expected 'x,y', got %r" % s)
+    return tuple(_fraction(p) for p in parts)
 
 
 def _int_at_least(lo):
@@ -61,6 +70,17 @@ def _load_diagram(path):
     return serialize.diagram_from_json(serialize.load(path))
 
 
+def _load_points(path, flag):
+    """A nonempty point list from the file given with flag; errors name the flag."""
+    try:
+        pts = serialize.points_from_json(serialize.load(path))
+    except ValueError as e:
+        raise ValueError("%s: %s" % (flag, e))
+    if not pts:
+        raise ValueError("%s lists no points" % flag)
+    return pts
+
+
 def cmd_build(args):
     fd = serialize.fd_from_json(serialize.load(args.seed))
     diagram = complete_rank2(fd, args.order)
@@ -75,10 +95,10 @@ def cmd_build(args):
 def cmd_theta(args):
     d = _load_diagram(args.diagram)
     K = d.order if args.order is None else args.order
-    t = theta(d.fd, d, _vec(args.direction), _point(args.endpoint), K)
+    t = theta(d.fd, d, _vec(args.direction), args.endpoint, K)
     print(_fmt_poly(t))
     if args.out:
-        lines = enumerate_lines(d.fd, d, _vec(args.direction), _point(args.endpoint), K)
+        lines = enumerate_lines(d.fd, d, _vec(args.direction), args.endpoint, K)
         serialize.save(args.out, [serialize.brokenline_to_json(l) for l in lines])
     return 0
 
@@ -107,10 +127,7 @@ def cmd_segment_from_pair(args):
 def cmd_pair_from_segment(args):
     d = _load_diagram(args.diagram)
     seg = serialize.segment_from_json(serialize.load(args.segment))
-    tau = Fraction(args.tau)
-    a = args.a
-    b = args.b
-    pair, trace = pair_from_segment(d.fd, d, seg, tau, a, b)
+    pair, trace = pair_from_segment(d.fd, d, seg, args.tau, args.a, args.b)
     print("a=%d b=%d base=%s" % (trace.a, trace.b, _fmt_point(pair.base)))
     if args.out:
         serialize.save(args.out, serialize.pair_to_json(pair))
@@ -119,9 +136,7 @@ def cmd_pair_from_segment(args):
 
 def cmd_hull(args):
     d = _load_diagram(args.diagram)
-    pts = serialize.points_from_json(serialize.load(args.points))
-    if not pts:
-        raise ValueError("--points lists no points")
+    pts = _load_points(args.points, "--points")
     hull, flagged = blc_hull_2d(d.fd, d, pts)
     for p in hull:
         print(_fmt_point(p))
@@ -135,9 +150,7 @@ def cmd_hull(args):
 
 def cmd_check_positive(args):
     d = _load_diagram(args.diagram)
-    poly = serialize.points_from_json(serialize.load(args.polygon))
-    if not poly:
-        raise ValueError("--polygon lists no points")
+    poly = _load_points(args.polygon, "--polygon")
     K = d.order if args.order is None else args.order
     rep = check_positive(d.fd, d, poly, args.max_degree, K)
     print("verdict: %s  (max_degree=%d, order=%d)"
@@ -198,7 +211,7 @@ def _parser():
     t = sub.add_parser("theta", help="theta function by broken-line enumeration")
     t.add_argument("--diagram", required=True)
     t.add_argument("--direction", required=True)
-    t.add_argument("--endpoint", required=True)
+    t.add_argument("--endpoint", type=_point, required=True)
     t.add_argument("--order", type=_int_at_least(0))
     t.add_argument("--out")
     t.set_defaults(fn=cmd_theta)
@@ -221,7 +234,7 @@ def _parser():
     ps = sub.add_parser("pair-from-segment", help="split a segment at a time")
     ps.add_argument("--diagram", required=True)
     ps.add_argument("--segment", required=True)
-    ps.add_argument("--tau", required=True)
+    ps.add_argument("--tau", type=_fraction, required=True)
     ps.add_argument("-a", type=_int_at_least(1))
     ps.add_argument("-b", type=_int_at_least(1))
     ps.add_argument("--out")

@@ -11,8 +11,8 @@ import warnings
 from fractions import Fraction
 from math import lcm
 
-from .geometry import vadd, vsub, vneg, vscale, is_zero, primitive
-from .lattice import pairing, n_circ_primitive, order_form
+from .geometry import vadd, vsub, vneg, vscale, is_zero
+from .lattice import pairing, n_circ_primitive, dual_perp, order_form
 from .series import lp_mul, _kept, _scaled
 from .brokenline import (BrokenLine, Segment, Piece, enumerate_lines, theta,
                          bend_coefficient, reverse, search_form)
@@ -228,11 +228,6 @@ def alpha_table(fd, diagram, p, q, K=None):
     return out
 
 
-def _dual_perp(fd, v):
-    """Primitive n with <n, v> = 0 (wall normal of the line containing v)."""
-    return primitive((fd.d[0] * v[1], -fd.d[1] * v[0]))
-
-
 def _endpoint_first(gamma):
     """(exponents m_0..m_s endpoint-first, bend points x_1..x_s endpoint-first)."""
     ms = [p.exponent for p in reversed(gamma.pieces)]
@@ -369,9 +364,8 @@ def _auto_ab(fd, tau, T, pt, qt, rho1, rho2):
     x, y = frac.numerator, frac.denominator
     t = 1
     for c, vec, rho in ((y - x, pt, rho1), (x, qt, rho2)):
-        for i in range(fd.rank):
-            f = Fraction(c) * Fraction(vec[i]) / (rho * fd.d[i])
-            t = lcm(t, f.denominator)
+        for v, d in zip(vec, fd.d):
+            t = lcm(t, (Fraction(c) * v / (rho * d)).denominator)
     return (y - x) * t, x * t
 
 
@@ -430,7 +424,7 @@ def _bend_normals_from(fd, mt):
         if is_zero(step):
             out.append(None)
         else:
-            out.append(n_circ_primitive(fd, _dual_perp(fd, step)))
+            out.append(n_circ_primitive(fd, dual_perp(fd, step)))
     return out
 
 

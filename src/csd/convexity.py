@@ -7,7 +7,6 @@ counterclockwise sector lists with one unimodular matrix per sector.
 """
 
 import functools
-import os
 import random
 from fractions import Fraction
 from math import gcd
@@ -15,7 +14,7 @@ from math import gcd
 from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, cross,
                        ccw_key, ccw_between, sort_ccw, rot90, convex_hull,
                        cycle_is_convex, compile_hull, homogeneous, rational)
-from .lattice import FixedData, pairing, p1_star, skew_form, unit
+from .lattice import FixedData, pairing, p1_star, skew_form, line_dir
 from .brokenline import Segment, Piece, validate_segment, reverse
 from .constructions import (structure_constant, pair_from_segment, _alpha_cached,
                             _product_cached)
@@ -144,7 +143,6 @@ class PLMap:
 def shear_map(fd, n, dk):
     """Straightening of the incoming wall with normal n: identity where the
     pairing with n is nonpositive, shear along the wall on the other side."""
-    from .scattering import line_dir
     g = p1_star(fd, n)
     M = [[Fraction(1 if i == j else 0) for j in range(2)] for i in range(2)]
     for i in range(2):
@@ -160,40 +158,32 @@ def shear_map(fd, n, dk):
 
 
 def _mutate_basis(fd, basis, k):
-    eps = [[skew_form(fd, basis[i], basis[j]) * fd.d[j] for j in range(fd.rank)]
-           for i in range(fd.rank)]
-    out = []
-    for i, e in enumerate(basis):
-        if i == k:
-            out.append(vneg(e))
-        else:
-            c = max(int(eps[i][k]), 0)
-            out.append(vadd(e, vscale(c, basis[k])))
-    return tuple(out)
+    """Mutation at k: e_k -> -e_k and e_i -> e_i + max(eps_ik, 0) e_k."""
+    ek, ei = basis[k], basis[1 - k]
+    ei = vadd(ei, vscale(max(skew_form(fd, ei, ek) * fd.d[k], 0), ek))
+    return (vneg(ek), ei) if k == 0 else (ei, vneg(ek))
 
 
-def depth_bound():
-    return int(os.environ.get("CSD_DEPTH_BOUND", "16"))
+# Steps per mutation walk.  Every finite type closes well within it; only
+# diagrams whose walk never closes (affine and wild types) reach it.
+DEPTH_BOUND = 16
 
 
-def chart_maps(fd, bound=None):
+def chart_maps(fd):
     """All seed-chart straightening maps reachable by mutation; (maps, closed).
 
-    The charts depend only on the lattice data and the depth bound, so each
-    walk runs once per distinct (rank, unfrozen, skew, d, bound) and is
-    shared by equal FixedData objects.  The bound defaults to
-    CSD_DEPTH_BOUND, read on every call.  The returned list is a fresh copy;
-    the PLMap objects in it are shared and must not be mutated.
+    The charts depend only on the lattice data, so each walk runs once per
+    distinct (exchange, d) and is shared by equal FixedData objects.  The
+    returned list is a fresh copy; the PLMap objects in it are shared and
+    must not be mutated.
     """
-    if bound is None:
-        bound = depth_bound()
-    maps, closed = _chart_maps_by_value(fd.rank, fd.unfrozen, fd.skew, fd.d, bound)
+    maps, closed = _chart_maps_by_value(fd.exchange, fd.d)
     return list(maps), closed
 
 
 @functools.lru_cache(maxsize=16)
-def _chart_maps_by_value(rank, unfrozen, skew, d, bound):
-    maps, closed = _chart_maps(FixedData(rank, unfrozen, skew, d), bound)
+def _chart_maps_by_value(exchange, d):
+    maps, closed = _chart_maps(FixedData(exchange, d), DEPTH_BOUND)
     return tuple(maps), closed
 
 
@@ -204,17 +194,16 @@ def _chart_maps(fd, bound):
     from the initial seed.  Maps are collected modulo linear target
     coordinates, which convexity cannot see.
     """
-    ks = sorted(fd.unfrozen)
     phi0 = PLMap.identity().normalized()
     seen = {phi0.key()}
     maps = [phi0]
     closed = True
     for first in range(2):
-        basis = tuple(unit(fd.rank, i) for i in range(fd.rank))
+        basis = ((1, 0), (0, 1))
         phi = PLMap.identity()
         walk_closed = False
         for step in range(bound):
-            k = ks[(first + step) % 2]
+            k = (first + step) % 2
             phi = shear_map(fd, basis[k], fd.d[k]).compose(phi)
             basis = _mutate_basis(fd, basis, k)
             norm = phi.normalized()

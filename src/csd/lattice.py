@@ -1,8 +1,10 @@
-"""Cluster fixed data: lattices and pairings.
+"""Rank-2 cluster fixed data: lattices and pairings.
 
 Coordinate conventions: elements of N are integer vectors in the seed basis
-(e_i); elements of the dual M-degree lattice are integer vectors in the
-f-basis (f_i = e_i^* / d_i).  The exchange matrix is eps[i][j] = skew(e_i, e_j) * d_j.
+(e_0, e_1); elements of the dual M-degree lattice are integer vectors in the
+f-basis (f_i = e_i^* / d_i), so <n, m> = n_0 m_0 / d_0 + n_1 m_1 / d_1.  The
+skew form is {e_0, e_1} = s and the exchange matrix is
+eps[i][j] = {e_i, e_j} * d_j = [[0, s d_1], [-s d_0, 0]].
 """
 
 from fractions import Fraction
@@ -12,119 +14,98 @@ from .geometry import primitive, is_zero, cross
 
 
 class FixedData:
-    """Lattice data: rank, unfrozen indices, skew form, multipliers d_i.
+    """Cluster fixed data of rank 2 with both indices unfrozen: (exchange, d).
 
-    The engine works in rank 2 with both indices unfrozen and a
-    non-degenerate antisymmetric skew form; any other data is rejected here.
-    The monoid generators are {p1_star(e_i) : i unfrozen}.
+    Holds integers only: the multipliers d (positive, gcd 1), the exchange
+    matrix, the skew form s = {e_0, e_1} (a nonzero integer, since s*d_1 and
+    s*d_0 are integers and gcd(d) = 1), L = lcm(d) and the monoid generators
+    p1_star(e_0), p1_star(e_1).  Anything else is rejected here: a matrix
+    that is not 2x2 or not integral, a non-antisymmetric or a degenerate
+    skew form.  Seed files name the rank and the unfrozen indices too;
+    serialize.fd_from_json checks those fields.
     """
 
-    def __init__(self, rank, unfrozen, skew, d):
-        if rank != 2:
+    def __init__(self, exchange, d):
+        if len(exchange) != 2 or any(len(row) != 2 for row in exchange):
             raise ValueError("rank-2 construction only: exchange must be a 2x2 "
-                             "matrix, got rank %r" % (rank,))
-        self.rank = rank
-        self.unfrozen = tuple(unfrozen)
-        self.skew = tuple(tuple(Fraction(x) for x in row) for row in skew)
+                             "matrix, got rank %r" % (len(exchange),))
+        self.exchange = tuple(tuple(int(x) for x in row) for row in exchange)
+        if self.exchange != tuple(tuple(row) for row in exchange):
+            raise ValueError("exchange entries must be integers, got %r" % (exchange,))
         self.d = tuple(int(x) for x in d)
-        if gcd(*self.d) != 1:
-            raise ValueError("multipliers d_i must have gcd 1")
-        for i in range(rank):
-            for j in range(rank):
-                if self.skew[i][j] != -self.skew[j][i]:
-                    raise ValueError("skew form is not antisymmetric")
-        if self.unfrozen != (0, 1):
-            raise ValueError("unfrozen must be [0, 1], got %r: the rank-2 engine "
-                             "needs both indices unfrozen" % (list(self.unfrozen),))
-        rows = self.exchange
-        if cross(rows[0], rows[1]) == 0:
+        d0, d1 = self.d
+        if min(d0, d1) < 1 or gcd(d0, d1) != 1:
+            raise ValueError("multipliers d_i must be positive with gcd 1, got %r" % (self.d,))
+        (e00, e01), (e10, e11) = self.exchange
+        if e00 or e11 or e01 * d0 != -e10 * d1:
+            raise ValueError("skew form is not antisymmetric")
+        if e01 == 0:
             raise ValueError("degenerate skew form: the dual map is not injective")
-        self.monoid_gens = tuple(p1_star(self, unit(rank, i)) for i in self.unfrozen)
+        self.s = e01 // d1
+        self.L = lcm(d0, d1)
+        self.monoid_gens = (p1_star(self, (1, 0)), p1_star(self, (0, 1)))
 
     @classmethod
-    def from_exchange(cls, exchange, d, unfrozen=None):
-        rank = len(exchange)
-        if unfrozen is None:
-            unfrozen = range(rank)
-        skew = [[Fraction(exchange[i][j], d[j]) for j in range(rank)] for i in range(rank)]
-        return cls(rank, unfrozen, skew, d)
-
-    @property
-    def exchange(self):
-        return tuple(tuple(self.skew[i][j] * self.d[j] for j in range(self.rank))
-                     for i in range(self.rank))
+    def from_exchange(cls, exchange, d):
+        """The same as FixedData(exchange, d)."""
+        return cls(exchange, d)
 
     def __repr__(self):
-        return "FixedData(rank=%d, d=%r)" % (self.rank, self.d)
-
-
-def unit(rank, i):
-    return tuple(1 if j == i else 0 for j in range(rank))
+        return "FixedData(exchange=%r, d=%r)" % (self.exchange, self.d)
 
 
 def pairing(fd, n, m):
     """Dual pairing <n, m> with n in N-coordinates and m in f-basis coordinates."""
-    if len(n) != fd.rank or len(m) != fd.rank:
+    if len(n) != 2 or len(m) != 2:
         raise ValueError("dimension mismatch")
-    return sum(Fraction(n[i]) * Fraction(m[i]) / fd.d[i] for i in range(fd.rank))
+    d0, d1 = fd.d
+    return Fraction(n[0] * m[0] * d1 + n[1] * m[1] * d0, d0 * d1)
+
+
+def scaled_normal(fd, n):
+    """The integer vector a with <n, m> = (a . m) / fd.L for every m."""
+    return n[0] * (fd.L // fd.d[0]), n[1] * (fd.L // fd.d[1])
 
 
 def skew_form(fd, n1, n2):
-    return sum(Fraction(n1[i]) * fd.skew[i][j] * Fraction(n2[j])
-               for i in range(fd.rank) for j in range(fd.rank))
+    return fd.s * cross(n1, n2)
 
 
 def p1_star(fd, n):
     """The image {n, .} in the f-basis."""
-    out = []
-    for j in range(fd.rank):
-        v = sum(Fraction(n[i]) * fd.skew[i][j] * fd.d[j] for i in range(fd.rank))
-        if v.denominator != 1:
-            raise ValueError("skew form does not map N_uf into the dual lattice")
-        out.append(int(v))
-    return tuple(out)
+    (_, e01), (e10, _) = fd.exchange
+    return e10 * n[1], e01 * n[0]
+
+
+def line_dir(fd, n):
+    """Primitive direction of the line {m : <n, m> = 0} in f-basis coordinates."""
+    return primitive((-n[1] * fd.d[0], n[0] * fd.d[1]))
+
+
+def dual_perp(fd, v):
+    """Primitive n with <n, v> = 0 (wall normal of the line containing v)."""
+    return primitive((fd.d[0] * v[1], -fd.d[1] * v[0]))
 
 
 def n_circ_primitive(fd, n):
     """Primitive generator of the ray through n inside the rescaled lattice N°."""
     if is_zero(n):
         raise ValueError("zero normal")
-    np = primitive(n)
-    k = 1
-    for i in range(fd.rank):
-        k = lcm(k, fd.d[i] // gcd(abs(np[i]), fd.d[i]))
-    return tuple(k * x for x in np)
+    x, y = primitive(n)
+    d0, d1 = fd.d
+    k = lcm(d0 // gcd(x, d0), d1 // gcd(y, d1))
+    return k * x, k * y
 
 
 def solve_linear(cols, target):
-    """Solve sum_i a_i * cols[i] = target exactly; returns Fractions or None."""
-    rows = len(target)
-    k = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(rows)]
-    piv = []
-    r = 0
-    for c in range(k):
-        p = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        pr = aug[r]
-        pr[:] = [x / pr[c] for x in pr]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], pr)]
-        piv.append(c)
-        r += 1
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(piv):
-        sol[c] = aug[i][-1]
-    # consistency check
-    for i in range(rows):
-        if sum(sol[j] * cols[j][i] for j in range(k)) != target[i]:
-            return None
-    return tuple(sol)
+    """Solve a*cols[0] + b*cols[1] = target by Cramer's rule.
+
+    Returns (a, b) as Fractions, or None when the columns are dependent.
+    """
+    det = cross(cols[0], cols[1])
+    if det == 0:
+        return None
+    return Fraction(cross(target, cols[1]), det), Fraction(cross(cols[0], target), det)
 
 
 def order_form(fd):

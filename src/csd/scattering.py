@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, same_ray,
                        sort_ccw, rot90, sgn, cross, dot)
-from .lattice import (unit, pairing, p1_star, n_circ_primitive,
+from .lattice import (pairing, p1_star, n_circ_primitive, line_dir,
                       cone_order, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross
 
@@ -40,11 +40,6 @@ class Diagram:
         self.compiled = None
 
 
-def line_dir(fd, n):
-    """Primitive direction of the line {m : <n, m> = 0} in f-basis coordinates."""
-    return primitive((-n[1] * fd.d[0], n[0] * fd.d[1]))
-
-
 def canonical_normal(n):
     np = primitive(n)
     for x in np:
@@ -70,7 +65,7 @@ def on_support(fd, wall, pt):
 
 
 def initial_wall(fd, i):
-    n = unit(fd.rank, i)
+    n = ((1, 0), (0, 1))[i]
     p = p1_star(fd, n)
     m0 = primitive(p)
     k = cone_order(fd, p) / cone_order(fd, m0)
@@ -80,7 +75,7 @@ def initial_wall(fd, i):
 
 
 def initial_diagram(fd, order):
-    walls = [initial_wall(fd, i) for i in fd.unfrozen]
+    walls = [initial_wall(fd, 0), initial_wall(fd, 1)]
     return Diagram(fd, walls, order, False)
 
 
@@ -114,14 +109,11 @@ def apply_loop(fd, diagram, p):
     return out
 
 
-def _generator_monomials(fd, order):
-    return [LaurentPoly.monomial(unit(fd.rank, j), order) for j in range(fd.rank)]
-
-
 def loop_discrepancy(fd, diagram):
     """Per generator: transported minus identity, as exponent-shift -> coefficient."""
     out = []
-    for mono in _generator_monomials(fd, diagram.order):
+    for mono in (LaurentPoly.monomial((1, 0), diagram.order),
+                 LaurentPoly.monomial((0, 1), diagram.order)):
         res = apply_loop(fd, diagram, mono)
         diff = dict(res.terms)
         b = mono.base
@@ -137,8 +129,7 @@ def check_consistent(fd, diagram):
 def _outgoing_normal(fd, p):
     """Primitive normal n with n mapped onto the ray of p by the skew form."""
     target = primitive(p)
-    rows = [tuple(fd.exchange[i]) for i in range(fd.rank)]
-    sol = solve_linear(rows, target)
+    sol = solve_linear(fd.exchange, target)
     if sol is None:
         raise ValueError("skew form is degenerate in direction %r" % (p,))
     return canonical_normal(sol)
@@ -193,8 +184,8 @@ def complete_diagram(fd, diagram, max_rounds=100000):
             n0p = n_circ_primitive(fd, n)
             eps = _loop_sign_at(fd, n, primitive(vneg(p)))
             delta = None
-            for j in range(fd.rank):
-                w = pairing(fd, n0p, unit(fd.rank, j))
+            for j, e in enumerate(((1, 0), (0, 1))):
+                w = pairing(fd, n0p, e)
                 c = by_gen.get(j, Fraction(0))
                 if w == 0:
                     if c != 0:

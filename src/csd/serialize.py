@@ -8,7 +8,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .lattice import FixedData
+from .lattice import FixedData, line_dir
 from .series import WallFunction
 from .scattering import Wall, Diagram
 from .brokenline import Piece, BrokenLine, Segment
@@ -34,15 +34,18 @@ def point_to_json(pt):
 
 
 def point_from_json(v):
-    return tuple(Fraction(c) for c in v)
+    try:
+        return tuple(Fraction(c) for c in v)
+    except (TypeError, ZeroDivisionError) as e:
+        raise ValueError("bad coordinate in point %r: %s" % (v, e))
 
 
 def fd_to_json(fd):
     return {
-        "rank": fd.rank,
-        "unfrozen": list(fd.unfrozen),
+        "rank": 2,
+        "unfrozen": [0, 1],
         "d": list(fd.d),
-        "exchange": [[int(x) for x in row] for row in fd.exchange],
+        "exchange": [list(row) for row in fd.exchange],
         "principal": False,
     }
 
@@ -64,7 +67,13 @@ def fd_from_json(doc):
     if doc.get("principal", False) is not False:
         raise ValueError("principal must be false: principal coefficients are "
                          "not supported, got %r" % (doc["principal"],))
-    return FixedData.from_exchange(ex, d, doc.get("unfrozen"))
+    # repr tells 2 from 2.0 and [0, 1] from [false, true]
+    if repr(doc.get("rank", 2)) != "2":
+        raise ValueError("rank must be 2: the engine is rank-2 only, got %r" % (doc["rank"],))
+    if repr(doc.get("unfrozen", [0, 1])) != "[0, 1]":
+        raise ValueError("unfrozen must be [0, 1], got %r: the rank-2 engine "
+                         "needs both indices unfrozen" % (doc["unfrozen"],))
+    return FixedData(ex, d)
 
 
 def wallfunction_to_json(f):
@@ -100,7 +109,6 @@ def wall_to_json(w):
 
 
 def wall_from_json(doc, fd):
-    from .scattering import line_dir
     n = tuple(int(x) for x in doc["normal"])
     kind = doc["support"]["kind"]
     if kind == "line":
@@ -125,9 +133,12 @@ def diagram_from_json(doc):
         raise ValueError("diagram must be a JSON object, got %s" % type(doc).__name__)
     if not isinstance(doc["walls"], list):
         raise ValueError("walls must be a JSON list, got %s" % type(doc["walls"]).__name__)
+    order = doc["order"]
+    if not (_is_int(order) and order >= 0):
+        raise ValueError("order must be an integer >= 0, got %r" % (order,))
     fd = fd_from_json(doc["seed"])
     walls = [wall_from_json(w, fd) for w in doc["walls"]]
-    return Diagram(fd, walls, doc["order"], doc["saturated"])
+    return Diagram(fd, walls, order, doc["saturated"])
 
 
 def brokenline_to_json(line):
@@ -201,6 +212,12 @@ def points_to_json(pts):
 
 
 def points_from_json(doc):
+    """Points from a JSON list of [x, y] pairs; any other shape raises ValueError."""
+    if not isinstance(doc, list):
+        raise ValueError("points must be a JSON list, got %s" % type(doc).__name__)
+    for p in doc:
+        if not (isinstance(p, list) and len(p) == 2):
+            raise ValueError("each point must be a pair [x, y], got %r" % (p,))
     return [point_from_json(p) for p in doc]
 
 

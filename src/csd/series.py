@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .geometry import vadd, primitive
-from .lattice import n_circ_primitive, order_form
+from .lattice import n_circ_primitive, order_form, scaled_normal
 
 
 class WallFunction:
@@ -174,8 +174,8 @@ def wall_cross(fd, p, f, n0, sign, K=None):
     su, sv = ux * sx + uy * sy, vx * sx + vy * sy
     if su < 0 or sv < 0 or su + sv == 0:
         raise ValueError("wall function direction outside the cone")
-    L = lcm(*fd.d)  # <n0', m> = (a . m) / L
-    ax, ay = (x * (L // d) for x, d in zip(n_circ_primitive(fd, n0), fd.d))
+    L = fd.L  # <n0', m> = (a . m) / L
+    ax, ay = scaled_normal(fd, n_circ_primitive(fd, n0))
     bx, by = p.base
     Dp, nums = _scaled(p.terms)
     steps = []

@@ -144,13 +144,36 @@ def test_build_rejects_frozen_index(paths):
     ({"rank": 2, "unfrozen": [0, 1], "d": [1, 1], "exchange": "ab"}, "exchange"),
     ({"rank": 2, "unfrozen": [0, 1], "d": [1, 1], "exchange": [[0, 1.5], [-1, 0]]}, "exchange"),
     ({"rank": 2, "unfrozen": [0, 1], "d": [0, 1], "exchange": [[0, 1], [-1, 0]]}, "d must"),
-], ids=["list", "exchange-string", "exchange-float", "d-zero"])
+    ({"rank": 3, "unfrozen": [0, 1], "d": [1, 1], "exchange": [[0, 1], [-1, 0]]}, "rank"),
+], ids=["list", "exchange-string", "exchange-float", "d-zero", "rank-3"])
 def test_build_rejects_malformed_seed(paths, seed, field):
     path = paths["dir"] / "bad_seed.json"
     path.write_text(json.dumps(seed))
     r = run_cli("build", "--seed", str(path), "--order", "3")
     assert r.returncode == 2
     assert field in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("doc", [[[1, 2, 3], [0, 0]], {"a": 1}, [[1, "1/0"]], [[1, None]]],
+                         ids=["three-coordinates", "object", "zero-denominator", "null"])
+def test_malformed_point_files(paths, doc):
+    bad = paths["dir"] / "bad_points.json"
+    bad.write_text(json.dumps(doc))
+    for cmd, flag in (("hull", "--points"), ("check-positive", "--polygon")):
+        r = run_cli(cmd, "--diagram", str(paths["g2"]), flag, str(bad))
+        assert r.returncode == 2
+        assert flag in r.stderr and "Traceback" not in r.stderr
+
+
+def test_zero_denominators_rejected(paths):
+    r = run_cli("theta", "--diagram", str(paths["a2"]), "--direction", "-1,0",
+                "--endpoint", "1/0,2")
+    assert r.returncode == 2
+    assert "--endpoint" in r.stderr and "Traceback" not in r.stderr
+    r = run_cli("pair-from-segment", "--diagram", str(paths["g2"]), "--segment",
+                str(paths["seg"]), "--tau", "1/0")
+    assert r.returncode == 2
+    assert "--tau" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_empty_point_lists(paths):
@@ -196,7 +219,11 @@ def test_order_zero_and_negative(paths):
     ({"seed": {"rank": 2, "unfrozen": [0, 1], "d": [1, 1], "exchange": [[0, 1], [-1, 0]],
                "principal": False}, "order": 6, "saturated": True, "walls": 5},
      "walls must be a JSON list"),
-], ids=["list", "seed-list", "walls-int"])
+] + [({"seed": {"rank": 2, "unfrozen": [0, 1], "d": [1, 1], "exchange": [[0, 1], [-1, 0]],
+                "principal": False}, "order": order, "saturated": True, "walls": []},
+      "order must be") for order in ("x", 2.5, None, -1)],
+    ids=["list", "seed-list", "walls-int", "order-string", "order-float", "order-null",
+         "order-negative"])
 def test_theta_rejects_malformed_diagram(paths, doc, field):
     path = paths["dir"] / "bad_diagram.json"
     path.write_text(json.dumps(doc))

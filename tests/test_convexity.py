@@ -28,9 +28,8 @@ def test_plmap_identity_and_apply(a2):
 
 def test_plmap_compose_inverse(a2, g2):
     for fd in (a2, g2):
-        for k in (0, 1):
-            from csd.lattice import unit
-            t = shear_map(fd, unit(2, k), fd.d[k])
+        for k, e in enumerate(((1, 0), (0, 1))):
+            t = shear_map(fd, e, fd.d[k])
             assert t.compose(t.inverse()) == PLMap.identity()
             assert t.inverse().compose(t) == PLMap.identity()
 
@@ -80,15 +79,6 @@ def test_chart_maps_walk_runs_once_per_value(shear_calls):
     assert len(shear_calls) == walked
 
 
-def test_chart_maps_reads_depth_bound(kron, monkeypatch):
-    monkeypatch.setenv("CSD_DEPTH_BOUND", "4")
-    short, _ = chart_maps(kron)
-    monkeypatch.setenv("CSD_DEPTH_BOUND", "16")
-    full, closed = chart_maps(kron)
-    assert len(short) < len(full)
-    assert not closed
-
-
 def test_chart_maps_returns_fresh_list(g2):
     maps, _ = chart_maps(g2)
     keys = [m.key() for m in maps]
@@ -99,11 +89,18 @@ def test_chart_maps_returns_fresh_list(g2):
 
 @pytest.mark.parametrize("bound", [4, 16])
 def test_chart_maps_match_uncached_walk(a2, g2, kron, bound):
+    # chart_maps walks DEPTH_BOUND = 16 steps; a shorter walk finds a subset
+    assert convexity.DEPTH_BOUND == 16
     for fd in (a2, g2, kron):
-        maps, closed = chart_maps(fd, bound)
+        maps, closed = chart_maps(fd)
         walk, walk_closed = convexity._chart_maps(fd, bound)
-        assert [m.key() for m in maps] == [m.key() for m in walk]
-        assert closed == walk_closed
+        keys, walk_keys = [m.key() for m in maps], [m.key() for m in walk]
+        if bound == 16:
+            assert walk_keys == keys and walk_closed == closed
+        else:
+            assert set(walk_keys) <= set(keys) and not walk_closed
+            # the cut walk misses charts unless the full walk closes
+            assert len(walk_keys) < len(keys) or closed
 
 
 def test_initial_shears_are_one_sided(a2, a2_diagram):

@@ -1,22 +1,120 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from csd.lattice import (FixedData, pairing, skew_form, p1_star,
-                         n_circ_primitive, solve_linear, cone_order)
+from csd.geometry import primitive
+from csd.lattice import (FixedData, pairing, skew_form, p1_star, line_dir, dual_perp,
+                         scaled_normal, n_circ_primitive, solve_linear, cone_order)
 
 F = Fraction
+
+
+# --- reference: the rank-generic forms the closed forms replaced -------------
+
+def ref_skew(exchange, d):
+    n = len(d)
+    return [[F(exchange[i][j], d[j]) for j in range(n)] for i in range(n)]
+
+
+def ref_pairing(d, n, m):
+    return sum(F(n[i]) * F(m[i]) / d[i] for i in range(len(d)))
+
+
+def ref_skew_form(skew, n1, n2):
+    r = range(len(skew))
+    return sum(F(n1[i]) * skew[i][j] * F(n2[j]) for i in r for j in r)
+
+
+def ref_p1_star(skew, d, n):
+    r = range(len(d))
+    out = [sum(F(n[i]) * skew[i][j] * d[j] for i in r) for j in r]
+    assert all(v.denominator == 1 for v in out)
+    return tuple(int(v) for v in out)
+
+
+def ref_n_circ_primitive(d, n):
+    np = primitive(n)
+    k = 1
+    for i in range(len(d)):
+        k = lcm(k, d[i] // gcd(abs(np[i]), d[i]))
+    return tuple(k * x for x in np)
+
+
+def ref_solve_linear(cols, target):
+    """Gaussian elimination; a solution, or None when there is none."""
+    rows, k = len(target), len(cols)
+    aug = [[F(cols[j][i]) for j in range(k)] + [F(target[i])] for i in range(rows)]
+    piv, r = [], 0
+    for c in range(k):
+        p = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if p is None:
+            continue
+        aug[r], aug[p] = aug[p], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        piv.append(c)
+        r += 1
+    sol = [F(0)] * k
+    for i, c in enumerate(piv):
+        sol[c] = aug[i][-1]
+    if any(sum(sol[j] * cols[j][i] for j in range(k)) != target[i] for i in range(rows)):
+        return None
+    return tuple(sol)
+
+
+TYPES = {"A2": ([[0, 1], [-1, 0]], [1, 1]), "B2": ([[0, 2], [-1, 0]], [1, 2]),
+         "G2": ([[0, 3], [-1, 0]], [1, 3]), "G2d32": ([[0, 2], [-3, 0]], [3, 2]),
+         "Kronecker": ([[0, 2], [-2, 0]], [1, 1]), "W33": ([[0, 3], [-3, 0]], [1, 1])}
+GRID = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+RATIONAL = [(F(1, 3), -2), (-3, F(5, 7)), (F(-2, 9), F(4, 5))]
+
+
+@pytest.mark.parametrize("name", sorted(TYPES))
+def test_closed_forms_match_reference(name):
+    exchange, d = TYPES[name]
+    fd = FixedData(exchange, d)
+    skew = ref_skew(exchange, d)
+    assert fd.exchange == tuple(map(tuple, exchange)) and skew[0][1] == fd.s
+    assert fd.monoid_gens == (ref_p1_star(skew, d, (1, 0)), ref_p1_star(skew, d, (0, 1)))
+    for n in GRID:
+        assert p1_star(fd, n) == ref_p1_star(skew, d, n)
+        for m in GRID + RATIONAL:
+            assert pairing(fd, n, m) == ref_pairing(d, n, m)
+            a = scaled_normal(fd, n)
+            assert F(a[0] * m[0] + a[1] * m[1], fd.L) == ref_pairing(d, n, m)
+        for m in GRID:
+            assert skew_form(fd, n, m) == ref_skew_form(skew, n, m)
+        if n == (0, 0):
+            continue
+        assert n_circ_primitive(fd, n) == ref_n_circ_primitive(d, n)
+        assert ref_pairing(d, n, line_dir(fd, n)) == 0 == ref_pairing(d, dual_perp(fd, n), n)
+
+
+def test_solve_linear_matches_reference():
+    small = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    for u in small:
+        for v in small:
+            for target in (u, (1, 0), (-2, 3), (F(1, 2), 5)):
+                if u[0] * v[1] == u[1] * v[0]:
+                    # dependent columns: no unique solution, even where one exists
+                    assert solve_linear((u, v), target) is None
+                else:
+                    assert solve_linear((u, v), target) == ref_solve_linear((u, v), target)
 
 
 def test_from_exchange_roundtrip(g2):
     assert g2.exchange == ((0, 3), (-1, 0))
     assert g2.d == (1, 3)
-    assert g2.skew[0][1] == 1 and g2.skew[1][0] == -1
+    assert g2.s == 1 and g2.L == 3
 
 
 def test_antisymmetry_enforced():
     with pytest.raises(ValueError):
-        FixedData(2, (0, 1), [[0, 1], [1, 0]], [1, 1])
+        FixedData([[0, 1], [1, 0]], [1, 1])
 
 
 @pytest.mark.parametrize("exchange,d", [([[0]], [1]), ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], [1, 1, 1])],

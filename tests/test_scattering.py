@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from csd.lattice import FixedData, cone_order
+from csd.lattice import FixedData, cone_order, line_dir
 from csd.series import WallFunction, LaurentPoly
 from csd.scattering import (Wall, is_incoming, initial_diagram,
                             complete_rank2, complete_diagram, check_consistent,
                             loop_discrepancy, apply_loop, path_ordered_product,
-                            leg_crossings, line_dir, canonical_normal)
+                            leg_crossings, canonical_normal)
 
 F = Fraction
 
@@ -42,7 +42,7 @@ def test_initial_walls(a2, g2):
 
 def test_initial_diagram_rejects_degenerate():
     with pytest.raises(ValueError):
-        initial_diagram(FixedData(2, (0, 1), [[0, 0], [0, 0]], [1, 1]), 4)
+        initial_diagram(FixedData([[0, 0], [0, 0]], [1, 1]), 4)
 
 
 def test_classify(a2, a2_diagram):
@@ -146,8 +146,3 @@ def test_path_ordered_product_open_path(a2, a2_diagram):
     p = LaurentPoly.monomial((1, 0), 6)
     out = path_ordered_product(a2, a2_diagram, path, p)
     assert out.terms == {(1, 0): 1, (1, 1): 1}
-
-
-def test_initial_diagram_rejects_frozen_index():
-    with pytest.raises(ValueError, match="unfrozen"):
-        initial_diagram(FixedData.from_exchange([[0, 1], [-1, 0]], [1, 1], unfrozen=[0]), 6)
