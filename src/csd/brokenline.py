@@ -7,11 +7,14 @@ coefficient, and the point where it bends into the next piece.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .geometry import vadd, vsub, vneg, vscale, is_zero, primitive, same_ray, cross
+from .geometry import vsub, vneg, vscale, is_zero, primitive, same_ray, cross, dot
 from .lattice import pairing, n_circ_primitive, scaled_normal, cone_order
 from .series import wf_mul, wf_pow, wf_coeff_pow, LaurentPoly
+
+
+_ONE = Fraction(1)
 
 
 class Piece:
@@ -116,17 +119,30 @@ def _numerators(pos):
     return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
 
 
+def _line_key(x, y):
+    """The primitive direction of the line through 0 and (x, y), first nonzero entry > 0."""
+    g = gcd(x, y)
+    if g == 0:
+        raise ValueError("zero normal")
+    if x < 0 or (x == 0 and y < 0):
+        g = -g
+    return x // g, y // g
+
+
 class SearchForm:
     """A diagram's walls compiled for the backward broken-line search.
 
-    Wall normals are scaled by L = lcm(d), so <n, x> = (a . x) / L with an
-    integer vector a: a wall crossing is a sign test on the numerators of a
-    point, and a Fraction is built only for the walls a ray actually hits.
-    The form also holds the monoid generators for the integer monoid test
-    and the diagram's caches:
+    Every wall lies on a line through the origin, and the walls through a
+    nonzero point all lie on the line through it, so the walls are grouped
+    by support line.  Wall normals are scaled by L = lcm(d), so
+    <n, x> = (a . x) / L with an integer vector a: a wall crossing is a sign
+    test on the numerators of a point, and the search tests each support
+    line once per ray.  The form also holds the monoid generators for the
+    integer monoid test and the diagram's caches:
 
-    - families: wall families, keyed by the tuple of walls met at a point,
-      each with its table of powers of f keyed by (power, K);
+    - families: wall families, keyed by the tuple of walls met at a point
+      and looked up by the ray from the origin through the point, each with
+      its table of powers of f keyed by (power, K);
     - thetas: theta functions, keyed by (m, endpoint, K);
     - alphas: alpha tables, keyed by (unordered pair {p, q}, K);
     - products: theta products at the expansion endpoint, keyed by
@@ -143,11 +159,27 @@ class SearchForm:
     def __init__(self, fd, walls):
         self.fd = fd
         self.L = fd.L
-        self._scan = [(w, *scaled_normal(fd, w.normal), w.kind == "ray", w.direction)
-                      for w in walls]
+        self._all = tuple(walls)
+        # per support line, keyed by its primitive direction u: one scaled
+        # normal, the sides of the origin (+1 along u, -1 against) its walls
+        # cover, and its walls in diagram order
+        normals, sides, self._lines = {}, {}, {}
+        for w in walls:
+            a = scaled_normal(fd, w.normal)
+            u = _line_key(-a[1], a[0])
+            normals.setdefault(u, a)
+            self._lines.setdefault(u, []).append((w, w.kind == "ray", w.direction))
+            covered = sides.setdefault(u, set())
+            if w.kind != "ray":
+                covered.update((1, -1))
+            elif cross(u, w.direction) == 0:
+                covered.add(1 if dot(u, w.direction) > 0 else -1)
+        self._scan = [(*normals[u], *u, 1 in covered, -1 in covered)
+                      for u, covered in sides.items() if covered]
         self._gens = fd.monoid_gens
         self._det = cross(*self._gens)
         self._families = {}
+        self._families_at = {}
         self.thetas = {}
         self.alphas = {}
         self.products = {}
@@ -156,74 +188,80 @@ class SearchForm:
     def walls_through(self, point):
         """The walls whose support contains the point."""
         x, y, _ = _numerators(point)
-        out = []
-        for w, a0, a1, ray, (dx, dy) in self._scan:
-            if a0 * x + a1 * y != 0:
-                continue
-            if ray and (x or y) and (x * dy != y * dx or x * dx + y * dy <= 0):
-                continue
-            out.append(w)
-        return tuple(out)
+        return self._walls_at(x, y)
 
-    def ray_events(self, pos, m):
-        """Wall crossings of the open ray pos + t*m, t > 0, grouped by t.
+    def _walls_at(self, x, y):
+        if not (x or y):
+            return self._all
+        return tuple(w for w, ray, (dx, dy) in self._lines.get(_line_key(x, y), ())
+                     if not ray or (x * dy == y * dx and x * dx + y * dy > 0))
 
-        Returns (events, t_origin) where events is a sorted list of
-        (t, point, walls) and t_origin is the positive time the ray meets
-        the origin, or None.
+    def ray_events(self, x, y, q, mx, my):
+        """Bend sites of the open ray (x, y)/q + t*(mx, my), t > 0, in t order.
+
+        Each site is the reduced homogeneous triple (X, Y, Q), Q > 0, of a
+        point where the ray crosses a wall; the walls of one support line give
+        one site.  Raises ValueError when the ray runs into the origin.
         """
-        x, y, q = _numerators(pos)
-        mx, my = m
-        t_origin = None
-        along = x * mx + y * my
-        if x * my == y * mx and along < 0:
-            t_origin = Fraction(-along, q * (mx * mx + my * my))
-        hits = {}
-        for w, a0, a1, ray, (dx, dy) in self._scan:
-            sd = a0 * mx + a1 * my
-            if sd == 0:
+        if x * my == y * mx and x * mx + y * my < 0:
+            # the traced ray would pass through the singular origin, silently
+            # losing a family of lines; the endpoint must be perturbed
+            raise ValueError("trajectory with exponent %r from %r runs into the "
+                             "origin; endpoint is not generic, perturb it"
+                             % ((mx, my), (Fraction(x, q), Fraction(y, q))))
+        hits = []
+        for a0, a1, ux, uy, pos_side, neg_side in self._scan:
+            td = a0 * mx + a1 * my
+            if td == 0:
                 continue
-            s0 = a0 * x + a1 * y
-            # the ray meets the wall line at t = -s0 / (q * sd)
-            if s0 == 0 or (s0 > 0) == (sd > 0):
+            tn = -(a0 * x + a1 * y)
+            # the ray meets the line at t = tn / (q * td)
+            if tn == 0 or (tn > 0) != (td > 0):
                 continue
-            # numerators of the meeting point over q * sd
-            px = sd * x - s0 * mx
-            py = sd * y - s0 * my
-            if px == 0 and py == 0:
-                continue
-            if ray and (px * dy != py * dx or (px * dx + py * dy) * sd <= 0):
-                continue
-            t = Fraction(-s0, q * sd)
-            hit = hits.get(t)
-            if hit is None:
-                hits[t] = ((Fraction(px, q * sd), Fraction(py, q * sd)), [w])
-            else:
-                hit[1].append(w)
-        events = [(t, pt, ws) for t, (pt, ws) in sorted(hits.items())]
-        if t_origin is not None:
-            events = [e for e in events if e[0] < t_origin]
-        return events, t_origin
+            if td < 0:
+                tn, td = -tn, -td
+            # numerators of the meeting point over q * td; the sign of its
+            # component along u tells which rays on the line contain it
+            px = td * x + tn * mx
+            py = td * y + tn * my
+            side = px * ux + py * uy
+            if pos_side if side > 0 else neg_side and side < 0:
+                hits.append((tn, td, px, py))
+        if len(hits) > 1:
+            # distinct lines meet only at the origin, so the times differ
+            D = lcm(*(h[1] for h in hits))
+            hits.sort(key=lambda h: h[0] * (D // h[1]))
+        events = []
+        for _, td, px, py in hits:
+            Q = q * td
+            g = gcd(px, py, Q)
+            events.append((px // g, py // g, Q // g))
+        return events
 
-    def families(self, walls):
-        """Families of a tuple of walls, grouped by support line."""
-        fams = self._families.get(walls)
+    def families(self, point):
+        """Families of the walls through the point, grouped by support line."""
+        x, y, _ = _numerators(point)
+        g = gcd(x, y) or 1
+        fams = self._families_at.get((x // g, y // g))
         if fams is None:
-            groups = {}
-            for w in walls:
-                key = tuple(abs(x) for x in primitive(n_circ_primitive(self.fd, w.normal)))
-                groups.setdefault(key, []).append(w)
-            fams = [_Family(self.fd, ws) for ws in groups.values()]
-            self._families[walls] = fams
+            walls = self._walls_at(x, y)
+            fams = self._families.get(walls)
+            if fams is None:
+                groups = {}
+                for w in walls:
+                    key = tuple(abs(c) for c in primitive(n_circ_primitive(self.fd, w.normal)))
+                    groups.setdefault(key, []).append(w)
+                fams = self._families[walls] = [_Family(self.fd, ws) for ws in groups.values()]
+            self._families_at[x // g, y // g] = fams
         return fams
 
     def bends(self, point, m_in, K):
         """Exponents reachable by bending m_in at the point, as in allowed_bends."""
-        fams = self.families(self.walls_through(point))
+        fams = self.families(point)
         if not fams:
             raise ValueError("point %r lies on no wall" % (point,))
         mx, my = m_in
-        out = [((mx, my), Fraction(1))]
+        out = [((mx, my), _ONE)]
         for fam in fams:
             pw = fam.a[0] * mx + fam.a[1] * my
             if pw % self.L:
@@ -235,11 +273,11 @@ class SearchForm:
             out.extend(((mx + k * sx, my + k * sy), c) for k, c in fam.power_terms(pw, K))
         return out
 
-    def in_monoid(self, p):
-        """True when p is a nonnegative integer combination of the monoid generators."""
-        g1, g2 = self._gens
-        a, ra = divmod(cross(p, g2), self._det)
-        b, rb = divmod(cross(g1, p), self._det)
+    def in_monoid(self, px, py):
+        """True when (px, py) is a nonnegative integer combination of the monoid generators."""
+        (g1x, g1y), (g2x, g2y) = self._gens
+        a, ra = divmod(px * g2y - py * g2x, self._det)
+        b, rb = divmod(g1x * py - g1y * px, self._det)
         return ra == 0 and rb == 0 and a >= 0 and b >= 0
 
 
@@ -254,7 +292,7 @@ def search_form(fd, diagram):
 def wall_families(fd, diagram, point):
     """Walls through the point grouped by support line, as (n0_primitive, m0, func)."""
     form = search_form(fd, diagram)
-    return [(fam.n0, fam.m0, fam.f) for fam in form.families(form.walls_through(point))]
+    return [(fam.n0, fam.m0, fam.f) for fam in form.families(point)]
 
 
 def allowed_bends(fd, diagram, point, m_in, K):
@@ -268,54 +306,52 @@ def allowed_bends(fd, diagram, point, m_in, K):
 def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     """All broken lines with the given initial exponent and endpoint.
 
-    Bounds the shift of the final exponent by the diagram order (or K).
+    Bounds the shift of the final exponent by the diagram order (or K).  The
+    search runs on integers; Fractions are built for bend sites and for the
+    lines returned.
     """
     if K is None:
         K = diagram.order
-    if is_zero(initial):
+    ix, iy = (int(c) for c in initial)
+    if (ix, iy) != tuple(initial):
+        raise ValueError("initial exponent must be integral, got %r" % (tuple(initial),))
+    if not (ix or iy):
         raise ValueError("initial exponent must be nonzero")
     form = search_form(fd, diagram)
     if form.walls_through(endpoint):
         raise ValueError("endpoint lies on a wall; perturb it first")
-    g1, g2 = fd.monoid_gens
+    x, y, q = _numerators(endpoint)
+    (g1x, g1y), (g2x, g2y) = fd.monoid_gens
     results = []
     for a in range(K + 1):
         for b in range(K + 1 - a):
-            p = vadd(vscale(a, g1), vscale(b, g2))
-            final = vadd(initial, p)
-            if is_zero(final):
-                continue
-            _trace(fd, diagram, endpoint, final, p, K, [], results)
+            px, py = a * g1x + b * g2x, a * g1y + b * g2y
+            if ix + px or iy + py:
+                _trace(fd, diagram, form, x, y, q, ix + px, iy + py, px, py, K, [], results)
     lines = [_assemble(endpoint, rev_steps) for rev_steps in results]
     lines.sort(key=lambda l: l.signature())
     return lines
 
 
-def _trace(fd, diagram, pos, m_cur, p_rem, K, steps, results):
-    """Backward search; steps collect (bend_point, m_before_bend, coeff) endpoint-first."""
-    form = search_form(fd, diagram)
-    events, t_origin = form.ray_events(pos, m_cur)
-    if t_origin is not None:
-        # the traced ray would pass through the singular origin, silently
-        # losing a family of lines; the endpoint must be perturbed
-        raise ValueError("trajectory with exponent %r from %r runs into the "
-                         "origin; endpoint is not generic, perturb it"
-                         % (m_cur, pos))
-    for t, pt, walls in events:
+def _trace(fd, diagram, form, x, y, q, mx, my, px, py, K, steps, results):
+    """Backward search from (x, y)/q with exponent (mx, my) and remaining shift
+    (px, py); steps collect (bend_point, m_before_bend, coeff) endpoint-first."""
+    m_cur = (mx, my)
+    for X, Y, Q in form.ray_events(x, y, q, mx, my):
+        pt = (Fraction(X, Q), Fraction(Y, Q))
         # the bending power only depends on the pairing with the wall normal,
         # which the bend itself preserves, so the forward coefficients apply
-        for m_out, c in allowed_bends(fd, diagram, pt, m_cur, K):
-            if m_out == m_cur:
+        for (ox, oy), c in allowed_bends(fd, diagram, pt, m_cur, K):
+            sx, sy = ox - mx, oy - my
+            if not (sx or sy):
                 continue
-            step = vsub(m_out, m_cur)
-            m_prev = vsub(m_cur, step)
-            p_new = vsub(p_rem, step)
-            if is_zero(m_prev) or not form.in_monoid(p_new):
+            ax, ay = mx - sx, my - sy
+            if not (ax or ay) or not form.in_monoid(px - sx, py - sy):
                 continue
-            _trace(fd, diagram, pt, m_prev, p_new, K,
+            _trace(fd, diagram, form, X, Y, Q, ax, ay, px - sx, py - sy, K,
                    steps + [(pt, m_cur, c)], results)
-    if is_zero(p_rem):
-        results.append(steps + [(None, m_cur, Fraction(1))])
+    if not (px or py):
+        results.append(steps + [(None, m_cur, _ONE)])
 
 
 def _assemble(endpoint, rev_steps):

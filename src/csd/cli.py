@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 check command with a false verdict (witness printed),
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -19,10 +20,12 @@ from .svg import render_svg
 
 
 def _vec(s):
-    parts = s.split(",")
-    if len(parts) != 2:
-        raise ValueError("expected 'x,y', got %r" % s)
-    return tuple(int(p) for p in parts)
+    """argparse type: an integer vector 'x,y'."""
+    try:
+        x, y = (int(p) for p in s.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected integers 'x,y', got %r" % s)
+    return x, y
 
 
 def _fraction(s):
@@ -95,10 +98,10 @@ def cmd_build(args):
 def cmd_theta(args):
     d = _load_diagram(args.diagram)
     K = d.order if args.order is None else args.order
-    t = theta(d.fd, d, _vec(args.direction), args.endpoint, K)
+    t = theta(d.fd, d, args.direction, args.endpoint, K)
     print(_fmt_poly(t))
     if args.out:
-        lines = enumerate_lines(d.fd, d, _vec(args.direction), args.endpoint, K)
+        lines = enumerate_lines(d.fd, d, args.direction, args.endpoint, K)
         serialize.save(args.out, [serialize.brokenline_to_json(l) for l in lines])
     return 0
 
@@ -106,7 +109,7 @@ def cmd_theta(args):
 def cmd_multiply(args):
     d = _load_diagram(args.diagram)
     K = d.order if args.order is None else args.order
-    table = alpha_table(d.fd, d, _vec(args.p), _vec(args.q), K)
+    table = alpha_table(d.fd, d, args.p, args.q, K)
     for r in sorted(table):
         if table[r] != 0:
             print("r=%s: %s" % (_fmt_point(r), frac_to_str(table[r])))
@@ -197,7 +200,9 @@ def cmd_render(args):
     return 0
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(prog="csd",
                                 description="rank-2 scattering diagram toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -210,7 +215,7 @@ def _parser():
 
     t = sub.add_parser("theta", help="theta function by broken-line enumeration")
     t.add_argument("--diagram", required=True)
-    t.add_argument("--direction", required=True)
+    t.add_argument("--direction", type=_vec, required=True)
     t.add_argument("--endpoint", type=_point, required=True)
     t.add_argument("--order", type=_int_at_least(0))
     t.add_argument("--out")
@@ -218,8 +223,8 @@ def _parser():
 
     m = sub.add_parser("multiply", help="structure constants of a theta product")
     m.add_argument("--diagram", required=True)
-    m.add_argument("-p", required=True)
-    m.add_argument("-q", required=True)
+    m.add_argument("-p", type=_vec, required=True)
+    m.add_argument("-q", type=_vec, required=True)
     m.add_argument("--order", type=_int_at_least(0))
     m.set_defaults(fn=cmd_multiply)
 

@@ -155,13 +155,53 @@ def brokenline_to_json(line):
     }
 
 
-def brokenline_from_json(doc):
+def _field_point(v, field):
+    """A rational point [x, y] read from a document field; errors name the field."""
+    if not (isinstance(v, list) and len(v) == 2):
+        raise ValueError("%s must be a point [x, y], got %r" % (field, v))
+    try:
+        return point_from_json(v)
+    except ValueError as e:
+        raise ValueError("%s: %s" % (field, e))
+
+
+def _field_exponent(v, field):
+    """An integer exponent [x, y] read from a document field."""
+    pt = _field_point(v, field)
+    if any(c.denominator != 1 for c in pt):
+        raise ValueError("%s must have integer coordinates, got %r" % (field, v))
+    return tuple(int(c) for c in pt)
+
+
+def _field_rational(v, field):
+    """A rational number (an integer or a string such as "5/2") read from a document field."""
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError("%s must be a rational number, got %r" % (field, v))
+
+
+def _pieces(doc, what, durations):
+    """Pieces of a broken line or segment document, each field checked."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("pieces"), list)):
+        raise ValueError("%s must be a JSON object with a list of pieces" % what)
     pieces = []
-    for p in doc["pieces"]:
-        bend = None if p["bend"] is None else point_from_json(p["bend"])
-        pieces.append(Piece(tuple(int(Fraction(x)) for x in p["exponent"]),
-                            Fraction(p["coeff"]), bend))
-    return BrokenLine(point_from_json(doc["endpoint"]), pieces)
+    for i, p in enumerate(doc["pieces"]):
+        if not isinstance(p, dict):
+            raise ValueError("%s piece %d must be a JSON object, got %r" % (what, i, p))
+        field = "%s piece %d %%s" % (what, i)
+        bend = None if p["bend"] is None else _field_point(p["bend"], field % "bend")
+        dur = None
+        if durations and p["duration"] is not None:
+            dur = _field_rational(p["duration"], field % "duration")
+        pieces.append(Piece(_field_exponent(p["exponent"], field % "exponent"),
+                            _field_rational(p["coeff"], field % "coeff"), bend, dur))
+    return pieces
+
+
+def brokenline_from_json(doc):
+    pieces = _pieces(doc, "broken line", False)
+    return BrokenLine(_field_point(doc["endpoint"], "broken line endpoint"), pieces)
 
 
 def segment_to_json(seg):
@@ -182,14 +222,10 @@ def segment_to_json(seg):
 
 
 def segment_from_json(doc):
-    pieces = []
-    for p in doc["pieces"]:
-        bend = None if p["bend"] is None else point_from_json(p["bend"])
-        dur = None if p["duration"] is None else Fraction(p["duration"])
-        pieces.append(Piece(tuple(int(Fraction(x)) for x in p["exponent"]),
-                            Fraction(p["coeff"]), bend, dur))
-    return Segment(point_from_json(doc["start"]), point_from_json(doc["end"]),
-                   pieces, Fraction(doc["total_time"]))
+    pieces = _pieces(doc, "segment", True)
+    return Segment(_field_point(doc["start"], "segment start"),
+                   _field_point(doc["end"], "segment end"), pieces,
+                   _field_rational(doc["total_time"], "segment total_time"))
 
 
 def pair_to_json(pair):

@@ -56,18 +56,33 @@ def wf_pow(f, e, K):
     """Truncated integer power of f, negative powers included.
 
     Uses the first-order recurrence implied by f * (f^e)' = e * f' * f^e,
-    which costs O(K * #terms(f)) instead of repeated convolution.
+    which costs O(K * #terms(f)) instead of repeated convolution.  It runs on
+    g(z) = f(D z), D the lcm of f's coefficient denominators: g has integer
+    coefficients and constant term 1, so each coefficient b_n of g^e is an
+    integer, every division by n is exact, and f^e has coefficient b_n / D^n.
     """
-    fs = f.terms()
-    out = [Fraction(1)]
+    D = lcm(*(c.denominator for c in f.coeffs))
+    gs = [(j, c.numerator * (D // c.denominator) * D ** (j - 1)) for j, c in f.terms()]
+    out = [1]
     for n in range(1, K + 1):
-        s = Fraction(0)
-        for j, c in fs:
+        s = 0
+        for j, c in gs:
             if j > n:
                 break
             s += ((e + 1) * j - n) * c * out[n - j]
-        out.append(s / n)
-    return WallFunction(f.direction, out[1:], K)
+        b, r = divmod(s, n)
+        if r:
+            raise ArithmeticError("wf_pow: inexact division at order %d" % n)
+        out.append(b)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    g = object.__new__(WallFunction)  # f's direction is already checked
+    g.direction, g.order = f.direction, K
+    if D == 1:
+        g.coeffs = tuple(Fraction(b) for b in out[1:])
+    else:
+        g.coeffs = tuple(Fraction(b, D ** n) for n, b in enumerate(out) if n)
+    return g
 
 
 def wf_coeff_pow(f, e, k):
@@ -179,19 +194,25 @@ def wall_cross(fd, p, f, n0, sign, K=None):
     bx, by = p.base
     Dp, nums = _scaled(p.terms)
     steps = []
-    for e, n in nums.items():
-        pw, r = divmod(sign * (ax * e[0] + ay * e[1]), L)
+    kmaxes = {}  # power of f -> the highest order a term needs it to
+    for (ex, ey), n in nums.items():
+        pw, r = divmod(sign * (ax * ex + ay * ey), L)
         if r:
             raise ValueError("non-integral crossing exponent")
-        x, y = e[0] - bx, e[1] - by
+        x, y = ex - bx, ey - by
         kmax = (K * D - (ux + vx) * x - (uy + vy) * y) // (su + sv)
-        g = wf_pow(f, pw, kmax).terms() if pw and kmax >= 1 and not f.is_one() else ()
-        steps.append((e, n, g))
-    Dg = lcm(*(c.denominator for _, _, g in steps for _, c in g))
+        if pw and kmax >= 1 and not f.is_one():
+            kmaxes[pw] = max(kmax, kmaxes.get(pw, 0))
+        steps.append((ex, ey, n, pw, kmax))
+    # one wf_pow per power: a lower truncation of f^pw is a prefix of the highest
+    powers = {pw: wf_pow(f, pw, kmax).terms() for pw, kmax in kmaxes.items()}
+    Dg = lcm(*(c.denominator for g in powers.values() for _, c in g))
     out = {}
-    for (x, y), n, g in steps:
+    for x, y, n, pw, kmax in steps:
         out[x, y] = out.get((x, y), 0) + n * Dg
-        for k, c in g:
+        for k, c in powers.get(pw, ()):
+            if k > kmax:
+                break
             e = (x + k * sx, y + k * sy)
             out[e] = out.get(e, 0) + n * c.numerator * (Dg // c.denominator)
     return _truncated(fd, Dp * Dg, out, p.base, K)

@@ -2,8 +2,10 @@
 
 import os
 import sys
+from fractions import Fraction
 
 import csd.cli  # noqa: F401  (loads every csd module the tracer patches)
+from csd import brokenline
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
 import tracer  # noqa: E402
@@ -21,3 +23,16 @@ def test_tracer_installs_and_uninstalls():
         t.uninstall()
     for mod in modules:
         assert dict(vars(sys.modules["csd." + mod])) == before[mod], mod
+
+
+def test_traced_search_counts_bend_sites(a2, a2_diagram):
+    # the search calls the module-level allowed_bends once per bend site
+    t = tracer.Tracer()
+    t.install()
+    t.active = True
+    try:
+        brokenline.enumerate_lines(a2, a2_diagram, (-1, 0), (Fraction(2), Fraction(1)), 6)
+    finally:
+        t.active = False
+        t.uninstall()
+    assert t.counts["brokenline.bend_sites"] > 0

@@ -76,6 +76,17 @@ def test_enumerate_rejects_nongeneric_endpoint(g2, g2_diagram):
         enumerate_lines(g2, g2_diagram, (-1, 1), (F(4, 7), F(-1)), 8)
 
 
+def test_enumerate_exponent_types(a2, a2_diagram):
+    # integral Fractions are taken as ints; anything else is rejected
+    z = (F(2), F(1))
+    want = enumerate_lines(a2, a2_diagram, (-1, 0), z, 6)
+    got = enumerate_lines(a2, a2_diagram, (F(-1), F(0)), z, 6)
+    assert [(l.signature(), l.coeff) for l in got] == [(l.signature(), l.coeff) for l in want]
+    assert all(type(c) is int for l in got for p in l.pieces for c in p.exponent)
+    with pytest.raises(ValueError, match="integral"):
+        enumerate_lines(a2, a2_diagram, (F(-1, 2), 0), z, 6)
+
+
 def test_theta_zero_exponent(a2, a2_diagram):
     t = theta(a2, a2_diagram, (0, 0), (F(2), F(1)), 6)
     assert t.terms == {(0, 0): 1}

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from csd import serialize
+from csd import cli, serialize
 
 F = Fraction
 
@@ -250,3 +250,58 @@ def test_dilation_factors_must_be_positive(paths):
                             flag, value, other, "6")
                 assert r.returncode == 2
                 assert "argument %s" % flag in r.stderr and "Traceback" not in r.stderr
+
+
+def test_parser_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_successive_main_calls_match_separate_calls(paths, capsys):
+    # one process running two commands prints what two processes print
+    cmds = [["theta", "--diagram", str(paths["a2"]), "--direction", "-1,0", "--endpoint", "2,1"],
+            ["multiply", "--diagram", str(paths["g2"]), "-p", "1,0", "-q", "-1,0"],
+            ["theta", "--diagram", str(paths["g2"]), "--direction", "1,-1", "--endpoint", "3/7,5/3"]]
+    for cmd in cmds:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(cmd)
+        out = capsys.readouterr()
+        r = run_cli(*cmd)
+        assert (exit_info.value.code, out.out, out.err) == (r.returncode, r.stdout, r.stderr)
+
+
+@pytest.mark.parametrize("cmd,flag,value", [
+    ("theta", "--direction", "1/0,2"),
+    ("theta", "--direction", "1,2,3"),
+    ("multiply", "-p", "1,0,3"),
+    ("multiply", "-q", "x,1"),
+])
+def test_vector_flags_named_in_errors(paths, cmd, flag, value):
+    args = {"theta": ["--direction", "1,0", "--endpoint", "2,1"],
+            "multiply": ["-p", "1,0", "-q", "-1,0"]}[cmd]
+    args[args.index(flag) + 1] = value
+    r = run_cli(cmd, "--diagram", str(paths["g2"]), *args)
+    assert r.returncode == 2
+    assert "argument %s" % flag in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("path,value,field", [
+    (("start",), [1, -5, 7], "segment start"),
+    (("end",), [2], "segment end"),
+    (("total_time",), "5/0", "segment total_time"),
+    (("pieces", 0, "duration"), "1/0", "segment piece 0 duration"),
+    (("pieces", 1, "coeff"), "1/0", "segment piece 1 coeff"),
+    (("pieces", 2, "exponent"), [1, "1/2"], "segment piece 2 exponent"),
+    (("pieces", 0, "bend"), [0, -2, 1], "segment piece 0 bend"),
+], ids=["start-three", "end-one", "total-time", "duration", "coeff", "exponent", "bend"])
+def test_malformed_segment_files(paths, path, value, field):
+    doc = json.loads(paths["seg"].read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = paths["dir"] / "bad_seg.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("pair-from-segment", "--diagram", str(paths["g2"]), "--segment", str(bad),
+                "--tau", "5/2")
+    assert r.returncode == 2
+    assert field in r.stderr and "Traceback" not in r.stderr

@@ -89,6 +89,40 @@ def test_segment_and_pair_roundtrip():
     assert pback.line1.final == pair.line1.final
 
 
+@pytest.mark.parametrize("path,value,field", [
+    (("endpoint",), [0, 3, 1], "broken line endpoint"),
+    (("pieces", 0, "coeff"), "1/0", "broken line piece 0 coeff"),
+    (("pieces", 0, "coeff"), None, "broken line piece 0 coeff"),
+    (("pieces", 0, "exponent"), [1], "broken line piece 0 exponent"),
+    (("pieces", 0, "bend"), ["a", 1], "broken line piece 0 bend"),
+    (("pieces",), 3, "broken line must be"),
+])
+def test_brokenline_from_json_names_bad_field(path, value, field):
+    doc = {"endpoint": [0, 3],
+           "pieces": [{"exponent": [1, 0], "coeff": "1", "bend": [0, 1]},
+                      {"exponent": [1, 1], "coeff": "1", "bend": None}]}
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match=field):
+        serialize.brokenline_from_json(doc)
+
+
+def test_segment_from_json_names_bad_field():
+    doc = serialize.segment_to_json(Segment((F(1), F(-5)), (F(2), F(4)),
+                                            [Piece((1, -3), 1, None, F(1))], F(1)))
+    for key, value, field in (("start", [1, -5, 7], "segment start"),
+                              ("total_time", "1/0", "segment total_time")):
+        bad = dict(doc, **{key: value})
+        with pytest.raises(ValueError, match=field):
+            serialize.segment_from_json(bad)
+    bad = json.loads(json.dumps(doc))
+    bad["pieces"][0]["duration"] = "1/0"
+    with pytest.raises(ValueError, match="segment piece 0 duration"):
+        serialize.segment_from_json(bad)
+
+
 def test_dumps_canonical_stable():
     a = serialize.dumps_canonical({"b": 1, "a": [1, 2]})
     assert a == '{"a":[1,2],"b":1}\n'

@@ -50,10 +50,12 @@ def test_wf_pow_small():
     assert wf_pow(f, 0, 4).is_one()
 
 
-@given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+@given(st.lists(st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-3, 3), st.integers(1, 4))),
+                min_size=1, max_size=4),
        st.integers(-4, 8))
-@settings(max_examples=60)
+@settings(max_examples=80)
 def test_wf_pow_matches_naive(coeffs, e):
+    # small-denominator coefficients run the recurrence on f(D z), D > 1
     f = WallFunction((1, 1), coeffs)
     assert wf_pow(f, e, 8).coeffs == wf_pow_naive(f, e, 8).coeffs
 
