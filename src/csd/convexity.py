@@ -9,7 +9,7 @@ counterclockwise sector lists with one unimodular matrix per sector.
 import functools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, cross,
                        ccw_key, ccw_between, sort_ccw, rot90, convex_hull,
@@ -47,6 +47,7 @@ class PLMap:
 
     def __init__(self, sectors):
         self.sectors = self._canonical(list(sectors))
+        self._inverse = None
 
     @staticmethod
     def _canonical(sectors):
@@ -125,10 +126,12 @@ class PLMap:
         return PLMap(sectors)
 
     def inverse(self):
-        out = []
-        for s, M in self.sectors:
-            out.append((primitive(mat_vec(M, s)), mat_inv(M)))
-        return PLMap(out)
+        """The inverse map, computed once and kept on this map."""
+        if self._inverse is None:
+            inv = PLMap((primitive(mat_vec(M, s)), mat_inv(M)) for s, M in self.sectors)
+            inv._inverse = self
+            self._inverse = inv
+        return self._inverse
 
     def normalized(self):
         """Representative modulo linear maps applied after this one.
@@ -144,13 +147,17 @@ def shear_map(fd, n, dk):
     """Straightening of the incoming wall with normal n: identity where the
     pairing with n is nonpositive, shear along the wall on the other side."""
     g = p1_star(fd, n)
-    M = [[Fraction(1 if i == j else 0) for j in range(2)] for i in range(2)]
+    M = []
     for i in range(2):
+        row = []
         for j in range(2):
-            M[i][j] += Fraction(dk * n[j], fd.d[j]) * g[i]
-    if any(x.denominator != 1 for r in M for x in r):
-        raise ValueError("straightening matrix is not integral for normal %r" % (n,))
-    M = tuple(tuple(int(x) for x in r) for r in M)
+            # M[i][j] = delta_ij + dk * n[j] * g[i] / d[j]
+            q, r = divmod(dk * n[j] * g[i], fd.d[j])
+            if r:
+                raise ValueError("straightening matrix is not integral for normal %r" % (n,))
+            row.append((1 if i == j else 0) + q)
+        M.append(tuple(row))
+    M = tuple(M)
     d = line_dir(fd, n)
     if pairing(fd, n, rot90(d)) > 0:
         return PLMap([(d, M), (vneg(d), I2)])
@@ -167,6 +174,9 @@ def _mutate_basis(fd, basis, k):
 # Steps per mutation walk.  Every finite type closes well within it; only
 # diagrams whose walk never closes (affine and wild types) reach it.
 DEPTH_BOUND = 16
+
+# Closure rounds of blc_hull_2d; a hull still growing after them is flagged.
+HULL_ROUNDS = 64
 
 
 def chart_maps(fd):
@@ -248,8 +258,12 @@ def _edge_fold_points(a, b, folds):
         X, Y, q = ax * den + c * vx, ay * den + c * vy, aq * den
         if X * s[0] + Y * s[1] >= 0:
             g = gcd(X, Y, q)
-            hits.append((Fraction(c * bq, den), (X // g, Y // g, q // g)))
-    return list(dict.fromkeys(pt for _, pt in sorted(hits)))
+            hits.append((c * bq, den, (X // g, Y // g, q // g)))
+    if len(hits) > 1:
+        # t = c*bq/den, compared over the common denominator D
+        D = lcm(*(den for _, den, _ in hits))
+        hits.sort(key=lambda h: h[0] * (D // h[1]))
+    return list(dict.fromkeys(pt for _, _, pt in hits))
 
 
 def refine_cycle(cycle, folds):
@@ -329,13 +343,21 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     return CheckReport(True, order_checked=K)
 
 
-def blc_hull_2d(fd, diagram, pts, max_rounds=64):
-    """Smallest chart-convex region containing the points, as a base-chart cycle."""
+def blc_hull_2d(fd, diagram, pts):
+    """Smallest chart-convex region containing the points, as a base-chart cycle.
+
+    A vertex that is one of the points comes back as the tuple given (the
+    first of equal-valued ones); a vertex the closure adds is a Fraction pair.
+    """
     charts, closed = chart_maps(fd)
-    V = {tuple(p) for p in pts}
+    # homogeneous point -> the tuple given, None for a point the closure adds
+    V = {}
+    for p in pts:
+        p = tuple(p)
+        V.setdefault(homogeneous(p), p)
     flagged = not closed
     prev = None
-    for _ in range(max_rounds):
+    for _ in range(HULL_ROUNDS):
         hull = convex_hull(V)
         if hull == prev:
             break
@@ -343,11 +365,12 @@ def blc_hull_2d(fd, diagram, pts, max_rounds=64):
         for phi in charts:
             image, _ = map_cycle(phi, hull)
             # the chart hull and its fold crossings, pulled back
-            back, _ = map_cycle(phi.inverse(), convex_hull(rational(h) for h in image))
-            V.update(rational(h) for h in back)
+            back, _ = map_cycle(phi.inverse(), convex_hull(image))
+            for h in back:
+                V.setdefault(h, None)
     else:
         flagged = True
-    return [tuple(p) for p in convex_hull(V)], flagged
+    return [V[h] or rational(h) for h in convex_hull(V)], flagged
 
 
 def check_positive(fd, diagram, cycle, max_degree, K=None):

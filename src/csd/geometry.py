@@ -2,14 +2,16 @@
 
 Points are tuples of ints or Fractions.  The polygon kernel works on
 integers alone: a point may also be homogeneous, (X, Y, q) with q > 0
-standing for (X/q, Y/q), and ``compile_hull`` turns a hull once into integer
+standing for (X/q, Y/q).  ``convex_hull`` runs its monotone chain on integer
+numerators over one common denominator and returns each vertex as the tuple
+it was given, and ``compile_hull`` turns a hull once into integer
 half-planes A*x + B*y >= N.  A point X/q is inside when A*X + B*Y >= N*q for
 every half-plane, and scaling the hull by k scales every N by k.
 """
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 
 
 def vadd(u, v):
@@ -108,28 +110,39 @@ def ccw_between(a, x, b):
 def convex_hull(points):
     """Vertices of the convex hull, counterclockwise, no collinear points.
 
-    Degenerate inputs give 1 (single point) or 2 (segment endpoints) vertices.
+    Points may be plain or homogeneous (reduced, as ``homogeneous`` gives
+    them).  The hull runs on integers: every point is scaled to the lcm of
+    the denominators.  Each vertex comes back as the tuple given, the first
+    one of equal-valued points, so ints stay ints, Fractions stay Fractions
+    and triples stay triples.  Degenerate inputs give 1 (single point) or 2
+    (segment endpoints) vertices.
     """
-    pts = sorted(set(tuple(p) for p in points))
-    if not pts:
+    given = {}
+    for p in points:
+        p = tuple(p)
+        given.setdefault(homogeneous(p), p)
+    if not given:
         raise ValueError("convex hull of no points")
+    L = lcm(*(q for _, _, q in given))
+    pts = sorted((X * (L // q), Y * (L // q), p) for (X, Y, q), p in given.items())
     if len(pts) == 1:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) > 1 and cross(vsub(lower[-1], lower[-2]), vsub(p, lower[-2])) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) > 1 and cross(vsub(upper[-1], upper[-2]), vsub(p, upper[-2])) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 0:
-        # all collinear
-        return [pts[0], pts[-1]]
-    return hull
+        return [pts[0][2]]
+    lower = _chain(pts)
+    upper = _chain(reversed(pts))
+    return [p for _, _, p in lower[:-1] + upper[:-1]]
+
+
+def _chain(pts):
+    """One monotone chain over (x, y, point) entries, dropping right and straight turns."""
+    out = []
+    for c in pts:
+        while len(out) > 1:
+            (ax, ay, _), (bx, by, _) = out[-2], out[-1]
+            if (bx - ax) * (c[1] - ay) - (by - ay) * (c[0] - ax) > 0:
+                break
+            out.pop()
+        out.append(c)
+    return out
 
 
 def homogeneous(p):
@@ -171,12 +184,14 @@ class HalfPlanes:
 
     def __init__(self, planes, box):
         self.planes = planes
-        self.box = box  # (xmin, xmax, ymin, ymax)
+        # (xmin, xmax, ymin, ymax, L): integer numerators over the denominator L
+        self.box = box
 
     def dilate(self, k):
         """The hull scaled by the integer k > 0."""
+        x0, x1, y0, y1, L = self.box
         return HalfPlanes([(A, B, k * N) for A, B, N in self.planes],
-                          tuple(k * c for c in self.box))
+                          (k * x0, k * x1, k * y0, k * y1, L))
 
     def contains(self, x, y, q=1):
         """Whether the point (x/q, y/q), q > 0, lies in the hull (boundary counts)."""
@@ -187,10 +202,10 @@ class HalfPlanes:
 
     def lattice_points(self):
         """Integer points of the hull, by column (x, then y, ascending)."""
-        x0, x1, y0, y1 = self.box
+        x0, x1, y0, y1, L = self.box
         out = []
-        for x in range(ceil(x0), floor(x1) + 1):
-            lo, hi = ceil(y0), floor(y1)
+        for x in range(-(-x0 // L), x1 // L + 1):
+            lo, hi = -(-y0 // L), y1 // L
             for A, B, N in self.planes:
                 r = N - A * x  # B*y >= r
                 if B > 0:
@@ -221,8 +236,10 @@ def compile_hull(hull):
             if len(pts) == 2:
                 # the edge b -> a gives the other side; cap the segment at a
                 planes.append(_plane(u, a))
-    box = tuple(f(Fraction(h[i], h[2]) for h in pts) for i in (0, 1) for f in (min, max))
-    return HalfPlanes(planes, box)
+    L = lcm(*(q for _, _, q in pts))
+    xs = [X * (L // q) for X, _, q in pts]
+    ys = [Y * (L // q) for _, Y, q in pts]
+    return HalfPlanes(planes, (min(xs), max(xs), min(ys), max(ys), L))
 
 
 def _plane(n, p):

@@ -8,6 +8,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
+from .geometry import cross, primitive
 from .lattice import FixedData, line_dir
 from .series import WallFunction
 from .scattering import Wall, Diagram
@@ -89,17 +90,33 @@ def wallfunction_to_json(f):
     }
 
 
+def _int_pair(v, field):
+    """A nonzero integer pair [x, y] read from a document field."""
+    if not (isinstance(v, list) and len(v) == 2 and all(_is_int(x) for x in v) and any(v)):
+        raise ValueError("%s must be a nonzero integer pair [x, y], got %r" % (field, v))
+    return tuple(v)
+
+
+def _coefficient(c):
+    """A wall-function coefficient: an integer >= 0 written as a string."""
+    if not (isinstance(c, str) and c.isascii() and c.isdecimal()):
+        raise ValueError("func coeffs must hold integers >= 0 as strings, got %r" % (c,))
+    return int(c)
+
+
 def wallfunction_from_json(doc):
-    d = tuple(int(x) for x in doc["dir"])
-    g = 0
-    for x in d:
-        g = gcd(g, abs(x))
-    g = g or 1
+    """A wall function from its document; malformed fields raise ValueError naming them."""
+    if not isinstance(doc, dict):
+        raise ValueError("func must be a JSON object, got %r" % (doc,))
+    d = _int_pair(doc["dir"], "func dir")
+    if not isinstance(doc["coeffs"], list):
+        raise ValueError("func coeffs must be a JSON list, got %r" % (doc["coeffs"],))
+    g = gcd(*d)
     m0 = tuple(x // g for x in d)
     coeffs = []
     for c in doc["coeffs"]:
-        coeffs.extend([Fraction(0)] * (g - 1))
-        coeffs.append(Fraction(c))
+        coeffs.extend([0] * (g - 1))
+        coeffs.append(_coefficient(c))
     return WallFunction(m0, coeffs)
 
 
@@ -109,12 +126,27 @@ def wall_to_json(w):
 
 
 def wall_from_json(doc, fd):
-    n = tuple(int(x) for x in doc["normal"])
-    kind = doc["support"]["kind"]
+    """A wall from its document; malformed fields raise ValueError naming them.
+
+    A ray's direction must be primitive and lie on the line of its normal:
+    the search never meets a ray off that line, so it would be lost silently.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("wall must be a JSON object, got %r" % (doc,))
+    n = _int_pair(doc["normal"], "normal")
+    support = doc["support"]
+    if not isinstance(support, dict):
+        raise ValueError("support must be a JSON object, got %r" % (support,))
+    kind = support["kind"]
     if kind == "line":
         direction = line_dir(fd, n)
+    elif kind == "ray":
+        direction = _int_pair(support["dir"], "support dir")
+        if direction != primitive(direction) or cross(line_dir(fd, n), direction):
+            raise ValueError("support dir must be primitive and on the line of normal %r, "
+                             "got %r" % (list(n), support["dir"]))
     else:
-        direction = tuple(int(x) for x in doc["support"]["dir"])
+        raise ValueError("support kind must be 'line' or 'ray', got %r" % (kind,))
     return Wall(n, kind, direction, wallfunction_from_json(doc["func"]))
 
 
@@ -137,7 +169,14 @@ def diagram_from_json(doc):
     if not (_is_int(order) and order >= 0):
         raise ValueError("order must be an integer >= 0, got %r" % (order,))
     fd = fd_from_json(doc["seed"])
-    walls = [wall_from_json(w, fd) for w in doc["walls"]]
+    walls = []
+    for i, w in enumerate(doc["walls"]):
+        try:
+            walls.append(wall_from_json(w, fd))
+        except ValueError as e:
+            raise ValueError("wall %d: %s" % (i, e))
+        except KeyError as e:
+            raise ValueError("wall %d: missing field %s" % (i, e))
     return Diagram(fd, walls, order, doc["saturated"])
 
 

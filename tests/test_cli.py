@@ -232,6 +232,38 @@ def test_theta_rejects_malformed_diagram(paths, doc, field):
     assert field in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("path,value,field", [
+    (("func", "coeffs", 0), "1/2", "wall 2: func coeffs"),
+    (("func", "coeffs", 0), "-1", "wall 2: func coeffs"),
+    (("func", "coeffs", 0), "1/0", "wall 2: func coeffs"),
+    (("func", "coeffs"), 5, "wall 2: func coeffs"),
+    (("func", "dir"), [0, 0], "wall 2: func dir"),
+    (("support", "dir"), [1, 2], "wall 2: support dir"),
+    (("support", "dir"), [2, -2], "wall 2: support dir"),
+    (("support",), ["ray", [1, -1]], "wall 2: support"),
+    (("normal",), [1, 1, 0], "wall 2: normal"),
+    (("normal",), [0, 0], "wall 2: normal"),
+    ((), 7, "wall 2: wall must be a JSON object"),
+], ids=["coeff-half", "coeff-negative", "coeff-zero-den", "coeffs-int", "func-dir-zero",
+        "ray-off-line", "ray-not-primitive", "support-list", "normal-three", "normal-zero",
+        "wall-int"])
+def test_theta_rejects_malformed_wall(paths, path, value, field):
+    doc = json.loads(paths["a2"].read_text())
+    assert doc["walls"][2]["support"] == {"kind": "ray", "dir": [1, -1]}
+    if path:
+        node = doc["walls"][2]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    else:
+        doc["walls"][2] = value
+    bad = paths["dir"] / "bad_wall.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("theta", "--diagram", str(bad), "--direction", "-1,-1", "--endpoint", "7/5,-3/11")
+    assert r.returncode == 2
+    assert field in r.stderr and "Traceback" not in r.stderr
+
+
 def test_harness_rejects_nonpositive_trials(paths):
     for trials in ("0", "-3"):
         r = run_cli("harness", "--diagram", str(paths["a2"]), "--trials", trials)

@@ -34,6 +34,12 @@ def test_plmap_compose_inverse(a2, g2):
             assert t.inverse().compose(t) == PLMap.identity()
 
 
+def test_shear_map_rejects_non_integral(g2):
+    # on G2 the shear of e_1 needs d_1 = 3 to divide its entries
+    with pytest.raises(ValueError, match=r"not integral for normal \(0, 1\)"):
+        shear_map(g2, (0, 1), 1)
+
+
 def test_plmap_continuity_on_fold(a2):
     # both sector matrices agree on the fold line itself
     t0 = shear_map(a2, (1, 0), 1)

@@ -1,10 +1,10 @@
 """The integer polygon kernel against the Fraction polygon path it replaced.
 
-The reference functions below are the Fraction implementations of hull
-containment, the bounding-box lattice scan, chart images, convexity
-witnesses, broken-line hulls and the positivity scan.  They share the series
-layer (theta and alpha caches) with the program, so only the polygon
-arithmetic is compared.
+The reference functions below are the Fraction implementations of the
+convex hull, hull containment, the bounding-box lattice scan, chart images,
+convexity witnesses, broken-line hulls and the positivity scan.  They share
+the series layer (theta and alpha caches) with the program, so only the
+polygon arithmetic is compared.
 """
 
 import itertools
@@ -21,7 +21,7 @@ from csd.convexity import (chart_maps, is_blc_2d, blc_hull_2d, check_positive,
                            mat_vec, _alpha_cached)
 from csd.geometry import (vadd, vsub, vscale, is_zero, primitive, cross, dot, sgn,
                           ccw_key, ccw_between, convex_hull, compile_hull,
-                          point_in_hull, lattice_points_in_hull, homogeneous)
+                          point_in_hull, lattice_points_in_hull, homogeneous, rational)
 from csd.lattice import FixedData
 from csd.scattering import complete_rank2
 from csd.series import lp_mul
@@ -30,6 +30,25 @@ F = Fraction
 
 
 # --- reference: the Fraction polygon path ---------------------------------
+
+def ref_convex_hull(points):
+    pts = sorted(set(tuple(p) for p in points))
+    if not pts:
+        raise ValueError("convex hull of no points")
+    if len(pts) == 1:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) > 1 and cross(vsub(lower[-1], lower[-2]), vsub(p, lower[-2])) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) > 1 and cross(vsub(upper[-1], upper[-2]), vsub(p, upper[-2])) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
 
 def ref_point_in_hull(pt, hull):
     if len(hull) == 1:
@@ -153,7 +172,7 @@ def ref_convexity_witness(fd, diagram, cycle, phi):
         poly = [ref_apply(phi_inv, p) for p in pts]
         probes = [vscale(Fraction(1, 2), vadd(a, b)) for a, b in zip(poly, poly[1:])]
         probes.extend(poly[1:-1])
-        if all(ref_point_in_hull(p, convex_hull(cycle)) for p in probes):
+        if all(ref_point_in_hull(p, ref_convex_hull(cycle)) for p in probes):
             continue
         seg = ref_segment_from_polyline(poly)
         if seg is None:
@@ -181,12 +200,12 @@ def ref_blc_hull(fd, diagram, pts, max_rounds=64):
     flagged = not closed
     prev = None
     for _ in range(max_rounds):
-        hull = convex_hull(V)
+        hull = ref_convex_hull(V)
         if hull == prev:
             break
         prev = hull
         for phi in charts:
-            ih = convex_hull(ref_map_cycle(phi, hull))
+            ih = ref_convex_hull(ref_map_cycle(phi, hull))
             phi_inv = phi.inverse()
             back = []
             for i, a in enumerate(ih):
@@ -198,11 +217,11 @@ def ref_blc_hull(fd, diagram, pts, max_rounds=64):
             V.update(tuple(p) for p in back)
     else:
         flagged = True
-    return [tuple(p) for p in convex_hull(V)], flagged
+    return [tuple(p) for p in ref_convex_hull(V)], flagged
 
 
 def ref_check_positive(fd, diagram, cycle, max_degree, K):
-    hull = convex_hull([tuple(p) for p in cycle])
+    hull = ref_convex_hull([tuple(p) for p in cycle])
     z0 = fixed_generic_endpoint(fd, diagram)
 
     def dilate(k):
@@ -238,6 +257,48 @@ def ref_check_positive(fd, diagram, cycle, max_degree, K):
                             return (False, [{"p": p, "q": q, "r": r, "a": a, "b": b,
                                              "alpha": table[r]}])
     return (True, [])
+
+
+# --- the integer convex hull ----------------------------------------------
+
+def _twins(pts):
+    """An equal-valued twin of each integral point of pts: Fractions for ints
+    and ints for Fractions."""
+    out = []
+    for x, y in pts:
+        if F(x).denominator == 1 and F(y).denominator == 1:
+            out.append((F(x), F(y)) if isinstance(x, int) else (int(x), int(y)))
+    return out
+
+
+mixed_coord = st.one_of(st.integers(-6, 6),
+                        st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5])))
+mixed_point = st.tuples(mixed_coord, mixed_coord)
+hull_inputs = st.one_of(
+    st.lists(mixed_point, min_size=1, max_size=12),
+    # duplicates and equal-valued twins, in drawn order
+    st.lists(mixed_point, min_size=1, max_size=6).flatmap(
+        lambda pts: st.permutations(pts + pts[:2] + _twins(pts))),
+    # collinear sets: points a + t*(b - a)
+    st.tuples(mixed_point, mixed_point,
+              st.lists(st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3])),
+                       min_size=1, max_size=6))
+    .map(lambda abt: [vadd(abt[0], vscale(t, vsub(abt[1], abt[0]))) for t in abt[2]]),
+    mixed_point.map(lambda p: [p]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(hull_inputs)
+def test_convex_hull_matches_fraction_reference(pts):
+    hull = convex_hull(iter(pts))
+    ref = ref_convex_hull(pts)
+    # the same vertices, each the tuple given, so values and types agree
+    assert repr(hull) == repr(ref)
+    assert all(any(v is p for p in pts) for v in hull)
+    # homogeneous input comes back homogeneous
+    triples = [homogeneous(p) for p in pts]
+    assert convex_hull(triples) == [homogeneous(p) for p in ref_convex_hull(pts)]
+    assert [rational(h) for h in convex_hull(triples)] == ref
 
 
 # --- compiled hulls: containment and lattice points ------------------------
@@ -278,7 +339,9 @@ def test_compiled_containment_matches_reference(hull, k, rational_pts, int_pts):
 def test_lattice_points_match_bounding_box_scan(hull, k):
     dilated = [vscale(k, p) for p in hull]
     expected = ref_lattice_points(dilated)
-    assert compile_hull(hull).dilate(k).lattice_points() == expected
+    compiled = compile_hull(hull)
+    assert all(type(c) is int for c in compiled.box + compiled.dilate(k).box)
+    assert compiled.dilate(k).lattice_points() == expected
     assert lattice_points_in_hull(dilated) == expected
 
 
@@ -343,6 +406,29 @@ def test_int_vertices_keep_their_type(a2, a2_diagram):
     tri = [(0, 0), (2, -6), (3, 3)]
     rep = is_blc_2d(a2, a2_diagram, tri)
     assert repr(rep.witnesses) == repr(ref_is_blc(a2, a2_diagram, tri)[1])
+
+
+@pytest.mark.parametrize("exchange,d", [
+    ([[0, 1], [-1, 0]], [1, 1]), ([[0, 2], [-1, 0]], [1, 2]), ([[0, 3], [-1, 0]], [1, 3]),
+    ([[0, 2], [-2, 0]], [1, 1]), ([[0, 3], [-3, 0]], [1, 1])],
+    ids=["A2", "B2", "G2", "Kronecker", "(3,3)"])
+def test_chart_inverse_computed_once(exchange, d):
+    for phi in chart_maps(FixedData(exchange, d))[0]:
+        assert phi.inverse() is phi.inverse()
+        assert phi.inverse().inverse() == phi
+        assert phi.inverse().compose(phi) == phi.identity()
+
+
+def test_hull_vertices_come_back_as_given(g2, g2_diagram):
+    # G2_QUAD of test_convexity with mixed types and an equal-valued twin
+    pts = [(-1, 0), (F(1), F(-3)), (2, -3), (1, 0), (F(-1), F(0))]
+    hull, flagged = blc_hull_2d(g2, g2_diagram, pts)
+    assert not flagged
+    given = [v for v in hull if any(v == p for p in pts)]
+    assert given == [(-1, 0), (1, -3), (2, -3), (1, 0)]
+    assert [next(p for p in pts if p == v) is v for v in given] == [True] * 4
+    assert all(type(c) is Fraction for v in hull if v not in given for c in v)
+    assert len(hull) > len(given)
 
 
 def test_hulls_match_fraction_path(a2, a2_diagram, g2, g2_diagram):

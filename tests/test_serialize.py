@@ -6,6 +6,8 @@ import pytest
 from csd import serialize
 from csd.brokenline import Piece, BrokenLine, Segment, enumerate_lines
 from csd.constructions import BalancedPair
+from csd.lattice import FixedData
+from csd.scattering import complete_rank2
 from csd.series import WallFunction
 from csd.svg import render_svg
 
@@ -47,6 +49,28 @@ def test_wallfunction_sparse_roundtrip():
     assert doc["dir"] == [-2, 2]
     assert doc["coeffs"] == ["2", "3", "4"]
     assert serialize.wallfunction_from_json(doc) == f
+
+
+@pytest.mark.parametrize("exchange,d", [
+    ([[0, 1], [-1, 0]], [1, 1]), ([[0, 2], [-1, 0]], [1, 2]), ([[0, 3], [-1, 0]], [1, 3]),
+    ([[0, 2], [-2, 0]], [1, 1]), ([[0, 3], [-3, 0]], [1, 1])],
+    ids=["A2", "B2", "G2", "Kronecker", "(3,3)"])
+def test_built_diagrams_pass_the_wall_checks(exchange, d):
+    diagram = complete_rank2(FixedData(exchange, d), 6)
+    s = serialize.dumps_canonical(serialize.diagram_to_json(diagram))
+    back = serialize.diagram_from_json(json.loads(s))
+    assert repr(back.walls) == repr(diagram.walls)
+
+
+@pytest.mark.parametrize("path", [("func",), ("support", "kind"), ("func", "coeffs")])
+def test_wall_missing_field_named(a2_diagram, path):
+    doc = serialize.diagram_to_json(a2_diagram)
+    node = doc["walls"][1]
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    with pytest.raises(ValueError, match="wall 1: missing field '%s'" % path[-1]):
+        serialize.diagram_from_json(doc)
 
 
 def test_diagram_roundtrip(g2, g2_diagram):
