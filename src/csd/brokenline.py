@@ -8,13 +8,15 @@ coefficient, and the point where it bends into the next piece.
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 
-from .geometry import vsub, vneg, vscale, is_zero, primitive, same_ray, cross, dot
-from .lattice import pairing, n_circ_primitive, scaled_normal, cone_order
-from .series import wf_mul, wf_pow, wf_coeff_pow, LaurentPoly
+from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, cross, dot,
+                       homogeneous, rational)
+from .lattice import pairing, n_circ_primitive, scaled_normal, order_form
+from .series import wf_mul, wf_coeff_pow, _pow_numerators, LaurentPoly
 
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class Piece:
@@ -85,9 +87,11 @@ class Segment:
 class _Family:
     """Walls through one support line: primitive normal n0 in N°, direction
     m0 and product function f.  The normal is also kept scaled by L, so a
-    bending power is an integer dot product; powers of f are tabulated."""
+    bending power is an integer dot product, and m0 keeps its cone order as
+    an integer numerator over the order_form denominator; powers of f are
+    tabulated."""
 
-    __slots__ = ("n0", "m0", "f", "a", "step", "powers")
+    __slots__ = ("n0", "m0", "f", "a", "order", "powers")
 
     def __init__(self, fd, walls):
         self.n0 = n_circ_primitive(fd, walls[0].normal)
@@ -99,24 +103,23 @@ class _Family:
             f = wf_mul(f, w.func, len(f.coeffs) + len(w.func.coeffs))
         self.f = f
         self.a = scaled_normal(fd, self.n0)
-        self.step = cone_order(fd, self.m0)
+        ux, uy, vx, vy, _ = order_form(fd)
+        sx, sy = self.m0
+        u, v = ux * sx + uy * sy, vx * sx + vy * sy
+        if u < 0 or v < 0:
+            raise ValueError("wall function direction outside the cone")
+        self.order = u + v
         self.powers = {}
 
-    def power_terms(self, pw, K):
-        """Terms (k, c) of f^pw whose shift k*m0 has order at most K."""
-        terms = self.powers.get((pw, K))
+    def power_terms(self, pw, top):
+        """Terms (k, c) of f^pw whose shift k*m0 has order numerator at most
+        top, by ascending k; c is an int when f has integer coefficients."""
+        terms = self.powers.get((pw, top))
         if terms is None:
-            kmax = int(Fraction(K) / self.step)
-            terms = wf_pow(self.f, pw, kmax).terms() if kmax >= 1 else []
-            self.powers[(pw, K)] = terms
+            D, bs = _pow_numerators(self.f, pw, top // self.order)
+            terms = self.powers[(pw, top)] = [(n, b if D == 1 else Fraction(b, D ** n))
+                                              for n, b in enumerate(bs) if n and b]
         return terms
-
-
-def _numerators(pos):
-    """(x, y, q) with pos = (x/q, y/q), q > 0 and x, y, q integers."""
-    a, b = pos
-    q = lcm(a.denominator, b.denominator)
-    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
 
 
 def _line_key(x, y):
@@ -138,11 +141,14 @@ class SearchForm:
     <n, x> = (a . x) / L with an integer vector a: a wall crossing is a sign
     test on the numerators of a point, and the search tests each support
     line once per ray.  The form also holds the monoid generators for the
-    integer monoid test and the diagram's caches:
+    integer monoid test and the diagram's caches.  Points are pairs or
+    reduced homogeneous triples (X, Y, Q) as geometry.homogeneous gives
+    them; the search passes the triples of ray_events unchanged, and bend
+    coefficients stay ints until a line is assembled.
 
     - families: wall families, keyed by the tuple of walls met at a point
       and looked up by the ray from the origin through the point, each with
-      its table of powers of f keyed by (power, K);
+      its table of powers of f keyed by (power, order numerator bound);
     - thetas: theta functions, keyed by (m, endpoint, K);
     - alphas: alpha tables, keyed by (unordered pair {p, q}, K);
     - products: theta products at the expansion endpoint, keyed by
@@ -178,6 +184,9 @@ class SearchForm:
                       for u, covered in sides.items() if covered]
         self._gens = fd.monoid_gens
         self._det = cross(*self._gens)
+        # order(m) = (ou * m0 + ov * m1) / D, additive and >= 0 on the cone
+        ux, uy, vx, vy, D = order_form(fd)
+        self._order = (ux + vx, uy + vy, D)
         self._families = {}
         self._families_at = {}
         self.thetas = {}
@@ -187,7 +196,7 @@ class SearchForm:
 
     def walls_through(self, point):
         """The walls whose support contains the point."""
-        x, y, _ = _numerators(point)
+        x, y, _ = homogeneous(point)
         return self._walls_at(x, y)
 
     def _walls_at(self, x, y):
@@ -240,7 +249,7 @@ class SearchForm:
 
     def families(self, point):
         """Families of the walls through the point, grouped by support line."""
-        x, y, _ = _numerators(point)
+        x, y, _ = homogeneous(point)
         g = gcd(x, y) or 1
         fams = self._families_at.get((x // g, y // g))
         if fams is None:
@@ -255,12 +264,20 @@ class SearchForm:
             self._families_at[x // g, y // g] = fams
         return fams
 
-    def bends(self, point, m_in, K):
-        """Exponents reachable by bending m_in at the point, as in allowed_bends."""
+    def bends(self, point, m_in, K, shift=None):
+        """Exponents reachable by bending m_in at the point, as in allowed_bends.
+
+        With the remaining shift p of a search, only shifts s with
+        order(s) <= order(p) are listed: the order is additive and
+        nonnegative on the monoid, so no other s leaves p - s in it.
+        """
         fams = self.families(point)
         if not fams:
             raise ValueError("point %r lies on no wall" % (point,))
         mx, my = m_in
+        ou, ov, D = self._order
+        top = K * D
+        budget = top if shift is None else ou * shift[0] + ov * shift[1]
         out = [((mx, my), _ONE)]
         for fam in fams:
             pw = fam.a[0] * mx + fam.a[1] * my
@@ -269,8 +286,14 @@ class SearchForm:
             pw = abs(pw) // self.L
             if pw == 0:
                 continue
+            kcap = budget // fam.order
+            if kcap < 1:
+                continue
             sx, sy = fam.m0
-            out.extend(((mx + k * sx, my + k * sy), c) for k, c in fam.power_terms(pw, K))
+            for k, c in fam.power_terms(pw, top):
+                if k > kcap:
+                    break
+                out.append(((mx + k * sx, my + k * sy), c))
         return out
 
     def in_monoid(self, px, py):
@@ -295,20 +318,34 @@ def wall_families(fd, diagram, point):
     return [(fam.n0, fam.m0, fam.f) for fam in form.families(point)]
 
 
-def allowed_bends(fd, diagram, point, m_in, K):
+def allowed_bends(fd, diagram, point, m_in, K, shift=None):
     """All exponents reachable by bending at the point, with coefficients.
 
-    Includes the trivial no-bend term.  K bounds the order of the shift.
+    The point is a pair or a homogeneous triple.  Includes the trivial
+    no-bend term.  K bounds the order of the shift; the search also passes
+    its remaining shift, which drops bends it cannot use.  Coefficients are
+    ints when the wall functions have integer coefficients.
     """
-    return search_form(fd, diagram).bends(point, m_in, K)
+    return search_form(fd, diagram).bends(point, m_in, K, shift)
+
+
+def _endpoint(endpoint):
+    """The endpoint as a reduced homogeneous triple; it must be a pair of rationals."""
+    try:
+        a, b = endpoint
+    except (TypeError, ValueError):
+        raise ValueError("endpoint must be a pair of rationals, got %r" % (endpoint,)) from None
+    if not (isinstance(a, Rational) and isinstance(b, Rational)):
+        raise ValueError("endpoint must be a pair of rationals, got %r" % (endpoint,))
+    return homogeneous((a, b))
 
 
 def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     """All broken lines with the given initial exponent and endpoint.
 
     Bounds the shift of the final exponent by the diagram order (or K).  The
-    search runs on integers; Fractions are built for bend sites and for the
-    lines returned.
+    search runs on integers: bend sites are homogeneous triples and bend
+    coefficients ints.  Fractions are built once per piece of a returned line.
     """
     if K is None:
         K = diagram.order
@@ -317,10 +354,10 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
         raise ValueError("initial exponent must be integral, got %r" % (tuple(initial),))
     if not (ix or iy):
         raise ValueError("initial exponent must be nonzero")
+    x, y, q = _endpoint(endpoint)
     form = search_form(fd, diagram)
-    if form.walls_through(endpoint):
+    if form.walls_through((x, y, q)):
         raise ValueError("endpoint lies on a wall; perturb it first")
-    x, y, q = _numerators(endpoint)
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
     results = []
     for a in range(K + 1):
@@ -335,13 +372,14 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
 
 def _trace(fd, diagram, form, x, y, q, mx, my, px, py, K, steps, results):
     """Backward search from (x, y)/q with exponent (mx, my) and remaining shift
-    (px, py); steps collect (bend_point, m_before_bend, coeff) endpoint-first."""
+    (px, py); steps collect (bend site (X, Y, Q), m_before_bend, coeff)
+    endpoint-first."""
     m_cur = (mx, my)
-    for X, Y, Q in form.ray_events(x, y, q, mx, my):
-        pt = (Fraction(X, Q), Fraction(Y, Q))
+    for pt in form.ray_events(x, y, q, mx, my):
+        X, Y, Q = pt
         # the bending power only depends on the pairing with the wall normal,
         # which the bend itself preserves, so the forward coefficients apply
-        for (ox, oy), c in allowed_bends(fd, diagram, pt, m_cur, K):
+        for (ox, oy), c in allowed_bends(fd, diagram, pt, m_cur, K, (px, py)):
             sx, sy = ox - mx, oy - my
             if not (sx or sy):
                 continue
@@ -356,13 +394,14 @@ def _trace(fd, diagram, form, x, y, q, mx, my, px, py, K, steps, results):
 
 def _assemble(endpoint, rev_steps):
     # rev_steps, endpoint-first: (start_point_of_piece, exponent, bend_coeff);
-    # the last entry is the unbounded piece (start None, coeff 1)
-    fwd = list(reversed(rev_steps))
+    # the last entry is the unbounded piece (start None, coeff 1).  Points
+    # are homogeneous triples or pairs of Fractions.
+    fwd = rev_steps[::-1]
+    ends = [pt if len(pt) == 2 else rational(pt) for pt, _, _ in fwd[1:]] + [None]
     pieces = []
-    coeff = Fraction(1)
-    for i, (pt, m, c) in enumerate(fwd):
+    coeff = 1
+    for (_, m, c), end_pt in zip(fwd, ends):
         coeff *= c
-        end_pt = fwd[i + 1][0] if i + 1 < len(fwd) else None
         pieces.append(Piece(m, coeff, end_pt))
     return BrokenLine(endpoint, pieces)
 
@@ -371,6 +410,7 @@ def theta(fd, diagram, m, endpoint, K=None):
     if K is None:
         K = diagram.order
     if is_zero(m):
+        _endpoint(endpoint)  # enumerate_lines checks it otherwise
         return LaurentPoly({tuple(m): Fraction(1)}, tuple(m), K)
     terms = {}
     for line in enumerate_lines(fd, diagram, m, endpoint, K):

@@ -159,10 +159,16 @@ def cmd_check_positive(args):
     print("verdict: %s  (max_degree=%d, order=%d)"
           % (rep.verdict, args.max_degree, K))
     for w in rep.witnesses:
-        print(json.dumps({k: (serialize.point_to_json(v) if isinstance(v, tuple)
-                              else frac_to_str(v) if isinstance(v, Fraction) else v)
-                          for k, v in w.items()}, sort_keys=True))
+        print(_witness_json(w))
     return 0 if rep.verdict else 1
+
+
+def _witness_json(w):
+    """A positivity witness as one JSON line: points as lists, the structure
+    constant alpha as a rational string, the degrees a and b as numbers."""
+    return json.dumps({k: (serialize.point_to_json(v) if isinstance(v, tuple)
+                           else frac_to_str(v) if k == "alpha" else v)
+                       for k, v in w.items()}, sort_keys=True)
 
 
 def cmd_harness(args):

@@ -3,7 +3,9 @@
 A WallFunction is f = 1 + sum_{k>=1} c_k z^{k*m0} with m0 a primitive lattice
 direction.  A LaurentPoly keeps a base exponent; truncation drops terms whose
 shift from the base exceeds the order in the adic grading.  Truncation, sums,
-products and crossings run on integer numerators; terms stay Fractions.
+products, crossings and powers run on integer numerators; the terms of a
+WallFunction or LaurentPoly stay Fractions.  The broken-line search takes
+its tables of powers of f from _pow_numerators, as integer numerators.
 """
 
 from fractions import Fraction
@@ -52,14 +54,14 @@ def wf_mul(a, b, K):
                                       for k in range(1, K + 1)], K)
 
 
-def wf_pow(f, e, K):
-    """Truncated integer power of f, negative powers included.
+def _pow_numerators(f, e, K):
+    """(D, [b_0, ..., b_K]): f^e truncated at z^K has coefficient b_n / D^n.
 
     Uses the first-order recurrence implied by f * (f^e)' = e * f' * f^e,
     which costs O(K * #terms(f)) instead of repeated convolution.  It runs on
     g(z) = f(D z), D the lcm of f's coefficient denominators: g has integer
     coefficients and constant term 1, so each coefficient b_n of g^e is an
-    integer, every division by n is exact, and f^e has coefficient b_n / D^n.
+    integer and every division by n is exact.
     """
     D = lcm(*(c.denominator for c in f.coeffs))
     gs = [(j, c.numerator * (D // c.denominator) * D ** (j - 1)) for j, c in f.terms()]
@@ -74,6 +76,12 @@ def wf_pow(f, e, K):
         if r:
             raise ArithmeticError("wf_pow: inexact division at order %d" % n)
         out.append(b)
+    return D, out
+
+
+def wf_pow(f, e, K):
+    """Truncated integer power of f, negative powers included (see _pow_numerators)."""
+    D, out = _pow_numerators(f, e, K)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     g = object.__new__(WallFunction)  # f's direction is already checked

@@ -1,12 +1,15 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from csd import brokenline
 from csd.brokenline import (Piece, BrokenLine, Segment, wall_families,
                             allowed_bends, enumerate_lines, theta, reverse,
                             validate_segment, line_bounded_segment,
                             bend_coefficient, _assemble)
-from csd.geometry import vadd, vsub, vscale, is_zero
+from csd.geometry import vadd, vsub, vscale, is_zero, homogeneous
 from csd.lattice import (FixedData, pairing, n_circ_primitive, cone_order,
                          solve_linear)
 from csd.scattering import complete_rank2, on_support
@@ -247,3 +250,68 @@ def test_bend_coefficients_match_search(exchange, d, order):
                     assert ok, (m, z, why)
                     bent += 1
     assert bent > 0
+
+
+@pytest.mark.parametrize("endpoint", [(0.5, 0.3), ("1/2", "1/3"), (1, 2, 3), (F(1, 2),), F(1, 2)],
+                         ids=["floats", "strings", "three", "one", "scalar"])
+def test_endpoint_checked_where_it_enters(a2, a2_diagram, endpoint):
+    for m in [(1, 0), (0, 0)]:
+        with pytest.raises(ValueError, match="endpoint"):
+            theta(a2, a2_diagram, m, endpoint, 6)
+    with pytest.raises(ValueError, match="endpoint"):
+        enumerate_lines(a2, a2_diagram, (1, 0), endpoint, 6)
+
+
+PRIMES = [101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157]
+
+
+@functools.cache
+def _diff_diagram(i):
+    exchange, d, order = DIFF_TYPES[i]
+    fd = FixedData.from_exchange(exchange, d)
+    return fd, complete_rank2(fd, order), order
+
+
+@st.composite
+def generic_endpoints(draw):
+    # (a/p1, b/p2) with distinct primes above 100 and numerators prime to
+    # them: no wall and no traced ray with small exponents meets it badly
+    p1, p2 = draw(st.lists(st.sampled_from(PRIMES), min_size=2, max_size=2, unique=True))
+    a = draw(st.integers(-4 * p1, 4 * p1).filter(lambda a: a % p1))
+    b = draw(st.integers(-4 * p2, 4 * p2).filter(lambda b: b % p2))
+    return F(a, p1), F(b, p2)
+
+
+@given(st.integers(0, len(DIFF_TYPES) - 1), generic_endpoints(),
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+@settings(max_examples=100, deadline=None)
+def test_enumerate_matches_reference_at_random_endpoints(i, z, m):
+    # the reference has no shift-budget pruning and no integer power tables
+    fd, diagram, order = _diff_diagram(i)
+    got = enumerate_lines(fd, diagram, m, z, order)
+    want = _reference_lines(fd, diagram, m, z, order)
+    assert [(l.signature(), [p.coeff for p in l.pieces]) for l in got] == \
+        [(l.signature(), [p.coeff for p in l.pieces]) for l in want]
+
+
+def test_search_passes_integer_bend_sites(g2, g2_diagram, monkeypatch):
+    seen = []
+
+    def recording(fd, diagram, point, m_in, K, shift=None):
+        seen.append(point)
+        return allowed_bends(fd, diagram, point, m_in, K, shift)
+
+    monkeypatch.setattr(brokenline, "allowed_bends", recording)
+    lines = enumerate_lines(g2, g2_diagram, (-1, 2), (F(9, 7), F(-10, 11)), 8)
+    assert any(len(l.pieces) > 1 for l in lines) and seen
+    assert all(len(pt) == 3 and all(type(c) is int for c in pt) for pt in seen)
+
+
+@pytest.mark.parametrize("point,m_in", [((F(0), F(-2)), (2, 0)), ((F(-7, 3), F(0)), (1, 3)),
+                                        ((F(5, 4), F(-5, 4)), (2, -1))])
+def test_allowed_bends_pair_or_triple(a2, a2_diagram, point, m_in):
+    pair = allowed_bends(a2, a2_diagram, point, m_in, 6)
+    assert len(pair) > 1
+    assert allowed_bends(a2, a2_diagram, homogeneous(point), m_in, 6) == pair
+    # coefficients come back as ints of equal value
+    assert all(type(c) is int for _, c in pair)

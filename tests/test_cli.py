@@ -103,6 +103,25 @@ def test_hull_and_check_positive(paths):
     assert "verdict: True" in r.stdout
 
 
+A2_WITNESS = '{"a": 1, "alpha": "1", "b": 1, "p": [0, 1], "q": [-1, -1], "r": [-2, 0]}'
+
+
+def test_check_positive_witness_line(paths):
+    poly = paths["dir"] / "a2_triangle.json"
+    poly.write_text(json.dumps([[1, 0], [0, 1], [-1, -1]]))
+    r = run_cli("check-positive", "--diagram", str(paths["a2"]),
+                "--polygon", str(poly), "--max-degree", "2")
+    assert r.returncode == 1, r.stderr
+    assert r.stdout.splitlines() == ["verdict: False  (max_degree=2, order=6)", A2_WITNESS]
+
+
+def test_witness_alpha_format_independent_of_type():
+    w = {"p": (0, 1), "q": (-1, -1), "r": (-2, 0), "a": 1, "b": 1}
+    assert cli._witness_json(dict(w, alpha=1)) == A2_WITNESS
+    assert cli._witness_json(dict(w, alpha=F(1))) == A2_WITNESS
+    assert '"alpha": "3/2"' in cli._witness_json(dict(w, alpha=F(3, 2)))
+
+
 def test_harness(paths):
     r = run_cli("harness", "--diagram", str(paths["a2"]), "--trials", "3")
     assert r.returncode == 0, r.stderr

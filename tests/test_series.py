@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csd.series import (WallFunction, wf_mul, wf_pow, wf_coeff_pow, LaurentPoly,
-                        lp_truncate, lp_add, lp_mul, lp_scale, wall_cross)
+                        lp_truncate, lp_add, lp_mul, lp_scale, wall_cross, _pow_numerators)
 
 F = Fraction
 
@@ -58,6 +58,19 @@ def test_wf_pow_matches_naive(coeffs, e):
     # small-denominator coefficients run the recurrence on f(D z), D > 1
     f = WallFunction((1, 1), coeffs)
     assert wf_pow(f, e, 8).coeffs == wf_pow_naive(f, e, 8).coeffs
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-3, 3), st.integers(1, 4))),
+                min_size=1, max_size=4),
+       st.integers(-4, 8), st.integers(0, 8))
+@settings(max_examples=60)
+def test_pow_numerators_are_wf_pow(coeffs, e, K):
+    # the broken-line search reads its power tables as (D, [b_0..b_K])
+    f = WallFunction((1, 1), coeffs)
+    D, bs = _pow_numerators(f, e, K)
+    assert len(bs) == K + 1 and bs[0] == 1
+    assert all(type(b) is int for b in bs)
+    assert [(n, F(b, D ** n)) for n, b in enumerate(bs) if n and b] == wf_pow(f, e, K).terms()
 
 
 @given(st.lists(st.integers(-2, 2), min_size=1, max_size=3),
