@@ -3,7 +3,7 @@
 A broken line is traced backward from its endpoint: a ray escaping to
 infinity, bending at wall crossings.  Pieces are stored unbounded-first;
 each carries the exponent of its attached monomial, the cumulative
-coefficient, and the point where it bends into the next piece.
+coefficient (an int), and the point where it bends into the next piece.
 """
 
 from fractions import Fraction
@@ -13,16 +13,13 @@ from numbers import Rational
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, cross, dot,
                        homogeneous, rational)
 from .lattice import pairing, n_circ_primitive, scaled_normal, order_form
-from .series import wf_mul, wf_coeff_pow, _pow_numerators, LaurentPoly
-
-
-_ONE = 1
+from .series import wf_mul, wf_coeff_pow, _pow_coeffs, _integer, LaurentPoly
 
 
 class Piece:
-    def __init__(self, exponent, coeff=Fraction(1), bend_point=None, duration=None):
+    def __init__(self, exponent, coeff=1, bend_point=None, duration=None):
         self.exponent = tuple(exponent)
-        self.coeff = Fraction(coeff)
+        self.coeff = _integer(coeff)
         self.bend_point = None if bend_point is None else tuple(bend_point)
         self.duration = duration
 
@@ -112,13 +109,12 @@ class _Family:
         self.powers = {}
 
     def power_terms(self, pw, top):
-        """Terms (k, c) of f^pw whose shift k*m0 has order numerator at most
-        top, by ascending k; c is an int when f has integer coefficients."""
+        """Nonzero terms (k, c) of f^pw whose shift k*m0 has order numerator
+        at most top, by ascending k."""
         terms = self.powers.get((pw, top))
         if terms is None:
-            D, bs = _pow_numerators(self.f, pw, top // self.order)
-            terms = self.powers[(pw, top)] = [(n, b if D == 1 else Fraction(b, D ** n))
-                                              for n, b in enumerate(bs) if n and b]
+            bs = _pow_coeffs(self.f, pw, top // self.order)
+            terms = self.powers[(pw, top)] = [(n, b) for n, b in enumerate(bs) if n and b]
         return terms
 
 
@@ -143,8 +139,8 @@ class SearchForm:
     line once per ray.  The form also holds the monoid generators for the
     integer monoid test and the diagram's caches.  Points are pairs or
     reduced homogeneous triples (X, Y, Q) as geometry.homogeneous gives
-    them; the search passes the triples of ray_events unchanged, and bend
-    coefficients stay ints until a line is assembled.
+    them; the search passes the triples of ray_events unchanged.  Bend
+    coefficients are ints, read from tables of powers of f.
 
     - families: wall families, keyed by the tuple of walls met at a point
       and looked up by the ray from the origin through the point, each with
@@ -278,7 +274,7 @@ class SearchForm:
         ou, ov, D = self._order
         top = K * D
         budget = top if shift is None else ou * shift[0] + ov * shift[1]
-        out = [((mx, my), _ONE)]
+        out = [((mx, my), 1)]
         for fam in fams:
             pw = fam.a[0] * mx + fam.a[1] * my
             if pw % self.L:
@@ -324,7 +320,7 @@ def allowed_bends(fd, diagram, point, m_in, K, shift=None):
     The point is a pair or a homogeneous triple.  Includes the trivial
     no-bend term.  K bounds the order of the shift; the search also passes
     its remaining shift, which drops bends it cannot use.  Coefficients are
-    ints when the wall functions have integer coefficients.
+    ints.
     """
     return search_form(fd, diagram).bends(point, m_in, K, shift)
 
@@ -344,8 +340,9 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     """All broken lines with the given initial exponent and endpoint.
 
     Bounds the shift of the final exponent by the diagram order (or K).  The
-    search runs on integers: bend sites are homogeneous triples and bend
-    coefficients ints.  Fractions are built once per piece of a returned line.
+    search runs on integers: bend sites are homogeneous triples and
+    coefficients ints.  Fractions are built only for the bend points of a
+    returned line.
     """
     if K is None:
         K = diagram.order
@@ -389,7 +386,7 @@ def _trace(fd, diagram, form, x, y, q, mx, my, px, py, K, steps, results):
             _trace(fd, diagram, form, X, Y, Q, ax, ay, px - sx, py - sy, K,
                    steps + [(pt, m_cur, c)], results)
     if not (px or py):
-        results.append(steps + [(None, m_cur, _ONE)])
+        results.append(steps + [(None, m_cur, 1)])
 
 
 def _assemble(endpoint, rev_steps):
@@ -411,11 +408,11 @@ def theta(fd, diagram, m, endpoint, K=None):
         K = diagram.order
     if is_zero(m):
         _endpoint(endpoint)  # enumerate_lines checks it otherwise
-        return LaurentPoly({tuple(m): Fraction(1)}, tuple(m), K)
+        return LaurentPoly({tuple(m): 1}, tuple(m), K)
     terms = {}
     for line in enumerate_lines(fd, diagram, m, endpoint, K):
         e = line.final
-        terms[e] = terms.get(e, Fraction(0)) + line.coeff
+        terms[e] = terms.get(e, 0) + line.coeff
     return LaurentPoly(terms, tuple(m), K)
 
 
@@ -432,7 +429,7 @@ def bend_coefficient(fd, diagram, point, m_prev, m_next):
     it gives the step a nonzero coefficient.
     """
     if tuple(m_prev) == tuple(m_next):
-        return Fraction(1)
+        return 1
     fams = wall_families(fd, diagram, point)
     if not fams:
         raise ValueError("bend point %r lies on no wall" % (point,))
@@ -441,13 +438,13 @@ def bend_coefficient(fd, diagram, point, m_prev, m_next):
         if not same_ray(step, m0):
             continue
         i = 0 if m0[0] != 0 else 1
-        k = Fraction(step[i], m0[i])
-        if k.denominator != 1 or k < 1:
+        k, r = divmod(step[i], m0[i])
+        if r or k < 1:
             continue
         pw = pairing(fd, n0, m_prev)
         if pw.denominator != 1 or pw == 0:
             continue
-        c = wf_coeff_pow(f, abs(int(pw)), int(k))
+        c = wf_coeff_pow(f, abs(int(pw)), k)
         if c != 0:
             return c
     raise ValueError("bend %r -> %r at %r is not allowed" % (m_prev, m_next, point))

@@ -13,7 +13,7 @@ from math import lcm
 
 from .geometry import vadd, vsub, vneg, vscale, is_zero
 from .lattice import pairing, n_circ_primitive, dual_perp, order_form
-from .series import lp_mul, _kept, _scaled
+from .series import lp_mul, _kept
 from .brokenline import (BrokenLine, Segment, Piece, enumerate_lines, theta,
                          bend_coefficient, reverse, search_form)
 
@@ -98,7 +98,7 @@ def generic_endpoint_near(fd, diagram, r):
 
 
 def _alpha_at(fd, diagram, p, q, r, z, K):
-    total = Fraction(0)
+    total = 0
     ones = enumerate_lines(fd, diagram, p, z, K)
     twos = enumerate_lines(fd, diagram, q, z, K)
     for l1 in ones:
@@ -114,9 +114,9 @@ def structure_constant(fd, diagram, p, q, r, K=None):
         K = diagram.order
     p, q, r = tuple(p), tuple(q), tuple(r)
     if is_zero(p):
-        return Fraction(1) if r == q else Fraction(0)
+        return 1 if r == q else 0
     if is_zero(q):
-        return Fraction(1) if r == p else Fraction(0)
+        return 1 if r == p else 0
     v, eps = generic_endpoint_near(fd, diagram, r)
     val = _alpha_at(fd, diagram, p, q, r, vadd(r, vscale(eps, v)), K)
     for _ in range(3):
@@ -180,18 +180,18 @@ def fixed_generic_endpoint(fd, diagram):
 def alpha_table(fd, diagram, p, q, K=None):
     """All r with alpha(p,q,r) != 0, by triangular decomposition in the theta basis.
 
-    The remainder of theta_p * theta_q is held as integer numerators over one
-    denominator D, its exponents in a heap keyed by (order over p + q,
-    exponent).  Subtracting c * theta_e only adds terms of higher order than
-    e, so the heap yields the exponents in the order of a full scan.
+    The remainder of theta_p * theta_q is an int term dict, its exponents in
+    a heap keyed by (order over p + q, exponent).  Subtracting c * theta_e
+    only adds terms of higher order than e, so the heap yields the exponents
+    in the order of a full scan.
     """
     if K is None:
         K = diagram.order
     p, q = tuple(p), tuple(q)
     if is_zero(p):
-        return {q: Fraction(1)}
+        return {q: 1}
     if is_zero(q):
-        return {p: Fraction(1)}
+        return {p: 1}
     z0 = fixed_generic_endpoint(fd, diagram)
     base = vadd(p, q)
     ux, uy, vx, vy, _ = order_form(fd)
@@ -200,7 +200,7 @@ def alpha_table(fd, diagram, p, q, K=None):
     def key(e):
         return wx * (e[0] - base[0]) + wy * (e[1] - base[1]), e
 
-    D, rem = _scaled(_product_cached(fd, diagram, p, q, K).terms)
+    rem = dict(_product_cached(fd, diagram, p, q, K).terms)
     heap = [key(e) for e in rem]
     heapq.heapify(heap)
     out = {}
@@ -209,17 +209,13 @@ def alpha_table(fd, diagram, p, q, K=None):
         n = rem.pop(e)
         if not n:
             continue
-        out[e] = Fraction(n, D)
+        out[e] = n
         th = _theta_cached(fd, diagram, e, z0, K)
         if th.terms.get(e) != 1:
             raise ValueError("theta at %r has no unit leading term; "
                              "probe endpoint is not generic enough" % (e,))
-        De, nums = _scaled(th.terms)
-        if De != 1:
-            rem = {t: m * De for t, m in rem.items()}
-            D *= De
         # the leading term cancels n exactly; every other term lies above e
-        for t, m in _kept(fd, nums, base, K).items():
+        for t, m in _kept(fd, th.terms, base, K).items():
             if t != e:
                 if t not in rem:
                     rem[t] = 0
@@ -292,7 +288,7 @@ def attach_monomials(fd, support, gamma, a, b, lam):
     bounds = times + [tau]
     for i in range(s, -1, -1):
         dt = bounds[i] - bounds[i + 1]
-        pieces.append(Piece(mt[i], Fraction(1), None, None if dt == 0 else dt))
+        pieces.append(Piece(mt[i], 1, None, None if dt == 0 else dt))
     seg = Segment(support[-1], xt[0], pieces, -tau)
     seg.trace = trace
     return seg
@@ -310,7 +306,7 @@ def _merge_durations(p1, p2):
 def _recoefficient(fd, diagram, seg):
     """Recompute cumulative piece coefficients from actual bend coefficients."""
     pos = seg.start
-    coeff = Fraction(1)
+    coeff = 1
     prev = None
     for p in seg.pieces:
         if prev is not None:
@@ -338,7 +334,7 @@ def glue_balanced(fd, diagram, pair, a, b):
     j1, j2 = pieces[-1], back.pieces[0]
     if j1.exponent != j2.exponent:
         raise ValueError("glued exponents disagree at the junction")
-    pieces[-1] = Piece(j1.exponent, Fraction(1), None, _merge_durations(j1, j2))
+    pieces[-1] = Piece(j1.exponent, 1, None, _merge_durations(j1, j2))
     pieces.extend(back.pieces[1:])
     seg = Segment(side1.start, back.end, pieces, side1.total_time + back.total_time)
     seg.trace1 = side1.trace
@@ -463,5 +459,5 @@ def _trace_pair_line(fd, base, m_list, ns):
     s = len(m_list) - 1
     for k in range(s, -1, -1):
         end_pt = bend_pts[k - 1] if k >= 1 else None
-        pieces.append(Piece(m_list[k], Fraction(1), end_pt))
+        pieces.append(Piece(m_list[k], 1, end_pt))
     return BrokenLine(base, pieces)

@@ -285,7 +285,7 @@ def _segment_from_polyline(poly, start, end):
         dx, dy = ax * bq - bx * aq, ay * bq - by * aq  # (a - b)*aq*bq
         if dx or dy:
             g = gcd(dx, dy)
-            pieces.append(Piece((dx // g, dy // g), Fraction(1), None, Fraction(g, aq * bq)))
+            pieces.append(Piece((dx // g, dy // g), 1, None, Fraction(g, aq * bq)))
     return Segment(start, end, pieces, sum(p.duration for p in pieces))
 
 
@@ -405,7 +405,7 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
                     if is_zero(p) or is_zero(q):
                         r = tuple(q) if is_zero(p) else tuple(p)
                         if not inside(*r):
-                            return violation(p, q, r, Fraction(1))
+                            return violation(p, q, r, 1)
                         continue
                     corners = [vadd(p, q)]
                     corners += [vadd(vadd(p, q), vscale(K, g)) for g in fd.monoid_gens]

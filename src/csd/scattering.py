@@ -6,6 +6,7 @@ the origin acts trivially on both coordinate monomials up to the truncation.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, same_ray,
                        sort_ccw, rot90, sgn, cross, dot)
@@ -67,11 +68,10 @@ def on_support(fd, wall, pt):
 def initial_wall(fd, i):
     n = ((1, 0), (0, 1))[i]
     p = p1_star(fd, n)
-    m0 = primitive(p)
-    k = cone_order(fd, p) / cone_order(fd, m0)
-    coeffs = [0] * int(k)
-    coeffs[int(k) - 1] = 1
-    return Wall(canonical_normal(n), "line", line_dir(fd, n), WallFunction(m0, coeffs))
+    k = gcd(*p)  # p = k * primitive(p)
+    coeffs = [0] * k
+    coeffs[k - 1] = 1
+    return Wall(canonical_normal(n), "line", line_dir(fd, n), WallFunction(primitive(p), coeffs))
 
 
 def initial_diagram(fd, order):
@@ -117,7 +117,7 @@ def loop_discrepancy(fd, diagram):
         res = apply_loop(fd, diagram, mono)
         diff = dict(res.terms)
         b = mono.base
-        diff[b] = diff.get(b, Fraction(0)) - 1
+        diff[b] = diff.get(b, 0) - 1
         out.append({vsub(e, b): c for e, c in diff.items() if c != 0})
     return out
 
@@ -139,19 +139,16 @@ def _insert_correction(fd, diagram, p, delta):
     """Add delta to the coefficient of z^p on the outgoing ray through -p."""
     ray_dir = primitive(vneg(p))
     m0 = primitive(p)
-    k0 = cone_order(fd, p) / cone_order(fd, m0)
-    if k0.denominator != 1:
-        raise ValueError("correction exponent is not a multiple of its primitive direction")
-    k0 = int(k0)
+    k0 = gcd(*p)  # p = k0 * m0
     for w in diagram.walls:
         if w.kind == "ray" and w.direction == ray_dir and not is_incoming(fd, w):
             cs = list(w.func.coeffs)
-            cs += [Fraction(0)] * (k0 - len(cs))
+            cs += [0] * (k0 - len(cs))
             cs[k0 - 1] += delta
             w.func = WallFunction(m0, cs)
             return
     n = _outgoing_normal(fd, p)
-    cs = [Fraction(0)] * k0
+    cs = [0] * k0
     cs[k0 - 1] = delta
     diagram.walls.append(Wall(n, "ray", ray_dir, WallFunction(m0, cs)))
 
@@ -186,12 +183,17 @@ def complete_diagram(fd, diagram, max_rounds=100000):
             delta = None
             for j, e in enumerate(((1, 0), (0, 1))):
                 w = pairing(fd, n0p, e)
-                c = by_gen.get(j, Fraction(0))
+                c = by_gen.get(j, 0)
                 if w == 0:
                     if c != 0:
                         raise ValueError("uncancellable discrepancy %r at %r" % (c, p))
                     continue
-                d_j = -c / (eps * w)
+                # d_j = -c / (eps * w) exactly; wall functions have integer
+                # coefficients, so a remainder is an internal error
+                d_j, r = divmod(-c * w.denominator, eps * w.numerator)
+                if r:
+                    raise ArithmeticError("non-integral correction %s / %s at %r"
+                                          % (-c, eps * w, p))
                 if delta is None:
                     delta = d_j
                 elif delta != d_j:

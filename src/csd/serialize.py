@@ -220,6 +220,14 @@ def _field_rational(v, field):
         raise ValueError("%s must be a rational number, got %r" % (field, v))
 
 
+def _field_integer(v, field):
+    """An integer (such as 3 or "3") read from a document field."""
+    c = _field_rational(v, field)
+    if c.denominator != 1:
+        raise ValueError("%s must be an integer, got %r" % (field, v))
+    return c.numerator
+
+
 def _pieces(doc, what, durations):
     """Pieces of a broken line or segment document, each field checked."""
     if not (isinstance(doc, dict) and isinstance(doc.get("pieces"), list)):
@@ -234,7 +242,7 @@ def _pieces(doc, what, durations):
         if durations and p["duration"] is not None:
             dur = _field_rational(p["duration"], field % "duration")
         pieces.append(Piece(_field_exponent(p["exponent"], field % "exponent"),
-                            _field_rational(p["coeff"], field % "coeff"), bend, dur))
+                            _field_integer(p["coeff"], field % "coeff"), bend, dur))
     return pieces
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from csd import cli, serialize
+from csd.constructions import pair_from_segment
 
 F = Fraction
 
@@ -356,3 +357,26 @@ def test_malformed_segment_files(paths, path, value, field):
                 "--tau", "5/2")
     assert r.returncode == 2
     assert field in r.stderr and "Traceback" not in r.stderr
+
+
+
+@pytest.mark.parametrize("value,shown", [("1/2", "'1/2'"), (0.5, "0.5"), ("7/3", "'7/3'")],
+                         ids=["half-string", "half-float", "seven-thirds"])
+@pytest.mark.parametrize("where", ["segment", "line1", "line2"])
+def test_piece_coeff_must_be_integer(paths, a2, a2_diagram, where, value, shown):
+    # the unchanged files go through; a non-integer piece coefficient exits 2
+    seg = json.loads(paths["seg"].read_text())
+    if where == "segment":
+        doc, what, args = seg, "segment", ["pair-from-segment", "--tau", "5/2", "--segment"]
+    else:
+        pair, _ = pair_from_segment(a2, a2_diagram, serialize.segment_from_json(seg), F(5, 2))
+        doc, what = serialize.pair_to_json(pair), "broken line"
+        args = ["segment-from-pair", "-a", "2", "-b", "2", "--pair"]
+    path = paths["dir"] / ("coeff_%s.json" % where)
+    serialize.save(path, doc)
+    assert run_cli(*args, str(path), "--diagram", str(paths["a2"])).returncode == 0
+    (doc if where == "segment" else doc[where])["pieces"][0]["coeff"] = value
+    serialize.save(path, doc)
+    r = run_cli(*args, str(path), "--diagram", str(paths["a2"]))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: %s piece 0 coeff must be an integer, got %s\n" % (what, shown)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from csd import scattering
 from csd.lattice import FixedData, cone_order, line_dir
 from csd.series import WallFunction, LaurentPoly
 from csd.scattering import (Wall, is_incoming, initial_diagram,
@@ -112,6 +113,16 @@ def test_corrections_are_outgoing_and_integral(a2, g2, kron,
             for k, c in w.func.terms():
                 assert c.denominator == 1 and c > 0
                 assert cone_order(fd, tuple(k * x for x in w.func.direction)) is not None
+
+
+def test_non_integral_correction_raises(a2, monkeypatch):
+    # on A2 the correction along (-1, 2) pairs with e_0 to 2, so a
+    # discrepancy of 1 there would need the correction 1/2: completion must
+    # raise, not round or insert a non-integral coefficient
+    rounds = iter([[{(-1, 2): 1}, {}]])
+    monkeypatch.setattr(scattering, "loop_discrepancy", lambda fd, diagram: next(rounds))
+    with pytest.raises(ArithmeticError, match=r"non-integral correction .* at \(-1, 2\)"):
+        complete_diagram(a2, initial_diagram(a2, 4))
 
 
 def test_apply_loop_identity(a2, a2_diagram):

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csd.brokenline import Piece
+from csd.lattice import FixedData
 from csd.series import (WallFunction, wf_mul, wf_pow, wf_coeff_pow, LaurentPoly,
-                        lp_truncate, lp_add, lp_mul, lp_scale, wall_cross, _pow_numerators)
+                        lp_truncate, lp_mul, wall_cross, _pow_coeffs)
 
 F = Fraction
 
@@ -28,12 +30,13 @@ def wf_pow_naive(f, e, K):
 
 
 def test_wallfunction_basics():
-    f = WallFunction((1, -1), [1, 0, F(1, 2)])
+    f = WallFunction((1, -1), [1, 0, F(2)])
     assert f.coeff(0) == 1
     assert f.coeff(1) == 1
-    assert f.coeff(3) == F(1, 2)
+    assert f.coeff(3) == 2
     assert f.coeff(7) == 0
-    assert f.terms() == [(1, F(1)), (3, F(1, 2))]
+    assert f.terms() == [(1, 1), (3, 2)]
+    assert all(type(c) is int for c in f.coeffs)
     with pytest.raises(ValueError):
         WallFunction((2, -2), [1])
 
@@ -50,27 +53,23 @@ def test_wf_pow_small():
     assert wf_pow(f, 0, 4).is_one()
 
 
-@given(st.lists(st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-3, 3), st.integers(1, 4))),
-                min_size=1, max_size=4),
-       st.integers(-4, 8))
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=4), st.integers(-4, 8))
 @settings(max_examples=80)
 def test_wf_pow_matches_naive(coeffs, e):
-    # small-denominator coefficients run the recurrence on f(D z), D > 1
     f = WallFunction((1, 1), coeffs)
     assert wf_pow(f, e, 8).coeffs == wf_pow_naive(f, e, 8).coeffs
 
 
-@given(st.lists(st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-3, 3), st.integers(1, 4))),
-                min_size=1, max_size=4),
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
        st.integers(-4, 8), st.integers(0, 8))
 @settings(max_examples=60)
-def test_pow_numerators_are_wf_pow(coeffs, e, K):
-    # the broken-line search reads its power tables as (D, [b_0..b_K])
+def test_pow_coeffs_are_wf_pow(coeffs, e, K):
+    # the broken-line search reads its power tables as [b_0..b_K]
     f = WallFunction((1, 1), coeffs)
-    D, bs = _pow_numerators(f, e, K)
+    bs = _pow_coeffs(f, e, K)
     assert len(bs) == K + 1 and bs[0] == 1
     assert all(type(b) is int for b in bs)
-    assert [(n, F(b, D ** n)) for n, b in enumerate(bs) if n and b] == wf_pow(f, e, K).terms()
+    assert [(n, b) for n, b in enumerate(bs) if n and b] == wf_pow(f, e, K).terms()
 
 
 @given(st.lists(st.integers(-2, 2), min_size=1, max_size=3),
@@ -113,7 +112,27 @@ def test_lp_ops(a2):
     assert s.terms[(2, 1)] == 1
     assert s.terms[(1, 1)] == 3
     assert s.terms[(0, 1)] == 2
-    assert lp_add(a2, p, lp_scale(p, -1)).terms == {}
+
+
+@pytest.mark.parametrize("value", [F(1, 2), 0.5], ids=["fraction", "float"])
+@pytest.mark.parametrize("make", [
+    lambda c: WallFunction((0, 1), [1, c]),
+    lambda c: LaurentPoly({(0, 0): 1, (0, 1): c}, (0, 0), 6),
+    lambda c: Piece((1, 0), c),
+    lambda c: lp_truncate(FixedData([[0, 1], [-1, 0]], [1, 1]), {(0, 1): c}, (0, 0), 6),
+], ids=["WallFunction", "LaurentPoly", "Piece", "lp_truncate"])
+def test_non_integer_coefficient_rejected(make, value):
+    with pytest.raises(ValueError, match=r"^coefficient must be an integer, got "):
+        make(value)
+
+
+def test_integral_coefficients_enter_as_int(a2):
+    # a Fraction of denominator 1 is an integer and is stored as an int
+    made = [WallFunction((0, 1), [F(2)]).coeffs[0],
+            LaurentPoly({(0, 0): F(3)}, (0, 0), 6).terms[(0, 0)],
+            Piece((1, 0), F(4)).coeff,
+            lp_truncate(a2, {(0, 0): F(5)}, (0, 0), 6).terms[(0, 0)]]
+    assert made == [2, 3, 4, 5] and all(type(c) is int for c in made)
 
 
 def test_lp_truncate_drops_deep_terms(a2):
