@@ -6,12 +6,13 @@ each carries the exponent of its attached monomial, the cumulative
 coefficient (an int), and the point where it bends into the next piece.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from numbers import Rational
 
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, cross, dot,
-                       homogeneous, rational)
+                       ccw_key, homogeneous, rational)
 from .lattice import pairing, n_circ_primitive, scaled_normal, order_form
 from .series import wf_mul, wf_coeff_pow, _pow_coeffs, _integer, LaurentPoly
 
@@ -84,11 +85,13 @@ class Segment:
 class _Family:
     """Walls through one support line: primitive normal n0 in N°, direction
     m0 and product function f.  The normal is also kept scaled by L, so a
-    bending power is an integer dot product, and m0 keeps its cone order as
-    an integer numerator over the order_form denominator; powers of f are
+    bending power is an integer dot product.  m0 = (cn*g1 + dn*g2)/D in the
+    monoid generators, D = |cross(g1, g2)|, so its cone order is the integer
+    numerator cn + dn over D, and the coordinates of k*m0 are integers
+    exactly when step = D / gcd(cn, dn, D) divides k.  Powers of f are
     tabulated."""
 
-    __slots__ = ("n0", "m0", "f", "a", "order", "powers")
+    __slots__ = ("n0", "m0", "f", "a", "cn", "dn", "step", "order", "powers")
 
     def __init__(self, fd, walls):
         self.n0 = n_circ_primitive(fd, walls[0].normal)
@@ -100,13 +103,23 @@ class _Family:
             f = wf_mul(f, w.func, len(f.coeffs) + len(w.func.coeffs))
         self.f = f
         self.a = scaled_normal(fd, self.n0)
-        ux, uy, vx, vy, _ = order_form(fd)
+        ux, uy, vx, vy, D = order_form(fd)
         sx, sy = self.m0
         u, v = ux * sx + uy * sy, vx * sx + vy * sy
         if u < 0 or v < 0:
             raise ValueError("wall function direction outside the cone")
+        self.cn, self.dn = u, v
+        self.step = D // gcd(u, v, D)
         self.order = u + v
         self.powers = {}
+
+    def cap(self, A, B):
+        """The largest k with k*cn <= A and k*dn <= B, for A, B >= 0."""
+        if not self.cn:
+            return B // self.dn
+        if not self.dn:
+            return A // self.cn
+        return min(A // self.cn, B // self.dn)
 
     def power_terms(self, pw, top):
         """Nonzero terms (k, c) of f^pw whose shift k*m0 has order numerator
@@ -128,19 +141,46 @@ def _line_key(x, y):
     return x // g, y // g
 
 
+def _turn(x, y, q, mx, my):
+    """cross((x, y), m), which is > 0 when the ray (x, y)/q + t*m, t > 0,
+    turns counterclockwise.  Raises ValueError when the ray runs into the
+    origin."""
+    s = x * my - y * mx
+    if s == 0 and x * mx + y * my < 0:
+        # the traced ray would pass through the singular origin, silently
+        # losing a family of lines; the endpoint must be perturbed
+        raise ValueError("trajectory with exponent %r from %r runs into the "
+                         "origin; endpoint is not generic, perturb it"
+                         % ((mx, my), (Fraction(x, q), Fraction(y, q))))
+    return s
+
+
 class SearchForm:
     """A diagram's walls compiled for the backward broken-line search.
 
     Every wall lies on a line through the origin, and the walls through a
     nonzero point all lie on the line through it, so the walls are grouped
-    by support line.  Wall normals are scaled by L = lcm(d), so
-    <n, x> = (a . x) / L with an integer vector a: a wall crossing is a sign
-    test on the numerators of a point, and the search tests each support
-    line once per ray.  The form also holds the monoid generators for the
-    integer monoid test and the diagram's caches.  Points are pairs or
-    reduced homogeneous triples (X, Y, Q) as geometry.homogeneous gives
-    them; the search passes the triples of ray_events unchanged.  Bend
-    coefficients are ints, read from tables of powers of f.
+    by support line.  Each side of a support line that some wall covers is
+    a half-line from the origin; the form keeps these half-lines as
+    primitive directions in counterclockwise order (geometry.ccw_key), and
+    a position on the circle of directions as the pair (cw, ccw) of indices
+    of its neighbouring half-lines (see near).
+
+    The search walks that list.  Take a ray P + t*v, t > 0, with
+    s = cross(P, v) != 0.  Seen from the origin its angle moves strictly
+    monotonically from arg P toward arg v, through an arc shorter than pi,
+    clockwise or counterclockwise as the sign of s says.  So the ray meets
+    a half-line h exactly when h lies strictly inside that arc, and it
+    meets such half-lines in their angular order: ray_events starts at the
+    neighbour of P on the side of s and goes on while the next half-line is
+    still inside the arc, and dead tells in O(1) whether the ray from a
+    bend site meets any half-line at all.
+
+    The form also holds the cone coordinates that give bends its exact
+    monoid test, and the diagram's caches.  Points are pairs or reduced
+    homogeneous triples (X, Y, Q) as geometry.homogeneous gives them; the
+    search passes the triples of ray_events unchanged.  Bend coefficients
+    are ints, read from tables of powers of f.
 
     - families: wall families, keyed by the tuple of walls met at a point
       and looked up by the ray from the origin through the point, each with
@@ -162,27 +202,22 @@ class SearchForm:
         self.fd = fd
         self.L = fd.L
         self._all = tuple(walls)
-        # per support line, keyed by its primitive direction u: one scaled
-        # normal, the sides of the origin (+1 along u, -1 against) its walls
-        # cover, and its walls in diagram order
-        normals, sides, self._lines = {}, {}, {}
+        # per support line, keyed by its primitive direction u: the sides of
+        # the origin (u, -u) its walls cover, and its walls in diagram order
+        halves, self._lines = set(), {}
         for w in walls:
             a = scaled_normal(fd, w.normal)
             u = _line_key(-a[1], a[0])
-            normals.setdefault(u, a)
             self._lines.setdefault(u, []).append((w, w.kind == "ray", w.direction))
-            covered = sides.setdefault(u, set())
             if w.kind != "ray":
-                covered.update((1, -1))
+                halves.update((u, (-u[0], -u[1])))
             elif cross(u, w.direction) == 0:
-                covered.add(1 if dot(u, w.direction) > 0 else -1)
-        self._scan = [(*normals[u], *u, 1 in covered, -1 in covered)
-                      for u, covered in sides.items() if covered]
-        self._gens = fd.monoid_gens
-        self._det = cross(*self._gens)
-        # order(m) = (ou * m0 + ov * m1) / D, additive and >= 0 on the cone
-        ux, uy, vx, vy, D = order_form(fd)
-        self._order = (ux + vx, uy + vy, D)
+                halves.add(u if dot(u, w.direction) > 0 else (-u[0], -u[1]))
+        self._halves = sorted(halves, key=ccw_key)
+        n = len(self._halves)
+        self._around = [((i - 1) % n, (i + 1) % n) for i in range(n)]
+        # m = (A*g1 + B*g2)/D with A = ux*m0 + uy*m1 and B = vx*m0 + vy*m1
+        self._cone = order_form(fd)
         self._families = {}
         self._families_at = {}
         self.thetas = {}
@@ -201,47 +236,78 @@ class SearchForm:
         return tuple(w for w, ray, (dx, dy) in self._lines.get(_line_key(x, y), ())
                      if not ray or (x * dy == y * dx and x * dx + y * dy > 0))
 
-    def ray_events(self, x, y, q, mx, my):
+    def near(self, x, y):
+        """Indices (cw, ccw) of the half-lines next to the direction of (x, y) != 0.
+
+        For a point on half-line i they are the neighbours of i.  With no
+        half-lines the pair is (0, 0), which ray_events never reads.
+        """
+        n = len(self._halves)
+        if not n:
+            return 0, 0
+        j = bisect_left(self._halves, ccw_key((x, y)), key=ccw_key)
+        if j < n:
+            hx, hy = self._halves[j]
+            if hx * y == hy * x and hx * x + hy * y > 0:
+                return self._around[j]
+        return (j - 1) % n, j % n
+
+    def ray_events(self, x, y, q, mx, my, near):
         """Bend sites of the open ray (x, y)/q + t*(mx, my), t > 0, in t order.
 
-        Each site is the reduced homogeneous triple (X, Y, Q), Q > 0, of a
-        point where the ray crosses a wall; the walls of one support line give
-        one site.  Raises ValueError when the ray runs into the origin.
+        near is the pair (cw, ccw) of half-lines next to (x, y), as near
+        gives it.  Each event is (site, i): the reduced homogeneous triple
+        (X, Y, Q), Q > 0, of the point where the ray crosses half-line i; the
+        walls of one half-line give one site.  A ray that points straight
+        away from the origin has none.  Raises ValueError when the ray runs
+        into the origin.
         """
-        if x * my == y * mx and x * mx + y * my < 0:
-            # the traced ray would pass through the singular origin, silently
-            # losing a family of lines; the endpoint must be perturbed
-            raise ValueError("trajectory with exponent %r from %r runs into the "
-                             "origin; endpoint is not generic, perturb it"
-                             % ((mx, my), (Fraction(x, q), Fraction(y, q))))
-        hits = []
-        for a0, a1, ux, uy, pos_side, neg_side in self._scan:
-            td = a0 * mx + a1 * my
-            if td == 0:
-                continue
-            tn = -(a0 * x + a1 * y)
-            # the ray meets the line at t = tn / (q * td)
-            if tn == 0 or (tn > 0) != (td > 0):
-                continue
-            if td < 0:
-                tn, td = -tn, -td
-            # numerators of the meeting point over q * td; the sign of its
-            # component along u tells which rays on the line contain it
+        s = _turn(x, y, q, mx, my)
+        if s == 0:
+            return []
+        halves = self._halves
+        n = len(halves)
+        step = 1 if s > 0 else -1
+        i = near[s > 0]
+        events = []
+        # at most one lap: the arc may hold every half-line
+        for _ in range(n):
+            hx, hy = halves[i]
+            # the ray meets the line of h at t = tn / (q * td); h lies inside
+            # the arc when cross(P, h) and cross(h, m) both have the sign of s
+            td = hx * my - hy * mx
+            tn = hy * x - hx * y
+            if s < 0:
+                td, tn = -td, -tn
+            if td <= 0 or tn <= 0:
+                break
             px = td * x + tn * mx
             py = td * y + tn * my
-            side = px * ux + py * uy
-            if pos_side if side > 0 else neg_side and side < 0:
-                hits.append((tn, td, px, py))
-        if len(hits) > 1:
-            # distinct lines meet only at the origin, so the times differ
-            D = lcm(*(h[1] for h in hits))
-            hits.sort(key=lambda h: h[0] * (D // h[1]))
-        events = []
-        for _, td, px, py in hits:
             Q = q * td
             g = gcd(px, py, Q)
-            events.append((px // g, py // g, Q // g))
+            events.append(((px // g, py // g, Q // g), i))
+            i = (i + step) % n
         return events
+
+    def dead(self, i, mx, my):
+        """True when the ray from a point of half-line i along (mx, my) meets
+        no half-line and does not run into the origin.
+
+        The ray turns away from h_i; the first half-line it could meet is
+        the neighbour of i on that side, and only if that neighbour lies
+        strictly between h_i and the direction of the ray.
+        """
+        hx, hy = self._halves[i]
+        s = hx * my - hy * mx
+        if s == 0:
+            # straight out is dead; into the origin is not, so that
+            # ray_events raises for it
+            return hx * mx + hy * my > 0
+        gx, gy = self._halves[self._around[i][s > 0]]
+        a, b = hx * gy - hy * gx, gx * my - gy * mx
+        if s < 0:
+            a, b = -a, -b
+        return a <= 0 or b <= 0
 
     def families(self, point):
         """Families of the walls through the point, grouped by support line."""
@@ -263,17 +329,20 @@ class SearchForm:
     def bends(self, point, m_in, K, shift=None):
         """Exponents reachable by bending m_in at the point, as in allowed_bends.
 
-        With the remaining shift p of a search, only shifts s with
-        order(s) <= order(p) are listed: the order is additive and
-        nonnegative on the monoid, so no other s leaves p - s in it.
+        Without a shift, every bend whose shift k*m0 has order at most K is
+        listed.  With the remaining shift p = (A*g1 + B*g2)/D of a search,
+        which lies in the monoid, k*m0 is listed exactly when p - k*m0 lies
+        in the monoid too: when step divides k, k*cn <= A and k*dn <= B.
         """
         fams = self.families(point)
         if not fams:
             raise ValueError("point %r lies on no wall" % (point,))
         mx, my = m_in
-        ou, ov, D = self._order
+        ux, uy, vx, vy, D = self._cone
         top = K * D
-        budget = top if shift is None else ou * shift[0] + ov * shift[1]
+        if shift is not None:
+            A = ux * shift[0] + uy * shift[1]
+            B = vx * shift[0] + vy * shift[1]
         out = [((mx, my), 1)]
         for fam in fams:
             pw = fam.a[0] * mx + fam.a[1] * my
@@ -282,22 +351,19 @@ class SearchForm:
             pw = abs(pw) // self.L
             if pw == 0:
                 continue
-            kcap = budget // fam.order
-            if kcap < 1:
+            if shift is None:
+                kcap, step = top // fam.order, 1
+            else:
+                kcap, step = fam.cap(A, B), fam.step
+            if kcap < step:
                 continue
             sx, sy = fam.m0
             for k, c in fam.power_terms(pw, top):
                 if k > kcap:
                     break
-                out.append(((mx + k * sx, my + k * sy), c))
+                if k % step == 0:
+                    out.append(((mx + k * sx, my + k * sy), c))
         return out
-
-    def in_monoid(self, px, py):
-        """True when (px, py) is a nonnegative integer combination of the monoid generators."""
-        (g1x, g1y), (g2x, g2y) = self._gens
-        a, ra = divmod(px * g2y - py * g2x, self._det)
-        b, rb = divmod(g1x * py - g1y * px, self._det)
-        return ra == 0 and rb == 0 and a >= 0 and b >= 0
 
 
 def search_form(fd, diagram):
@@ -355,38 +421,47 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     form = search_form(fd, diagram)
     if form.walls_through((x, y, q)):
         raise ValueError("endpoint lies on a wall; perturb it first")
+    near = form.near(x, y)
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
     results = []
     for a in range(K + 1):
         for b in range(K + 1 - a):
             px, py = a * g1x + b * g2x, a * g1y + b * g2y
             if ix + px or iy + py:
-                _trace(fd, diagram, form, x, y, q, ix + px, iy + py, px, py, K, [], results)
+                _trace(fd, diagram, form, x, y, q, near, ix + px, iy + py, px, py, K, [],
+                       results)
     lines = [_assemble(endpoint, rev_steps) for rev_steps in results]
     lines.sort(key=lambda l: l.signature())
     return lines
 
 
-def _trace(fd, diagram, form, x, y, q, mx, my, px, py, K, steps, results):
-    """Backward search from (x, y)/q with exponent (mx, my) and remaining shift
-    (px, py); steps collect (bend site (X, Y, Q), m_before_bend, coeff)
-    endpoint-first."""
+def _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, steps, results):
+    """Backward search from (x, y)/q, between the half-lines near, with
+    exponent (mx, my) and remaining shift (px, py); steps collect (bend site
+    (X, Y, Q), m_before_bend, coeff) endpoint-first.
+
+    With no shift left the node is a line: no shift s != 0 of the pointed
+    monoid leaves -s in it, so it cannot bend.  bends lists only the bends
+    whose remaining shift stays in the monoid, and a child that still has a
+    shift is entered only when its ray meets a half-line (SearchForm.dead).
+    """
     m_cur = (mx, my)
-    for pt in form.ray_events(x, y, q, mx, my):
-        X, Y, Q = pt
+    if not (px or py):
+        _turn(x, y, q, mx, my)
+        results.append(steps + [(None, m_cur, 1)])
+        return
+    for pt, i in form.ray_events(x, y, q, mx, my, near):
         # the bending power only depends on the pairing with the wall normal,
         # which the bend itself preserves, so the forward coefficients apply
         for (ox, oy), c in allowed_bends(fd, diagram, pt, m_cur, K, (px, py)):
             sx, sy = ox - mx, oy - my
             if not (sx or sy):
                 continue
-            ax, ay = mx - sx, my - sy
-            if not (ax or ay) or not form.in_monoid(px - sx, py - sy):
+            ax, ay, rx, ry = mx - sx, my - sy, px - sx, py - sy
+            if not (ax or ay) or (rx or ry) and form.dead(i, ax, ay):
                 continue
-            _trace(fd, diagram, form, X, Y, Q, ax, ay, px - sx, py - sy, K,
+            _trace(fd, diagram, form, *pt, form._around[i], ax, ay, rx, ry, K,
                    steps + [(pt, m_cur, c)], results)
-    if not (px or py):
-        results.append(steps + [(None, m_cur, 1)])
 
 
 def _assemble(endpoint, rev_steps):

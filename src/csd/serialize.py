@@ -246,9 +246,10 @@ def _pieces(doc, what, durations):
     return pieces
 
 
-def brokenline_from_json(doc):
-    pieces = _pieces(doc, "broken line", False)
-    return BrokenLine(_field_point(doc["endpoint"], "broken line endpoint"), pieces)
+def brokenline_from_json(doc, what="broken line"):
+    """A broken line from its document; errors name it as what."""
+    pieces = _pieces(doc, what, False)
+    return BrokenLine(_field_point(doc["endpoint"], what + " endpoint"), pieces)
 
 
 def segment_to_json(seg):
@@ -284,10 +285,16 @@ def pair_to_json(pair):
 
 
 def pair_from_json(doc):
+    """A balanced pair from its document; errors name the line or field."""
     from .constructions import BalancedPair
-    return BalancedPair(brokenline_from_json(doc["line1"]),
-                        brokenline_from_json(doc["line2"]),
-                        point_from_json(doc["base"]))
+    if not isinstance(doc, dict):
+        raise ValueError("pair must be a JSON object, got %s" % type(doc).__name__)
+    for key in ("line1", "line2", "base"):
+        if key not in doc:
+            raise ValueError("pair: missing field %r" % key)
+    return BalancedPair(brokenline_from_json(doc["line1"], "pair line1"),
+                        brokenline_from_json(doc["line2"], "pair line2"),
+                        _field_point(doc["base"], "pair base"))
 
 
 def points_to_json(pts):

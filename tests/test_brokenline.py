@@ -1,19 +1,20 @@
 import functools
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csd import brokenline
+from csd import brokenline, serialize
 from csd.brokenline import (Piece, BrokenLine, Segment, wall_families,
                             allowed_bends, enumerate_lines, theta, reverse,
                             validate_segment, line_bounded_segment,
-                            bend_coefficient, _assemble)
-from csd.geometry import vadd, vsub, vscale, is_zero, homogeneous
+                            bend_coefficient, search_form, _assemble, _line_key)
+from csd.geometry import vadd, vsub, vscale, is_zero, homogeneous, cross, dot
 from csd.lattice import (FixedData, pairing, n_circ_primitive, cone_order,
-                         solve_linear)
-from csd.scattering import complete_rank2, on_support
-from csd.series import wf_mul, wf_pow
+                         solve_linear, scaled_normal)
+from csd.scattering import Diagram, Wall, complete_rank2, on_support
+from csd.series import wf_mul, wf_pow, LaurentPoly, WallFunction
 
 F = Fraction
 
@@ -158,6 +159,11 @@ def test_line_bounded_segment_validates(a2, a2_diagram):
         line_bounded_segment(a2, straight)
 
 
+def _in_monoid(fd, p):
+    co = solve_linear(fd.monoid_gens, p)
+    return co is not None and all(c >= 0 and c.denominator == 1 for c in co)
+
+
 # Reference search for the differential test, independent of SearchForm:
 # every wall pairing in rationals and the monoid test by Gaussian elimination.
 def _reference_lines(fd, diagram, initial, endpoint, K):
@@ -184,16 +190,12 @@ def _reference_lines(fd, diagram, initial, endpoint, K):
             return []
         return [(vadd(m, vscale(k, m0)), c) for k, c in wf_pow(f, pw, kmax).terms()]
 
-    def in_monoid(p):
-        co = solve_linear(fd.monoid_gens, p)
-        return co is not None and all(a >= 0 and a.denominator == 1 for a in co)
-
     def trace(pos, m, p_rem, steps):
         for pt, walls in events(pos, m):
             for m_out, c in bends(walls, m):
                 step = vsub(m_out, m)
                 m_prev, p_new = vsub(m, step), vsub(p_rem, step)
-                if not is_zero(m_prev) and in_monoid(p_new):
+                if not is_zero(m_prev) and _in_monoid(fd, p_new):
                     trace(pt, m_prev, p_new, steps + [(pt, m, c)])
         if is_zero(p_rem):
             results.append(steps + [(None, m, F(1))])
@@ -315,3 +317,167 @@ def test_allowed_bends_pair_or_triple(a2, a2_diagram, point, m_in):
     assert allowed_bends(a2, a2_diagram, homogeneous(point), m_in, 6) == pair
     # coefficients come back as ints of equal value
     assert all(type(c) is int for _, c in pair)
+
+
+def _scan_events(fd, diagram, x, y, q, mx, my):
+    """Bend sites of the ray (x, y)/q + t*(mx, my), t > 0, found by testing
+    every support line of the diagram and sorting the hits by time."""
+    if x * my == y * mx and x * mx + y * my < 0:
+        raise ValueError("trajectory with exponent %r from %r runs into the "
+                         "origin; endpoint is not generic, perturb it"
+                         % ((mx, my), (F(x, q), F(y, q))))
+    normals, sides = {}, {}
+    for w in diagram.walls:
+        a = scaled_normal(fd, w.normal)
+        u = _line_key(-a[1], a[0])
+        normals.setdefault(u, a)
+        covered = sides.setdefault(u, set())
+        if w.kind != "ray":
+            covered.update((1, -1))
+        elif cross(u, w.direction) == 0:
+            covered.add(1 if dot(u, w.direction) > 0 else -1)
+    hits = []
+    for u, covered in sides.items():
+        a0, a1 = normals[u]
+        td = a0 * mx + a1 * my
+        tn = -(a0 * x + a1 * y)
+        if td == 0 or tn == 0 or (tn > 0) != (td > 0):
+            continue
+        if td < 0:
+            tn, td = -tn, -td
+        px, py = td * x + tn * mx, td * y + tn * my
+        side = px * u[0] + py * u[1]
+        if (1 if side > 0 else -1) in covered:
+            hits.append((tn, td, px, py))
+    D = lcm(*(h[1] for h in hits))
+    hits.sort(key=lambda h: h[0] * (D // h[1]))
+    events = []
+    for _, td, px, py in hits:
+        g = gcd(px, py, q * td)
+        events.append((px // g, py // g, q * td // g))
+    return events
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+@functools.cache
+def _rays_only(i):
+    # the ray walls alone: the half-lines then lie in an arc shorter than pi,
+    # as seen from some of them, and A2 keeps a single one
+    fd, diagram, order = _diff_diagram(i)
+    return fd, Diagram(fd, [w for w in diagram.walls if w.kind == "ray"], order, False), order
+
+
+@given(st.integers(0, len(DIFF_TYPES) - 1), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_ray_events_match_scan(i, rays_only, root, data):
+    # the walk over the half-lines in angular order finds the sites of the
+    # scan over every support line, in time order, from a generic endpoint
+    # and from a bend site on a half-line
+    fd, diagram, _ = (_rays_only if rays_only else _diff_diagram)(i)
+    form = search_form(fd, diagram)
+    halves = form._halves
+    if root:
+        x, y, q = homogeneous(data.draw(generic_endpoints()))
+        g = gcd(x, y)
+        aim = (-x // g, -y // g)
+    else:
+        j = data.draw(st.integers(0, len(halves) - 1))
+        k, q = data.draw(st.tuples(st.integers(1, 30), st.integers(1, 30)).filter(
+            lambda kq: gcd(*kq) == 1))
+        x, y = halves[j][0] * k, halves[j][1] * k
+        assert form.near(x, y) == form._around[j]
+        aim = (-halves[j][0], -halves[j][1])
+        # a ray that runs into the origin is entered, so that it raises
+        assert not form.dead(j, *aim)
+    # a ray aimed at the origin raises the same error
+    want = _outcome(_scan_events, fd, diagram, x, y, q, *aim)
+    assert want.startswith("ValueError: trajectory")
+    assert _outcome(form.ray_events, x, y, q, *aim, form.near(x, y)) == want
+    m = data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+    want = _outcome(_scan_events, fd, diagram, x, y, q, *m)
+    got = _outcome(form.ray_events, x, y, q, *m, form.near(x, y))
+    if not root:
+        # a ray from a bend site is skipped exactly when it has no sites
+        # and does not raise
+        assert form.dead(j, *m) == (want == [])
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert [site for site, _ in got] == want
+    # each site lies on the half-line it names
+    assert all(cross(halves[h], site[:2]) == 0 and dot(halves[h], site[:2]) > 0
+               for site, h in got)
+
+
+def _off_lattice(fd, diagram):
+    # every wall function becomes 1 + z^m0 + z^(2 m0): where m0 is not in the
+    # lattice of the monoid, the cap has to drop the odd powers itself
+    return Diagram(fd, [Wall(w.normal, w.kind, w.direction, WallFunction(w.func.direction, [1, 1]))
+                        for w in diagram.walls], diagram.order, False)
+
+
+@pytest.mark.parametrize("exchange,d,order,edit", [t + (None,) for t in DIFF_TYPES] +
+                         [DIFF_TYPES[3] + (_off_lattice,)],
+                         ids=["A2", "B2", "G2", "Kronecker", "W33", "Kronecker-off-lattice"])
+def test_bends_cap_is_monoid_test(exchange, d, order, edit, monkeypatch):
+    # at every site the search visits, the bends listed for the remaining
+    # shift p are the order-K bends s with p - s in the monoid
+    fd = FixedData.from_exchange(exchange, d)
+    diagram = complete_rank2(fd, order)
+    if edit:
+        diagram = edit(fd, diagram)
+    seen = []
+
+    def recording(fd, diagram, point, m_in, K, shift=None):
+        seen.append((point, m_in, K, shift))
+        return allowed_bends(fd, diagram, point, m_in, K, shift)
+
+    monkeypatch.setattr(brokenline, "allowed_bends", recording)
+    for m in DIFF_EXPONENTS:
+        for z in DIFF_ENDPOINTS[:2]:
+            enumerate_lines(fd, diagram, m, z, order)
+    form = search_form(fd, diagram)
+    dropped = 0
+    for point, m_in, K, shift in seen:
+        every = form.bends(point, m_in, K)
+        want = [(e, c) for e, c in every if _in_monoid(fd, vsub(shift, vsub(e, m_in)))]
+        assert form.bends(point, m_in, K, shift) == want, (point, m_in, shift)
+        dropped += len(every) - len(want)
+    assert seen and dropped > 0
+
+
+def test_theta_without_walls(tmp_path, a2):
+    # a diagram file with no walls loads, and its theta functions are monomials
+    path = tmp_path / "empty.json"
+    serialize.save(path, {"seed": serialize.fd_to_json(a2), "order": 6,
+                          "saturated": False, "walls": []})
+    diagram = serialize.diagram_from_json(serialize.load(path))
+    for m in [(1, 0), (-1, 2)]:
+        t = theta(a2, diagram, m, (F(2), F(1)), 6)
+        assert repr(t) == repr(LaurentPoly({m: 1}, m, 6))
+
+
+def test_search_work_is_pinned(a2, a2_diagram, g2, g2_diagram, kron, kron_diagram,
+                               monkeypatch):
+    # rays that cannot end in a line are pruned before they are traced;
+    # tracing every ray and bending at every site makes 3439 _trace and 1858
+    # allowed_bends calls here
+    counts = {"_trace": 0, "allowed_bends": 0}
+    for name in counts:
+        def counting(*args, _fn=getattr(brokenline, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(brokenline, name, counting)
+    lines = 0
+    for fd, diagram, K in [(a2, a2_diagram, 6), (g2, g2_diagram, 8), (kron, kron_diagram, 6)]:
+        for m in DIFF_EXPONENTS:
+            for z in DIFF_ENDPOINTS[:2]:
+                lines += len(enumerate_lines(fd, diagram, m, z, K))
+    assert lines == 125
+    assert counts == {"_trace": 2272, "allowed_bends": 1712}

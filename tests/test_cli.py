@@ -370,7 +370,7 @@ def test_piece_coeff_must_be_integer(paths, a2, a2_diagram, where, value, shown)
         doc, what, args = seg, "segment", ["pair-from-segment", "--tau", "5/2", "--segment"]
     else:
         pair, _ = pair_from_segment(a2, a2_diagram, serialize.segment_from_json(seg), F(5, 2))
-        doc, what = serialize.pair_to_json(pair), "broken line"
+        doc, what = serialize.pair_to_json(pair), "pair " + where
         args = ["segment-from-pair", "-a", "2", "-b", "2", "--pair"]
     path = paths["dir"] / ("coeff_%s.json" % where)
     serialize.save(path, doc)
@@ -380,3 +380,16 @@ def test_piece_coeff_must_be_integer(paths, a2, a2_diagram, where, value, shown)
     r = run_cli(*args, str(path), "--diagram", str(paths["a2"]))
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr == "error: %s piece 0 coeff must be an integer, got %s\n" % (what, shown)
+
+
+@pytest.mark.parametrize("base", [["x", 1], [1, 2, 3]], ids=["not-rational", "three"])
+def test_malformed_pair_base(paths, a2, a2_diagram, base):
+    seg = serialize.segment_from_json(json.loads(paths["seg"].read_text()))
+    pair, _ = pair_from_segment(a2, a2_diagram, seg, F(5, 2))
+    doc = dict(serialize.pair_to_json(pair), base=base)
+    path = paths["dir"] / "bad_pair.json"
+    serialize.save(path, doc)
+    r = run_cli("segment-from-pair", "-a", "2", "-b", "2", "--pair", str(path),
+                "--diagram", str(paths["a2"]))
+    assert r.returncode == 2 and r.stdout == ""
+    assert "pair base" in r.stderr and "Traceback" not in r.stderr

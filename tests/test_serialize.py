@@ -147,6 +147,20 @@ def test_segment_from_json_names_bad_field():
         serialize.segment_from_json(bad)
 
 
+def test_pair_from_json_names_bad_field():
+    l1 = serialize.brokenline_to_json(BrokenLine((F(0), F(3)), [Piece((1, 0), 1, None)]))
+    doc = {"base": [0, 3], "line1": l1, "line2": l1}
+    with pytest.raises(ValueError, match="pair must be a JSON object"):
+        serialize.pair_from_json([doc])
+    for key in doc:
+        with pytest.raises(ValueError, match="missing field '%s'" % key):
+            serialize.pair_from_json({k: v for k, v in doc.items() if k != key})
+    with pytest.raises(ValueError, match="pair line2 endpoint"):
+        serialize.pair_from_json(dict(doc, line2=dict(l1, endpoint=[0])))
+    with pytest.raises(ValueError, match="pair base"):
+        serialize.pair_from_json(dict(doc, base=[0, 3, 1]))
+
+
 def test_dumps_canonical_stable():
     a = serialize.dumps_canonical({"b": 1, "a": [1, 2]})
     assert a == '{"a":[1,2],"b":1}\n'
