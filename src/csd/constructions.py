@@ -137,10 +137,16 @@ def _theta_cached(fd, diagram, m, z0, K):
     return cache[key]
 
 
+def _pair_key(p, q, K):
+    """The cache key of the unordered pair {p, q} at order K, for products and alpha tables."""
+    p, q = tuple(p), tuple(q)
+    return ((p, q) if p <= q else (q, p), K)
+
+
 def _product_cached(fd, diagram, p, q, K):
     """theta_p * theta_q at the expansion endpoint, built once per ({p, q}, K)."""
     cache = search_form(fd, diagram).products
-    key = (tuple(sorted((tuple(p), tuple(q)))), K)
+    key = _pair_key(p, q, K)
     if key not in cache:
         z0 = fixed_generic_endpoint(fd, diagram)
         lo, hi = key[0]
@@ -151,7 +157,7 @@ def _product_cached(fd, diagram, p, q, K):
 
 def _alpha_cached(fd, diagram, p, q, K):
     cache = search_form(fd, diagram).alphas
-    key = (tuple(sorted((tuple(p), tuple(q)))), K)
+    key = _pair_key(p, q, K)
     if key not in cache:
         cache[key] = alpha_table(fd, diagram, p, q, K)
     return cache[key]

@@ -10,16 +10,22 @@ import functools
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 
-from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, cross,
-                       ccw_key, ccw_between, sort_ccw, rot90, convex_hull,
+from .geometry import (vadd, vsub, vneg, vscale, primitive, cross,
+                       ccw_key, sort_ccw, rot90, convex_hull,
                        cycle_is_convex, compile_hull, homogeneous, rational)
 from .lattice import FixedData, pairing, p1_star, skew_form, line_dir
-from .brokenline import Segment, Piece, validate_segment, reverse
+from .brokenline import Segment, Piece, validate_segment, reverse, search_form
 from .constructions import (structure_constant, pair_from_segment, _alpha_cached,
-                            _product_cached)
+                            _product_cached, _pair_key)
 
 I2 = ((1, 0), (0, 1))
+
+# Kinds of a compiled sector [a, b), one per case of geometry.ccw_between:
+# narrower than a half-turn, wider than one, empty (a == b) and a
+# half-plane (b == -a).  An empty sector holds no direction.
+NARROW, WIDE, EMPTY, HALF = range(4)
 
 
 def mat_vec(M, v):
@@ -42,12 +48,30 @@ class PLMap:
     """Piecewise-linear map: ccw list of (sector start direction, matrix).
 
     Sector i acts on directions in [start_i, start_{i+1}) counterclockwise;
-    a single-sector map is linear.
+    a single-sector map is linear.  The sectors are compiled once, at
+    construction, into rows (a, b, kind, M): kind is the case of
+    geometry.ccw_between that the pair of bounding directions a, b falls in
+    (by the signs of cross(a, b) and dot(a, b)), so a lookup tests integer
+    cross products inline and never classifies a sector again.
     """
 
     def __init__(self, sectors):
         self.sectors = self._canonical(list(sectors))
         self._inverse = None
+        secs = self.sectors
+        n = len(secs)
+        self._boundaries = () if n == 1 else tuple(s for s, _ in secs)
+        rows = []
+        for i, (a, M) in enumerate(secs):
+            b = secs[(i + 1) % n][0]
+            ab = cross(a, b)
+            if ab:
+                kind = NARROW if ab > 0 else WIDE
+            else:
+                kind = EMPTY if a[0] * b[0] + a[1] * b[1] > 0 else HALF
+            rows.append((a[0], a[1], b[0], b[1], kind, M))
+        self._rows = tuple(rows)
+        self._last = secs[-1][1]
 
     @staticmethod
     def _canonical(sectors):
@@ -78,28 +102,45 @@ class PLMap:
         return hash(self.sectors)
 
     def matrix_at(self, d):
-        secs = self.sectors
-        n = len(secs)
-        if n == 1:
-            return secs[0][1]
-        for i in range(n):
-            a = secs[i][0]
-            b = secs[(i + 1) % n][0]
-            if ccw_between(a, d, b):
-                return secs[i][1]
-        return secs[-1][1]
+        """The matrix of the sector holding the nonzero direction d."""
+        x, y = d
+        rows = self._rows
+        if len(rows) == 1:
+            return self._last
+        for ax, ay, bx, by, kind, M in rows:
+            if kind == NARROW:  # cross(a, d) >= 0 and cross(d, b) > 0
+                if ax * y - ay * x >= 0 and x * by - y * bx > 0:
+                    return M
+            elif kind == WIDE:  # the complement of the narrow sector [b, a)
+                if bx * y - by * x < 0 or x * ay - y * ax <= 0:
+                    return M
+            elif kind == HALF:  # the left side of a, with a but not -a
+                c = ax * y - ay * x
+                if c > 0 or (c == 0 and ax * x + ay * y > 0):
+                    return M
+        return self._last
 
     def apply(self, v):
-        """Image of a plain or homogeneous point; linear maps keep q as it is."""
-        x, y = v[0], v[1]
-        if x == 0 and y == 0:
-            return tuple(v)
-        return mat_vec(self.matrix_at((x, y)), (x, y)) + tuple(v[2:])
+        """Image of a plain or homogeneous point; q stays as it is."""
+        if len(v) == 3:
+            return self.image([tuple(v)])[0]
+        return self.image([(v[0], v[1], 1)])[0][:2]
+
+    def image(self, points):
+        """Images of homogeneous points (X, Y, q); each keeps its q."""
+        if len(self._rows) == 1:
+            (a, b), (c, d) = self._last
+            return [(a * X + b * Y, c * X + d * Y, q) for X, Y, q in points]
+        matrix_at = self.matrix_at
+        out = []
+        for X, Y, q in points:
+            (a, b), (c, d) = matrix_at((X, Y)) if X or Y else I2
+            out.append((a * X + b * Y, c * X + d * Y, q))
+        return out
 
     def boundaries(self):
-        if len(self.sectors) == 1:
-            return []
-        return [s for s, _ in self.sectors]
+        """The sector start directions, a tuple; empty for a linear map."""
+        return self._boundaries
 
     def compose(self, other):
         """self after other."""
@@ -267,15 +308,44 @@ def _edge_fold_points(a, b, folds):
 
 
 def refine_cycle(cycle, folds):
-    """The homogeneous cycle with the fold crossings of its edges inserted."""
-    return [p for a, b in zip(cycle, cycle[1:] + cycle[:1])
-            for p in [a] + _edge_fold_points(a, b, folds)]
+    """The homogeneous cycle with the fold crossings of its edges inserted.
+
+    An edge can only cross a fold ray strictly inside if its ends lie
+    strictly on opposite sides of the fold's line, so each point gets one
+    bit per fold and side, and only the edges whose ends have opposite bits
+    are searched for crossings.
+    """
+    if not folds:
+        return list(cycle)
+    sides = []
+    for X, Y, _ in cycle:
+        left = right = 0
+        bit = 1
+        for sx, sy in folds:
+            c = sx * Y - sy * X
+            if c > 0:
+                left |= bit
+            elif c < 0:
+                right |= bit
+            bit <<= 1
+        sides.append((left, right))
+    out = []
+    n = len(cycle)
+    for i, a in enumerate(cycle):
+        out.append(a)
+        j = i + 1 if i + 1 < n else 0
+        (la, ra), (lb, rb) = sides[i], sides[j]
+        if la & rb or ra & lb:
+            out.extend(_edge_fold_points(a, cycle[j], folds))
+    return out
 
 
 def map_cycle(phi, cycle):
-    """(image, refined), homogeneous: the cycle refined at the folds of phi and its image."""
-    refined = refine_cycle([homogeneous(p) for p in cycle], phi.boundaries())
-    return [phi.apply(p) for p in refined], refined
+    """(image, refined): a cycle of homogeneous points refined at the folds
+    of phi, and its image.  The points must already be reduced triples, as
+    geometry.homogeneous gives them; every image point is one too."""
+    refined = refine_cycle(cycle, phi.boundaries())
+    return phi.image(refined), refined
 
 
 def _segment_from_polyline(poly, start, end):
@@ -289,11 +359,12 @@ def _segment_from_polyline(poly, start, end):
     return Segment(start, end, pieces, sum(p.duration for p in pieces))
 
 
-def _convexity_witness(fd, diagram, cycle, phi, image):
+def _convexity_witness(fd, diagram, cycle, points, phi, image):
     """A validated broken-line segment with endpoints in the region leaving it;
-    image is the homogeneous image of the cycle in the chart phi."""
-    region = compile_hull(convex_hull(cycle))
-    given = {homogeneous(p): p for p in cycle}
+    points are the cycle's homogeneous points and image is their image in
+    the chart phi."""
+    region = compile_hull(convex_hull(points))
+    given = dict(zip(points, cycle))
     phi_inv = phi.inverse()
     folds = phi_inv.boundaries()
     n = len(image)
@@ -303,7 +374,7 @@ def _convexity_witness(fd, diagram, cycle, phi, image):
                 continue
             # the straight chart chord pulled back as a base polyline
             chord = [image[i]] + _edge_fold_points(image[i], image[j], folds) + [image[j]]
-            poly = [phi_inv.apply(p) for p in chord]
+            poly = phi_inv.image(chord)
             probes = [(ax * bq + bx * aq, ay * bq + by * aq, 2 * aq * bq)
                       for (ax, ay, aq), (bx, by, bq) in zip(poly, poly[1:])]
             probes.extend(poly[1:-1])
@@ -317,6 +388,26 @@ def _convexity_witness(fd, diagram, cycle, phi, image):
     return None
 
 
+def _polygon_points(points):
+    """The points as tuples, each the one given when it is a tuple; each
+    must be a pair of rationals."""
+    out = []
+    for i, p in enumerate(points):
+        try:
+            x, y = p
+        except (TypeError, ValueError):
+            raise ValueError("point %d must be a pair of rationals, got %r" % (i, p)) from None
+        if not (isinstance(x, Rational) and isinstance(y, Rational)):
+            raise ValueError("point %d must be a pair of rationals, got %r" % (i, p))
+        out.append(tuple(p))
+    return out
+
+
+def _check_order(K):
+    if K is not None and (type(K) is not int or K < 0):
+        raise ValueError("K must be None or an int >= 0, got %r" % (K,))
+
+
 def is_blc_2d(fd, diagram, cycle, K=None):
     """Chart-convexity check; cycle is a ccw vertex list (1 or 2 points allowed).
 
@@ -324,9 +415,10 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     sound failure even when the chart set never closes; certifying convexity
     needs the closed set, otherwise the verdict is None (unknown).
     """
+    cycle = _polygon_points(cycle)
+    _check_order(K)
     if K is None:
         K = diagram.order
-    cycle = [tuple(p) for p in cycle]
     if not cycle:
         # every chart image of no points is convex, so True would be vacuous
         raise ValueError("cycle lists no points")
@@ -335,7 +427,7 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     for phi in charts:
         image, _ = map_cycle(phi, points)
         if not cycle_is_convex(image):
-            wit = _convexity_witness(fd, diagram, cycle, phi, image)
+            wit = _convexity_witness(fd, diagram, cycle, points, phi, image)
             return CheckReport(False, [wit] if wit is not None else [],
                                order_checked=K, closed=closed)
     if not closed:
@@ -349,11 +441,11 @@ def blc_hull_2d(fd, diagram, pts):
     A vertex that is one of the points comes back as the tuple given (the
     first of equal-valued ones); a vertex the closure adds is a Fraction pair.
     """
+    pts = _polygon_points(pts)
     charts, closed = chart_maps(fd)
     # homogeneous point -> the tuple given, None for a point the closure adds
     V = {}
     for p in pts:
-        p = tuple(p)
         V.setdefault(homogeneous(p), p)
     flagged = not closed
     prev = None
@@ -376,55 +468,82 @@ def blc_hull_2d(fd, diagram, pts):
 def check_positive(fd, diagram, cycle, max_degree, K=None):
     """Bounded positivity scan using structure constants; first violation wins.
 
-    A pair (p, q) can only produce a violation if some exponent of the theta
-    product escapes the dilated region, since structure constants are
-    nonnegative and each contributing exponent shows up in the product.  Pairs
-    whose whole truncation triangle p+q+{order <= K} sits inside are skipped
-    without any series work.
+    Pairs (p, q) of lattice points of the dilations aP and bP, a <= b and
+    a + b <= max_degree, are scanned in a fixed order: by a + b, then a, then
+    p and q descending.  A pair can only produce a violation if some exponent
+    of the theta product escapes (a + b)P, since structure constants are
+    nonnegative and each contributing exponent shows up in the product.
+    Pairs whose whole truncation triangle p+q+{order <= K} sits inside are
+    skipped without any series work.
+
+    The scan is one integer pass: each dilation and its sorted lattice
+    points are built once per degree, pairs with the origin are left out of
+    the lists (they cannot escape), the corners are tested on ints, and
+    products and alpha tables are read from the diagram's caches with one
+    key per pair; only a miss computes them.
     """
+    cycle = _polygon_points(cycle)
     _check_degree(max_degree)
+    _check_order(K)
     if K is None:
         K = diagram.order
     region = compile_hull(convex_hull(cycle))
+    # the nonzero lattice points of each dilation kP, descending, listed when
+    # first needed.  A pair with the origin is never a violation: the origin
+    # in bP puts it in P, and then aP lies in (a + b)P, as P is convex.
+    listed = {}
 
-    def violation(p, q, r, alpha):
-        # a and b are the degrees of the pair being scanned
-        w = {"p": p, "q": q, "r": r, "a": a, "b": b, "alpha": alpha}
-        return CheckReport(False, [w], degree_checked=max_degree, order_checked=K)
+    def lattice(k):
+        if k not in listed:
+            listed[k] = [p for p in sorted(region.dilate(k).lattice_points(), reverse=True)
+                         if p != (0, 0)]
+        return listed[k]
+
+    (g1x, g1y), (g2x, g2y) = fd.monoid_gens
+    k1x, k1y, k2x, k2y = K * g1x, K * g1y, K * g2x, K * g2y
+    form = search_form(fd, diagram)
+    products, alphas = form.products, form.alphas
 
     for total in range(2, max_degree + 1):
-        for a in range(1, total):
+        target = region.dilate(total).planes
+
+        def inside(x, y):
+            for A, B, N in target:
+                if A * x + B * y < N:
+                    return False
+            return True
+
+        for a in range(1, total // 2 + 1):
             b = total - a
-            if a > b:
-                continue
-            pa = sorted(region.dilate(a).lattice_points(), reverse=True)
-            pb = sorted(region.dilate(b).lattice_points(), reverse=True)
-            inside = region.dilate(a + b).contains
-            for p in pa:
+            pb = lattice(b)
+            for p in lattice(a):
+                px, py = p
                 for q in pb:
-                    if is_zero(p) or is_zero(q):
-                        r = tuple(q) if is_zero(p) else tuple(p)
-                        if not inside(*r):
-                            return violation(p, q, r, 1)
+                    sx, sy = px + q[0], py + q[1]
+                    if (inside(sx, sy) and inside(sx + k1x, sy + k1y)
+                            and inside(sx + k2x, sy + k2y)):
                         continue
-                    corners = [vadd(p, q)]
-                    corners += [vadd(vadd(p, q), vscale(K, g)) for g in fd.monoid_gens]
-                    if all(inside(*c) for c in corners):
-                        continue
-                    prod = _product_cached(fd, diagram, p, q, K)
+                    key = _pair_key(p, q, K)
+                    prod = products.get(key)
+                    if prod is None:
+                        prod = _product_cached(fd, diagram, p, q, K)
                     if all(inside(*e) for e in prod.terms):
                         continue
-                    table = _alpha_cached(fd, diagram, p, q, K)
+                    table = alphas.get(key)
+                    if table is None:
+                        table = _alpha_cached(fd, diagram, p, q, K)
                     for r in sorted(table):
                         if table[r] != 0 and not inside(*r):
-                            return violation(p, q, r, table[r])
+                            w = {"p": p, "q": q, "r": r, "a": a, "b": b, "alpha": table[r]}
+                            return CheckReport(False, [w], degree_checked=max_degree,
+                                               order_checked=K)
     return CheckReport(True, degree_checked=max_degree, order_checked=K)
 
 
 def _check_degree(max_degree):
     # degree 2 is the first with a pair to check; below it a True would be a guess
-    if max_degree < 2:
-        raise ValueError("max_degree must be at least 2, got %r" % (max_degree,))
+    if type(max_degree) is not int or max_degree < 2:
+        raise ValueError("max_degree must be an int >= 2, got %r" % (max_degree,))
 
 
 def _random_polygon(rng):

@@ -162,19 +162,33 @@ def rational(h):
 
 def cycle_is_convex(cycle):
     """True if no two turns of the closed cycle (plain or homogeneous points)
-    have opposite orientation; a cycle of collinear points counts as convex."""
-    n = len(cycle)
-    if n <= 2:
+    have opposite orientation; a cycle of collinear points counts as convex.
+
+    One pass over the turns, stopping at the first turn whose sign is
+    opposite to one already seen.  A cycle of homogeneous triples, as the
+    chart images are, is read as it is; plain points are made homogeneous
+    first.
+    """
+    if len(cycle) <= 2:
         return True
-    pts = [homogeneous(p) for p in cycle]
-    signs = set()
-    for i in range(n):
-        # the turn's sign is the sign of the 3x3 determinant of the rows
-        (ax, ay, aq), (bx, by, bq), (cx, cy, cq) = pts[i], pts[(i + 1) % n], pts[(i + 2) % n]
-        signs.add(sgn(aq * (bx * cy - by * cx) - bq * (ax * cy - ay * cx)
-                      + cq * (ax * by - ay * bx)))
-    signs.discard(0)
-    return len(signs) <= 1
+    if not all(len(p) == 3 for p in cycle):
+        cycle = [homogeneous(p) for p in cycle]
+    left = right = False
+    (ax, ay, aq), (bx, by, bq) = cycle[-2], cycle[-1]
+    for cx, cy, cq in cycle:
+        # the turn's sign is the sign of the 3x3 determinant of the rows a, b, c
+        t = (aq * (bx * cy - by * cx) - bq * (ax * cy - ay * cx)
+             + cq * (ax * by - ay * bx))
+        if t > 0:
+            if right:
+                return False
+            left = True
+        elif t < 0:
+            if left:
+                return False
+            right = True
+        ax, ay, aq, bx, by, bq = bx, by, bq, cx, cy, cq
+    return True
 
 
 class HalfPlanes:

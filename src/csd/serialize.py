@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 from .geometry import cross, primitive
-from .lattice import FixedData, line_dir
+from .lattice import FixedData, line_dir, cone_order
 from .series import WallFunction
 from .scattering import Wall, Diagram
 from .brokenline import Piece, BrokenLine, Segment
@@ -130,6 +130,8 @@ def wall_from_json(doc, fd):
 
     A ray's direction must be primitive and lie on the line of its normal:
     the search never meets a ray off that line, so it would be lost silently.
+    The function direction must lie on that line too, and in the cone of the
+    monoid.
     """
     if not isinstance(doc, dict):
         raise ValueError("wall must be a JSON object, got %r" % (doc,))
@@ -147,7 +149,16 @@ def wall_from_json(doc, fd):
                              "got %r" % (list(n), support["dir"]))
     else:
         raise ValueError("support kind must be 'line' or 'ray', got %r" % (kind,))
-    return Wall(n, kind, direction, wallfunction_from_json(doc["func"]))
+    func = wallfunction_from_json(doc["func"])
+    # the search reads a bend's power off the pairing with the normal alone,
+    # which needs the function direction on the wall's line and in the cone
+    if cross(line_dir(fd, n), func.direction):
+        raise ValueError("func dir must lie on the line of normal %r, got %r"
+                         % (list(n), doc["func"]["dir"]))
+    if cone_order(fd, func.direction) is None:
+        raise ValueError("func dir must lie in the cone of the monoid, got %r"
+                         % (doc["func"]["dir"],))
+    return Wall(n, kind, direction, func)
 
 
 def diagram_to_json(diagram):

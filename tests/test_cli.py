@@ -284,6 +284,24 @@ def test_theta_rejects_malformed_wall(paths, path, value, field):
     assert field in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("value,message", [
+    ([-1, 1], "wall 0: func dir must lie on the line of normal [1, 0], got [-1, 1]"),
+    ([0, -1], "wall 0: func dir must lie in the cone of the monoid, got [0, -1]"),
+], ids=["off-line", "outside-cone"])
+def test_theta_rejects_func_dir_off_wall_line_or_cone(paths, value, message):
+    # the bending power is read off the pairing with the normal alone, so a
+    # function direction off the wall's line would give wrong thetas silently
+    doc = json.loads(paths["a2"].read_text())
+    assert doc["walls"][0]["normal"] == [1, 0]
+    assert doc["walls"][0]["func"]["dir"] == [0, 1]
+    doc["walls"][0]["func"]["dir"] = value
+    bad = paths["dir"] / "bad_func_dir.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("theta", "--diagram", str(bad), "--direction", "-1,-1", "--endpoint", "7/5,-3/11")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: %s\n" % message
+
+
 def test_harness_rejects_nonpositive_trials(paths):
     for trials in ("0", "-3"):
         r = run_cli("harness", "--diagram", str(paths["a2"]), "--trials", trials)

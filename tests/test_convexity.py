@@ -7,7 +7,7 @@ from csd.brokenline import validate_segment
 from csd.convexity import (PLMap, shear_map, chart_maps,
                            is_blc_2d, blc_hull_2d, check_positive,
                            main_theorem_harness, map_cycle)
-from csd.geometry import convex_hull, point_in_hull
+from csd.geometry import convex_hull, point_in_hull, homogeneous
 from csd.lattice import FixedData
 
 F = Fraction
@@ -114,7 +114,7 @@ def test_initial_shears_are_one_sided(a2, a2_diagram):
     from csd.geometry import cycle_is_convex
     shears = [shear_map(a2, (1, 0), 1), shear_map(a2, (0, 1), 1)]
     for phi in [PLMap.identity()] + shears:
-        image, _ = map_cycle(phi, A2_BAD_TRIANGLE)
+        image, _ = map_cycle(phi, [homogeneous(p) for p in A2_BAD_TRIANGLE])
         assert cycle_is_convex(image)
     # ...yet a deeper chart exposes non-convexity
     rep = is_blc_2d(a2, a2_diagram, A2_BAD_TRIANGLE)
@@ -212,6 +212,57 @@ def test_max_degree_below_two_rejected(a2, a2_diagram, degree):
         check_positive(a2, a2_diagram, [(F(0), F(0)), (F(1), F(0))], degree)
     with pytest.raises(ValueError, match="max_degree"):
         main_theorem_harness(a2, a2_diagram, 1, max_degree=degree)
+
+
+A2_TRIANGLE = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(0))]
+
+
+def _polygon_calls(a2, a2_diagram):
+    return [lambda pts: is_blc_2d(a2, a2_diagram, pts),
+            lambda pts: check_positive(a2, a2_diagram, pts, 2),
+            lambda pts: blc_hull_2d(a2, a2_diagram, pts)]
+
+
+@pytest.mark.parametrize("bad,index", [
+    # a triple is not read as a homogeneous point, whatever its denominator
+    ([(1, 0, 1), (0, 2, -2), (-1, 0, 1)], 0),
+    ([(F(1), F(0)), (0.5, 0.25)], 1),
+    ([(F(1), F(0)), (F(0), F(1)), ("1/2", 1)], 2),
+    ([(1,)], 0),
+    ([(0, 0), 7], 1),
+], ids=["triple", "float", "string", "one-coordinate", "scalar"])
+def test_polygon_api_rejects_non_pairs(a2, a2_diagram, bad, index):
+    for call in _polygon_calls(a2, a2_diagram):
+        with pytest.raises(ValueError, match=r"^point %d must be a pair of rationals, got "
+                           % index):
+            call(bad)
+
+
+def test_polygon_api_accepts_int_and_list_pairs(a2, a2_diagram):
+    pts = [[1, 0], [0, 1], (-1, 0)]
+    is_blc, positive, hull = _polygon_calls(a2, a2_diagram)
+    assert repr(is_blc(pts)) == repr(is_blc(A2_TRIANGLE))
+    assert repr(positive(pts)) == repr(positive(A2_TRIANGLE))
+    assert hull(pts) == hull(A2_TRIANGLE)
+
+
+@pytest.mark.parametrize("degree", [2.5, "3", None, 2.0])
+def test_max_degree_must_be_int(a2, a2_diagram, degree):
+    with pytest.raises(ValueError, match=r"^max_degree must be an int >= 2, got "):
+        check_positive(a2, a2_diagram, A2_TRIANGLE, degree)
+
+
+@pytest.mark.parametrize("K", ["6", -1, 2.0, True])
+def test_order_must_be_none_or_nonnegative_int(a2, a2_diagram, K):
+    with pytest.raises(ValueError, match=r"^K must be None or an int >= 0, got "):
+        is_blc_2d(a2, a2_diagram, A2_TRIANGLE, K)
+    with pytest.raises(ValueError, match=r"^K must be None or an int >= 0, got "):
+        check_positive(a2, a2_diagram, A2_TRIANGLE, 2, K)
+
+
+def test_order_zero_is_accepted(a2, a2_diagram):
+    assert is_blc_2d(a2, a2_diagram, A2_TRIANGLE, 0).order_checked == 0
+    assert check_positive(a2, a2_diagram, A2_TRIANGLE, 2, 0).order_checked == 0
 
 
 def test_harness_small(a2, a2_diagram):

@@ -15,12 +15,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csd import constructions
 from csd.brokenline import Segment, Piece, validate_segment, reverse
 from csd.constructions import fixed_generic_endpoint, _theta_cached
-from csd.convexity import (chart_maps, is_blc_2d, blc_hull_2d, check_positive,
+from csd.convexity import (PLMap, chart_maps, is_blc_2d, blc_hull_2d, check_positive,
                            mat_vec, _alpha_cached)
 from csd.geometry import (vadd, vsub, vscale, is_zero, primitive, cross, dot, sgn,
-                          ccw_key, ccw_between, convex_hull, compile_hull,
+                          ccw_key, ccw_between, convex_hull, compile_hull, cycle_is_convex,
                           point_in_hull, lattice_points_in_hull, homogeneous, rational)
 from csd.lattice import FixedData
 from csd.scattering import complete_rank2
@@ -100,18 +101,20 @@ def ref_ccw_between(a, x, b):
     return False
 
 
+def ref_matrix_at(phi, d):
+    """The sector scan that the compiled sector table replaced."""
+    secs = phi.sectors
+    if len(secs) > 1:
+        for i, (start, M) in enumerate(secs):
+            if ref_ccw_between(start, d, secs[(i + 1) % len(secs)][0]):
+                return M
+    return secs[-1][1]
+
+
 def ref_apply(phi, v):
     if is_zero(v):
         return tuple(v)
-    d = primitive(v)
-    secs = phi.sectors
-    M = secs[-1][1]
-    if len(secs) > 1:
-        for i, (start, Mi) in enumerate(secs):
-            if ref_ccw_between(start, d, secs[(i + 1) % len(secs)][0]):
-                M = Mi
-                break
-    return mat_vec(M, v)
+    return mat_vec(ref_matrix_at(phi, primitive(v)), v)
 
 
 def ref_edge_fold_points(a, b, folds):
@@ -367,6 +370,52 @@ def test_ccw_between_matches_angle_keys(a, x, b):
     assert ccw_between(a, x, b) == ref_ccw_between(a, x, b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(vec, min_size=1, max_size=6), st.lists(vec, max_size=8))
+def test_sector_table_matches_sector_scan(starts, probes):
+    # any sector layout, so every kind of sector turns up in every position;
+    # a repeated start direction makes an empty sector
+    phi = PLMap([(s, ((k + 1, 0), (0, 1))) for k, s in enumerate(starts)])
+    bounds = [s for s, _ in phi.sectors]
+    for v in probes + bounds + [vscale(-1, s) for s in bounds]:
+        assert phi.matrix_at(v) == ref_matrix_at(phi, v), (phi.sectors, v)
+
+
+def _cycles(draw_pt):
+    """Closed cycles of rational points: arbitrary, or a convex hull in ccw or
+    cw order with duplicates and collinear runs inserted."""
+    def decorate(args):
+        hull, reverse, dups, runs = args
+        out = []
+        for i, a in enumerate(hull):
+            b = hull[(i + 1) % len(hull)]
+            out.append(a)
+            out.extend([a] * dups.get(i, 0))
+            out.extend(vadd(a, vscale(t, vsub(b, a))) for t in runs.get(i, ()))
+        return out[::-1] if reverse else out
+    fractions = st.builds(Fraction, st.integers(1, 5), st.integers(6, 7))
+    hulls_ = st.lists(draw_pt, min_size=1, max_size=7).map(convex_hull)
+    return st.one_of(
+        st.lists(draw_pt, min_size=4, max_size=8),
+        st.tuples(hulls_, st.booleans(),
+                  st.dictionaries(st.integers(0, 6), st.integers(1, 2), max_size=3),
+                  st.dictionaries(st.integers(0, 6),
+                                  st.lists(fractions, min_size=1, max_size=3)
+                                  .map(sorted), max_size=3))
+        .map(decorate),
+        # collinear points in any order
+        st.tuples(draw_pt, draw_pt, st.lists(fractions, min_size=1, max_size=5))
+        .map(lambda abt: [vadd(abt[0], vscale(t, vsub(abt[1], abt[0]))) for t in abt[2]]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_cycles(point))
+def test_cycle_is_convex_matches_reference(cycle):
+    expected = ref_cycle_is_convex(cycle)
+    assert cycle_is_convex([homogeneous(p) for p in cycle]) == expected
+    assert cycle_is_convex(cycle) == expected
+
+
 # --- the polygon layer against the Fraction path ---------------------------
 
 def _bench_polygon(rng, vertices, origin, span):
@@ -387,11 +436,18 @@ def _polygons(seed, small, large):
     return out
 
 
-@pytest.mark.parametrize("name", ["A2", "Kronecker", "G2"])
-def test_verdicts_match_fraction_path(name, a2, a2_diagram, kron, kron_diagram,
-                                      g2, g2_diagram):
-    fd, diagram = {"A2": (a2, a2_diagram), "Kronecker": (kron, kron_diagram),
-                   "G2": (g2, g2_diagram)}[name]
+@pytest.fixture(scope="module")
+def diagrams(a2, a2_diagram, kron, kron_diagram, g2, g2_diagram):
+    b2 = FixedData.from_exchange([[0, 2], [-1, 0]], [1, 2])
+    wild = FixedData.from_exchange([[0, 3], [-3, 0]], [1, 1])
+    return {"A2": (a2, a2_diagram), "Kronecker": (kron, kron_diagram),
+            "G2": (g2, g2_diagram), "B2": (b2, complete_rank2(b2, 6)),
+            "(3,3)": (wild, complete_rank2(wild, 6))}
+
+
+@pytest.mark.parametrize("name", ["A2", "Kronecker", "G2", "B2", "(3,3)"])
+def test_verdicts_match_fraction_path(name, diagrams):
+    fd, diagram = diagrams[name]
     for cycle in _polygons("kernel:" + name, 100, 20):
         blc = is_blc_2d(fd, diagram, cycle, 6)
         verdict, witnesses, closed = ref_is_blc(fd, diagram, cycle)
@@ -400,6 +456,43 @@ def test_verdicts_match_fraction_path(name, a2, a2_diagram, kron, kron_diagram,
         pos = check_positive(fd, diagram, cycle, 3, 6)
         ref = ref_check_positive(fd, diagram, cycle, 3, 6)
         assert (pos.verdict, repr(pos.witnesses)) == (ref[0], repr(ref[1])), cycle
+
+
+@pytest.mark.parametrize("max_degree,K", [(2, 4), (2, 6), (4, 4), (4, 6)])
+@pytest.mark.parametrize("name", ["A2", "Kronecker", "G2", "B2", "(3,3)"])
+def test_positivity_scan_matches_fraction_path(name, max_degree, K, diagrams):
+    fd, diagram = diagrams[name]
+    for cycle in _polygons("scan:" + name, 60, 10):
+        pos = check_positive(fd, diagram, cycle, max_degree, K)
+        ref = ref_check_positive(fd, diagram, cycle, max_degree, K)
+        assert (pos.verdict, repr(pos.witnesses)) == (ref[0], repr(ref[1])), cycle
+        assert (pos.degree_checked, pos.order_checked) == (max_degree, K)
+
+
+# (lp_mul calls, alpha_table calls, True verdicts) of the positivity scan at
+# max_degree 3 and K 6 over _polygons("kernel:<name>", 100, 20), cold caches
+SCAN_WORK = {"G2": (777, 474, 31), "A2": (770, 404, 46)}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_WORK))
+def test_scan_work_is_pinned(name, diagrams, monkeypatch):
+    # one product per unordered pair and one alpha table per pair that needs
+    # it; a scan that loses a cache or builds extra products fails here
+    fd = diagrams[name][0]
+    diagram = complete_rank2(fd, diagrams[name][1].order)
+    calls = {"lp_mul": 0, "alpha_table": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(constructions, "lp_mul", counted(constructions.lp_mul))
+    monkeypatch.setattr(constructions, "alpha_table", counted(constructions.alpha_table))
+    verdicts = [check_positive(fd, diagram, cycle, 3, 6).verdict
+                for cycle in _polygons("kernel:" + name, 100, 20)]
+    assert (calls["lp_mul"], calls["alpha_table"], verdicts.count(True)) == SCAN_WORK[name]
 
 
 def test_int_vertices_keep_their_type(a2, a2_diagram):
@@ -417,6 +510,24 @@ def test_chart_inverse_computed_once(exchange, d):
         assert phi.inverse() is phi.inverse()
         assert phi.inverse().inverse() == phi
         assert phi.inverse().compose(phi) == phi.identity()
+
+
+@pytest.mark.parametrize("exchange,d", [
+    ([[0, 1], [-1, 0]], [1, 1]), ([[0, 2], [-1, 0]], [1, 2]), ([[0, 3], [-1, 0]], [1, 3]),
+    ([[0, 2], [-2, 0]], [1, 1]), ([[0, 3], [-3, 0]], [1, 1])],
+    ids=["A2", "B2", "G2", "Kronecker", "(3,3)"])
+def test_compiled_matrix_at_matches_sector_scan(exchange, d):
+    grid = [(x, y) for x in range(-8, 9) for y in range(-8, 9)
+            if math.gcd(x, y) == 1]
+    for phi in chart_maps(FixedData(exchange, d))[0]:
+        for chart in (phi, phi.inverse()):
+            bounds = [s for s, _ in chart.sectors]
+            for v in grid + bounds + [vscale(-1, s) for s in bounds]:
+                assert chart.matrix_at(v) == ref_matrix_at(chart, v), (chart.sectors, v)
+                # a homogeneous point keeps its q; a multiple keeps its sector
+                X, Y = vscale(3, v)
+                assert chart.apply((X, Y, 7)) == ref_apply(chart, (X, Y)) + (7,)
+                assert chart.apply(v) == ref_apply(chart, v)
 
 
 def test_hull_vertices_come_back_as_given(g2, g2_diagram):
