@@ -8,7 +8,7 @@ coefficient (an int), and the point where it bends into the next piece.
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from numbers import Rational
 
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, cross, dot,
@@ -500,14 +500,16 @@ def reverse(segment):
 def bend_coefficient(fd, diagram, point, m_prev, m_next):
     """Coefficient of the bend m_prev -> m_next at the point (1 if trivial).
 
-    Raises ValueError when the point lies on no wall or when no wall through
-    it gives the step a nonzero coefficient.
+    The point is a pair or a homogeneous triple.  Raises ValueError when the
+    point lies on no wall or when no wall through it gives the step a
+    nonzero coefficient; the message shows a triple as its pair of
+    Fractions.
     """
     if tuple(m_prev) == tuple(m_next):
         return 1
     fams = wall_families(fd, diagram, point)
     if not fams:
-        raise ValueError("bend point %r lies on no wall" % (point,))
+        raise ValueError("bend point %r lies on no wall" % (_pair(point),))
     step = vsub(m_next, m_prev)
     for n0, m0, f in fams:
         if not same_ray(step, m0):
@@ -522,38 +524,75 @@ def bend_coefficient(fd, diagram, point, m_prev, m_next):
         c = wf_coeff_pow(f, abs(int(pw)), k)
         if c != 0:
             return c
-    raise ValueError("bend %r -> %r at %r is not allowed" % (m_prev, m_next, point))
+    raise ValueError("bend %r -> %r at %r is not allowed" % (m_prev, m_next, _pair(point)))
+
+
+def _pair(point):
+    """A pair as given; a homogeneous triple as its pair of Fractions."""
+    return rational(point) if len(point) == 3 else point
 
 
 def validate_segment(fd, diagram, segment):
-    """Verdict (bool, first_violation_message_or_None)."""
-    pos = segment.start
-    total = Fraction(0)
-    n = len(segment.pieces)
-    for i, p in enumerate(segment.pieces):
-        if is_zero(p.exponent):
+    """Verdict (bool, first_violation_message_or_None).
+
+    The walk runs on integers.  The position is a reduced homogeneous
+    triple (X, Y, q); durations and exponent entries, which are rational on
+    glued segments, are read through numerator and denominator; the total
+    time is an integer numerator over a denominator.  A message shows a
+    position as the pair that rational arithmetic on the given values
+    gives: the start as given until a duration moves it, then Fractions,
+    except in a coordinate where every term so far was an int.
+    """
+    X, Y, q = homogeneous(segment.start)
+    # per coordinate: is the position shown as an int there?
+    ints = [type(c) is int for c in segment.start]
+    tn, td = 0, 1
+    pieces = segment.pieces
+    n = len(pieces)
+    for i, p in enumerate(pieces):
+        m = p.exponent
+        if is_zero(m):
             return False, "piece %d has zero exponent" % i
-        if p.duration is not None:
-            if p.duration < 0:
+        dt = p.duration
+        if dt is not None:
+            a, b = dt.numerator, dt.denominator
+            if a < 0:
                 return False, "piece %d has negative duration" % i
-            nxt = vsub(pos, vscale(p.duration, p.exponent))
-            total += p.duration
-        else:
-            nxt = pos
+            # pos - (a/b)*(u, v)/e over the denominator q*b*e
+            mx, my = m
+            e = lcm(mx.denominator, my.denominator)
+            u, v = mx.numerator * (e // mx.denominator), my.numerator * (e // my.denominator)
+            be, qa = b * e, q * a
+            X, Y, q = X * be - qa * u, Y * be - qa * v, q * be
+            g = gcd(X, Y, q)
+            X, Y, q = X // g, Y // g, q // g
+            tn, td = tn * b + a * td, td * b
+            g = gcd(tn, td)
+            tn, td = tn // g, td // g
+            if ints[0] or ints[1]:
+                whole = type(dt) is int
+                ints = [whole and k and type(c) is int for k, c in zip(ints, m)]
         if i + 1 < n:
-            m_next = segment.pieces[i + 1].exponent
+            m_next = pieces[i + 1].exponent
+            at = _shown(X, Y, q, ints) if ints[0] or ints[1] else (X, Y, q)
             try:
-                c = bend_coefficient(fd, diagram, nxt, p.exponent, m_next)
+                c = bend_coefficient(fd, diagram, at, m, m_next)
             except ValueError as e:
                 return False, str(e)
             if c <= 0:
-                return False, "bend %r -> %r at %r is not allowed" % (p.exponent, m_next, nxt)
-        pos = nxt
-    if tuple(pos) != tuple(segment.end):
-        return False, "segment ends at %r, expected %r" % (pos, segment.end)
-    if total != segment.total_time:
-        return False, "durations sum to %r, expected total %r" % (total, segment.total_time)
+                return False, "bend %r -> %r at %r is not allowed" % (
+                    m, m_next, _shown(X, Y, q, ints))
+    if (X, Y, q) != homogeneous(segment.end):
+        return False, "segment ends at %r, expected %r" % (_shown(X, Y, q, ints), segment.end)
+    T = segment.total_time
+    if tn * T.denominator != T.numerator * td:
+        return False, "durations sum to %r, expected total %r" % (Fraction(tn, td), T)
     return True, None
+
+
+def _shown(X, Y, q, ints):
+    """The homogeneous point as a pair: an int where ints says so, else a Fraction."""
+    return tuple(c // q if k else Fraction(c, q) for c, k in zip((X, Y), ints))
 
 
 def line_bounded_segment(fd, line):

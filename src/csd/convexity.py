@@ -22,7 +22,7 @@ from .constructions import (structure_constant, pair_from_segment, _alpha_cached
 
 I2 = ((1, 0), (0, 1))
 
-# Kinds of a compiled sector [a, b), one per case of geometry.ccw_between:
+# Kinds of a compiled sector [a, b), one per case of the ccw sector test:
 # narrower than a half-turn, wider than one, empty (a == b) and a
 # half-plane (b == -a).  An empty sector holds no direction.
 NARROW, WIDE, EMPTY, HALF = range(4)
@@ -49,10 +49,16 @@ class PLMap:
 
     Sector i acts on directions in [start_i, start_{i+1}) counterclockwise;
     a single-sector map is linear.  The sectors are compiled once, at
-    construction, into rows (a, b, kind, M): kind is the case of
-    geometry.ccw_between that the pair of bounding directions a, b falls in
-    (by the signs of cross(a, b) and dot(a, b)), so a lookup tests integer
-    cross products inline and never classifies a sector again.
+    construction, into rows (a, b, kind, M): kind is the case of the ccw
+    sector test that the pair of bounding directions a, b falls in (by the
+    signs of cross(a, b) and dot(a, b)), so a lookup tests integer cross
+    products inline and never classifies a sector again.
+
+    ``lines`` holds the map's fold lines: its boundary directions up to
+    sign, each as the primitive direction with first nonzero entry > 0.  A
+    linear map has none.  A fold line cuts a point set when two of the
+    points lie strictly on opposite sides of it; a map none of whose fold
+    lines cuts a set is linear on it (see ``_linear_on``).
     """
 
     def __init__(self, sectors):
@@ -61,6 +67,9 @@ class PLMap:
         secs = self.sectors
         n = len(secs)
         self._boundaries = () if n == 1 else tuple(s for s, _ in secs)
+        self.lines = tuple(dict.fromkeys(
+            s if s[0] > 0 or (s[0] == 0 and s[1] > 0) else (-s[0], -s[1])
+            for s in self._boundaries))
         rows = []
         for i, (a, M) in enumerate(secs):
             b = secs[(i + 1) % n][0]
@@ -307,18 +316,16 @@ def _edge_fold_points(a, b, folds):
     return list(dict.fromkeys(pt for _, _, pt in hits))
 
 
-def refine_cycle(cycle, folds):
-    """The homogeneous cycle with the fold crossings of its edges inserted.
+def _fold_sides(points, folds):
+    """(left, right) bit masks per homogeneous point: bit k is set when the
+    point lies strictly on that side of the line of fold k.
 
-    An edge can only cross a fold ray strictly inside if its ends lie
-    strictly on opposite sides of the fold's line, so each point gets one
-    bit per fold and side, and only the edges whose ends have opposite bits
-    are searched for crossings.
+    A segment crosses a fold ray strictly inside only if its ends lie
+    strictly on opposite sides of the fold's line, that is when
+    ``la & rb or ra & lb`` for the masks of its ends.
     """
-    if not folds:
-        return list(cycle)
     sides = []
-    for X, Y, _ in cycle:
+    for X, Y, _ in points:
         left = right = 0
         bit = 1
         for sx, sy in folds:
@@ -329,6 +336,16 @@ def refine_cycle(cycle, folds):
                 right |= bit
             bit <<= 1
         sides.append((left, right))
+    return sides
+
+
+def refine_cycle(cycle, folds):
+    """The homogeneous cycle with the fold crossings of its edges inserted;
+    only the edges whose ends have opposite ``_fold_sides`` bits are
+    searched for crossings."""
+    if not folds:
+        return list(cycle)
+    sides = _fold_sides(cycle, folds)
     out = []
     n = len(cycle)
     for i, a in enumerate(cycle):
@@ -338,6 +355,38 @@ def refine_cycle(cycle, folds):
         if la & rb or ra & lb:
             out.extend(_edge_fold_points(a, cycle[j], folds))
     return out
+
+
+def _linear_on(points):
+    """The test ``linear(phi)``: whether no fold line of phi cuts the
+    homogeneous points.  Each line's cut bit is computed at most once.
+
+    A chart phi that passes is linear on the points.  Each of its fold
+    lines leaves every point on one closed side, so the points lie in one
+    closed cell of the arrangement of those lines.  The cell is a convex
+    cone into which no fold line enters, so it lies in one closed sector of
+    phi, and phi, being continuous, acts on it by that sector's matrix M.
+    That holds in the degenerate case too: points on both rays of one fold
+    line lie strictly on the two sides of any other line, so that line is
+    phi's only fold line, and the matrices of its two sectors agree on it.
+    Hence ``map_cycle(phi, cycle)`` is M applied to the cycle's points:
+    ``refine_cycle`` inserts nothing, as it only searches an edge whose ends
+    lie strictly on opposite sides of a fold's line, and M, being
+    unimodular, changes the sign of every turn or of none.
+    """
+    cuts = {}
+
+    def linear(phi):
+        for line in phi.lines:
+            cut = cuts.get(line)
+            if cut is None:
+                sx, sy = line
+                sides = [sx * Y - sy * X for X, Y, _ in points]
+                cut = cuts[line] = min(sides) < 0 < max(sides)
+            if cut:
+                return False
+        return True
+    return linear
 
 
 def map_cycle(phi, cycle):
@@ -351,40 +400,55 @@ def map_cycle(phi, cycle):
 def _segment_from_polyline(poly, start, end):
     """The segment along the homogeneous polyline from start to end, start != end."""
     pieces = []
+    tn, td = 0, 1  # the total time, tn/td
     for (ax, ay, aq), (bx, by, bq) in zip(poly, poly[1:]):
         dx, dy = ax * bq - bx * aq, ay * bq - by * aq  # (a - b)*aq*bq
         if dx or dy:
-            g = gcd(dx, dy)
-            pieces.append(Piece((dx // g, dy // g), 1, None, Fraction(g, aq * bq)))
-    return Segment(start, end, pieces, sum(p.duration for p in pieces))
+            g, d = gcd(dx, dy), aq * bq
+            pieces.append(Piece((dx // g, dy // g), 1, None, Fraction(g, d)))
+            tn, td = tn * d + g * td, td * d
+    return Segment(start, end, pieces, Fraction(tn, td))
 
 
 def _convexity_witness(fd, diagram, cycle, points, phi, image):
     """A validated broken-line segment with endpoints in the region leaving it;
     points are the cycle's homogeneous points and image is their image in
-    the chart phi."""
-    region = compile_hull(convex_hull(points))
+    the chart phi.
+
+    Chords (i, j) of the image are tried in order; a chord is pulled back by
+    phi's inverse into a base polyline, bent where it crosses a fold of the
+    inverse.  The ends of every pullback are points of the refined cycle, so
+    they lie in the region, and the region is convex.  Hence a chord that
+    crosses no fold strictly inside pulls back to a straight chord of the
+    region and is passed over, and any other chord leaves the region
+    exactly when one of its pulled-back fold points does.
+    """
+    region = compile_hull(points)
     given = dict(zip(points, cycle))
     phi_inv = phi.inverse()
     folds = phi_inv.boundaries()
+    sides = _fold_sides(image, folds)
     n = len(image)
     for i in range(n):
+        li, ri = sides[i]
         for j in range(i + 1, n):
-            if image[i] == image[j]:
+            lj, rj = sides[j]
+            if not (li & rj or ri & lj) or image[i] == image[j]:
+                continue
+            crossings = _edge_fold_points(image[i], image[j], folds)
+            if not crossings:
                 continue
             # the straight chart chord pulled back as a base polyline
-            chord = [image[i]] + _edge_fold_points(image[i], image[j], folds) + [image[j]]
-            poly = phi_inv.image(chord)
-            probes = [(ax * bq + bx * aq, ay * bq + by * aq, 2 * aq * bq)
-                      for (ax, ay, aq), (bx, by, bq) in zip(poly, poly[1:])]
-            probes.extend(poly[1:-1])
-            if all(region.contains(*p) for p in probes):
+            poly = phi_inv.image([image[i]] + crossings + [image[j]])
+            if all(region.contains(*p) for p in poly[1:-1]):
                 continue
             ends = [given.get(p) or rational(p) for p in (poly[0], poly[-1])]
             seg = _segment_from_polyline(poly, *ends)
-            for cand in (seg, reverse(seg)):
-                if validate_segment(fd, diagram, cand)[0]:
-                    return cand
+            if validate_segment(fd, diagram, seg)[0]:
+                return seg
+            seg = reverse(seg)
+            if validate_segment(fd, diagram, seg)[0]:
+                return seg
     return None
 
 
@@ -414,6 +478,11 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     Every collected map is a genuine seed chart, so a non-convex image is a
     sound failure even when the chart set never closes; certifying convexity
     needs the closed set, otherwise the verdict is None (unknown).
+
+    The first chart is the identity and decides whether the cycle itself is
+    convex.  A later chart none of whose fold lines cuts the cycle's points
+    is linear on them (``_linear_on``), so its image is convex exactly when
+    the cycle is: it is skipped without being mapped.
     """
     cycle = _polygon_points(cycle)
     _check_order(K)
@@ -424,7 +493,10 @@ def is_blc_2d(fd, diagram, cycle, K=None):
         raise ValueError("cycle lists no points")
     points = [homogeneous(p) for p in cycle]
     charts, closed = chart_maps(fd)
-    for phi in charts:
+    linear = _linear_on(points)
+    for k, phi in enumerate(charts):
+        if k and linear(phi):
+            continue
         image, _ = map_cycle(phi, points)
         if not cycle_is_convex(image):
             wit = _convexity_witness(fd, diagram, cycle, points, phi, image)
@@ -440,6 +512,13 @@ def blc_hull_2d(fd, diagram, pts):
 
     A vertex that is one of the points comes back as the tuple given (the
     first of equal-valued ones); a vertex the closure adds is a Fraction pair.
+
+    Each closure round maps the hull through every chart, hulls the image
+    and pulls it back.  A chart none of whose fold lines cuts the hull is
+    skipped: it acts on the hull's closed cell C by one matrix M
+    (``_linear_on``), so the image is M·hull.  Its inverse maps M·C, a
+    closed sector of the inverse that no fold ray of the inverse enters, by
+    M⁻¹, so the pullback is the hull's own vertices and adds nothing to V.
     """
     pts = _polygon_points(pts)
     charts, closed = chart_maps(fd)
@@ -454,7 +533,10 @@ def blc_hull_2d(fd, diagram, pts):
         if hull == prev:
             break
         prev = hull
+        linear = _linear_on(hull)
         for phi in charts:
+            if linear(phi):
+                continue
             image, _ = map_cycle(phi, hull)
             # the chart hull and its fold crossings, pulled back
             back, _ = map_cycle(phi.inverse(), convex_hull(image))
@@ -476,26 +558,28 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     Pairs whose whole truncation triangle p+q+{order <= K} sits inside are
     skipped without any series work.
 
-    The scan is one integer pass: each dilation and its sorted lattice
-    points are built once per degree, pairs with the origin are left out of
-    the lists (they cannot escape), the corners are tested on ints, and
-    products and alpha tables are read from the diagram's caches with one
-    key per pair; only a miss computes them.
+    The scan is one integer pass: each dilation and its lattice points,
+    descending, are built once per degree, pairs with the origin are left
+    out of the lists (they cannot escape), the corners are tested on ints,
+    and products and alpha tables are read from the diagram's caches with
+    one key per pair; only a miss computes them.  The corner p + q itself is
+    not tested: P is convex, so aP + bP = (a + b)P holds it.
     """
     cycle = _polygon_points(cycle)
     _check_degree(max_degree)
     _check_order(K)
     if K is None:
         K = diagram.order
-    region = compile_hull(convex_hull(cycle))
-    # the nonzero lattice points of each dilation kP, descending, listed when
-    # first needed.  A pair with the origin is never a violation: the origin
-    # in bP puts it in P, and then aP lies in (a + b)P, as P is convex.
+    region = compile_hull(cycle)
+    # the nonzero lattice points of each dilation kP, descending (the
+    # ascending scan reversed), listed when first needed.  A pair with the
+    # origin is never a violation: the origin in bP puts it in P, and then
+    # aP lies in (a + b)P, as P is convex.
     listed = {}
 
     def lattice(k):
         if k not in listed:
-            listed[k] = [p for p in sorted(region.dilate(k).lattice_points(), reverse=True)
+            listed[k] = [p for p in reversed(region.dilate(k).lattice_points())
                          if p != (0, 0)]
         return listed[k]
 
@@ -520,8 +604,7 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
                 px, py = p
                 for q in pb:
                     sx, sy = px + q[0], py + q[1]
-                    if (inside(sx, sy) and inside(sx + k1x, sy + k1y)
-                            and inside(sx + k2x, sy + k2y)):
+                    if inside(sx + k1x, sy + k1y) and inside(sx + k2x, sy + k2y):
                         continue
                     key = _pair_key(p, q, K)
                     prod = products.get(key)
@@ -560,7 +643,7 @@ def _random_polygon(rng):
 
 def _certify_failure(fd, diagram, cycle, seg, K, max_ab=24):
     """Turn a convexity witness segment into an explicit positivity violation."""
-    region = compile_hull(convex_hull(cycle))
+    region = compile_hull(cycle)
     iv_t = Fraction(0)
     tau = None
     pos = seg.start

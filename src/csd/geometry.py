@@ -4,9 +4,10 @@ Points are tuples of ints or Fractions.  The polygon kernel works on
 integers alone: a point may also be homogeneous, (X, Y, q) with q > 0
 standing for (X/q, Y/q).  ``convex_hull`` runs its monotone chain on integer
 numerators over one common denominator and returns each vertex as the tuple
-it was given, and ``compile_hull`` turns a hull once into integer
-half-planes A*x + B*y >= N.  A point X/q is inside when A*X + B*Y >= N*q for
-every half-plane, and scaling the hull by k scales every N by k.
+it was given, and ``compile_hull`` hulls a point set and turns it, in the
+same pass, into integer half-planes A*x + B*y >= N.  A point X/q is inside
+when A*X + B*Y >= N*q for every half-plane, and scaling the hull by k
+scales every N by k.
 """
 
 from fractions import Fraction
@@ -89,22 +90,6 @@ ccw_key = cmp_to_key(_ccw_cmp)
 
 def sort_ccw(dirs):
     return sorted(dirs, key=ccw_key)
-
-
-def ccw_between(a, x, b):
-    """True if direction x lies in the ccw sector [a, b), a != b."""
-    ab = cross(a, b)
-    if ab > 0:
-        # narrower than a half-turn
-        return cross(a, x) >= 0 and cross(x, b) > 0
-    if ab < 0:
-        # the complement of the narrow sector [b, a)
-        return not (cross(b, x) >= 0 and cross(x, a) > 0)
-    if dot(a, b) > 0:
-        return False
-    # a half-plane: the left side of a, with a but not -a
-    ax = cross(a, x)
-    return ax > 0 or (ax == 0 and dot(a, x) > 0)
 
 
 def convex_hull(points):
@@ -215,7 +200,9 @@ class HalfPlanes:
         return True
 
     def lattice_points(self):
-        """Integer points of the hull, by column (x, then y, ascending)."""
+        """Integer points of the hull in ascending order: by column, x
+        ascending, and y ascending within a column.  This is sorted order
+        of the (x, y) tuples, which ``check_positive`` relies on."""
         x0, x1, y0, y1, L = self.box
         out = []
         for x in range(-(-x0 // L), x1 // L + 1):
@@ -232,27 +219,37 @@ class HalfPlanes:
         return out
 
 
-def compile_hull(hull):
-    """HalfPlanes of a ccw vertex list as ``convex_hull`` returns it.
+def compile_hull(points):
+    """HalfPlanes of the convex hull of a nonempty set of points.
 
-    One point gives four half-planes, a segment two opposite ones along it
-    and two end caps, a polygon one per edge.
+    The points may be plain or homogeneous.  One pass: each point is made
+    homogeneous once and scaled to the common denominator L, the monotone
+    chain that ``convex_hull`` uses runs on those integer numerators, and
+    each hull edge becomes one half-plane.  One point gives four
+    half-planes, a segment two opposite ones along it and two end caps, a
+    polygon one per edge, counterclockwise from its least (x, y) vertex.  A
+    half-plane is kept with gcd(A, B, N) = 1, so it does not depend on L.
     """
-    pts = [homogeneous(p) for p in hull]
-    planes = []
+    hs = [homogeneous(p) for p in points]
+    if not hs:
+        raise ValueError("convex hull of no points")
+    L = lcm(*(q for _, _, q in hs))
+    # (x, y, L): each point as a homogeneous triple over L, for _plane
+    pts = sorted({(X * (L // q), Y * (L // q), L) for X, Y, q in hs})
     if len(pts) == 1:
         planes = [_plane(n, pts[0]) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        hull = pts
     else:
-        for i, a in enumerate(pts):
-            b = pts[(i + 1) % len(pts)]
-            u = (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2])  # (b - a)*qa*qb
+        hull = _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
+        planes = []
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            u = (b[0] - a[0], b[1] - a[1])
             planes.append(_plane(rot90(u), a))
-            if len(pts) == 2:
+            if len(hull) == 2:
                 # the edge b -> a gives the other side; cap the segment at a
                 planes.append(_plane(u, a))
-    L = lcm(*(q for _, _, q in pts))
-    xs = [X * (L // q) for X, _, q in pts]
-    ys = [Y * (L // q) for _, Y, q in pts]
+    xs = [x for x, _, _ in hull]
+    ys = [y for _, y, _ in hull]
     return HalfPlanes(planes, (min(xs), max(xs), min(ys), max(ys), L))
 
 
@@ -262,13 +259,3 @@ def _plane(n, p):
     A, B, N = n[0] * q, n[1] * q, n[0] * X + n[1] * Y
     g = gcd(A, B, N)
     return (A // g, B // g, N // g)
-
-
-def point_in_hull(pt, hull):
-    """Point containment for a ccw convex hull (boundary counts)."""
-    return compile_hull(hull).contains(*homogeneous(pt))
-
-
-def lattice_points_in_hull(hull):
-    """All integer points inside a ccw convex hull with rational vertices."""
-    return compile_hull(hull).lattice_points()

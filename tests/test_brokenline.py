@@ -131,6 +131,62 @@ def test_validate_segment_corrupted(a2, a2_diagram):
     assert not ok and why is not None
 
 
+# validate_segment walks on integers; its messages are pinned to those of
+# the Fraction walk it replaced, one test per kind of failure on seg_a2
+
+def test_validate_segment_zero_exponent(a2, a2_diagram):
+    seg = seg_a2(a2_diagram)
+    seg.pieces[0] = Piece((0, 0), 1, None, F(1, 2))
+    assert validate_segment(a2, a2_diagram, seg) == (False, "piece 0 has zero exponent")
+
+
+def test_validate_segment_negative_duration(a2, a2_diagram):
+    seg = seg_a2(a2_diagram)
+    seg.pieces[1] = Piece((-7, -12), 1, None, F(-1, 14))
+    assert validate_segment(a2, a2_diagram, seg) == (False, "piece 1 has negative duration")
+
+
+def test_validate_segment_bend_off_walls(a2, a2_diagram):
+    seg = seg_a2(a2_diagram)
+    seg.pieces[0] = Piece((5, -12), 1, None, F(1, 3))
+    assert validate_segment(a2, a2_diagram, seg) == (
+        False, "bend point (Fraction(1, 3), Fraction(-2, 1)) lies on no wall")
+
+
+def test_validate_segment_disallowed_bend(a2, a2_diagram):
+    seg = seg_a2(a2_diagram)
+    seg.pieces[1] = Piece((-7, -13), 1, None, F(1, 14))
+    assert validate_segment(a2, a2_diagram, seg) == (
+        False, "bend (5, -12) -> (-7, -13) at (Fraction(-1, 2), Fraction(0, 1)) is not allowed")
+
+
+def test_validate_segment_wrong_end(a2, a2_diagram):
+    seg = seg_a2(a2_diagram)
+    seg.end = (F(3), F(4))
+    assert validate_segment(a2, a2_diagram, seg) == (
+        False, "segment ends at (Fraction(3, 1), Fraction(3, 1)), "
+        "expected (Fraction(3, 1), Fraction(4, 1))")
+
+
+def test_validate_segment_wrong_total_time(a2, a2_diagram):
+    seg = seg_a2(a2_diagram)
+    seg.total_time = F(2)
+    assert validate_segment(a2, a2_diagram, seg) == (
+        False, "durations sum to Fraction(1, 1), expected total Fraction(2, 1)")
+
+
+def test_validate_segment_shows_positions_as_given(a2, a2_diagram):
+    # an int start is shown as given until a Fraction duration moves it
+    seg = Segment((2, -6), (F(3), F(3)),
+                  [Piece((5, -12), 1, None, None), Piece((1, 0), 1, None, F(1))], F(1))
+    assert validate_segment(a2, a2_diagram, seg) == (
+        False, "bend point (2, -6) lies on no wall")
+    # int durations and exponents keep an int start int
+    seg = Segment((2, -6), (3, 4), [Piece((-1, -9), 1, None, 1)], 1)
+    assert validate_segment(a2, a2_diagram, seg) == (
+        False, "segment ends at (3, 3), expected (3, 4)")
+
+
 def test_validate_straight_segment(a2, a2_diagram):
     seg = Segment((F(1), F(1)), (F(3), F(1)), [Piece((-2, 0), 1, None, F(1))], F(1))
     ok, why = validate_segment(a2, a2_diagram, seg)

@@ -93,6 +93,20 @@ def test_glue_manual_pair(g2, g2_diagram):
     assert ok, why
 
 
+def test_glue_rational_exponents_validate(g2, g2_diagram):
+    # scaled glue: every exponent entry is a Fraction, read by validate_segment
+    # through numerator and denominator
+    l1 = BrokenLine((F(0), F(3)), [Piece((1, 0), 1, None)])
+    l2 = BrokenLine((F(0), F(3)), [Piece((-1, 0), 1, (F(0), F(3))),
+                                   Piece((-1, 3), 1, None)])
+    seg = glue_balanced(g2, g2_diagram, BalancedPair(l1, l2, (0, 3)), 2, 3)
+    assert seg.start == (F(1, 2), F(0)) and seg.end == (F(-1, 3), F(0))
+    assert [(p.exponent, p.duration) for p in seg.pieces] == \
+        [((5, -6), F(1, 10)), ((5, 9), F(1, 15))]
+    assert all(type(c) is Fraction for p in seg.pieces for c in p.exponent)
+    assert validate_segment(g2, g2_diagram, seg) == (True, None)
+
+
 def test_glue_rejects_unbalanced(g2, g2_diagram):
     l1 = BrokenLine((F(0), F(3)), [Piece((1, 0), 1, None)])
     pair = BalancedPair(l1, l1, (0, 3))

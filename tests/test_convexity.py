@@ -7,10 +7,15 @@ from csd.brokenline import validate_segment
 from csd.convexity import (PLMap, shear_map, chart_maps,
                            is_blc_2d, blc_hull_2d, check_positive,
                            main_theorem_harness, map_cycle)
-from csd.geometry import convex_hull, point_in_hull, homogeneous
+from csd.geometry import convex_hull, compile_hull, homogeneous
 from csd.lattice import FixedData
 
 F = Fraction
+
+
+def point_in_hull(pt, hull):
+    """Point containment for a convex hull (boundary counts)."""
+    return compile_hull(hull).contains(*homogeneous(pt))
 
 A2_BAD_TRIANGLE = [(F(0), F(0)), (F(2), F(-6)), (F(3), F(3))]
 G2_PENTAGON = [(F(-1), F(0)), (F(1), F(-3)), (F(2), F(-3)), (F(1), F(0)),

@@ -3,11 +3,29 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from csd.convexity import PLMap, I2
 from csd.geometry import (vadd, vsub, vneg, vscale, is_zero, dot, cross, rot90,
-                          primitive, same_ray, sort_ccw, ccw_between, convex_hull,
-                          cycle_is_convex, point_in_hull, lattice_points_in_hull)
+                          primitive, same_ray, sort_ccw, convex_hull, cycle_is_convex,
+                          compile_hull, homogeneous)
 
 F = Fraction
+
+
+def point_in_hull(pt, hull):
+    """Point containment for a convex hull (boundary counts)."""
+    return compile_hull(hull).contains(*homogeneous(pt))
+
+
+def lattice_points_in_hull(hull):
+    """All integer points of a convex hull with rational vertices."""
+    return compile_hull(hull).lattice_points()
+
+
+def ccw_between(a, x, b):
+    """Whether direction x lies in the ccw sector [a, b), a != b, by the
+    compiled sector table of a two-sector map."""
+    doubled = ((2, 0), (0, 1))
+    return PLMap([(a, doubled), (b, I2)]).matrix_at(x) == doubled
 
 vec = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 nonzero_vec = vec.filter(lambda v: v != (0, 0))

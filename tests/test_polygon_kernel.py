@@ -15,14 +15,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csd import constructions
+from csd import constructions, convexity
 from csd.brokenline import Segment, Piece, validate_segment, reverse
 from csd.constructions import fixed_generic_endpoint, _theta_cached
 from csd.convexity import (PLMap, chart_maps, is_blc_2d, blc_hull_2d, check_positive,
                            mat_vec, _alpha_cached)
 from csd.geometry import (vadd, vsub, vscale, is_zero, primitive, cross, dot, sgn,
-                          ccw_key, ccw_between, convex_hull, compile_hull, cycle_is_convex,
-                          point_in_hull, lattice_points_in_hull, homogeneous, rational)
+                          ccw_key, convex_hull, compile_hull, cycle_is_convex,
+                          homogeneous, rational)
 from csd.lattice import FixedData
 from csd.scattering import complete_rank2
 from csd.series import lp_mul
@@ -90,6 +90,23 @@ def ref_cycle_is_convex(cycle):
         if s:
             signs.add(s)
     return len(signs) <= 1
+
+
+def ccw_between(a, x, b):
+    """True if direction x lies in the ccw sector [a, b), a != b: the case
+    analysis that PLMap compiles into its sector kinds."""
+    ab = cross(a, b)
+    if ab > 0:
+        # narrower than a half-turn
+        return cross(a, x) >= 0 and cross(x, b) > 0
+    if ab < 0:
+        # the complement of the narrow sector [b, a)
+        return not (cross(b, x) >= 0 and cross(x, a) > 0)
+    if dot(a, b) > 0:
+        return False
+    # a half-plane: the left side of a, with a but not -a
+    ax = cross(a, x)
+    return ax > 0 or (ax == 0 and dot(a, x) > 0)
 
 
 def ref_ccw_between(a, x, b):
@@ -334,7 +351,7 @@ def test_compiled_containment_matches_reference(hull, k, rational_pts, int_pts):
     for pt in probes:
         expected = ref_point_in_hull(pt, dilated)
         assert compiled.contains(*homogeneous(pt)) == expected, (hull, k, pt)
-        assert point_in_hull(pt, dilated) == expected
+        assert compile_hull(dilated).contains(*homogeneous(pt)) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -345,7 +362,52 @@ def test_lattice_points_match_bounding_box_scan(hull, k):
     compiled = compile_hull(hull)
     assert all(type(c) is int for c in compiled.box + compiled.dilate(k).box)
     assert compiled.dilate(k).lattice_points() == expected
-    assert lattice_points_in_hull(dilated) == expected
+    assert compile_hull(dilated).lattice_points() == expected
+
+
+def ref_planes(hull):
+    """The half-planes n.x >= n.a of a ccw Fraction hull, one per edge a -> b
+    with n = rot90(b - a) (two caps and two sides for a segment, four for a
+    point), each as primitive integers (A, B, N)."""
+    if len(hull) == 1:
+        normals = [((1, 0), hull[0]), ((-1, 0), hull[0]), ((0, 1), hull[0]), ((0, -1), hull[0])]
+    else:
+        normals = []
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            u = vsub(b, a)
+            normals.append(((-u[1], u[0]), a))
+            if len(hull) == 2:
+                normals.append((u, a))
+    out = []
+    for n, a in normals:
+        row = [F(n[0]), F(n[1]), dot(n, a)]
+        den = math.lcm(*(c.denominator for c in row))
+        ints = [int(c * den) for c in row]
+        g = math.gcd(*ints)
+        out.append(tuple(c // g for c in ints))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_inputs, st.booleans())
+def test_compile_hull_of_any_point_set(pts, homog):
+    # one pass from the raw points: the same half-planes as the reference
+    # hull's edges, the same box as rationals and the same lattice points
+    ref = ref_convex_hull(pts)
+    compiled = compile_hull([homogeneous(p) for p in pts] if homog else pts)
+    assert compiled.planes == ref_planes(ref)
+    x0, x1, y0, y1, L = compiled.box
+    xs, ys = [F(p[0]) for p in ref], [F(p[1]) for p in ref]
+    assert (F(x0, L), F(x1, L), F(y0, L), F(y1, L)) == (min(xs), max(xs), min(ys), max(ys))
+    assert compiled.lattice_points() == ref_lattice_points(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_hull, st.integers(1, 4))
+def test_lattice_points_are_ascending(hull, k):
+    # check_positive reverses this list to scan each dilation descending
+    pts = compile_hull(hull).dilate(k).lattice_points()
+    assert pts == sorted(set(pts))
 
 
 def test_compiled_hull_shapes():
@@ -436,19 +498,47 @@ def _polygons(seed, small, large):
     return out
 
 
+def _degenerate_cycles(fd, seed):
+    """Cycles the bench never draws: shuffled (non-convex) and clockwise
+    vertex orders, repeated vertices, the origin inside an edge, and
+    collinear zigzags on fold lines through the origin with points on both
+    rays, the cases where a chart is linear on a cycle without lying in an
+    open sector."""
+    rng = random.Random(seed)
+    out = []
+    for hull in _polygons(seed, 8, 4):
+        shuffled = list(hull)
+        rng.shuffle(shuffled)
+        out += [shuffled, hull[::-1], hull + hull[:1], hull[:1] + hull + hull[-1:]]
+    out += [[(F(-1), F(-1)), (F(1), F(1)), (F(1), F(-1))],
+            [(F(-1), F(0)), (F(1), F(0)), (F(0), F(1))],
+            [(F(2), F(-1)), (F(0), F(0)), (F(-2), F(1)), (F(0), F(2))]]
+    lines = {(1, 1), (1, 0), (0, 1), (1, -1)}
+    lines.update(line for phi in chart_maps(fd)[0] for line in phi.lines)
+    for x, y in sorted(lines, key=lambda s: (abs(s[0]) + abs(s[1]), s))[:8]:
+        s, t = (F(x), F(y)), (F(-x), F(-y))
+        out += [[s, t, vscale(2, s), vscale(2, t)],
+                [s, t, (F(1, 2), F(1, 3))],
+                [(F(0), F(0)), s, vscale(3, s)]]
+    return out
+
+
 @pytest.fixture(scope="module")
 def diagrams(a2, a2_diagram, kron, kron_diagram, g2, g2_diagram):
     b2 = FixedData.from_exchange([[0, 2], [-1, 0]], [1, 2])
     wild = FixedData.from_exchange([[0, 3], [-3, 0]], [1, 1])
+    one_four = FixedData.from_exchange([[0, 4], [-1, 0]], [1, 4])
     return {"A2": (a2, a2_diagram), "Kronecker": (kron, kron_diagram),
             "G2": (g2, g2_diagram), "B2": (b2, complete_rank2(b2, 6)),
-            "(3,3)": (wild, complete_rank2(wild, 6))}
+            "(3,3)": (wild, complete_rank2(wild, 6)),
+            "(1,4)": (one_four, complete_rank2(one_four, 6))}
 
 
-@pytest.mark.parametrize("name", ["A2", "Kronecker", "G2", "B2", "(3,3)"])
+@pytest.mark.parametrize("name", ["A2", "Kronecker", "G2", "B2", "(3,3)", "(1,4)"])
 def test_verdicts_match_fraction_path(name, diagrams):
     fd, diagram = diagrams[name]
-    for cycle in _polygons("kernel:" + name, 100, 20):
+    for cycle in _polygons("kernel:" + name, 100, 20) + \
+            _degenerate_cycles(fd, "degenerate:" + name):
         blc = is_blc_2d(fd, diagram, cycle, 6)
         verdict, witnesses, closed = ref_is_blc(fd, diagram, cycle)
         assert (blc.verdict, repr(blc.witnesses), blc.closed) == \
@@ -456,6 +546,36 @@ def test_verdicts_match_fraction_path(name, diagrams):
         pos = check_positive(fd, diagram, cycle, 3, 6)
         ref = ref_check_positive(fd, diagram, cycle, 3, 6)
         assert (pos.verdict, repr(pos.witnesses)) == (ref[0], repr(ref[1])), cycle
+
+
+# (map_cycle calls, witness chords pulled back, validate_segment calls) of
+# is_blc_2d at K 6 over _polygons("kernel:<name>", 100, 20).  Charts linear
+# on a cycle are never mapped and chords that cross no fold are never pulled
+# back; a change that loses either skip fails here.
+CHART_WORK = {"A2": (272, 128, 87), "G2": (271, 113, 93), "Kronecker": (485, 128, 99)}
+
+
+@pytest.mark.parametrize("name", sorted(CHART_WORK))
+def test_chart_work_is_pinned(name, diagrams, monkeypatch):
+    fd, diagram = diagrams[name]
+    chart_maps(fd)
+    calls = {"map_cycle": 0, "image": 0, "validate_segment": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(convexity, "map_cycle", counted("map_cycle", convexity.map_cycle))
+    monkeypatch.setattr(convexity, "validate_segment",
+                        counted("validate_segment", convexity.validate_segment))
+    monkeypatch.setattr(PLMap, "image", counted("image", PLMap.image))
+    for cycle in _polygons("kernel:" + name, 100, 20):
+        is_blc_2d(fd, diagram, cycle, 6)
+    # map_cycle maps through PLMap.image once; every other image is a chord
+    assert (calls["map_cycle"], calls["image"] - calls["map_cycle"],
+            calls["validate_segment"]) == CHART_WORK[name]
 
 
 @pytest.mark.parametrize("max_degree,K", [(2, 4), (2, 6), (4, 4), (4, 6)])
@@ -542,10 +662,25 @@ def test_hull_vertices_come_back_as_given(g2, g2_diagram):
     assert len(hull) > len(given)
 
 
-def test_hulls_match_fraction_path(a2, a2_diagram, g2, g2_diagram):
+def test_hulls_match_fraction_path(a2, a2_diagram, g2, g2_diagram, kron, kron_diagram):
     b2 = FixedData.from_exchange([[0, 2], [-1, 0]], [1, 2])
+    b2_diagram = complete_rank2(b2, 6)
     grid = [(F(x), F(y)) for x in (-1, 0, 1) for y in (-1, 0, 1)]
-    for fd, diagram in ((a2, a2_diagram), (b2, complete_rank2(b2, 6)), (g2, g2_diagram)):
+    for fd, diagram in ((a2, a2_diagram), (b2, b2_diagram), (g2, g2_diagram)):
         for pts in itertools.combinations(grid, 3):
             assert repr(blc_hull_2d(fd, diagram, pts)) == \
                 repr(ref_blc_hull(fd, diagram, pts)), pts
+    # Kronecker's chart set never closes, so its hulls come back flagged;
+    # seeded half-integer point sets on every type
+    rng = random.Random("hulls")
+    half = [F(k, 2) for k in range(-4, 5)]
+    for fd, diagram in ((a2, a2_diagram), (b2, b2_diagram), (g2, g2_diagram),
+                        (kron, kron_diagram)):
+        sets = [[(rng.choice(half), rng.choice(half)) for _ in range(rng.randint(1, 5))]
+                for _ in range(12)]
+        if fd is kron:
+            sets += list(itertools.combinations(grid, 3))[::4]
+        for pts in sets:
+            hull = blc_hull_2d(fd, diagram, pts)
+            assert repr(hull) == repr(ref_blc_hull(fd, diagram, pts)), pts
+            assert hull[1] == (fd is kron)
