@@ -9,10 +9,9 @@ coefficient (an int), and the point where it bends into the next piece.
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, cross, dot,
-                       ccw_key, homogeneous, rational)
+                       ccw_key, homogeneous, rational, is_rational)
 from .lattice import pairing, n_circ_primitive, scaled_normal, order_form
 from .series import wf_mul, wf_coeff_pow, _pow_coeffs, _integer, LaurentPoly
 
@@ -158,33 +157,34 @@ def _turn(x, y, q, mx, my):
 class SearchForm:
     """A diagram's walls compiled for the backward broken-line search.
 
-    Every wall lies on a line through the origin, and the walls through a
-    nonzero point all lie on the line through it, so the walls are grouped
-    by support line.  Each side of a support line that some wall covers is
-    a half-line from the origin; the form keeps these half-lines as
-    primitive directions in counterclockwise order (geometry.ccw_key), and
-    a position on the circle of directions as the pair (cw, ccw) of indices
-    of its neighbouring half-lines (see near).
+    Every wall lies on a line through the origin.  Each side of a support
+    line that some wall covers is a half-line from the origin, and the
+    walls through a nonzero point are those of its half-line.  The form
+    keeps the half-lines as primitive directions in counterclockwise order
+    (geometry.ccw_key), a position on the circle of directions as the pair
+    (cw, ccw) of indices of its neighbouring half-lines (see near), and,
+    in lists indexed by half-line, the walls, their direction m0 and their
+    _Family (family, built on first use, with its power tables).
 
-    The search walks that list.  Take a ray P + t*v, t > 0, with
+    walk is the one walker of that list.  Take a ray P + t*v, t > 0, with
     s = cross(P, v) != 0.  Seen from the origin its angle moves strictly
     monotonically from arg P toward arg v, through an arc shorter than pi,
     clockwise or counterclockwise as the sign of s says.  So the ray meets
     a half-line h exactly when h lies strictly inside that arc, and it
-    meets such half-lines in their angular order: ray_events starts at the
-    neighbour of P on the side of s and goes on while the next half-line is
-    still inside the arc, and dead tells in O(1) whether the ray from a
-    bend site meets any half-line at all.
+    meets such half-lines in their angular order: walk starts at the
+    neighbour of P on the side of s and goes on while the next half-line
+    is still inside the arc.  ray_events lists the sites of a walk, and
+    dead tells whether a walk from a bend site has a first step.
 
     The form also holds the cone coordinates that give bends its exact
     monoid test, and the diagram's caches.  Points are pairs or reduced
     homogeneous triples (X, Y, Q) as geometry.homogeneous gives them; the
-    search passes the triples of ray_events unchanged.  Bend coefficients
+    search passes its sites to allowed_bends as triples.  Bend coefficients
     are ints, read from tables of powers of f.
 
-    - families: wall families, keyed by the tuple of walls met at a point
-      and looked up by the ray from the origin through the point, each with
-      its table of powers of f keyed by (power, order numerator bound);
+    - families: wall families, one per wall tuple of a half-line (the two
+      halves of a line share one), plus the families at the origin;
+    - arcs: the arc cones of each half-line, per (initial exponent, sense);
     - thetas: theta functions, keyed by (m, endpoint, K);
     - alphas: alpha tables, keyed by (unordered pair {p, q}, K);
     - products: theta products at the expansion endpoint, keyed by
@@ -192,9 +192,9 @@ class SearchForm:
     - endpoint: the expansion endpoint, computed once.
 
     Nothing is evicted.  Each entry is a value the diagram was asked for, so
-    a cache grows only with the distinct wall sets, (pair, K) and
-    (m, endpoint, K) its callers request, and it is dropped with the form.
-    The form is built by search_form on the first search and reset by
+    a cache grows only with the half-lines, (pair, K) and (m, endpoint, K)
+    its callers request, and it is dropped with the form.  The form is
+    built by search_form on the first search and reset by
     scattering.complete_diagram, the only code that changes walls.
     """
 
@@ -202,45 +202,56 @@ class SearchForm:
         self.fd = fd
         self.L = fd.L
         self._all = tuple(walls)
-        # per support line, keyed by its primitive direction u: the sides of
-        # the origin (u, -u) its walls cover, and its walls in diagram order
-        halves, self._lines = set(), {}
+        # each covered half-line, by its primitive direction: its walls in
+        # diagram order
+        walls_at = {}
         for w in walls:
             a = scaled_normal(fd, w.normal)
             u = _line_key(-a[1], a[0])
-            self._lines.setdefault(u, []).append((w, w.kind == "ray", w.direction))
             if w.kind != "ray":
-                halves.update((u, (-u[0], -u[1])))
+                sides = (u, (-u[0], -u[1]))
             elif cross(u, w.direction) == 0:
-                halves.add(u if dot(u, w.direction) > 0 else (-u[0], -u[1]))
-        self._halves = sorted(halves, key=ccw_key)
+                sides = (u if dot(u, w.direction) > 0 else (-u[0], -u[1]),)
+            else:
+                continue
+            for h in sides:
+                walls_at.setdefault(h, []).append(w)
+        self._halves = sorted(walls_at, key=ccw_key)
         n = len(self._halves)
+        self._index = {h: i for i, h in enumerate(self._halves)}
         self._around = [((i - 1) % n, (i + 1) % n) for i in range(n)]
+        self._walls = [tuple(walls_at[h]) for h in self._halves]
+        self._m0 = [ws[0].func.direction for ws in self._walls]
+        self._fams = [None] * n
         # m = (A*g1 + B*g2)/D with A = ux*m0 + uy*m1 and B = vx*m0 + vy*m1
         self._cone = order_form(fd)
         self._families = {}
-        self._families_at = {}
+        self._origin = None
+        self._arcs = {}
         self.thetas = {}
         self.alphas = {}
         self.products = {}
         self.endpoint = None
 
+    def _half(self, point):
+        """The index of the half-line through the point, None if there is none
+        or the point is the origin."""
+        x, y, _ = homogeneous(point)
+        g = gcd(x, y) or 1
+        return self._index.get((x // g, y // g))
+
     def walls_through(self, point):
         """The walls whose support contains the point."""
-        x, y, _ = homogeneous(point)
-        return self._walls_at(x, y)
-
-    def _walls_at(self, x, y):
-        if not (x or y):
-            return self._all
-        return tuple(w for w, ray, (dx, dy) in self._lines.get(_line_key(x, y), ())
-                     if not ray or (x * dy == y * dx and x * dx + y * dy > 0))
+        i = self._half(point)
+        if i is None:
+            return () if any(point[:2]) else self._all
+        return self._walls[i]
 
     def near(self, x, y):
         """Indices (cw, ccw) of the half-lines next to the direction of (x, y) != 0.
 
         For a point on half-line i they are the neighbours of i.  With no
-        half-lines the pair is (0, 0), which ray_events never reads.
+        half-lines the pair is (0, 0), which walk never reads.
         """
         n = len(self._halves)
         if not n:
@@ -252,79 +263,90 @@ class SearchForm:
                 return self._around[j]
         return (j - 1) % n, j % n
 
-    def ray_events(self, x, y, q, mx, my, near):
-        """Bend sites of the open ray (x, y)/q + t*(mx, my), t > 0, in t order.
+    def walk(self, x, y, q, mx, my, near):
+        """The half-lines the open ray (x, y)/q + t*(mx, my), t > 0, meets, in t order.
 
         near is the pair (cw, ccw) of half-lines next to (x, y), as near
-        gives it.  Each event is (site, i): the reduced homogeneous triple
-        (X, Y, Q), Q > 0, of the point where the ray crosses half-line i; the
-        walls of one half-line give one site.  A ray that points straight
-        away from the origin has none.  Raises ValueError when the ray runs
-        into the origin.
+        gives it.  Yields (i, td, tn): the ray meets half-line i at
+        t = tn / (q * td), with td, tn > 0.  A ray that points straight
+        away from the origin meets none.  Raises ValueError when the ray
+        runs into the origin.
         """
         s = _turn(x, y, q, mx, my)
         if s == 0:
-            return []
+            return
         halves = self._halves
         n = len(halves)
         step = 1 if s > 0 else -1
         i = near[s > 0]
-        events = []
         # at most one lap: the arc may hold every half-line
         for _ in range(n):
             hx, hy = halves[i]
-            # the ray meets the line of h at t = tn / (q * td); h lies inside
-            # the arc when cross(P, h) and cross(h, m) both have the sign of s
+            # h lies inside the arc when cross(P, h) and cross(h, m) both
+            # have the sign of s
             td = hx * my - hy * mx
             tn = hy * x - hx * y
             if s < 0:
                 td, tn = -td, -tn
             if td <= 0 or tn <= 0:
-                break
-            px = td * x + tn * mx
-            py = td * y + tn * my
-            Q = q * td
-            g = gcd(px, py, Q)
-            events.append(((px // g, py // g, Q // g), i))
+                return
+            yield i, td, tn
             i = (i + step) % n
-        return events
+
+    def ray_events(self, x, y, q, mx, my, near):
+        """Bend sites of the open ray (x, y)/q + t*(mx, my), t > 0, in t order.
+
+        The sites of walk: each event is (site, i), the reduced homogeneous
+        triple (X, Y, Q), Q > 0, of the point where the ray crosses
+        half-line i; the walls of one half-line give one site.
+        """
+        return [(_site(x, y, q, mx, my, td, tn), i)
+                for i, td, tn in self.walk(x, y, q, mx, my, near)]
 
     def dead(self, i, mx, my):
         """True when the ray from a point of half-line i along (mx, my) meets
-        no half-line and does not run into the origin.
-
-        The ray turns away from h_i; the first half-line it could meet is
-        the neighbour of i on that side, and only if that neighbour lies
-        strictly between h_i and the direction of the ray.
-        """
+        no half-line and does not run into the origin: when the walk from
+        h_i has no first step."""
         hx, hy = self._halves[i]
-        s = hx * my - hy * mx
-        if s == 0:
-            # straight out is dead; into the origin is not, so that
-            # ray_events raises for it
+        if hx * my == hy * mx:
+            # straight out is dead; into the origin is not, so that walk
+            # raises for it
             return hx * mx + hy * my > 0
-        gx, gy = self._halves[self._around[i][s > 0]]
-        a, b = hx * gy - hy * gx, gx * my - gy * mx
-        if s < 0:
-            a, b = -a, -b
-        return a <= 0 or b <= 0
+        return next(self.walk(hx, hy, 1, mx, my, self._around[i]), None) is None
+
+    def family(self, i):
+        """The wall family of half-line i, built on first use and shared by
+        the half-lines with the same walls."""
+        fam = self._fams[i]
+        if fam is None:
+            walls = self._walls[i]
+            fam = self._families.get(walls)
+            if fam is None:
+                fam = self._families[walls] = _Family(self.fd, walls)
+            self._fams[i] = fam
+        return fam
+
+    def arcs(self, t, ccw):
+        """The _Arcs of the initial exponent t and sense ccw, kept on the form."""
+        arcs = self._arcs.get((t, ccw))
+        if arcs is None:
+            arcs = self._arcs[t, ccw] = _Arcs(self, t, ccw)
+        return arcs
 
     def families(self, point):
         """Families of the walls through the point, grouped by support line."""
-        x, y, _ = homogeneous(point)
-        g = gcd(x, y) or 1
-        fams = self._families_at.get((x // g, y // g))
-        if fams is None:
-            walls = self._walls_at(x, y)
-            fams = self._families.get(walls)
-            if fams is None:
-                groups = {}
-                for w in walls:
-                    key = tuple(abs(c) for c in primitive(n_circ_primitive(self.fd, w.normal)))
-                    groups.setdefault(key, []).append(w)
-                fams = self._families[walls] = [_Family(self.fd, ws) for ws in groups.values()]
-            self._families_at[x // g, y // g] = fams
-        return fams
+        i = self._half(point)
+        if i is not None:
+            return [self.family(i)]
+        if any(point[:2]):
+            return []
+        if self._origin is None:
+            groups = {}
+            for w in self._all:
+                key = tuple(abs(c) for c in primitive(n_circ_primitive(self.fd, w.normal)))
+                groups.setdefault(key, []).append(w)
+            self._origin = [_Family(self.fd, ws) for ws in groups.values()]
+        return self._origin
 
     def bends(self, point, m_in, K, shift=None):
         """Exponents reachable by bending m_in at the point, as in allowed_bends.
@@ -366,6 +388,74 @@ class SearchForm:
         return out
 
 
+class _Arcs(dict):
+    """Arc cones for one initial exponent t and one sense of turning:
+    half-line i -> cone(h_i), built on first use.
+
+    guard is True when -t lies in the cone of the monoid; admits then lets
+    every node whose exponent lies in that cone through (see
+    enumerate_lines).  The form's lists are copied by reference and the
+    form itself is not kept, so a form and its arcs make no cycle.
+    """
+
+    __slots__ = ("halves", "m0", "order", "t", "ccw", "guard")
+
+    def __init__(self, form, t, ccw):
+        super().__init__()
+        self.halves, self.m0, self.order = form._halves, form._m0, form._cone
+        ux, uy, vx, vy, _ = self.order
+        self.t, self.ccw = t, ccw
+        self.guard = ux * t[0] + uy * t[1] <= 0 and vx * t[0] + vy * t[1] <= 0
+
+    def __missing__(self, i):
+        cone = self[i] = self.cone(self.halves[i])
+        return cone
+
+    def cone(self, x):
+        """The cone spanned by the m0 of the half-lines strictly inside the
+        arc of directions from x to t, in the sense of ccw: (e1, e2) as the
+        flat tuple (e1x, e1y, e2x, e2y), every such m0 lying counterclockwise
+        from e1 and clockwise from e2 (the m0 lie in the cone of the monoid,
+        which is narrower than pi), or None when no half-line is inside.
+        """
+        (x0, x1), (t0, t1) = (x, self.t) if self.ccw else (self.t, x)
+        c = x0 * t1 - x1 * t0
+        e1 = e2 = None
+        for (hx, hy), m in zip(self.halves, self.m0):
+            a, b = x0 * hy - x1 * hx, hx * t1 - hy * t0
+            # an arc up to pi: h is after x and before t (never, when x and
+            # t point the same way); a wider one: h is not in the closed arc
+            # from t to x
+            if (a > 0 and b > 0) if c >= 0 else (a > 0 or b > 0):
+                if e1 is None:
+                    e1 = e2 = m
+                elif cross(m, e1) > 0:
+                    e1 = m
+                elif cross(e2, m) > 0:
+                    e2 = m
+        return None if e1 is None else e1 + e2
+
+    def admits(self, cone, ax, ay, rx, ry):
+        """Whether a node with exponent (ax, ay) and remaining shift
+        (rx, ry) != 0, whose later bends lie on the half-lines of cone, may
+        still end in a line."""
+        if self.guard:
+            ux, uy, vx, vy, _ = self.order
+            if ux * ax + uy * ay >= 0 and vx * ax + vy * ay >= 0:
+                return True
+        return (cone is not None and cone[0] * ry - cone[1] * rx >= 0
+                and rx * cone[3] - ry * cone[2] >= 0)
+
+
+def _site(x, y, q, mx, my, td, tn):
+    """The reduced homogeneous triple of (x, y)/q + (tn / (q*td))*(mx, my)."""
+    px = td * x + tn * mx
+    py = td * y + tn * my
+    Q = q * td
+    g = gcd(px, py, Q)
+    return px // g, py // g, Q // g
+
+
 def search_form(fd, diagram):
     """The diagram's SearchForm for fd, compiled on first use."""
     form = diagram.compiled
@@ -397,7 +487,7 @@ def _endpoint(endpoint):
         a, b = endpoint
     except (TypeError, ValueError):
         raise ValueError("endpoint must be a pair of rationals, got %r" % (endpoint,)) from None
-    if not (isinstance(a, Rational) and isinstance(b, Rational)):
+    if not (is_rational(a) and is_rational(b)):
         raise ValueError("endpoint must be a pair of rationals, got %r" % (endpoint,))
     return homogeneous((a, b))
 
@@ -409,6 +499,36 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     search runs on integers: bend sites are homogeneous triples and
     coefficients ints.  Fractions are built only for the bend points of a
     returned line.
+
+    The search goes backward from the endpoint, one root per final
+    exponent, and drops every node that cannot end in a line.  Take a node
+    at x (the endpoint or a bend site) with exponent a, remaining shift
+    r != 0 and so initial exponent t = a - r, the same for every node of
+    the search, and let sigma be the cone of the monoid.
+
+    1. cross(y, exponent) is the same at every later point y of the line:
+       along a piece y moves along the exponent, and at a bend on a
+       half-line h the step k*m0_h is parallel to y.  So s = sign cross(x, a)
+       is fixed, and the angle of the position moves strictly monotonically
+       in the sense of s.  (A root with s = 0 is traced, so that a ray into
+       the origin raises; no later node can have s = 0.)
+    2. Every later exponent lies in E = t + (sigma & (r - sigma)): it is
+       t + r' with r' and r - r' in sigma.
+    3. Suppose 0 is not in E.  E is a compact convex set, so its
+       directions span an arc narrower than pi; the position always lies
+       within pi behind the current exponent; so the angle sweeps less than
+       2*pi from arg x to its limit arg t, and every later bend lies
+       strictly inside the one arc from arg x to arg t in the sense of s.
+       r is the sum of the steps k*m0 of those bends, so it lies in the
+       cone of the m0 of that arc's half-lines (_Arcs.cone).  If
+       it does not, or the arc is empty, the node is dropped.
+
+    0 lies in E exactly when -t and a lie in sigma, and lines can then wind
+    more than a full turn, so such nodes are not pruned (_Arcs.guard).  On
+    the type (3, 3) at order 6, with m = (1, -1) and endpoint
+    (97/113, -123/151), 2 of the 7 lines sweep more than 2*pi.  The roots
+    are tested here, with the two arc cones from the endpoint computed once
+    per call; _trace tests the children.
     """
     if K is None:
         K = diagram.order
@@ -423,45 +543,82 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
         raise ValueError("endpoint lies on a wall; perturb it first")
     near = form.near(x, y)
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
+    arcs = (form.arcs((ix, iy), False), form.arcs((ix, iy), True))
+    cones = {}
     results = []
     for a in range(K + 1):
         for b in range(K + 1 - a):
             px, py = a * g1x + b * g2x, a * g1y + b * g2y
-            if ix + px or iy + py:
-                _trace(fd, diagram, form, x, y, q, near, ix + px, iy + py, px, py, K, [],
-                       results)
+            mx, my = ix + px, iy + py
+            if not (mx or my):
+                continue
+            ccw = x * my - y * mx > 0
+            if (px or py) and x * my != y * mx:
+                if ccw not in cones:
+                    cones[ccw] = arcs[ccw].cone((x, y))
+                if not arcs[ccw].admits(cones[ccw], mx, my, px, py):
+                    continue
+            _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, arcs[ccw], [],
+                   results)
     lines = [_assemble(endpoint, rev_steps) for rev_steps in results]
     lines.sort(key=lambda l: l.signature())
     return lines
 
 
-def _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, steps, results):
+def _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
     """Backward search from (x, y)/q, between the half-lines near, with
     exponent (mx, my) and remaining shift (px, py); steps collect (bend site
-    (X, Y, Q), m_before_bend, coeff) endpoint-first.
+    (X, Y, Q), m_before_bend, coeff) endpoint-first.  arcs holds the arc
+    cones of the search's initial exponent and sense of turning.
 
     With no shift left the node is a line: no shift s != 0 of the pointed
-    monoid leaves -s in it, so it cannot bend.  bends lists only the bends
-    whose remaining shift stays in the monoid, and a child that still has a
-    shift is entered only when its ray meets a half-line (SearchForm.dead).
+    monoid leaves -s in it, so it cannot bend.  Otherwise the walk over the
+    half-lines the ray meets decides, from the half-line's family alone,
+    which children k*m0 survive: the power of f must be nonzero, the
+    remaining shift must stay in the monoid (_Family.cap and step), and a
+    child that still has a shift must meet a half-line (SearchForm.dead)
+    and pass the arc test of enumerate_lines.  Only a site with a survivor
+    is built and passed to allowed_bends, which gives the coefficients.
     """
-    m_cur = (mx, my)
     if not (px or py):
         _turn(x, y, q, mx, my)
-        results.append(steps + [(None, m_cur, 1)])
+        results.append(steps + [(None, (mx, my), 1)])
         return
-    for pt, i in form.ray_events(x, y, q, mx, my, near):
-        # the bending power only depends on the pairing with the wall normal,
-        # which the bend itself preserves, so the forward coefficients apply
-        for (ox, oy), c in allowed_bends(fd, diagram, pt, m_cur, K, (px, py)):
-            sx, sy = ox - mx, oy - my
-            if not (sx or sy):
+    ux, uy, vx, vy, D = form._cone
+    A, B = ux * px + uy * py, vx * px + vy * py
+    top = K * D
+    L = form.L
+    fams = form._fams
+    for i, td, tn in form.walk(x, y, q, mx, my, near):
+        fam = fams[i] or form.family(i)
+        # the bending power only depends on the pairing with the wall
+        # normal, which the bend itself preserves, so the forward
+        # coefficients apply; it is integral because n0 lies in N°
+        pw = abs(fam.a[0] * mx + fam.a[1] * my) // L
+        kcap = fam.cap(A, B)
+        if not pw or kcap < fam.step:
+            continue
+        sx, sy = fam.m0
+        step, cone = fam.step, arcs[i]
+        alive = {}
+        for k, _ in fam.power_terms(pw, top):
+            if k > kcap:
+                break
+            if k % step:
                 continue
-            ax, ay, rx, ry = mx - sx, my - sy, px - sx, py - sy
-            if not (ax or ay) or (rx or ry) and form.dead(i, ax, ay):
+            ax, ay, rx, ry = mx - k * sx, my - k * sy, px - k * sx, py - k * sy
+            if not (ax or ay) or (rx or ry) and (
+                    not arcs.admits(cone, ax, ay, rx, ry) or form.dead(i, ax, ay)):
                 continue
-            _trace(fd, diagram, form, *pt, form._around[i], ax, ay, rx, ry, K,
-                   steps + [(pt, m_cur, c)], results)
+            alive[mx + k * sx, my + k * sy] = (ax, ay, rx, ry)
+        if not alive:
+            continue
+        pt = _site(x, y, q, mx, my, td, tn)
+        for out, c in allowed_bends(fd, diagram, pt, (mx, my), K, (px, py)):
+            child = alive.get(out)
+            if child:
+                _trace(fd, diagram, form, *pt, form._around[i], *child, K, arcs,
+                       steps + [(pt, (mx, my), c)], results)
 
 
 def _assemble(endpoint, rev_steps):

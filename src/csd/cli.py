@@ -208,7 +208,8 @@ def cmd_render(args):
 
 @functools.cache
 def _parser():
-    """The argument parser, built once per process: parse_args leaves it unchanged."""
+    """The argument parser and its subcommand parsers by name, built once per
+    process: parse_args leaves them unchanged."""
     p = argparse.ArgumentParser(prog="csd",
                                 description="rank-2 scattering diagram toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -279,7 +280,7 @@ def _parser():
     r.add_argument("--polygon")
     r.add_argument("--out", required=True)
     r.set_defaults(fn=cmd_render)
-    return p
+    return p, sub.choices
 
 
 _VALUE_FLAGS = {"-p", "-q", "--direction", "--endpoint", "--tau"}
@@ -310,7 +311,17 @@ def main(argv=None):
     # exact piece coefficients can be huge binomials
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = _parser().parse_args(_merge_negative_values(list(argv)))
+    argv = _merge_negative_values(list(argv))
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # what parser.parse_args does for a known subcommand, without
+        # matching the whole command line against the parser first
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error("unrecognized arguments: %s" % " ".join(extra))
     try:
         code = args.fn(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:

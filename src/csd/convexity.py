@@ -10,11 +10,10 @@ import functools
 import random
 from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 
 from .geometry import (vadd, vsub, vneg, vscale, primitive, cross,
                        ccw_key, sort_ccw, rot90, convex_hull,
-                       cycle_is_convex, compile_hull, homogeneous, rational)
+                       cycle_is_convex, compile_hull, homogeneous, rational, is_rational)
 from .lattice import FixedData, pairing, p1_star, skew_form, line_dir
 from .brokenline import Segment, Piece, validate_segment, reverse, search_form
 from .constructions import (structure_constant, pair_from_segment, _alpha_cached,
@@ -461,7 +460,7 @@ def _polygon_points(points):
             x, y = p
         except (TypeError, ValueError):
             raise ValueError("point %d must be a pair of rationals, got %r" % (i, p)) from None
-        if not (isinstance(x, Rational) and isinstance(y, Rational)):
+        if not (is_rational(x) and is_rational(y)):
             raise ValueError("point %d must be a pair of rationals, got %r" % (i, p))
         out.append(tuple(p))
     return out

@@ -13,6 +13,7 @@ scales every N by k.
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
+from numbers import Rational
 
 
 def vadd(u, v):
@@ -58,12 +59,23 @@ def sgn(x):
 
 def primitive(v):
     """Primitive integer vector with the same direction as v (int or Fraction entries)."""
+    if len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
+        g = gcd(*v)
+        if not g:
+            raise ValueError("zero vector has no direction")
+        return v[0] // g, v[1] // g
     if is_zero(v):
         raise ValueError("zero vector has no direction")
     den = lcm(*(a.denominator for a in v))
     ints = [a.numerator * (den // a.denominator) for a in v]
     g = gcd(*ints)
     return tuple(a // g for a in ints)
+
+
+def is_rational(x):
+    """Whether x is a rational number; ints and Fractions are told by their
+    type, before the slower check against numbers.Rational."""
+    return type(x) is int or type(x) is Fraction or isinstance(x, Rational)
 
 
 def same_ray(u, v):

@@ -9,14 +9,16 @@ from fractions import Fraction
 from math import gcd
 
 from .geometry import cross, primitive
-from .lattice import FixedData, line_dir, cone_order
+from .lattice import FixedData, line_dir, order_form
 from .series import WallFunction
 from .scattering import Wall, Diagram
 from .brokenline import Piece, BrokenLine, Segment
 
 
 def frac_to_str(x):
-    f = Fraction(x)
+    if type(x) is int:
+        return str(x)
+    f = x if type(x) is Fraction else Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
     return "%d/%d" % (f.numerator, f.denominator)
@@ -52,7 +54,7 @@ def fd_to_json(fd):
 
 
 def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
 def fd_from_json(doc):
@@ -92,7 +94,7 @@ def wallfunction_to_json(f):
 
 def _int_pair(v, field):
     """A nonzero integer pair [x, y] read from a document field."""
-    if not (isinstance(v, list) and len(v) == 2 and all(_is_int(x) for x in v) and any(v)):
+    if not (isinstance(v, list) and len(v) == 2 and _is_int(v[0]) and _is_int(v[1]) and any(v)):
         raise ValueError("%s must be a nonzero integer pair [x, y], got %r" % (field, v))
     return tuple(v)
 
@@ -140,11 +142,12 @@ def wall_from_json(doc, fd):
     if not isinstance(support, dict):
         raise ValueError("support must be a JSON object, got %r" % (support,))
     kind = support["kind"]
+    line = line_dir(fd, n)
     if kind == "line":
-        direction = line_dir(fd, n)
+        direction = line
     elif kind == "ray":
         direction = _int_pair(support["dir"], "support dir")
-        if direction != primitive(direction) or cross(line_dir(fd, n), direction):
+        if direction != primitive(direction) or cross(line, direction):
             raise ValueError("support dir must be primitive and on the line of normal %r, "
                              "got %r" % (list(n), support["dir"]))
     else:
@@ -152,10 +155,12 @@ def wall_from_json(doc, fd):
     func = wallfunction_from_json(doc["func"])
     # the search reads a bend's power off the pairing with the normal alone,
     # which needs the function direction on the wall's line and in the cone
-    if cross(line_dir(fd, n), func.direction):
+    if cross(line, func.direction):
         raise ValueError("func dir must lie on the line of normal %r, got %r"
                          % (list(n), doc["func"]["dir"]))
-    if cone_order(fd, func.direction) is None:
+    ux, uy, vx, vy, _ = order_form(fd)
+    mx, my = func.direction
+    if ux * mx + uy * my < 0 or vx * mx + vy * my < 0:
         raise ValueError("func dir must lie in the cone of the monoid, got %r"
                          % (doc["func"]["dir"],))
     return Wall(n, kind, direction, func)

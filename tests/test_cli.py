@@ -411,3 +411,62 @@ def test_malformed_pair_base(paths, a2, a2_diagram, base):
                 "--diagram", str(paths["a2"]))
     assert r.returncode == 2 and r.stdout == ""
     assert "pair base" in r.stderr and "Traceback" not in r.stderr
+
+
+_TOP_USAGE = ("usage: csd [-h]\n"
+              "           {build,theta,multiply,segment-from-pair,pair-from-segment,hull,"
+              "check-positive,harness,render}\n"
+              "           ...\n")
+_THETA_USAGE = ("usage: csd theta [-h] --diagram DIAGRAM --direction DIRECTION --endpoint\n"
+                "                 ENDPOINT [--order ORDER] [--out OUT]\n")
+_TOP_HELP = _TOP_USAGE + """
+rank-2 scattering diagram toolkit
+
+positional arguments:
+  {build,theta,multiply,segment-from-pair,pair-from-segment,hull,check-positive,harness,render}
+    build               complete a diagram from a seed
+    theta               theta function by broken-line enumeration
+    multiply            structure constants of a theta product
+    segment-from-pair   glue a balanced pair
+    pair-from-segment   split a segment at a time
+    hull                broken-line convex hull of points
+    check-positive      bounded positivity scan
+    harness             positivity vs convexity on random polygons
+    render              SVG figure of a diagram with overlays
+
+options:
+  -h, --help            show this help message and exit
+"""
+_THETA_HELP = _THETA_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --diagram DIAGRAM
+  --direction DIRECTION
+  --endpoint ENDPOINT
+  --order ORDER
+  --out OUT
+"""
+
+
+@pytest.mark.parametrize("argv,want", [
+    ([], (2, "", _TOP_USAGE + "csd: error: the following arguments are required: command\n")),
+    (["--help"], (0, _TOP_HELP, "")),
+    (["nosuch"], (2, "", _TOP_USAGE + "csd: error: argument command: invalid choice: 'nosuch' "
+                  "(choose from 'build', 'theta', 'multiply', 'segment-from-pair', "
+                  "'pair-from-segment', 'hull', 'check-positive', 'harness', 'render')\n")),
+    (["theta", "--help"], (0, _THETA_HELP, "")),
+    (["theta", "--direction", "1,0", "--endpoint", "2,1"],
+     (2, "", _THETA_USAGE + "csd theta: error: the following arguments are required: --diagram\n")),
+    (["theta", "--diagram", "A2", "--direction", "1,0", "--endpoint", "2,1", "extra"],
+     (2, "", _TOP_USAGE + "csd: error: unrecognized arguments: extra\n")),
+    (["multiply", "--diagram", "A2", "-p", "1,0", "-q", "-1,0"], (0, "r=(0,0): 1\nr=(0,1): 1\n", "")),
+], ids=["none", "help", "unknown", "theta-help", "theta-no-diagram", "theta-extra", "multiply"])
+def test_parsing_output_is_pinned(paths, capsys, monkeypatch, argv, want):
+    # a known subcommand goes straight to its own parser; usage, messages
+    # and exit codes are those of one pass through the full parser
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [str(paths["a2"]) if a == "A2" else a for a in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert (exit_info.value.code, out.out, out.err) == want

@@ -173,3 +173,55 @@ def test_svg_deterministic(a2, a2_diagram):
     assert doc1 == doc2
     assert doc1.startswith("<svg") or "<svg" in doc1
     assert "</svg>" in doc1
+
+
+def _wall_doc(**fields):
+    doc = {"normal": [1, 0], "support": {"kind": "line"}, "func": {"dir": [0, 1], "coeffs": ["1"]}}
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "wall must be a JSON object, got [1, 2]"),
+    (_wall_doc(normal=[0, 0]), "normal must be a nonzero integer pair [x, y], got [0, 0]"),
+    (_wall_doc(normal=[1, 0.5]), "normal must be a nonzero integer pair [x, y], got [1, 0.5]"),
+    (_wall_doc(normal=[1, True]), "normal must be a nonzero integer pair [x, y], got [1, True]"),
+    (_wall_doc(support="line"), "support must be a JSON object, got 'line'"),
+    (_wall_doc(support={"kind": "segment"}),
+     "support kind must be 'line' or 'ray', got 'segment'"),
+    (_wall_doc(support={"kind": "ray", "dir": [0, 0]}),
+     "support dir must be a nonzero integer pair [x, y], got [0, 0]"),
+    (_wall_doc(support={"kind": "ray", "dir": [0, 2]}),
+     "support dir must be primitive and on the line of normal [1, 0], got [0, 2]"),
+    (_wall_doc(support={"kind": "ray", "dir": [1, 1]}),
+     "support dir must be primitive and on the line of normal [1, 0], got [1, 1]"),
+    (_wall_doc(func={"dir": [1, 1], "coeffs": ["1"]}),
+     "func dir must lie on the line of normal [1, 0], got [1, 1]"),
+    (_wall_doc(func={"dir": [0, -1], "coeffs": ["1"]}),
+     "func dir must lie in the cone of the monoid, got [0, -1]"),
+    (_wall_doc(normal=[1, 1], func={"dir": [1, -3], "coeffs": ["1"]}),
+     "func dir must lie in the cone of the monoid, got [1, -3]"),
+    (_wall_doc(func={"dir": [0, 1], "coeffs": ["-1"]}),
+     "func coeffs must hold integers >= 0 as strings, got '-1'"),
+    (_wall_doc(func=[0, 1]), "func must be a JSON object, got [0, 1]"),
+    (_wall_doc(func={"dir": [0, 0], "coeffs": []}),
+     "func dir must be a nonzero integer pair [x, y], got [0, 0]"),
+    (_wall_doc(func={"dir": [0, 1], "coeffs": "1"}), "func coeffs must be a JSON list, got '1'"),
+    (_wall_doc(func={"dir": [0, 2], "coeffs": [1]}),
+     "func coeffs must hold integers >= 0 as strings, got 1"),
+    (_wall_doc(func={"dir": [0, 2], "coeffs": ["1/2"]}),
+     "func coeffs must hold integers >= 0 as strings, got '1/2'"),
+])
+def test_wall_loader_messages(g2, doc, message):
+    # every rejection of the wall and wall-function loaders, message pinned
+    with pytest.raises(ValueError) as info:
+        serialize.wall_from_json(doc, g2)
+    assert str(info.value) == message
+
+
+def test_wall_loader_accepts(g2):
+    # on G2 the line of the normal (1, 1) is spanned by (-1, 3), in the cone
+    w = serialize.wall_from_json(_wall_doc(normal=[1, 1], func={"dir": [-2, 6], "coeffs": ["3"]}), g2)
+    assert (w.kind, w.direction, w.func.direction, w.func.coeffs) == ("line", (-1, 3), (-1, 3), (0, 3))
+    w = serialize.wall_from_json(_wall_doc(support={"kind": "ray", "dir": [0, -1]}), g2)
+    assert (w.kind, w.direction, w.func.direction) == ("ray", (0, -1), (0, 1))
