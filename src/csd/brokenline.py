@@ -641,10 +641,14 @@ def theta(fd, diagram, m, endpoint, K=None):
     if is_zero(m):
         _endpoint(endpoint)  # enumerate_lines checks it otherwise
         return LaurentPoly({tuple(m): 1}, tuple(m), K)
+    return theta_of_lines(m, enumerate_lines(fd, diagram, m, endpoint, K), K)
+
+
+def theta_of_lines(m, lines, K):
+    """The sum of c * z^F over the broken lines with initial exponent m."""
     terms = {}
-    for line in enumerate_lines(fd, diagram, m, endpoint, K):
-        e = line.final
-        terms[e] = terms.get(e, 0) + line.coeff
+    for line in lines:
+        terms[line.final] = terms.get(line.final, 0) + line.coeff
     return LaurentPoly(terms, tuple(m), K)
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import serialize
 from .serialize import frac_to_str
 from .scattering import complete_rank2
-from .brokenline import theta, enumerate_lines
+from .brokenline import theta, theta_of_lines, enumerate_lines
 from .constructions import alpha_table, glue_balanced, pair_from_segment
 from .convexity import blc_hull_2d, check_positive, main_theorem_harness
 from .svg import render_svg
@@ -98,10 +98,13 @@ def cmd_build(args):
 def cmd_theta(args):
     d = _load_diagram(args.diagram)
     K = d.order if args.order is None else args.order
-    t = theta(d.fd, d, args.direction, args.endpoint, K)
-    print(_fmt_poly(t))
+    m, z = args.direction, args.endpoint
+    if not args.out or m == (0, 0):
+        # theta_0 = 1 prints before the search below rejects the zero exponent
+        print(_fmt_poly(theta(d.fd, d, m, z, K)))
     if args.out:
-        lines = enumerate_lines(d.fd, d, args.direction, args.endpoint, K)
+        lines = enumerate_lines(d.fd, d, m, z, K)
+        print(_fmt_poly(theta_of_lines(m, lines, K)))
         serialize.save(args.out, [serialize.brokenline_to_json(l) for l in lines])
     return 0
 

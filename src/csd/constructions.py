@@ -7,15 +7,14 @@ exponents from the affine invariant x + t*m of each piece).
 """
 
 import heapq
-import warnings
 from fractions import Fraction
 from math import lcm
 
 from .geometry import vadd, vsub, vneg, vscale, is_zero
-from .lattice import pairing, n_circ_primitive, dual_perp, order_form
+from .lattice import pairing, n_circ_primitive, dual_perp, order_form, cone_order
 from .series import lp_mul, _kept
-from .brokenline import (BrokenLine, Segment, Piece, enumerate_lines, theta,
-                         bend_coefficient, reverse, search_form)
+from .brokenline import (BrokenLine, Segment, Piece, theta, bend_coefficient,
+                         reverse, search_form)
 
 
 class BalancedPair:
@@ -59,74 +58,20 @@ class ReverseTrace:
         self.delta = delta
 
 
-def spiral_directions(radius=6):
-    """Deterministic direction probe order: growing rings, counterclockwise."""
-    from .geometry import sort_ccw
-    out = []
-    for r in range(1, radius + 1):
-        ring = set()
-        for x in range(-r, r + 1):
-            for y in range(-r, r + 1):
-                if max(abs(x), abs(y)) == r:
-                    ring.add((x, y))
-        out.extend(sort_ccw(ring))
-    return out
-
-
-def generic_endpoint_near(fd, diagram, r):
-    """A generic point r + eps*v with deterministic v and exact eps."""
-    for v in spiral_directions():
-        ok = True
-        for w in diagram.walls:
-            if pairing(fd, w.normal, r) == 0 and pairing(fd, w.normal, v) == 0:
-                ok = False
-                break
-        if ok:
-            break
-    else:
-        raise ValueError("no generic direction near %r" % (r,))
-    eps = None
-    for w in diagram.walls:
-        sa = pairing(fd, w.normal, r)
-        sv = pairing(fd, w.normal, v)
-        if sa != 0 and sv != 0:
-            t = abs(sa / sv)
-            if eps is None or t < eps:
-                eps = t
-    eps = Fraction(1) if eps is None else eps / 2
-    return v, eps
-
-
-def _alpha_at(fd, diagram, p, q, r, z, K):
-    total = 0
-    ones = enumerate_lines(fd, diagram, p, z, K)
-    twos = enumerate_lines(fd, diagram, q, z, K)
-    for l1 in ones:
-        for l2 in twos:
-            if vadd(l1.final, l2.final) == tuple(r):
-                total += l1.coeff * l2.coeff
-    return total
-
-
 def structure_constant(fd, diagram, p, q, r, K=None):
-    """alpha(p, q, r): balanced-pair count at a generic point near r."""
+    """alpha(p, q, r), the coefficient of theta_r in theta_p * theta_q, as an int.
+
+    Read from alpha_table at order K (the diagram order by default): 0 when
+    r - p - q lies outside the cone.  Raises ValueError when r - p - q has
+    cone order above K, since the order-K table does not determine alpha there.
+    """
     if K is None:
         K = diagram.order
-    p, q, r = tuple(p), tuple(q), tuple(r)
-    if is_zero(p):
-        return 1 if r == q else 0
-    if is_zero(q):
-        return 1 if r == p else 0
-    v, eps = generic_endpoint_near(fd, diagram, r)
-    val = _alpha_at(fd, diagram, p, q, r, vadd(r, vscale(eps, v)), K)
-    for _ in range(3):
-        eps /= 2
-        val2 = _alpha_at(fd, diagram, p, q, r, vadd(r, vscale(eps, v)), K)
-        if val2 == val:
-            return val
-        val = val2
-    warnings.warn("structure constant at %r did not stabilize in z" % (r,))
-    return val
+    r = tuple(r)
+    k = cone_order(fd, vsub(r, vadd(p, q)))
+    if k is not None and k > K:
+        raise ValueError("alpha at r = %r needs order %s, above K = %s" % (r, k, K))
+    return _alpha_cached(fd, diagram, p, q, K).get(r, 0)
 
 
 def _theta_cached(fd, diagram, m, z0, K):
@@ -231,18 +176,17 @@ def alpha_table(fd, diagram, p, q, K=None):
 
 
 def _endpoint_first(gamma):
-    """(exponents m_0..m_s endpoint-first, bend points x_1..x_s endpoint-first)."""
+    """The exponents m_0..m_s of a broken line, endpoint-first."""
     ms = [p.exponent for p in reversed(gamma.pieces)]
     if any(m == n for m, n in zip(ms, ms[1:])):
         raise ValueError("broken line bends trivially: two consecutive pieces "
                          "share an exponent")
-    bends = [p.bend_point for p in reversed(gamma.pieces[:-1])]
-    return ms, bends
+    return ms
 
 
 def segment_support(fd, gamma, a, b):
     """Support polyline of the dilated segment: x~_0 .. x~_s plus m_s/a."""
-    ms, _ = _endpoint_first(gamma)
+    ms = _endpoint_first(gamma)
     ns = _bend_normals_from(fd, ms)
     x0 = gamma.endpoint
     xt = [vscale(Fraction(1, a + b), x0)]
@@ -272,7 +216,7 @@ def _rho_list(fd, ms, ns):
 
 def attach_monomials(fd, support, gamma, a, b, lam):
     """Monomials on the support polyline; returns a Segment with a .trace."""
-    ms, _ = _endpoint_first(gamma)
+    ms = _endpoint_first(gamma)
     ns = _bend_normals_from(fd, ms)
     s = len(ms) - 1
     xt = support[:s + 1]
@@ -290,7 +234,6 @@ def attach_monomials(fd, support, gamma, a, b, lam):
     trace = ConstructionTrace(rho, C, xt, mt, times, tau)
     # segment runs from m_s/a (time tau, shifted to 0) to x~_0 (time 0)
     pieces = []
-    pos = support[-1]
     bounds = times + [tau]
     for i in range(s, -1, -1):
         dt = bounds[i] - bounds[i + 1]
@@ -329,8 +272,8 @@ def glue_balanced(fd, diagram, pair, a, b):
     if not pair.is_balanced():
         raise ValueError("pair is not balanced: %r" % (pair,))
     g1, g2 = pair.line1, pair.line2
-    ms1, _ = _endpoint_first(g1)
-    ms2, _ = _endpoint_first(g2)
+    ms1 = _endpoint_first(g1)
+    ms2 = _endpoint_first(g2)
     rho1 = _rho_list(fd, ms1, _bend_normals_from(fd, ms1))[0]
     rho2 = _rho_list(fd, ms2, _bend_normals_from(fd, ms2))[0]
     side1 = construct_segment(fd, g1, a, b, rho2)

@@ -663,7 +663,7 @@ def _certify_failure(fd, diagram, cycle, seg, K, max_ab=24):
         p = tuple(pair.line1.initial)
         q = tuple(pair.line2.initial)
         r = tuple(pair.base)
-        # a non-generic probe endpoint near r raises; no certificate then
+        # alpha at r needing order above K raises; no certificate then
         alpha = structure_constant(fd, diagram, p, q, r, K)
     except (ValueError, ZeroDivisionError, ArithmeticError):
         return None

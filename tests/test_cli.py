@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from csd import cli, serialize
+from csd import brokenline, cli, serialize
 from csd.constructions import pair_from_segment
 
 F = Fraction
@@ -337,6 +337,35 @@ def test_successive_main_calls_match_separate_calls(paths, capsys):
         out = capsys.readouterr()
         r = run_cli(*cmd)
         assert (exit_info.value.code, out.out, out.err) == (r.returncode, r.stdout, r.stderr)
+
+
+def test_theta_out_searches_once(paths, capsys, monkeypatch, tmp_path):
+    # --out prints the sum of the lines it writes, which is what theta prints
+    cmd = ["theta", "--diagram", str(paths["g2"]), "--direction", "1,-1", "--endpoint", "3/7,5/3"]
+    with pytest.raises(SystemExit):
+        cli.main(cmd)
+    plain = capsys.readouterr().out
+    calls, search = [], brokenline.enumerate_lines
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(brokenline, "enumerate_lines", spy)
+    monkeypatch.setattr(cli, "enumerate_lines", spy)
+    out = tmp_path / "lines.json"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(cmd + ["--out", str(out)])
+    assert (exit_info.value.code, len(calls)) == (0, 1)
+    assert capsys.readouterr().out == plain
+    lines = [serialize.brokenline_from_json(doc) for doc in serialize.load(out)]
+    assert "%s\n" % cli._fmt_poly(brokenline.theta_of_lines((1, -1), lines, 8)) == plain
+    # theta_0 = 1 prints before the search rejects the zero exponent
+    cmd[cmd.index("1,-1")] = "0,0"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(cmd + ["--out", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr() == ("z^(0,0)\n", "error: initial exponent must be nonzero\n")
 
 
 @pytest.mark.parametrize("cmd,flag,value", [

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import random
 from collections import Counter
 
 import csd.constructions as constructions
@@ -12,10 +13,11 @@ from csd.constructions import (BalancedPair, alpha_table, structure_constant,
                                segment_support,
                                construct_segment, glue_balanced,
                                pair_from_segment, fixed_generic_endpoint,
-                               generic_endpoint_near, _theta_cached, _product_cached)
+                               _theta_cached, _product_cached)
 from csd.convexity import check_positive
 from csd.scattering import initial_diagram, complete_diagram, complete_rank2
 from csd.series import lp_mul
+from balanced_pairs import generic_endpoint_near, oracle_alpha
 
 F = Fraction
 
@@ -59,6 +61,50 @@ def test_structure_constant_matches_table(a2, a2_diagram):
     assert structure_constant(a2, a2_diagram, (1, 0), (-1, 0), (0, 1)) == 1
     assert structure_constant(a2, a2_diagram, (1, 0), (-1, 0), (0, 0)) == 1
     assert structure_constant(a2, a2_diagram, (1, 0), (-1, 0), (1, 1)) == 0
+
+
+def _triangle(fd, base, K):
+    """Every r = base + a*g1 + b*g2 with a + b <= K: the r that order K determines."""
+    (g1x, g1y), (g2x, g2y) = fd.monoid_gens
+    return [(base[0] + a * g1x + b * g2x, base[1] + a * g1y + b * g2y)
+            for a in range(K + 1) for b in range(K + 1 - a)]
+
+
+@pytest.mark.parametrize("name", ["a2", "g2", "kron"])
+def test_structure_constant_is_alpha_table(name, request):
+    # every in-triangle query reads the table and none raises; a seeded
+    # subset, nonzero values first, is recounted by balanced pairs
+    fd = request.getfixturevalue(name)
+    diagram = request.getfixturevalue(name + "_diagram")
+    K = 6
+    rng = random.Random(3)
+    queries = []
+    for _ in range(40):
+        p, q = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)]
+        table = alpha_table(fd, diagram, p, q, K)
+        tri = _triangle(fd, vadd(p, q), K)
+        assert set(table) <= set(tri)
+        for r in tri:
+            alpha = structure_constant(fd, diagram, p, q, r, K)
+            assert type(alpha) is int and alpha == table.get(r, 0)
+            queries.append((alpha == 0, p, q, r, alpha))
+    assert len(queries) == 40 * 28
+    for _, p, q, r, alpha in sorted(rng.sample(queries, 80))[:12]:
+        assert oracle_alpha(fd, diagram, p, q, r, K) == alpha
+
+
+def test_structure_constant_probe_on_exponent_ray(a2, a2_diagram):
+    # the first probe near r, (3, -12), lies on the ray of the exponent (-1, 4)
+    p, q, r = (3, -15), (-1, 2), (2, -12)
+    assert structure_constant(a2, a2_diagram, p, q, r, 6) == 1
+    assert oracle_alpha(a2, a2_diagram, p, q, r, 6) == 1
+
+
+def test_structure_constant_above_order_raises(a2, a2_diagram):
+    p, q, r = (-32, -20), (8, 12), (-24, 0)
+    with pytest.raises(ValueError, match=r"\(-24, 0\) needs order 8, above K = 6"):
+        structure_constant(a2, a2_diagram, p, q, r, 6)
+    assert structure_constant(a2, complete_rank2(a2, 10), p, q, r) == 1
 
 
 def test_generic_endpoints(g2, g2_diagram):
