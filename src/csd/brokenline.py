@@ -12,7 +12,7 @@ from math import gcd, lcm
 
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, cross, dot,
                        ccw_key, homogeneous, rational, is_rational)
-from .lattice import pairing, n_circ_primitive, scaled_normal, order_form
+from .lattice import n_circ_primitive, scaled_normal, order_form
 from .series import wf_mul, wf_coeff_pow, _pow_coeffs, _integer, LaurentPoly
 
 
@@ -155,15 +155,19 @@ def _turn(x, y, q, mx, my):
 
 
 class SearchForm:
-    """A diagram's walls compiled for the backward broken-line search.
+    """A diagram's walls compiled into half-lines: the one wall index.
 
-    Every wall lies on a line through the origin.  Each side of a support
-    line that some wall covers is a half-line from the origin, and the
-    walls through a nonzero point are those of its half-line.  The form
-    keeps the half-lines as primitive directions in counterclockwise order
-    (geometry.ccw_key), a position on the circle of directions as the pair
-    (cw, ccw) of indices of its neighbouring half-lines (see near), and,
-    in lists indexed by half-line, the walls, their direction m0 and their
+    The backward broken-line search, transport along a path and around the
+    origin (scattering.leg_crossings, apply_loop), bend checks
+    (bend_coefficient) and the expansion endpoint all read it.  Every wall
+    lies on a line through the origin; a ray off its normal's line is a
+    ValueError.  Each side of a support line that some wall covers is a
+    half-line from the origin, and the walls through a nonzero point are
+    those of its half-line.  The form keeps the half-lines as primitive
+    directions in counterclockwise order (geometry.ccw_key), a position on
+    the circle of directions as the pair (cw, ccw) of indices of its
+    neighbouring half-lines (see near), and, in lists indexed by
+    half-line, the walls in diagram order, their direction m0 and their
     _Family (family, built on first use, with its power tables).
 
     walk is the one walker of that list.  Take a ray P + t*v, t > 0, with
@@ -173,8 +177,8 @@ class SearchForm:
     a half-line h exactly when h lies strictly inside that arc, and it
     meets such half-lines in their angular order: walk starts at the
     neighbour of P on the side of s and goes on while the next half-line
-    is still inside the arc.  ray_events lists the sites of a walk, and
-    dead tells whether a walk from a bend site has a first step.
+    is still inside the arc.  dead tells whether a walk from a bend site
+    has a first step.
 
     The form also holds the cone coordinates that give bends its exact
     monoid test, and the diagram's caches.  Points are pairs or reduced
@@ -194,8 +198,9 @@ class SearchForm:
     Nothing is evicted.  Each entry is a value the diagram was asked for, so
     a cache grows only with the half-lines, (pair, K) and (m, endpoint, K)
     its callers request, and it is dropped with the form.  The form is
-    built by search_form on the first search and reset by
-    scattering.complete_diagram, the only code that changes walls.
+    built by search_form on first use and dropped by
+    scattering.complete_diagram, the only code that changes walls, after
+    each round of corrections and after its final filter.
     """
 
     def __init__(self, fd, walls):
@@ -210,10 +215,11 @@ class SearchForm:
             u = _line_key(-a[1], a[0])
             if w.kind != "ray":
                 sides = (u, (-u[0], -u[1]))
-            elif cross(u, w.direction) == 0:
+            elif cross(u, w.direction) == 0 and any(w.direction):
                 sides = (u if dot(u, w.direction) > 0 else (-u[0], -u[1]),)
             else:
-                continue
+                raise ValueError("ray wall with normal %r has direction %r off the line "
+                                 "of its normal" % (w.normal, w.direction))
             for h in sides:
                 walls_at.setdefault(h, []).append(w)
         self._halves = sorted(walls_at, key=ccw_key)
@@ -292,16 +298,6 @@ class SearchForm:
                 return
             yield i, td, tn
             i = (i + step) % n
-
-    def ray_events(self, x, y, q, mx, my, near):
-        """Bend sites of the open ray (x, y)/q + t*(mx, my), t > 0, in t order.
-
-        The sites of walk: each event is (site, i), the reduced homogeneous
-        triple (X, Y, Q), Q > 0, of the point where the ray crosses
-        half-line i; the walls of one half-line give one site.
-        """
-        return [(_site(x, y, q, mx, my, td, tn), i)
-                for i, td, tn in self.walk(x, y, q, mx, my, near)]
 
     def dead(self, i, mx, my):
         """True when the ray from a point of half-line i along (mx, my) meets
@@ -668,21 +664,24 @@ def bend_coefficient(fd, diagram, point, m_prev, m_next):
     """
     if tuple(m_prev) == tuple(m_next):
         return 1
-    fams = wall_families(fd, diagram, point)
+    form = search_form(fd, diagram)
+    fams = form.families(point)
     if not fams:
         raise ValueError("bend point %r lies on no wall" % (_pair(point),))
     step = vsub(m_next, m_prev)
-    for n0, m0, f in fams:
+    for fam in fams:
+        m0 = fam.m0
         if not same_ray(step, m0):
             continue
         i = 0 if m0[0] != 0 else 1
         k, r = divmod(step[i], m0[i])
         if r or k < 1:
             continue
-        pw = pairing(fd, n0, m_prev)
-        if pw.denominator != 1 or pw == 0:
+        # L times the pairing with n0; exponents are Fractions on glued segments
+        pw = fam.a[0] * m_prev[0] + fam.a[1] * m_prev[1]
+        if pw % form.L or pw == 0:
             continue
-        c = wf_coeff_pow(f, abs(int(pw)), k)
+        c = wf_coeff_pow(fam.f, abs(pw) // form.L, k)
         if c != 0:
             return c
     raise ValueError("bend %r -> %r at %r is not allowed" % (m_prev, m_next, _pair(point)))

@@ -120,7 +120,9 @@ def fixed_generic_endpoint(fd, diagram):
         cands = [(9973, 9967), (9973, -9967), (-9967, 9973), (-9973, -9967),
                  (9967, 10007), (10007, -9973)]
         for v in cands:
-            if all(pairing(fd, w.normal, v) != 0 for w in diagram.walls):
+            # every wall covers a half of its line, so v misses every wall
+            # line when neither v nor -v lies on a half-line
+            if not (form.walls_through(v) or form.walls_through(vneg(v))):
                 form.endpoint = v
                 break
         else:

@@ -5,14 +5,14 @@ inserts outgoing rays order by order until the counterclockwise loop around
 the origin acts trivially on both coordinate monomials up to the truncation.
 """
 
-from fractions import Fraction
 from math import gcd
 
-from .geometry import (vadd, vsub, vneg, vscale, is_zero, primitive, same_ray,
-                       sort_ccw, rot90, sgn, cross, dot)
+from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, rot90, sgn,
+                       cross, dot, homogeneous)
 from .lattice import (pairing, p1_star, n_circ_primitive, line_dir,
                       cone_order, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross
+from .brokenline import search_form
 
 
 class Wall:
@@ -36,8 +36,9 @@ class Diagram:
         self.walls = list(walls)
         self.order = order
         self.saturated = saturated
-        # the walls compiled for broken-line search (brokenline.search_form),
-        # built on the first search; whatever changes walls must reset it
+        # the walls compiled into half-lines (brokenline.search_form) for
+        # the search, transport, the loop, bend checks and the endpoint,
+        # built on first use; whatever changes walls must reset it
         self.compiled = None
 
 
@@ -57,14 +58,6 @@ def is_incoming(fd, wall):
     return not is_zero(p) and same_ray(p, wall.direction)
 
 
-def on_support(fd, wall, pt):
-    if pairing(fd, wall.normal, pt) != 0:
-        return False
-    if wall.kind == "line":
-        return True
-    return is_zero(pt) or same_ray(pt, wall.direction)
-
-
 def initial_wall(fd, i):
     n = ((1, 0), (0, 1))[i]
     p = p1_star(fd, n)
@@ -79,16 +72,6 @@ def initial_diagram(fd, order):
     return Diagram(fd, walls, order, False)
 
 
-def loop_events(fd, diagram):
-    """Distinct primitive support directions, counterclockwise from the positive x-axis."""
-    dirs = set()
-    for w in diagram.walls:
-        dirs.add(w.direction)
-        if w.kind == "line":
-            dirs.add(vneg(w.direction))
-    return sort_ccw(dirs)
-
-
 def _crossing_sign(fd, normal, travel):
     s = sgn(pairing(fd, normal, travel))
     if s == 0:
@@ -97,14 +80,16 @@ def _crossing_sign(fd, normal, travel):
 
 
 def apply_loop(fd, diagram, p):
-    """Transport a truncated Laurent polynomial once counterclockwise around the origin."""
+    """Transport a truncated Laurent polynomial once counterclockwise around the origin.
+
+    The loop crosses the half-lines of the search form counterclockwise from
+    the positive x-axis, and the walls of one half-line in diagram order.
+    """
+    form = search_form(fd, diagram)
     out = p
-    for d in loop_events(fd, diagram):
-        travel = rot90(d)
-        for w in diagram.walls:
-            hit = (w.direction == d) or (w.kind == "line" and vneg(w.direction) == d)
-            if not hit:
-                continue
+    for h, walls in zip(form._halves, form._walls):
+        travel = rot90(h)
+        for w in walls:
             out = wall_cross(fd, out, w.func, w.normal, _crossing_sign(fd, w.normal, travel))
     return out
 
@@ -153,18 +138,18 @@ def _insert_correction(fd, diagram, p, delta):
     diagram.walls.append(Wall(n, "ray", ray_dir, WallFunction(m0, cs)))
 
 
-def _loop_sign_at(fd, normal, support_dir):
-    return _crossing_sign(fd, normal, rot90(support_dir))
-
-
 def complete_rank2(fd, order):
     """Complete the initial diagram to consistency at the given truncation order."""
     return complete_diagram(fd, initial_diagram(fd, order))
 
 
 def complete_diagram(fd, diagram, max_rounds=100000):
-    """Add outgoing-ray corrections until the loop acts trivially; idempotent."""
-    diagram.compiled = None
+    """Add outgoing-ray corrections until the loop acts trivially; idempotent.
+
+    The loop reads the diagram's search form, so the form is dropped
+    whenever the walls change: after each round's corrections and after
+    the final filter.
+    """
     for _ in range(max_rounds):
         disc = loop_discrepancy(fd, diagram)
         if all(not d for d in disc):
@@ -179,7 +164,7 @@ def complete_diagram(fd, diagram, max_rounds=100000):
         for p, by_gen in sorted(offenders.items()):
             n = _outgoing_normal(fd, p)
             n0p = n_circ_primitive(fd, n)
-            eps = _loop_sign_at(fd, n, primitive(vneg(p)))
+            eps = _crossing_sign(fd, n, rot90(vneg(p)))
             delta = None
             for j, e in enumerate(((1, 0), (0, 1))):
                 w = pairing(fd, n0p, e)
@@ -202,9 +187,11 @@ def complete_diagram(fd, diagram, max_rounds=100000):
                 raise ValueError("no generator pairs with correction direction %r" % (p,))
             if delta != 0:
                 _insert_correction(fd, diagram, p, delta)
+        diagram.compiled = None
     else:
         raise RuntimeError("completion did not stabilize")
     diagram.walls = [w for w in diagram.walls if not w.func.is_one()]
+    diagram.compiled = None
     diagram.saturated = _is_saturated(fd, diagram)
     return diagram
 
@@ -218,40 +205,33 @@ def _is_saturated(fd, diagram):
 
 
 def leg_crossings(fd, diagram, a, b):
-    """Transversal wall crossings of the open segment a -> b, ordered along the leg.
+    """The walls the open segment a -> b crosses, in order along the leg.
 
-    Returns a list of (t, point, wall).  Raises when the leg hits the origin,
-    when an endpoint lies on a crossed support, or when two walls with
-    distinct supports are crossed at the same point.
+    The walls of one half-line come in diagram order.  Raises when the leg
+    hits the origin, when an endpoint lies on a wall, or when the leg runs
+    inside a wall.  A leg that misses the origin turns through less than a
+    half-turn, so it crosses the half-lines of the search form that its walk
+    from a meets strictly before b.
     """
-    out = []
-    v = vsub(b, a)
     if is_zero(a) or is_zero(b) or (cross(a, b) == 0 and dot(a, b) < 0):
         raise ValueError("path passes through the origin")
-    for w in diagram.walls:
-        sa = pairing(fd, w.normal, a)
-        sb = pairing(fd, w.normal, b)
-        if sa == sb:
-            if sa == 0 and on_support(fd, w, a):
-                raise ValueError("path runs inside a wall")
-            continue
-        if sa == 0 or sb == 0:
-            pt = a if sa == 0 else b
-            if on_support(fd, w, pt):
-                raise ValueError("path endpoint lies on a wall")
-            continue
-        t = Fraction(sa, sa - sb)
-        if not (0 < t < 1):
-            continue
-        pt = vadd(a, vscale(t, v))
-        if on_support(fd, w, pt):
-            if is_zero(pt):
-                raise ValueError("path passes through the origin")
-            out.append((t, pt, w))
-    out.sort(key=lambda x: x[0])
-    for (t1, p1, w1), (t2, p2, w2) in zip(out, out[1:]):
-        if t1 == t2 and cross(w1.normal, w2.normal) != 0:
-            raise ValueError("path crosses two distinct walls at one point %r" % (p1,))
+    form = search_form(fd, diagram)
+    if cross(a, b) == 0:
+        # a radial leg stays on the ray through a
+        if form.walls_through(a):
+            raise ValueError("path runs inside a wall")
+        return []
+    if form.walls_through(a) or form.walls_through(b):
+        raise ValueError("path endpoint lies on a wall")
+    x, y, q = homogeneous(a)
+    X, Y, Q = homogeneous(b)
+    out = []
+    for i, _, _ in form.walk(x, y, q, X * q - x * Q, Y * q - y * Q, form.near(x, y)):
+        hx, hy = form._halves[i]
+        # h is before b while cross(h, b) has the sign of cross(a, b)
+        if (hx * Y - hy * X > 0) != (x * Y - y * X > 0):
+            break
+        out.extend(form._walls[i])
     return out
 
 
@@ -260,6 +240,6 @@ def path_ordered_product(fd, diagram, path, p):
     out = p
     for a, b in zip(path, path[1:]):
         travel = vsub(b, a)
-        for t, pt, w in leg_crossings(fd, diagram, a, b):
+        for w in leg_crossings(fd, diagram, a, b):
             out = wall_cross(fd, out, w.func, w.normal, _crossing_sign(fd, w.normal, travel))
     return out

@@ -10,11 +10,11 @@ from csd import brokenline, serialize
 from csd.brokenline import (Piece, BrokenLine, Segment, wall_families,
                             allowed_bends, enumerate_lines, theta, reverse,
                             validate_segment, line_bounded_segment,
-                            bend_coefficient, search_form, _assemble, _line_key)
-from csd.geometry import vadd, vsub, vscale, is_zero, homogeneous, cross, dot
+                            bend_coefficient, search_form, _assemble, _line_key, _site)
+from csd.geometry import vadd, vsub, vscale, is_zero, homogeneous, cross, dot, same_ray
 from csd.lattice import (FixedData, pairing, n_circ_primitive, cone_order,
                          solve_linear, scaled_normal)
-from csd.scattering import Diagram, Wall, complete_rank2, on_support
+from csd.scattering import Diagram, Wall, complete_rank2
 from csd.series import wf_mul, wf_pow, LaurentPoly, WallFunction
 
 F = Fraction
@@ -219,6 +219,14 @@ def test_line_bounded_segment_validates(a2, a2_diagram):
 def _in_monoid(fd, p):
     co = solve_linear(fd.monoid_gens, p)
     return co is not None and all(c >= 0 and c.denominator == 1 for c in co)
+
+
+def on_support(fd, wall, pt):
+    if pairing(fd, wall.normal, pt) != 0:
+        return False
+    if wall.kind == "line":
+        return True
+    return is_zero(pt) or same_ray(pt, wall.direction)
 
 
 # Reference search for the differential test, independent of SearchForm:
@@ -454,6 +462,12 @@ def _outcome(f, *args):
         return "ValueError: %s" % e
 
 
+def _walk_sites(form, x, y, q, mx, my):
+    """(site, i) for each half-line i the walk from (x, y)/q along m meets, in t order."""
+    return [(_site(x, y, q, mx, my, td, tn), i)
+            for i, td, tn in form.walk(x, y, q, mx, my, form.near(x, y))]
+
+
 @functools.cache
 def _rays_only(i):
     # the ray walls alone: the half-lines then lie in an arc shorter than pi,
@@ -487,10 +501,10 @@ def test_ray_events_match_scan(i, rays_only, root, data):
     # a ray aimed at the origin raises the same error
     want = _outcome(_scan_events, fd, diagram, x, y, q, *aim)
     assert want.startswith("ValueError: trajectory")
-    assert _outcome(form.ray_events, x, y, q, *aim, form.near(x, y)) == want
+    assert _outcome(_walk_sites, form, x, y, q, *aim) == want
     m = data.draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
     want = _outcome(_scan_events, fd, diagram, x, y, q, *m)
-    got = _outcome(form.ray_events, x, y, q, *m, form.near(x, y))
+    got = _outcome(_walk_sites, form, x, y, q, *m)
     if not root:
         # a ray from a bend site is skipped exactly when it has no sites
         # and does not raise

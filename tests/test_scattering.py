@@ -1,11 +1,15 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from csd import scattering
-from csd.lattice import FixedData, cone_order, line_dir
+from csd.brokenline import search_form, theta
+from csd.geometry import vadd, vsub, vscale, is_zero, same_ray, cross, dot
+from csd.lattice import FixedData, cone_order, line_dir, pairing
 from csd.series import WallFunction, LaurentPoly
-from csd.scattering import (Wall, is_incoming, initial_diagram,
+from csd.scattering import (Diagram, Wall, is_incoming, initial_diagram,
                             complete_rank2, complete_diagram, check_consistent,
                             loop_discrepancy, apply_loop, path_ordered_product,
                             leg_crossings, canonical_normal)
@@ -133,7 +137,7 @@ def test_apply_loop_identity(a2, a2_diagram):
 
 def test_leg_crossings(a2, a2_diagram):
     hits = leg_crossings(a2, a2_diagram, (F(1), F(1, 2)), (F(-1), F(1, 2)))
-    assert [w.normal for _, _, w in hits] == [(1, 0)]
+    assert [w.normal for w in hits] == [(1, 0)]
     hits = leg_crossings(a2, a2_diagram, (F(1), F(-1, 2)), (F(-1), F(-3, 2)))
     assert len(hits) == 2
     with pytest.raises(ValueError):
@@ -157,3 +161,149 @@ def test_path_ordered_product_open_path(a2, a2_diagram):
     p = LaurentPoly.monomial((1, 0), 6)
     out = path_ordered_product(a2, a2_diagram, path, p)
     assert out.terms == {(1, 0): 1, (1, 1): 1}
+
+
+TYPES = {"A2": ([[0, 1], [-1, 0]], [1, 1]), "B2": ([[0, 2], [-1, 0]], [1, 2]),
+         "G2": ([[0, 3], [-1, 0]], [1, 3]), "Kronecker": ([[0, 2], [-2, 0]], [1, 1]),
+         "(1,4)": ([[0, 4], [-1, 0]], [1, 4]), "(3,3)": ([[0, 3], [-3, 0]], [1, 1]),
+         "(1,5)": ([[0, 5], [-1, 0]], [1, 5]), "(2,3)": ([[0, 3], [-2, 0]], [2, 3])}
+
+
+def _reference_crossings(fd, diagram, a, b):
+    """The walls a -> b crosses, in order, by a scan of every wall in rationals."""
+    def on_support(w, pt):
+        if pairing(fd, w.normal, pt) != 0:
+            return False
+        return w.kind == "line" or is_zero(pt) or same_ray(pt, w.direction)
+
+    if is_zero(a) or is_zero(b) or (cross(a, b) == 0 and dot(a, b) < 0):
+        raise ValueError("path passes through the origin")
+    out = []
+    for w in diagram.walls:
+        sa, sb = pairing(fd, w.normal, a), pairing(fd, w.normal, b)
+        if sa == sb:
+            if sa == 0 and on_support(w, a):
+                raise ValueError("path runs inside a wall")
+            continue
+        if sa == 0 or sb == 0:
+            if on_support(w, a if sa == 0 else b):
+                raise ValueError("path endpoint lies on a wall")
+            continue
+        t = Fraction(sa, sa - sb)
+        pt = vadd(a, vscale(t, vsub(b, a)))
+        if 0 < t < 1 and on_support(w, pt):
+            if is_zero(pt):
+                raise ValueError("path passes through the origin")
+            out.append((t, pt, w))
+    out.sort(key=lambda x: x[0])
+    for (t1, p1, w1), (t2, _, w2) in zip(out, out[1:]):
+        if t1 == t2 and cross(w1.normal, w2.normal) != 0:
+            raise ValueError("path crosses two distinct walls at one point %r" % (p1,))
+    return [w for _, _, w in out]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return "ValueError: %s" % e
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "Kronecker", "(1,4)", "(3,3)"])
+def test_leg_crossings_match_wall_scan(name):
+    # seeded legs between grid points with denominators 1-3, plus legs
+    # from a point of a wall line: along it (inside a wall or beside a ray),
+    # through the origin, and off it (an endpoint on a wall or not)
+    fd = FixedData.from_exchange(*TYPES[name])
+    diagram = complete_rank2(fd, 6)
+    rng = random.Random("legs:" + name)
+    grid = sorted({F(k, d) for d in (1, 2, 3) for k in range(-3 * d, 3 * d + 1)})
+    lines = [line_dir(fd, w.normal) for w in diagram.walls]
+    legs = []
+    for _ in range(300):
+        legs.append(((rng.choice(grid), rng.choice(grid)), (rng.choice(grid), rng.choice(grid))))
+        u = rng.choice(lines)
+        a = vscale(rng.choice(grid), u)
+        legs += [(a, vscale(rng.choice(grid), u)), (a, (rng.choice(grid), rng.choice(grid)))]
+    seen = set()
+    for a, b in legs:
+        want = _outcome(_reference_crossings, fd, diagram, a, b)
+        got = _outcome(leg_crossings, fd, diagram, a, b)
+        assert got == want, (a, b)
+        seen.add(want if isinstance(want, str) else bool(want))
+    assert seen == {True, False, "ValueError: path passes through the origin",
+                    "ValueError: path endpoint lies on a wall",
+                    "ValueError: path runs inside a wall"}
+
+
+def test_radial_leg_crosses_nothing(a2, a2_diagram, g2, g2_diagram):
+    # a leg along a ray toward the origin that stops short: on A2 between
+    # the walls, on G2 on the line of the ray (1, -1), on the side it leaves
+    for fd, diagram, a, b in [(a2, a2_diagram, (F(1), F(1)), (F(1, 2), F(1, 2))),
+                              (g2, g2_diagram, (F(-2), F(2)), (F(-1, 2), F(1, 2)))]:
+        assert leg_crossings(fd, diagram, a, b) == []
+        p = LaurentPoly.monomial((1, 0), diagram.order)
+        assert path_ordered_product(fd, diagram, [a, b], p) == p
+
+
+def test_ray_off_its_normal_line_is_rejected(a2, a2_diagram):
+    # the search would never meet such a ray, so every wall lookup refuses it
+    bad = Wall((1, 0), "ray", (1, 0), WallFunction((0, 1), [1]))
+    diagram = Diagram(a2, a2_diagram.walls + [bad], 6, False)
+    msg = r"normal \(1, 0\) has direction \(1, 0\) off the line"
+    with pytest.raises(ValueError, match=msg):
+        check_consistent(a2, diagram)
+    with pytest.raises(ValueError, match=msg):
+        path_ordered_product(a2, diagram, [(F(1), F(1, 3)), (F(-1), F(1, 3))],
+                             LaurentPoly.monomial((1, 0), 6))
+    with pytest.raises(ValueError, match=msg):
+        theta(a2, diagram, (1, 0), (F(2), F(1)), 6)
+
+
+# SHA-256 of repr(complete_rank2(fd, order).walls), computed with a loop
+# that scanned every wall for each support direction
+COMPLETION_DIGESTS = {
+    ('A2', 4): "f76213f237df8e82a39a4f7ac1f0fecd3af4d34a131a7f1ce4668fe9e1e34832",
+    ('A2', 6): "f76213f237df8e82a39a4f7ac1f0fecd3af4d34a131a7f1ce4668fe9e1e34832",
+    ('A2', 8): "f76213f237df8e82a39a4f7ac1f0fecd3af4d34a131a7f1ce4668fe9e1e34832",
+    ('B2', 4): "3f933042eadddba42f1c954c12c03eced0d25be86dd90fb3068d11d6d92a7a9d",
+    ('B2', 6): "3f933042eadddba42f1c954c12c03eced0d25be86dd90fb3068d11d6d92a7a9d",
+    ('B2', 8): "3f933042eadddba42f1c954c12c03eced0d25be86dd90fb3068d11d6d92a7a9d",
+    ('G2', 4): "935876dff9ef3e0b044e7e543efa7bb5398e1d16887b0021cd4c503337a5c68c",
+    ('G2', 6): "6052a31ab0d9ae91a122267a5999d8dc890f2f3e318158d46911c69ce68329fa",
+    ('G2', 8): "6052a31ab0d9ae91a122267a5999d8dc890f2f3e318158d46911c69ce68329fa",
+    ('Kronecker', 4): "7e8c660cc2d5692e2e53e0472f17620d1c67660e522b660110637c2271921e72",
+    ('Kronecker', 6): "8a69348f6be9c3a6d89a2dbb5dd13628b3cc38d10998f7e82c3e6b9442fdcde3",
+    ('Kronecker', 8): "0c00c188706807c4fc3b9945fb55c84a70ec545a6020c98ba233cd26fe218e58",
+    ('(1,4)', 4): "5f2053e1cf30d0a35e3815c77086fac711d07ae6954ebe32a158bf858f7221a8",
+    ('(1,4)', 6): "9eac37f1e2f5413ff5f43a12cbb0542182ab3c2f5976748967b1e44fe688026d",
+    ('(1,4)', 8): "5b048aae6b2db03f46f1a75dc97ad2f581cb1b3374527b30623aa1b7eea598d5",
+    ('(3,3)', 4): "c9d233499965182f0e82b96678b9faca2eaa7d5a7e2a04d75a7d5821c3be3f1e",
+    ('(3,3)', 6): "5264f06ce57da9daad27470e177067bc127ef52990d38e1fd9d2b07ef35eaa65",
+    ('(3,3)', 8): "5d651045ef362d4dd78b221be7d56c21045998034789287df4bc62c31ac3b3eb",
+    ('(1,5)', 4): "bfe5d5347b7c93ceabf48ebbd80522994667253fc10ee853ffa12132d7aee3c4",
+    ('(1,5)', 6): "25f06aaf4844f252e42a3c8e5364a72d4fb7c83f871557beaf7b9878451c4e25",
+    ('(1,5)', 8): "dcbcfec8a27bfc98589f3600670c85a2631ed6f096db9687f3129c0392156048",
+    ('(2,3)', 4): "8b45104c026839bdc86dd3c2a7e925f801a584fc978a65fff74aa5981448205c",
+    ('(2,3)', 6): "8727a22a679b1dc3395f5ca0158d5a0cad46d1e238ee2621eda4e41db58d9953",
+    ('(2,3)', 8): "5dcc9335f691cfdfe125453dff54f547a41c697cbf311af38f5d6b941d94a2ca",
+}
+
+
+def test_completion_is_pinned():
+    for (name, order), digest in COMPLETION_DIGESTS.items():
+        fd = FixedData.from_exchange(*TYPES[name])
+        walls = complete_rank2(fd, order).walls
+        assert hashlib.sha256(repr(walls).encode()).hexdigest() == digest, (name, order)
+
+
+def test_completion_drops_the_form(kron):
+    # a form built on the initial diagram, by a search or by the loop, never
+    # outlives completion: the next lookup compiles the completed walls
+    for search_first in (False, True):
+        diagram = initial_diagram(kron, 6)
+        if search_first:
+            theta(kron, diagram, (1, 0), (F(2), F(1)), 6)
+        complete_diagram(kron, diagram)
+        assert search_form(kron, diagram)._all == tuple(diagram.walls)
+        assert check_consistent(kron, diagram)
