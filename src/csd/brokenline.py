@@ -8,7 +8,7 @@ coefficient (an int), and the point where it bends into the next piece.
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, cross, dot,
                        ccw_key, homogeneous, rational, is_rational)
@@ -164,11 +164,12 @@ class SearchForm:
     ValueError.  Each side of a support line that some wall covers is a
     half-line from the origin, and the walls through a nonzero point are
     those of its half-line.  The form keeps the half-lines as primitive
-    directions in counterclockwise order (geometry.ccw_key), a position on
-    the circle of directions as the pair (cw, ccw) of indices of its
-    neighbouring half-lines (see near), and, in lists indexed by
-    half-line, the walls in diagram order, their direction m0 and their
-    _Family (family, built on first use, with its power tables).
+    directions in counterclockwise order, with their exact tuple keys
+    (geometry.ccw_key) for near to bisect, a position on the circle of
+    directions as the pair (cw, ccw) of indices of its neighbouring
+    half-lines (see near), and, in lists indexed by half-line, the walls in
+    diagram order, their direction m0 and their _Family (family, built on
+    first use, with its power tables).
 
     walk is the one walker of that list.  Take a ray P + t*v, t > 0, with
     s = cross(P, v) != 0.  Seen from the origin its angle moves strictly
@@ -177,8 +178,11 @@ class SearchForm:
     a half-line h exactly when h lies strictly inside that arc, and it
     meets such half-lines in their angular order: walk starts at the
     neighbour of P on the side of s and goes on while the next half-line
-    is still inside the arc.  dead tells whether a walk from a bend site
-    has a first step.
+    is still inside the arc.  meets tells, with two cross products,
+    whether a walk has a first step, and dead asks it for a walk from a bend
+    site.  straight tells whether the sector between two neighbouring
+    half-lines is a wall-free chamber, where the search has only the
+    straight line to find.
 
     The form also holds the cone coordinates that give bends its exact
     monoid test, and the diagram's caches.  Points are pairs or reduced
@@ -207,9 +211,14 @@ class SearchForm:
         self.fd = fd
         self.L = fd.L
         self._all = tuple(walls)
+        # m = (A*g1 + B*g2)/D with A = ux*m0 + uy*m1 and B = vx*m0 + vy*m1
+        self._cone = ux, uy, vx, vy, _ = order_form(fd)
         # each covered half-line, by its primitive direction: its walls in
         # diagram order
         walls_at = {}
+        # whether every function direction lies on its wall's line and in
+        # the cone of the monoid, as straight needs
+        proper = True
         for w in walls:
             a = scaled_normal(fd, w.normal)
             u = _line_key(-a[1], a[0])
@@ -222,15 +231,19 @@ class SearchForm:
                                  "of its normal" % (w.normal, w.direction))
             for h in sides:
                 walls_at.setdefault(h, []).append(w)
-        self._halves = sorted(walls_at, key=ccw_key)
+            mx, my = w.func.direction
+            proper = (proper and u[0] * my == u[1] * mx
+                      and ux * mx + uy * my >= 0 and vx * mx + vy * my >= 0)
+        order = sorted((ccw_key(h), h) for h in walls_at)
+        self._keys = [k for k, _ in order]
+        self._halves = [h for _, h in order]
         n = len(self._halves)
+        self._proper = proper and n > 0
         self._index = {h: i for i, h in enumerate(self._halves)}
         self._around = [((i - 1) % n, (i + 1) % n) for i in range(n)]
         self._walls = [tuple(walls_at[h]) for h in self._halves]
         self._m0 = [ws[0].func.direction for ws in self._walls]
         self._fams = [None] * n
-        # m = (A*g1 + B*g2)/D with A = ux*m0 + uy*m1 and B = vx*m0 + vy*m1
-        self._cone = order_form(fd)
         self._families = {}
         self._origin = None
         self._arcs = {}
@@ -262,7 +275,7 @@ class SearchForm:
         n = len(self._halves)
         if not n:
             return 0, 0
-        j = bisect_left(self._halves, ccw_key((x, y)), key=ccw_key)
+        j = bisect_left(self._keys, ccw_key((x, y)))
         if j < n:
             hx, hy = self._halves[j]
             if hx * y == hy * x and hx * x + hy * y > 0:
@@ -299,16 +312,66 @@ class SearchForm:
             yield i, td, tn
             i = (i + step) % n
 
+    def meets(self, x, y, i, mx, my):
+        """Whether the ray (x, y) + t*(mx, my), t > 0, with s = cross((x, y), m)
+        != 0, meets half-line i: whether a walk that starts at i, the
+        neighbour of (x, y) on the side of s, has a first step."""
+        hx, hy = self._halves[i]
+        a, b = x * hy - y * hx, hx * my - hy * mx
+        if x * my - y * mx > 0:
+            return a > 0 and b > 0
+        return a < 0 and b < 0
+
     def dead(self, i, mx, my):
         """True when the ray from a point of half-line i along (mx, my) meets
         no half-line and does not run into the origin: when the walk from
         h_i has no first step."""
         hx, hy = self._halves[i]
-        if hx * my == hy * mx:
+        s = hx * my - hy * mx
+        if not s:
             # straight out is dead; into the origin is not, so that walk
             # raises for it
             return hx * mx + hy * my > 0
-        return next(self.walk(hx, hy, 1, mx, my, self._around[i]), None) is None
+        return not self.meets(hx, hy, self._around[i][s > 0], mx, my)
+
+    def straight(self, near, mx, my):
+        """Whether the straight line is the only broken line with initial
+        exponent m that ends between the half-lines near, and no root of its
+        search runs into the origin.
+
+        Let sigma be the cone of the monoid and S the open sector from
+        a = h_cw counterclockwise to b = h_ccw.  The answer is yes when every
+        function direction m0 lies on its wall's line and in sigma, S is
+        narrower than pi, S misses -sigma and m lies in the closure of S.
+        In a cluster scattering diagram every wall but the two initial lines
+        is a ray in -sigma, so such an S is a chamber of the whole diagram,
+        not only of a truncation, and this is GHKK (arXiv:1411.1394), Prop.
+        3.8: theta_{Q,m} = z^m for Q and m in one chamber.  For any walls:
+        S and -sigma are disjoint convex cones, S open, so some linear phi
+        is > 0 on S and >= 0 on sigma, hence phi(m) >= 0.  Every exponent
+        of a line, or of a node of its search, is m plus a sum of m0's in
+        sigma, so phi(exponent) >= phi(m) >= 0: the search moves away from
+        the endpoint z along exponents that never lower phi, and every
+        position y has phi(y) >= phi(z) > 0.  No exponent points into the
+        origin (phi(-z) < 0), and cross(y, exponent) never changes
+        (_search, 1.), so along a line the position turns strictly one way
+        inside the open half-plane phi > 0 and tends to the direction of m:
+        each of its bends lies strictly between z and m, in S, where no
+        half-line is.
+        With such walls nothing else in the search can raise.  S misses
+        -sigma exactly when neither -g1 nor -g2 lies in S and a + b, a
+        direction in S, is not in -sigma.
+        """
+        if not self._proper:
+            return False
+        (ax, ay), (bx, by) = self._halves[near[0]], self._halves[near[1]]
+        if ax * by - ay * bx <= 0 or ax * my - ay * mx < 0 or mx * by - my * bx < 0:
+            return False
+        if any(ax * gy - ay * gx < 0 and gx * by - gy * bx < 0 for gx, gy in self.fd.monoid_gens):
+            return False
+        ux, uy, vx, vy, _ = self._cone
+        sx, sy = ax + bx, ay + by
+        return ux * sx + uy * sy > 0 or vx * sx + vy * sy > 0
 
     def family(self, i):
         """The wall family of half-line i, built on first use and shared by
@@ -390,7 +453,7 @@ class _Arcs(dict):
 
     guard is True when -t lies in the cone of the monoid; admits then lets
     every node whose exponent lies in that cone through (see
-    enumerate_lines).  The form's lists are copied by reference and the
+    _search).  The form's lists are copied by reference and the
     form itself is not kept, so a form and its arcs make no cycle.
     """
 
@@ -489,18 +552,36 @@ def _endpoint(endpoint):
 
 
 def enumerate_lines(fd, diagram, initial, endpoint, K=None):
-    """All broken lines with the given initial exponent and endpoint.
+    """All broken lines with the given initial exponent and endpoint, sorted
+    by BrokenLine.signature.
 
     Bounds the shift of the final exponent by the diagram order (or K).  The
-    search runs on integers: bend sites are homogeneous triples and
-    coefficients ints.  Fractions are built only for the bend points of a
-    returned line.
+    lines are those of _search, which theta shares; Fractions are built only
+    here, for the bend points of the returned lines.
+    """
+    if K is None:
+        K = diagram.order
+    return [_assemble(endpoint, steps) for steps in _search(fd, diagram, initial, endpoint, K)]
 
-    The search goes backward from the endpoint, one root per final
-    exponent, and drops every node that cannot end in a line.  Take a node
-    at x (the endpoint or a bend site) with exponent a, remaining shift
-    r != 0 and so initial exponent t = a - r, the same for every node of
-    the search, and let sigma be the cone of the monoid.
+
+def _search(fd, diagram, initial, endpoint, K):
+    """The broken lines of enumerate_lines as step lists, in its order.
+
+    A line is the list of its steps endpoint-first: (bend site (X, Y, Q),
+    exponent after the bend, bend coefficient), ending with (None, initial
+    exponent, 1).  The search runs on integers: bend sites are homogeneous
+    triples and coefficients ints.  The lines are sorted by the signatures
+    of the lines they make, in integers: every bend site is scaled to the
+    common denominator of all sites, so two bend points compare as their
+    Fractions do.
+
+    After the input checks, an endpoint and exponent that SearchForm.straight
+    accepts give the straight line alone, with no search.  Otherwise the
+    search goes backward from the endpoint, one root per final exponent, and
+    drops every node that cannot end in a line.  Take a node at x (the
+    endpoint or a bend site) with exponent a, remaining shift r != 0 and so
+    initial exponent t = a - r, the same for every node of the search, and
+    let sigma be the cone of the monoid.
 
     1. cross(y, exponent) is the same at every later point y of the line:
        along a piece y moves along the exponent, and at a bend on a
@@ -524,10 +605,9 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     the type (3, 3) at order 6, with m = (1, -1) and endpoint
     (97/113, -123/151), 2 of the 7 lines sweep more than 2*pi.  The roots
     are tested here, with the two arc cones from the endpoint computed once
-    per call; _trace tests the children.
+    per call, and so is the first step of a root's walk
+    (SearchForm.meets); _trace tests the children.
     """
-    if K is None:
-        K = diagram.order
     ix, iy = (int(c) for c in initial)
     if (ix, iy) != tuple(initial):
         raise ValueError("initial exponent must be integral, got %r" % (tuple(initial),))
@@ -538,11 +618,17 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     if form.walls_through((x, y, q)):
         raise ValueError("endpoint lies on a wall; perturb it first")
     near = form.near(x, y)
+    orders = range(K + 1)
+    # K < 0 leaves no root and so no line
+    if orders and form.straight(near, ix, iy):
+        return [[(None, (ix, iy), 1)]]
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
     arcs = (form.arcs((ix, iy), False), form.arcs((ix, iy), True))
+    # meets needs a half-line; with none, a root with a shift never bends
+    halves = form._halves
     cones = {}
     results = []
-    for a in range(K + 1):
+    for a in orders:
         for b in range(K + 1 - a):
             px, py = a * g1x + b * g2x, a * g1y + b * g2y
             mx, my = ix + px, iy + py
@@ -552,20 +638,30 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
             if (px or py) and x * my != y * mx:
                 if ccw not in cones:
                     cones[ccw] = arcs[ccw].cone((x, y))
-                if not arcs[ccw].admits(cones[ccw], mx, my, px, py):
+                if not (halves and arcs[ccw].admits(cones[ccw], mx, my, px, py)
+                        and form.meets(x, y, near[ccw], mx, my)):
                     continue
             _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, arcs[ccw], [],
                    results)
-    lines = [_assemble(endpoint, rev_steps) for rev_steps in results]
-    lines.sort(key=lambda l: l.signature())
-    return lines
+    if len(results) > 1:
+        Q = lcm(*{pt[2] for steps in results for pt, _, _ in steps[:-1]})
+        results.sort(key=lambda steps: _signature(steps, Q))
+    return results
+
+
+def _signature(steps, Q):
+    """BrokenLine.signature of the line of the steps, with each bend point
+    (X, Y, q) as the integer pair (X, Y) * (Q / q)."""
+    # endpoint-first, a piece ends where the step before it bends
+    ends = [()] + [(X * (Q // q), Y * (Q // q)) for (X, Y, q), _, _ in steps[:-1]]
+    return [(m, end) for (_, m, _), end in zip(steps, ends)][::-1]
 
 
 def _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
     """Backward search from (x, y)/q, between the half-lines near, with
     exponent (mx, my) and remaining shift (px, py); steps collect (bend site
-    (X, Y, Q), m_before_bend, coeff) endpoint-first.  arcs holds the arc
-    cones of the search's initial exponent and sense of turning.
+    (X, Y, Q), exponent after the bend, coeff) endpoint-first.  arcs holds
+    the arc cones of the search's initial exponent and sense of turning.
 
     With no shift left the node is a line: no shift s != 0 of the pointed
     monoid leaves -s in it, so it cannot bend.  Otherwise the walk over the
@@ -573,7 +669,7 @@ def _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, arcs, steps, res
     which children k*m0 survive: the power of f must be nonzero, the
     remaining shift must stay in the monoid (_Family.cap and step), and a
     child that still has a shift must meet a half-line (SearchForm.dead)
-    and pass the arc test of enumerate_lines.  Only a site with a survivor
+    and pass the arc test of _search.  Only a site with a survivor
     is built and passed to allowed_bends, which gives the coefficients.
     """
     if not (px or py):
@@ -632,12 +728,25 @@ def _assemble(endpoint, rev_steps):
 
 
 def theta(fd, diagram, m, endpoint, K=None):
+    """The theta function of m at the endpoint: the sum of c * z^F over the
+    broken lines with initial exponent m, final exponent F and coefficient
+    c, truncated at order K (the diagram order by default).
+
+    The lines are those of enumerate_lines, from the same search (_search),
+    but none is built: a line's coefficient is the product of its bend
+    coefficients, added to the term of its final exponent.  The terms come
+    in the order of the lines, as theta_of_lines gives them.
+    """
     if K is None:
         K = diagram.order
     if is_zero(m):
-        _endpoint(endpoint)  # enumerate_lines checks it otherwise
+        _endpoint(endpoint)  # _search checks it otherwise
         return LaurentPoly({tuple(m): 1}, tuple(m), K)
-    return theta_of_lines(m, enumerate_lines(fd, diagram, m, endpoint, K), K)
+    terms = {}
+    for steps in _search(fd, diagram, m, endpoint, K):
+        f = steps[0][1]
+        terms[f] = terms.get(f, 0) + prod(c for _, _, c in steps)
+    return LaurentPoly(terms, tuple(m), K)
 
 
 def theta_of_lines(m, lines, K):

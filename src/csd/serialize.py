@@ -8,7 +8,6 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .geometry import cross, primitive
 from .lattice import FixedData, line_dir, order_form
 from .series import WallFunction
 from .scattering import Wall, Diagram
@@ -36,9 +35,17 @@ def point_to_json(pt):
     return out
 
 
+def _rational(c):
+    """A rational read from JSON: an int or a string such as "3/2".  A float
+    or a bool raises TypeError: a float is not exact, and true is not 1."""
+    if isinstance(c, (float, bool)):
+        raise TypeError('a rational is an integer or a string such as "3/2", got %r' % (c,))
+    return Fraction(c)
+
+
 def point_from_json(v):
     try:
-        return tuple(Fraction(c) for c in v)
+        return tuple(_rational(c) for c in v)
     except (TypeError, ZeroDivisionError) as e:
         raise ValueError("bad coordinate in point %r: %s" % (v, e))
 
@@ -93,33 +100,42 @@ def wallfunction_to_json(f):
 
 
 def _int_pair(v, field):
-    """A nonzero integer pair [x, y] read from a document field."""
+    """A nonzero integer pair [x, y] read from a document field, as a tuple of ints."""
+    if type(v) is list and len(v) == 2:
+        x, y = v
+        if type(x) is int and type(y) is int and (x or y):
+            return x, y
     if not (isinstance(v, list) and len(v) == 2 and _is_int(v[0]) and _is_int(v[1]) and any(v)):
         raise ValueError("%s must be a nonzero integer pair [x, y], got %r" % (field, v))
-    return tuple(v)
-
-
-def _coefficient(c):
-    """A wall-function coefficient: an integer >= 0 written as a string."""
-    if not (isinstance(c, str) and c.isascii() and c.isdecimal()):
-        raise ValueError("func coeffs must hold integers >= 0 as strings, got %r" % (c,))
-    return int(c)
+    return int(v[0]), int(v[1])
 
 
 def wallfunction_from_json(doc):
-    """A wall function from its document; malformed fields raise ValueError naming them."""
+    """A wall function from its document; malformed fields raise ValueError naming them.
+
+    One pass: each field is checked once, and the WallFunction is built
+    from the checked values without a second check, as series.wf_pow builds
+    its result.  dir = g*m0 with m0 primitive spreads the coefficients over
+    the multiples of m0.
+    """
     if not isinstance(doc, dict):
         raise ValueError("func must be a JSON object, got %r" % (doc,))
-    d = _int_pair(doc["dir"], "func dir")
-    if not isinstance(doc["coeffs"], list):
-        raise ValueError("func coeffs must be a JSON list, got %r" % (doc["coeffs"],))
-    g = gcd(*d)
-    m0 = tuple(x // g for x in d)
+    dx, dy = _int_pair(doc["dir"], "func dir")
+    cs = doc["coeffs"]
+    if not isinstance(cs, list):
+        raise ValueError("func coeffs must be a JSON list, got %r" % (cs,))
+    g = gcd(dx, dy)
     coeffs = []
-    for c in doc["coeffs"]:
+    for c in cs:
+        if not (isinstance(c, str) and c.isascii() and c.isdecimal()):
+            raise ValueError("func coeffs must hold integers >= 0 as strings, got %r" % (c,))
         coeffs.extend([0] * (g - 1))
-        coeffs.append(_coefficient(c))
-    return WallFunction(m0, coeffs)
+        coeffs.append(int(c))
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    f = object.__new__(WallFunction)
+    f.direction, f.coeffs, f.order = (dx // g, dy // g), tuple(coeffs), None
+    return f
 
 
 def wall_to_json(w):
@@ -127,13 +143,15 @@ def wall_to_json(w):
     return {"normal": list(w.normal), "support": support, "func": wallfunction_to_json(w.func)}
 
 
-def wall_from_json(doc, fd):
+def wall_from_json(doc, fd, cone=None):
     """A wall from its document; malformed fields raise ValueError naming them.
 
     A ray's direction must be primitive and lie on the line of its normal:
     the search never meets a ray off that line, so it would be lost silently.
     The function direction must lie on that line too, and in the cone of the
-    monoid.
+    monoid.  cone is order_form(fd), which diagram_from_json computes once
+    for all its walls.  One pass on ints: each field is checked once, and
+    the Wall is built from the checked values without a second check.
     """
     if not isinstance(doc, dict):
         raise ValueError("wall must be a JSON object, got %r" % (doc,))
@@ -142,12 +160,12 @@ def wall_from_json(doc, fd):
     if not isinstance(support, dict):
         raise ValueError("support must be a JSON object, got %r" % (support,))
     kind = support["kind"]
-    line = line_dir(fd, n)
+    lx, ly = line_dir(fd, n)
     if kind == "line":
-        direction = line
+        direction = lx, ly
     elif kind == "ray":
-        direction = _int_pair(support["dir"], "support dir")
-        if direction != primitive(direction) or cross(line, direction):
+        direction = sx, sy = _int_pair(support["dir"], "support dir")
+        if gcd(sx, sy) != 1 or lx * sy != ly * sx:
             raise ValueError("support dir must be primitive and on the line of normal %r, "
                              "got %r" % (list(n), support["dir"]))
     else:
@@ -155,15 +173,17 @@ def wall_from_json(doc, fd):
     func = wallfunction_from_json(doc["func"])
     # the search reads a bend's power off the pairing with the normal alone,
     # which needs the function direction on the wall's line and in the cone
-    if cross(line, func.direction):
+    mx, my = func.direction
+    if lx * my != ly * mx:
         raise ValueError("func dir must lie on the line of normal %r, got %r"
                          % (list(n), doc["func"]["dir"]))
-    ux, uy, vx, vy, _ = order_form(fd)
-    mx, my = func.direction
+    ux, uy, vx, vy, _ = cone or order_form(fd)
     if ux * mx + uy * my < 0 or vx * mx + vy * my < 0:
         raise ValueError("func dir must lie in the cone of the monoid, got %r"
                          % (doc["func"]["dir"],))
-    return Wall(n, kind, direction, func)
+    w = object.__new__(Wall)
+    w.normal, w.kind, w.direction, w.func = n, kind, direction, func
+    return w
 
 
 def diagram_to_json(diagram):
@@ -185,10 +205,11 @@ def diagram_from_json(doc):
     if not (_is_int(order) and order >= 0):
         raise ValueError("order must be an integer >= 0, got %r" % (order,))
     fd = fd_from_json(doc["seed"])
+    cone = order_form(fd)
     walls = []
     for i, w in enumerate(doc["walls"]):
         try:
-            walls.append(wall_from_json(w, fd))
+            walls.append(wall_from_json(w, fd, cone))
         except ValueError as e:
             raise ValueError("wall %d: %s" % (i, e))
         except KeyError as e:
@@ -231,15 +252,16 @@ def _field_exponent(v, field):
 def _field_rational(v, field):
     """A rational number (an integer or a string such as "5/2") read from a document field."""
     try:
-        return Fraction(v)
+        return _rational(v)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValueError("%s must be a rational number, got %r" % (field, v))
 
 
 def _field_integer(v, field):
-    """An integer (such as 3 or "3") read from a document field."""
-    c = _field_rational(v, field)
-    if c.denominator != 1:
+    """An integer (such as 3 or "3") read from a document field; a float or
+    a bool is none, even when whole."""
+    c = None if isinstance(v, (float, bool)) else _field_rational(v, field)
+    if c is None or c.denominator != 1:
         raise ValueError("%s must be an integer, got %r" % (field, v))
     return c.numerator
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from csd import brokenline, serialize
 from csd.brokenline import (Piece, BrokenLine, Segment, wall_families,
-                            allowed_bends, enumerate_lines, theta, reverse,
+                            allowed_bends, enumerate_lines, theta, theta_of_lines, reverse,
                             validate_segment, line_bounded_segment,
                             bend_coefficient, search_form, _assemble, _line_key, _site)
-from csd.geometry import vadd, vsub, vscale, is_zero, homogeneous, cross, dot, same_ray
+from csd.geometry import (vadd, vsub, vscale, is_zero, homogeneous, cross, dot, same_ray,
+                          primitive)
 from csd.lattice import (FixedData, pairing, n_circ_primitive, cone_order,
-                         solve_linear, scaled_normal)
+                         solve_linear, scaled_normal, dual_perp)
 from csd.scattering import Diagram, Wall, complete_rank2
 from csd.series import wf_mul, wf_pow, LaurentPoly, WallFunction
 
@@ -572,7 +574,9 @@ def test_search_work_is_pinned(a2, a2_diagram, g2, g2_diagram, kron, kron_diagra
     # a site is passed to allowed_bends only when some bend there can still
     # end in a line; tracing every ray and bending at every site makes 3439
     # _trace and 1858 allowed_bends calls here, and the search without the
-    # arc test and the per-site check made 2272 and 1712
+    # arc test and the per-site check made 2272 and 1712.  A root whose ray
+    # meets no half-line is not traced, and a wall-free chamber
+    # (SearchForm.straight) is not searched: before both, 1401 and 196
     counts = {"_trace": 0, "allowed_bends": 0}
     for name in counts:
         def counting(*args, _fn=getattr(brokenline, name), _name=name):
@@ -585,4 +589,157 @@ def test_search_work_is_pinned(a2, a2_diagram, g2, g2_diagram, kron, kron_diagra
             for z in DIFF_ENDPOINTS[:2]:
                 lines += len(enumerate_lines(fd, diagram, m, z, K))
     assert lines == 125
-    assert counts == {"_trace": 1401, "allowed_bends": 196}
+    assert counts == {"_trace": 760, "allowed_bends": 196}
+
+
+# the eight types of the shared-search and chamber checks
+SHARED_TYPES = [([[0, 1], [-1, 0]], [1, 1]), ([[0, 2], [-1, 0]], [1, 2]),
+                ([[0, 3], [-1, 0]], [1, 3]), ([[0, 2], [-2, 0]], [1, 1]),
+                ([[0, 3], [-3, 0]], [1, 1]), ([[0, 4], [-1, 0]], [1, 4]),
+                ([[0, 5], [-1, 0]], [1, 5]), ([[0, 3], [-2, 0]], [2, 3])]
+SHARED_IDS = ["A2", "B2", "G2", "Kronecker", "W33", "W14", "W15", "W23"]
+
+
+@functools.cache
+def _shared_diagram(i, order):
+    fd = FixedData.from_exchange(*SHARED_TYPES[i])
+    return fd, complete_rank2(fd, order)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("i", range(len(SHARED_TYPES)), ids=SHARED_IDS)
+def test_theta_sums_the_lines_of_enumerate_lines(i, order):
+    # theta reads the search that enumerate_lines assembles: equal reprs
+    # (term order included) or the same error, and the lines come sorted by
+    # signature; at generic endpoints, on a wall, on the ray of an exponent
+    # and with no walls at all
+    fd, diagram = _shared_diagram(i, order)
+    form = search_form(fd, diagram)
+    h = form._halves[0]
+    # off every wall, on the ray of -m for one m below
+    v = next(v for v in [(2, -1), (1, 2), (-1, 2), (1, 1)] if not form.walls_through(v))
+    endpoints = DIFF_ENDPOINTS[:2] + [(F(3 * h[0], 7), F(3 * h[1], 7)),
+                                      (F(3 * v[0], 7), F(3 * v[1], 7))]
+    seen = set()
+    for d, zs in ((diagram, endpoints), (Diagram(fd, [], order, False), endpoints[:2])):
+        for z in zs:
+            for m in ((x, y) for x in range(-3, 4) for y in range(-3, 4) if x or y):
+                lines = _outcome(enumerate_lines, fd, d, m, z, order)
+                got = _outcome(theta, fd, d, m, z, order)
+                if isinstance(lines, str):
+                    assert got == lines, (m, z)
+                    seen.add(lines.split(";")[0].split(" with")[0])
+                    continue
+                sigs = [l.signature() for l in lines]
+                assert sigs == sorted(sigs), (m, z)
+                assert repr(got) == repr(theta_of_lines(m, lines, order)), (m, z)
+                seen.add(len(lines) > 1)
+    assert seen >= {True, False, "ValueError: endpoint lies on a wall",
+                    "ValueError: trajectory"}
+
+
+def test_theta_builds_no_lines(g2, g2_diagram, monkeypatch):
+    made = []
+
+    class Spy(Piece):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(brokenline, "Piece", Spy)
+    for m in DIFF_EXPONENTS:
+        theta(g2, g2_diagram, m, DIFF_ENDPOINTS[0], 8)
+    assert made == []
+    enumerate_lines(g2, g2_diagram, (-1, 0), DIFF_ENDPOINTS[0], 8)
+    assert made
+
+
+def _sector_point(a, b):
+    """A point strictly inside the sector from a counterclockwise to b."""
+    if cross(a, b) > 0:
+        return F(a[0] + b[0]), F(a[1] + b[1])
+    return F(-a[1]), F(a[0])
+
+
+@pytest.mark.parametrize("i", range(len(SHARED_TYPES)), ids=SHARED_IDS)
+def test_wall_free_chambers_have_straight_lines_only(i, monkeypatch):
+    # every wall but the two initial lines lies in -sigma, so the sectors
+    # between two of the four initial half-lines, other than -sigma, are the
+    # wall-free chambers: there the reference search finds the straight
+    # line alone for every m in the closure; elsewhere the search runs
+    fd, diagram = _shared_diagram(i, 5)
+    form = search_form(fd, diagram)
+    halves, n = form._halves, len(form._halves)
+    initial = {primitive((s * g[0], s * g[1])) for g in fd.monoid_gens for s in (1, -1)}
+    calls = []
+
+    def spy(*args, _trace=brokenline._trace):
+        calls.append(args)
+        return _trace(*args)
+    monkeypatch.setattr(brokenline, "_trace", spy)
+    ms = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if x or y]
+    free = 0
+    for j in range(n):
+        a, b = halves[j], halves[(j + 1) % n]
+        z = _sector_point(a, b)
+        near = form.near(*homogeneous(z)[:2])
+        assert near == (j, (j + 1) % n)
+        closure = [m for m in ms if cross(a, m) >= 0 and cross(m, b) >= 0 and cross(a, b) > 0]
+        in_minus_sigma = all(cone_order(fd, (-h[0], -h[1])) is not None for h in (a, b))
+        if {a, b} <= initial and not in_minus_sigma:
+            free += 1
+            for m in closure:
+                assert form.straight(near, *m), (a, b, m)
+                del calls[:]
+                got = enumerate_lines(fd, diagram, m, z, 5)
+                want = _reference_lines(fd, diagram, m, z, 5)
+                assert [(l.signature(), l.coeff) for l in want] == [(((m, ()),), 1)], (z, m)
+                assert [(l.signature(), l.coeff) for l in got] == [(((m, ()),), 1)]
+                assert calls == []
+        else:
+            assert not any(form.straight(near, *m) for m in ms), (a, b)
+            if in_minus_sigma:
+                for m in closure:
+                    del calls[:]
+                    _outcome(enumerate_lines, fd, diagram, m, z, 5)
+                    assert calls, (a, b, m)
+    assert free == 3
+
+
+def test_straight_holds_for_any_walls():
+    # the argument of SearchForm.straight needs only that every function
+    # direction lies on its wall's line and in sigma: on random walls of that
+    # kind (not cluster diagrams; the initial lines may be missing, so a
+    # sector can hold -g1 or -g2), wherever it fires the reference search
+    # finds the straight line alone
+    rng = random.Random(5)
+    fired = checked = 0
+    for _ in range(150):
+        fd = FixedData.from_exchange(*SHARED_TYPES[rng.randrange(4)])
+        walls = []
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.choice([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, 3)])
+            m0 = primitive(vadd(vscale(a, fd.monoid_gens[0]), vscale(b, fd.monoid_gens[1])))
+            side = m0 if rng.random() < 0.5 else (-m0[0], -m0[1])
+            walls.append(Wall(dual_perp(fd, m0), rng.choice(["line", "ray"]), side,
+                              WallFunction(m0, [rng.randint(1, 2)])))
+        diagram = Diagram(fd, walls, 4, False)
+        form = search_form(fd, diagram)
+        z = (F(rng.randint(-300, 300), 101), F(rng.randint(-300, 300), 103))
+        if form.walls_through(homogeneous(z)):
+            continue
+        near = form.near(*homogeneous(z)[:2])
+        for m in ((x, y) for x in range(-3, 4) for y in range(-3, 4) if x or y):
+            if form.straight(near, *m):
+                fired += 1
+                assert [(l.signature(), l.coeff) for l in _reference_lines(fd, diagram, m, z, 4)] \
+                    == [(((m, ()),), 1)], (walls, z, m)
+            checked += 1
+    assert 0 < fired < checked
+    # a function direction outside sigma voids the argument: no shortcut
+    fd = FixedData.from_exchange(*SHARED_TYPES[0])
+    good = complete_rank2(fd, 4)
+    bad = Diagram(fd, good.walls + [Wall((1, 1), "line", (-1, 1), WallFunction((1, -1), [1]))],
+                  4, False)
+    for d, fires in ((good, True), (bad, False)):
+        form = search_form(fd, d)
+        assert form.straight(form.near(-2, 3), -1, 1) == fires

@@ -174,8 +174,9 @@ def test_build_rejects_malformed_seed(paths, seed, field):
     assert field in r.stderr and "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("doc", [[[1, 2, 3], [0, 0]], {"a": 1}, [[1, "1/0"]], [[1, None]]],
-                         ids=["three-coordinates", "object", "zero-denominator", "null"])
+@pytest.mark.parametrize("doc", [[[1, 2, 3], [0, 0]], {"a": 1}, [[1, "1/0"]], [[1, None]],
+                                 [[0.1, 0.2], [1, 0], [0, 1]]],
+                         ids=["three-coordinates", "object", "zero-denominator", "null", "float"])
 def test_malformed_point_files(paths, doc):
     bad = paths["dir"] / "bad_points.json"
     bad.write_text(json.dumps(doc))

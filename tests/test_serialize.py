@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from csd import serialize
+from csd import cli, serialize
 from csd.brokenline import Piece, BrokenLine, Segment, enumerate_lines
 from csd.constructions import BalancedPair
-from csd.lattice import FixedData
-from csd.scattering import complete_rank2
+from csd.geometry import cross, primitive
+from csd.lattice import FixedData, cone_order, line_dir, order_form
+from csd.scattering import Wall, complete_rank2
 from csd.series import WallFunction
 from csd.svg import render_svg
 
@@ -120,6 +126,8 @@ def test_segment_and_pair_roundtrip():
     (("pieces", 0, "exponent"), [1], "broken line piece 0 exponent"),
     (("pieces", 0, "bend"), ["a", 1], "broken line piece 0 bend"),
     (("pieces",), 3, "broken line must be"),
+    # JSON true is not the rational 1
+    (("pieces", 0, "bend"), [True, 1], "broken line piece 0 bend"),
 ])
 def test_brokenline_from_json_names_bad_field(path, value, field):
     doc = {"endpoint": [0, 3],
@@ -142,9 +150,10 @@ def test_segment_from_json_names_bad_field():
         with pytest.raises(ValueError, match=field):
             serialize.segment_from_json(bad)
     bad = json.loads(json.dumps(doc))
-    bad["pieces"][0]["duration"] = "1/0"
-    with pytest.raises(ValueError, match="segment piece 0 duration"):
-        serialize.segment_from_json(bad)
+    for value in ("1/0", 0.5):
+        bad["pieces"][0]["duration"] = value
+        with pytest.raises(ValueError, match="segment piece 0 duration"):
+            serialize.segment_from_json(bad)
 
 
 def test_pair_from_json_names_bad_field():
@@ -159,6 +168,12 @@ def test_pair_from_json_names_bad_field():
         serialize.pair_from_json(dict(doc, line2=dict(l1, endpoint=[0])))
     with pytest.raises(ValueError, match="pair base"):
         serialize.pair_from_json(dict(doc, base=[0, 3, 1]))
+    # a float is no rational, even when it is whole
+    l2 = json.loads(json.dumps(l1))
+    l2["pieces"][0]["coeff"] = 2.0
+    with pytest.raises(ValueError) as info:
+        serialize.pair_from_json(dict(doc, line1=l2))
+    assert str(info.value) == "pair line1 piece 0 coeff must be an integer, got 2.0"
 
 
 def test_dumps_canonical_stable():
@@ -225,3 +240,163 @@ def test_wall_loader_accepts(g2):
     assert (w.kind, w.direction, w.func.direction, w.func.coeffs) == ("line", (-1, 3), (-1, 3), (0, 3))
     w = serialize.wall_from_json(_wall_doc(support={"kind": "ray", "dir": [0, -1]}), g2)
     assert (w.kind, w.direction, w.func.direction) == ("ray", (0, -1), (0, 1))
+
+
+# The wall loader before it became one pass, kept as the reference for
+# test_wall_loader_matches_reference.
+def _ref_is_int(x):
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
+
+
+def _ref_int_pair(v, field):
+    if not (isinstance(v, list) and len(v) == 2 and _ref_is_int(v[0]) and _ref_is_int(v[1])
+            and any(v)):
+        raise ValueError("%s must be a nonzero integer pair [x, y], got %r" % (field, v))
+    return tuple(v)
+
+
+def _ref_coefficient(c):
+    if not (isinstance(c, str) and c.isascii() and c.isdecimal()):
+        raise ValueError("func coeffs must hold integers >= 0 as strings, got %r" % (c,))
+    return int(c)
+
+
+def _ref_wallfunction_from_json(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("func must be a JSON object, got %r" % (doc,))
+    d = _ref_int_pair(doc["dir"], "func dir")
+    if not isinstance(doc["coeffs"], list):
+        raise ValueError("func coeffs must be a JSON list, got %r" % (doc["coeffs"],))
+    g = gcd(*d)
+    m0 = tuple(x // g for x in d)
+    coeffs = []
+    for c in doc["coeffs"]:
+        coeffs.extend([0] * (g - 1))
+        coeffs.append(_ref_coefficient(c))
+    return WallFunction(m0, coeffs)
+
+
+def _ref_wall_from_json(doc, fd, cone=None):
+    if not isinstance(doc, dict):
+        raise ValueError("wall must be a JSON object, got %r" % (doc,))
+    n = _ref_int_pair(doc["normal"], "normal")
+    support = doc["support"]
+    if not isinstance(support, dict):
+        raise ValueError("support must be a JSON object, got %r" % (support,))
+    kind = support["kind"]
+    line = line_dir(fd, n)
+    if kind == "line":
+        direction = line
+    elif kind == "ray":
+        direction = _ref_int_pair(support["dir"], "support dir")
+        if direction != primitive(direction) or cross(line, direction):
+            raise ValueError("support dir must be primitive and on the line of normal %r, "
+                             "got %r" % (list(n), support["dir"]))
+    else:
+        raise ValueError("support kind must be 'line' or 'ray', got %r" % (kind,))
+    func = _ref_wallfunction_from_json(doc["func"])
+    if cross(line, func.direction):
+        raise ValueError("func dir must lie on the line of normal %r, got %r"
+                         % (list(n), doc["func"]["dir"]))
+    ux, uy, vx, vy, _ = order_form(fd)
+    mx, my = func.direction
+    if ux * mx + uy * my < 0 or vx * mx + vy * my < 0:
+        raise ValueError("func dir must lie in the cone of the monoid, got %r"
+                         % (doc["func"]["dir"],))
+    return Wall(n, kind, direction, func)
+
+
+LOADER_TYPES = [FixedData([[0, 1], [-1, 0]], [1, 1]), FixedData([[0, 2], [-1, 0]], [1, 2]),
+                FixedData([[0, 3], [-1, 0]], [1, 3]), FixedData([[0, 2], [-2, 0]], [1, 1])]
+# values that replace a field of a valid document: bools, floats and strings
+# where ints belong, zero and non-primitive vectors, wrong containers
+ODD_VALUES = [True, False, 1.0, 0.5, "1", "x", None, 0, -3, 7, [], {}, [0, 0], [2, 4],
+              [1, 2, 3], [1.0, 0], [True, 1], ["1"], "line", "ray", ["1", "0"]]
+
+
+@st.composite
+def wall_documents(draw):
+    """A wall document on one of LOADER_TYPES, valid or with one field
+    replaced, one key dropped or the function direction moved."""
+    fd = draw(st.sampled_from(LOADER_TYPES))
+    n = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+    line = line_dir(fd, n)
+    # the side of the line in the cone, when there is one
+    m0 = next((s for s in (line, (-line[0], -line[1])) if cone_order(fd, s) is not None), line)
+    g = draw(st.integers(1, 3))
+    doc = {"normal": list(n),
+           "support": draw(st.sampled_from([{"kind": "line"},
+                                            {"kind": "ray", "dir": list(line)},
+                                            {"kind": "ray", "dir": [-line[0], -line[1]]}])),
+           "func": {"dir": [g * m0[0], g * m0[1]],
+                    "coeffs": [str(c) for c in draw(st.lists(st.integers(0, 3), max_size=4))]}}
+    doc = json.loads(json.dumps(doc))
+    edit = draw(st.sampled_from(["none", "replace", "drop", "func dir", "ray dir"]))
+    paths = [("normal",), ("normal", 0), ("normal", 1), ("support",), ("support", "kind"),
+             ("func",), ("func", "dir"), ("func", "dir", 1), ("func", "coeffs")]
+    if doc["support"]["kind"] == "ray":
+        paths += [("support", "dir"), ("support", "dir", 0)]
+    if doc["func"]["coeffs"]:
+        paths.append(("func", "coeffs", 0))
+    if edit in ("replace", "drop"):
+        path = draw(st.sampled_from(paths if edit == "replace" else
+                                    [p for p in paths if isinstance(p[-1], str)]))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if edit == "replace":
+            node[path[-1]] = draw(st.sampled_from(ODD_VALUES))
+        else:
+            del node[path[-1]]
+    elif edit == "func dir":
+        # off the line, or on it outside the cone, or not primitive
+        doc["func"]["dir"] = list(draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4))))
+    elif edit == "ray dir":
+        k = draw(st.integers(2, 3))
+        doc["support"] = {"kind": "ray", "dir": [k * line[0], k * line[1]]}
+    return fd, doc
+
+
+def _loaded(load, ddoc):
+    """(walls as comparable tuples, None) or (None, the ValueError message)."""
+    try:
+        d = load(ddoc)
+    except ValueError as e:
+        return None, str(e)
+    return [(w.normal, w.kind, w.direction, w.func.direction, w.func.coeffs, w.func.order,
+             [type(x) for x in w.normal + w.direction + w.func.direction + w.func.coeffs])
+            for w in d.walls], None
+
+
+@given(wall_documents())
+@settings(max_examples=400, deadline=None)
+def test_wall_loader_matches_reference(case):
+    # each document gives the same Wall as the reference loader, or the same
+    # message through diagram_from_json
+    fd, wdoc = case
+    ddoc = {"seed": serialize.fd_to_json(fd), "order": 4, "saturated": False,
+            "walls": [wdoc]}
+    got = _loaded(serialize.diagram_from_json, ddoc)
+    with mock.patch.object(serialize, "wall_from_json", _ref_wall_from_json):
+        want = _loaded(serialize.diagram_from_json, ddoc)
+    assert got == want
+
+
+@given(wall_documents())
+@settings(max_examples=60, deadline=None)
+def test_bad_wall_documents_exit_2(tmp_path_factory, case):
+    # through the CLI a rejected wall exits 2 with the loader's message and
+    # no traceback
+    fd, wdoc = case
+    ddoc = {"seed": serialize.fd_to_json(fd), "order": 4, "saturated": False,
+            "walls": [wdoc]}
+    _, message = _loaded(serialize.diagram_from_json, ddoc)
+    assume(message is not None)
+    path = tmp_path_factory.mktemp("walls") / "diagram.json"
+    path.write_text(json.dumps(ddoc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["theta", "--diagram", str(path), "--direction", "1,0",
+                      "--endpoint", "97/113,-123/151"])
+    assert (info.value.code, out.getvalue(), err.getvalue()) == (2, "", "error: %s\n" % message)
