@@ -164,12 +164,11 @@ class SearchForm:
     ValueError.  Each side of a support line that some wall covers is a
     half-line from the origin, and the walls through a nonzero point are
     those of its half-line.  The form keeps the half-lines as primitive
-    directions in counterclockwise order, with their exact tuple keys
-    (geometry.ccw_key) for near to bisect, a position on the circle of
-    directions as the pair (cw, ccw) of indices of its neighbouring
-    half-lines (see near), and, in lists indexed by half-line, the walls in
-    diagram order, their direction m0 and their _Family (family, built on
-    first use, with its power tables).
+    directions in counterclockwise order (geometry.ccw_key), a position on
+    the circle of directions as the pair (cw, ccw) of indices of its
+    neighbouring half-lines (see near), and, in lists indexed by
+    half-line, the walls in diagram order, their direction m0 and their
+    _Family (family, built on first use, with its power tables).
 
     walk is the one walker of that list.  Take a ray P + t*v, t > 0, with
     s = cross(P, v) != 0.  Seen from the origin its angle moves strictly
@@ -234,9 +233,7 @@ class SearchForm:
             mx, my = w.func.direction
             proper = (proper and u[0] * my == u[1] * mx
                       and ux * mx + uy * my >= 0 and vx * mx + vy * my >= 0)
-        order = sorted((ccw_key(h), h) for h in walls_at)
-        self._keys = [k for k, _ in order]
-        self._halves = [h for _, h in order]
+        self._halves = sorted(walls_at, key=ccw_key)
         n = len(self._halves)
         self._proper = proper and n > 0
         self._index = {h: i for i, h in enumerate(self._halves)}
@@ -275,7 +272,7 @@ class SearchForm:
         n = len(self._halves)
         if not n:
             return 0, 0
-        j = bisect_left(self._keys, ccw_key((x, y)))
+        j = bisect_left(self._halves, ccw_key((x, y)), key=ccw_key)
         if j < n:
             hx, hy = self._halves[j]
             if hx * y == hy * x and hx * x + hy * y > 0:

@@ -11,7 +11,8 @@ scales every N by k.
 """
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from functools import cmp_to_key
+from math import gcd, lcm
 from numbers import Rational
 
 
@@ -82,30 +83,21 @@ def same_ray(u, v):
     return cross(u, v) == 0 and dot(u, v) > 0
 
 
-def ccw_key(v):
-    """Sort key for counterclockwise angular order from the positive x-axis.
-
-    An exact tuple that compares in C: the angle class (0 on the positive
-    x-axis, 1 in the open upper half-plane, 2 on the negative x-axis, 3 in
-    the open lower half-plane), then, in classes 1 and 3, the continued
-    fraction of -x/y, which grows with the angle.  Two rationals compare as
-    their continued fractions [a0; a1, a2, ...] do, term by term with the
-    sense reversed at every odd position and a missing term read as
-    infinite; so the key holds a0, -a1, a2, ... and then that infinite term
-    with its sign.  Directions on one ray tie, as they share -x/y.
-    """
+def angle_class(v):
+    # 0: positive x-axis, 1: open upper half, 2: negative x-axis, 3: open lower half
     x, y = v
     if y == 0:
-        return (0,) if x > 0 else (2,)
-    # -x/y as p/q with q > 0
-    key, p, q = ([1], -x, y) if y > 0 else ([3], x, -y)
-    sign = 1
-    while q:
-        a, r = divmod(p, q)
-        key.append(sign * a)
-        p, q, sign = q, r, -sign
-    key.append(sign * inf)
-    return tuple(key)
+        return 0 if x > 0 else 2
+    return 1 if y > 0 else 3
+
+
+def _ccw_cmp(u, v):
+    # within one angular class, u precedes v iff cross(u, v) > 0
+    return angle_class(u) - angle_class(v) or -cross(u, v)
+
+
+# sort key for counterclockwise angular order starting at the positive x-axis
+ccw_key = cmp_to_key(_ccw_cmp)
 
 
 def sort_ccw(dirs):

@@ -19,12 +19,19 @@ class Wall:
     """A wall: support (full line or ray from the origin) with a normal and a function."""
 
     def __init__(self, normal, kind, direction, func):
-        self.normal = tuple(int(x) for x in normal)
         if kind not in ("line", "ray"):
             raise ValueError("kind must be 'line' or 'ray'")
-        self.kind = kind
-        self.direction = tuple(int(x) for x in direction)
-        self.func = func
+        self._fill(tuple(int(x) for x in normal), kind, tuple(int(x) for x in direction), func)
+
+    @classmethod
+    def _trusted(cls, normal, kind, direction, func):
+        """A Wall from int pairs and a kind that its caller has checked."""
+        w = object.__new__(cls)
+        w._fill(normal, kind, direction, func)
+        return w
+
+    def _fill(self, normal, kind, direction, func):
+        self.normal, self.kind, self.direction, self.func = normal, kind, direction, func
 
     def __repr__(self):
         return "Wall(n=%r, %s dir=%r, f=%r)" % (self.normal, self.kind, self.direction, self.func)

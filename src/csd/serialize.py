@@ -101,10 +101,6 @@ def wallfunction_to_json(f):
 
 def _int_pair(v, field):
     """A nonzero integer pair [x, y] read from a document field, as a tuple of ints."""
-    if type(v) is list and len(v) == 2:
-        x, y = v
-        if type(x) is int and type(y) is int and (x or y):
-            return x, y
     if not (isinstance(v, list) and len(v) == 2 and _is_int(v[0]) and _is_int(v[1]) and any(v)):
         raise ValueError("%s must be a nonzero integer pair [x, y], got %r" % (field, v))
     return int(v[0]), int(v[1])
@@ -113,10 +109,10 @@ def _int_pair(v, field):
 def wallfunction_from_json(doc):
     """A wall function from its document; malformed fields raise ValueError naming them.
 
-    One pass: each field is checked once, and the WallFunction is built
-    from the checked values without a second check, as series.wf_pow builds
-    its result.  dir = g*m0 with m0 primitive spreads the coefficients over
-    the multiples of m0.
+    One pass: each field is checked once, and WallFunction._trusted builds
+    the function from the checked values without a second check, as
+    series.wf_pow builds its result.  dir = g*m0 with m0 primitive spreads
+    the coefficients over the multiples of m0.
     """
     if not isinstance(doc, dict):
         raise ValueError("func must be a JSON object, got %r" % (doc,))
@@ -131,11 +127,7 @@ def wallfunction_from_json(doc):
             raise ValueError("func coeffs must hold integers >= 0 as strings, got %r" % (c,))
         coeffs.extend([0] * (g - 1))
         coeffs.append(int(c))
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    f = object.__new__(WallFunction)
-    f.direction, f.coeffs, f.order = (dx // g, dy // g), tuple(coeffs), None
-    return f
+    return WallFunction._trusted((dx // g, dy // g), coeffs)
 
 
 def wall_to_json(w):
@@ -143,15 +135,14 @@ def wall_to_json(w):
     return {"normal": list(w.normal), "support": support, "func": wallfunction_to_json(w.func)}
 
 
-def wall_from_json(doc, fd, cone=None):
+def wall_from_json(doc, fd):
     """A wall from its document; malformed fields raise ValueError naming them.
 
     A ray's direction must be primitive and lie on the line of its normal:
     the search never meets a ray off that line, so it would be lost silently.
     The function direction must lie on that line too, and in the cone of the
-    monoid.  cone is order_form(fd), which diagram_from_json computes once
-    for all its walls.  One pass on ints: each field is checked once, and
-    the Wall is built from the checked values without a second check.
+    monoid.  One pass on ints: each field is checked once, and Wall._trusted
+    builds the wall from the checked values without a second check.
     """
     if not isinstance(doc, dict):
         raise ValueError("wall must be a JSON object, got %r" % (doc,))
@@ -177,13 +168,11 @@ def wall_from_json(doc, fd, cone=None):
     if lx * my != ly * mx:
         raise ValueError("func dir must lie on the line of normal %r, got %r"
                          % (list(n), doc["func"]["dir"]))
-    ux, uy, vx, vy, _ = cone or order_form(fd)
+    ux, uy, vx, vy, _ = order_form(fd)
     if ux * mx + uy * my < 0 or vx * mx + vy * my < 0:
         raise ValueError("func dir must lie in the cone of the monoid, got %r"
                          % (doc["func"]["dir"],))
-    w = object.__new__(Wall)
-    w.normal, w.kind, w.direction, w.func = n, kind, direction, func
-    return w
+    return Wall._trusted(n, kind, direction, func)
 
 
 def diagram_to_json(diagram):
@@ -205,11 +194,10 @@ def diagram_from_json(doc):
     if not (_is_int(order) and order >= 0):
         raise ValueError("order must be an integer >= 0, got %r" % (order,))
     fd = fd_from_json(doc["seed"])
-    cone = order_form(fd)
     walls = []
     for i, w in enumerate(doc["walls"]):
         try:
-            walls.append(wall_from_json(w, fd, cone))
+            walls.append(wall_from_json(w, fd))
         except ValueError as e:
             raise ValueError("wall %d: %s" % (i, e))
         except KeyError as e:

@@ -30,14 +30,23 @@ def _integer(c):
 
 class WallFunction:
     def __init__(self, direction, coeffs, order=None):
-        self.direction = tuple(int(x) for x in direction)
-        if self.direction != primitive(self.direction):
+        direction = tuple(int(x) for x in direction)
+        if direction != primitive(direction):
             raise ValueError("direction must be primitive")
-        cs = [_integer(c) for c in coeffs]
+        self._fill(direction, [_integer(c) for c in coeffs], order)
+
+    @classmethod
+    def _trusted(cls, direction, coeffs, order=None):
+        """A WallFunction from a primitive int pair and a list of ints that it
+        takes over and does not check again; callers that checked them use it."""
+        f = object.__new__(cls)
+        f._fill(direction, coeffs, order)
+        return f
+
+    def _fill(self, direction, cs, order):
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
-        self.order = order
+        self.direction, self.coeffs, self.order = direction, tuple(cs), order
 
     def coeff(self, k):
         if 1 <= k <= len(self.coeffs):
@@ -92,12 +101,7 @@ def _pow_coeffs(f, e, K):
 
 def wf_pow(f, e, K):
     """Truncated integer power of f, negative powers included (see _pow_coeffs)."""
-    out = _pow_coeffs(f, e, K)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    g = object.__new__(WallFunction)  # f's direction is already checked
-    g.direction, g.order, g.coeffs = f.direction, K, tuple(out[1:])
-    return g
+    return WallFunction._trusted(f.direction, _pow_coeffs(f, e, K)[1:], K)
 
 
 def wf_coeff_pow(f, e, k):

@@ -346,14 +346,14 @@ def test_theta_out_searches_once(paths, capsys, monkeypatch, tmp_path):
     with pytest.raises(SystemExit):
         cli.main(cmd)
     plain = capsys.readouterr().out
-    calls, search = [], brokenline.enumerate_lines
+    # theta and enumerate_lines share brokenline._search: count that
+    calls, search = [], brokenline._search
 
     def spy(*args):
         calls.append(args)
         return search(*args)
 
-    monkeypatch.setattr(brokenline, "enumerate_lines", spy)
-    monkeypatch.setattr(cli, "enumerate_lines", spy)
+    monkeypatch.setattr(brokenline, "_search", spy)
     out = tmp_path / "lines.json"
     with pytest.raises(SystemExit) as exit_info:
         cli.main(cmd + ["--out", str(out)])

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from csd.convexity import PLMap, I2
 from csd.geometry import (vadd, vsub, vneg, vscale, is_zero, dot, cross, rot90,
-                          primitive, same_ray, sort_ccw, ccw_key, convex_hull,
-                          cycle_is_convex, compile_hull, homogeneous)
+                          primitive, same_ray, sort_ccw, convex_hull, cycle_is_convex,
+                          compile_hull, homogeneous)
 
 F = Fraction
 
@@ -64,41 +64,6 @@ def test_same_ray():
 def test_sort_ccw_starts_positive_x():
     dirs = [(0, 1), (-1, 0), (1, 0), (1, 1), (0, -1), (-1, -1)]
     assert sort_ccw(dirs) == [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
-
-
-def _old_ccw_cmp(u, v):
-    """The comparator that ccw_key replaced: angle class, then the cross product."""
-    def angle_class(w):
-        # 0: positive x-axis, 1: open upper half, 2: negative x-axis, 3: open lower half
-        x, y = w
-        if y == 0:
-            return 0 if x > 0 else 2
-        return 1 if y > 0 else 3
-    return angle_class(u) - angle_class(v) or -cross(u, v)
-
-
-def _same_order(u, v, ku, kv):
-    c = _old_ccw_cmp(u, v)
-    return (c > 0) - (c < 0) == (ku > kv) - (ku < kv)
-
-
-def test_ccw_key_orders_as_the_comparator():
-    # every pair of nonzero directions in [-8, 8]^2: same order, same ties
-    dirs = [(x, y) for x in range(-8, 9) for y in range(-8, 9) if x or y]
-    keys = [ccw_key(v) for v in dirs]
-    for u, ku in zip(dirs, keys):
-        for v, kv in zip(dirs, keys):
-            assert _same_order(u, v, ku, kv), (u, v)
-
-
-big = st.integers(-10 ** 30, 10 ** 30)
-
-
-@given(st.tuples(big, big).filter(any), st.tuples(big, big).filter(any), st.integers(1, 5))
-def test_ccw_key_orders_large_directions(u, v, k):
-    assert _same_order(u, v, ccw_key(u), ccw_key(v))
-    w = (k * u[0], k * u[1])
-    assert _same_order(u, w, ccw_key(u), ccw_key(w))
 
 
 def test_ccw_between():

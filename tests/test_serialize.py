@@ -276,7 +276,7 @@ def _ref_wallfunction_from_json(doc):
     return WallFunction(m0, coeffs)
 
 
-def _ref_wall_from_json(doc, fd, cone=None):
+def _ref_wall_from_json(doc, fd):
     if not isinstance(doc, dict):
         raise ValueError("wall must be a JSON object, got %r" % (doc,))
     n = _ref_int_pair(doc["normal"], "normal")
