@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from csd.constructions import (BalancedPair, alpha_table, structure_constant,
                                pair_from_segment, fixed_generic_endpoint,
                                _theta_cached, _product_cached)
 from csd.convexity import check_positive
+from csd.lattice import FixedData
 from csd.scattering import initial_diagram, complete_diagram, complete_rank2
 from csd.series import lp_mul
 from balanced_pairs import generic_endpoint_near, oracle_alpha
@@ -313,3 +315,77 @@ def test_alpha_table_symmetric(g2, g2_diagram):
     box = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
     for p, q in zip(box, reversed(box)):
         assert repr(alpha_table(g2, g2_diagram, p, q)) == repr(alpha_table(g2, g2_diagram, q, p))
+
+
+PINNED_TYPES = {"A2": ([[0, 1], [-1, 0]], [1, 1]), "B2": ([[0, 2], [-1, 0]], [1, 2]),
+                "G2": ([[0, 3], [-1, 0]], [1, 3]), "Kronecker": ([[0, 2], [-2, 0]], [1, 1]),
+                "(3,3)": ([[0, 3], [-3, 0]], [1, 1]), "(1,4)": ([[0, 4], [-1, 0]], [1, 4])}
+
+
+def _construction_corpus():
+    """Records of the constructive direction, and the segments it glued.
+
+    Per type at order 5: twelve seeded bent lines from enumerate_lines.  Each
+    line gives construct_segment at (a, b, lam) = (1, 2, 1) and its bounded
+    segment, which is split at T/2 and T/3 with automatic scales and with
+    (1, 2).  A split pair is glued back at its scales when a + b <= 60.  A
+    record is the repr of the results and the trace fields, or the message
+    of the ValueError raised.
+    """
+    records, glued = [], []
+    for name, exchange in PINNED_TYPES.items():
+        fd = FixedData.from_exchange(*exchange)
+        diagram = complete_rank2(fd, 5)
+        rng = random.Random(0)
+        lines = []
+        while len(lines) < 12:
+            m = (rng.randint(-3, 3), rng.randint(-3, 3))
+            z = (F(rng.randint(-40, 40), 7), F(rng.randint(-40, 40), 11))
+            if m == (0, 0):
+                continue
+            try:
+                bent = [l for l in enumerate_lines(fd, diagram, m, z, 5) if len(l.pieces) > 1]
+            except ValueError:
+                continue
+            if bent:
+                lines.append(rng.choice(bent))
+        for line in lines:
+            try:
+                seg = construct_segment(fd, line, 1, 2, 1)
+                tr = seg.trace
+                records.append(repr((seg, tr.C, tr.xt, tr.times, tr.tau)))
+            except ValueError as e:
+                records.append("construct: %s" % e)
+            seg = line_bounded_segment(fd, line)
+            for tau in (seg.total_time / 2, seg.total_time / 3):
+                for a, b in ((None, None), (1, 2)):
+                    try:
+                        pair, tr = pair_from_segment(fd, diagram, seg, tau, a, b)
+                    except ValueError as e:
+                        records.append("split: %s" % e)
+                        continue
+                    records.append(repr((pair, pair.line1, pair.line2, tr.a, tr.b,
+                                         tr.mt1, tr.mt2)))
+                    if tr.a + tr.b > 60:
+                        continue
+                    try:
+                        back = glue_balanced(fd, diagram, pair, tr.a, tr.b)
+                    except ValueError as e:
+                        records.append("glue: %s" % e)
+                        continue
+                    traces = [(t.C, t.xt, t.times, t.tau) for t in (back.trace1, back.trace2)]
+                    records.append(repr((back, traces, validate_segment(fd, diagram, back))))
+                    glued.append((fd, diagram, back))
+    return records, glued
+
+
+# SHA-256 of the corpus records joined by newlines, computed with separate
+# rho products per direction and a second, rational walk over each glue
+CONSTRUCTION_DIGEST = "e17d83094b75034083f03d0506fc996efe6bfc2dfd4c270cc8ce76967d35e3a6"
+
+
+def test_constructions_are_pinned():
+    records, glued = _construction_corpus()
+    assert len(records) == 519 and len(glued) == 15
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == CONSTRUCTION_DIGEST
