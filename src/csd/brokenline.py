@@ -13,7 +13,7 @@ from math import gcd, lcm, prod
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, cross, dot,
                        ccw_key, homogeneous, rational, is_rational)
 from .lattice import n_circ_primitive, scaled_normal, order_form
-from .series import wf_mul, wf_coeff_pow, _pow_coeffs, _integer, LaurentPoly
+from .series import wf_mul, wf_coeff_pow, _pow_coeffs, _integer, _check_order, LaurentPoly
 
 
 class Piece:
@@ -556,6 +556,7 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     lines are those of _search, which theta shares; Fractions are built only
     here, for the bend points of the returned lines.
     """
+    _check_order(K)
     if K is None:
         K = diagram.order
     return [_assemble(endpoint, steps) for steps in _search(fd, diagram, initial, endpoint, K)]
@@ -734,6 +735,7 @@ def theta(fd, diagram, m, endpoint, K=None):
     coefficients, added to the term of its final exponent.  The terms come
     in the order of the lines, as theta_of_lines gives them.
     """
+    _check_order(K)
     if K is None:
         K = diagram.order
     if is_zero(m):
@@ -799,7 +801,36 @@ def _pair(point):
 
 
 def validate_segment(fd, diagram, segment):
-    """Verdict (bool, first_violation_message_or_None).
+    """Verdict (bool, first_violation_message_or_None), from _walk."""
+    for x in _walk(fd, diagram, segment):
+        if type(x) is not int:
+            return False, str(x)
+    return True, None
+
+
+def segment_coefficients(fd, diagram, segment):
+    """The cumulative coefficient of each piece, the product of the bend
+    coefficients before it, from _walk.  A bend that no wall allows raises
+    its ValueError; the other violations are validate_segment's to report."""
+    coeffs = []
+    for x in _walk(fd, diagram, segment):
+        if isinstance(x, ValueError):
+            raise x
+        if type(x) is int:
+            coeffs.append(x)
+    return coeffs
+
+
+def _walk(fd, diagram, segment):
+    """The walk along a segment that validate_segment and
+    segment_coefficients share.
+
+    It yields, in walk order, the cumulative coefficient of each piece (an
+    int) as it enters the piece, and each violation where it finds it: a
+    message (a str) for a zero exponent, a negative duration, a bend
+    coefficient <= 0, a wrong end or a wrong total time, and for a bend
+    that no wall allows the ValueError of bend_coefficient, after which it
+    stops.
 
     The walk runs on integers.  The position is a reduced homogeneous
     triple (X, Y, q); durations and exponent entries, which are rational on
@@ -815,15 +846,17 @@ def validate_segment(fd, diagram, segment):
     tn, td = 0, 1
     pieces = segment.pieces
     n = len(pieces)
+    coeff = 1
     for i, p in enumerate(pieces):
+        yield coeff
         m = p.exponent
         if is_zero(m):
-            return False, "piece %d has zero exponent" % i
+            yield "piece %d has zero exponent" % i
         dt = p.duration
         if dt is not None:
             a, b = dt.numerator, dt.denominator
             if a < 0:
-                return False, "piece %d has negative duration" % i
+                yield "piece %d has negative duration" % i
             # pos - (a/b)*(u, v)/e over the denominator q*b*e
             mx, my = m
             e = lcm(mx.denominator, my.denominator)
@@ -844,16 +877,16 @@ def validate_segment(fd, diagram, segment):
             try:
                 c = bend_coefficient(fd, diagram, at, m, m_next)
             except ValueError as e:
-                return False, str(e)
+                yield e
+                return
             if c <= 0:
-                return False, "bend %r -> %r at %r is not allowed" % (
-                    m, m_next, _shown(X, Y, q, ints))
+                yield "bend %r -> %r at %r is not allowed" % (m, m_next, _shown(X, Y, q, ints))
+            coeff *= c
     if (X, Y, q) != homogeneous(segment.end):
-        return False, "segment ends at %r, expected %r" % (_shown(X, Y, q, ints), segment.end)
+        yield "segment ends at %r, expected %r" % (_shown(X, Y, q, ints), segment.end)
     T = segment.total_time
     if tn * T.denominator != T.numerator * td:
-        return False, "durations sum to %r, expected total %r" % (Fraction(tn, td), T)
-    return True, None
+        yield "durations sum to %r, expected total %r" % (Fraction(tn, td), T)
 
 
 def _shown(X, Y, q, ints):

@@ -12,9 +12,9 @@ from math import lcm
 
 from .geometry import vadd, vsub, vneg, vscale, is_zero
 from .lattice import pairing, n_circ_primitive, dual_perp, order_form, cone_order
-from .series import lp_mul, _kept
-from .brokenline import (BrokenLine, Segment, Piece, theta, bend_coefficient,
-                         reverse, search_form)
+from .series import lp_mul, _kept, _check_order
+from .brokenline import (Segment, Piece, theta, segment_coefficients, reverse,
+                         search_form, _assemble)
 
 
 class BalancedPair:
@@ -32,30 +32,19 @@ class BalancedPair:
 
 
 class ConstructionTrace:
-    def __init__(self, rho, C, xt, mt, times, tau):
-        self.rho = rho
+    def __init__(self, C, xt, times, tau):
         self.C = C
         self.xt = xt
-        self.mt = mt
         self.times = times
         self.tau = tau
 
 
 class ReverseTrace:
-    def __init__(self, split_index, mt1, mt2, rho1, rho2, a, b, times1, times2,
-                 T, tau, delta=None):
-        self.split_index = split_index
+    def __init__(self, mt1, mt2, a, b):
         self.mt1 = mt1
         self.mt2 = mt2
-        self.rho1 = rho1
-        self.rho2 = rho2
         self.a = a
         self.b = b
-        self.times1 = times1
-        self.times2 = times2
-        self.T = T
-        self.tau = tau
-        self.delta = delta
 
 
 def structure_constant(fd, diagram, p, q, r, K=None):
@@ -65,6 +54,7 @@ def structure_constant(fd, diagram, p, q, r, K=None):
     r - p - q lies outside the cone.  Raises ValueError when r - p - q has
     cone order above K, since the order-K table does not determine alpha there.
     """
+    _check_order(K)
     if K is None:
         K = diagram.order
     r = tuple(r)
@@ -138,6 +128,7 @@ def alpha_table(fd, diagram, p, q, K=None):
     only adds terms of higher order than e, so the heap yields the exponents
     in the order of a full scan.
     """
+    _check_order(K)
     if K is None:
         K = diagram.order
     p, q = tuple(p), tuple(q)
@@ -189,8 +180,10 @@ def _endpoint_first(gamma):
 def segment_support(fd, gamma, a, b):
     """Support polyline of the dilated segment: x~_0 .. x~_s plus m_s/a."""
     ms = _endpoint_first(gamma)
-    ns = _bend_normals_from(fd, ms)
-    x0 = gamma.endpoint
+    return _support(fd, gamma.endpoint, ms, _bend_normals_from(fd, ms), a, b)
+
+
+def _support(fd, x0, ms, ns, a, b):
     xt = [vscale(Fraction(1, a + b), x0)]
     for i in range(1, len(ms)):
         prev = xt[-1]
@@ -207,23 +200,32 @@ def segment_support(fd, gamma, a, b):
     return xt + [vscale(Fraction(1, a), ms[-1])]
 
 
-def _rho_list(fd, ms, ns):
-    s = len(ms) - 1
-    rho = [1] * (s + 1)
-    for i in range(s - 1, -1, -1):
-        w = pairing(fd, ns[i + 1], ms[i])
-        rho[i] = rho[i + 1] * abs(int(w))
+def _rho(fd, ms, ns):
+    """rho = product over bends k of |<n_k, m_k>|, 1 for a bend without a normal.
+
+    <n_k, m_{k-1}> is the same number, as n_k is perpendicular to m_{k-1} - m_k.
+    """
+    rho = 1
+    for m, n in zip(ms[1:], ns[1:]):
+        if n is not None:
+            rho *= abs(int(pairing(fd, n, m)))
     return rho
 
 
-def attach_monomials(fd, support, gamma, a, b, lam):
+def construct_segment(fd, gamma, a, b, lam):
     """Monomials on the support polyline; returns a Segment with a .trace."""
     ms = _endpoint_first(gamma)
     ns = _bend_normals_from(fd, ms)
+    return _construct(fd, gamma.endpoint, ms, ns, _rho(fd, ms, ns), a, b, lam)
+
+
+def _construct(fd, x0, ms, ns, rho, a, b, lam):
+    """construct_segment for a line with endpoint x0, endpoint-first
+    exponents ms, bend normals ns and rho."""
+    support = _support(fd, x0, ms, ns, a, b)
     s = len(ms) - 1
     xt = support[:s + 1]
-    rho = _rho_list(fd, ms, ns)
-    C = [Fraction(a * (a + b) * rho[0] * lam)]
+    C = [Fraction(a * (a + b) * rho * lam)]
     mt = [vscale(C[0], vsub(vscale(Fraction(1, a), ms[0]), xt[0]))]
     for i in range(1, s + 1):
         num = pairing(fd, ns[i], mt[i - 1])
@@ -233,7 +235,6 @@ def attach_monomials(fd, support, gamma, a, b, lam):
         mt.append(vscale(Ci, vsub(vscale(Fraction(1, a), ms[i]), xt[i])))
     times = [1 / C[i] - 1 / C[0] for i in range(s + 1)]
     tau = -1 / C[0]
-    trace = ConstructionTrace(rho, C, xt, mt, times, tau)
     # segment runs from m_s/a (time tau, shifted to 0) to x~_0 (time 0)
     pieces = []
     bounds = times + [tau]
@@ -241,56 +242,35 @@ def attach_monomials(fd, support, gamma, a, b, lam):
         dt = bounds[i] - bounds[i + 1]
         pieces.append(Piece(mt[i], 1, None, None if dt == 0 else dt))
     seg = Segment(support[-1], xt[0], pieces, -tau)
-    seg.trace = trace
-    return seg
-
-
-def construct_segment(fd, gamma, a, b, lam):
-    return attach_monomials(fd, segment_support(fd, gamma, a, b), gamma, a, b, lam)
-
-
-def _merge_durations(p1, p2):
-    d = (p1.duration or Fraction(0)) + (p2.duration or Fraction(0))
-    return None if d == 0 else d
-
-
-def _recoefficient(fd, diagram, seg):
-    """Recompute cumulative piece coefficients from actual bend coefficients."""
-    pos = seg.start
-    coeff = 1
-    prev = None
-    for p in seg.pieces:
-        if prev is not None:
-            coeff *= bend_coefficient(fd, diagram, pos, prev.exponent, p.exponent)
-        p.coeff = coeff
-        if p.duration is not None:
-            pos = vsub(pos, vscale(p.duration, p.exponent))
-        prev = p
+    seg.trace = ConstructionTrace(C, xt, times, tau)
     return seg
 
 
 def glue_balanced(fd, diagram, pair, a, b):
-    """Balanced pair -> segment from I(line1)/a to I(line2)/b through base/(a+b)."""
+    """Balanced pair -> segment from I(line1)/a to I(line2)/b through base/(a+b),
+    its piece coefficients from segment_coefficients."""
     if not pair.is_balanced():
         raise ValueError("pair is not balanced: %r" % (pair,))
     g1, g2 = pair.line1, pair.line2
-    ms1 = _endpoint_first(g1)
-    ms2 = _endpoint_first(g2)
-    rho1 = _rho_list(fd, ms1, _bend_normals_from(fd, ms1))[0]
-    rho2 = _rho_list(fd, ms2, _bend_normals_from(fd, ms2))[0]
-    side1 = construct_segment(fd, g1, a, b, rho2)
-    side2 = construct_segment(fd, g2, b, a, rho1)
+    ms1, ms2 = _endpoint_first(g1), _endpoint_first(g2)
+    ns1, ns2 = _bend_normals_from(fd, ms1), _bend_normals_from(fd, ms2)
+    rho1, rho2 = _rho(fd, ms1, ns1), _rho(fd, ms2, ns2)
+    side1 = _construct(fd, g1.endpoint, ms1, ns1, rho1, a, b, rho2)
+    side2 = _construct(fd, g2.endpoint, ms2, ns2, rho2, b, a, rho1)
     back = reverse(side2)
     pieces = list(side1.pieces)
     j1, j2 = pieces[-1], back.pieces[0]
     if j1.exponent != j2.exponent:
         raise ValueError("glued exponents disagree at the junction")
-    pieces[-1] = Piece(j1.exponent, 1, None, _merge_durations(j1, j2))
+    # the junction piece lasts as long as its two halves together
+    pieces[-1] = Piece(j1.exponent, 1, None, (j1.duration or 0) + (j2.duration or 0) or None)
     pieces.extend(back.pieces[1:])
     seg = Segment(side1.start, back.end, pieces, side1.total_time + back.total_time)
     seg.trace1 = side1.trace
     seg.trace2 = side2.trace
-    return _recoefficient(fd, diagram, seg)
+    for p, c in zip(pieces, segment_coefficients(fd, diagram, seg)):
+        p.coeff = c
+    return seg
 
 
 def _piece_intervals(seg):
@@ -326,13 +306,7 @@ def pair_from_segment(fd, diagram, seg, tau, a=None, b=None):
     # the piece whose half-open interval (t_start, t_end] contains tau;
     # a bend exactly at tau is assigned to the far (end) side
     j = next(i for i, (t0, t1, _) in enumerate(iv) if t0 < tau <= t1)
-    delta = None
-    events = sorted({t0 for t0, _, _ in iv} | {t1 for _, t1, _ in iv})
-    if tau in events:
-        gaps = [abs(tau - e) for e in events if e != tau]
-        delta = min(gaps) / 2 if gaps else None
     rt = vsub(iv[j][2], vscale(tau - iv[j][0], seg.pieces[j].exponent))
-    pt, qt = seg.start, seg.end
 
     def invariant1(i):
         t0, _, pos = iv[i]
@@ -348,19 +322,14 @@ def pair_from_segment(fd, diagram, seg, tau, a=None, b=None):
     mt2 = [vneg(seg.pieces[i].exponent) for i in range(j, len(seg.pieces))]
     ns1 = _bend_normals_from(fd, mt1)
     ns2 = _bend_normals_from(fd, mt2)
-    rho1 = _rho_prefix(fd, mt1, ns1)
-    rho2 = _rho_prefix(fd, mt2, ns2)
     if a is None or b is None:
-        a, b = _auto_ab(fd, tau, T, pt, qt, rho1[0], rho2[0])
+        a, b = _auto_ab(fd, tau, T, seg.start, seg.end, _rho(fd, mt1, ns1), _rho(fd, mt2, ns2))
     m1 = [vscale(a, invariant1(i)) for i in range(j, -1, -1)]
     m2 = [vscale(b, invariant2(i)) for i in range(j, len(seg.pieces))]
     base = vscale(a + b, rt)
-    times1 = [tau - iv[i][1] for i in range(j, -1, -1)]
-    times2 = [iv[i][0] - tau for i in range(j, len(seg.pieces))]
     line1 = _trace_pair_line(fd, base, m1, ns1)
     line2 = _trace_pair_line(fd, base, m2, ns2)
-    trace = ReverseTrace(j, m1, m2, rho1, rho2, a, b, times1, times2, T, tau, delta)
-    return BalancedPair(line1, line2, base), trace
+    return BalancedPair(line1, line2, base), ReverseTrace(m1, m2, a, b)
 
 
 def _bend_normals_from(fd, mt):
@@ -375,40 +344,23 @@ def _bend_normals_from(fd, mt):
     return out
 
 
-def _rho_prefix(fd, mt, ns):
-    """rho~_i = product over k = 1..s-i of |<n_{0,k}, m~_k>| (positive)."""
-    s = len(mt) - 1
-    rho = [1] * (s + 1)
-    for i in range(s - 1, -1, -1):
-        k = s - i
-        w = 1 if ns[k] is None else abs(int(pairing(fd, ns[k], mt[k])))
-        rho[i] = rho[i + 1] * w
-    return rho
-
-
 def _trace_pair_line(fd, base, m_list, ns):
-    """Broken line with endpoint base and endpoint-first exponents m_0..m_s.
+    """Broken line with endpoint base and endpoint-first exponents m_0..m_s,
+    each coefficient 1.
 
     Bend i sits on the wall line with normal ns[i]; positions found by
     following each piece backward from the endpoint.
     """
     pos = base
-    bend_pts = []
+    steps = []
     for i in range(1, len(m_list)):
         n = ns[i]
-        if n is None:
-            bend_pts.append(tuple(pos))
-            continue
-        s0 = pairing(fd, n, pos)
-        sd = pairing(fd, n, m_list[i - 1])
-        if sd == 0:
-            raise ValueError("piece runs parallel to its bending wall")
-        u = -s0 / sd
-        pos = vadd(pos, vscale(u, m_list[i - 1]))
-        bend_pts.append(tuple(pos))
-    pieces = []
-    s = len(m_list) - 1
-    for k in range(s, -1, -1):
-        end_pt = bend_pts[k - 1] if k >= 1 else None
-        pieces.append(Piece(m_list[k], 1, end_pt))
-    return BrokenLine(base, pieces)
+        if n is not None:
+            s0 = pairing(fd, n, pos)
+            sd = pairing(fd, n, m_list[i - 1])
+            if sd == 0:
+                raise ValueError("piece runs parallel to its bending wall")
+            u = -s0 / sd
+            pos = vadd(pos, vscale(u, m_list[i - 1]))
+        steps.append((tuple(pos), m_list[i - 1], 1))
+    return _assemble(base, steps + [(None, m_list[-1], 1)])

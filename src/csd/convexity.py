@@ -15,6 +15,7 @@ from .geometry import (vadd, vsub, vneg, vscale, primitive, cross,
                        ccw_key, sort_ccw, rot90, convex_hull,
                        cycle_is_convex, compile_hull, homogeneous, rational, is_rational)
 from .lattice import FixedData, pairing, p1_star, skew_form, line_dir
+from .series import _check_order
 from .brokenline import Segment, Piece, validate_segment, reverse, search_form
 from .constructions import (structure_constant, pair_from_segment, _alpha_cached,
                             _product_cached, _pair_key)
@@ -464,11 +465,6 @@ def _polygon_points(points):
             raise ValueError("point %d must be a pair of rationals, got %r" % (i, p))
         out.append(tuple(p))
     return out
-
-
-def _check_order(K):
-    if K is not None and (type(K) is not int or K < 0):
-        raise ValueError("K must be None or an int >= 0, got %r" % (K,))
 
 
 def is_blc_2d(fd, diagram, cycle, K=None):

@@ -14,6 +14,9 @@ from .lattice import (pairing, p1_star, n_circ_primitive, line_dir,
 from .series import WallFunction, LaurentPoly, wall_cross
 from .brokenline import search_form
 
+# the most rounds complete_diagram runs before it returns the diagram as it stands
+MAX_ROUNDS = 100000
+
 
 class Wall:
     """A wall: support (full line or ray from the origin) with a normal and a function."""
@@ -150,14 +153,14 @@ def complete_rank2(fd, order):
     return complete_diagram(fd, initial_diagram(fd, order))
 
 
-def complete_diagram(fd, diagram, max_rounds=100000):
+def complete_diagram(fd, diagram):
     """Add outgoing-ray corrections until the loop acts trivially; idempotent.
 
     The loop reads the diagram's search form, so the form is dropped
     whenever the walls change: after each round's corrections and after
     the final filter.
     """
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         disc = loop_discrepancy(fd, diagram)
         if all(not d for d in disc):
             break

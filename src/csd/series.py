@@ -28,25 +28,31 @@ def _integer(c):
     raise ValueError("coefficient must be an integer, got %r" % (c,))
 
 
+def _check_order(K):
+    """Reject a truncation order that is not None or an int >= 0."""
+    if K is not None and (type(K) is not int or K < 0):
+        raise ValueError("K must be None or an int >= 0, got %r" % (K,))
+
+
 class WallFunction:
-    def __init__(self, direction, coeffs, order=None):
+    def __init__(self, direction, coeffs):
         direction = tuple(int(x) for x in direction)
         if direction != primitive(direction):
             raise ValueError("direction must be primitive")
-        self._fill(direction, [_integer(c) for c in coeffs], order)
+        self._fill(direction, [_integer(c) for c in coeffs])
 
     @classmethod
-    def _trusted(cls, direction, coeffs, order=None):
+    def _trusted(cls, direction, coeffs):
         """A WallFunction from a primitive int pair and a list of ints that it
         takes over and does not check again; callers that checked them use it."""
         f = object.__new__(cls)
-        f._fill(direction, coeffs, order)
+        f._fill(direction, coeffs)
         return f
 
-    def _fill(self, direction, cs, order):
+    def _fill(self, direction, cs):
         while cs and cs[-1] == 0:
             cs.pop()
-        self.direction, self.coeffs, self.order = direction, tuple(cs), order
+        self.direction, self.coeffs = direction, tuple(cs)
 
     def coeff(self, k):
         if 1 <= k <= len(self.coeffs):
@@ -73,7 +79,7 @@ def wf_mul(a, b, K):
         raise ValueError("direction mismatch")
     x, y = ((1,) + f.coeffs + (0,) * K for f in (a, b))
     return WallFunction(a.direction, [sum(x[j] * y[k - j] for j in range(k + 1))
-                                      for k in range(1, K + 1)], K)
+                                      for k in range(1, K + 1)])
 
 
 def _pow_coeffs(f, e, K):
@@ -101,7 +107,7 @@ def _pow_coeffs(f, e, K):
 
 def wf_pow(f, e, K):
     """Truncated integer power of f, negative powers included (see _pow_coeffs)."""
-    return WallFunction._trusted(f.direction, _pow_coeffs(f, e, K)[1:], K)
+    return WallFunction._trusted(f.direction, _pow_coeffs(f, e, K)[1:])
 
 
 def wf_coeff_pow(f, e, k):
@@ -178,9 +184,10 @@ def lp_mul(fd, a, b):
     return _truncated(fd, terms, base, order)
 
 
-def wall_cross(fd, p, f, n0, sign, K=None):
-    """Apply the crossing automorphism z^m -> z^m * f^(sign * <n0', m>) termwise."""
-    K = p.order if K is None else min(K, p.order)
+def wall_cross(fd, p, f, n0, sign):
+    """Apply the crossing automorphism z^m -> z^m * f^(sign * <n0', m>) termwise,
+    truncated at the order of p."""
+    K = p.order
     ux, uy, vx, vy, D = order_form(fd)
     sx, sy = f.direction
     su, sv = ux * sx + uy * sy, vx * sx + vy * sy

@@ -8,6 +8,9 @@ from fractions import Fraction
 
 from .geometry import vadd, vscale, vneg
 
+SIZE = 640  # width and height of the document
+MARGIN = 40
+
 
 def _func_label(f):
     if f.is_one():
@@ -26,22 +29,20 @@ def _mono_label(p):
 
 
 class _View:
-    def __init__(self, radius, size=640, margin=40):
+    def __init__(self, radius):
         self.r = Fraction(radius)
-        self.size = size
-        self.margin = margin
 
     def pt(self, p):
-        s = Fraction(self.size - 2 * self.margin, 2)
-        x = self.margin + float((Fraction(p[0]) / self.r + 1) * s)
-        y = self.margin + float((1 - Fraction(p[1]) / self.r) * s)
+        s = Fraction(SIZE - 2 * MARGIN, 2)
+        x = MARGIN + float((Fraction(p[0]) / self.r + 1) * s)
+        y = MARGIN + float((1 - Fraction(p[1]) / self.r) * s)
         return "%.2f,%.2f" % (x, y)
 
     def xy(self, p):
         return self.pt(p).split(",")
 
 
-def _content_radius(diagram, overlays):
+def _content_radius(overlays):
     r = Fraction(4)
     for pts in overlays:
         for p in pts:
@@ -58,21 +59,17 @@ def _line_points(line, radius):
     return [ext] + pts
 
 
-def _segment_points(seg):
-    return seg.positions()
-
-
-def render_svg(diagram, broken_lines=(), segments=(), polygons=(), size=640):
-    overlays = [[_p for _p in _segment_points(s)] for s in segments]
+def render_svg(diagram, broken_lines=(), segments=(), polygons=()):
+    overlays = [s.positions() for s in segments]
     overlays += [list(p) for p in polygons]
     overlays += [[p.bend_point for p in bl.pieces[:-1]] + [tuple(bl.endpoint)]
                  for bl in broken_lines]
-    radius = _content_radius(diagram, overlays)
-    v = _View(radius, size)
+    radius = _content_radius(overlays)
+    v = _View(radius)
     out = []
     out.append('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-               'viewBox="0 0 %d %d">' % (size, size, size, size))
-    out.append('<rect width="%d" height="%d" fill="white"/>' % (size, size))
+               'viewBox="0 0 %d %d">' % (SIZE, SIZE, SIZE, SIZE))
+    out.append('<rect width="%d" height="%d" fill="white"/>' % (SIZE, SIZE))
     for w in diagram.walls:
         a = vscale(radius, w.direction)
         b = vneg(a) if w.kind == "line" else (0, 0)
@@ -94,7 +91,7 @@ def render_svg(diagram, broken_lines=(), segments=(), polygons=(), size=640):
             out.append('<text x="%s" y="%s" font-size="10" fill="crimson">%s</text>'
                        % (tuple(v.xy(mid)) + (_mono_label(piece),)))
     for seg in segments:
-        pts = _segment_points(seg)
+        pts = seg.positions()
         out.append('<polyline points="%s" fill="none" stroke="darkgreen" '
                    'stroke-width="1.2"/>' % " ".join(v.pt(p) for p in pts))
         for i, piece in enumerate(seg.pieces):

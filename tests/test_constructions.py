@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from collections import Counter
 import csd.constructions as constructions
 from csd.geometry import vscale, vadd
 from csd.brokenline import (BrokenLine, Piece, Segment, enumerate_lines,
-                            line_bounded_segment, validate_segment, theta, search_form)
+                            line_bounded_segment, validate_segment, segment_coefficients,
+                            theta, search_form)
 from csd.constructions import (BalancedPair, alpha_table, structure_constant,
                                segment_support,
                                construct_segment, glue_balanced,
@@ -389,3 +391,50 @@ def test_constructions_are_pinned():
     assert len(records) == 519 and len(glued) == 15
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == CONSTRUCTION_DIGEST
+
+
+def test_segment_coefficients_stop_only_at_bends(g2, g2_diagram):
+    # the walk that gives validate_segment its first violation raises from
+    # segment_coefficients only at a bend that no wall allows
+    seg = zigzag_segment()
+    ok, why = validate_segment(g2, g2_diagram, seg)
+    assert not ok and why.startswith("bend (1, -3) -> (1, -2) at")
+    with pytest.raises(ValueError, match="^%s$" % re.escape(why)):
+        segment_coefficients(g2, g2_diagram, seg)
+    flipped = [Piece(p.exponent, 1, None, -p.duration if i == 0 else p.duration)
+               for i, p in enumerate(seg.pieces)]
+    seg = Segment(seg.start, seg.end, flipped, seg.total_time)
+    assert validate_segment(g2, g2_diagram, seg) == (False, "piece 0 has negative duration")
+    with pytest.raises(ValueError, match=r"^bend point \(Fraction\(2, 1\), Fraction\(-8, 1\)\) "
+                                         r"lies on no wall$"):
+        segment_coefficients(g2, g2_diagram, seg)
+
+
+def test_glued_coefficients_match_the_walk():
+    # glue stores the walk's coefficients, and the same walk accepts the segment
+    _, glued = _construction_corpus()
+    for fd, diagram, seg in glued:
+        assert [p.coeff for p in seg.pieces] == segment_coefficients(fd, diagram, seg)
+        assert validate_segment(fd, diagram, seg) == (True, None)
+
+
+K_ENTRIES = {
+    "theta": lambda fd, d, K: theta(fd, d, (1, 0), (F(2), F(1)), K),
+    "enumerate_lines": lambda fd, d, K: enumerate_lines(fd, d, (1, 0), (F(2), F(1)), K),
+    "alpha_table": lambda fd, d, K: alpha_table(fd, d, (1, 0), (-1, 0), K),
+    "structure_constant": lambda fd, d, K: structure_constant(fd, d, (1, 0), (-1, 0), (0, 0), K),
+}
+
+
+@pytest.mark.parametrize("K", [-1, 6.0, True, "6"])
+@pytest.mark.parametrize("entry", sorted(K_ENTRIES))
+def test_order_is_checked_at_entry(entry, K, a2, a2_diagram):
+    with pytest.raises(ValueError, match=r"^K must be None or an int >= 0, got %s$"
+                       % re.escape(repr(K))):
+        K_ENTRIES[entry](a2, a2_diagram, K)
+
+
+@pytest.mark.parametrize("entry", sorted(K_ENTRIES))
+def test_order_none_and_zero_accepted(entry, a2, a2_diagram):
+    K_ENTRIES[entry](a2, a2_diagram, None)
+    K_ENTRIES[entry](a2, a2_diagram, 0)

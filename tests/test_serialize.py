@@ -363,7 +363,7 @@ def _loaded(load, ddoc):
         d = load(ddoc)
     except ValueError as e:
         return None, str(e)
-    return [(w.normal, w.kind, w.direction, w.func.direction, w.func.coeffs, w.func.order,
+    return [(w.normal, w.kind, w.direction, w.func.direction, w.func.coeffs,
              [type(x) for x in w.normal + w.direction + w.func.direction + w.func.coeffs])
             for w in d.walls], None
 

@@ -177,7 +177,9 @@ def test_wall_cross_matches_reference(data, name, base, order):
         wall.func, WallFunction(wall.func.direction, data.draw(st.lists(coeffs, max_size=4)))]))
     sign = data.draw(st.sampled_from([1, -1]))
     K = data.draw(st.sampled_from([None, 0, 1, 3, order]))
-    assert _outcome(wall_cross, fd, p, f, wall.normal, sign, K) == \
+    # wall_cross truncates at the order of p: a lower K is a p of order K
+    q = p if K is None else LaurentPoly(p.terms, p.base, min(K, p.order))
+    assert _outcome(wall_cross, fd, q, f, wall.normal, sign) == \
         _outcome(ref_wall_cross, fd, p, f, wall.normal, sign, K)
 
 
