@@ -67,6 +67,19 @@ class Segment:
         self.pieces = list(pieces)
         self.total_time = Fraction(total_time)
 
+    def intervals(self):
+        """(t_start, t_end, start position) per piece; a degenerate piece
+        has t_start == t_end."""
+        out = []
+        t = Fraction(0)
+        pos = self.start
+        for p in self.pieces:
+            dt = p.duration or Fraction(0)
+            out.append((t, t + dt, pos))
+            pos = vsub(pos, vscale(dt, p.exponent))
+            t += dt
+        return out
+
     def positions(self):
         """Position at the start of each piece, plus the final position."""
         out = [self.start]

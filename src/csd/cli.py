@@ -111,8 +111,7 @@ def cmd_theta(args):
 
 def cmd_multiply(args):
     d = _load_diagram(args.diagram)
-    K = d.order if args.order is None else args.order
-    table = alpha_table(d.fd, d, args.p, args.q, K)
+    table = alpha_table(d.fd, d, args.p, args.q, args.order)
     for r in sorted(table):
         if table[r] != 0:
             print("r=%s: %s" % (_fmt_point(r), frac_to_str(table[r])))
@@ -157,10 +156,9 @@ def cmd_hull(args):
 def cmd_check_positive(args):
     d = _load_diagram(args.diagram)
     poly = _load_points(args.polygon, "--polygon")
-    K = d.order if args.order is None else args.order
-    rep = check_positive(d.fd, d, poly, args.max_degree, K)
+    rep = check_positive(d.fd, d, poly, args.max_degree, args.order)
     print("verdict: %s  (max_degree=%d, order=%d)"
-          % (rep.verdict, args.max_degree, K))
+          % (rep.verdict, args.max_degree, rep.order_checked))
     for w in rep.witnesses:
         print(_witness_json(w))
     return 0 if rep.verdict else 1
@@ -176,9 +174,8 @@ def _witness_json(w):
 
 def cmd_harness(args):
     d = _load_diagram(args.diagram)
-    K = d.order if args.order is None else args.order
     rep = main_theorem_harness(d.fd, d, args.trials, max_degree=args.max_degree,
-                               K=K, perturb_seed=args.perturb_seed)
+                               K=args.order, perturb_seed=args.perturb_seed)
     print("trials=%d agree=%d skipped_unknown=%d certified_beyond_bound=%d "
           "disagreements=%d" % (rep["trials"], rep["agree"], rep["skipped_unknown"],
                                 rep["certified_beyond_bound"],

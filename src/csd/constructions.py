@@ -204,11 +204,17 @@ def _rho(fd, ms, ns):
     """rho = product over bends k of |<n_k, m_k>|, 1 for a bend without a normal.
 
     <n_k, m_{k-1}> is the same number, as n_k is perpendicular to m_{k-1} - m_k.
+    A zero factor, a bend along its own wall, raises ValueError: every
+    quantity divided by rho or by <n_k, m_{k-1}> is then undefined.
     """
     rho = 1
-    for m, n in zip(ms[1:], ns[1:]):
+    for k, (m, n) in enumerate(zip(ms[1:], ns[1:]), 1):
         if n is not None:
-            rho *= abs(int(pairing(fd, n, m)))
+            c = int(pairing(fd, n, m))
+            if c == 0:
+                raise ValueError("bend %d from the endpoint runs along its wall: exponent "
+                                 "%r pairs to 0 with the wall normal %r" % (k, m, n))
+            rho *= abs(c)
     return rho
 
 
@@ -254,7 +260,13 @@ def glue_balanced(fd, diagram, pair, a, b):
     g1, g2 = pair.line1, pair.line2
     ms1, ms2 = _endpoint_first(g1), _endpoint_first(g2)
     ns1, ns2 = _bend_normals_from(fd, ms1), _bend_normals_from(fd, ms2)
-    rho1, rho2 = _rho(fd, ms1, ns1), _rho(fd, ms2, ns2)
+    rhos = []
+    for name, ms, ns in (("line1", ms1, ns1), ("line2", ms2, ns2)):
+        try:
+            rhos.append(_rho(fd, ms, ns))
+        except ValueError as e:
+            raise ValueError("pair %s: %s" % (name, e)) from None
+    rho1, rho2 = rhos
     side1 = _construct(fd, g1.endpoint, ms1, ns1, rho1, a, b, rho2)
     side2 = _construct(fd, g2.endpoint, ms2, ns2, rho2, b, a, rho1)
     back = reverse(side2)
@@ -273,19 +285,6 @@ def glue_balanced(fd, diagram, pair, a, b):
     return seg
 
 
-def _piece_intervals(seg):
-    """(t_start, t_end, start_pos) per piece; degenerate pieces have t_start = t_end."""
-    out = []
-    t = Fraction(0)
-    pos = seg.start
-    for p in seg.pieces:
-        dt = p.duration or Fraction(0)
-        out.append((t, t + dt, pos))
-        pos = vsub(pos, vscale(dt, p.exponent))
-        t += dt
-    return out
-
-
 def _auto_ab(fd, tau, T, pt, qt, rho1, rho2):
     frac = Fraction(tau, T)
     x, y = frac.numerator, frac.denominator
@@ -302,30 +301,22 @@ def pair_from_segment(fd, diagram, seg, tau, a=None, b=None):
     T = seg.total_time
     if not (0 < tau < T):
         raise ValueError("tau must lie strictly inside (0, T)")
-    iv = _piece_intervals(seg)
+    iv = seg.intervals()
     # the piece whose half-open interval (t_start, t_end] contains tau;
     # a bend exactly at tau is assigned to the far (end) side
     j = next(i for i, (t0, t1, _) in enumerate(iv) if t0 < tau <= t1)
-    rt = vsub(iv[j][2], vscale(tau - iv[j][0], seg.pieces[j].exponent))
-
-    def invariant1(i):
-        t0, _, pos = iv[i]
-        m = seg.pieces[i].exponent
-        return vadd(pos, vscale(t0, m))
-
-    def invariant2(i):
-        t0, _, pos = iv[i]
-        m = seg.pieces[i].exponent
-        return vsub(pos, vscale(T - t0, m))
-
-    mt1 = [seg.pieces[i].exponent for i in range(j, -1, -1)]
-    mt2 = [vneg(seg.pieces[i].exponent) for i in range(j, len(seg.pieces))]
+    ms = [p.exponent for p in seg.pieces]
+    rt = vsub(iv[j][2], vscale(tau - iv[j][0], ms[j]))
+    mt1 = ms[j::-1]
+    mt2 = [vneg(m) for m in ms[j:]]
     ns1 = _bend_normals_from(fd, mt1)
     ns2 = _bend_normals_from(fd, mt2)
     if a is None or b is None:
         a, b = _auto_ab(fd, tau, T, seg.start, seg.end, _rho(fd, mt1, ns1), _rho(fd, mt2, ns2))
-    m1 = [vscale(a, invariant1(i)) for i in range(j, -1, -1)]
-    m2 = [vscale(b, invariant2(i)) for i in range(j, len(seg.pieces))]
+    # each side's exponents are the affine invariants x + t*m of its pieces,
+    # taken at the start (line 1) and at the end (line 2) of the segment
+    m1 = [vscale(a, vadd(pos, vscale(t0, m))) for (t0, _, pos), m in zip(iv[j::-1], mt1)]
+    m2 = [vscale(b, vsub(pos, vscale(T - t0, m))) for (t0, _, pos), m in zip(iv[j:], ms[j:])]
     base = vscale(a + b, rt)
     line1 = _trace_pair_line(fd, base, m1, ns1)
     line2 = _trace_pair_line(fd, base, m2, ns2)

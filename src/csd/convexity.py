@@ -66,10 +66,11 @@ class PLMap:
         self._inverse = None
         secs = self.sectors
         n = len(secs)
-        self._boundaries = () if n == 1 else tuple(s for s, _ in secs)
+        # the sector start directions; none for a linear map
+        self.boundaries = () if n == 1 else tuple(s for s, _ in secs)
         self.lines = tuple(dict.fromkeys(
             s if s[0] > 0 or (s[0] == 0 and s[1] > 0) else (-s[0], -s[1])
-            for s in self._boundaries))
+            for s in self.boundaries))
         rows = []
         for i, (a, M) in enumerate(secs):
             b = secs[(i + 1) % n][0]
@@ -100,9 +101,6 @@ class PLMap:
     @classmethod
     def identity(cls):
         return cls([((1, 0), I2)])
-
-    def key(self):
-        return self.sectors
 
     def __eq__(self, other):
         return isinstance(other, PLMap) and self.sectors == other.sectors
@@ -147,17 +145,13 @@ class PLMap:
             out.append((a * X + b * Y, c * X + d * Y, q))
         return out
 
-    def boundaries(self):
-        """The sector start directions, a tuple; empty for a linear map."""
-        return self._boundaries
-
     def compose(self, other):
         """self after other."""
         dirs = set()
-        for s in other.boundaries():
+        for s in other.boundaries:
             dirs.add(s)
             dirs.add(vneg(s))
-        for b in self.boundaries():
+        for b in self.boundaries:
             for s, M in other.sectors:
                 d = primitive(mat_vec(mat_inv(M), b))
                 for cand in (d, vneg(d)):
@@ -255,27 +249,22 @@ def _chart_maps(fd, bound):
     coordinates, which convexity cannot see.
     """
     phi0 = PLMap.identity().normalized()
-    seen = {phi0.key()}
-    maps = [phi0]
+    maps = dict.fromkeys([phi0])  # the charts, in the order first reached
     closed = True
     for first in range(2):
         basis = ((1, 0), (0, 1))
         phi = PLMap.identity()
-        walk_closed = False
         for step in range(bound):
             k = (first + step) % 2
             phi = shear_map(fd, basis[k], fd.d[k]).compose(phi)
             basis = _mutate_basis(fd, basis, k)
             norm = phi.normalized()
-            if norm.key() in seen:
-                if norm.key() == phi0.key():
-                    walk_closed = True
-                    break
-                continue
-            seen.add(norm.key())
-            maps.append(norm)
-        closed = closed and walk_closed
-    return maps, closed
+            if norm == phi0:
+                break
+            maps.setdefault(norm)
+        else:
+            closed = False
+    return list(maps), closed
 
 
 class CheckReport:
@@ -390,11 +379,10 @@ def _linear_on(points):
 
 
 def map_cycle(phi, cycle):
-    """(image, refined): a cycle of homogeneous points refined at the folds
-    of phi, and its image.  The points must already be reduced triples, as
+    """The image under phi of a cycle of homogeneous points refined at the
+    folds of phi.  The points must already be reduced triples, as
     geometry.homogeneous gives them; every image point is one too."""
-    refined = refine_cycle(cycle, phi.boundaries())
-    return phi.image(refined), refined
+    return phi.image(refine_cycle(cycle, phi.boundaries))
 
 
 def _segment_from_polyline(poly, start, end):
@@ -426,7 +414,7 @@ def _convexity_witness(fd, diagram, cycle, points, phi, image):
     region = compile_hull(points)
     given = dict(zip(points, cycle))
     phi_inv = phi.inverse()
-    folds = phi_inv.boundaries()
+    folds = phi_inv.boundaries
     sides = _fold_sides(image, folds)
     n = len(image)
     for i in range(n):
@@ -492,7 +480,7 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     for k, phi in enumerate(charts):
         if k and linear(phi):
             continue
-        image, _ = map_cycle(phi, points)
+        image = map_cycle(phi, points)
         if not cycle_is_convex(image):
             wit = _convexity_witness(fd, diagram, cycle, points, phi, image)
             return CheckReport(False, [wit] if wit is not None else [],
@@ -532,9 +520,9 @@ def blc_hull_2d(fd, diagram, pts):
         for phi in charts:
             if linear(phi):
                 continue
-            image, _ = map_cycle(phi, hull)
+            image = map_cycle(phi, hull)
             # the chart hull and its fold crossings, pulled back
-            back, _ = map_cycle(phi.inverse(), convex_hull(image))
+            back = map_cycle(phi.inverse(), convex_hull(image))
             for h in back:
                 V.setdefault(h, None)
     else:
@@ -570,13 +558,9 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     # ascending scan reversed), listed when first needed.  A pair with the
     # origin is never a violation: the origin in bP puts it in P, and then
     # aP lies in (a + b)P, as P is convex.
-    listed = {}
-
+    @functools.cache
     def lattice(k):
-        if k not in listed:
-            listed[k] = [p for p in reversed(region.dilate(k).lattice_points())
-                         if p != (0, 0)]
-        return listed[k]
+        return [p for p in reversed(region.dilate(k).lattice_points()) if p != (0, 0)]
 
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
     k1x, k1y, k2x, k2y = K * g1x, K * g1y, K * g2x, K * g2y
@@ -636,32 +620,32 @@ def _random_polygon(rng):
     return convex_hull(pts)
 
 
-def _certify_failure(fd, diagram, cycle, seg, K, max_ab=24):
-    """Turn a convexity witness segment into an explicit positivity violation."""
+# The largest a + b of a split pair that _certify_failure reads alpha for.
+CERTIFY_MAX_AB = 24
+
+
+def _certify_failure(fd, diagram, cycle, seg, K):
+    """Turn a convexity witness segment into an explicit positivity violation.
+
+    The segment is split at the midpoint of its first piece of positive
+    length whose midpoint lies outside the region."""
     region = compile_hull(cycle)
-    iv_t = Fraction(0)
-    tau = None
-    pos = seg.start
-    for p in seg.pieces:
-        dt = p.duration or Fraction(0)
-        mid = vsub(pos, vscale(dt / 2, p.exponent))
-        if dt > 0 and not region.contains(*homogeneous(mid)):
-            tau = iv_t + dt / 2
+    for (t0, t1, pos), p in zip(seg.intervals(), seg.pieces):
+        half = (t1 - t0) / 2
+        if half > 0 and not region.contains(*homogeneous(vsub(pos, vscale(half, p.exponent)))):
             break
-        pos = vsub(pos, vscale(dt, p.exponent))
-        iv_t += dt
-    if tau is None:
+    else:
         return None
     try:
-        pair, tr = pair_from_segment(fd, diagram, seg, tau)
-        if tr.a + tr.b > max_ab:
+        pair, tr = pair_from_segment(fd, diagram, seg, t0 + half)
+        if tr.a + tr.b > CERTIFY_MAX_AB:
             return None
         p = tuple(pair.line1.initial)
         q = tuple(pair.line2.initial)
         r = tuple(pair.base)
         # alpha at r needing order above K raises; no certificate then
         alpha = structure_constant(fd, diagram, p, q, r, K)
-    except (ValueError, ZeroDivisionError, ArithmeticError):
+    except (ValueError, ArithmeticError):
         return None
     if alpha == 0:
         return None

@@ -2,10 +2,10 @@
 
 Points are tuples of ints or Fractions.  The polygon kernel works on
 integers alone: a point may also be homogeneous, (X, Y, q) with q > 0
-standing for (X/q, Y/q).  ``convex_hull`` runs its monotone chain on integer
-numerators over one common denominator and returns each vertex as the tuple
-it was given, and ``compile_hull`` hulls a point set and turns it, in the
-same pass, into integer half-planes A*x + B*y >= N.  A point X/q is inside
+standing for (X/q, Y/q).  One hull pass, ``_hull``, runs the monotone chain
+on integer numerators over one common denominator.  ``convex_hull`` returns
+each of its vertices as the tuple it was given, and ``compile_hull`` turns
+its edges into integer half-planes A*x + B*y >= N.  A point X/q is inside
 when A*X + B*Y >= N*q for every half-plane, and scaling the hull by k
 scales every N by k.
 """
@@ -108,25 +108,37 @@ def convex_hull(points):
     """Vertices of the convex hull, counterclockwise, no collinear points.
 
     Points may be plain or homogeneous (reduced, as ``homogeneous`` gives
-    them).  The hull runs on integers: every point is scaled to the lcm of
-    the denominators.  Each vertex comes back as the tuple given, the first
-    one of equal-valued points, so ints stay ints, Fractions stay Fractions
-    and triples stay triples.  Degenerate inputs give 1 (single point) or 2
+    them).  Each vertex comes back as the tuple given, the first one of
+    equal-valued points, so ints stay ints, Fractions stay Fractions and
+    triples stay triples.  Degenerate inputs give 1 (single point) or 2
     (segment endpoints) vertices.
     """
     given = {}
     for p in points:
         p = tuple(p)
         given.setdefault(homogeneous(p), p)
+    return [p for _, _, p in _hull(given)[1]]
+
+
+def _hull(given):
+    """The hull pass shared by ``convex_hull`` and ``compile_hull``.
+
+    given maps homogeneous points to payloads.  Every point is scaled to
+    the lcm L of the denominators, and the monotone chain runs on those
+    integer numerators.  Returns L and the hull's vertices as (x, y,
+    payload) entries, x/L and y/L, counterclockwise from the least (x, y);
+    of equal-valued points the first given is kept.
+    """
     if not given:
         raise ValueError("convex hull of no points")
     L = lcm(*(q for _, _, q in given))
-    pts = sorted((X * (L // q), Y * (L // q), p) for (X, Y, q), p in given.items())
+    scaled = {}
+    for (X, Y, q), p in given.items():
+        scaled.setdefault((X * (L // q), Y * (L // q)), p)
+    pts = sorted((x, y, p) for (x, y), p in scaled.items())
     if len(pts) == 1:
-        return [pts[0][2]]
-    lower = _chain(pts)
-    upper = _chain(reversed(pts))
-    return [p for _, _, p in lower[:-1] + upper[:-1]]
+        return L, pts
+    return L, _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
 
 
 def _chain(pts):
@@ -234,25 +246,18 @@ class HalfPlanes:
 def compile_hull(points):
     """HalfPlanes of the convex hull of a nonempty set of points.
 
-    The points may be plain or homogeneous.  One pass: each point is made
-    homogeneous once and scaled to the common denominator L, the monotone
-    chain that ``convex_hull`` uses runs on those integer numerators, and
-    each hull edge becomes one half-plane.  One point gives four
-    half-planes, a segment two opposite ones along it and two end caps, a
-    polygon one per edge, counterclockwise from its least (x, y) vertex.  A
-    half-plane is kept with gcd(A, B, N) = 1, so it does not depend on L.
+    The points may be plain or homogeneous.  One pass: the hull of
+    ``_hull``, over the common denominator L, with each hull edge turned
+    into one half-plane.  One point gives four half-planes, a segment two
+    opposite ones along it and two end caps, a polygon one per edge,
+    counterclockwise from its least (x, y) vertex.  A half-plane is kept
+    with gcd(A, B, N) = 1, so it does not depend on L.
     """
-    hs = [homogeneous(p) for p in points]
-    if not hs:
-        raise ValueError("convex hull of no points")
-    L = lcm(*(q for _, _, q in hs))
-    # (x, y, L): each point as a homogeneous triple over L, for _plane
-    pts = sorted({(X * (L // q), Y * (L // q), L) for X, Y, q in hs})
-    if len(pts) == 1:
-        planes = [_plane(n, pts[0]) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]
-        hull = pts
+    L, hull = _hull(dict.fromkeys(map(homogeneous, points)))
+    hull = [(x, y, L) for x, y, _ in hull]
+    if len(hull) == 1:
+        planes = [_plane(n, hull[0]) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     else:
-        hull = _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
         planes = []
         for a, b in zip(hull, hull[1:] + hull[:1]):
             u = (b[0] - a[0], b[1] - a[1])

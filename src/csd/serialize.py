@@ -205,17 +205,19 @@ def diagram_from_json(doc):
     return Diagram(fd, walls, order, doc["saturated"])
 
 
+def _piece_to_json(p):
+    """The fields a piece has in both broken lines and segments."""
+    return {
+        "exponent": point_to_json(p.exponent),
+        "coeff": frac_to_str(p.coeff),
+        "bend": None if p.bend_point is None else point_to_json(p.bend_point),
+    }
+
+
 def brokenline_to_json(line):
     return {
         "endpoint": point_to_json(line.endpoint),
-        "pieces": [
-            {
-                "exponent": point_to_json(p.exponent),
-                "coeff": frac_to_str(p.coeff),
-                "bend": None if p.bend_point is None else point_to_json(p.bend_point),
-            }
-            for p in line.pieces
-        ],
+        "pieces": [_piece_to_json(p) for p in line.pieces],
     }
 
 
@@ -284,12 +286,8 @@ def segment_to_json(seg):
         "end": point_to_json(seg.end),
         "total_time": frac_to_str(seg.total_time),
         "pieces": [
-            {
-                "exponent": point_to_json(p.exponent),
-                "coeff": frac_to_str(p.coeff),
-                "bend": None if p.bend_point is None else point_to_json(p.bend_point),
-                "duration": None if p.duration is None else frac_to_str(p.duration),
-            }
+            dict(_piece_to_json(p),
+                 duration=None if p.duration is None else frac_to_str(p.duration))
             for p in seg.pieces
         ],
     }

@@ -59,6 +59,18 @@ def _line_points(line, radius):
     return [ext] + pts
 
 
+def _polyline(v, pts, pieces, colour):
+    """A polyline through pts, each piece's monomial written at the middle
+    of its stretch, all in the one colour."""
+    out = ['<polyline points="%s" fill="none" stroke="%s" stroke-width="1.2"/>'
+           % (" ".join(v.pt(p) for p in pts), colour)]
+    for i, piece in enumerate(pieces):
+        mid = vscale(Fraction(1, 2), vadd(pts[i], pts[i + 1]))
+        out.append('<text x="%s" y="%s" font-size="10" fill="%s">%s</text>'
+                   % (tuple(v.xy(mid)) + (colour, _mono_label(piece))))
+    return out
+
+
 def render_svg(diagram, broken_lines=(), segments=(), polygons=()):
     overlays = [s.positions() for s in segments]
     overlays += [list(p) for p in polygons]
@@ -83,20 +95,8 @@ def render_svg(diagram, broken_lines=(), segments=(), polygons=()):
         out.append('<polygon points="%s" fill="steelblue" fill-opacity="0.2" '
                    'stroke="steelblue"/>' % path)
     for bl in broken_lines:
-        pts = _line_points(bl, radius)
-        out.append('<polyline points="%s" fill="none" stroke="crimson" '
-                   'stroke-width="1.2"/>' % " ".join(v.pt(p) for p in pts))
-        for i, piece in enumerate(bl.pieces):
-            mid = vscale(Fraction(1, 2), vadd(pts[i], pts[i + 1]))
-            out.append('<text x="%s" y="%s" font-size="10" fill="crimson">%s</text>'
-                       % (tuple(v.xy(mid)) + (_mono_label(piece),)))
+        out += _polyline(v, _line_points(bl, radius), bl.pieces, "crimson")
     for seg in segments:
-        pts = seg.positions()
-        out.append('<polyline points="%s" fill="none" stroke="darkgreen" '
-                   'stroke-width="1.2"/>' % " ".join(v.pt(p) for p in pts))
-        for i, piece in enumerate(seg.pieces):
-            mid = vscale(Fraction(1, 2), vadd(pts[i], pts[i + 1]))
-            out.append('<text x="%s" y="%s" font-size="10" fill="darkgreen">%s</text>'
-                       % (tuple(v.xy(mid)) + (_mono_label(piece),)))
+        out += _polyline(v, seg.positions(), seg.pieces, "darkgreen")
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -430,6 +430,22 @@ def test_piece_coeff_must_be_integer(paths, a2, a2_diagram, where, value, shown)
     assert r.stderr == "error: %s piece 0 coeff must be an integer, got %s\n" % (what, shown)
 
 
+def test_glue_of_a_bend_along_its_wall_exits_2(paths):
+    # line1 bends at (1, 1) from (0, 51) into (0, 50), along that bend's wall
+    def line(m0, m1, bend):
+        return {"endpoint": [34, 15], "pieces": [
+            {"exponent": m0, "coeff": "1", "bend": bend},
+            {"exponent": m1, "coeff": "1", "bend": None}]}
+    path = paths["dir"] / "along_wall_pair.json"
+    serialize.save(path, {"base": [34, 15], "line1": line([0, 51], [0, 50], [1, 1]),
+                          "line2": line([55, -35], [34, -35], [1, 0])})
+    r = run_cli("segment-from-pair", "--diagram", str(paths["a2"]), "--pair", str(path),
+                "-a", "11", "-b", "11")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == ("error: pair line1: bend 1 from the endpoint runs along its wall: "
+                        "exponent (0, 51) pairs to 0 with the wall normal (-1, 0)\n")
+
+
 @pytest.mark.parametrize("base", [["x", 1], [1, 2, 3]], ids=["not-rational", "three"])
 def test_malformed_pair_base(paths, a2, a2_diagram, base):
     seg = serialize.segment_from_json(json.loads(paths["seg"].read_text()))

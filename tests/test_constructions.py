@@ -438,3 +438,36 @@ def test_order_is_checked_at_entry(entry, K, a2, a2_diagram):
 def test_order_none_and_zero_accepted(entry, a2, a2_diagram):
     K_ENTRIES[entry](a2, a2_diagram, None)
     K_ENTRIES[entry](a2, a2_diagram, 0)
+
+
+def along_wall_pair(swap=False):
+    """A balanced A2 pair with base (34, 15) whose line1 (line2 when swapped)
+    bends at (1, 1) from (0, 51) into (0, 50), along the wall of that bend."""
+    base = (34, 15)
+    along = BrokenLine(base, [Piece((0, 51), 1, (1, 1)), Piece((0, 50), 1)])
+    other = BrokenLine(base, [Piece((55, -35), 1, (1, 0)), Piece((34, -35), 1)])
+    return BalancedPair(other, along, base) if swap else BalancedPair(along, other, base)
+
+
+ALONG_WALL = (r"bend 1 from the endpoint runs along its wall: exponent \(0, 51\) "
+              r"pairs to 0 with the wall normal \(-1, 0\)$")
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_glue_rejects_a_bend_along_its_wall(a2, swap):
+    # <n_1, m_0> = 0 made glue divide 0 by 0; now a ValueError names the line
+    diagram = complete_rank2(a2, 5)
+    with pytest.raises(ValueError, match="^pair line%d: %s" % (2 if swap else 1, ALONG_WALL)):
+        glue_balanced(a2, diagram, along_wall_pair(swap), 11, 11)
+    with pytest.raises(ValueError, match="^" + ALONG_WALL):
+        construct_segment(a2, along_wall_pair().line1, 1, 2, 1)
+
+
+def test_split_rejects_a_bend_along_its_wall(a2, a2_diagram):
+    # automatic scales divided by rho = 0; given scales meet the line tracer's check
+    seg = Segment((0, 0), (0, -101), [Piece((0, 50), 1, None, F(1)),
+                                      Piece((0, 51), 1, None, F(1))], 2)
+    with pytest.raises(ValueError, match=r"^bend 1 from the endpoint runs along its wall"):
+        pair_from_segment(a2, a2_diagram, seg, F(3, 2))
+    with pytest.raises(ValueError, match="^piece runs parallel to its bending wall$"):
+        pair_from_segment(a2, a2_diagram, seg, F(3, 2), 1, 1)

@@ -49,7 +49,7 @@ def test_plmap_continuity_on_fold(a2):
     # both sector matrices agree on the fold line itself
     t0 = shear_map(a2, (1, 0), 1)
     from csd.convexity import mat_vec
-    for b in t0.boundaries():
+    for b in t0.boundaries:
         images = {mat_vec(M, b) for _, M in t0.sectors}
         assert len(images) == 1
 
@@ -92,10 +92,10 @@ def test_chart_maps_walk_runs_once_per_value(shear_calls):
 
 def test_chart_maps_returns_fresh_list(g2):
     maps, _ = chart_maps(g2)
-    keys = [m.key() for m in maps]
+    keys = [m.sectors for m in maps]
     maps.pop()
     maps.append(PLMap.identity())
-    assert [m.key() for m in chart_maps(g2)[0]] == keys
+    assert [m.sectors for m in chart_maps(g2)[0]] == keys
 
 
 @pytest.mark.parametrize("bound", [4, 16])
@@ -105,7 +105,7 @@ def test_chart_maps_match_uncached_walk(a2, g2, kron, bound):
     for fd in (a2, g2, kron):
         maps, closed = chart_maps(fd)
         walk, walk_closed = convexity._chart_maps(fd, bound)
-        keys, walk_keys = [m.key() for m in maps], [m.key() for m in walk]
+        keys, walk_keys = [m.sectors for m in maps], [m.sectors for m in walk]
         if bound == 16:
             assert walk_keys == keys and walk_closed == closed
         else:
@@ -119,7 +119,7 @@ def test_initial_shears_are_one_sided(a2, a2_diagram):
     from csd.geometry import cycle_is_convex
     shears = [shear_map(a2, (1, 0), 1), shear_map(a2, (0, 1), 1)]
     for phi in [PLMap.identity()] + shears:
-        image, _ = map_cycle(phi, [homogeneous(p) for p in A2_BAD_TRIANGLE])
+        image = map_cycle(phi, [homogeneous(p) for p in A2_BAD_TRIANGLE])
         assert cycle_is_convex(image)
     # ...yet a deeper chart exposes non-convexity
     rep = is_blc_2d(a2, a2_diagram, A2_BAD_TRIANGLE)

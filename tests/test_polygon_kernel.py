@@ -156,7 +156,7 @@ def ref_edge_fold_points(a, b, folds):
 
 
 def ref_map_cycle(phi, cycle):
-    folds = phi.boundaries()
+    folds = phi.boundaries
     refined = []
     for i, a in enumerate(cycle):
         refined.append(tuple(a))
@@ -188,7 +188,7 @@ def ref_convexity_witness(fd, diagram, cycle, phi):
         u, w = image[i], image[j]
         if u == w:
             continue
-        pts = [u] + ref_edge_fold_points(u, w, phi_inv.boundaries()) + [w]
+        pts = [u] + ref_edge_fold_points(u, w, phi_inv.boundaries) + [w]
         poly = [ref_apply(phi_inv, p) for p in pts]
         probes = [vscale(Fraction(1, 2), vadd(a, b)) for a, b in zip(poly, poly[1:])]
         probes.extend(poly[1:-1])
@@ -233,7 +233,7 @@ def ref_blc_hull(fd, diagram, pts, max_rounds=64):
                 if len(ih) > 1:
                     b = ih[(i + 1) % len(ih)]
                     back.extend(ref_apply(phi_inv, p)
-                                for p in ref_edge_fold_points(a, b, phi_inv.boundaries()))
+                                for p in ref_edge_fold_points(a, b, phi_inv.boundaries))
             V.update(tuple(p) for p in back)
     else:
         flagged = True
