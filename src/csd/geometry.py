@@ -126,23 +126,20 @@ def _hull(given):
     given maps homogeneous points to payloads.  Every point is scaled to
     the lcm L of the denominators, and the monotone chain runs on those
     integer numerators.  Returns L and the hull's vertices as (x, y,
-    payload) entries, x/L and y/L, counterclockwise from the least (x, y);
-    of equal-valued points the first given is kept.
+    payload) entries, x/L and y/L, counterclockwise from the least entry;
+    points equal in value and in payload make one entry.
     """
     if not given:
         raise ValueError("convex hull of no points")
     L = lcm(*(q for _, _, q in given))
-    scaled = {}
-    for (X, Y, q), p in given.items():
-        scaled.setdefault((X * (L // q), Y * (L // q)), p)
-    pts = sorted((x, y, p) for (x, y), p in scaled.items())
+    pts = sorted({(X * (L // q), Y * (L // q), p) for (X, Y, q), p in given.items()})
     if len(pts) == 1:
         return L, pts
     return L, _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
 
 
 def _chain(pts):
-    """One monotone chain over (x, y, point) entries, dropping right and straight turns."""
+    """One monotone chain over (x, y, payload) entries, dropping right and straight turns."""
     out = []
     for c in pts:
         while len(out) > 1:
@@ -254,25 +251,23 @@ def compile_hull(points):
     with gcd(A, B, N) = 1, so it does not depend on L.
     """
     L, hull = _hull(dict.fromkeys(map(homogeneous, points)))
-    hull = [(x, y, L) for x, y, _ in hull]
     if len(hull) == 1:
-        planes = [_plane(n, hull[0]) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        planes = [_plane(n, hull[0], L) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     else:
         planes = []
         for a, b in zip(hull, hull[1:] + hull[:1]):
             u = (b[0] - a[0], b[1] - a[1])
-            planes.append(_plane(rot90(u), a))
+            planes.append(_plane(rot90(u), a, L))
             if len(hull) == 2:
                 # the edge b -> a gives the other side; cap the segment at a
-                planes.append(_plane(u, a))
+                planes.append(_plane(u, a, L))
     xs = [x for x, _, _ in hull]
     ys = [y for _, y, _ in hull]
     return HalfPlanes(planes, (min(xs), max(xs), min(ys), max(ys), L))
 
 
-def _plane(n, p):
-    """The half-plane n.x >= n.p through the homogeneous point p."""
-    X, Y, q = p
-    A, B, N = n[0] * q, n[1] * q, n[0] * X + n[1] * Y
+def _plane(n, a, L):
+    """The half-plane n.x >= n.a through the hull vertex a, (x, y) over L."""
+    A, B, N = n[0] * L, n[1] * L, n[0] * a[0] + n[1] * a[1]
     g = gcd(A, B, N)
     return (A // g, B // g, N // g)
