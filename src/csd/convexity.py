@@ -558,9 +558,13 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     # ascending scan reversed), listed when first needed.  A pair with the
     # origin is never a violation: the origin in bP puts it in P, and then
     # aP lies in (a + b)P, as P is convex.
-    @functools.cache
+    listed = {}
+
     def lattice(k):
-        return [p for p in reversed(region.dilate(k).lattice_points()) if p != (0, 0)]
+        if k not in listed:
+            listed[k] = [p for p in reversed(region.dilate(k).lattice_points())
+                         if p != (0, 0)]
+        return listed[k]
 
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
     k1x, k1y, k2x, k2y = K * g1x, K * g1y, K * g2x, K * g2y

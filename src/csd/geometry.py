@@ -117,29 +117,31 @@ def convex_hull(points):
     for p in points:
         p = tuple(p)
         given.setdefault(homogeneous(p), p)
-    return [p for _, _, p in _hull(given)[1]]
+    return [given[h] for _, _, h in _hull(given)[1]]
 
 
-def _hull(given):
+def _hull(hs):
     """The hull pass shared by ``convex_hull`` and ``compile_hull``.
 
-    given maps homogeneous points to payloads.  Every point is scaled to
-    the lcm L of the denominators, and the monotone chain runs on those
-    integer numerators.  Returns L and the hull's vertices as (x, y,
-    payload) entries, x/L and y/L, counterclockwise from the least entry;
-    points equal in value and in payload make one entry.
+    Every homogeneous point h of hs is scaled to the lcm L of the
+    denominators, and the monotone chain runs on those integer numerators.
+    Returns L and the hull's vertices as entries (x, y, h), standing for
+    (x/L, y/L), counterclockwise from the least (x, y).  Of points equal in
+    value the chain keeps one.
     """
-    if not given:
+    if not hs:
         raise ValueError("convex hull of no points")
-    L = lcm(*(q for _, _, q in given))
-    pts = sorted({(X * (L // q), Y * (L // q), p) for (X, Y, q), p in given.items()})
-    if len(pts) == 1:
-        return L, pts
+    L = lcm(*(q for _, _, q in hs))
+    pts = sorted([(X * (L // q), Y * (L // q), (X, Y, q)) for X, Y, q in hs])
+    a, b = pts[0], pts[-1]
+    if a[0] == b[0] and a[1] == b[1]:
+        return L, [a]
     return L, _chain(pts)[:-1] + _chain(reversed(pts))[:-1]
 
 
 def _chain(pts):
-    """One monotone chain over (x, y, payload) entries, dropping right and straight turns."""
+    """One monotone chain over (x, y, h) entries, dropping right and straight
+    turns, and so all but one of points equal in value."""
     out = []
     for c in pts:
         while len(out) > 1:
@@ -250,7 +252,7 @@ def compile_hull(points):
     counterclockwise from its least (x, y) vertex.  A half-plane is kept
     with gcd(A, B, N) = 1, so it does not depend on L.
     """
-    L, hull = _hull(dict.fromkeys(map(homogeneous, points)))
+    L, hull = _hull([homogeneous(p) for p in points])
     if len(hull) == 1:
         planes = [_plane(n, hull[0], L) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     else:
