@@ -252,24 +252,27 @@ def compile_hull(points):
     counterclockwise from its least (x, y) vertex.  A half-plane is kept
     with gcd(A, B, N) = 1, so it does not depend on L.
     """
+    # a plane through a vertex is taken at the point h of its entry: scaled
+    # to (x, y, L) it has the same reduced plane
     L, hull = _hull([homogeneous(p) for p in points])
     if len(hull) == 1:
-        planes = [_plane(n, hull[0], L) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        planes = [_plane(n, hull[0][2]) for n in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     else:
         planes = []
         for a, b in zip(hull, hull[1:] + hull[:1]):
             u = (b[0] - a[0], b[1] - a[1])
-            planes.append(_plane(rot90(u), a, L))
+            planes.append(_plane(rot90(u), a[2]))
             if len(hull) == 2:
                 # the edge b -> a gives the other side; cap the segment at a
-                planes.append(_plane(u, a, L))
+                planes.append(_plane(u, a[2]))
     xs = [x for x, _, _ in hull]
     ys = [y for _, y, _ in hull]
     return HalfPlanes(planes, (min(xs), max(xs), min(ys), max(ys), L))
 
 
-def _plane(n, a, L):
-    """The half-plane n.x >= n.a through the hull vertex a, (x, y) over L."""
-    A, B, N = n[0] * L, n[1] * L, n[0] * a[0] + n[1] * a[1]
+def _plane(n, p):
+    """The half-plane n.x >= n.p through the homogeneous point p."""
+    X, Y, q = p
+    A, B, N = n[0] * q, n[1] * q, n[0] * X + n[1] * Y
     g = gcd(A, B, N)
     return (A // g, B // g, N // g)

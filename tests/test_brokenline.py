@@ -190,6 +190,17 @@ def test_validate_segment_shows_positions_as_given(a2, a2_diagram):
         False, "segment ends at (3, 3), expected (3, 4)")
 
 
+def test_segment_intervals():
+    # a None duration is a piece of zero length; times and positions are
+    # exact, and each piece starts where the one before it ends
+    seg = Segment((1, 2), (F(-1), F(5, 2)),
+                  [Piece((1, 0), 1, None, F(1, 2)), Piece((0, 1), 1, None, None),
+                   Piece((3, -1), 1, None, F(1, 2))], F(1))
+    assert seg.intervals() == [(0, F(1, 2), (1, 2)), (F(1, 2), F(1, 2), (F(1, 2), F(2))),
+                               (F(1, 2), F(1), (F(1, 2), F(2)))]
+    assert [type(t) for iv in seg.intervals() for t in iv[:2]] == [F] * 6
+
+
 def test_validate_straight_segment(a2, a2_diagram):
     seg = Segment((F(1), F(1)), (F(3), F(1)), [Piece((-2, 0), 1, None, F(1))], F(1))
     ok, why = validate_segment(a2, a2_diagram, seg)
