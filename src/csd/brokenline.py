@@ -196,15 +196,14 @@ class SearchForm:
     half-lines is a wall-free chamber, where the search has only the
     straight line to find.
 
-    The form also holds the cone coordinates that give bends its exact
-    monoid test, and the diagram's caches.  Points are pairs or reduced
-    homogeneous triples (X, Y, Q) as geometry.homogeneous gives them; the
-    search passes its sites to allowed_bends as triples.  Bend coefficients
-    are ints, read from tables of powers of f.
+    The form also holds the cone coordinates that give the search its exact
+    monoid test (_trace), and the diagram's caches.  Points are pairs or
+    reduced homogeneous triples (X, Y, Q) as geometry.homogeneous gives
+    them; the search builds its bend sites as triples (_site).  Bend
+    coefficients are ints, read from tables of powers of f.
 
     - families: wall families, one per wall tuple of a half-line (the two
       halves of a line share one), plus the families at the origin;
-    - arcs: the arc cones of each half-line, per (initial exponent, sense);
     - thetas: theta functions, keyed by (m, endpoint, K);
     - alphas: alpha tables, keyed by (unordered pair {p, q}, K);
     - products: theta products at the expansion endpoint, keyed by
@@ -256,7 +255,6 @@ class SearchForm:
         self._fams = [None] * n
         self._families = {}
         self._origin = None
-        self._arcs = {}
         self.thetas = {}
         self.alphas = {}
         self.products = {}
@@ -395,13 +393,6 @@ class SearchForm:
             self._fams[i] = fam
         return fam
 
-    def arcs(self, t, ccw):
-        """The _Arcs of the initial exponent t and sense ccw, kept on the form."""
-        arcs = self._arcs.get((t, ccw))
-        if arcs is None:
-            arcs = self._arcs[t, ccw] = _Arcs(self, t, ccw)
-        return arcs
-
     def families(self, point):
         """Families of the walls through the point, grouped by support line."""
         i = self._half(point)
@@ -417,43 +408,23 @@ class SearchForm:
             self._origin = [_Family(self.fd, ws) for ws in groups.values()]
         return self._origin
 
-    def bends(self, point, m_in, K, shift=None):
-        """Exponents reachable by bending m_in at the point, as in allowed_bends.
-
-        Without a shift, every bend whose shift k*m0 has order at most K is
-        listed.  With the remaining shift p = (A*g1 + B*g2)/D of a search,
-        which lies in the monoid, k*m0 is listed exactly when p - k*m0 lies
-        in the monoid too: when step divides k, k*cn <= A and k*dn <= B.
-        """
+    def bends(self, point, m_in, K):
+        """Exponents reachable by bending m_in at the point, as in allowed_bends:
+        m_in itself and each m_in + k*m0 whose shift k*m0 has order at most
+        K, where the power table of f stops."""
         fams = self.families(point)
         if not fams:
             raise ValueError("point %r lies on no wall" % (point,))
         mx, my = m_in
-        ux, uy, vx, vy, D = self._cone
-        top = K * D
-        if shift is not None:
-            A = ux * shift[0] + uy * shift[1]
-            B = vx * shift[0] + vy * shift[1]
+        top = K * self._cone[4]
         out = [((mx, my), 1)]
         for fam in fams:
             pw = fam.a[0] * mx + fam.a[1] * my
             if pw % self.L:
                 raise ValueError("non-integral bending power")
-            pw = abs(pw) // self.L
-            if pw == 0:
-                continue
-            if shift is None:
-                kcap, step = top // fam.order, 1
-            else:
-                kcap, step = fam.cap(A, B), fam.step
-            if kcap < step:
-                continue
             sx, sy = fam.m0
-            for k, c in fam.power_terms(pw, top):
-                if k > kcap:
-                    break
-                if k % step == 0:
-                    out.append(((mx + k * sx, my + k * sy), c))
+            out += [((mx + k * sx, my + k * sy), c)
+                    for k, c in fam.power_terms(abs(pw) // self.L, top)]
         return out
 
 
@@ -463,8 +434,7 @@ class _Arcs(dict):
 
     guard is True when -t lies in the cone of the monoid; admits then lets
     every node whose exponent lies in that cone through (see
-    _search).  The form's lists are copied by reference and the
-    form itself is not kept, so a form and its arcs make no cycle.
+    _search).  _search builds one for each sense of turning per call.
     """
 
     __slots__ = ("halves", "m0", "order", "t", "ccw", "guard")
@@ -539,15 +509,15 @@ def wall_families(fd, diagram, point):
     return [(fam.n0, fam.m0, fam.f) for fam in form.families(point)]
 
 
-def allowed_bends(fd, diagram, point, m_in, K, shift=None):
+def allowed_bends(fd, diagram, point, m_in, K):
     """All exponents reachable by bending at the point, with coefficients.
 
     The point is a pair or a homogeneous triple.  Includes the trivial
-    no-bend term.  K bounds the order of the shift; the search also passes
-    its remaining shift, which drops bends it cannot use.  Coefficients are
-    ints.
+    no-bend term.  K bounds the order of the shift.  Coefficients are ints.
+    The search does not call it: _trace reads the same coefficients from
+    the power table of the site's family.
     """
-    return search_form(fd, diagram).bends(point, m_in, K, shift)
+    return search_form(fd, diagram).bends(point, m_in, K)
 
 
 def _endpoint(endpoint):
@@ -634,7 +604,7 @@ def _search(fd, diagram, initial, endpoint, K):
     if orders and form.straight(near, ix, iy):
         return [[(None, (ix, iy), 1)]]
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
-    arcs = (form.arcs((ix, iy), False), form.arcs((ix, iy), True))
+    arcs = (_Arcs(form, (ix, iy), False), _Arcs(form, (ix, iy), True))
     # meets needs a half-line; with none, a root with a shift never bends
     halves = form._halves
     cones = {}
@@ -652,8 +622,7 @@ def _search(fd, diagram, initial, endpoint, K):
                 if not (halves and arcs[ccw].admits(cones[ccw], mx, my, px, py)
                         and form.meets(x, y, near[ccw], mx, my)):
                     continue
-            _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, arcs[ccw], [],
-                   results)
+            _trace(form, x, y, q, near, mx, my, px, py, K, arcs[ccw], [], results)
     if len(results) > 1:
         Q = lcm(*{pt[2] for steps in results for pt, _, _ in steps[:-1]})
         results.sort(key=lambda steps: _signature(steps, Q))
@@ -668,7 +637,7 @@ def _signature(steps, Q):
     return [(m, end) for (_, m, _), end in zip(steps, ends)][::-1]
 
 
-def _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
+def _trace(form, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
     """Backward search from (x, y)/q, between the half-lines near, with
     exponent (mx, my) and remaining shift (px, py); steps collect (bend site
     (X, Y, Q), exponent after the bend, coeff) endpoint-first.  arcs holds
@@ -680,8 +649,10 @@ def _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, arcs, steps, res
     which children k*m0 survive: the power of f must be nonzero, the
     remaining shift must stay in the monoid (_Family.cap and step), and a
     child that still has a shift must meet a half-line (SearchForm.dead)
-    and pass the arc test of _search.  Only a site with a survivor
-    is built and passed to allowed_bends, which gives the coefficients.
+    and pass the arc test of _search.  Each survivor keeps its bend
+    coefficient, the term of f^power that selected it, and the site is
+    built (_site) only when some child survives.  Children are traced by
+    ascending k.
     """
     if not (px or py):
         _turn(x, y, q, mx, my)
@@ -703,8 +674,8 @@ def _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, arcs, steps, res
             continue
         sx, sy = fam.m0
         step, cone = fam.step, arcs[i]
-        alive = {}
-        for k, _ in fam.power_terms(pw, top):
+        children = []
+        for k, c in fam.power_terms(pw, top):
             if k > kcap:
                 break
             if k % step:
@@ -713,15 +684,13 @@ def _trace(fd, diagram, form, x, y, q, near, mx, my, px, py, K, arcs, steps, res
             if not (ax or ay) or (rx or ry) and (
                     not arcs.admits(cone, ax, ay, rx, ry) or form.dead(i, ax, ay)):
                 continue
-            alive[mx + k * sx, my + k * sy] = (ax, ay, rx, ry)
-        if not alive:
+            children.append((c, ax, ay, rx, ry))
+        if not children:
             continue
         pt = _site(x, y, q, mx, my, td, tn)
-        for out, c in allowed_bends(fd, diagram, pt, (mx, my), K, (px, py)):
-            child = alive.get(out)
-            if child:
-                _trace(fd, diagram, form, *pt, form._around[i], *child, K, arcs,
-                       steps + [(pt, (mx, my), c)], results)
+        for c, *child in children:
+            _trace(form, *pt, form._around[i], *child, K, arcs,
+                   steps + [(pt, (mx, my), c)], results)
 
 
 def _assemble(endpoint, rev_steps):

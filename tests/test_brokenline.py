@@ -383,11 +383,11 @@ def test_enumerate_matches_reference_at_random_endpoints(i, z, m):
 def test_search_passes_integer_bend_sites(g2, g2_diagram, monkeypatch):
     seen = []
 
-    def recording(fd, diagram, point, m_in, K, shift=None):
-        seen.append(point)
-        return allowed_bends(fd, diagram, point, m_in, K, shift)
+    def recording(*args):
+        seen.append(_site(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(brokenline, "allowed_bends", recording)
+    monkeypatch.setattr(brokenline, "_site", recording)
     lines = enumerate_lines(g2, g2_diagram, (-1, 2), (F(9, 7), F(-10, 11)), 8)
     assert any(len(l.pieces) > 1 for l in lines) and seen
     assert all(len(pt) == 3 and all(type(c) is int for c in pt) for pt in seen)
@@ -542,29 +542,38 @@ def _off_lattice(fd, diagram):
                          [DIFF_TYPES[3] + (_off_lattice,)],
                          ids=["A2", "B2", "G2", "Kronecker", "W33", "Kronecker-off-lattice"])
 def test_bends_cap_is_monoid_test(exchange, d, order, edit, monkeypatch):
-    # at every site the search visits, the bends listed for the remaining
-    # shift p are the order-K bends s with p - s in the monoid
+    # every bend the search traces leaves a remaining shift in the monoid,
+    # with the coefficient the order-K listing gives it, and at the sites it
+    # visits the cap drops some order-K bend s whose p - s, p the shift
+    # before the bend, is not in the monoid
     fd = FixedData.from_exchange(exchange, d)
     diagram = complete_rank2(fd, order)
     if edit:
         diagram = edit(fd, diagram)
     seen = []
+    trace = brokenline._trace
 
-    def recording(fd, diagram, point, m_in, K, shift=None):
-        seen.append((point, m_in, K, shift))
-        return allowed_bends(fd, diagram, point, m_in, K, shift)
+    def recording(form, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
+        if steps:
+            seen.append((steps[-1], (mx, my), (px, py), K))
+        return trace(form, x, y, q, near, mx, my, px, py, K, arcs, steps, results)
 
-    monkeypatch.setattr(brokenline, "allowed_bends", recording)
+    monkeypatch.setattr(brokenline, "_trace", recording)
     for m in DIFF_EXPONENTS:
         for z in DIFF_ENDPOINTS[:2]:
             enumerate_lines(fd, diagram, m, z, order)
     form = search_form(fd, diagram)
+    sites = {}
+    for (point, m_out, c), a, rest, K in seen:
+        assert _in_monoid(fd, rest), (point, a, rest)
+        # the bend a -> m_out is the step k*m0 = m_out - a, listed for m_out
+        # as m_out + k*m0
+        every = form.bends(point, m_out, K)
+        assert dict(every)[vadd(m_out, vsub(m_out, a))] == c, (point, a, m_out)
+        sites[point, m_out, vadd(rest, vsub(m_out, a))] = every
     dropped = 0
-    for point, m_in, K, shift in seen:
-        every = form.bends(point, m_in, K)
-        want = [(e, c) for e, c in every if _in_monoid(fd, vsub(shift, vsub(e, m_in)))]
-        assert form.bends(point, m_in, K, shift) == want, (point, m_in, shift)
-        dropped += len(every) - len(want)
+    for (point, m_out, shift), every in sites.items():
+        dropped += sum(not _in_monoid(fd, vsub(shift, vsub(e, m_out))) for e, _ in every)
     assert seen and dropped > 0
 
 
@@ -582,13 +591,13 @@ def test_theta_without_walls(tmp_path, a2):
 def test_search_work_is_pinned(a2, a2_diagram, g2, g2_diagram, kron, kron_diagram,
                                monkeypatch):
     # rays that cannot end in a line are pruned before they are traced, and
-    # a site is passed to allowed_bends only when some bend there can still
-    # end in a line; tracing every ray and bending at every site makes 3439
-    # _trace and 1858 allowed_bends calls here, and the search without the
-    # arc test and the per-site check made 2272 and 1712.  A root whose ray
-    # meets no half-line is not traced, and a wall-free chamber
+    # a bend site is built (_site) only when some bend there can still end
+    # in a line; tracing every ray and bending at every site makes 3439
+    # _trace calls and 1858 sites here, and the search without the arc test
+    # and the per-site check made 2272 and 1712.  A root whose ray meets no
+    # half-line is not traced, and a wall-free chamber
     # (SearchForm.straight) is not searched: before both, 1401 and 196
-    counts = {"_trace": 0, "allowed_bends": 0}
+    counts = {"_trace": 0, "_site": 0}
     for name in counts:
         def counting(*args, _fn=getattr(brokenline, name), _name=name):
             counts[_name] += 1
@@ -600,7 +609,7 @@ def test_search_work_is_pinned(a2, a2_diagram, g2, g2_diagram, kron, kron_diagra
             for z in DIFF_ENDPOINTS[:2]:
                 lines += len(enumerate_lines(fd, diagram, m, z, K))
     assert lines == 125
-    assert counts == {"_trace": 760, "allowed_bends": 196}
+    assert counts == {"_trace": 760, "_site": 196}
 
 
 # the eight types of the shared-search and chamber checks
