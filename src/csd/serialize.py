@@ -43,6 +43,13 @@ def _rational(c):
     return Fraction(c)
 
 
+def _field(doc, key, what):
+    """doc[key]; a missing key raises ValueError naming the document what."""
+    if key not in doc:
+        raise ValueError("%s: missing field %r" % (what, key))
+    return doc[key]
+
+
 def point_from_json(v):
     try:
         return tuple(_rational(c) for c in v)
@@ -68,7 +75,7 @@ def fd_from_json(doc):
     """Lattice data from a seed document; malformed fields raise ValueError naming them."""
     if not isinstance(doc, dict):
         raise ValueError("seed must be a JSON object, got %s" % type(doc).__name__)
-    ex, d = doc["exchange"], doc["d"]
+    ex, d = _field(doc, "exchange", "seed"), _field(doc, "d", "seed")
     if not (isinstance(ex, list) and all(isinstance(row, list) and len(row) == len(ex)
                                          and all(_is_int(x) for x in row) for row in ex)):
         raise ValueError("exchange must be a square matrix of integers, got %r" % (ex,))
@@ -188,12 +195,12 @@ def diagram_from_json(doc):
     """A diagram from its document; a malformed top level raises ValueError naming it."""
     if not isinstance(doc, dict):
         raise ValueError("diagram must be a JSON object, got %s" % type(doc).__name__)
-    if not isinstance(doc["walls"], list):
+    if not isinstance(_field(doc, "walls", "diagram"), list):
         raise ValueError("walls must be a JSON list, got %s" % type(doc["walls"]).__name__)
-    order = doc["order"]
+    order = _field(doc, "order", "diagram")
     if not (_is_int(order) and order >= 0):
         raise ValueError("order must be an integer >= 0, got %r" % (order,))
-    fd = fd_from_json(doc["seed"])
+    fd = fd_from_json(_field(doc, "seed", "diagram"))
     walls = []
     for i, w in enumerate(doc["walls"]):
         try:
@@ -202,7 +209,7 @@ def diagram_from_json(doc):
             raise ValueError("wall %d: %s" % (i, e))
         except KeyError as e:
             raise ValueError("wall %d: missing field %s" % (i, e))
-    return Diagram(fd, walls, order, doc["saturated"])
+    return Diagram(fd, walls, order, _field(doc, "saturated", "diagram"))
 
 
 def _piece_to_json(p):
@@ -221,63 +228,70 @@ def brokenline_to_json(line):
     }
 
 
-def _field_point(v, field):
-    """A rational point [x, y] read from a document field; errors name the field."""
+def _field_point(doc, key, what):
+    """The rational point [x, y] in field key of the document what; errors name the field."""
+    v = _field(doc, key, what)
     if not (isinstance(v, list) and len(v) == 2):
-        raise ValueError("%s must be a point [x, y], got %r" % (field, v))
+        raise ValueError("%s %s must be a point [x, y], got %r" % (what, key, v))
     try:
         return point_from_json(v)
     except ValueError as e:
-        raise ValueError("%s: %s" % (field, e))
+        raise ValueError("%s %s: %s" % (what, key, e))
 
 
-def _field_exponent(v, field):
-    """An integer exponent [x, y] read from a document field."""
-    pt = _field_point(v, field)
+def _field_exponent(doc, key, what):
+    """The integer exponent [x, y] in field key of the document what."""
+    pt = _field_point(doc, key, what)
     if any(c.denominator != 1 for c in pt):
-        raise ValueError("%s must have integer coordinates, got %r" % (field, v))
+        raise ValueError("%s %s must have integer coordinates, got %r" % (what, key, doc[key]))
     return tuple(int(c) for c in pt)
 
 
-def _field_rational(v, field):
-    """A rational number (an integer or a string such as "5/2") read from a document field."""
+def _field_rational(doc, key, what):
+    """The rational number (an integer or a string such as "5/2") in field
+    key of the document what."""
+    v = _field(doc, key, what)
     try:
         return _rational(v)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise ValueError("%s must be a rational number, got %r" % (field, v))
+        raise ValueError("%s %s must be a rational number, got %r" % (what, key, v))
 
 
-def _field_integer(v, field):
-    """An integer (such as 3 or "3") read from a document field; a float or
-    a bool is none, even when whole."""
-    c = None if isinstance(v, (float, bool)) else _field_rational(v, field)
+def _field_integer(doc, key, what):
+    """The integer (such as 3 or "3") in field key of the document what; a
+    float or a bool is none, even when whole."""
+    v = _field(doc, key, what)
+    c = None if isinstance(v, (float, bool)) else _field_rational(doc, key, what)
     if c is None or c.denominator != 1:
-        raise ValueError("%s must be an integer, got %r" % (field, v))
+        raise ValueError("%s %s must be an integer, got %r" % (what, key, v))
     return c.numerator
 
 
 def _pieces(doc, what, durations):
-    """Pieces of a broken line or segment document, each field checked."""
+    """Pieces of a broken line or segment document, each field checked; the
+    list must not be empty."""
     if not (isinstance(doc, dict) and isinstance(doc.get("pieces"), list)):
         raise ValueError("%s must be a JSON object with a list of pieces" % what)
+    if not doc["pieces"]:
+        raise ValueError("%s has no pieces" % what)
     pieces = []
     for i, p in enumerate(doc["pieces"]):
         if not isinstance(p, dict):
             raise ValueError("%s piece %d must be a JSON object, got %r" % (what, i, p))
-        field = "%s piece %d %%s" % (what, i)
-        bend = None if p["bend"] is None else _field_point(p["bend"], field % "bend")
+        name = "%s piece %d" % (what, i)
+        bend = None if _field(p, "bend", name) is None else _field_point(p, "bend", name)
         dur = None
-        if durations and p["duration"] is not None:
-            dur = _field_rational(p["duration"], field % "duration")
-        pieces.append(Piece(_field_exponent(p["exponent"], field % "exponent"),
-                            _field_integer(p["coeff"], field % "coeff"), bend, dur))
+        if durations and _field(p, "duration", name) is not None:
+            dur = _field_rational(p, "duration", name)
+        pieces.append(Piece(_field_exponent(p, "exponent", name),
+                            _field_integer(p, "coeff", name), bend, dur))
     return pieces
 
 
 def brokenline_from_json(doc, what="broken line"):
     """A broken line from its document; errors name it as what."""
     pieces = _pieces(doc, what, False)
-    return BrokenLine(_field_point(doc["endpoint"], what + " endpoint"), pieces)
+    return BrokenLine(_field_point(doc, "endpoint", what), pieces)
 
 
 def segment_to_json(seg):
@@ -295,9 +309,8 @@ def segment_to_json(seg):
 
 def segment_from_json(doc):
     pieces = _pieces(doc, "segment", True)
-    return Segment(_field_point(doc["start"], "segment start"),
-                   _field_point(doc["end"], "segment end"), pieces,
-                   _field_rational(doc["total_time"], "segment total_time"))
+    return Segment(_field_point(doc, "start", "segment"), _field_point(doc, "end", "segment"),
+                   pieces, _field_rational(doc, "total_time", "segment"))
 
 
 def pair_to_json(pair):
@@ -313,12 +326,9 @@ def pair_from_json(doc):
     from .constructions import BalancedPair
     if not isinstance(doc, dict):
         raise ValueError("pair must be a JSON object, got %s" % type(doc).__name__)
-    for key in ("line1", "line2", "base"):
-        if key not in doc:
-            raise ValueError("pair: missing field %r" % key)
-    return BalancedPair(brokenline_from_json(doc["line1"], "pair line1"),
-                        brokenline_from_json(doc["line2"], "pair line2"),
-                        _field_point(doc["base"], "pair base"))
+    return BalancedPair(brokenline_from_json(_field(doc, "line1", "pair"), "pair line1"),
+                        brokenline_from_json(_field(doc, "line2", "pair"), "pair line2"),
+                        _field_point(doc, "base", "pair"))
 
 
 def points_to_json(pts):

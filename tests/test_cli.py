@@ -516,3 +516,71 @@ def test_parsing_output_is_pinned(paths, capsys, monkeypatch, argv, want):
         cli.main(argv)
     out = capsys.readouterr()
     assert (exit_info.value.code, out.out, out.err) == want
+
+
+@pytest.mark.parametrize("argv,flag,doc,what", [
+    (["pair-from-segment", "--tau", "1/2"], "--segment",
+     {"start": [0, 0], "end": [1, 1], "total_time": "1", "pieces": []}, "segment"),
+    (["segment-from-pair", "-a", "1", "-b", "1"], "--pair",
+     {"base": [0, 0], "line1": {"endpoint": [0, 0], "pieces": []},
+      "line2": {"endpoint": [0, 0], "pieces": []}}, "pair line1"),
+    (["render", "--out", "OUT"], "--broken-lines", [{"endpoint": [1, 2], "pieces": []}],
+     "broken line"),
+], ids=["pair-from-segment", "segment-from-pair", "render"])
+def test_empty_piece_lists_exit_2(paths, argv, flag, doc, what):
+    path = paths["dir"] / "no_pieces.json"
+    serialize.save(path, doc)
+    out = paths["dir"] / "no_pieces.svg"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    r = run_cli(*argv, flag, str(path), "--diagram", str(paths["a2"]))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: %s has no pieces\n" % what)
+    assert not out.exists()
+
+
+def _without(doc, path):
+    """A deep copy of the JSON document with the field at path removed."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return doc
+
+
+@pytest.mark.parametrize("source,path,message", [
+    ("seed", ("exchange",), "seed: missing field 'exchange'"),
+    ("diagram", ("walls",), "diagram: missing field 'walls'"),
+    ("diagram", ("order",), "diagram: missing field 'order'"),
+    ("diagram", ("saturated",), "diagram: missing field 'saturated'"),
+    ("diagram", ("seed", "d"), "seed: missing field 'd'"),
+    ("segment", ("total_time",), "segment: missing field 'total_time'"),
+    ("segment", ("pieces", 0, "exponent"), "segment piece 0: missing field 'exponent'"),
+    ("segment", ("pieces", 2, "duration"), "segment piece 2: missing field 'duration'"),
+    ("pair", ("line1", "endpoint"), "pair line1: missing field 'endpoint'"),
+    ("pair", ("line2", "pieces", 0, "bend"), "pair line2 piece 0: missing field 'bend'"),
+    ("lines", (0, "endpoint"), "broken line: missing field 'endpoint'"),
+    ("lines", (0, "pieces", 0, "coeff"), "broken line piece 0: missing field 'coeff'"),
+], ids=["seed-exchange", "diagram-walls", "diagram-order", "diagram-saturated", "diagram-seed-d",
+        "segment-total-time", "segment-piece-exponent", "segment-piece-duration",
+        "pair-line-endpoint", "pair-piece-bend", "lines-endpoint", "lines-piece-coeff"])
+def test_missing_field_names_its_document(paths, a2, a2_diagram, capsys, source, path, message):
+    seg = json.loads(paths["seg"].read_text())
+    pair, _ = pair_from_segment(a2, a2_diagram, serialize.segment_from_json(seg), F(5, 2))
+    line = serialize.brokenline_to_json(pair.line1)
+    docs = {"seed": (serialize.fd_to_json(a2), ["build", "--order", "2"], "--seed"),
+            "diagram": (serialize.diagram_to_json(a2_diagram),
+                        ["theta", "--direction", "1,0", "--endpoint", "2,1"], "--diagram"),
+            "segment": (seg, ["pair-from-segment", "--tau", "5/2"], "--segment"),
+            "pair": (serialize.pair_to_json(pair), ["segment-from-pair", "-a", "2", "-b", "2"],
+                     "--pair"),
+            "lines": ([line], ["render", "--out", str(paths["dir"] / "lines.svg")],
+                      "--broken-lines")}
+    doc, argv, flag = docs[source]
+    bad = paths["dir"] / "missing_field.json"
+    serialize.save(bad, _without(doc, path))
+    if source not in ("seed", "diagram"):
+        argv = argv + ["--diagram", str(paths["a2"])]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + [flag, str(bad)])
+    out = capsys.readouterr()
+    assert (exit_info.value.code, out.out, out.err) == (2, "", "error: %s\n" % message)
