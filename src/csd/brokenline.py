@@ -487,7 +487,9 @@ class _Arcs(dict):
 
 
 def _site(x, y, q, mx, my, td, tn):
-    """The reduced homogeneous triple of (x, y)/q + (tn / (q*td))*(mx, my)."""
+    """The reduced homogeneous triple of (x, y)/q + (tn / (q*td))*(mx, my).
+
+    _trace calls it exactly once per bend site it expands."""
     px = td * x + tn * mx
     py = td * y + tn * my
     Q = q * td
