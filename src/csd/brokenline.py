@@ -173,15 +173,16 @@ class SearchForm:
     The backward broken-line search, transport along a path and around the
     origin (scattering.leg_crossings, apply_loop), bend checks
     (bend_coefficient) and the expansion endpoint all read it.  Every wall
-    lies on a line through the origin; a ray off its normal's line is a
-    ValueError.  Each side of a support line that some wall covers is a
-    half-line from the origin, and the walls through a nonzero point are
-    those of its half-line.  The form keeps the half-lines as primitive
-    directions in counterclockwise order (geometry.ccw_key), a position on
-    the circle of directions as the pair (cw, ccw) of indices of its
-    neighbouring half-lines (see near), and, in lists indexed by
-    half-line, the walls in diagram order, their direction m0 and their
-    _Family (family, built on first use, with its power tables).
+    lies on a line through the origin; a ray or a function direction off
+    its normal's line is a ValueError.  Each side of a support line that
+    some wall covers is a half-line from the origin, and the walls through
+    a nonzero point are those of its half-line.  The form keeps the
+    half-lines as primitive directions in counterclockwise order
+    (geometry.ccw_key), a position on the circle of directions as the pair
+    (cw, ccw) of indices of its neighbouring half-lines (see near), and, in
+    lists indexed by half-line, the walls in diagram order, their direction
+    m0 and their _Family (family, built on first use, with its power
+    tables).
 
     walk is the one walker of that list.  Take a ray P + t*v, t > 0, with
     s = cross(P, v) != 0.  Seen from the origin its angle moves strictly
@@ -227,8 +228,8 @@ class SearchForm:
         # each covered half-line, by its primitive direction: its walls in
         # diagram order
         walls_at = {}
-        # whether every function direction lies on its wall's line and in
-        # the cone of the monoid, as straight needs
+        # whether every function direction lies in the cone of the monoid,
+        # as straight needs
         proper = True
         for w in walls:
             a = scaled_normal(fd, w.normal)
@@ -240,11 +241,15 @@ class SearchForm:
             else:
                 raise ValueError("ray wall with normal %r has direction %r off the line "
                                  "of its normal" % (w.normal, w.direction))
+            mx, my = w.func.direction
+            # _trace reads a bend's power off the pairing with the normal,
+            # which a bend along a direction off the line would change
+            if u[0] * my != u[1] * mx:
+                raise ValueError("wall with normal %r has function direction %r off the "
+                                 "line of its normal" % (w.normal, w.func.direction))
             for h in sides:
                 walls_at.setdefault(h, []).append(w)
-            mx, my = w.func.direction
-            proper = (proper and u[0] * my == u[1] * mx
-                      and ux * mx + uy * my >= 0 and vx * mx + vy * my >= 0)
+            proper = proper and ux * mx + uy * my >= 0 and vx * mx + vy * my >= 0
         self._halves = sorted(walls_at, key=ccw_key)
         n = len(self._halves)
         self._proper = proper and n > 0
@@ -349,8 +354,9 @@ class SearchForm:
 
         Let sigma be the cone of the monoid and S the open sector from
         a = h_cw counterclockwise to b = h_ccw.  The answer is yes when every
-        function direction m0 lies on its wall's line and in sigma, S is
-        narrower than pi, S misses -sigma and m lies in the closure of S.
+        function direction m0, which the form has checked lies on its wall's
+        line, lies in sigma, S is narrower than pi, S misses -sigma and m lies
+        in the closure of S.
         In a cluster scattering diagram every wall but the two initial lines
         is a ray in -sigma, so such an S is a chamber of the whole diagram,
         not only of a truncation, and this is GHKK (arXiv:1411.1394), Prop.
@@ -877,26 +883,3 @@ def _shown(X, Y, q, ints):
     """The homogeneous point as a pair: an int where ints says so, else a Fraction."""
     return tuple(c // q if k else Fraction(c, q) for c, k in zip((X, Y), ints))
 
-
-def line_bounded_segment(fd, line):
-    """The bounded part of a broken line as a Segment (first bend to endpoint)."""
-    bounded = line.pieces[1:]
-    if not bounded:
-        raise ValueError("straight line has no bounded part")
-    start = line.pieces[0].bend_point
-    pts = [p.bend_point for p in bounded[:-1]] + [line.endpoint]
-    pieces = []
-    pos = start
-    total = Fraction(0)
-    for p, nxt in zip(bounded, pts):
-        d = vsub(pos, nxt)
-        if is_zero(d):
-            dt = None
-        else:
-            m = p.exponent
-            i = 0 if m[0] != 0 else 1
-            dt = Fraction(d[i], m[i])
-            total += dt
-        pieces.append(Piece(p.exponent, p.coeff, None, dt))
-        pos = nxt
-    return Segment(start, line.endpoint, pieces, total)

@@ -191,8 +191,11 @@ def cmd_render(args):
     d = _load_diagram(args.diagram)
     lines = []
     if args.broken_lines:
-        lines = [serialize.brokenline_from_json(x)
-                 for x in serialize.load(args.broken_lines)]
+        docs = serialize.load(args.broken_lines)
+        if not isinstance(docs, list):
+            raise ValueError("--broken-lines must hold a JSON list of broken lines, got %s"
+                             % type(docs).__name__)
+        lines = [serialize.brokenline_from_json(x) for x in docs]
     segments = []
     if args.segment:
         segments = [serialize.segment_from_json(serialize.load(args.segment))]

@@ -177,12 +177,6 @@ def _endpoint_first(gamma):
     return ms
 
 
-def segment_support(fd, gamma, a, b):
-    """Support polyline of the dilated segment: x~_0 .. x~_s plus m_s/a."""
-    ms = _endpoint_first(gamma)
-    return _support(fd, gamma.endpoint, ms, _bend_normals_from(fd, ms), a, b)
-
-
 def _support(fd, x0, ms, ns, a, b):
     xt = [vscale(Fraction(1, a + b), x0)]
     for i in range(1, len(ms)):
@@ -304,7 +298,10 @@ def pair_from_segment(fd, diagram, seg, tau, a=None, b=None):
     iv = seg.intervals()
     # the piece whose half-open interval (t_start, t_end] contains tau;
     # a bend exactly at tau is assigned to the far (end) side
-    j = next(i for i, (t0, t1, _) in enumerate(iv) if t0 < tau <= t1)
+    j = next((i for i, (t0, t1, _) in enumerate(iv) if t0 < tau <= t1), None)
+    if j is None:
+        raise ValueError("no piece holds tau = %s: the durations end at %s, not at T = %s"
+                         % (tau, iv[-1][1], T))
     ms = [p.exponent for p in seg.pieces]
     rt = vsub(iv[j][2], vscale(tau - iv[j][0], ms[j]))
     mt1 = ms[j::-1]

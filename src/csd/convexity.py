@@ -127,12 +127,6 @@ class PLMap:
                     return M
         return self._last
 
-    def apply(self, v):
-        """Image of a plain or homogeneous point; q stays as it is."""
-        if len(v) == 3:
-            return self.image([tuple(v)])[0]
-        return self.image([(v[0], v[1], 1)])[0][:2]
-
     def image(self, points):
         """Images of homogeneous points (X, Y, q); each keeps its q."""
         if len(self._rows) == 1:
@@ -502,6 +496,11 @@ def blc_hull_2d(fd, diagram, pts):
     (``_linear_on``), so the image is M·hull.  Its inverse maps M·C, a
     closed sector of the inverse that no fold ray of the inverse enters, by
     M⁻¹, so the pullback is the hull's own vertices and adds nothing to V.
+
+    Between rounds V keeps only the current hull's vertices.  The hulls only
+    grow, and a point inside a hull, or on an edge between two of its
+    vertices, is a vertex of no larger one, so the rounds give the same
+    hulls, and the same tuples back, as when V keeps every point.
     """
     pts = _polygon_points(pts)
     charts, closed = chart_maps(fd)
@@ -513,6 +512,7 @@ def blc_hull_2d(fd, diagram, pts):
     prev = None
     for _ in range(HULL_ROUNDS):
         hull = convex_hull(V)
+        V = {h: V[h] for h in hull}
         if hull == prev:
             break
         prev = hull

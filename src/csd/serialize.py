@@ -23,10 +23,6 @@ def frac_to_str(x):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def frac_from_str(s):
-    return Fraction(s)
-
-
 def point_to_json(pt):
     out = []
     for c in pt:
@@ -53,7 +49,7 @@ def _field(doc, key, what):
 def point_from_json(v):
     try:
         return tuple(_rational(c) for c in v)
-    except (TypeError, ZeroDivisionError) as e:
+    except (TypeError, ValueError, ZeroDivisionError) as e:
         raise ValueError("bad coordinate in point %r: %s" % (v, e))
 
 
@@ -280,9 +276,14 @@ def _pieces(doc, what, durations):
             raise ValueError("%s piece %d must be a JSON object, got %r" % (what, i, p))
         name = "%s piece %d" % (what, i)
         bend = None if _field(p, "bend", name) is None else _field_point(p, "bend", name)
+        if bend is None and not durations and i < len(doc["pieces"]) - 1:
+            raise ValueError("%s bend must be a point [x, y]: only the last piece of a "
+                             "broken line has none" % name)
         dur = None
         if durations and _field(p, "duration", name) is not None:
             dur = _field_rational(p, "duration", name)
+            if dur < 0:
+                raise ValueError("%s duration must be >= 0, got %r" % (name, p["duration"]))
         pieces.append(Piece(_field_exponent(p, "exponent", name),
                             _field_integer(p, "coeff", name), bend, dur))
     return pieces

@@ -12,11 +12,12 @@ from csd.series import WallFunction, LaurentPoly
 from csd.scattering import (complete_rank2, check_consistent,
                             path_ordered_product)
 from csd.brokenline import (BrokenLine, Piece, Segment, theta, enumerate_lines,
-                            line_bounded_segment, validate_segment)
+                            validate_segment)
 from csd.constructions import (alpha_table, structure_constant,
                                construct_segment, glue_balanced,
                                pair_from_segment)
 from csd.convexity import blc_hull_2d, check_positive, main_theorem_harness
+from segments import line_bounded_segment
 
 F = Fraction
 

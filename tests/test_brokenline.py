@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from csd import brokenline, serialize
 from csd.brokenline import (Piece, BrokenLine, Segment, wall_families,
                             allowed_bends, enumerate_lines, theta, theta_of_lines, reverse,
-                            validate_segment, line_bounded_segment,
+                            validate_segment,
                             bend_coefficient, search_form, _assemble, _line_key, _site)
 from csd.geometry import (vadd, vsub, vscale, is_zero, homogeneous, cross, dot, same_ray,
                           primitive)
@@ -18,6 +18,7 @@ from csd.lattice import (FixedData, pairing, n_circ_primitive, cone_order,
                          solve_linear, scaled_normal, dual_perp)
 from csd.scattering import Diagram, Wall, complete_rank2
 from csd.series import wf_mul, wf_pow, LaurentPoly, WallFunction
+from segments import line_bounded_segment
 
 F = Fraction
 

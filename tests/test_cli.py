@@ -584,3 +584,20 @@ def test_missing_field_names_its_document(paths, a2, a2_diagram, capsys, source,
         cli.main(argv + [flag, str(bad)])
     out = capsys.readouterr()
     assert (exit_info.value.code, out.out, out.err) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("doc,kind", [
+    ({"endpoint": [1, 2], "pieces": [{"exponent": [1, 0], "coeff": "1", "bend": None}]}, "dict"),
+    (3, "int"), ("lines", "str")], ids=["object", "number", "string"])
+def test_render_broken_lines_must_be_a_list(paths, capsys, doc, kind):
+    # one broken line on its own is not a file of them
+    path = paths["dir"] / "not_a_list.json"
+    serialize.save(path, doc)
+    out = paths["dir"] / "not_a_list.svg"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["render", "--diagram", str(paths["a2"]), "--out", str(out),
+                  "--broken-lines", str(path)])
+    got = capsys.readouterr()
+    assert (exit_info.value.code, got.out, got.err) == (
+        2, "", "error: --broken-lines must hold a JSON list of broken lines, got %s\n" % kind)
+    assert not out.exists()

@@ -10,18 +10,19 @@ from collections import Counter
 import csd.constructions as constructions
 from csd.geometry import vscale, vadd
 from csd.brokenline import (BrokenLine, Piece, Segment, enumerate_lines,
-                            line_bounded_segment, validate_segment, segment_coefficients,
+                            validate_segment, segment_coefficients,
                             theta, search_form)
 from csd.constructions import (BalancedPair, alpha_table, structure_constant,
-                               segment_support,
                                construct_segment, glue_balanced,
                                pair_from_segment, fixed_generic_endpoint,
-                               _theta_cached, _product_cached)
+                               _theta_cached, _product_cached, _support,
+                               _endpoint_first, _bend_normals_from)
 from csd.convexity import check_positive
 from csd.lattice import FixedData
 from csd.scattering import initial_diagram, complete_diagram, complete_rank2
 from csd.series import lp_mul
 from balanced_pairs import generic_endpoint_near, oracle_alpha
+from segments import line_bounded_segment
 
 F = Fraction
 
@@ -118,6 +119,12 @@ def test_generic_endpoints(g2, g2_diagram):
     v, eps = generic_endpoint_near(g2, g2_diagram, (0, 3))
     z = vadd((0, 3), vscale(eps, v))
     assert all(pairing(g2, w.normal, z) != 0 for w in g2_diagram.walls)
+
+
+def segment_support(fd, gamma, a, b):
+    """Support polyline of the dilated segment: x~_0 .. x~_s plus m_s/a."""
+    ms = _endpoint_first(gamma)
+    return _support(fd, gamma.endpoint, ms, _bend_normals_from(fd, ms), a, b)
 
 
 def test_segment_support(g2):

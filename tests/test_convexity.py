@@ -9,6 +9,7 @@ from csd.convexity import (PLMap, shear_map, chart_maps,
                            main_theorem_harness, map_cycle)
 from csd.geometry import convex_hull, compile_hull, homogeneous
 from csd.lattice import FixedData
+from csd.scattering import complete_rank2
 
 F = Fraction
 
@@ -25,10 +26,8 @@ G2_QUAD = [(F(-1), F(0)), (F(1), F(-3)), (F(2), F(-3)), (F(1), F(0))]
 
 def test_plmap_identity_and_apply(a2):
     t0 = shear_map(a2, (1, 0), 1)
-    assert t0.apply((1, 1)) == (1, 2)
-    assert t0.apply((1, -1)) == (1, 0)
-    assert t0.apply((-1, 1)) == (-1, 1)
-    assert t0.apply((0, 0)) == (0, 0)
+    assert t0.image([(1, 1, 1), (1, -1, 1), (-1, 1, 1), (0, 0, 1)]) == \
+        [(1, 2, 1), (1, 0, 1), (-1, 1, 1), (0, 0, 1)]
 
 
 def test_plmap_compose_inverse(a2, g2):
@@ -192,6 +191,40 @@ def test_blc_hull_g2_adds_vertex(g2, g2_diagram):
     assert set(hull2) == set(hull)
     ch = convex_hull(hull)
     assert all(point_in_hull(p, ch) for p in G2_QUAD)
+
+
+def test_hull_rounds_keep_only_the_hull(monkeypatch, g2, g2_diagram):
+    # each closure round hulls the last hull's vertices and the points that
+    # round pulled back, none older: on G2 the round before the fixpoint
+    # holds interior points, and on (3,3) the hull keeps growing to the cap
+    rounds = []  # (V's points, their hull, the map_cycle images after it)
+
+    def spy_hull(points):
+        hull = convex_hull(points)
+        if isinstance(points, dict):
+            rounds.append((set(points), hull, []))
+        return hull
+
+    def spy_map(phi, cycle):
+        image = map_cycle(phi, cycle)
+        rounds[-1][2].append(image)
+        return image
+
+    monkeypatch.setattr(convexity, "convex_hull", spy_hull)
+    monkeypatch.setattr(convexity, "map_cycle", spy_map)
+    monkeypatch.setattr(convexity, "HULL_ROUNDS", 3)
+    w33 = FixedData.from_exchange([[0, 3], [-3, 0]], [1, 1])
+    for fd, diagram, pts, want in (
+            (g2, g2_diagram, G2_QUAD, (False, 4)),
+            (w33, complete_rank2(w33, 6), [(0, F(-1, 2)), (1, -1), (1, F(-1, 2)), (0, 1)],
+             (True, 4))):
+        rounds.clear()
+        _, flagged = blc_hull_2d(fd, diagram, pts)
+        assert (flagged, len(rounds)) == want
+        # each image is followed by its pullback
+        for (V, vertices, images), (V_next, _, _) in zip(rounds, rounds[1:]):
+            assert V_next == set(vertices).union(*images[1::2])
+        assert any(V - set(vertices) for V, vertices, _ in rounds)
 
 
 def test_check_positive_g2(g2, g2_diagram):

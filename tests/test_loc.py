@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import loc
 
 SOURCE = '''"""Module docstring,
@@ -25,3 +29,104 @@ def test_count_fixture():
 
 def test_count_empty_module():
     assert loc.count("") == {"code": 0, "docstring": 0, "comment": 0, "blank": 0}
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _definitions(tree, module):
+    """(name, dotted path, line) of each function, class and method in the
+    tree, nested ones included."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                path = prefix + child.name
+                out.append((child.name, "%s.%s" % (module, path), child.lineno))
+                visit(child, path + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def unreferenced(sources, texts):
+    """The definitions in sources ({module: source}) that nothing uses.
+
+    A definition is used when a name, an attribute or an import anywhere in
+    sources reads its name, or a word of one of texts spells it.  Dunder
+    methods are called by Python itself and always count as used.  Each
+    unused one comes back as "module.path (line n)".
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add((node.asname or node.name).rsplit(".", 1)[-1])
+    for text in texts:
+        used.update(re.findall(r"\w+", text))
+    return ["%s (line %d)" % (path, line)
+            for module, tree in trees.items()
+            for name, path, line in _definitions(tree, module)
+            if name not in used and not (name.startswith("__") and name.endswith("__"))]
+
+
+SCANNED = '''
+import os
+from math import gcd as g
+
+
+def used():
+    return helper()
+
+
+def helper():
+    def inner():
+        pass
+    return inner
+
+
+def unused():
+    pass
+
+
+def in_the_docs():
+    pass
+
+
+class Point:
+    def __init__(self):
+        self.x = os.sep
+
+    def norm(self):
+        return g(1, 2)
+
+    def spare(self):
+        pass
+'''
+
+
+def test_unreferenced_fixture():
+    assert unreferenced({"m": SCANNED}, ["call in_the_docs() or used()"]) == [
+        "m.unused (line 16)", "m.Point (line 24)", "m.Point.norm (line 28)",
+        "m.Point.spare (line 31)"]
+    assert unreferenced({"m": SCANNED, "n": "from m import Point\nPoint().norm()\n"},
+                        []) == ["m.used (line 6)", "m.unused (line 16)",
+                                "m.in_the_docs (line 20)", "m.Point.spare (line 31)"]
+
+
+def test_src_defines_only_what_the_program_uses():
+    # a definition in src/csd that only tests reach belongs with those tests;
+    # the benchmark scripts and the README count as users of the program
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "csd").glob("*.py"))}
+    texts = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    texts.append((ROOT / "README.md").read_text())
+    unused = unreferenced(sources, texts)
+    assert not unused, "used by nothing in src/csd, bench/*.py or README.md: " + ", ".join(unused)

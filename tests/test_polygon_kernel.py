@@ -646,8 +646,8 @@ def test_compiled_matrix_at_matches_sector_scan(exchange, d):
                 assert chart.matrix_at(v) == ref_matrix_at(chart, v), (chart.sectors, v)
                 # a homogeneous point keeps its q; a multiple keeps its sector
                 X, Y = vscale(3, v)
-                assert chart.apply((X, Y, 7)) == ref_apply(chart, (X, Y)) + (7,)
-                assert chart.apply(v) == ref_apply(chart, v)
+                assert chart.image([(X, Y, 7)]) == [ref_apply(chart, (X, Y)) + (7,)]
+                assert chart.image([v + (1,)]) == [ref_apply(chart, v) + (1,)]
 
 
 def test_hull_vertices_come_back_as_given(g2, g2_diagram):

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from csd import scattering
-from csd.brokenline import search_form, theta
+from csd import scattering, serialize
+from csd.brokenline import enumerate_lines, search_form, theta
 from csd.geometry import vadd, vsub, vscale, is_zero, same_ray, cross, dot
 from csd.lattice import FixedData, cone_order, line_dir, pairing
 from csd.series import WallFunction, LaurentPoly
@@ -258,6 +258,20 @@ def test_ray_off_its_normal_line_is_rejected(a2, a2_diagram):
                              LaurentPoly.monomial((1, 0), 6))
     with pytest.raises(ValueError, match=msg):
         theta(a2, diagram, (1, 0), (F(2), F(1)), 6)
+
+
+def test_function_direction_off_its_normal_line_is_rejected(a2):
+    # the search reads a bend's power off the pairing with the normal, which
+    # a bend along (-1, 1) would change; the wall loader refuses it as well
+    bad = Wall((1, 2), "line", (-2, 1), WallFunction((-1, 1), [1]))
+    diagram = Diagram(a2, complete_rank2(a2, 4).walls + [bad], 4, False)
+    msg = r"normal \(1, 2\) has function direction \(-1, 1\) off the line"
+    with pytest.raises(ValueError, match=msg):
+        theta(a2, diagram, (1, 0), (F(2), F(1)), 4)
+    with pytest.raises(ValueError, match=msg):
+        enumerate_lines(a2, diagram, (-1, 2), (F(3), F(-1, 7)), 4)
+    with pytest.raises(ValueError, match=r"wall 3: func dir must lie on the line"):
+        serialize.diagram_from_json(serialize.diagram_to_json(diagram))
 
 
 # SHA-256 of repr(complete_rank2(fd, order).walls), computed with a loop

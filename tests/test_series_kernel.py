@@ -13,13 +13,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csd.brokenline import enumerate_lines, line_bounded_segment, theta
+from csd.brokenline import enumerate_lines, theta
 from csd.constructions import (alpha_table, fixed_generic_endpoint, glue_balanced,
                                pair_from_segment, structure_constant, _theta_cached)
 from csd.geometry import vadd, vsub, vscale
 from csd.lattice import FixedData, cone_order, n_circ_primitive, pairing
 from csd.scattering import complete_rank2
 from csd.series import LaurentPoly, WallFunction, wf_pow, lp_truncate, lp_mul, wall_cross
+from segments import line_bounded_segment
 
 F = Fraction
 
