@@ -547,9 +547,7 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     lines are those of _search, which theta shares; Fractions are built only
     here, for the bend points of the returned lines.
     """
-    _check_order(K)
-    if K is None:
-        K = diagram.order
+    K = _check_order(K, diagram.order)
     return [_assemble(endpoint, steps) for steps in _search(fd, diagram, initial, endpoint, K)]
 
 
@@ -725,9 +723,7 @@ def theta(fd, diagram, m, endpoint, K=None):
     coefficients, added to the term of its final exponent.  The terms come
     in the order of the lines, as theta_of_lines gives them.
     """
-    _check_order(K)
-    if K is None:
-        K = diagram.order
+    K = _check_order(K, diagram.order)
     if is_zero(m):
         _endpoint(endpoint)  # _search checks it otherwise
         return LaurentPoly({tuple(m): 1}, tuple(m), K)

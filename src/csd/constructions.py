@@ -54,9 +54,7 @@ def structure_constant(fd, diagram, p, q, r, K=None):
     r - p - q lies outside the cone.  Raises ValueError when r - p - q has
     cone order above K, since the order-K table does not determine alpha there.
     """
-    _check_order(K)
-    if K is None:
-        K = diagram.order
+    K = _check_order(K, diagram.order)
     r = tuple(r)
     k = cone_order(fd, vsub(r, vadd(p, q)))
     if k is not None and k > K:
@@ -128,9 +126,7 @@ def alpha_table(fd, diagram, p, q, K=None):
     only adds terms of higher order than e, so the heap yields the exponents
     in the order of a full scan.
     """
-    _check_order(K)
-    if K is None:
-        K = diagram.order
+    K = _check_order(K, diagram.order)
     p, q = tuple(p), tuple(q)
     if is_zero(p):
         return {q: 1}

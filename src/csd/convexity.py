@@ -129,9 +129,6 @@ class PLMap:
 
     def image(self, points):
         """Images of homogeneous points (X, Y, q); each keeps its q."""
-        if len(self._rows) == 1:
-            (a, b), (c, d) = self._last
-            return [(a * X + b * Y, c * X + d * Y, q) for X, Y, q in points]
         matrix_at = self.matrix_at
         out = []
         for X, Y, q in points:
@@ -231,24 +228,20 @@ def chart_maps(fd):
 
 @functools.lru_cache(maxsize=16)
 def _chart_maps_by_value(exchange, d):
-    maps, closed = _chart_maps(FixedData(exchange, d), DEPTH_BOUND)
-    return tuple(maps), closed
-
-
-def _chart_maps(fd, bound):
-    """The mutation walk behind chart_maps, uncached.
+    """The mutation walk behind chart_maps, DEPTH_BOUND steps each way.
 
     In rank 2 every seed lies on one of the two alternating mutation walks
     from the initial seed.  Maps are collected modulo linear target
     coordinates, which convexity cannot see.
     """
+    fd = FixedData(exchange, d)
     phi0 = PLMap.identity().normalized()
     maps = dict.fromkeys([phi0])  # the charts, in the order first reached
     closed = True
     for first in range(2):
         basis = ((1, 0), (0, 1))
         phi = PLMap.identity()
-        for step in range(bound):
+        for step in range(DEPTH_BOUND):
             k = (first + step) % 2
             phi = shear_map(fd, basis[k], fd.d[k]).compose(phi)
             basis = _mutate_basis(fd, basis, k)
@@ -258,7 +251,7 @@ def _chart_maps(fd, bound):
             maps.setdefault(norm)
         else:
             closed = False
-    return list(maps), closed
+    return tuple(maps), closed
 
 
 class CheckReport:
@@ -462,9 +455,7 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     the cycle is: it is skipped without being mapped.
     """
     cycle = _polygon_points(cycle)
-    _check_order(K)
-    if K is None:
-        K = diagram.order
+    K = _check_order(K, diagram.order)
     if not cycle:
         # every chart image of no points is convex, so True would be vacuous
         raise ValueError("cycle lists no points")
@@ -550,9 +541,7 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     """
     cycle = _polygon_points(cycle)
     _check_degree(max_degree)
-    _check_order(K)
-    if K is None:
-        K = diagram.order
+    K = _check_order(K, diagram.order)
     region = compile_hull(cycle)
     # the nonzero lattice points of each dilation kP, descending (the
     # ascending scan reversed), listed when first needed.  A pair with the
@@ -659,8 +648,7 @@ def _certify_failure(fd, diagram, cycle, seg, K):
 def main_theorem_harness(fd, diagram, trials, max_degree=3, K=None, perturb_seed=0):
     """Random polygons: positivity scan verdict vs chart-convexity verdict."""
     _check_degree(max_degree)
-    if K is None:
-        K = diagram.order
+    K = _check_order(K, diagram.order)
     rng = random.Random(perturb_seed)
     report = {"trials": trials, "agree": 0, "skipped_unknown": 0,
               "certified_beyond_bound": 0, "disagreements": []}

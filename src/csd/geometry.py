@@ -169,18 +169,15 @@ def rational(h):
 
 
 def cycle_is_convex(cycle):
-    """True if no two turns of the closed cycle (plain or homogeneous points)
-    have opposite orientation; a cycle of collinear points counts as convex.
+    """True if no two turns of the closed cycle of homogeneous points
+    (X, Y, q), q > 0, have opposite orientation; a cycle of collinear points
+    counts as convex.
 
     One pass over the turns, stopping at the first turn whose sign is
-    opposite to one already seen.  A cycle of homogeneous triples, as the
-    chart images are, is read as it is; plain points are made homogeneous
-    first.
+    opposite to one already seen.  The chart images are such cycles.
     """
     if len(cycle) <= 2:
         return True
-    if not all(len(p) == 3 for p in cycle):
-        cycle = [homogeneous(p) for p in cycle]
     left = right = False
     (ax, ay, aq), (bx, by, bq) = cycle[-2], cycle[-1]
     for cx, cy, cq in cycle:

@@ -11,7 +11,7 @@ from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, rot90, 
                        cross, dot, homogeneous)
 from .lattice import (pairing, p1_star, n_circ_primitive, line_dir,
                       cone_order, solve_linear)
-from .series import WallFunction, LaurentPoly, wall_cross
+from .series import WallFunction, LaurentPoly, wall_cross, _lattice_vector
 from .brokenline import search_form
 
 # the most rounds complete_diagram runs before it returns the diagram as it stands
@@ -24,17 +24,10 @@ class Wall:
     def __init__(self, normal, kind, direction, func):
         if kind not in ("line", "ray"):
             raise ValueError("kind must be 'line' or 'ray'")
-        self._fill(tuple(int(x) for x in normal), kind, tuple(int(x) for x in direction), func)
-
-    @classmethod
-    def _trusted(cls, normal, kind, direction, func):
-        """A Wall from int pairs and a kind that its caller has checked."""
-        w = object.__new__(cls)
-        w._fill(normal, kind, direction, func)
-        return w
-
-    def _fill(self, normal, kind, direction, func):
-        self.normal, self.kind, self.direction, self.func = normal, kind, direction, func
+        self.normal = _lattice_vector(normal, "normal")
+        self.kind = kind
+        self.direction = _lattice_vector(direction, "direction")
+        self.func = func
 
     def __repr__(self):
         return "Wall(n=%r, %s dir=%r, f=%r)" % (self.normal, self.kind, self.direction, self.func)

@@ -112,10 +112,10 @@ def _int_pair(v, field):
 def wallfunction_from_json(doc):
     """A wall function from its document; malformed fields raise ValueError naming them.
 
-    One pass: each field is checked once, and WallFunction._trusted builds
-    the function from the checked values without a second check, as
-    series.wf_pow builds its result.  dir = g*m0 with m0 primitive spreads
-    the coefficients over the multiples of m0.
+    The fields are checked here, against the document, and the
+    WallFunction constructor checks the values it is given once more.
+    dir = g*m0 with m0 primitive spreads the coefficients over the
+    multiples of m0.
     """
     if not isinstance(doc, dict):
         raise ValueError("func must be a JSON object, got %r" % (doc,))
@@ -130,7 +130,7 @@ def wallfunction_from_json(doc):
             raise ValueError("func coeffs must hold integers >= 0 as strings, got %r" % (c,))
         coeffs.extend([0] * (g - 1))
         coeffs.append(int(c))
-    return WallFunction._trusted((dx // g, dy // g), coeffs)
+    return WallFunction((dx // g, dy // g), coeffs)
 
 
 def wall_to_json(w):
@@ -144,8 +144,8 @@ def wall_from_json(doc, fd):
     A ray's direction must be primitive and lie on the line of its normal:
     the search never meets a ray off that line, so it would be lost silently.
     The function direction must lie on that line too, and in the cone of the
-    monoid.  One pass on ints: each field is checked once, and Wall._trusted
-    builds the wall from the checked values without a second check.
+    monoid.  The fields are checked here, against the document, and the Wall
+    constructor checks the values it is given once more.
     """
     if not isinstance(doc, dict):
         raise ValueError("wall must be a JSON object, got %r" % (doc,))
@@ -175,7 +175,7 @@ def wall_from_json(doc, fd):
     if ux * mx + uy * my < 0 or vx * mx + vy * my < 0:
         raise ValueError("func dir must lie in the cone of the monoid, got %r"
                          % (doc["func"]["dir"],))
-    return Wall._trusted(n, kind, direction, func)
+    return Wall(n, kind, direction, func)
 
 
 def diagram_to_json(diagram):

@@ -6,10 +6,10 @@ shift from the base exceeds the order in the adic grading.
 
 Coefficients are ints: the wall functions, broken lines and structure
 constants of a cluster scattering diagram have integer coefficients (GHKK,
-arXiv:1411.1394).  The constructors of WallFunction and LaurentPoly, and
-lp_truncate, check each coefficient that enters through _integer; the
-kernels pass ints on unchecked.  The broken-line search takes its tables of
-powers of f from _pow_coeffs.
+arXiv:1411.1394).  WallFunction and LaurentPoly each have one constructor,
+and it checks each coefficient that enters through _integer, the kernels'
+results included; lp_truncate checks the terms it drops too.  The
+broken-line search takes its tables of powers of f from _pow_coeffs.
 """
 
 from math import comb
@@ -28,28 +28,33 @@ def _integer(c):
     raise ValueError("coefficient must be an integer, got %r" % (c,))
 
 
-def _check_order(K):
-    """Reject a truncation order that is not None or an int >= 0."""
-    if K is not None and (type(K) is not int or K < 0):
+def _lattice_vector(v, name):
+    """The lattice vector v as a pair of ints; anything else, such as an entry
+    that is not an integer, raises ValueError naming the field name."""
+    try:
+        x, y = v
+        if type(x) is not int or type(y) is not int:
+            x, y = _integer(x), _integer(y)
+    except (TypeError, ValueError):
+        raise ValueError("%s must be a pair of integers, got %r" % (name, v)) from None
+    return x, y
+
+
+def _check_order(K, default):
+    """The truncation order K, or default when K is None; K must be None or an int >= 0."""
+    if K is None:
+        return default
+    if type(K) is not int or K < 0:
         raise ValueError("K must be None or an int >= 0, got %r" % (K,))
+    return K
 
 
 class WallFunction:
     def __init__(self, direction, coeffs):
-        direction = tuple(int(x) for x in direction)
+        direction = _lattice_vector(direction, "direction")
         if direction != primitive(direction):
             raise ValueError("direction must be primitive")
-        self._fill(direction, [_integer(c) for c in coeffs])
-
-    @classmethod
-    def _trusted(cls, direction, coeffs):
-        """A WallFunction from a primitive int pair and a list of ints that it
-        takes over and does not check again; callers that checked them use it."""
-        f = object.__new__(cls)
-        f._fill(direction, coeffs)
-        return f
-
-    def _fill(self, direction, cs):
+        cs = [c if type(c) is int else _integer(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.direction, self.coeffs = direction, tuple(cs)
@@ -107,7 +112,7 @@ def _pow_coeffs(f, e, K):
 
 def wf_pow(f, e, K):
     """Truncated integer power of f, negative powers included (see _pow_coeffs)."""
-    return WallFunction._trusted(f.direction, _pow_coeffs(f, e, K)[1:])
+    return WallFunction(f.direction, _pow_coeffs(f, e, K)[1:])
 
 
 def wf_coeff_pow(f, e, k):
@@ -129,7 +134,8 @@ class LaurentPoly:
     """Finite sum of c * z^exponent, truncated relative to a base exponent."""
 
     def __init__(self, terms, base, order):
-        self.terms = {tuple(e): _integer(c) for e, c in terms.items() if c != 0}
+        self.terms = {tuple(e): c if type(c) is int else _integer(c)
+                      for e, c in terms.items() if c != 0}
         self.base = tuple(base)
         self.order = order
 
@@ -163,15 +169,11 @@ def _kept(fd, terms, base, order):
     return kept
 
 
-def _truncated(fd, terms, base, order):
-    """The LaurentPoly of the int terms whose shift from base has order at most order."""
-    p = LaurentPoly({}, base, order)
-    p.terms = _kept(fd, terms, base, order)
-    return p
-
-
 def lp_truncate(fd, terms, base, order):
-    return _truncated(fd, {e: _integer(c) for e, c in terms.items()}, base, order)
+    """The LaurentPoly of the terms whose shift from base has order at most
+    order; every coefficient must be an integer, the dropped ones too."""
+    terms = {e: _integer(c) for e, c in terms.items()}
+    return LaurentPoly(_kept(fd, terms, base, order), base, order)
 
 
 def lp_mul(fd, a, b):
@@ -181,7 +183,7 @@ def lp_mul(fd, a, b):
             e = (x1 + x2, y1 + y2)
             terms[e] = terms.get(e, 0) + c1 * c2
     base, order = vadd(a.base, b.base), min(a.order, b.order)
-    return _truncated(fd, terms, base, order)
+    return LaurentPoly(_kept(fd, terms, base, order), base, order)
 
 
 def wall_cross(fd, p, f, n0, sign):
@@ -217,4 +219,4 @@ def wall_cross(fd, p, f, n0, sign):
                 break
             e = (x + k * sx, y + k * sy)
             out[e] = out.get(e, 0) + n * c
-    return _truncated(fd, out, p.base, K)
+    return LaurentPoly(_kept(fd, out, p.base, K), p.base, K)

@@ -98,12 +98,18 @@ def test_chart_maps_returns_fresh_list(g2):
 
 
 @pytest.mark.parametrize("bound", [4, 16])
-def test_chart_maps_match_uncached_walk(a2, g2, kron, bound):
+def test_chart_maps_match_uncached_walk(a2, g2, kron, bound, monkeypatch):
     # chart_maps walks DEPTH_BOUND = 16 steps; a shorter walk finds a subset
     assert convexity.DEPTH_BOUND == 16
-    for fd in (a2, g2, kron):
-        maps, closed = chart_maps(fd)
-        walk, walk_closed = convexity._chart_maps(fd, bound)
+    full = [chart_maps(fd) for fd in (a2, g2, kron)]
+    convexity._chart_maps_by_value.cache_clear()
+    monkeypatch.setattr(convexity, "DEPTH_BOUND", bound)
+    try:
+        cut = [chart_maps(fd) for fd in (a2, g2, kron)]
+    finally:
+        # no walk of the patched bound outlives the test
+        convexity._chart_maps_by_value.cache_clear()
+    for (maps, closed), (walk, walk_closed) in zip(full, cut):
         keys, walk_keys = [m.sectors for m in maps], [m.sectors for m in walk]
         if bound == 16:
             assert walk_keys == keys and walk_closed == closed

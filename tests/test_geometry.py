@@ -90,9 +90,11 @@ def test_hull_contains_points(pts):
 
 
 def test_cycle_is_convex():
-    assert cycle_is_convex([(0, 0), (1, 0), (1, 1), (0, 1)])
-    assert not cycle_is_convex([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)])
-    assert cycle_is_convex([(0, 0), (1, 0), (2, 0)])
+    assert cycle_is_convex([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)])
+    assert not cycle_is_convex([(0, 0, 1), (2, 0, 1), (1, 1, 1), (2, 2, 1), (0, 2, 1)])
+    assert cycle_is_convex([(0, 0, 1), (1, 0, 1), (2, 0, 1)])
+    # (1, 1, 2) is (1/2, 1/2): the same square as the first, read over q
+    assert cycle_is_convex([(0, 0, 1), (1, 0, 2), (1, 1, 2), (0, 1, 2)])
 
 
 def test_lattice_points_in_hull():

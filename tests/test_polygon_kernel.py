@@ -475,7 +475,6 @@ def _cycles(draw_pt):
 def test_cycle_is_convex_matches_reference(cycle):
     expected = ref_cycle_is_convex(cycle)
     assert cycle_is_convex([homogeneous(p) for p in cycle]) == expected
-    assert cycle_is_convex(cycle) == expected
 
 
 # --- the polygon layer against the Fraction path ---------------------------

@@ -304,6 +304,25 @@ COMPLETION_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("normal, direction, field", [
+    ((2.7, 1), (0, 1), "normal"),
+    ((2.7, F(1, 3)), (F(1, 2), 1.2), "normal"),
+    ((1, 0), (0, F(1, 2)), "direction"),
+    ((1, 0), (0.0, 1), "direction"),
+])
+def test_wall_with_non_integer_entries_rejected(normal, direction, field):
+    # int() would have truncated these to the normal (2, 0) or the direction (0, 0)
+    f = WallFunction((0, 1), [1])
+    with pytest.raises(ValueError, match=r"^%s must be a pair of integers, got " % field):
+        Wall(normal, "line", direction, f)
+
+
+def test_wall_takes_integral_fractions_as_ints():
+    w = Wall((F(1), 0), "ray", (0, F(-1)), WallFunction((0, 1), [1]))
+    assert (w.normal, w.direction) == ((1, 0), (0, -1))
+    assert all(type(c) is int for c in w.normal + w.direction)
+
+
 def test_completion_is_pinned():
     for (name, order), digest in COMPLETION_DIGESTS.items():
         fd = FixedData.from_exchange(*TYPES[name])

@@ -135,6 +135,20 @@ def test_integral_coefficients_enter_as_int(a2):
     assert made == [2, 3, 4, 5] and all(type(c) is int for c in made)
 
 
+@pytest.mark.parametrize("direction", [(F(3, 2), 1), (1.0, 1), (F(3, 2), 1.9), ("1", 1)],
+                         ids=["fraction", "float", "both", "string"])
+def test_non_integer_direction_rejected(direction):
+    # int() would have truncated these to (1, 1)
+    with pytest.raises(ValueError, match=r"^direction must be a pair of integers, got "):
+        WallFunction(direction, [1])
+
+
+def test_integral_direction_enters_as_int():
+    f = WallFunction((F(2), 1), [F(3)])
+    assert f == WallFunction((2, 1), [3])
+    assert all(type(c) is int for c in f.direction + f.coeffs)
+
+
 def test_lp_truncate_drops_deep_terms(a2):
     p = laurent(a2, {(0, 0): 1, (-4, 0): 1}, (0, 0), 3)
     assert (-4, 0) not in p.terms
