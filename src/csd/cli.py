@@ -69,23 +69,31 @@ def _fmt_poly(lp):
     return " + ".join(parts) if parts else "0"
 
 
-def _load_diagram(path):
-    return serialize.diagram_from_json(serialize.load(path))
-
-
-def _load_points(path, flag):
-    """A nonempty point list from the file given with flag; errors name the flag."""
+def _load(path, flag, parse):
+    """parse applied to the JSON document in the file given with flag; a
+    ValueError (invalid JSON included) or an OSError is raised again as a
+    ValueError naming the flag."""
     try:
-        pts = serialize.points_from_json(serialize.load(path))
-    except ValueError as e:
-        raise ValueError("%s: %s" % (flag, e))
+        return parse(serialize.load(path))
+    except (ValueError, OSError) as e:
+        raise ValueError("%s: %s" % (flag, e)) from None
+
+
+def _nonempty_points(doc):
+    pts = serialize.points_from_json(doc)
     if not pts:
-        raise ValueError("%s lists no points" % flag)
+        raise ValueError("no points listed")
     return pts
 
 
+def _broken_lines(doc):
+    if not isinstance(doc, list):
+        raise ValueError("must hold a JSON list of broken lines, got %s" % type(doc).__name__)
+    return [serialize.brokenline_from_json(x) for x in doc]
+
+
 def cmd_build(args):
-    fd = serialize.fd_from_json(serialize.load(args.seed))
+    fd = _load(args.seed, "--seed", serialize.fd_from_json)
     diagram = complete_rank2(fd, args.order)
     doc = serialize.diagram_to_json(diagram)
     if args.out:
@@ -96,7 +104,7 @@ def cmd_build(args):
 
 
 def cmd_theta(args):
-    d = _load_diagram(args.diagram)
+    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
     K = d.order if args.order is None else args.order
     m, z = args.direction, args.endpoint
     if not args.out or m == (0, 0):
@@ -110,7 +118,7 @@ def cmd_theta(args):
 
 
 def cmd_multiply(args):
-    d = _load_diagram(args.diagram)
+    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
     table = alpha_table(d.fd, d, args.p, args.q, args.order)
     for r in sorted(table):
         if table[r] != 0:
@@ -119,8 +127,8 @@ def cmd_multiply(args):
 
 
 def cmd_segment_from_pair(args):
-    d = _load_diagram(args.diagram)
-    pair = serialize.pair_from_json(serialize.load(args.pair))
+    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
+    pair = _load(args.pair, "--pair", serialize.pair_from_json)
     seg = glue_balanced(d.fd, d, pair, args.a, args.b)
     print("segment %s -> %s  T=%s" % (_fmt_point(seg.start), _fmt_point(seg.end),
                                       frac_to_str(seg.total_time)))
@@ -130,8 +138,8 @@ def cmd_segment_from_pair(args):
 
 
 def cmd_pair_from_segment(args):
-    d = _load_diagram(args.diagram)
-    seg = serialize.segment_from_json(serialize.load(args.segment))
+    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
+    seg = _load(args.segment, "--segment", serialize.segment_from_json)
     pair, trace = pair_from_segment(d.fd, d, seg, args.tau, args.a, args.b)
     print("a=%d b=%d base=%s" % (trace.a, trace.b, _fmt_point(pair.base)))
     if args.out:
@@ -140,8 +148,8 @@ def cmd_pair_from_segment(args):
 
 
 def cmd_hull(args):
-    d = _load_diagram(args.diagram)
-    pts = _load_points(args.points, "--points")
+    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
+    pts = _load(args.points, "--points", _nonempty_points)
     hull, flagged = blc_hull_2d(d.fd, d, pts)
     for p in hull:
         print(_fmt_point(p))
@@ -154,8 +162,8 @@ def cmd_hull(args):
 
 
 def cmd_check_positive(args):
-    d = _load_diagram(args.diagram)
-    poly = _load_points(args.polygon, "--polygon")
+    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
+    poly = _load(args.polygon, "--polygon", _nonempty_points)
     rep = check_positive(d.fd, d, poly, args.max_degree, args.order)
     print("verdict: %s  (max_degree=%d, order=%d)"
           % (rep.verdict, args.max_degree, rep.order_checked))
@@ -173,7 +181,7 @@ def _witness_json(w):
 
 
 def cmd_harness(args):
-    d = _load_diagram(args.diagram)
+    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
     rep = main_theorem_harness(d.fd, d, args.trials, max_degree=args.max_degree,
                                K=args.order, perturb_seed=args.perturb_seed)
     print("trials=%d agree=%d skipped_unknown=%d certified_beyond_bound=%d "
@@ -188,20 +196,16 @@ def cmd_harness(args):
 
 
 def cmd_render(args):
-    d = _load_diagram(args.diagram)
+    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
     lines = []
     if args.broken_lines:
-        docs = serialize.load(args.broken_lines)
-        if not isinstance(docs, list):
-            raise ValueError("--broken-lines must hold a JSON list of broken lines, got %s"
-                             % type(docs).__name__)
-        lines = [serialize.brokenline_from_json(x) for x in docs]
+        lines = _load(args.broken_lines, "--broken-lines", _broken_lines)
     segments = []
     if args.segment:
-        segments = [serialize.segment_from_json(serialize.load(args.segment))]
+        segments = [_load(args.segment, "--segment", serialize.segment_from_json)]
     polygons = []
     if args.polygon:
-        polygons = [serialize.points_from_json(serialize.load(args.polygon))]
+        polygons = [_load(args.polygon, "--polygon", serialize.points_from_json)]
     doc = render_svg(d, lines, segments, polygons)
     with open(args.out, "w") as fh:
         fh.write(doc)

@@ -205,7 +205,10 @@ def diagram_from_json(doc):
             raise ValueError("wall %d: %s" % (i, e))
         except KeyError as e:
             raise ValueError("wall %d: missing field %s" % (i, e))
-    return Diagram(fd, walls, order, _field(doc, "saturated", "diagram"))
+    saturated = _field(doc, "saturated", "diagram")
+    if type(saturated) is not bool:
+        raise ValueError("saturated must be true or false, got %r" % (saturated,))
+    return Diagram(fd, walls, order, saturated)
 
 
 def _piece_to_json(p):

@@ -1,19 +1,27 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import csd
 from csd import brokenline, cli, serialize
 from csd.constructions import pair_from_segment
 
 F = Fraction
 
+# each CLI run imports the csd package these tests import, whether or not
+# PYTHONPATH names its directory
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(csd.__file__)))
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "csd.cli"] + list(args),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_ENV)
 
 
 @pytest.fixture(scope="module")
@@ -300,7 +308,7 @@ def test_theta_rejects_func_dir_off_wall_line_or_cone(paths, value, message):
     bad.write_text(json.dumps(doc))
     r = run_cli("theta", "--diagram", str(bad), "--direction", "-1,-1", "--endpoint", "7/5,-3/11")
     assert r.returncode == 2 and r.stdout == ""
-    assert r.stderr == "error: %s\n" % message
+    assert r.stderr == "error: --diagram: %s\n" % message
 
 
 def test_harness_rejects_nonpositive_trials(paths):
@@ -415,10 +423,11 @@ def test_piece_coeff_must_be_integer(paths, a2, a2_diagram, where, value, shown)
     # the unchanged files go through; a non-integer piece coefficient exits 2
     seg = json.loads(paths["seg"].read_text())
     if where == "segment":
-        doc, what, args = seg, "segment", ["pair-from-segment", "--tau", "5/2", "--segment"]
+        doc, what, args = seg, "--segment: segment", ["pair-from-segment", "--tau", "5/2",
+                                                       "--segment"]
     else:
         pair, _ = pair_from_segment(a2, a2_diagram, serialize.segment_from_json(seg), F(5, 2))
-        doc, what = serialize.pair_to_json(pair), "pair " + where
+        doc, what = serialize.pair_to_json(pair), "--pair: pair " + where
         args = ["segment-from-pair", "-a", "2", "-b", "2", "--pair"]
     path = paths["dir"] / ("coeff_%s.json" % where)
     serialize.save(path, doc)
@@ -533,7 +542,8 @@ def test_empty_piece_lists_exit_2(paths, argv, flag, doc, what):
     out = paths["dir"] / "no_pieces.svg"
     argv = [str(out) if a == "OUT" else a for a in argv]
     r = run_cli(*argv, flag, str(path), "--diagram", str(paths["a2"]))
-    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: %s has no pieces\n" % what)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", "error: %s: %s has no pieces\n"
+                                                  % (flag, what))
     assert not out.exists()
 
 
@@ -583,7 +593,7 @@ def test_missing_field_names_its_document(paths, a2, a2_diagram, capsys, source,
     with pytest.raises(SystemExit) as exit_info:
         cli.main(argv + [flag, str(bad)])
     out = capsys.readouterr()
-    assert (exit_info.value.code, out.out, out.err) == (2, "", "error: %s\n" % message)
+    assert (exit_info.value.code, out.out, out.err) == (2, "", "error: %s: %s\n" % (flag, message))
 
 
 @pytest.mark.parametrize("doc,kind", [
@@ -599,5 +609,5 @@ def test_render_broken_lines_must_be_a_list(paths, capsys, doc, kind):
                   "--broken-lines", str(path)])
     got = capsys.readouterr()
     assert (exit_info.value.code, got.out, got.err) == (
-        2, "", "error: --broken-lines must hold a JSON list of broken lines, got %s\n" % kind)
+        2, "", "error: --broken-lines: must hold a JSON list of broken lines, got %s\n" % kind)
     assert not out.exists()

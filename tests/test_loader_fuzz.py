@@ -98,6 +98,20 @@ COMMANDS = {
 }
 
 
+# the loader behind each template's flag: a document it rejects must exit 2
+# with an error line that names the flag
+LOADERS = {"lines": cli._broken_lines, "segment": serialize.segment_from_json,
+           "pair": serialize.pair_from_json, "points": serialize.points_from_json}
+
+
+def _loads(template, doc):
+    try:
+        LOADERS[template](doc)
+    except (ValueError, KeyError):
+        return False
+    return True
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -117,6 +131,8 @@ def test_fuzzed_input_files_exit_cleanly(files, command, data):
     assert code in codes, (code, out, err)
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (out, err)
+        if not _loads(template, doc):
+            assert err.startswith("error: %s: " % flag), err
     else:
         assert "error" not in err, err
 
@@ -132,14 +148,14 @@ def _edited(doc, path, value):
 
 @pytest.mark.parametrize("command,template,path,value,message", [
     ("render-lines", "lines", (1, "pieces", 0, "bend"), None,
-     "broken line piece 0 bend must be a point [x, y]: only the last piece of a broken "
-     "line has none"),
+     "--broken-lines: broken line piece 0 bend must be a point [x, y]: only the last piece "
+     "of a broken line has none"),
     ("pair-from-segment", "segment", ("pieces", 0, "duration"), -2,
-     "segment piece 0 duration must be >= 0, got -2"),
+     "--segment: segment piece 0 duration must be >= 0, got -2"),
     ("pair-from-segment", "segment", ("pieces",), SEGMENT["pieces"][:2],
      "no piece holds tau = 5/2: the durations end at 2, not at T = 5"),
     ("render-polygon", "points", (0, 0), "x",
-     "bad coordinate in point ['x', 0]: Invalid literal for Fraction: 'x'"),
+     "--polygon: bad coordinate in point ['x', 0]: Invalid literal for Fraction: 'x'"),
 ], ids=["bend-missing", "negative-duration", "durations-short", "not-rational"])
 def test_documents_the_fuzz_found(files, capsys, command, template, path, value, message):
     # the first three raised past cli.main before the loaders or the split
@@ -153,3 +169,75 @@ def test_documents_the_fuzz_found(files, capsys, command, template, path, value,
         cli.main(argv + ["--diagram", str(d / "a2.json"), flag, str(bad)])
     got = capsys.readouterr()
     assert (info.value.code, got.out, got.err) == (2, "", "error: %s\n" % message)
+
+
+# (arguments, the flag whose file is given)
+FILE_FLAGS = {
+    "build-seed": (["build", "--order", "2"], "--seed"),
+    "theta-diagram": (["theta", "--direction", "1,0", "--endpoint", "2,1"], "--diagram"),
+    "render-lines": (["render", "--out", "OUT"], "--broken-lines"),
+    "render-segment": (["render", "--out", "OUT"], "--segment"),
+    "render-polygon": (["render", "--out", "OUT"], "--polygon"),
+    "pair-from-segment": (["pair-from-segment", "--tau", "5/2"], "--segment"),
+    "segment-from-pair": (["segment-from-pair", "-a", "2", "-b", "2"], "--pair"),
+    "hull": (["hull"], "--points"),
+    "check-positive": (["check-positive"], "--polygon"),
+}
+
+
+def _exit(files, capsys, name, text):
+    """(exit code, stdout, stderr) of the command name with its flag's file
+    holding text, or naming no file when text is None."""
+    d, _ = files
+    argv, flag = FILE_FLAGS[name]
+    bad = d / "flagged.json"
+    if text is None:
+        bad.unlink(missing_ok=True)
+    else:
+        bad.write_text(text)
+    argv = [str(d / "flagged.svg") if a == "OUT" else a for a in argv] + [flag, str(bad)]
+    if flag not in ("--seed", "--diagram"):
+        argv += ["--diagram", str(d / "a2.json")]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    got = capsys.readouterr()
+    return info.value.code, got.out, got.err
+
+
+@pytest.mark.parametrize("name", FILE_FLAGS)
+def test_invalid_json_names_its_flag(files, capsys, name):
+    flag = FILE_FLAGS[name][1]
+    assert _exit(files, capsys, name, "{nope") == (
+        2, "", "error: %s: Expecting property name enclosed in double quotes: "
+               "line 1 column 2 (char 1)\n" % flag)
+
+
+@pytest.mark.parametrize("name", FILE_FLAGS)
+def test_missing_file_names_its_flag(files, capsys, name):
+    d, _ = files
+    assert _exit(files, capsys, name, None) == (
+        2, "", "error: %s: [Errno 2] No such file or directory: '%s'\n"
+               % (FILE_FLAGS[name][1], d / "flagged.json"))
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("render-polygon", "{}", "points must be a JSON list, got dict"),
+    ("render-segment", "[]", "segment must be a JSON object with a list of pieces"),
+    ("pair-from-segment", "[]", "segment must be a JSON object with a list of pieces"),
+    ("segment-from-pair", "[]", "pair must be a JSON object, got list"),
+    ("hull", "[]", "no points listed"),
+    ("check-positive", "[]", "no points listed"),
+])
+def test_wrong_document_names_its_flag(files, capsys, name, text, message):
+    # the render and split flags did not name themselves
+    flag = FILE_FLAGS[name][1]
+    assert _exit(files, capsys, name, text) == (2, "", "error: %s: %s\n" % (flag, message))
+
+
+@pytest.mark.parametrize("value", ["yes", 1, None, []])
+def test_saturated_must_be_a_boolean(files, capsys, value):
+    # "yes" loaded, and diagram_to_json would have written it back as true
+    d, _ = files
+    doc = dict(json.loads((d / "a2.json").read_text()), saturated=value)
+    assert _exit(files, capsys, "theta-diagram", json.dumps(doc)) == (
+        2, "", "error: --diagram: saturated must be true or false, got %r\n" % (value,))

@@ -384,8 +384,8 @@ def test_wall_loader_matches_reference(case):
 @given(wall_documents())
 @settings(max_examples=60, deadline=None)
 def test_bad_wall_documents_exit_2(tmp_path_factory, case):
-    # through the CLI a rejected wall exits 2 with the loader's message and
-    # no traceback
+    # through the CLI a rejected wall exits 2 with the loader's message,
+    # after the flag that named the file, and no traceback
     fd, wdoc = case
     ddoc = {"seed": serialize.fd_to_json(fd), "order": 4, "saturated": False,
             "walls": [wdoc]}
@@ -398,4 +398,5 @@ def test_bad_wall_documents_exit_2(tmp_path_factory, case):
         with pytest.raises(SystemExit) as info:
             cli.main(["theta", "--diagram", str(path), "--direction", "1,0",
                       "--endpoint", "97/113,-123/151"])
-    assert (info.value.code, out.getvalue(), err.getvalue()) == (2, "", "error: %s\n" % message)
+    assert (info.value.code, out.getvalue(), err.getvalue()) == (
+        2, "", "error: --diagram: %s\n" % message)
