@@ -10,7 +10,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, cross, dot,
+from .geometry import (vsub, vneg, vscale, is_zero, line_key, same_ray, cross, dot,
                        ccw_key, homogeneous, rational, is_rational)
 from .lattice import n_circ_primitive, scaled_normal, order_form
 from .series import wf_mul, wf_coeff_pow, _pow_coeffs, _integer, _check_order, LaurentPoly
@@ -110,16 +110,12 @@ class _Family:
         self.m0 = walls[0].func.direction
         f = walls[0].func
         for w in walls[1:]:
-            if w.func.direction != self.m0:
-                raise ValueError("walls sharing a support line disagree on function direction")
             f = wf_mul(f, w.func, len(f.coeffs) + len(w.func.coeffs))
         self.f = f
         self.a = scaled_normal(fd, self.n0)
         ux, uy, vx, vy, D = order_form(fd)
         sx, sy = self.m0
         u, v = ux * sx + uy * sy, vx * sx + vy * sy
-        if u < 0 or v < 0:
-            raise ValueError("wall function direction outside the cone")
         self.cn, self.dn = u, v
         self.step = D // gcd(u, v, D)
         self.order = u + v
@@ -143,16 +139,6 @@ class _Family:
         return terms
 
 
-def _line_key(x, y):
-    """The primitive direction of the line through 0 and (x, y), first nonzero entry > 0."""
-    g = gcd(x, y)
-    if g == 0:
-        raise ValueError("zero normal")
-    if x < 0 or (x == 0 and y < 0):
-        g = -g
-    return x // g, y // g
-
-
 def _turn(x, y, q, mx, my):
     """cross((x, y), m), which is > 0 when the ray (x, y)/q + t*m, t > 0,
     turns counterclockwise.  Raises ValueError when the ray runs into the
@@ -172,9 +158,11 @@ class SearchForm:
 
     The backward broken-line search, transport along a path and around the
     origin (scattering.leg_crossings, apply_loop), bend checks
-    (bend_coefficient) and the expansion endpoint all read it.  Every wall
-    lies on a line through the origin; a ray or a function direction off
-    its normal's line is a ValueError.  Each side of a support line that
+    (bend_coefficient) and the expansion endpoint all read it, and it is
+    the one check of a wall against the fixed data.  Every wall lies on a
+    line through the origin; a ray off its normal's line, and a function
+    direction off that line or outside the cone sigma of the monoid, is a
+    ValueError that names the wall's normal.  Each side of a support line that
     some wall covers is a half-line from the origin, and the walls through
     a nonzero point are those of its half-line.  The form keeps the
     half-lines as primitive directions in counterclockwise order
@@ -228,12 +216,9 @@ class SearchForm:
         # each covered half-line, by its primitive direction: its walls in
         # diagram order
         walls_at = {}
-        # whether every function direction lies in the cone of the monoid,
-        # as straight needs
-        proper = True
         for w in walls:
             a = scaled_normal(fd, w.normal)
-            u = _line_key(-a[1], a[0])
+            u = line_key((-a[1], a[0]))
             if w.kind != "ray":
                 sides = (u, (-u[0], -u[1]))
             elif cross(u, w.direction) == 0 and any(w.direction):
@@ -247,12 +232,15 @@ class SearchForm:
             if u[0] * my != u[1] * mx:
                 raise ValueError("wall with normal %r has function direction %r off the "
                                  "line of its normal" % (w.normal, w.func.direction))
+            # sigma is pointed, so the walls of a line share one m0 in it,
+            # as _Family, _Arcs and straight take
+            if ux * mx + uy * my < 0 or vx * mx + vy * my < 0:
+                raise ValueError("wall with normal %r has function direction %r outside the "
+                                 "cone of the monoid" % (w.normal, w.func.direction))
             for h in sides:
                 walls_at.setdefault(h, []).append(w)
-            proper = proper and ux * mx + uy * my >= 0 and vx * mx + vy * my >= 0
         self._halves = sorted(walls_at, key=ccw_key)
         n = len(self._halves)
-        self._proper = proper and n > 0
         self._index = {h: i for i, h in enumerate(self._halves)}
         self._around = [((i - 1) % n, (i + 1) % n) for i in range(n)]
         self._walls = [tuple(walls_at[h]) for h in self._halves]
@@ -353,10 +341,10 @@ class SearchForm:
         search runs into the origin.
 
         Let sigma be the cone of the monoid and S the open sector from
-        a = h_cw counterclockwise to b = h_ccw.  The answer is yes when every
-        function direction m0, which the form has checked lies on its wall's
-        line, lies in sigma, S is narrower than pi, S misses -sigma and m lies
-        in the closure of S.
+        a = h_cw counterclockwise to b = h_ccw.  The answer is yes when S is
+        narrower than pi, S misses -sigma and m lies in the closure of S;
+        the form has checked that every function direction m0 lies on its
+        wall's line and in sigma.
         In a cluster scattering diagram every wall but the two initial lines
         is a ray in -sigma, so such an S is a chamber of the whole diagram,
         not only of a truncation, and this is GHKK (arXiv:1411.1394), Prop.
@@ -376,7 +364,7 @@ class SearchForm:
         -sigma exactly when neither -g1 nor -g2 lies in S and a + b, a
         direction in S, is not in -sigma.
         """
-        if not self._proper:
+        if not self._halves:
             return False
         (ax, ay), (bx, by) = self._halves[near[0]], self._halves[near[1]]
         if ax * by - ay * bx <= 0 or ax * my - ay * mx < 0 or mx * by - my * bx < 0:
@@ -409,8 +397,7 @@ class SearchForm:
         if self._origin is None:
             groups = {}
             for w in self._all:
-                key = tuple(abs(c) for c in primitive(n_circ_primitive(self.fd, w.normal)))
-                groups.setdefault(key, []).append(w)
+                groups.setdefault(line_key(w.normal), []).append(w)
             self._origin = [_Family(self.fd, ws) for ws in groups.values()]
         return self._origin
 

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from .geometry import (vadd, vsub, vneg, vscale, primitive, cross,
+from .geometry import (vadd, vsub, vneg, vscale, primitive, line_key, cross,
                        ccw_key, sort_ccw, rot90, convex_hull,
                        cycle_is_convex, compile_hull, homogeneous, rational, is_rational)
 from .lattice import FixedData, pairing, p1_star, skew_form, line_dir
@@ -55,10 +55,10 @@ class PLMap:
     products inline and never classifies a sector again.
 
     ``lines`` holds the map's fold lines: its boundary directions up to
-    sign, each as the primitive direction with first nonzero entry > 0.  A
-    linear map has none.  A fold line cuts a point set when two of the
-    points lie strictly on opposite sides of it; a map none of whose fold
-    lines cuts a set is linear on it (see ``_linear_on``).
+    sign, each as its ``line_key``.  A linear map has none.  A fold line
+    cuts a point set when two of the points lie strictly on opposite sides
+    of it; a map none of whose fold lines cuts a set is linear on it (see
+    ``_linear_on``).
     """
 
     def __init__(self, sectors):
@@ -68,9 +68,7 @@ class PLMap:
         n = len(secs)
         # the sector start directions; none for a linear map
         self.boundaries = () if n == 1 else tuple(s for s, _ in secs)
-        self.lines = tuple(dict.fromkeys(
-            s if s[0] > 0 or (s[0] == 0 and s[1] > 0) else (-s[0], -s[1])
-            for s in self.boundaries))
+        self.lines = tuple(dict.fromkeys(map(line_key, self.boundaries)))
         rows = []
         for i, (a, M) in enumerate(secs):
             b = secs[(i + 1) % n][0]

@@ -72,6 +72,13 @@ def primitive(v):
     return tuple(a // g for a in ints)
 
 
+def line_key(v):
+    """The primitive direction of the line through 0 and v != 0 whose first
+    nonzero entry is > 0."""
+    x, y = primitive(v)
+    return (x, y) if x > 0 or (x == 0 and y > 0) else (-x, -y)
+
+
 def is_rational(x):
     """Whether x is a rational number; ints and Fractions are told by their
     type, before the slower check against numbers.Rational."""

@@ -7,8 +7,8 @@ the origin acts trivially on both coordinate monomials up to the truncation.
 
 from math import gcd
 
-from .geometry import (vsub, vneg, vscale, is_zero, primitive, same_ray, rot90, sgn,
-                       cross, dot, homogeneous)
+from .geometry import (vsub, vneg, vscale, is_zero, primitive, line_key, same_ray, rot90,
+                       sgn, cross, dot, homogeneous)
 from .lattice import (pairing, p1_star, n_circ_primitive, line_dir,
                       cone_order, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross, _lattice_vector
@@ -25,6 +25,8 @@ class Wall:
         if kind not in ("line", "ray"):
             raise ValueError("kind must be 'line' or 'ray'")
         self.normal = _lattice_vector(normal, "normal")
+        if self.normal == (0, 0):
+            raise ValueError("normal must be nonzero, got (0, 0)")
         self.kind = kind
         self.direction = _lattice_vector(direction, "direction")
         self.func = func
@@ -45,14 +47,6 @@ class Diagram:
         self.compiled = None
 
 
-def canonical_normal(n):
-    np = primitive(n)
-    for x in np:
-        if x != 0:
-            return np if x > 0 else vneg(np)
-    raise ValueError("zero normal")
-
-
 def is_incoming(fd, wall):
     """A wall is incoming when the image of its normal under the skew map lies on its support."""
     if wall.kind == "line":
@@ -67,7 +61,7 @@ def initial_wall(fd, i):
     k = gcd(*p)  # p = k * primitive(p)
     coeffs = [0] * k
     coeffs[k - 1] = 1
-    return Wall(canonical_normal(n), "line", line_dir(fd, n), WallFunction(primitive(p), coeffs))
+    return Wall(line_key(n), "line", line_dir(fd, n), WallFunction(primitive(p), coeffs))
 
 
 def initial_diagram(fd, order):
@@ -120,7 +114,7 @@ def _outgoing_normal(fd, p):
     sol = solve_linear(fd.exchange, target)
     if sol is None:
         raise ValueError("skew form is degenerate in direction %r" % (p,))
-    return canonical_normal(sol)
+    return line_key(sol)
 
 
 def _insert_correction(fd, diagram, p, delta):

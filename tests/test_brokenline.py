@@ -11,9 +11,9 @@ from csd import brokenline, serialize
 from csd.brokenline import (Piece, BrokenLine, Segment, wall_families,
                             allowed_bends, enumerate_lines, theta, theta_of_lines, reverse,
                             validate_segment,
-                            bend_coefficient, search_form, _assemble, _line_key, _site)
+                            bend_coefficient, search_form, _assemble, _site)
 from csd.geometry import (vadd, vsub, vscale, is_zero, homogeneous, cross, dot, same_ray,
-                          primitive)
+                          primitive, line_key)
 from csd.lattice import (FixedData, pairing, n_circ_primitive, cone_order,
                          solve_linear, scaled_normal, dual_perp)
 from csd.scattering import Diagram, Wall, complete_rank2
@@ -440,7 +440,7 @@ def _scan_events(fd, diagram, x, y, q, mx, my):
     normals, sides = {}, {}
     for w in diagram.walls:
         a = scaled_normal(fd, w.normal)
-        u = _line_key(-a[1], a[0])
+        u = line_key((-a[1], a[0]))
         normals.setdefault(u, a)
         covered = sides.setdefault(u, set())
         if w.kind != "ray":
@@ -756,11 +756,13 @@ def test_straight_holds_for_any_walls():
                     == [(((m, ()),), 1)], (walls, z, m)
             checked += 1
     assert 0 < fired < checked
-    # a function direction outside sigma voids the argument: no shortcut
+    # a function direction outside sigma would void the argument: such a
+    # wall never compiles
     fd = FixedData.from_exchange(*SHARED_TYPES[0])
     good = complete_rank2(fd, 4)
+    form = search_form(fd, good)
+    assert form.straight(form.near(-2, 3), -1, 1)
     bad = Diagram(fd, good.walls + [Wall((1, 1), "line", (-1, 1), WallFunction((1, -1), [1]))],
                   4, False)
-    for d, fires in ((good, True), (bad, False)):
-        form = search_form(fd, d)
-        assert form.straight(form.near(-2, 3), -1, 1) == fires
+    with pytest.raises(ValueError, match="outside the cone of the monoid"):
+        search_form(fd, bad)

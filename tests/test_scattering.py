@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -6,13 +7,13 @@ import pytest
 
 from csd import scattering, serialize
 from csd.brokenline import enumerate_lines, search_form, theta
-from csd.geometry import vadd, vsub, vscale, is_zero, same_ray, cross, dot
+from csd.geometry import vadd, vsub, vscale, is_zero, same_ray, cross, dot, line_key
 from csd.lattice import FixedData, cone_order, line_dir, pairing
 from csd.series import WallFunction, LaurentPoly
 from csd.scattering import (Diagram, Wall, is_incoming, initial_diagram,
                             complete_rank2, complete_diagram, check_consistent,
                             loop_discrepancy, apply_loop, path_ordered_product,
-                            leg_crossings, canonical_normal)
+                            leg_crossings)
 
 F = Fraction
 
@@ -29,8 +30,8 @@ def ray_funcs(diagram):
 def test_line_dir_and_normal(g2):
     assert line_dir(g2, (1, 0)) == (0, 1)
     assert line_dir(g2, (0, 1)) == (-1, 0)
-    assert canonical_normal((-2, 0)) == (1, 0)
-    assert canonical_normal((0, -3)) == (0, 1)
+    assert line_key((-2, 0)) == (1, 0)
+    assert line_key((0, -3)) == (0, 1)
 
 
 def test_initial_walls(a2, g2):
@@ -272,6 +273,33 @@ def test_function_direction_off_its_normal_line_is_rejected(a2):
         enumerate_lines(a2, diagram, (-1, 2), (F(3), F(-1, 7)), 4)
     with pytest.raises(ValueError, match=r"wall 3: func dir must lie on the line"):
         serialize.diagram_from_json(serialize.diagram_to_json(diagram))
+
+
+@pytest.mark.parametrize("kind", ["line", "ray"])
+def test_function_direction_outside_the_cone_is_rejected(a2, kind):
+    # on the wall's line but outside sigma: every reader of the wall index
+    # refuses the wall with one message, whether or not a search reaches it
+    bad = Wall((1, 1), kind, (-1, 1), WallFunction((1, -1), [1]))
+    diagram = Diagram(a2, complete_rank2(a2, 4).walls + [bad], 4, False)
+    msg = "wall with normal (1, 1) has function direction (1, -1) outside the cone of the monoid"
+    calls = [functools.partial(f, a2, diagram, (1, 0), z, 4)
+             for f in (theta, enumerate_lines)
+             for z in [(F(97, 113), F(-123, 151)), (F(3), F(-1, 7)), (F(-2, 3), F(5, 7)),
+                       (F(-11, 13), F(-17, 19))]]
+    p = LaurentPoly.monomial((1, 0), 4)
+    calls += [functools.partial(apply_loop, a2, diagram, p),
+              functools.partial(path_ordered_product, a2, diagram,
+                                [(F(1), F(1, 3)), (F(-1), F(1, 3))], p)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == msg
+
+
+def test_zero_normal_is_rejected():
+    with pytest.raises(ValueError) as info:
+        Wall((0, 0), "line", (1, 0), WallFunction((0, 1), [1]))
+    assert str(info.value) == "normal must be nonzero, got (0, 0)"
 
 
 # SHA-256 of repr(complete_rank2(fd, order).walls), computed with a loop
