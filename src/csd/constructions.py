@@ -286,7 +286,12 @@ def _auto_ab(fd, tau, T, pt, qt, rho1, rho2):
 
 
 def pair_from_segment(fd, diagram, seg, tau, a=None, b=None):
-    """Split a segment at time tau into a balanced pair of broken lines."""
+    """Split a segment at time tau into a balanced pair of broken lines.
+
+    The scales a and b are given both or neither; with neither they are
+    chosen automatically."""
+    if (a is None) != (b is None):
+        raise ValueError("give both scales a and b or neither, got a=%r b=%r" % (a, b))
     tau = Fraction(tau)
     T = seg.total_time
     if not (0 < tau < T):
@@ -304,7 +309,7 @@ def pair_from_segment(fd, diagram, seg, tau, a=None, b=None):
     mt2 = [vneg(m) for m in ms[j:]]
     ns1 = _bend_normals_from(fd, mt1)
     ns2 = _bend_normals_from(fd, mt2)
-    if a is None or b is None:
+    if a is None:
         a, b = _auto_ab(fd, tau, T, seg.start, seg.end, _rho(fd, mt1, ns1), _rho(fd, mt2, ns2))
     # each side's exponents are the affine invariants x + t*m of its pieces,
     # taken at the start (line 1) and at the end (line 2) of the segment

@@ -377,6 +377,21 @@ def test_theta_out_searches_once(paths, capsys, monkeypatch, tmp_path):
     assert capsys.readouterr() == ("z^(0,0)\n", "error: initial exponent must be nonzero\n")
 
 
+@pytest.mark.parametrize("scale,message", [
+    (["-a", "3"], "a=3 b=None"), (["-b", "7"], "a=None b=7")])
+def test_pair_from_segment_needs_both_scales(paths, capsys, scale, message):
+    # a lone scale must not give way to the automatic pair a=2 b=2
+    cmd = ["pair-from-segment", "--diagram", str(paths["a2"]), "--segment", str(paths["seg"]),
+           "--tau", "5/2"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(cmd + scale)
+    assert (exit_info.value.code,) + tuple(capsys.readouterr()) == (
+        2, "", "error: give both scales a and b or neither, got %s\n" % message)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(cmd)
+    assert (exit_info.value.code, capsys.readouterr().out) == (0, "a=2 b=2 base=(-2,4)\n")
+
+
 @pytest.mark.parametrize("cmd,flag,value", [
     ("theta", "--direction", "1/0,2"),
     ("theta", "--direction", "1,2,3"),
