@@ -1,12 +1,14 @@
-"""Fuzzed input files for the CLI commands that read broken lines, segments,
-pairs and point lists.
+"""Fuzzed input files for the CLI commands that read seeds, diagrams,
+broken lines, segments, pairs and point lists.
 
 Each document is a valid one with up to two nodes replaced by other JSON
 values or dropped, or any JSON value at all.  Run in-process through
 cli.main, a command exits 0, or 2 with one ``error:`` line on stderr and
 nothing on stdout; check-positive may also exit 1 with its verdict.  Nothing
 raises past cli.main.  Numbers stay small, so that a valid polygon or
-segment costs milliseconds to check.
+segment costs milliseconds to check and a valid seed or diagram, with
+entries within 4 and order at most 4, milliseconds to build or search: a
+large order or exchange entry is legitimate work, not a fault.
 """
 
 import contextlib
@@ -31,8 +33,12 @@ SEGMENT = {"start": [1, -5], "end": [2, 4], "total_time": "5",
                {"exponent": [-1, -2], "coeff": "1", "bend": [0, 2], "duration": "1"},
                {"exponent": [-1, -1], "coeff": "1", "bend": None, "duration": "2"}]}
 POLYGON = [[-1, 0], [1, -3], [2, -3], [1, 0]]
+SEED = {"rank": 2, "unfrozen": [0, 1], "d": [1, 2], "exchange": [[0, 2], [-1, 0]],
+        "principal": False}
 KEYS = ["endpoint", "pieces", "exponent", "coeff", "bend", "duration", "start", "end",
-        "total_time", "base", "line1", "line2"]
+        "total_time", "base", "line1", "line2", "rank", "unfrozen", "d", "exchange",
+        "principal", "order", "saturated", "seed", "walls", "normal", "support", "kind",
+        "dir", "func", "coeffs"]
 # numbers in the forms the loaders read, and some they refuse
 NUMBERS = st.one_of(st.integers(-4, 4), st.sampled_from(["0", "2", "-3/2", "1/3", "1/0", 0.5, 2.0]))
 SCALARS = st.one_of(NUMBERS, st.none(), st.booleans(), st.sampled_from(["x", "", [], {}]))
@@ -81,12 +87,16 @@ def files(tmp_path_factory, a2):
     lines = enumerate_lines(a2, diagram, (-1, 2), (F(3), F(-1, 7)), 4)
     pair, _ = pair_from_segment(a2, diagram, serialize.segment_from_json(SEGMENT), F(5, 2))
     templates = {"lines": [serialize.brokenline_to_json(l) for l in lines],
-                 "segment": SEGMENT, "pair": serialize.pair_to_json(pair), "points": POLYGON}
+                 "segment": SEGMENT, "pair": serialize.pair_to_json(pair), "points": POLYGON,
+                 "seed": SEED, "diagram": serialize.diagram_to_json(diagram)}
     return d, templates
 
 
 # (arguments, the flag that reads the fuzzed file, its template, exit codes)
 COMMANDS = {
+    "build": (["build", "--order", "3"], "--seed", "seed", {0, 2}),
+    "theta": (["theta", "--direction", "1,-1", "--endpoint", "97/113,-123/151"], "--diagram",
+              "diagram", {0, 2}),
     "render-lines": (["render", "--out", "OUT"], "--broken-lines", "lines", {0, 2}),
     "render-segment": (["render", "--out", "OUT"], "--segment", "segment", {0, 2}),
     "render-polygon": (["render", "--out", "OUT"], "--polygon", "points", {0, 2}),
@@ -101,7 +111,8 @@ COMMANDS = {
 # the loader behind each template's flag: a document it rejects must exit 2
 # with an error line that names the flag
 LOADERS = {"lines": cli._broken_lines, "segment": serialize.segment_from_json,
-           "pair": serialize.pair_from_json, "points": serialize.points_from_json}
+           "pair": serialize.pair_from_json, "points": serialize.points_from_json,
+           "seed": serialize.fd_from_json, "diagram": serialize.diagram_from_json}
 
 
 def _loads(template, doc):
@@ -122,11 +133,13 @@ def test_fuzzed_input_files_exit_cleanly(files, command, data):
     doc = data.draw(documents(templates[template]), label="document")
     path = d / ("%s.json" % command)
     path.write_text(json.dumps(doc))
-    argv = [str(d / "out.svg") if a == "OUT" else a for a in argv]
+    argv = [str(d / "out.svg") if a == "OUT" else a for a in argv] + [flag, str(path)]
+    if flag not in ("--seed", "--diagram"):
+        argv += ["--diagram", str(d / "a2.json")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with pytest.raises(SystemExit) as info:
-            cli.main(argv + ["--diagram", str(d / "a2.json"), flag, str(path)])
+            cli.main(argv)
     code, out, err = info.value.code, out.getvalue(), err.getvalue()
     assert code in codes, (code, out, err)
     if code == 2:
