@@ -162,9 +162,9 @@ class SearchForm:
     the one check of a wall against the fixed data.  Every wall lies on a
     line through the origin; a ray off its normal's line, and a function
     direction off that line or outside the cone sigma of the monoid, is a
-    ValueError that names the wall's normal.  Each side of a support line that
-    some wall covers is a half-line from the origin, and the walls through
-    a nonzero point are those of its half-line.  The form keeps the
+    ValueError that names the wall's normal.  Each side of a support line
+    that some wall covers is a half-line from the origin, and the walls
+    through a nonzero point are those of its half-line.  The form keeps the
     half-lines as primitive directions in counterclockwise order
     (geometry.ccw_key), a position on the circle of directions as the pair
     (cw, ccw) of indices of its neighbouring half-lines (see near), and, in

@@ -14,7 +14,8 @@ from .lattice import (pairing, p1_star, n_circ_primitive, line_dir,
 from .series import WallFunction, LaurentPoly, wall_cross, _lattice_vector
 from .brokenline import search_form
 
-# the most rounds complete_diagram runs before it returns the diagram as it stands
+# the most rounds complete_diagram runs; one that has not stabilized by then
+# raises RuntimeError("completion did not stabilize")
 MAX_ROUNDS = 100000
 
 
@@ -61,7 +62,7 @@ def initial_wall(fd, i):
     k = gcd(*p)  # p = k * primitive(p)
     coeffs = [0] * k
     coeffs[k - 1] = 1
-    return Wall(line_key(n), "line", line_dir(fd, n), WallFunction(primitive(p), coeffs))
+    return Wall(n, "line", line_dir(fd, n), WallFunction(primitive(p), coeffs))
 
 
 def initial_diagram(fd, order):
