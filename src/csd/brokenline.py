@@ -12,7 +12,7 @@ from math import gcd, lcm, prod
 
 from .geometry import (vsub, vneg, vscale, is_zero, line_key, same_ray, cross, dot,
                        ccw_key, homogeneous, rational, is_rational)
-from .lattice import n_circ_primitive, scaled_normal, order_form
+from .lattice import CLUSTERS, n_circ_primitive, scaled_normal, order_form
 from .series import wf_mul, wf_coeff_pow, _pow_coeffs, _integer, _check_order, LaurentPoly
 
 
@@ -160,17 +160,17 @@ class SearchForm:
     origin (scattering.leg_crossings, apply_loop), bend checks
     (bend_coefficient) and the expansion endpoint all read it, and it is
     the one check of a wall against the fixed data.  Every wall lies on a
-    line through the origin; a ray off its normal's line, and a function
-    direction off that line or outside the cone sigma of the monoid, is a
-    ValueError that names the wall's normal.  Each side of a support line
-    that some wall covers is a half-line from the origin, and the walls
-    through a nonzero point are those of its half-line.  The form keeps the
-    half-lines as primitive directions in counterclockwise order
-    (geometry.ccw_key), a position on the circle of directions as the pair
-    (cw, ccw) of indices of its neighbouring half-lines (see near), and, in
-    lists indexed by half-line, the walls in diagram order, their direction
-    m0 and their _Family (family, built on first use, with its power
-    tables).
+    line through the origin; the direction of a line or a ray off its
+    normal's line, and a function direction off that line or outside the
+    cone sigma of the monoid, is a ValueError that names the wall's normal.
+    Each side of a support line that some wall covers is a half-line from
+    the origin, and the walls through a nonzero point are those of its
+    half-line.  The form keeps the half-lines as primitive directions in
+    counterclockwise order (geometry.ccw_key), a position on the circle of
+    directions as the pair (cw, ccw) of indices of its neighbouring
+    half-lines (see near), and, in lists indexed by half-line, the walls in
+    diagram order, their direction m0 and their _Family (family, built on
+    first use, with its power tables).
 
     walk is the one walker of that list.  Take a ray P + t*v, t > 0, with
     s = cross(P, v) != 0.  Seen from the origin its angle moves strictly
@@ -197,7 +197,9 @@ class SearchForm:
     - alphas: alpha tables, keyed by (unordered pair {p, q}, K);
     - products: theta products at the expansion endpoint, keyed by
       (unordered pair {p, q}, K);
-    - endpoint: the expansion endpoint, computed once.
+    - endpoint: the expansion endpoint, computed once;
+    - the closed chambers of each exponent one_cone has read, or False
+      when its rule is off for the diagram.
 
     Nothing is evicted.  Each entry is a value the diagram was asked for, so
     a cache grows only with the half-lines, (pair, K) and (m, endpoint, K)
@@ -207,9 +209,10 @@ class SearchForm:
     each round of corrections and after its final filter.
     """
 
-    def __init__(self, fd, walls):
+    def __init__(self, fd, walls, order):
         self.fd = fd
         self.L = fd.L
+        self.order = order
         self._all = tuple(walls)
         # m = (A*g1 + B*g2)/D with A = ux*m0 + uy*m1 and B = vx*m0 + vy*m1
         self._cone = ux, uy, vx, vy, _ = order_form(fd)
@@ -219,13 +222,13 @@ class SearchForm:
         for w in walls:
             a = scaled_normal(fd, w.normal)
             u = line_key((-a[1], a[0]))
+            if cross(u, w.direction) or not any(w.direction):
+                raise ValueError("%s wall with normal %r has direction %r off the line "
+                                 "of its normal" % (w.kind, w.normal, w.direction))
             if w.kind != "ray":
                 sides = (u, (-u[0], -u[1]))
-            elif cross(u, w.direction) == 0 and any(w.direction):
-                sides = (u if dot(u, w.direction) > 0 else (-u[0], -u[1]),)
             else:
-                raise ValueError("ray wall with normal %r has direction %r off the line "
-                                 "of its normal" % (w.normal, w.direction))
+                sides = (u if dot(u, w.direction) > 0 else (-u[0], -u[1]),)
             mx, my = w.func.direction
             # _trace reads a bend's power off the pairing with the normal,
             # which a bend along a direction off the line would change
@@ -252,6 +255,7 @@ class SearchForm:
         self.alphas = {}
         self.products = {}
         self.endpoint = None
+        self._cones = None
 
     def _half(self, point):
         """The index of the half-line through the point, None if there is none
@@ -375,6 +379,54 @@ class SearchForm:
         sx, sy = ax + bx, ay + by
         return ux * sx + uy * sy > 0 or vx * sx + vy * sy > 0
 
+    def one_cone(self, p, q):
+        """Whether theta_p * theta_q = theta_{p+q} holds because p and q lie
+        in one closed chamber of a complete diagram of finite type.
+
+        Cluster monomials are theta functions (GHKK, arXiv:1411.1394,
+        Thm 0.3), and the cluster monomials of one cluster multiply to the
+        cluster monomial of the summed g-vector.  In rank 2 the cones of the
+        cluster complex are the chambers of the diagram outside the limit
+        cone C (Reading, "Scattering fans", arXiv:1712.06968).  On finite
+        type C is empty, the complete diagram has one half-line per cluster
+        and its closed chambers are the cluster cones.  So for p and q in one
+        of them alpha(p, q, .) is 1 at p + q and 0 elsewhere.
+
+        The guard is exact: the rule is on only when fd is of finite type,
+        the form has as many half-lines as there are clusters (lattice.
+        CLUSTERS) and its walls are those of complete_rank2(fd, order) by
+        value.  Otherwise the answer is always False: a truncated diagram
+        that misses a half-line, such as G2 below order 5, an edited wall,
+        and every infinite type, whose truncated chambers are wrong near C.
+        The closed chambers of each exponent are kept as a bitmask, chamber i
+        running counterclockwise from half-line i to i + 1.
+        """
+        cones = self._cones
+        if cones is None:
+            fd = self.fd
+            # scattering imports this module, so it is read here
+            from .scattering import matches_completion
+            on = (fd.is_finite_type() and len(self._halves) == CLUSTERS[fd.bc]
+                  and matches_completion(fd, self._all, self.order))
+            cones = self._cones = {} if on else False
+        if cones is False:
+            return False
+        return bool(self._chambers(p, cones) & self._chambers(q, cones))
+
+    def _chambers(self, m, cones):
+        """The bitmask of closed chambers that hold the exponent m."""
+        mask = cones.get(m)
+        if mask is None:
+            if any(m):
+                cw, ccw = self.near(*m)
+                # inside chamber cw, ccw is cw + 1; on half-line j they are
+                # j - 1 and j + 1, and j - 1 and j are its chambers
+                mask = 1 << cw | 1 << (ccw - 1) % len(self._halves)
+            else:
+                mask = -1
+            cones[m] = mask
+        return mask
+
     def family(self, i):
         """The wall family of half-line i, built on first use and shared by
         the half-lines with the same walls."""
@@ -494,7 +546,7 @@ def search_form(fd, diagram):
     """The diagram's SearchForm for fd, compiled on first use."""
     form = diagram.compiled
     if form is None or form.fd is not fd:
-        form = diagram.compiled = SearchForm(fd, diagram.walls)
+        form = diagram.compiled = SearchForm(fd, diagram.walls, diagram.order)
     return form
 
 

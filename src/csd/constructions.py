@@ -125,6 +125,10 @@ def alpha_table(fd, diagram, p, q, K=None):
     a heap keyed by (order over p + q, exponent).  Subtracting c * theta_e
     only adds terms of higher order than e, so the heap yields the exponents
     in the order of a full scan.
+
+    A pair in one closed chamber of a complete diagram of finite type gives
+    {p + q: 1} before any theta or product work: theta_p * theta_q =
+    theta_{p+q} there (SearchForm.one_cone states the theorem and its guard).
     """
     K = _check_order(K, diagram.order)
     p, q = tuple(p), tuple(q)
@@ -132,8 +136,10 @@ def alpha_table(fd, diagram, p, q, K=None):
         return {q: 1}
     if is_zero(q):
         return {p: 1}
-    z0 = fixed_generic_endpoint(fd, diagram)
     base = vadd(p, q)
+    if search_form(fd, diagram).one_cone(p, q):
+        return {base: 1}
+    z0 = fixed_generic_endpoint(fd, diagram)
     ux, uy, vx, vy, _ = order_form(fd)
     wx, wy = ux + vx, uy + vy
 

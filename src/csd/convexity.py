@@ -528,7 +528,9 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     of the theta product escapes (a + b)P, since structure constants are
     nonnegative and each contributing exponent shows up in the product.
     Pairs whose whole truncation triangle p+q+{order <= K} sits inside are
-    skipped without any series work.
+    skipped without any series work, and so are the pairs in one closed
+    chamber of a complete diagram of finite type (SearchForm.one_cone):
+    their product is theta_{p+q}, and p + q lies in aP + bP = (a + b)P.
 
     The scan is one integer pass: each dilation and its lattice points,
     descending, are built once per degree, pairs with the origin are left
@@ -556,7 +558,7 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
     k1x, k1y, k2x, k2y = K * g1x, K * g1y, K * g2x, K * g2y
     form = search_form(fd, diagram)
-    products, alphas = form.products, form.alphas
+    products, alphas, one_cone = form.products, form.alphas, form.one_cone
 
     for total in range(2, max_degree + 1):
         target = region.dilate(total).planes
@@ -575,6 +577,8 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
                 for q in pb:
                     sx, sy = px + q[0], py + q[1]
                     if inside(sx + k1x, sy + k1y) and inside(sx + k2x, sy + k2y):
+                        continue
+                    if one_cone(p, q):
                         continue
                     key = _pair_key(p, q, K)
                     prod = products.get(key)

@@ -42,8 +42,15 @@ class FixedData:
         if e01 == 0:
             raise ValueError("degenerate skew form: the dual map is not injective")
         self.s = e01 // d1
+        # b*c with b = |exchange[0][1]| and c = |exchange[1][0]|
+        self.bc = -e01 * e10
         self.L = lcm(d0, d1)
         self.monoid_gens = (p1_star(self, (1, 0)), p1_star(self, (0, 1)))
+
+    def is_finite_type(self):
+        """Whether the cluster algebra has finitely many clusters: bc <= 3, that
+        is A2 (bc = 1), B2 (2) or G2 (3), in either orientation."""
+        return self.bc <= 3
 
     @classmethod
     def from_exchange(cls, exchange, d):
@@ -52,6 +59,10 @@ class FixedData:
 
     def __repr__(self):
         return "FixedData(exchange=%r, d=%r)" % (self.exchange, self.d)
+
+
+# the number of clusters of each finite type, by bc: A2, B2 and G2
+CLUSTERS = {1: 5, 2: 6, 3: 8}
 
 
 def pairing(fd, n, m):

@@ -5,11 +5,12 @@ inserts outgoing rays order by order until the counterclockwise loop around
 the origin acts trivially on both coordinate monomials up to the truncation.
 """
 
+import functools
 from math import gcd
 
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, line_key, same_ray, rot90,
                        sgn, cross, dot, homogeneous)
-from .lattice import (pairing, p1_star, n_circ_primitive, line_dir,
+from .lattice import (FixedData, pairing, p1_star, n_circ_primitive, line_dir,
                       cone_order, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross, _lattice_vector
 from .brokenline import search_form
@@ -139,6 +140,24 @@ def _insert_correction(fd, diagram, p, delta):
 def complete_rank2(fd, order):
     """Complete the initial diagram to consistency at the given truncation order."""
     return complete_diagram(fd, initial_diagram(fd, order))
+
+
+def matches_completion(fd, walls, order):
+    """Whether the walls are those of complete_rank2(fd, order) in some order,
+    compared by normal, kind, direction, function direction and coefficients."""
+    return tuple(sorted(map(_wall_value, walls))) == _completion_by_value(fd.exchange, fd.d, order)
+
+
+def _wall_value(w):
+    return w.normal, w.kind, w.direction, w.func.direction, w.func.coeffs
+
+
+@functools.lru_cache(maxsize=16)
+def _completion_by_value(exchange, d, order):
+    """The sorted wall values of complete_rank2 at the order, completed once
+    per (exchange, d, order)."""
+    walls = complete_rank2(FixedData(exchange, d), order).walls
+    return tuple(sorted(map(_wall_value, walls)))
 
 
 def complete_diagram(fd, diagram):

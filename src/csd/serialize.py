@@ -196,7 +196,12 @@ def diagram_from_json(doc):
     order = _field(doc, "order", "diagram")
     if not (_is_int(order) and order >= 0):
         raise ValueError("order must be an integer >= 0, got %r" % (order,))
-    fd = fd_from_json(_field(doc, "seed", "diagram"))
+    seed = _field(doc, "seed", "diagram")
+    try:
+        fd = fd_from_json(seed)
+    except ValueError as e:
+        # a missing field and a seed of the wrong type name the seed already
+        raise ValueError(str(e) if str(e).startswith("seed") else "seed: %s" % e)
     walls = []
     for i, w in enumerate(doc["walls"]):
         try:

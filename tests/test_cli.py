@@ -261,6 +261,24 @@ def test_theta_rejects_malformed_diagram(paths, doc, field):
     assert field in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("exchange", [[0, 1], [-1, "x"]], "seed: exchange must be a square matrix of integers"),
+    ("d", [0, 1], "seed: d must list one integer >= 1 per exchange row"),
+    ("rank", 3, "seed: rank must be 2"),
+    ("unfrozen", [0], "seed: unfrozen must be [0, 1]"),
+    ("exchange", [[0, 1], [-2, 0]], "seed: skew form is not antisymmetric"),
+], ids=["exchange", "d", "rank", "unfrozen", "skew"])
+def test_seed_errors_in_a_diagram_name_the_seed(paths, capsys, key, value, message):
+    doc = json.loads(paths["a2"].read_text())
+    doc["seed"][key] = value
+    path = paths["dir"] / "bad_seed_diagram.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["theta", "--diagram", str(path), "--direction", "-1,0", "--endpoint", "2,1"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.startswith("error: --diagram: " + message)
+
+
 @pytest.mark.parametrize("path,value,field", [
     (("func", "coeffs", 0), "1/2", "wall 2: func coeffs"),
     (("func", "coeffs", 0), "-1", "wall 2: func coeffs"),

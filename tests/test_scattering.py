@@ -261,6 +261,18 @@ def test_ray_off_its_normal_line_is_rejected(a2, a2_diagram):
         theta(a2, diagram, (1, 0), (F(2), F(1)), 6)
 
 
+def test_line_off_its_normal_line_is_rejected(a2):
+    # the search reads a line's support from its normal alone, so a wrong
+    # direction would be drawn by render_svg and dropped by diagram_to_json
+    bad = Wall((1, 0), "line", (1, 1), WallFunction((0, 1), [1]))
+    diagram = Diagram(a2, complete_rank2(a2, 4).walls + [bad], 4, False)
+    msg = r"line wall with normal \(1, 0\) has direction \(1, 1\) off the line"
+    with pytest.raises(ValueError, match=msg):
+        check_consistent(a2, diagram)
+    with pytest.raises(ValueError, match=msg):
+        theta(a2, diagram, (1, 0), (F(2), F(1)), 4)
+
+
 def test_function_direction_off_its_normal_line_is_rejected(a2):
     # the search reads a bend's power off the pairing with the normal, which
     # a bend along (-1, 1) would change; the wall loader refuses it as well
