@@ -4,7 +4,10 @@ in-process ``cli.main`` runs, and the files they write.
 On A2, B2, G2 and Kronecker the test runs ``build``, ``theta`` with and
 without ``--out``, ``multiply``, ``hull --out``, ``check-positive``,
 ``pair-from-segment``, ``segment-from-pair`` and ``render``, each reading
-the diagram file that ``build`` wrote.  Each record is the triple
+the diagram file that ``build`` wrote.  ``harness`` runs where a
+convexity witness is read or not: an uncertified disagreement on A2, a
+failure certified beyond the bound on (3,3) and unknown verdicts on
+Kronecker.  Each record is the triple
 (exit code, stdout, stderr) of one run, or the text of one written file,
 with the temporary directory shown as ``<tmp>``.  The test hashes the
 records with SHA-256 and compares the digest with ``CLI_DIGEST``; on a
@@ -29,6 +32,9 @@ from csd import cli
 
 TYPES = {"A2": ([[0, 1], [-1, 0]], [1, 1], 6), "B2": ([[0, 2], [-1, 0]], [1, 2], 6),
          "G2": ([[0, 3], [-1, 0]], [1, 3], 8), "Kronecker": ([[0, 2], [-2, 0]], [1, 1], 6)}
+# (type, --perturb-seed) of the harness runs, 50 trials each
+HARNESS = [("A2", 2), ("(3,3)", 2), ("Kronecker", 0)]
+W33 = ([[0, 3], [-3, 0]], [1, 1], 6)
 
 DIRECTIONS = ["1,0", "0,1", "-1,0", "0,-1", "1,1", "-1,-1", "-1,2", "2,-1", "3,-5"]
 # generic endpoints of every type; theta on a wall is one of the runs below
@@ -73,13 +79,18 @@ def _records_in(tmp):
     for name, pts in POINT_SETS.items():
         points[name] = tmp / ("%s.json" % name)
         points[name].write_text(json.dumps(pts))
-    for name, (exchange, d, order) in TYPES.items():
+
+    def build(name, exchange, d, order):
         seed = tmp / ("%s_seed.json" % name)
         seed.write_text(json.dumps({"rank": 2, "unfrozen": [0, 1], "d": d,
                                     "exchange": exchange, "principal": False}))
         diagram = tmp / ("%s.json" % name)
         run("build %s" % name, "build", "--seed", seed, "--order", order, "--out", diagram,
             written=diagram)
+        return diagram
+
+    for name, (exchange, d, order) in TYPES.items():
+        diagram = build(name, exchange, d, order)
         for m, z in itertools.product(DIRECTIONS, ENDPOINTS):
             run("theta %s %s %s" % (name, m, z), "theta", "--diagram", diagram,
                 "--direction", m, "--endpoint", z, "--order", 4)
@@ -121,6 +132,10 @@ def _records_in(tmp):
         run("render %s overlays" % name, "render", "--diagram", diagram,
             "--broken-lines", lines, "--segment", seg, "--polygon", points["quad"],
             "--out", svg, written=svg)
+    build("(3,3)", *W33)
+    for name, seed in HARNESS:
+        run("harness %s %d" % (name, seed), "harness", "--diagram", tmp / ("%s.json" % name),
+            "--trials", 50, "--perturb-seed", seed)
     return records
 
 
@@ -139,7 +154,7 @@ def _short(record):
 
 PIN_FILE = Path(__file__).with_name("cli_pin.txt")
 
-CLI_DIGEST = "4900514ac4937078adc595560f6c0a281b7f80ad8cd02e40ef13f11a5506950b"
+CLI_DIGEST = "916f66af4d66cf571cec20a6fd1434df46aa6565d786da53a3f87b1212eed0fc"
 
 
 def test_cli_is_pinned():
