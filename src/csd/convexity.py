@@ -253,6 +253,16 @@ def _chart_maps_by_value(exchange, d):
 
 
 class CheckReport:
+    """A verdict with its witnesses and the bounds it was checked to.
+
+    ``witnesses`` is a list.  A report may hold, in place of the list, the
+    pending search that finds it (``_find``, a function of no arguments
+    returning one witness or None); the search runs the first time
+    ``witnesses`` is read, and its list is kept.  Assigning ``witnesses``
+    drops a pending search.  ``repr``, ``copy`` and ``pickle`` read the
+    witnesses, so a copy carries the list and never the search.
+    """
+
     def __init__(self, verdict, witnesses=None, degree_checked=None,
                  order_checked=None, closed=True):
         self.verdict = verdict  # True / False / None (unknown)
@@ -260,6 +270,23 @@ class CheckReport:
         self.degree_checked = degree_checked
         self.order_checked = order_checked
         self.closed = closed
+
+    @property
+    def witnesses(self):
+        if self._find is not None:
+            wit = self._find()
+            self._find = None
+            self._witnesses = [wit] if wit is not None else []
+        return self._witnesses
+
+    @witnesses.setter
+    def witnesses(self, witnesses):
+        self._find = None
+        self._witnesses = witnesses
+
+    def __getstate__(self):
+        self.witnesses  # run a pending search, so the state holds its list
+        return self.__dict__
 
     def __repr__(self):
         return "CheckReport(verdict=%r, witnesses=%r)" % (self.verdict, self.witnesses)
@@ -383,10 +410,9 @@ def _segment_from_polyline(poly, start, end):
     return Segment(start, end, pieces, Fraction(tn, td))
 
 
-def _convexity_witness(fd, diagram, cycle, points, phi, image):
+def _convexity_witness(fd, diagram, cycle, phi, image):
     """A validated broken-line segment with endpoints in the region leaving it;
-    points are the cycle's homogeneous points and image is their image in
-    the chart phi.
+    image is the image of the cycle's homogeneous points in the chart phi.
 
     Chords (i, j) of the image are tried in order; a chord is pulled back by
     phi's inverse into a base polyline, bent where it crosses a fold of the
@@ -396,6 +422,7 @@ def _convexity_witness(fd, diagram, cycle, points, phi, image):
     region and is passed over, and any other chord leaves the region
     exactly when one of its pulled-back fold points does.
     """
+    points = [homogeneous(p) for p in cycle]
     region = compile_hull(points)
     given = dict(zip(points, cycle))
     phi_inv = phi.inverse()
@@ -451,6 +478,12 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     convex.  A later chart none of whose fold lines cuts the cycle's points
     is linear on them (``_linear_on``), so its image is convex exactly when
     the cycle is: it is skipped without being mapped.
+
+    A False report returns at the first chart whose image is not convex.
+    Its witness is searched for in that chart (``_convexity_witness``) the
+    first time the report's ``witnesses`` is read; the search keeps the
+    cycle, the chart and its image until then.  The verdict never depends
+    on the search: a search that finds no segment gives ``[]``.
     """
     cycle = _polygon_points(cycle)
     K = _check_order(K, diagram.order)
@@ -465,9 +498,9 @@ def is_blc_2d(fd, diagram, cycle, K=None):
             continue
         image = map_cycle(phi, points)
         if not cycle_is_convex(image):
-            wit = _convexity_witness(fd, diagram, cycle, points, phi, image)
-            return CheckReport(False, [wit] if wit is not None else [],
-                               order_checked=K, closed=closed)
+            rep = CheckReport(False, order_checked=K, closed=closed)
+            rep._find = functools.partial(_convexity_witness, fd, diagram, cycle, phi, image)
+            return rep
     if not closed:
         return CheckReport(None, order_checked=K, closed=False)
     return CheckReport(True, order_checked=K)

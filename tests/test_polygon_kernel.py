@@ -7,8 +7,10 @@ the series layer (theta and alpha caches) with the program, so only the
 polygon arithmetic is compared.
 """
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -548,14 +550,17 @@ def test_verdicts_match_fraction_path(name, diagrams):
 
 
 # (map_cycle calls, witness chords pulled back, validate_segment calls) of
-# is_blc_2d at K 6 over _polygons("kernel:<name>", 100, 20).  Charts linear
-# on a cycle are never mapped and chords that cross no fold are never pulled
-# back; a change that loses either skip fails here.
+# is_blc_2d at K 6 over _polygons("kernel:<name>", 100, 20), with every
+# report's witnesses read.  Charts linear on a cycle are never mapped and
+# chords that cross no fold are never pulled back; a change that loses
+# either skip fails here.
 CHART_WORK = {"A2": (272, 128, 87), "G2": (271, 113, 93), "Kronecker": (485, 128, 99)}
 
 
+@pytest.mark.parametrize("read", [True, False], ids=["read", "unread"])
 @pytest.mark.parametrize("name", sorted(CHART_WORK))
-def test_chart_work_is_pinned(name, diagrams, monkeypatch):
+def test_chart_work_is_pinned(name, read, diagrams, monkeypatch):
+    # a witness nobody reads is never searched for: no chord, no validation
     fd, diagram = diagrams[name]
     chart_maps(fd)
     calls = {"map_cycle": 0, "image": 0, "validate_segment": 0}
@@ -571,10 +576,54 @@ def test_chart_work_is_pinned(name, diagrams, monkeypatch):
                         counted("validate_segment", convexity.validate_segment))
     monkeypatch.setattr(PLMap, "image", counted("image", PLMap.image))
     for cycle in _polygons("kernel:" + name, 100, 20):
-        is_blc_2d(fd, diagram, cycle, 6)
+        rep = is_blc_2d(fd, diagram, cycle, 6)
+        if read:
+            rep.witnesses
     # map_cycle maps through PLMap.image once; every other image is a chord
+    maps, chords, validations = CHART_WORK[name]
     assert (calls["map_cycle"], calls["image"] - calls["map_cycle"],
-            calls["validate_segment"]) == CHART_WORK[name]
+            calls["validate_segment"]) == ((maps, chords, validations) if read
+                                           else (maps, 0, 0))
+
+
+@pytest.mark.parametrize("name", sorted(CHART_WORK))
+def test_witness_is_found_once_on_first_read(name, diagrams, monkeypatch):
+    fd, diagram = diagrams[name]
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return find(*args)
+
+    find = convexity._convexity_witness
+    monkeypatch.setattr(convexity, "_convexity_witness", counted)
+    ways = {"repr": lambda rep: repr(rep),
+            "deepcopy": lambda rep: repr(copy.deepcopy(rep)),
+            "pickle": lambda rep: repr(pickle.loads(pickle.dumps(rep))),
+            "read": lambda rep: "CheckReport(verdict=%r, witnesses=%r)"
+                                % (rep.verdict, rep.witnesses)}
+    found = 0
+    for cycle in _polygons("kernel:" + name, 100, 20):
+        verdict, witnesses, _ = ref_is_blc(fd, diagram, cycle)
+        eager = "CheckReport(verdict=%r, witnesses=%r)" % (verdict, witnesses)
+        found += bool(witnesses)
+        for first, way in ways.items():
+            rep = is_blc_2d(fd, diagram, cycle, 6)
+            del searches[:]
+            # the first read of any kind searches; every later one, of every
+            # kind, gives the same witnesses without searching again
+            assert way(rep) == eager, (first, cycle)
+            assert [w(rep) for w in ways.values()] == [eager] * len(ways), cycle
+            assert len(searches) == (verdict is False)
+        # an assigned list sticks, whether or not a search was pending
+        for rep in (is_blc_2d(fd, diagram, cycle, 6), rep):
+            del searches[:]
+            rep.witnesses = []
+            assert [w(rep) for w in ways.values()] == \
+                ["CheckReport(verdict=%r, witnesses=[])" % verdict] * len(ways)
+            assert rep.witnesses == [] and not searches
+    assert found
+
 
 
 @pytest.mark.parametrize("max_degree,K", [(2, 4), (2, 6), (4, 4), (4, 6)])
