@@ -11,7 +11,7 @@ from math import gcd
 from .lattice import FixedData, line_dir, order_form
 from .series import WallFunction
 from .scattering import Wall, Diagram
-from .brokenline import Piece, BrokenLine, Segment
+from .brokenline import Piece, BrokenLine, Segment, search_form
 
 
 def frac_to_str(x):
@@ -179,6 +179,9 @@ def wall_from_json(doc, fd):
 
 
 def diagram_to_json(diagram):
+    """The diagram's document; a wall that search_form rejects raises its
+    error, as a line wall's direction is not written."""
+    search_form(diagram.fd, diagram)
     return {
         "seed": fd_to_json(diagram.fd),
         "order": diagram.order,

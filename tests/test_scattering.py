@@ -10,6 +10,7 @@ from csd.brokenline import enumerate_lines, search_form, theta
 from csd.geometry import vadd, vsub, vscale, is_zero, same_ray, cross, dot, line_key
 from csd.lattice import FixedData, cone_order, line_dir, pairing
 from csd.series import WallFunction, LaurentPoly
+from csd.svg import render_svg
 from csd.scattering import (Diagram, Wall, is_incoming, initial_diagram,
                             complete_rank2, complete_diagram, check_consistent,
                             loop_discrepancy, apply_loop, path_ordered_product,
@@ -273,6 +274,19 @@ def test_line_off_its_normal_line_is_rejected(a2):
         theta(a2, diagram, (1, 0), (F(2), F(1)), 4)
 
 
+@pytest.mark.parametrize("kind", ["line", "ray"])
+def test_wall_off_its_normal_line_is_neither_drawn_nor_written(a2, kind):
+    # the figure would draw the wall along its direction and the document
+    # would drop a line's direction; both refuse the wall as the search does
+    bad = Wall((1, 0), kind, (1, 1), WallFunction((0, 1), [1]))
+    diagram = Diagram(a2, complete_rank2(a2, 4).walls + [bad], 4, False)
+    msg = r"%s wall with normal \(1, 0\) has direction \(1, 1\) off the line" % kind
+    with pytest.raises(ValueError, match=msg):
+        render_svg(diagram)
+    with pytest.raises(ValueError, match=msg):
+        serialize.diagram_to_json(diagram)
+
+
 def test_function_direction_off_its_normal_line_is_rejected(a2):
     # the search reads a bend's power off the pairing with the normal, which
     # a bend along (-1, 1) would change; the wall loader refuses it as well
@@ -283,8 +297,13 @@ def test_function_direction_off_its_normal_line_is_rejected(a2):
         theta(a2, diagram, (1, 0), (F(2), F(1)), 4)
     with pytest.raises(ValueError, match=msg):
         enumerate_lines(a2, diagram, (-1, 2), (F(3), F(-1, 7)), 4)
+    with pytest.raises(ValueError, match=msg):
+        serialize.diagram_to_json(diagram)
+    # the same walls in a document, written wall by wall
+    doc = {"seed": serialize.fd_to_json(a2), "order": 4, "saturated": False,
+           "walls": [serialize.wall_to_json(w) for w in diagram.walls]}
     with pytest.raises(ValueError, match=r"wall 3: func dir must lie on the line"):
-        serialize.diagram_from_json(serialize.diagram_to_json(diagram))
+        serialize.diagram_from_json(doc)
 
 
 @pytest.mark.parametrize("kind", ["line", "ray"])
