@@ -482,8 +482,9 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     A False report returns at the first chart whose image is not convex.
     Its witness is searched for in that chart (``_convexity_witness``) the
     first time the report's ``witnesses`` is read; the search keeps the
-    cycle, the chart and its image until then.  The verdict never depends
-    on the search: a search that finds no segment gives ``[]``.
+    cycle, the chart and its image until then, and reads the diagram's
+    walls as they are at the read.  The verdict never depends on the
+    search: a search that finds no segment gives ``[]``.
     """
     cycle = _polygon_points(cycle)
     K = _check_order(K, diagram.order)

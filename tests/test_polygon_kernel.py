@@ -557,11 +557,7 @@ def test_verdicts_match_fraction_path(name, diagrams):
 CHART_WORK = {"A2": (272, 128, 87), "G2": (271, 113, 93), "Kronecker": (485, 128, 99)}
 
 
-@pytest.mark.parametrize("read", [True, False], ids=["read", "unread"])
-@pytest.mark.parametrize("name", sorted(CHART_WORK))
-def test_chart_work_is_pinned(name, read, diagrams, monkeypatch):
-    # a witness nobody reads is never searched for: no chord, no validation
-    fd, diagram = diagrams[name]
+def _chart_work(fd, diagram, name, read, monkeypatch):
     chart_maps(fd)
     calls = {"map_cycle": 0, "image": 0, "validate_segment": 0}
 
@@ -580,22 +576,32 @@ def test_chart_work_is_pinned(name, read, diagrams, monkeypatch):
         if read:
             rep.witnesses
     # map_cycle maps through PLMap.image once; every other image is a chord
-    maps, chords, validations = CHART_WORK[name]
-    assert (calls["map_cycle"], calls["image"] - calls["map_cycle"],
-            calls["validate_segment"]) == ((maps, chords, validations) if read
-                                           else (maps, 0, 0))
+    return (calls["map_cycle"], calls["image"] - calls["map_cycle"],
+            calls["validate_segment"])
+
+
+@pytest.mark.parametrize("name", sorted(CHART_WORK))
+def test_chart_work_is_pinned(name, diagrams, monkeypatch):
+    assert _chart_work(*diagrams[name], name, True, monkeypatch) == CHART_WORK[name]
+
+
+@pytest.mark.parametrize("name", sorted(CHART_WORK))
+def test_unread_witness_costs_no_chart_work(name, diagrams, monkeypatch):
+    # a witness nobody reads is never searched for: no chord, no validation
+    assert _chart_work(*diagrams[name], name, False, monkeypatch) == \
+        (CHART_WORK[name][0], 0, 0)
 
 
 @pytest.mark.parametrize("name", sorted(CHART_WORK))
 def test_witness_is_found_once_on_first_read(name, diagrams, monkeypatch):
     fd, diagram = diagrams[name]
+    find = convexity._convexity_witness
     searches = []
 
     def counted(*args):
         searches.append(args)
         return find(*args)
 
-    find = convexity._convexity_witness
     monkeypatch.setattr(convexity, "_convexity_witness", counted)
     ways = {"repr": lambda rep: repr(rep),
             "deepcopy": lambda rep: repr(copy.deepcopy(rep)),
