@@ -72,16 +72,15 @@ class Segment:
         has t_start == t_end."""
         out = []
         t = Fraction(0)
-        pos = self.start
-        for p in self.pieces:
-            dt = p.duration or Fraction(0)
-            out.append((t, t + dt, pos))
-            pos = vsub(pos, vscale(dt, p.exponent))
-            t += dt
+        for p, pos in zip(self.pieces, self.positions()):
+            t_end = t + (p.duration or 0)
+            out.append((t, t_end, pos))
+            t = t_end
         return out
 
     def positions(self):
-        """Position at the start of each piece, plus the final position."""
+        """Position at the start of each piece, plus the final position: the
+        one walk along the pieces, which intervals and validate_segment read."""
         out = [self.start]
         pos = self.start
         for p in self.pieces:
@@ -790,17 +789,15 @@ def reverse(segment):
 def bend_coefficient(fd, diagram, point, m_prev, m_next):
     """Coefficient of the bend m_prev -> m_next at the point (1 if trivial).
 
-    The point is a pair or a homogeneous triple.  Raises ValueError when the
-    point lies on no wall or when no wall through it gives the step a
-    nonzero coefficient; the message shows a triple as its pair of
-    Fractions.
+    Raises ValueError when the point lies on no wall or when no wall
+    through it gives the step a nonzero coefficient.
     """
     if tuple(m_prev) == tuple(m_next):
         return 1
     form = search_form(fd, diagram)
     fams = form.families(point)
     if not fams:
-        raise ValueError("bend point %r lies on no wall" % (_pair(point),))
+        raise ValueError("bend point %r lies on no wall" % (point,))
     step = vsub(m_next, m_prev)
     for fam in fams:
         m0 = fam.m0
@@ -817,12 +814,7 @@ def bend_coefficient(fd, diagram, point, m_prev, m_next):
         c = wf_coeff_pow(fam.f, abs(pw) // form.L, k)
         if c != 0:
             return c
-    raise ValueError("bend %r -> %r at %r is not allowed" % (m_prev, m_next, _pair(point)))
-
-
-def _pair(point):
-    """A pair as given; a homogeneous triple as its pair of Fractions."""
-    return rational(point) if len(point) == 3 else point
+    raise ValueError("bend %r -> %r at %r is not allowed" % (m_prev, m_next, point))
 
 
 def validate_segment(fd, diagram, segment):
@@ -855,66 +847,31 @@ def _walk(fd, diagram, segment):
     message (a str) for a zero exponent, a negative duration, a bend
     coefficient <= 0, a wrong end or a wrong total time, and for a bend
     that no wall allows the ValueError of bend_coefficient, after which it
-    stops.
-
-    The walk runs on integers.  The position is a reduced homogeneous
-    triple (X, Y, q); durations and exponent entries, which are rational on
-    glued segments, are read through numerator and denominator; the total
-    time is an integer numerator over a denominator.  A message shows a
-    position as the pair that rational arithmetic on the given values
-    gives: the start as given until a duration moves it, then Fractions,
-    except in a coordinate where every term so far was an int.
+    stops.  Positions are those of Segment.positions, shown as rational
+    arithmetic on the given values gives them.
     """
-    X, Y, q = homogeneous(segment.start)
-    # per coordinate: is the position shown as an int there?
-    ints = [type(c) is int for c in segment.start]
-    tn, td = 0, 1
     pieces = segment.pieces
-    n = len(pieces)
+    pos = segment.positions()
     coeff = 1
     for i, p in enumerate(pieces):
         yield coeff
         m = p.exponent
         if is_zero(m):
             yield "piece %d has zero exponent" % i
-        dt = p.duration
-        if dt is not None:
-            a, b = dt.numerator, dt.denominator
-            if a < 0:
-                yield "piece %d has negative duration" % i
-            # pos - (a/b)*(u, v)/e over the denominator q*b*e
-            mx, my = m
-            e = lcm(mx.denominator, my.denominator)
-            u, v = mx.numerator * (e // mx.denominator), my.numerator * (e // my.denominator)
-            be, qa = b * e, q * a
-            X, Y, q = X * be - qa * u, Y * be - qa * v, q * be
-            g = gcd(X, Y, q)
-            X, Y, q = X // g, Y // g, q // g
-            tn, td = tn * b + a * td, td * b
-            g = gcd(tn, td)
-            tn, td = tn // g, td // g
-            if ints[0] or ints[1]:
-                whole = type(dt) is int
-                ints = [whole and k and type(c) is int for k, c in zip(ints, m)]
-        if i + 1 < n:
+        if (p.duration or 0) < 0:
+            yield "piece %d has negative duration" % i
+        if i + 1 < len(pieces):
             m_next = pieces[i + 1].exponent
-            at = _shown(X, Y, q, ints) if ints[0] or ints[1] else (X, Y, q)
             try:
-                c = bend_coefficient(fd, diagram, at, m, m_next)
+                c = bend_coefficient(fd, diagram, pos[i + 1], m, m_next)
             except ValueError as e:
                 yield e
                 return
             if c <= 0:
-                yield "bend %r -> %r at %r is not allowed" % (m, m_next, _shown(X, Y, q, ints))
+                yield "bend %r -> %r at %r is not allowed" % (m, m_next, pos[i + 1])
             coeff *= c
-    if (X, Y, q) != homogeneous(segment.end):
-        yield "segment ends at %r, expected %r" % (_shown(X, Y, q, ints), segment.end)
-    T = segment.total_time
-    if tn * T.denominator != T.numerator * td:
-        yield "durations sum to %r, expected total %r" % (Fraction(tn, td), T)
-
-
-def _shown(X, Y, q, ints):
-    """The homogeneous point as a pair: an int where ints says so, else a Fraction."""
-    return tuple(c // q if k else Fraction(c, q) for c, k in zip((X, Y), ints))
-
+    if pos[-1] != segment.end:
+        yield "segment ends at %r, expected %r" % (pos[-1], segment.end)
+    total = sum((p.duration or 0 for p in pieces), Fraction(0))
+    if total != segment.total_time:
+        yield "durations sum to %r, expected total %r" % (total, segment.total_time)

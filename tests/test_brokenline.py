@@ -135,8 +135,7 @@ def test_validate_segment_corrupted(a2, a2_diagram):
     assert not ok and why is not None
 
 
-# validate_segment walks on integers; its messages are pinned to those of
-# the Fraction walk it replaced, one test per kind of failure on seg_a2
+# validate_segment's messages, one test per kind of failure on seg_a2
 
 def test_validate_segment_zero_exponent(a2, a2_diagram):
     seg = seg_a2(a2_diagram)
