@@ -16,12 +16,31 @@ from .lattice import CLUSTERS, n_circ_primitive, scaled_normal, order_form
 from .series import wf_mul, wf_coeff_pow, _pow_coeffs, _integer, _check_order, LaurentPoly
 
 
+def _rational_pair(v, field):
+    """The pair v as a tuple; anything but a pair of rationals raises a
+    ValueError that names the field."""
+    try:
+        a, b = v
+    except (TypeError, ValueError):
+        a = b = None
+    if not (is_rational(a) and is_rational(b)):
+        raise ValueError("%s must be a pair of rationals, got %r" % (field, v))
+    return a, b
+
+
+def _rational(x, field):
+    """x if it is rational; anything else raises a ValueError that names the field."""
+    if not is_rational(x):
+        raise ValueError("%s must be rational, got %r" % (field, x))
+    return x
+
+
 class Piece:
     def __init__(self, exponent, coeff=1, bend_point=None, duration=None):
-        self.exponent = tuple(exponent)
+        self.exponent = _rational_pair(exponent, "piece exponent")
         self.coeff = _integer(coeff)
-        self.bend_point = None if bend_point is None else tuple(bend_point)
-        self.duration = duration
+        self.bend_point = None if bend_point is None else _rational_pair(bend_point, "piece bend point")
+        self.duration = None if duration is None else _rational(duration, "piece duration")
 
     def __repr__(self):
         return "Piece(m=%r, c=%r, at=%r, dt=%r)" % (
@@ -62,10 +81,10 @@ class Segment:
     """
 
     def __init__(self, start, end, pieces, total_time):
-        self.start = tuple(start)
-        self.end = tuple(end)
+        self.start = _rational_pair(start, "segment start")
+        self.end = _rational_pair(end, "segment end")
         self.pieces = list(pieces)
-        self.total_time = Fraction(total_time)
+        self.total_time = Fraction(_rational(total_time, "segment total time"))
 
     def intervals(self):
         """(t_start, t_end, start position) per piece; a degenerate piece
@@ -568,13 +587,7 @@ def allowed_bends(fd, diagram, point, m_in, K):
 
 def _endpoint(endpoint):
     """The endpoint as a reduced homogeneous triple; it must be a pair of rationals."""
-    try:
-        a, b = endpoint
-    except (TypeError, ValueError):
-        raise ValueError("endpoint must be a pair of rationals, got %r" % (endpoint,)) from None
-    if not (is_rational(a) and is_rational(b)):
-        raise ValueError("endpoint must be a pair of rationals, got %r" % (endpoint,))
-    return homogeneous((a, b))
+    return homogeneous(_rational_pair(endpoint, "endpoint"))
 
 
 def enumerate_lines(fd, diagram, initial, endpoint, K=None):

@@ -201,6 +201,23 @@ def test_segment_intervals():
     assert [type(t) for iv in seg.intervals() for t in iv[:2]] == [F] * 6
 
 
+@pytest.mark.parametrize("cls, args, field", [
+    (Piece, [(1, 0.5)], "piece exponent"),
+    (Piece, [("1", 0)], "piece exponent"),
+    (Piece, [(1, 0), 1, (0.5, 0)], "piece bend point"),
+    (Piece, [(1, 0), 1, (0, 0, 1)], "piece bend point"),
+    (Piece, [(1, 0), 1, None, 0.5], "piece duration"),
+    (Segment, [(0.5, 0), (1, 0), [], 1], "segment start"),
+    (Segment, [(0, 0), 1, [], 1], "segment end"),
+    (Segment, [(0, 0), (1, 0), [], 0.5], "segment total time"),
+    (Segment, [(0, 0), (1, 0), [], "1/2"], "segment total time"),
+])
+def test_segment_input_must_be_rational(cls, args, field):
+    # a float would reach the walk, or become a Fraction, unseen
+    with pytest.raises(ValueError, match="^%s must be " % field):
+        cls(*args)
+
+
 def test_validate_straight_segment(a2, a2_diagram):
     seg = Segment((F(1), F(1)), (F(3), F(1)), [Piece((-2, 0), 1, None, F(1))], F(1))
     ok, why = validate_segment(a2, a2_diagram, seg)

@@ -7,6 +7,7 @@ import pytest
 
 from csd import scattering, serialize
 from csd.brokenline import enumerate_lines, search_form, theta
+from csd.convexity import blc_hull_2d, is_blc_2d
 from csd.geometry import vadd, vsub, vscale, is_zero, same_ray, cross, dot, line_key
 from csd.lattice import FixedData, cone_order, line_dir, pairing
 from csd.series import WallFunction, LaurentPoly
@@ -285,6 +286,12 @@ def test_wall_off_its_normal_line_is_neither_drawn_nor_written(a2, kind):
         render_svg(diagram)
     with pytest.raises(ValueError, match=msg):
         serialize.diagram_to_json(diagram)
+    # nor does a polygon verdict or hull on the diagram read the charts alone
+    triangle = [(0, 0), (1, 0), (0, 1)]
+    with pytest.raises(ValueError, match=msg):
+        is_blc_2d(a2, diagram, triangle)
+    with pytest.raises(ValueError, match=msg):
+        blc_hull_2d(a2, diagram, triangle)
 
 
 def test_function_direction_off_its_normal_line_is_rejected(a2):
