@@ -39,7 +39,8 @@ class Piece:
     def __init__(self, exponent, coeff=1, bend_point=None, duration=None):
         self.exponent = _rational_pair(exponent, "piece exponent")
         self.coeff = _integer(coeff)
-        self.bend_point = None if bend_point is None else _rational_pair(bend_point, "piece bend point")
+        self.bend_point = (None if bend_point is None
+                           else _rational_pair(bend_point, "piece bend point"))
         self.duration = None if duration is None else _rational(duration, "piece duration")
 
     def __repr__(self):

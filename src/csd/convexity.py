@@ -491,7 +491,7 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     if not cycle:
         # every chart image of no points is convex, so True would be vacuous
         raise ValueError("cycle lists no points")
-    # the verdict reads only the charts; the walls are checked as every reader checks them
+    # the verdict reads only the charts; refuse walls as every other reader does
     search_form(fd, diagram)
     points = [homogeneous(p) for p in cycle]
     charts, closed = chart_maps(fd)
@@ -528,7 +528,7 @@ def blc_hull_2d(fd, diagram, pts):
     hulls, and the same tuples back, as when V keeps every point.
     """
     pts = _polygon_points(pts)
-    # the hull reads only the charts; the walls are checked as every reader checks them
+    # the hull reads only the charts; refuse walls as every other reader does
     search_form(fd, diagram)
     charts, closed = chart_maps(fd)
     # homogeneous point -> the tuple given, None for a point the closure adds
