@@ -11,21 +11,9 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .geometry import (vsub, vneg, vscale, is_zero, line_key, same_ray, cross, dot,
-                       ccw_key, homogeneous, rational, is_rational)
+                       ccw_key, homogeneous, rational, is_rational, _rational_pair)
 from .lattice import CLUSTERS, n_circ_primitive, scaled_normal, order_form
 from .series import wf_mul, wf_coeff_pow, _pow_coeffs, _integer, _check_order, LaurentPoly
-
-
-def _rational_pair(v, field):
-    """The pair v as a tuple; anything but a pair of rationals raises a
-    ValueError that names the field."""
-    try:
-        a, b = v
-    except (TypeError, ValueError):
-        a = b = None
-    if not (is_rational(a) and is_rational(b)):
-        raise ValueError("%s must be a pair of rationals, got %r" % (field, v))
-    return a, b
 
 
 def _rational(x, field):

@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 from .geometry import (vadd, vsub, vneg, vscale, primitive, line_key, cross,
                        ccw_key, sort_ccw, rot90, convex_hull,
-                       cycle_is_convex, compile_hull, homogeneous, rational, is_rational)
+                       cycle_is_convex, compile_hull, homogeneous, rational, _rational_pair)
 from .lattice import FixedData, pairing, p1_star, skew_form, line_dir
 from .series import _check_order
 from .brokenline import Segment, Piece, validate_segment, reverse, search_form
@@ -21,11 +21,6 @@ from .constructions import (structure_constant, pair_from_segment, _alpha_cached
                             _product_cached, _pair_key)
 
 I2 = ((1, 0), (0, 1))
-
-# Kinds of a compiled sector [a, b), one per case of the ccw sector test:
-# narrower than a half-turn, wider than one, empty (a == b) and a
-# half-plane (b == -a).  An empty sector holds no direction.
-NARROW, WIDE, EMPTY, HALF = range(4)
 
 
 def mat_vec(M, v):
@@ -48,11 +43,11 @@ class PLMap:
     """Piecewise-linear map: ccw list of (sector start direction, matrix).
 
     Sector i acts on directions in [start_i, start_{i+1}) counterclockwise;
-    a single-sector map is linear.  The sectors are compiled once, at
-    construction, into rows (a, b, kind, M): kind is the case of the ccw
-    sector test that the pair of bounding directions a, b falls in (by the
-    signs of cross(a, b) and dot(a, b)), so a lookup tests integer cross
-    products inline and never classifies a sector again.
+    a single-sector map is linear.  The starts are sorted counterclockwise
+    from the positive x-axis (geometry.ccw_key), and kept at construction as
+    rows (half, x, y, M) from the last start to the first, where half tells
+    whether the start lies in the lower half-turn (y < 0, or y == 0 and
+    x < 0); ``matrix_at`` reads the rows in that order.
 
     ``lines`` holds the map's fold lines: its boundary directions up to
     sign, each as its ``line_key``.  A linear map has none.  A fold line
@@ -65,20 +60,11 @@ class PLMap:
         self.sectors = self._canonical(list(sectors))
         self._inverse = None
         secs = self.sectors
-        n = len(secs)
         # the sector start directions; none for a linear map
-        self.boundaries = () if n == 1 else tuple(s for s, _ in secs)
+        self.boundaries = () if len(secs) == 1 else tuple(s for s, _ in secs)
         self.lines = tuple(dict.fromkeys(map(line_key, self.boundaries)))
-        rows = []
-        for i, (a, M) in enumerate(secs):
-            b = secs[(i + 1) % n][0]
-            ab = cross(a, b)
-            if ab:
-                kind = NARROW if ab > 0 else WIDE
-            else:
-                kind = EMPTY if a[0] * b[0] + a[1] * b[1] > 0 else HALF
-            rows.append((a[0], a[1], b[0], b[1], kind, M))
-        self._rows = tuple(rows)
+        self._rows = tuple((y < 0 or (y == 0 and x < 0), x, y, M)
+                           for (x, y), M in reversed(secs))
         self._last = secs[-1][1]
 
     @staticmethod
@@ -107,22 +93,19 @@ class PLMap:
         return hash(self.sectors)
 
     def matrix_at(self, d):
-        """The matrix of the sector holding the nonzero direction d."""
+        """The matrix of the sector holding the nonzero direction d.
+
+        d lies in the sector of the last start s at or before it
+        counterclockwise from the positive x-axis: s is in an earlier
+        half-turn than d, or in the same one with cross(s, d) >= 0.  When no
+        start comes before d, d lies in the last sector, which wraps past
+        the axis.
+        """
         x, y = d
-        rows = self._rows
-        if len(rows) == 1:
-            return self._last
-        for ax, ay, bx, by, kind, M in rows:
-            if kind == NARROW:  # cross(a, d) >= 0 and cross(d, b) > 0
-                if ax * y - ay * x >= 0 and x * by - y * bx > 0:
-                    return M
-            elif kind == WIDE:  # the complement of the narrow sector [b, a)
-                if bx * y - by * x < 0 or x * ay - y * ax <= 0:
-                    return M
-            elif kind == HALF:  # the left side of a, with a but not -a
-                c = ax * y - ay * x
-                if c > 0 or (c == 0 and ax * x + ay * y > 0):
-                    return M
+        half = y < 0 or (y == 0 and x < 0)
+        for h, sx, sy, M in self._rows:
+            if h < half or (h == half and sx * y - sy * x >= 0):
+                return M
         return self._last
 
     def image(self, points):
@@ -452,21 +435,6 @@ def _convexity_witness(fd, diagram, cycle, phi, image):
     return None
 
 
-def _polygon_points(points):
-    """The points as tuples, each the one given when it is a tuple; each
-    must be a pair of rationals."""
-    out = []
-    for i, p in enumerate(points):
-        try:
-            x, y = p
-        except (TypeError, ValueError):
-            raise ValueError("point %d must be a pair of rationals, got %r" % (i, p)) from None
-        if not (is_rational(x) and is_rational(y)):
-            raise ValueError("point %d must be a pair of rationals, got %r" % (i, p))
-        out.append(tuple(p))
-    return out
-
-
 def is_blc_2d(fd, diagram, cycle, K=None):
     """Chart-convexity check; cycle is a ccw vertex list (1 or 2 points allowed).
 
@@ -486,7 +454,7 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     walls as they are at the read.  The verdict never depends on the
     search: a search that finds no segment gives ``[]``.
     """
-    cycle = _polygon_points(cycle)
+    cycle = [_rational_pair(p, "point %d" % i) for i, p in enumerate(cycle)]
     K = _check_order(K, diagram.order)
     if not cycle:
         # every chart image of no points is convex, so True would be vacuous
@@ -527,7 +495,7 @@ def blc_hull_2d(fd, diagram, pts):
     vertices, is a vertex of no larger one, so the rounds give the same
     hulls, and the same tuples back, as when V keeps every point.
     """
-    pts = _polygon_points(pts)
+    pts = [_rational_pair(p, "point %d" % i) for i, p in enumerate(pts)]
     # the hull reads only the charts; refuse walls as every other reader does
     search_form(fd, diagram)
     charts, closed = chart_maps(fd)
@@ -577,7 +545,7 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     one key per pair; only a miss computes them.  The corner p + q itself is
     not tested: P is convex, so aP + bP = (a + b)P holds it.
     """
-    cycle = _polygon_points(cycle)
+    cycle = [_rational_pair(p, "point %d" % i) for i, p in enumerate(cycle)]
     _check_degree(max_degree)
     K = _check_order(K, diagram.order)
     region = compile_hull(cycle)

@@ -85,6 +85,18 @@ def is_rational(x):
     return type(x) is int or type(x) is Fraction or isinstance(x, Rational)
 
 
+def _rational_pair(v, field):
+    """The pair v as a tuple, v itself when it is one; anything but a pair
+    of rationals raises a ValueError that names the field."""
+    try:
+        a, b = v
+    except (TypeError, ValueError):
+        a = b = None
+    if not (is_rational(a) and is_rational(b)):
+        raise ValueError("%s must be a pair of rationals, got %r" % (field, v))
+    return v if type(v) is tuple else (a, b)
+
+
 def same_ray(u, v):
     """True if nonzero u, v point in the same direction."""
     return cross(u, v) == 0 and dot(u, v) > 0

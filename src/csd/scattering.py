@@ -31,6 +31,8 @@ class Wall:
             raise ValueError("normal must be nonzero, got (0, 0)")
         self.kind = kind
         self.direction = _lattice_vector(direction, "direction")
+        if gcd(*self.direction) != 1:
+            raise ValueError("direction must be primitive, got %r" % (self.direction,))
         self.func = func
 
     def __repr__(self):

@@ -140,8 +140,8 @@ class LaurentPoly:
         self.order = order
 
     @classmethod
-    def monomial(cls, exponent, order, coeff=1):
-        return cls({tuple(exponent): coeff}, exponent, order)
+    def monomial(cls, exponent, order):
+        return cls({tuple(exponent): 1}, exponent, order)
 
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.terms == other.terms)

@@ -340,6 +340,21 @@ def test_zero_normal_is_rejected():
     assert str(info.value) == "normal must be nonzero, got (0, 0)"
 
 
+@pytest.mark.parametrize("direction, shown", [((2, -2), "(2, -2)"), ((0, 0), "(0, 0)"),
+                                               ((F(3), 0), "(3, 0)")])
+def test_wall_direction_must_be_primitive(a2, direction, shown):
+    # completion finds a ray by its primitive direction, and the loader
+    # refuses any other; a wall that was written once must load again
+    diagram = complete_rank2(a2, 4)
+    with pytest.raises(ValueError) as info:
+        diagram.walls.append(Wall((1, 1), "ray", direction, WallFunction((-1, 1), [1])))
+        serialize.diagram_from_json(serialize.diagram_to_json(diagram))
+    assert str(info.value) == "direction must be primitive, got " + shown
+    diagram.walls.append(Wall((1, 1), "ray", (1, -1), WallFunction((-1, 1), [1])))
+    back = serialize.diagram_from_json(serialize.diagram_to_json(diagram))
+    assert repr(back.walls) == repr(diagram.walls)
+
+
 # SHA-256 of repr(complete_rank2(fd, order).walls), computed with a loop
 # that scanned every wall for each support direction
 COMPLETION_DIGESTS = {
