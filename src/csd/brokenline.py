@@ -10,10 +10,11 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .geometry import (vsub, vneg, vscale, is_zero, line_key, same_ray, cross, dot,
+from .geometry import (vsub, vneg, vscale, is_zero, line_key, same_ray, cross,
                        ccw_key, homogeneous, rational, is_rational, _rational_pair)
 from .lattice import CLUSTERS, n_circ_primitive, scaled_normal, order_form
-from .series import wf_mul, wf_coeff_pow, _pow_coeffs, _integer, _check_order, LaurentPoly
+from .series import (wf_mul, wf_coeff_pow, _pow_coeffs, _integer, _check_order, _lattice_vector,
+                     LaurentPoly)
 
 
 def _rational(x, field):
@@ -165,11 +166,9 @@ class SearchForm:
 
     The backward broken-line search, transport along a path and around the
     origin (scattering.leg_crossings, apply_loop), bend checks
-    (bend_coefficient) and the expansion endpoint all read it, and it is
-    the one check of a wall against the fixed data.  Every wall lies on a
-    line through the origin; the direction of a line or a ray off its
-    normal's line, and a function direction off that line or outside the
-    cone sigma of the monoid, is a ValueError that names the wall's normal.
+    (bend_coefficient) and the expansion endpoint all read it.  Every wall
+    lies on the line of its normal, with its function direction on that
+    line and in the cone sigma of the monoid, as scattering.Diagram checks.
     Each side of a support line that some wall covers is a half-line from
     the origin, and the walls through a nonzero point are those of its
     half-line.  The form keeps the half-lines as primitive directions in
@@ -211,9 +210,8 @@ class SearchForm:
     Nothing is evicted.  Each entry is a value the diagram was asked for, so
     a cache grows only with the half-lines, (pair, K) and (m, endpoint, K)
     its callers request, and it is dropped with the form.  The form is
-    built by search_form on first use and dropped by
-    scattering.complete_diagram, the only code that changes walls, after
-    each round of corrections and after its final filter.
+    built with its diagram, which never changes, so no entry goes stale;
+    search_form hands it out.
     """
 
     def __init__(self, fd, walls, order):
@@ -222,33 +220,15 @@ class SearchForm:
         self.order = order
         self._all = tuple(walls)
         # m = (A*g1 + B*g2)/D with A = ux*m0 + uy*m1 and B = vx*m0 + vy*m1
-        self._cone = ux, uy, vx, vy, _ = order_form(fd)
+        self._cone = order_form(fd)
         # each covered half-line, by its primitive direction: its walls in
-        # diagram order
+        # diagram order; the diagram has put every direction on the line of
+        # its wall's normal
         walls_at = {}
         for w in walls:
-            a = scaled_normal(fd, w.normal)
-            u = line_key((-a[1], a[0]))
-            if cross(u, w.direction) or not any(w.direction):
-                raise ValueError("%s wall with normal %r has direction %r off the line "
-                                 "of its normal" % (w.kind, w.normal, w.direction))
-            if w.kind != "ray":
-                sides = (u, (-u[0], -u[1]))
-            else:
-                sides = (u if dot(u, w.direction) > 0 else (-u[0], -u[1]),)
-            mx, my = w.func.direction
-            # _trace reads a bend's power off the pairing with the normal,
-            # which a bend along a direction off the line would change
-            if u[0] * my != u[1] * mx:
-                raise ValueError("wall with normal %r has function direction %r off the "
-                                 "line of its normal" % (w.normal, w.func.direction))
-            # sigma is pointed, so the walls of a line share one m0 in it,
-            # as _Family, _Arcs and straight take
-            if ux * mx + uy * my < 0 or vx * mx + vy * my < 0:
-                raise ValueError("wall with normal %r has function direction %r outside the "
-                                 "cone of the monoid" % (w.normal, w.func.direction))
-            for h in sides:
-                walls_at.setdefault(h, []).append(w)
+            h = w.direction
+            for side in ((h,) if w.kind == "ray" else (h, (-h[0], -h[1]))):
+                walls_at.setdefault(side, []).append(w)
         self._halves = sorted(walls_at, key=ccw_key)
         n = len(self._halves)
         self._index = {h: i for i, h in enumerate(self._halves)}
@@ -354,7 +334,7 @@ class SearchForm:
         Let sigma be the cone of the monoid and S the open sector from
         a = h_cw counterclockwise to b = h_ccw.  The answer is yes when S is
         narrower than pi, S misses -sigma and m lies in the closure of S;
-        the form has checked that every function direction m0 lies on its
+        the diagram has checked that every function direction m0 lies on its
         wall's line and in sigma.
         In a cluster scattering diagram every wall but the two initial lines
         is a ray in -sigma, so such an S is a chamber of the whole diagram,
@@ -550,11 +530,11 @@ def _site(x, y, q, mx, my, td, tn):
 
 
 def search_form(fd, diagram):
-    """The diagram's SearchForm for fd, compiled on first use."""
-    form = diagram.compiled
-    if form is None or form.fd is not fd:
-        form = diagram.compiled = SearchForm(fd, diagram.walls, diagram.order)
-    return form
+    """The diagram's SearchForm; fd must be the diagram's fixed data, or
+    equal to it.  Every entry point that takes (fd, diagram) checks that here."""
+    if fd is not diagram.fd and fd != diagram.fd:
+        raise ValueError("fixed data %r does not match the diagram's %r" % (fd, diagram.fd))
+    return diagram.compiled
 
 
 def wall_families(fd, diagram, point):
@@ -587,6 +567,7 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     lines are those of _search, which theta shares; Fractions are built only
     here, for the bend points of the returned lines.
     """
+    initial = _lattice_vector(initial, "initial")
     K = _check_order(K, diagram.order)
     return [_assemble(endpoint, steps) for steps in _search(fd, diagram, initial, endpoint, K)]
 
@@ -635,9 +616,7 @@ def _search(fd, diagram, initial, endpoint, K):
     per call, and so is the first step of a root's walk
     (SearchForm.meets); _trace tests the children.
     """
-    ix, iy = (int(c) for c in initial)
-    if (ix, iy) != tuple(initial):
-        raise ValueError("initial exponent must be integral, got %r" % (tuple(initial),))
+    ix, iy = initial
     if not (ix or iy):
         raise ValueError("initial exponent must be nonzero")
     x, y, q = _endpoint(endpoint)
@@ -763,15 +742,18 @@ def theta(fd, diagram, m, endpoint, K=None):
     coefficients, added to the term of its final exponent.  The terms come
     in the order of the lines, as theta_of_lines gives them.
     """
+    m = _lattice_vector(m, "m")
     K = _check_order(K, diagram.order)
-    if is_zero(m):
-        _endpoint(endpoint)  # _search checks it otherwise
-        return LaurentPoly({tuple(m): 1}, tuple(m), K)
+    if m == (0, 0):
+        # _search checks the endpoint and fd otherwise
+        _endpoint(endpoint)
+        search_form(fd, diagram)
+        return LaurentPoly({m: 1}, m, K)
     terms = {}
     for steps in _search(fd, diagram, m, endpoint, K):
         f = steps[0][1]
         terms[f] = terms.get(f, 0) + prod(c for _, _, c in steps)
-    return LaurentPoly(terms, tuple(m), K)
+    return LaurentPoly(terms, m, K)
 
 
 def theta_of_lines(m, lines, K):
@@ -794,9 +776,9 @@ def bend_coefficient(fd, diagram, point, m_prev, m_next):
     Raises ValueError when the point lies on no wall or when no wall
     through it gives the step a nonzero coefficient.
     """
+    form = search_form(fd, diagram)
     if tuple(m_prev) == tuple(m_next):
         return 1
-    form = search_form(fd, diagram)
     fams = form.families(point)
     if not fams:
         raise ValueError("bend point %r lies on no wall" % (point,))
@@ -852,6 +834,7 @@ def _walk(fd, diagram, segment):
     stops.  Positions are those of Segment.positions, shown as rational
     arithmetic on the given values gives them.
     """
+    search_form(fd, diagram)  # fd must be the diagram's, whatever the bends
     pieces = segment.pieces
     pos = segment.positions()
     coeff = 1

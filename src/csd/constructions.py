@@ -12,7 +12,7 @@ from math import lcm
 
 from .geometry import vadd, vsub, vneg, vscale, is_zero
 from .lattice import pairing, n_circ_primitive, dual_perp, order_form, cone_order
-from .series import lp_mul, _kept, _check_order
+from .series import lp_mul, _kept, _check_order, _lattice_vector
 from .brokenline import (Segment, Piece, theta, segment_coefficients, reverse,
                          search_form, _assemble)
 
@@ -54,8 +54,8 @@ def structure_constant(fd, diagram, p, q, r, K=None):
     r - p - q lies outside the cone.  Raises ValueError when r - p - q has
     cone order above K, since the order-K table does not determine alpha there.
     """
+    p, q, r = (_lattice_vector(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
     K = _check_order(K, diagram.order)
-    r = tuple(r)
     k = cone_order(fd, vsub(r, vadd(p, q)))
     if k is not None and k > K:
         raise ValueError("alpha at r = %r needs order %s, above K = %s" % (r, k, K))
@@ -130,14 +130,15 @@ def alpha_table(fd, diagram, p, q, K=None):
     {p + q: 1} before any theta or product work: theta_p * theta_q =
     theta_{p+q} there (SearchForm.one_cone states the theorem and its guard).
     """
+    p, q = _lattice_vector(p, "p"), _lattice_vector(q, "q")
     K = _check_order(K, diagram.order)
-    p, q = tuple(p), tuple(q)
+    form = search_form(fd, diagram)
     if is_zero(p):
         return {q: 1}
     if is_zero(q):
         return {p: 1}
     base = vadd(p, q)
-    if search_form(fd, diagram).one_cone(p, q):
+    if form.one_cone(p, q):
         return {base: 1}
     z0 = fixed_generic_endpoint(fd, diagram)
     ux, uy, vx, vy, _ = order_form(fd)
@@ -298,6 +299,7 @@ def pair_from_segment(fd, diagram, seg, tau, a=None, b=None):
     chosen automatically."""
     if (a is None) != (b is None):
         raise ValueError("give both scales a and b or neither, got a=%r b=%r" % (a, b))
+    search_form(fd, diagram)  # the split reads no wall, but fd must be the diagram's
     tau = Fraction(tau)
     T = seg.total_time
     if not (0 < tau < T):

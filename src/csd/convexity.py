@@ -459,7 +459,7 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     if not cycle:
         # every chart image of no points is convex, so True would be vacuous
         raise ValueError("cycle lists no points")
-    # the verdict reads only the charts; refuse walls as every other reader does
+    # the verdict reads only the charts, which must be the diagram's
     search_form(fd, diagram)
     points = [homogeneous(p) for p in cycle]
     charts, closed = chart_maps(fd)
@@ -496,7 +496,7 @@ def blc_hull_2d(fd, diagram, pts):
     hulls, and the same tuples back, as when V keeps every point.
     """
     pts = [_rational_pair(p, "point %d" % i) for i, p in enumerate(pts)]
-    # the hull reads only the charts; refuse walls as every other reader does
+    # the hull reads only the charts, which must be the diagram's
     search_form(fd, diagram)
     charts, closed = chart_maps(fd)
     # homogeneous point -> the tuple given, None for a point the closure adds
@@ -657,6 +657,7 @@ def main_theorem_harness(fd, diagram, trials, max_degree=3, K=None, perturb_seed
     """Random polygons: positivity scan verdict vs chart-convexity verdict."""
     _check_degree(max_degree)
     K = _check_order(K, diagram.order)
+    search_form(fd, diagram)  # fd must be the diagram's, even for no trials
     rng = random.Random(perturb_seed)
     report = {"trials": trials, "agree": 0, "skipped_unknown": 0,
               "certified_beyond_bound": 0, "disagreements": []}

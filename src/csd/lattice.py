@@ -22,7 +22,8 @@ class FixedData:
     p1_star(e_0), p1_star(e_1).  Anything else is rejected here: a matrix
     that is not 2x2 or not integral, a non-antisymmetric or a degenerate
     skew form.  Seed files name the rank and the unfrozen indices too;
-    serialize.fd_from_json checks those fields.
+    serialize.fd_from_json checks those fields.  Two fixed data are equal
+    when their exchange matrices and multipliers are.
     """
 
     def __init__(self, exchange, d):
@@ -56,6 +57,13 @@ class FixedData:
     def from_exchange(cls, exchange, d):
         """The same as FixedData(exchange, d)."""
         return cls(exchange, d)
+
+    def __eq__(self, other):
+        return (isinstance(other, FixedData)
+                and (self.exchange, self.d) == (other.exchange, other.d))
+
+    def __hash__(self):
+        return hash((self.exchange, self.d))
 
     def __repr__(self):
         return "FixedData(exchange=%r, d=%r)" % (self.exchange, self.d)

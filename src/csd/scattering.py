@@ -9,11 +9,11 @@ import functools
 from math import gcd
 
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, line_key, same_ray, rot90,
-                       sgn, cross, dot, homogeneous)
-from .lattice import (FixedData, pairing, p1_star, n_circ_primitive, line_dir,
-                      cone_order, solve_linear)
+                       sgn, cross, dot, homogeneous, _rational_pair)
+from .lattice import (pairing, p1_star, n_circ_primitive, line_dir,
+                      cone_order, order_form, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross, _lattice_vector
-from .brokenline import search_form
+from .brokenline import SearchForm, search_form
 
 # the most rounds complete_diagram runs; one that has not stabilized by then
 # raises RuntimeError("completion did not stabilize")
@@ -40,15 +40,39 @@ class Wall:
 
 
 class Diagram:
+    """A scattering diagram: fixed data, walls, truncation order and whether
+    completion saturated it.  It never changes.
+
+    The walls are a tuple, checked against the fixed data once, here: a
+    wall's direction and its function direction lie on the line of its
+    normal, and the function direction lies in the cone sigma of the monoid.
+    The search reads a bend's power off the pairing with the normal alone,
+    and never meets a wall off that line; sigma is pointed, so the walls of
+    a line share one m0.  A wall that fails raises a ValueError that starts
+    "wall i: " and names the wall's normal.  The diagram holds its walls
+    compiled into half-lines (brokenline.SearchForm), with its caches, from
+    construction on.
+    """
+
     def __init__(self, fd, walls, order, saturated):
         self.fd = fd
-        self.walls = list(walls)
+        self.walls = tuple(walls)
         self.order = order
         self.saturated = saturated
-        # the walls compiled into half-lines (brokenline.search_form) for
-        # the search, transport, the loop, bend checks and the endpoint,
-        # built on first use; whatever changes walls must reset it
-        self.compiled = None
+        ux, uy, vx, vy, _ = order_form(fd)
+        for i, w in enumerate(self.walls):
+            lx, ly = line_dir(fd, w.normal)
+            (dx, dy), (mx, my) = w.direction, w.func.direction
+            if lx * dy != ly * dx:
+                raise ValueError("wall %d: %s wall with normal %r has direction %r off the "
+                                 "line of its normal" % (i, w.kind, w.normal, w.direction))
+            if lx * my != ly * mx:
+                raise ValueError("wall %d: wall with normal %r has function direction %r off "
+                                 "the line of its normal" % (i, w.normal, w.func.direction))
+            if ux * mx + uy * my < 0 or vx * mx + vy * my < 0:
+                raise ValueError("wall %d: wall with normal %r has function direction %r "
+                                 "outside the cone of the monoid" % (i, w.normal, w.func.direction))
+        self.compiled = SearchForm(fd, self.walls, order)
 
 
 def is_incoming(fd, wall):
@@ -121,22 +145,23 @@ def _outgoing_normal(fd, p):
     return line_key(sol)
 
 
-def _insert_correction(fd, diagram, p, delta):
-    """Add delta to the coefficient of z^p on the outgoing ray through -p."""
+def _insert_correction(fd, walls, p, delta):
+    """Add delta to the coefficient of z^p on the outgoing ray through -p,
+    swapping in a new wall for the one it changes."""
     ray_dir = primitive(vneg(p))
     m0 = primitive(p)
     k0 = gcd(*p)  # p = k0 * m0
-    for w in diagram.walls:
+    for i, w in enumerate(walls):
         if w.kind == "ray" and w.direction == ray_dir and not is_incoming(fd, w):
             cs = list(w.func.coeffs)
             cs += [0] * (k0 - len(cs))
             cs[k0 - 1] += delta
-            w.func = WallFunction(m0, cs)
+            walls[i] = Wall(w.normal, "ray", ray_dir, WallFunction(m0, cs))
             return
     n = _outgoing_normal(fd, p)
     cs = [0] * k0
     cs[k0 - 1] = delta
-    diagram.walls.append(Wall(n, "ray", ray_dir, WallFunction(m0, cs)))
+    walls.append(Wall(n, "ray", ray_dir, WallFunction(m0, cs)))
 
 
 def complete_rank2(fd, order):
@@ -147,7 +172,7 @@ def complete_rank2(fd, order):
 def matches_completion(fd, walls, order):
     """Whether the walls are those of complete_rank2(fd, order) in some order,
     compared by normal, kind, direction, function direction and coefficients."""
-    return tuple(sorted(map(_wall_value, walls))) == _completion_by_value(fd.exchange, fd.d, order)
+    return tuple(sorted(map(_wall_value, walls))) == _completion_by_value(fd, order)
 
 
 def _wall_value(w):
@@ -155,22 +180,24 @@ def _wall_value(w):
 
 
 @functools.lru_cache(maxsize=16)
-def _completion_by_value(exchange, d, order):
+def _completion_by_value(fd, order):
     """The sorted wall values of complete_rank2 at the order, completed once
-    per (exchange, d, order)."""
-    walls = complete_rank2(FixedData(exchange, d), order).walls
-    return tuple(sorted(map(_wall_value, walls)))
+    per fixed data, equal ones shared, and order."""
+    return tuple(sorted(map(_wall_value, complete_rank2(fd, order).walls)))
 
 
 def complete_diagram(fd, diagram):
-    """Add outgoing-ray corrections until the loop acts trivially; idempotent.
+    """The completed diagram, a new Diagram: outgoing-ray corrections are
+    added until the loop acts trivially.  Idempotent; the diagram given is
+    left as it is.
 
-    The loop reads the diagram's search form, so the form is dropped
-    whenever the walls change: after each round's corrections and after
-    the final filter.
+    Each round's corrections go into a working wall list, and the next
+    round's loop reads a Diagram made of it.
     """
+    walls = list(diagram.walls)
+    current = diagram
     for _ in range(MAX_ROUNDS):
-        disc = loop_discrepancy(fd, diagram)
+        disc = loop_discrepancy(fd, current)
         if all(not d for d in disc):
             break
         k = min(cone_order(fd, e) for d in disc for e in d)
@@ -205,22 +232,14 @@ def complete_diagram(fd, diagram):
             if delta is None:
                 raise ValueError("no generator pairs with correction direction %r" % (p,))
             if delta != 0:
-                _insert_correction(fd, diagram, p, delta)
-        diagram.compiled = None
+                _insert_correction(fd, walls, p, delta)
+        current = Diagram(diagram.fd, walls, diagram.order, False)
     else:
         raise RuntimeError("completion did not stabilize")
-    diagram.walls = [w for w in diagram.walls if not w.func.is_one()]
-    diagram.compiled = None
-    diagram.saturated = _is_saturated(fd, diagram)
-    return diagram
-
-
-def _is_saturated(fd, diagram):
-    for w in diagram.walls:
-        for k, c in w.func.terms():
-            if cone_order(fd, vscale(k, w.func.direction)) >= diagram.order:
-                return False
-    return True
+    walls = [w for w in walls if not w.func.is_one()]
+    saturated = all(cone_order(fd, vscale(k, w.func.direction)) < diagram.order
+                    for w in walls for k, _ in w.func.terms())
+    return Diagram(diagram.fd, walls, diagram.order, saturated)
 
 
 def leg_crossings(fd, diagram, a, b):
@@ -255,7 +274,10 @@ def leg_crossings(fd, diagram, a, b):
 
 
 def path_ordered_product(fd, diagram, path, p):
-    """Transport a truncated Laurent polynomial along a generic polyline."""
+    """Transport a truncated Laurent polynomial along a generic polyline of
+    rational points."""
+    path = [_rational_pair(a, "path point %d" % i) for i, a in enumerate(path)]
+    search_form(fd, diagram)  # fd must be the diagram's, whatever the path
     out = p
     for a, b in zip(path, path[1:]):
         travel = vsub(b, a)

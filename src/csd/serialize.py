@@ -8,10 +8,10 @@ import json
 from fractions import Fraction
 from math import gcd
 
-from .lattice import FixedData, line_dir, order_form
+from .lattice import FixedData, line_dir
 from .series import WallFunction
 from .scattering import Wall, Diagram
-from .brokenline import Piece, BrokenLine, Segment, search_form
+from .brokenline import Piece, BrokenLine, Segment
 
 
 def frac_to_str(x):
@@ -141,11 +141,9 @@ def wall_to_json(w):
 def wall_from_json(doc, fd):
     """A wall from its document; malformed fields raise ValueError naming them.
 
-    A ray's direction must be primitive and lie on the line of its normal:
-    the search never meets a ray off that line, so it would be lost silently.
-    The function direction must lie on that line too, and in the cone of the
-    monoid.  The fields are checked here, against the document, and the Wall
-    constructor checks the values it is given once more.
+    The fields are checked here, against the document; a line wall takes
+    the direction of its normal's line.  The Wall constructor checks the
+    values once more, and Diagram checks the wall against the fixed data.
     """
     if not isinstance(doc, dict):
         raise ValueError("wall must be a JSON object, got %r" % (doc,))
@@ -154,34 +152,16 @@ def wall_from_json(doc, fd):
     if not isinstance(support, dict):
         raise ValueError("support must be a JSON object, got %r" % (support,))
     kind = support["kind"]
-    lx, ly = line_dir(fd, n)
     if kind == "line":
-        direction = lx, ly
+        direction = line_dir(fd, n)
     elif kind == "ray":
-        direction = sx, sy = _int_pair(support["dir"], "support dir")
-        if gcd(sx, sy) != 1 or lx * sy != ly * sx:
-            raise ValueError("support dir must be primitive and on the line of normal %r, "
-                             "got %r" % (list(n), support["dir"]))
+        direction = _int_pair(support["dir"], "support dir")
     else:
         raise ValueError("support kind must be 'line' or 'ray', got %r" % (kind,))
-    func = wallfunction_from_json(doc["func"])
-    # the search reads a bend's power off the pairing with the normal alone,
-    # which needs the function direction on the wall's line and in the cone
-    mx, my = func.direction
-    if lx * my != ly * mx:
-        raise ValueError("func dir must lie on the line of normal %r, got %r"
-                         % (list(n), doc["func"]["dir"]))
-    ux, uy, vx, vy, _ = order_form(fd)
-    if ux * mx + uy * my < 0 or vx * mx + vy * my < 0:
-        raise ValueError("func dir must lie in the cone of the monoid, got %r"
-                         % (doc["func"]["dir"],))
-    return Wall(n, kind, direction, func)
+    return Wall(n, kind, direction, wallfunction_from_json(doc["func"]))
 
 
 def diagram_to_json(diagram):
-    """The diagram's document; a wall that search_form rejects raises its
-    error, as a line wall's direction is not written."""
-    search_form(diagram.fd, diagram)
     return {
         "seed": fd_to_json(diagram.fd),
         "order": diagram.order,
@@ -191,7 +171,8 @@ def diagram_to_json(diagram):
 
 
 def diagram_from_json(doc):
-    """A diagram from its document; a malformed top level raises ValueError naming it."""
+    """A diagram from its document; a malformed top level raises ValueError
+    naming it, and a wall that Diagram refuses its "wall i: " message."""
     if not isinstance(doc, dict):
         raise ValueError("diagram must be a JSON object, got %s" % type(doc).__name__)
     if not isinstance(_field(doc, "walls", "diagram"), list):

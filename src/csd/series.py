@@ -12,10 +12,10 @@ results included; lp_truncate checks the terms it drops too.  The
 broken-line search takes its tables of powers of f from _pow_coeffs.
 """
 
-from math import comb
+from math import comb, gcd
 from numbers import Rational
 
-from .geometry import vadd, primitive
+from .geometry import vadd
 from .lattice import n_circ_primitive, order_form, scaled_normal
 
 
@@ -52,8 +52,8 @@ def _check_order(K, default):
 class WallFunction:
     def __init__(self, direction, coeffs):
         direction = _lattice_vector(direction, "direction")
-        if direction != primitive(direction):
-            raise ValueError("direction must be primitive")
+        if gcd(*direction) != 1:
+            raise ValueError("direction must be primitive, got %r" % (direction,))
         cs = [c if type(c) is int else _integer(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()

@@ -7,7 +7,6 @@ inputs produce byte-identical documents.
 from fractions import Fraction
 
 from .geometry import vadd, vscale, vneg
-from .brokenline import search_form
 
 SIZE = 640  # width and height of the document
 MARGIN = 40
@@ -74,8 +73,7 @@ def _polyline(v, pts, pieces, colour):
 
 def render_svg(diagram, broken_lines=(), segments=(), polygons=()):
     """The diagram as an SVG document, each wall drawn along its direction,
-    with the overlays; a wall that search_form rejects raises its error."""
-    search_form(diagram.fd, diagram)
+    with the overlays."""
     overlays = [s.positions() for s in segments]
     overlays += [list(p) for p in polygons]
     overlays += [[p.bend_point for p in bl.pieces[:-1]] + [tuple(bl.endpoint)]

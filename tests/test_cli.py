@@ -285,8 +285,8 @@ def test_seed_errors_in_a_diagram_name_the_seed(paths, capsys, key, value, messa
     (("func", "coeffs", 0), "1/0", "wall 2: func coeffs"),
     (("func", "coeffs"), 5, "wall 2: func coeffs"),
     (("func", "dir"), [0, 0], "wall 2: func dir"),
-    (("support", "dir"), [1, 2], "wall 2: support dir"),
-    (("support", "dir"), [2, -2], "wall 2: support dir"),
+    (("support", "dir"), [1, 2], "wall 2: ray wall with normal (1, 1) has direction (1, 2) off"),
+    (("support", "dir"), [2, -2], "wall 2: direction must be primitive, got (2, -2)"),
     (("support",), ["ray", [1, -1]], "wall 2: support"),
     (("normal",), [1, 1, 0], "wall 2: normal"),
     (("normal",), [0, 0], "wall 2: normal"),
@@ -312,8 +312,10 @@ def test_theta_rejects_malformed_wall(paths, path, value, field):
 
 
 @pytest.mark.parametrize("value,message", [
-    ([-1, 1], "wall 0: func dir must lie on the line of normal [1, 0], got [-1, 1]"),
-    ([0, -1], "wall 0: func dir must lie in the cone of the monoid, got [0, -1]"),
+    ([-1, 1], "wall 0: wall with normal (1, 0) has function direction (-1, 1) off the line "
+              "of its normal"),
+    ([0, -1], "wall 0: wall with normal (1, 0) has function direction (0, -1) outside the "
+              "cone of the monoid"),
 ], ids=["off-line", "outside-cone"])
 def test_theta_rejects_func_dir_off_wall_line_or_cone(paths, value, message):
     # the bending power is read off the pairing with the normal alone, so a

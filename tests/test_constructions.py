@@ -246,15 +246,17 @@ def test_construct_segment_trace(g2):
 
 
 def test_theta_cache_dropped_by_completion(a2):
-    # completion changes walls, so thetas cached on the incomplete diagram
-    # must not be served afterwards
+    # completion returns a new diagram, so thetas cached on the incomplete
+    # diagram are not served for the complete one, and stay right for the
+    # incomplete one
     diagram = initial_diagram(a2, 6)
     z = (F(-317, 101), F(-29, 103))
     before = _theta_cached(a2, diagram, (2, -1), z, 6)
-    complete_diagram(a2, diagram)
-    after = theta(a2, diagram, (2, -1), z, 6)
+    done = complete_diagram(a2, diagram)
+    after = theta(a2, done, (2, -1), z, 6)
     assert after != before
-    assert _theta_cached(a2, diagram, (2, -1), z, 6) == after
+    assert _theta_cached(a2, done, (2, -1), z, 6) == after
+    assert _theta_cached(a2, diagram, (2, -1), z, 6) == before == theta(a2, diagram, (2, -1), z, 6)
 
 
 def test_theta_products_built_once_per_pair(g2, monkeypatch):
@@ -303,21 +305,22 @@ def test_expansion_endpoint_computed_once(g2, monkeypatch):
 
 
 def test_products_and_endpoint_dropped_by_completion(a2):
-    # completion changes walls, so products and the endpoint cached on the
-    # incomplete diagram must not be served afterwards
+    # completion returns a new diagram, so products and the endpoint cached
+    # on the incomplete diagram are not served for the complete one
     diagram = initial_diagram(a2, 6)
     p, q = (1, -2), (0, -2)
     before = _product_cached(a2, diagram, p, q, 6)
     fixed_generic_endpoint(a2, diagram)
     form = search_form(a2, diagram)
     assert form.products and form.endpoint is not None
-    complete_diagram(a2, diagram)
-    assert diagram.compiled is None
-    z0 = fixed_generic_endpoint(a2, diagram)
-    after = lp_mul(a2, theta(a2, diagram, q, z0, 6), theta(a2, diagram, p, z0, 6))
+    done = complete_diagram(a2, diagram)
+    assert search_form(a2, diagram) is form
+    fresh = search_form(a2, done)
+    assert fresh is not form and not fresh.products and fresh.endpoint is None
+    z0 = fixed_generic_endpoint(a2, done)
+    after = lp_mul(a2, theta(a2, done, q, z0, 6), theta(a2, done, p, z0, 6))
     assert after != before
-    assert _product_cached(a2, diagram, p, q, 6) == after
-    assert search_form(a2, diagram) is not form
+    assert _product_cached(a2, done, p, q, 6) == after
 
 
 def test_alpha_table_symmetric(g2, g2_diagram):

@@ -11,9 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from csd import cli, serialize
 from csd.brokenline import Piece, BrokenLine, Segment, enumerate_lines
 from csd.constructions import BalancedPair
-from csd.geometry import cross, primitive
-from csd.lattice import FixedData, cone_order, line_dir, order_form
-from csd.scattering import Wall, complete_rank2
+from csd.lattice import FixedData, cone_order, line_dir
+from csd.scattering import Diagram, Wall, complete_rank2
 from csd.series import WallFunction
 from csd.svg import render_svg
 
@@ -206,15 +205,17 @@ def _wall_doc(**fields):
     (_wall_doc(support={"kind": "ray", "dir": [0, 0]}),
      "support dir must be a nonzero integer pair [x, y], got [0, 0]"),
     (_wall_doc(support={"kind": "ray", "dir": [0, 2]}),
-     "support dir must be primitive and on the line of normal [1, 0], got [0, 2]"),
+     "direction must be primitive, got (0, 2)"),
     (_wall_doc(support={"kind": "ray", "dir": [1, 1]}),
-     "support dir must be primitive and on the line of normal [1, 0], got [1, 1]"),
+     "wall 0: ray wall with normal (1, 0) has direction (1, 1) off the line of its normal"),
     (_wall_doc(func={"dir": [1, 1], "coeffs": ["1"]}),
-     "func dir must lie on the line of normal [1, 0], got [1, 1]"),
+     "wall 0: wall with normal (1, 0) has function direction (1, 1) off the line of its normal"),
     (_wall_doc(func={"dir": [0, -1], "coeffs": ["1"]}),
-     "func dir must lie in the cone of the monoid, got [0, -1]"),
+     "wall 0: wall with normal (1, 0) has function direction (0, -1) outside the cone of the "
+     "monoid"),
     (_wall_doc(normal=[1, 1], func={"dir": [1, -3], "coeffs": ["1"]}),
-     "func dir must lie in the cone of the monoid, got [1, -3]"),
+     "wall 0: wall with normal (1, 1) has function direction (1, -3) outside the cone of the "
+     "monoid"),
     (_wall_doc(func={"dir": [0, 1], "coeffs": ["-1"]}),
      "func coeffs must hold integers >= 0 as strings, got '-1'"),
     (_wall_doc(func=[0, 1]), "func must be a JSON object, got [0, 1]"),
@@ -227,10 +228,33 @@ def _wall_doc(**fields):
      "func coeffs must hold integers >= 0 as strings, got '1/2'"),
 ])
 def test_wall_loader_messages(g2, doc, message):
-    # every rejection of the wall and wall-function loaders, message pinned
+    # every rejection of the wall and wall-function loaders, and of the
+    # Diagram that checks a loaded wall against the fixed data, message pinned
     with pytest.raises(ValueError) as info:
-        serialize.wall_from_json(doc, g2)
+        Diagram(g2, [serialize.wall_from_json(doc, g2)], 4, False)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_wall_doc(support={"kind": "ray", "dir": [0, 2]}),
+     "direction must be primitive, got (0, 2)"),
+    (_wall_doc(support={"kind": "ray", "dir": [1, 1]}),
+     "ray wall with normal (1, 0) has direction (1, 1) off the line of its normal"),
+    (_wall_doc(func={"dir": [1, 1], "coeffs": ["1"]}),
+     "wall with normal (1, 0) has function direction (1, 1) off the line of its normal"),
+    (_wall_doc(func={"dir": [0, -1], "coeffs": ["1"]}),
+     "wall with normal (1, 0) has function direction (0, -1) outside the cone of the monoid"),
+    (_wall_doc(normal=[1, 1], func={"dir": [1, -3], "coeffs": ["1"]}),
+     "wall with normal (1, 1) has function direction (1, -3) outside the cone of the monoid"),
+])
+def test_diagram_loader_wall_messages(g2, doc, message):
+    # the wall checks against the fixed data that the wall loader once
+    # copied: Wall and Diagram refuse these walls, prefixed by their index
+    ddoc = {"seed": serialize.fd_to_json(g2), "order": 4, "saturated": False,
+            "walls": [_wall_doc(), doc]}
+    with pytest.raises(ValueError) as info:
+        serialize.diagram_from_json(ddoc)
+    assert str(info.value) == "wall 1: " + message
 
 
 def test_wall_loader_accepts(g2):
@@ -242,7 +266,8 @@ def test_wall_loader_accepts(g2):
 
 
 # The wall loader before it became one pass, kept as the reference for
-# test_wall_loader_matches_reference.
+# test_wall_loader_matches_reference; its checks of a wall against the fixed
+# data are left to Diagram, as the loader's are.
 def _ref_is_int(x):
     return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
@@ -283,25 +308,13 @@ def _ref_wall_from_json(doc, fd):
     if not isinstance(support, dict):
         raise ValueError("support must be a JSON object, got %r" % (support,))
     kind = support["kind"]
-    line = line_dir(fd, n)
     if kind == "line":
-        direction = line
+        direction = line_dir(fd, n)
     elif kind == "ray":
         direction = _ref_int_pair(support["dir"], "support dir")
-        if direction != primitive(direction) or cross(line, direction):
-            raise ValueError("support dir must be primitive and on the line of normal %r, "
-                             "got %r" % (list(n), support["dir"]))
     else:
         raise ValueError("support kind must be 'line' or 'ray', got %r" % (kind,))
     func = _ref_wallfunction_from_json(doc["func"])
-    if cross(line, func.direction):
-        raise ValueError("func dir must lie on the line of normal %r, got %r"
-                         % (list(n), doc["func"]["dir"]))
-    ux, uy, vx, vy, _ = order_form(fd)
-    mx, my = func.direction
-    if ux * mx + uy * my < 0 or vx * mx + vy * my < 0:
-        raise ValueError("func dir must lie in the cone of the monoid, got %r"
-                         % (doc["func"]["dir"],))
     return Wall(n, kind, direction, func)
 
 

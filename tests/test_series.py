@@ -41,6 +41,13 @@ def test_wallfunction_basics():
         WallFunction((2, -2), [1])
 
 
+@pytest.mark.parametrize("direction, shown", [((2, 4), "(2, 4)"), ((0, 0), "(0, 0)")])
+def test_wallfunction_direction_error_names_the_value(direction, shown):
+    with pytest.raises(ValueError) as info:
+        WallFunction(direction, [1])
+    assert str(info.value) == "direction must be primitive, got " + shown
+
+
 def test_wf_mul():
     f = WallFunction((0, 1), [1])
     assert wf_mul(f, f, 4).coeffs == (2, 1)
