@@ -835,6 +835,8 @@ def _walk(fd, diagram, segment):
     arithmetic on the given values gives them.
     """
     search_form(fd, diagram)  # fd must be the diagram's, whatever the bends
+    if not isinstance(segment, Segment):
+        raise ValueError("segment must be a Segment, got %r" % (segment,))
     pieces = segment.pieces
     pos = segment.positions()
     coeff = 1

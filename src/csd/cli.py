@@ -13,6 +13,7 @@ from fractions import Fraction
 from . import serialize
 from .serialize import frac_to_str
 from .scattering import complete_rank2
+from .series import monomial_text
 from .brokenline import theta, theta_of_lines, enumerate_lines
 from .constructions import alpha_table, glue_balanced, pair_from_segment
 from .convexity import blc_hull_2d, check_positive, main_theorem_harness
@@ -62,11 +63,7 @@ def _fmt_point(p):
 
 
 def _fmt_poly(lp):
-    parts = []
-    for e, c in lp.sorted_terms():
-        cs = "" if c == 1 else "%s " % frac_to_str(c)
-        parts.append("%sz^(%d,%d)" % (cs, e[0], e[1]))
-    return " + ".join(parts) if parts else "0"
+    return " + ".join(monomial_text(c, e) for e, c in lp.sorted_terms()) or "0"
 
 
 def _load(path, flag, parse):
@@ -92,7 +89,7 @@ def _broken_lines(doc):
     return [serialize.brokenline_from_json(x) for x in doc]
 
 
-def cmd_build(args):
+def cmd_build(args, _):
     fd = _load(args.seed, "--seed", serialize.fd_from_json)
     diagram = complete_rank2(fd, args.order)
     doc = serialize.diagram_to_json(diagram)
@@ -103,10 +100,8 @@ def cmd_build(args):
     return 0
 
 
-def cmd_theta(args):
-    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
-    K = d.order if args.order is None else args.order
-    m, z = args.direction, args.endpoint
+def cmd_theta(args, d):
+    m, z, K = args.direction, args.endpoint, args.order
     if not args.out or m == (0, 0):
         # theta_0 = 1 prints before the search below rejects the zero exponent
         print(_fmt_poly(theta(d.fd, d, m, z, K)))
@@ -117,8 +112,7 @@ def cmd_theta(args):
     return 0
 
 
-def cmd_multiply(args):
-    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
+def cmd_multiply(args, d):
     table = alpha_table(d.fd, d, args.p, args.q, args.order)
     for r in sorted(table):
         if table[r] != 0:
@@ -126,8 +120,7 @@ def cmd_multiply(args):
     return 0
 
 
-def cmd_segment_from_pair(args):
-    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
+def cmd_segment_from_pair(args, d):
     pair = _load(args.pair, "--pair", serialize.pair_from_json)
     seg = glue_balanced(d.fd, d, pair, args.a, args.b)
     print("segment %s -> %s  T=%s" % (_fmt_point(seg.start), _fmt_point(seg.end),
@@ -137,8 +130,7 @@ def cmd_segment_from_pair(args):
     return 0
 
 
-def cmd_pair_from_segment(args):
-    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
+def cmd_pair_from_segment(args, d):
     seg = _load(args.segment, "--segment", serialize.segment_from_json)
     pair, trace = pair_from_segment(d.fd, d, seg, args.tau, args.a, args.b)
     print("a=%d b=%d base=%s" % (trace.a, trace.b, _fmt_point(pair.base)))
@@ -147,8 +139,7 @@ def cmd_pair_from_segment(args):
     return 0
 
 
-def cmd_hull(args):
-    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
+def cmd_hull(args, d):
     pts = _load(args.points, "--points", _nonempty_points)
     hull, flagged = blc_hull_2d(d.fd, d, pts)
     for p in hull:
@@ -161,8 +152,7 @@ def cmd_hull(args):
     return 0
 
 
-def cmd_check_positive(args):
-    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
+def cmd_check_positive(args, d):
     poly = _load(args.polygon, "--polygon", _nonempty_points)
     rep = check_positive(d.fd, d, poly, args.max_degree, args.order)
     print("verdict: %s  (max_degree=%d, order=%d)"
@@ -180,8 +170,7 @@ def _witness_json(w):
                        for k, v in w.items()}, sort_keys=True)
 
 
-def cmd_harness(args):
-    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
+def cmd_harness(args, d):
     rep = main_theorem_harness(d.fd, d, args.trials, max_degree=args.max_degree,
                                K=args.order, perturb_seed=args.perturb_seed)
     print("trials=%d agree=%d skipped_unknown=%d certified_beyond_bound=%d "
@@ -195,8 +184,7 @@ def cmd_harness(args):
     return 1 if rep["disagreements"] else 0
 
 
-def cmd_render(args):
-    d = _load(args.diagram, "--diagram", serialize.diagram_from_json)
+def cmd_render(args, d):
     lines = []
     if args.broken_lines:
         lines = _load(args.broken_lines, "--broken-lines", _broken_lines)
@@ -220,6 +208,10 @@ def _parser():
     p = argparse.ArgumentParser(prog="csd",
                                 description="rank-2 scattering diagram toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    # every command but build reads a diagram, which main loads
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--diagram", required=True)
+    reader = functools.partial(sub.add_parser, parents=[reads])
 
     b = sub.add_parser("build", help="complete a diagram from a seed")
     b.add_argument("--seed", required=True)
@@ -227,31 +219,27 @@ def _parser():
     b.add_argument("--out")
     b.set_defaults(fn=cmd_build)
 
-    t = sub.add_parser("theta", help="theta function by broken-line enumeration")
-    t.add_argument("--diagram", required=True)
+    t = reader("theta", help="theta function by broken-line enumeration")
     t.add_argument("--direction", type=_vec, required=True)
     t.add_argument("--endpoint", type=_point, required=True)
     t.add_argument("--order", type=_int_at_least(0))
     t.add_argument("--out")
     t.set_defaults(fn=cmd_theta)
 
-    m = sub.add_parser("multiply", help="structure constants of a theta product")
-    m.add_argument("--diagram", required=True)
+    m = reader("multiply", help="structure constants of a theta product")
     m.add_argument("-p", type=_vec, required=True)
     m.add_argument("-q", type=_vec, required=True)
     m.add_argument("--order", type=_int_at_least(0))
     m.set_defaults(fn=cmd_multiply)
 
-    sp = sub.add_parser("segment-from-pair", help="glue a balanced pair")
-    sp.add_argument("--diagram", required=True)
+    sp = reader("segment-from-pair", help="glue a balanced pair")
     sp.add_argument("--pair", required=True)
     sp.add_argument("-a", type=_int_at_least(1), required=True)
     sp.add_argument("-b", type=_int_at_least(1), required=True)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_segment_from_pair)
 
-    ps = sub.add_parser("pair-from-segment", help="split a segment at a time")
-    ps.add_argument("--diagram", required=True)
+    ps = reader("pair-from-segment", help="split a segment at a time")
     ps.add_argument("--segment", required=True)
     ps.add_argument("--tau", type=_fraction, required=True)
     ps.add_argument("-a", type=_int_at_least(1))
@@ -259,29 +247,25 @@ def _parser():
     ps.add_argument("--out")
     ps.set_defaults(fn=cmd_pair_from_segment)
 
-    h = sub.add_parser("hull", help="broken-line convex hull of points")
-    h.add_argument("--diagram", required=True)
+    h = reader("hull", help="broken-line convex hull of points")
     h.add_argument("--points", required=True)
     h.add_argument("--out")
     h.set_defaults(fn=cmd_hull)
 
-    cp = sub.add_parser("check-positive", help="bounded positivity scan")
-    cp.add_argument("--diagram", required=True)
+    cp = reader("check-positive", help="bounded positivity scan")
     cp.add_argument("--polygon", required=True)
     cp.add_argument("--max-degree", type=_int_at_least(2), default=3)
     cp.add_argument("--order", type=_int_at_least(0))
     cp.set_defaults(fn=cmd_check_positive)
 
-    ha = sub.add_parser("harness", help="positivity vs convexity on random polygons")
-    ha.add_argument("--diagram", required=True)
+    ha = reader("harness", help="positivity vs convexity on random polygons")
     ha.add_argument("--trials", type=_int_at_least(1), default=50)
     ha.add_argument("--max-degree", type=_int_at_least(2), default=3)
     ha.add_argument("--order", type=_int_at_least(0))
     ha.add_argument("--perturb-seed", type=int, default=0)
     ha.set_defaults(fn=cmd_harness)
 
-    r = sub.add_parser("render", help="SVG figure of a diagram with overlays")
-    r.add_argument("--diagram", required=True)
+    r = reader("render", help="SVG figure of a diagram with overlays")
     r.add_argument("--broken-lines")
     r.add_argument("--segment")
     r.add_argument("--polygon")
@@ -330,7 +314,10 @@ def main(argv=None):
         if extra:
             parser.error("unrecognized arguments: %s" % " ".join(extra))
     try:
-        code = args.fn(args)
+        # the diagram, read before any other file the command names
+        d = (_load(args.diagram, "--diagram", serialize.diagram_from_json)
+             if "diagram" in args else None)
+        code = args.fn(args, d)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
         print("error: %s" % e, file=sys.stderr)
         code = 2

@@ -14,7 +14,7 @@ from .geometry import vadd, vsub, vneg, vscale, is_zero
 from .lattice import pairing, n_circ_primitive, dual_perp, order_form, cone_order
 from .series import lp_mul, _kept, _check_order, _lattice_vector
 from .brokenline import (Segment, Piece, theta, segment_coefficients, reverse,
-                         search_form, _assemble)
+                         search_form, _assemble, _rational)
 
 
 class BalancedPair:
@@ -56,6 +56,7 @@ def structure_constant(fd, diagram, p, q, r, K=None):
     """
     p, q, r = (_lattice_vector(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
     K = _check_order(K, diagram.order)
+    search_form(fd, diagram)  # before cone_order reads fd
     k = cone_order(fd, vsub(r, vadd(p, q)))
     if k is not None and k > K:
         raise ValueError("alpha at r = %r needs order %s, above K = %s" % (r, k, K))
@@ -249,9 +250,20 @@ def _construct(fd, x0, ms, ns, rho, a, b, lam):
     return seg
 
 
+def _check_scales(a, b):
+    """The scales a and b must be ints >= 1."""
+    for name, v in (("a", a), ("b", b)):
+        if type(v) is not int or v < 1:
+            raise ValueError("%s must be an int >= 1, got %r" % (name, v))
+
+
 def glue_balanced(fd, diagram, pair, a, b):
     """Balanced pair -> segment from I(line1)/a to I(line2)/b through base/(a+b),
     its piece coefficients from segment_coefficients."""
+    search_form(fd, diagram)  # the gluing reads no wall, but fd must be the diagram's
+    if not isinstance(pair, BalancedPair):
+        raise ValueError("pair must be a BalancedPair, got %r" % (pair,))
+    _check_scales(a, b)
     if not pair.is_balanced():
         raise ValueError("pair is not balanced: %r" % (pair,))
     g1, g2 = pair.line1, pair.line2
@@ -297,10 +309,14 @@ def pair_from_segment(fd, diagram, seg, tau, a=None, b=None):
 
     The scales a and b are given both or neither; with neither they are
     chosen automatically."""
+    search_form(fd, diagram)  # the split reads no wall, but fd must be the diagram's
+    if not isinstance(seg, Segment):
+        raise ValueError("segment must be a Segment, got %r" % (seg,))
+    tau = Fraction(_rational(tau, "tau"))
     if (a is None) != (b is None):
         raise ValueError("give both scales a and b or neither, got a=%r b=%r" % (a, b))
-    search_form(fd, diagram)  # the split reads no wall, but fd must be the diagram's
-    tau = Fraction(tau)
+    if a is not None:
+        _check_scales(a, b)
     T = seg.total_time
     if not (0 < tau < T):
         raise ValueError("tau must lie strictly inside (0, T)")

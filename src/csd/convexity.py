@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 from .geometry import (vadd, vsub, vneg, vscale, primitive, line_key, cross,
                        ccw_key, sort_ccw, rot90, convex_hull,
-                       cycle_is_convex, compile_hull, homogeneous, rational, _rational_pair)
+                       cycle_is_convex, compile_hull, homogeneous, rational, _rational_points)
 from .lattice import FixedData, pairing, p1_star, skew_form, line_dir
 from .series import _check_order
 from .brokenline import Segment, Piece, validate_segment, reverse, search_form
@@ -454,11 +454,8 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     walls as they are at the read.  The verdict never depends on the
     search: a search that finds no segment gives ``[]``.
     """
-    cycle = [_rational_pair(p, "point %d" % i) for i, p in enumerate(cycle)]
+    cycle = _polygon(cycle, "cycle")
     K = _check_order(K, diagram.order)
-    if not cycle:
-        # every chart image of no points is convex, so True would be vacuous
-        raise ValueError("cycle lists no points")
     # the verdict reads only the charts, which must be the diagram's
     search_form(fd, diagram)
     points = [homogeneous(p) for p in cycle]
@@ -495,7 +492,7 @@ def blc_hull_2d(fd, diagram, pts):
     vertices, is a vertex of no larger one, so the rounds give the same
     hulls, and the same tuples back, as when V keeps every point.
     """
-    pts = [_rational_pair(p, "point %d" % i) for i, p in enumerate(pts)]
+    pts = _polygon(pts, "pts")
     # the hull reads only the charts, which must be the diagram's
     search_form(fd, diagram)
     charts, closed = chart_maps(fd)
@@ -545,9 +542,10 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     one key per pair; only a miss computes them.  The corner p + q itself is
     not tested: P is convex, so aP + bP = (a + b)P holds it.
     """
-    cycle = [_rational_pair(p, "point %d" % i) for i, p in enumerate(cycle)]
+    cycle = _polygon(cycle, "cycle")
     _check_degree(max_degree)
     K = _check_order(K, diagram.order)
+    form = search_form(fd, diagram)
     region = compile_hull(cycle)
     # the nonzero lattice points of each dilation kP, descending (the
     # ascending scan reversed), listed when first needed.  A pair with the
@@ -563,7 +561,6 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
 
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
     k1x, k1y, k2x, k2y = K * g1x, K * g1y, K * g2x, K * g2y
-    form = search_form(fd, diagram)
     products, alphas, one_cone = form.products, form.alphas, form.one_cone
 
     for total in range(2, max_degree + 1):
@@ -601,6 +598,16 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
                             return CheckReport(False, [w], degree_checked=max_degree,
                                                order_checked=K)
     return CheckReport(True, degree_checked=max_degree, order_checked=K)
+
+
+def _polygon(points, name):
+    """The polygon argument name as a list of rational pairs.  It must list
+    a point: every chart image of no points is convex, so a True verdict
+    would be vacuous, and no points have no hull."""
+    points = _rational_points(points, name, "point %d")
+    if not points:
+        raise ValueError("%s lists no points" % name)
+    return points
 
 
 def _check_degree(max_degree):

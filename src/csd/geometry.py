@@ -97,6 +97,16 @@ def _rational_pair(v, field):
     return v if type(v) is tuple else (a, b)
 
 
+def _rational_points(pts, name, field):
+    """The points as a list, each checked by _rational_pair with the field
+    field % i; pts that cannot be iterated raises a ValueError naming name."""
+    try:
+        items = enumerate(pts)
+    except TypeError:
+        raise ValueError("%s must be a list of points, got %r" % (name, pts)) from None
+    return [_rational_pair(p, field % i) for i, p in items]
+
+
 def same_ray(u, v):
     """True if nonzero u, v point in the same direction."""
     return cross(u, v) == 0 and dot(u, v) > 0

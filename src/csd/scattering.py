@@ -9,7 +9,7 @@ import functools
 from math import gcd
 
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, line_key, same_ray, rot90,
-                       sgn, cross, dot, homogeneous, _rational_pair)
+                       sgn, cross, dot, homogeneous, _rational_points)
 from .lattice import (pairing, p1_star, n_circ_primitive, line_dir,
                       cone_order, order_form, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross, _lattice_vector
@@ -276,8 +276,10 @@ def leg_crossings(fd, diagram, a, b):
 def path_ordered_product(fd, diagram, path, p):
     """Transport a truncated Laurent polynomial along a generic polyline of
     rational points."""
-    path = [_rational_pair(a, "path point %d" % i) for i, a in enumerate(path)]
+    path = _rational_points(path, "path", "path point %d")
     search_form(fd, diagram)  # fd must be the diagram's, whatever the path
+    if not isinstance(p, LaurentPoly):
+        raise ValueError("p must be a LaurentPoly, got %r" % (p,))
     out = p
     for a, b in zip(path, path[1:]):
         travel = vsub(b, a)

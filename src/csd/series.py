@@ -153,6 +153,11 @@ class LaurentPoly:
         return sorted(self.terms.items())
 
 
+def monomial_text(c, e):
+    """The term c * z^e as text, "c z^(x,y)", or "z^(x,y)" when c is 1."""
+    return "%sz^(%d,%d)" % ("" if c == 1 else "%s " % (c,), e[0], e[1])
+
+
 def _kept(fd, terms, base, order):
     """The nonzero terms whose shift from base has order at most order."""
     ux, uy, vx, vy, D = order_form(fd)

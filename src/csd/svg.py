@@ -7,25 +7,14 @@ inputs produce byte-identical documents.
 from fractions import Fraction
 
 from .geometry import vadd, vscale, vneg
+from .series import monomial_text
 
 SIZE = 640  # width and height of the document
 MARGIN = 40
 
 
 def _func_label(f):
-    if f.is_one():
-        return "1"
-    parts = ["1"]
-    for k, c in f.terms():
-        e = tuple(k * x for x in f.direction)
-        cs = "" if c == 1 else "%s " % (c,)
-        parts.append("%sz^(%d,%d)" % (cs, e[0], e[1]))
-    return "+".join(parts)
-
-
-def _mono_label(p):
-    c = "" if p.coeff == 1 else "%s " % (p.coeff,)
-    return "%sz^(%d,%d)" % (c, p.exponent[0], p.exponent[1])
+    return "+".join(["1"] + [monomial_text(c, vscale(k, f.direction)) for k, c in f.terms()])
 
 
 class _View:
@@ -67,7 +56,7 @@ def _polyline(v, pts, pieces, colour):
     for i, piece in enumerate(pieces):
         mid = vscale(Fraction(1, 2), vadd(pts[i], pts[i + 1]))
         out.append('<text x="%s" y="%s" font-size="10" fill="%s">%s</text>'
-                   % (tuple(v.xy(mid)) + (colour, _mono_label(piece))))
+                   % (tuple(v.xy(mid)) + (colour, monomial_text(piece.coeff, piece.exponent))))
     return out
 
 

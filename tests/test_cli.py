@@ -646,3 +646,146 @@ def test_render_broken_lines_must_be_a_list(paths, capsys, doc, kind):
     assert (exit_info.value.code, got.out, got.err) == (
         2, "", "error: --broken-lines: must hold a JSON list of broken lines, got %s\n" % kind)
     assert not out.exists()
+
+
+# the help of each subcommand but theta, pinned with COLUMNS=80 before
+# --diagram moved into a parent parser that the commands share
+_COMMAND_HELP = {
+    "build": """\
+usage: csd build [-h] --seed SEED --order ORDER [--out OUT]
+
+options:
+  -h, --help     show this help message and exit
+  --seed SEED
+  --order ORDER
+  --out OUT
+""",
+    "multiply": """\
+usage: csd multiply [-h] --diagram DIAGRAM -p P -q Q [--order ORDER]
+
+options:
+  -h, --help         show this help message and exit
+  --diagram DIAGRAM
+  -p P
+  -q Q
+  --order ORDER
+""",
+    "segment-from-pair": """\
+usage: csd segment-from-pair [-h] --diagram DIAGRAM --pair PAIR -a A -b B
+                             [--out OUT]
+
+options:
+  -h, --help         show this help message and exit
+  --diagram DIAGRAM
+  --pair PAIR
+  -a A
+  -b B
+  --out OUT
+""",
+    "pair-from-segment": """\
+usage: csd pair-from-segment [-h] --diagram DIAGRAM --segment SEGMENT --tau
+                             TAU [-a A] [-b B] [--out OUT]
+
+options:
+  -h, --help         show this help message and exit
+  --diagram DIAGRAM
+  --segment SEGMENT
+  --tau TAU
+  -a A
+  -b B
+  --out OUT
+""",
+    "hull": """\
+usage: csd hull [-h] --diagram DIAGRAM --points POINTS [--out OUT]
+
+options:
+  -h, --help         show this help message and exit
+  --diagram DIAGRAM
+  --points POINTS
+  --out OUT
+""",
+    "check-positive": """\
+usage: csd check-positive [-h] --diagram DIAGRAM --polygon POLYGON
+                          [--max-degree MAX_DEGREE] [--order ORDER]
+
+options:
+  -h, --help            show this help message and exit
+  --diagram DIAGRAM
+  --polygon POLYGON
+  --max-degree MAX_DEGREE
+  --order ORDER
+""",
+    "harness": """\
+usage: csd harness [-h] --diagram DIAGRAM [--trials TRIALS]
+                   [--max-degree MAX_DEGREE] [--order ORDER]
+                   [--perturb-seed PERTURB_SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --diagram DIAGRAM
+  --trials TRIALS
+  --max-degree MAX_DEGREE
+  --order ORDER
+  --perturb-seed PERTURB_SEED
+""",
+    "render": """\
+usage: csd render [-h] --diagram DIAGRAM [--broken-lines BROKEN_LINES]
+                  [--segment SEGMENT] [--polygon POLYGON] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --diagram DIAGRAM
+  --broken-lines BROKEN_LINES
+  --segment SEGMENT
+  --polygon POLYGON
+  --out OUT
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_HELP) + ["theta"])
+def test_command_help_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--help"])
+    out = capsys.readouterr()
+    assert (exit_info.value.code, out.out, out.err) == (
+        0, _COMMAND_HELP.get(command, _THETA_HELP), "")
+
+
+# the arguments besides --diagram of each command that reads a diagram;
+# each file they name is missing, so only --diagram can be read
+_READS_DIAGRAM = {
+    "theta": ["--direction", "1,0", "--endpoint", "2,1", "--out", "OUT"],
+    "multiply": ["-p", "1,0", "-q", "0,1"],
+    "segment-from-pair": ["--pair", "NONE", "-a", "1", "-b", "1", "--out", "OUT"],
+    "pair-from-segment": ["--segment", "NONE", "--tau", "1/2", "--out", "OUT"],
+    "hull": ["--points", "NONE", "--out", "OUT"],
+    "check-positive": ["--polygon", "NONE"],
+    "harness": ["--trials", "1"],
+    "render": ["--broken-lines", "NONE", "--segment", "NONE", "--polygon", "NONE",
+               "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "[Errno 2] No such file or directory: '%s'"),
+    ("{nope", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[]", "diagram must be a JSON object, got list"),
+], ids=["missing", "invalid-json", "not-a-diagram"])
+@pytest.mark.parametrize("command", list(_READS_DIAGRAM))
+def test_every_command_names_a_bad_diagram(tmp_path, capsys, command, text, message):
+    # the diagram is read before any other file, and nothing is written
+    diagram = tmp_path / "diagram.json"
+    if text is not None:
+        diagram.write_text(text)
+    names = {"NONE": str(tmp_path / "none.json"), "OUT": str(tmp_path / "out")}
+    argv = [command, "--diagram", str(diagram)] + [names.get(a, a) for a in
+                                                   _READS_DIAGRAM[command]]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    out = capsys.readouterr()
+    assert (exit_info.value.code, out.out, out.err) == (
+        2, "", "error: --diagram: %s\n" % (message % diagram if text is None else message))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if text is None else
+                                                          ["diagram.json"])

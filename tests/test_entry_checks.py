@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from csd.brokenline import (SearchForm, Segment, Piece, theta, enumerate_lines, bend_coefficient,
-                            validate_segment)
-from csd.constructions import alpha_table, structure_constant, pair_from_segment
+                            validate_segment, segment_coefficients)
+from csd.constructions import alpha_table, structure_constant, pair_from_segment, glue_balanced
 from csd.convexity import is_blc_2d, blc_hull_2d, check_positive, main_theorem_harness
 from csd.lattice import FixedData
 from csd.scattering import (Diagram, complete_rank2, complete_diagram, check_consistent,
@@ -115,3 +115,52 @@ def test_entry_points_name_a_bad_argument(a2, name, call):
     with pytest.raises(ValueError, match=r"^%s must be a pair of (integers|rationals), got "
                        % re.escape(name)):
         call(a2, diagram)
+
+
+def _pair(fd, d):
+    """A balanced pair that glue_balanced glues with any scales."""
+    return pair_from_segment(fd, d, SEGMENT, F(1, 2))[0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda fd, d: validate_segment(fd, d, "x"), "segment must be a Segment, got 'x'"),
+    (lambda fd, d: segment_coefficients(fd, d, "x"), "segment must be a Segment, got 'x'"),
+    (lambda fd, d: pair_from_segment(fd, d, "x", F(1, 2)), "segment must be a Segment, got 'x'"),
+    (lambda fd, d: pair_from_segment(fd, d, SEGMENT, None), "tau must be rational, got None"),
+    (lambda fd, d: pair_from_segment(fd, d, SEGMENT, (1, 2)), "tau must be rational, got (1, 2)"),
+    (lambda fd, d: pair_from_segment(fd, d, SEGMENT, 0.5), "tau must be rational, got 0.5"),
+    (lambda fd, d: pair_from_segment(fd, d, SEGMENT, F(1, 2), 0, 1),
+     "a must be an int >= 1, got 0"),
+    (lambda fd, d: pair_from_segment(fd, d, SEGMENT, F(1, 2), -1, 1),
+     "a must be an int >= 1, got -1"),
+    (lambda fd, d: pair_from_segment(fd, d, SEGMENT, F(1, 2), "x", 1),
+     "a must be an int >= 1, got 'x'"),
+    (lambda fd, d: pair_from_segment(fd, d, SEGMENT, F(1, 2), 1, 2.0),
+     "b must be an int >= 1, got 2.0"),
+    (lambda fd, d: glue_balanced(fd, d, "x", 1, 1), "pair must be a BalancedPair, got 'x'"),
+    (lambda fd, d: glue_balanced(fd, d, _pair(fd, d), 0, 1), "a must be an int >= 1, got 0"),
+    (lambda fd, d: glue_balanced(fd, d, _pair(fd, d), -1, 1), "a must be an int >= 1, got -1"),
+    (lambda fd, d: glue_balanced(fd, d, _pair(fd, d), None, 1), "a must be an int >= 1, got None"),
+    (lambda fd, d: glue_balanced(fd, d, _pair(fd, d), 1.5, 1), "a must be an int >= 1, got 1.5"),
+    (lambda fd, d: glue_balanced(fd, d, _pair(fd, d), 1, True), "b must be an int >= 1, got True"),
+], ids=["validate-str", "coefficients-str", "split-str", "tau-none", "tau-pair", "tau-float",
+        "split-a-0", "split-a-neg", "split-a-str", "split-b-float", "glue-str", "glue-a-0",
+        "glue-a-neg", "glue-a-none", "glue-a-float", "glue-b-bool"])
+def test_segment_and_pair_arguments_are_named(a2, call, message):
+    # each of these once raised AttributeError, TypeError or
+    # ZeroDivisionError, or split with a scale of 0 or -1
+    diagram = complete_rank2(a2, 4)
+    with pytest.raises(ValueError) as info:
+        call(a2, diagram)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("path", [[(F(1), F(1, 3)), (F(2), F(1, 3))], PATH],
+                         ids=["no-wall", "one-wall"])
+@pytest.mark.parametrize("p", ["x", None, 3])
+def test_path_ordered_product_checks_p(a2, path, p):
+    # along a path that crosses no wall p came back as given; across a wall
+    # it raised AttributeError
+    with pytest.raises(ValueError) as info:
+        path_ordered_product(a2, complete_rank2(a2, 4), path, p)
+    assert str(info.value) == "p must be a LaurentPoly, got %r" % (p,)
