@@ -8,12 +8,12 @@ coefficient (an int), and the point where it bends into the next piece.
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from .geometry import (vsub, vneg, vscale, is_zero, line_key, same_ray, cross,
                        ccw_key, homogeneous, rational, is_rational, _rational_pair)
 from .lattice import CLUSTERS, n_circ_primitive, scaled_normal, order_form
-from .series import (wf_mul, wf_coeff_pow, _pow_coeffs, _integer, _check_order, _lattice_vector,
+from .series import (wf_mul, _pow_coeffs, _integer, _check_order, _lattice_vector,
                      LaurentPoly)
 
 
@@ -145,6 +145,18 @@ class _Family:
             bs = _pow_coeffs(self.f, pw, top // self.order)
             terms = self.powers[(pw, top)] = [(n, b) for n, b in enumerate(bs) if n and b]
         return terms
+
+    def coefficient(self, pw, k):
+        """The coefficient of z^(k*m0) in f^pw, for pw >= 0 and k >= 1.  For a
+        one-term f = 1 + c*z^(j*m0) it is the binomial C(pw, k/j) * c^(k/j),
+        cheap even at the very high orders that bend checks of glued segments
+        ask for."""
+        ts = self.f.terms()
+        if len(ts) == 1:
+            (j, c), = ts
+            r, rest = divmod(k, j)
+            return 0 if rest else comb(pw, r) * c ** r
+        return _pow_coeffs(self.f, pw, k)[k]
 
 
 def _turn(x, y, q, mx, my):
@@ -530,11 +542,16 @@ def _site(x, y, q, mx, my, td, tn):
 
 
 def search_form(fd, diagram):
-    """The diagram's SearchForm; fd must be the diagram's fixed data, or
-    equal to it.  Every entry point that takes (fd, diagram) checks that here."""
-    if fd is not diagram.fd and fd != diagram.fd:
-        raise ValueError("fixed data %r does not match the diagram's %r" % (fd, diagram.fd))
-    return diagram.compiled
+    """The diagram's SearchForm; diagram must be a scattering.Diagram and fd
+    its fixed data, or equal to it.  Every entry point that takes
+    (fd, diagram) checks both here, before it reads the diagram."""
+    # a Diagram holds its form from construction on (scattering imports this module)
+    form = getattr(diagram, "compiled", None)
+    if type(form) is not SearchForm:
+        raise ValueError("diagram must be a Diagram, got %r" % (diagram,))
+    if fd is not form.fd and fd != form.fd:
+        raise ValueError("fixed data %r does not match the diagram's %r" % (fd, form.fd))
+    return form
 
 
 def wall_families(fd, diagram, point):
@@ -568,7 +585,7 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     here, for the bend points of the returned lines.
     """
     initial = _lattice_vector(initial, "initial")
-    K = _check_order(K, diagram.order)
+    K = _check_order(K, search_form(fd, diagram).order)
     return [_assemble(endpoint, steps) for steps in _search(fd, diagram, initial, endpoint, K)]
 
 
@@ -743,11 +760,10 @@ def theta(fd, diagram, m, endpoint, K=None):
     in the order of the lines, as theta_of_lines gives them.
     """
     m = _lattice_vector(m, "m")
-    K = _check_order(K, diagram.order)
+    K = _check_order(K, search_form(fd, diagram).order)
     if m == (0, 0):
-        # _search checks the endpoint and fd otherwise
+        # _search checks the endpoint otherwise
         _endpoint(endpoint)
-        search_form(fd, diagram)
         return LaurentPoly({m: 1}, m, K)
     terms = {}
     for steps in _search(fd, diagram, m, endpoint, K):
@@ -795,7 +811,7 @@ def bend_coefficient(fd, diagram, point, m_prev, m_next):
         pw = fam.a[0] * m_prev[0] + fam.a[1] * m_prev[1]
         if pw % form.L or pw == 0:
             continue
-        c = wf_coeff_pow(fam.f, abs(pw) // form.L, k)
+        c = fam.coefficient(abs(pw) // form.L, k)
         if c != 0:
             return c
     raise ValueError("bend %r -> %r at %r is not allowed" % (m_prev, m_next, point))
@@ -852,8 +868,8 @@ def _walk(fd, diagram, segment):
             try:
                 c = bend_coefficient(fd, diagram, pos[i + 1], m, m_next)
             except ValueError as e:
+                # both readers stop here, so c is never read unset
                 yield e
-                return
             if c <= 0:
                 yield "bend %r -> %r at %r is not allowed" % (m, m_next, pos[i + 1])
             coeff *= c

@@ -114,9 +114,9 @@ def cmd_theta(args, d):
 
 def cmd_multiply(args, d):
     table = alpha_table(d.fd, d, args.p, args.q, args.order)
+    # alpha_table holds only the nonzero alphas
     for r in sorted(table):
-        if table[r] != 0:
-            print("r=%s: %s" % (_fmt_point(r), frac_to_str(table[r])))
+        print("r=%s: %s" % (_fmt_point(r), frac_to_str(table[r])))
     return 0
 
 

@@ -55,8 +55,8 @@ def structure_constant(fd, diagram, p, q, r, K=None):
     cone order above K, since the order-K table does not determine alpha there.
     """
     p, q, r = (_lattice_vector(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
-    K = _check_order(K, diagram.order)
-    search_form(fd, diagram)  # before cone_order reads fd
+    # the form checks fd before cone_order reads it
+    K = _check_order(K, search_form(fd, diagram).order)
     k = cone_order(fd, vsub(r, vadd(p, q)))
     if k is not None and k > K:
         raise ValueError("alpha at r = %r needs order %s, above K = %s" % (r, k, K))
@@ -132,8 +132,8 @@ def alpha_table(fd, diagram, p, q, K=None):
     theta_{p+q} there (SearchForm.one_cone states the theorem and its guard).
     """
     p, q = _lattice_vector(p, "p"), _lattice_vector(q, "q")
-    K = _check_order(K, diagram.order)
     form = search_form(fd, diagram)
+    K = _check_order(K, form.order)
     if is_zero(p):
         return {q: 1}
     if is_zero(q):

@@ -14,9 +14,9 @@ from math import gcd, lcm
 from .geometry import (vadd, vsub, vneg, vscale, primitive, line_key, cross,
                        ccw_key, sort_ccw, rot90, convex_hull,
                        cycle_is_convex, compile_hull, homogeneous, rational, _rational_points)
-from .lattice import FixedData, pairing, p1_star, skew_form, line_dir
+from .lattice import FixedData, p1_star, skew_form, line_dir
 from .series import _check_order
-from .brokenline import Segment, Piece, validate_segment, reverse, search_form
+from .brokenline import Segment, Piece, validate_segment, search_form
 from .constructions import (structure_constant, pair_from_segment, _alpha_cached,
                             _product_cached, _pair_key)
 
@@ -175,8 +175,8 @@ def shear_map(fd, n, dk):
         M.append(tuple(row))
     M = tuple(M)
     d = line_dir(fd, n)
-    if pairing(fd, n, rot90(d)) > 0:
-        return PLMap([(d, M), (vneg(d), I2)])
+    # <n, rot90(d)> = -(n0^2*d1/d0 + n1^2*d0/d1)/g < 0, so the side where the
+    # pairing with n is positive starts at -d, counterclockwise
     return PLMap([(vneg(d), M), (d, I2)])
 
 
@@ -386,10 +386,9 @@ def _segment_from_polyline(poly, start, end):
     tn, td = 0, 1  # the total time, tn/td
     for (ax, ay, aq), (bx, by, bq) in zip(poly, poly[1:]):
         dx, dy = ax * bq - bx * aq, ay * bq - by * aq  # (a - b)*aq*bq
-        if dx or dy:
-            g, d = gcd(dx, dy), aq * bq
-            pieces.append(Piece((dx // g, dy // g), 1, None, Fraction(g, d)))
-            tn, td = tn * d + g * td, td * d
+        g, d = gcd(dx, dy), aq * bq
+        pieces.append(Piece((dx // g, dy // g), 1, None, Fraction(g, d)))
+        tn, td = tn * d + g * td, td * d
     return Segment(start, end, pieces, Fraction(tn, td))
 
 
@@ -427,9 +426,8 @@ def _convexity_witness(fd, diagram, cycle, phi, image):
                 continue
             ends = [given.get(p) or rational(p) for p in (poly[0], poly[-1])]
             seg = _segment_from_polyline(poly, *ends)
-            if validate_segment(fd, diagram, seg)[0]:
-                return seg
-            seg = reverse(seg)
+            # the reversed segment has the same bend steps and the same
+            # |<n0', m_prev>| at each bend, so it validates exactly when seg does
             if validate_segment(fd, diagram, seg)[0]:
                 return seg
     return None
@@ -455,9 +453,8 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     search: a search that finds no segment gives ``[]``.
     """
     cycle = _polygon(cycle, "cycle")
-    K = _check_order(K, diagram.order)
     # the verdict reads only the charts, which must be the diagram's
-    search_form(fd, diagram)
+    K = _check_order(K, search_form(fd, diagram).order)
     points = [homogeneous(p) for p in cycle]
     charts, closed = chart_maps(fd)
     linear = _linear_on(points)
@@ -544,8 +541,8 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     """
     cycle = _polygon(cycle, "cycle")
     _check_degree(max_degree)
-    K = _check_order(K, diagram.order)
     form = search_form(fd, diagram)
+    K = _check_order(K, form.order)
     region = compile_hull(cycle)
     # the nonzero lattice points of each dilation kP, descending (the
     # ascending scan reversed), listed when first needed.  A pair with the
@@ -593,7 +590,7 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
                     if table is None:
                         table = _alpha_cached(fd, diagram, p, q, K)
                     for r in sorted(table):
-                        if table[r] != 0 and not inside(*r):
+                        if not inside(*r):
                             w = {"p": p, "q": q, "r": r, "a": a, "b": b, "alpha": table[r]}
                             return CheckReport(False, [w], degree_checked=max_degree,
                                                order_checked=K)
@@ -663,8 +660,8 @@ def _certify_failure(fd, diagram, cycle, seg, K):
 def main_theorem_harness(fd, diagram, trials, max_degree=3, K=None, perturb_seed=0):
     """Random polygons: positivity scan verdict vs chart-convexity verdict."""
     _check_degree(max_degree)
-    K = _check_order(K, diagram.order)
-    search_form(fd, diagram)  # fd must be the diagram's, even for no trials
+    # fd must be the diagram's, even for no trials
+    K = _check_order(K, search_form(fd, diagram).order)
     rng = random.Random(perturb_seed)
     report = {"trials": trials, "agree": 0, "skipped_unknown": 0,
               "certified_beyond_bound": 0, "disagreements": []}

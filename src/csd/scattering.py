@@ -231,8 +231,9 @@ def complete_diagram(fd, diagram):
                     raise ValueError("inconsistent correction at %r: %r vs %r" % (p, delta, d_j))
             if delta is None:
                 raise ValueError("no generator pairs with correction direction %r" % (p,))
-            if delta != 0:
-                _insert_correction(fd, walls, p, delta)
+            # some generator sees c != 0, so its w != 0 and its d_j != 0 or
+            # the loop has raised: delta != 0
+            _insert_correction(fd, walls, p, delta)
         current = Diagram(diagram.fd, walls, diagram.order, False)
     else:
         raise RuntimeError("completion did not stabilize")

@@ -12,7 +12,7 @@ results included; lp_truncate checks the terms it drops too.  The
 broken-line search takes its tables of powers of f from _pow_coeffs.
 """
 
-from math import comb, gcd
+from math import gcd
 from numbers import Rational
 
 from .geometry import vadd
@@ -113,21 +113,6 @@ def _pow_coeffs(f, e, K):
 def wf_pow(f, e, K):
     """Truncated integer power of f, negative powers included (see _pow_coeffs)."""
     return WallFunction(f.direction, _pow_coeffs(f, e, K)[1:])
-
-
-def wf_coeff_pow(f, e, k):
-    """Single coefficient of z^{k*m0} in f^e; the one-term case is a binomial,
-    cheap even at the very high orders bend checks can ask for."""
-    ts = f.terms()
-    if k == 0:
-        return 1
-    if len(ts) > 1:
-        return wf_pow(f, e, k).coeff(k)
-    r, rest = divmod(k, ts[0][0]) if ts else (0, 1)
-    if rest or 0 <= e < r:
-        return 0
-    c = ts[0][1] ** r
-    return comb(e, r) * c if e >= 0 else (-1) ** r * comb(r - e - 1, r) * c
 
 
 class LaurentPoly:

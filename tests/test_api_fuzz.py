@@ -2,7 +2,8 @@
 
 Every call starts from arguments that give an answer on A2 at order 4 and
 replaces one of them by a drawn value: an int, a Fraction, a float, a bool,
-a string, None, or a tuple of up to three of these.  The call then either
+a string, None, or a tuple of up to three of these.  The diagram is replaced
+by a few values that are not a Diagram.  The call then either
 returns or raises a ValueError whose message names the argument replaced;
 nothing else may escape.  Ints stay small, so that a drawn exponent, order
 or degree that is valid costs milliseconds: a large one is legitimate work,
@@ -98,3 +99,11 @@ def test_a_bad_argument_is_named(name, data):
         fn(fd, DIAGRAM, **kwargs)
     except ValueError as e:
         assert re.search(NAMED.get(arg, r"^%s " % arg), str(e)), (arg, value, str(e))
+
+
+@pytest.mark.parametrize("value", [None, "x", 3, (1, 2)])
+@pytest.mark.parametrize("name", list(CALLS))
+def test_a_bad_diagram_is_named(name, value):
+    fn, kwargs = CALLS[name]
+    with pytest.raises(ValueError, match=r"^diagram must be a Diagram, got "):
+        fn(A2, value, **kwargs)

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csd.brokenline import Piece
+from csd.brokenline import Piece, _Family
 from csd.lattice import FixedData
-from csd.series import (WallFunction, wf_mul, wf_pow, wf_coeff_pow, LaurentPoly,
+from csd.scattering import Wall, initial_wall
+from csd.series import (WallFunction, wf_mul, wf_pow, LaurentPoly,
                         lp_truncate, lp_mul, wall_cross, _pow_coeffs)
 
 F = Fraction
@@ -88,24 +89,31 @@ def test_wf_pow_additive(coeffs, e1, e2):
     assert lhs.coeffs == wf_pow(f, e1 + e2, 6).coeffs
 
 
-@given(st.integers(1, 3), st.integers(-4, 9), st.integers(0, 9))
-def test_wf_coeff_pow_single_term(j, e, k):
-    f = WallFunction((1, 2), [0] * (j - 1) + [1])
-    expect = wf_pow(f, e, 10).coeff(k) if k else F(1)
-    assert wf_coeff_pow(f, e, k) == expect
+def _family(coeffs):
+    """The wall family of one A2 line whose function has the given coefficients."""
+    a2 = FixedData.from_exchange([[0, 1], [-1, 0]], [1, 1])
+    w = initial_wall(a2, 1)
+    return _Family(a2, [Wall(w.normal, w.kind, w.direction,
+                             WallFunction(w.func.direction, coeffs))])
 
 
-def test_wf_coeff_pow_multi_term():
-    f = WallFunction((0, 1), [1, 2])
-    assert wf_coeff_pow(f, 3, 4) == wf_pow(f, 3, 6).coeff(4)
+@given(st.integers(1, 3), st.sampled_from([1, -1, 2]), st.integers(0, 9), st.integers(1, 9))
+def test_family_coefficient_single_term(j, c, e, k):
+    # bend checks ask for powers e >= 0 and shifts k >= 1 only
+    fam = _family([0] * (j - 1) + [c])
+    assert fam.coefficient(e, k) == wf_pow(fam.f, e, 10).coeff(k)
 
 
-def test_wf_coeff_pow_huge_order_is_cheap():
-    f = WallFunction((0, 1), [0, 1])
+def test_family_coefficient_multi_term():
+    fam = _family([1, 2])
+    assert fam.coefficient(3, 4) == wf_pow(fam.f, 3, 6).coeff(4)
+
+
+def test_family_coefficient_huge_order_is_cheap():
+    fam = _family([0, 1])
     # binomial fast path: no series of length 10**5 is ever built
-    assert wf_coeff_pow(f, 2, 10) == 0
-    assert wf_coeff_pow(f, 200000, 200000) > 0
-    assert wf_coeff_pow(f, -2, 6) == -4
+    assert fam.coefficient(2, 10) == 0
+    assert fam.coefficient(200000, 200000) > 0
 
 
 def laurent(fd, terms, base, order):
