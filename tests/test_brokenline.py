@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from csd import brokenline, serialize
 from csd.brokenline import (Piece, BrokenLine, Segment, wall_families,
                             allowed_bends, enumerate_lines, theta, theta_of_lines, reverse,
-                            validate_segment,
+                            validate_segment, segment_coefficients,
                             bend_coefficient, search_form, _assemble, _site)
 from csd.geometry import (vadd, vsub, vscale, is_zero, homogeneous, cross, dot, same_ray,
                           primitive, line_key)
 from csd.lattice import (FixedData, pairing, n_circ_primitive, cone_order,
                          solve_linear, scaled_normal, dual_perp)
-from csd.scattering import Diagram, Wall, complete_rank2
+from csd.scattering import Diagram, Wall, complete_rank2, initial_wall
 from csd.series import wf_mul, wf_pow, LaurentPoly, WallFunction
 from segments import line_bounded_segment
 
@@ -781,3 +781,141 @@ def test_straight_holds_for_any_walls():
     bad = Wall((1, 1), "line", (-1, 1), WallFunction((1, -1), [1]))
     with pytest.raises(ValueError, match="outside the cone of the monoid"):
         Diagram(fd, good.walls + (bad,), 4, False)
+
+
+# --- facts the walk's callers rely on ------------------------------------
+
+def _ends_where_it_walks(seg):
+    """seg with its end and total time read off its pieces."""
+    total = sum((p.duration or 0 for p in seg.pieces), F(0))
+    return Segment(seg.start, seg.positions()[-1], seg.pieces, total)
+
+
+def _perturbed(seg, rng):
+    """Copies of seg with one exponent or one duration changed, most of them
+    invalid: some keep the given end, the others end where they walk."""
+    out = []
+    for i, p in enumerate(seg.pieces):
+        dx, dy = rng.choice([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)])
+        moved = Piece((p.exponent[0] + dx, p.exponent[1] + dy), 1, None, p.duration)
+        pieces = seg.pieces[:i] + [moved] + seg.pieces[i + 1:]
+        out.append(Segment(seg.start, seg.end, pieces, seg.total_time))
+        out.append(_ends_where_it_walks(out[-1]))
+        if p.duration:
+            stretched = Piece(p.exponent, 1, None, p.duration * F(rng.choice([1, 2, 3]), 2))
+            pieces = seg.pieces[:i] + [stretched] + seg.pieces[i + 1:]
+            out.append(_ends_where_it_walks(Segment(seg.start, seg.end, pieces, 0)))
+    return out
+
+
+@pytest.mark.parametrize("i", range(4), ids=["A2", "B2", "G2", "Kronecker"])
+def test_reversed_segment_validates_the_same(i, monkeypatch):
+    # _walk reads a bend's step m_next - m_prev and |<n0', m_prev>|, and
+    # reverse changes neither, so the witness search tries no reversed chord
+    from csd import convexity
+    fd, diagram, order = _diff_diagram(i)
+    chords = []
+
+    def recording(fd_, diagram_, seg):
+        chords.append(seg)
+        return validate_segment(fd_, diagram_, seg)
+
+    monkeypatch.setattr(convexity, "validate_segment", recording)
+    rng = random.Random(i)
+    for _ in range(40):
+        convexity.is_blc_2d(fd, diagram, convexity._random_polygon(rng)).witnesses
+    bounded = [line_bounded_segment(fd, line)
+               for m in DIFF_EXPONENTS for z in DIFF_ENDPOINTS[:2]
+               for line in enumerate_lines(fd, diagram, m, z, order) if len(line.pieces) > 1]
+    segs = chords + bounded + [s for seg in bounded for s in _perturbed(seg, rng)]
+    verdicts = [validate_segment(fd, diagram, s)[0] for s in segs]
+    assert chords and bounded and True in verdicts and False in verdicts
+    for seg, ok in zip(segs, verdicts):
+        assert validate_segment(fd, diagram, reverse(seg))[0] == ok, seg
+
+
+def _negated_horizontal(a2):
+    """A2 with the wall function of the horizontal axis 1 - z^(-1, 0)."""
+    w0, w1 = initial_wall(a2, 0), initial_wall(a2, 1)
+    assert w1.normal == (0, 1) and w1.func == WallFunction((-1, 0), [1])
+    return Diagram(a2, [w0, Wall(w1.normal, "line", w1.direction, WallFunction((-1, 0), [-1]))],
+                   6, False)
+
+
+# down onto the horizontal axis at (1, 0), where <n0', (0, 1)> = 1, then bent
+# by one step m0 = (-1, 0)
+DOWN_AND_BENT = Segment((1, 1), (2, -1), [Piece((0, 1), 1, None, 1),
+                                         Piece((-1, 1), 1, None, 1)], 2)
+
+
+@pytest.mark.parametrize("seg, bend", [
+    # the step (12, 0) is -12 * m0
+    (Segment((F(2), F(-6)), (F(-7, 2), F(-6)), [Piece((5, -12), 1, None, F(1, 2)),
+                                                Piece((17, -12), 1, None, F(1, 4))], F(3, 4)),
+     "(5, -12) -> (17, -12)"),
+    # (1, 0) lies on the horizontal axis and pairs to 0 with its normal
+    (Segment((1, 0), (F(3, 2), 0), [Piece((1, 0), 1, None, F(1, 2)),
+                                    Piece((-1, 0), 1, None, 1)], F(3, 2)),
+     "(1, 0) -> (-1, 0)"),
+], ids=["negative-step", "zero-pairing"])
+def test_bend_no_wall_allows_is_named(a2, a2_diagram, seg, bend):
+    ok, why = validate_segment(a2, a2_diagram, seg)
+    assert not ok and why.startswith("bend %s at " % bend) and why.endswith(" is not allowed")
+    with pytest.raises(ValueError, match=r"^bend .* is not allowed$"):
+        segment_coefficients(a2, a2_diagram, seg)
+
+
+def test_bend_with_negative_coefficient_is_not_allowed(a2, a2_diagram):
+    assert validate_segment(a2, a2_diagram, DOWN_AND_BENT) == (True, None)
+    negated = _negated_horizontal(a2)
+    assert validate_segment(a2, negated, DOWN_AND_BENT) == (
+        False, "bend (0, 1) -> (-1, 1) at (1, 0) is not allowed")
+    # the walk allows the bend and reports its sign; the coefficient is -1
+    assert segment_coefficients(a2, negated, DOWN_AND_BENT) == [1, -1]
+
+
+def _split_ray(fd, diagram):
+    """The diagram with its ray of most terms carried by two walls whose
+    functions f1 and f2 multiply to its f up to the diagram's order, and the
+    ray's direction."""
+    w = max((w for w in diagram.walls if w.kind == "ray"), key=lambda w: len(w.func.terms()))
+    f, K = w.func, diagram.order
+    top = int(K / cone_order(fd, f.direction))  # the last k with k*m0 of order <= K
+    k1, c1 = f.terms()[0]
+    f2 = WallFunction(f.direction, [0] * (k1 - 1) + [c1 + 1])
+    f1 = wf_mul(f, wf_pow(f2, -1, top), top)
+    assert not f1.is_one() and wf_mul(f1, f2, top) == wf_mul(f, WallFunction(f.direction, []), top)
+    walls = [v for v in diagram.walls if v is not w]
+    walls += [Wall(w.normal, "ray", w.direction, f1), Wall(w.normal, "ray", w.direction, f2)]
+    return Diagram(fd, walls, K, diagram.saturated), w.direction
+
+
+@pytest.mark.parametrize("i", range(4), ids=["A2", "B2", "G2", "Kronecker"])
+def test_split_wall_function_changes_nothing(i):
+    # the search multiplies the functions of the walls on one half-line
+    # (_Family); crossing the two walls in turn is crossing their product
+    from csd.constructions import alpha_table
+    from csd.convexity import is_blc_2d, _random_polygon
+    from csd.scattering import check_consistent, path_ordered_product
+    fd, diagram, order = _diff_diagram(i)
+    split, (rx, ry) = _split_ray(fd, diagram)
+    assert len(search_form(fd, split).walls_through((rx, ry))) == 2
+    assert check_consistent(fd, split)
+    rng = random.Random(i)
+    for _ in range(12):
+        m = (rng.randint(-3, 3), rng.randint(-3, 3))
+        z = (F(rng.randint(-400, 400), 101), F(rng.randint(-400, 400), 103))
+        assert theta(fd, split, m, z) == theta(fd, diagram, m, z), (m, z)
+    for p, q in [((1, 0), (0, 1)), ((1, -1), (-1, 2)), ((2, 1), (-1, -1)), ((-1, 0), (0, -1))]:
+        assert alpha_table(fd, split, p, q) == alpha_table(fd, diagram, p, q), (p, q)
+    # a leg across the split ray alone, then a path that sweeps three quadrants
+    for path in ([(3 * rx - F(ry, 7), 3 * ry + F(rx, 7)), (3 * rx + F(2 * ry, 13), 3 * ry - F(2 * rx, 13))],
+                 [(F(7, 3), F(5, 11)), (F(-13, 7), F(17, 5)), (F(-19, 9), F(-23, 7)),
+                  (F(29, 11), F(-31, 13))]):
+        for e in [(1, 0), (0, 1), (-1, 2)]:
+            p = LaurentPoly.monomial(e, order)
+            assert path_ordered_product(fd, split, path, p) == \
+                path_ordered_product(fd, diagram, path, p), (path, e)
+    for _ in range(10):
+        cycle = _random_polygon(rng)
+        assert is_blc_2d(fd, split, cycle).verdict == is_blc_2d(fd, diagram, cycle).verdict

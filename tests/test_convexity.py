@@ -1,14 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import csd.convexity as convexity
 from csd.brokenline import validate_segment
 from csd.convexity import (PLMap, shear_map, chart_maps,
                            is_blc_2d, blc_hull_2d, check_positive,
                            main_theorem_harness, map_cycle)
-from csd.geometry import convex_hull, compile_hull, homogeneous
-from csd.lattice import FixedData
+from csd.geometry import convex_hull, compile_hull, homogeneous, rot90
+from csd.lattice import FixedData, pairing, line_dir
 from csd.scattering import complete_rank2
 
 F = Fraction
@@ -117,6 +118,21 @@ def test_chart_maps_match_uncached_walk(a2, g2, kron, bound, monkeypatch):
             assert set(walk_keys) <= set(keys) and not walk_closed
             # the cut walk misses charts unless the full walk closes
             assert len(walk_keys) < len(keys) or closed
+
+
+SIX_TYPES = [([[0, 1], [-1, 0]], [1, 1]), ([[0, 2], [-1, 0]], [1, 2]),
+             ([[0, 3], [-1, 0]], [1, 3]), ([[0, 2], [-2, 0]], [1, 1]),
+             ([[0, 4], [-1, 0]], [1, 4]), ([[0, 3], [-3, 0]], [1, 1])]
+
+
+@given(st.sampled_from(SIX_TYPES),
+       st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(any))
+@settings(max_examples=200, deadline=None)
+def test_normal_pairs_negatively_with_its_turned_line(exchange_d, n):
+    # <n, rot90(d)> = -(n0^2*d1/d0 + n1^2*d0/d1)/g for d = line_dir(fd, n), so
+    # shear_map's sheared side always starts at -d
+    fd = FixedData.from_exchange(*exchange_d)
+    assert pairing(fd, n, rot90(line_dir(fd, n))) < 0
 
 
 def test_initial_shears_are_one_sided(a2, a2_diagram):
