@@ -804,8 +804,10 @@ def bend_coefficient(fd, diagram, point, m_prev, m_next):
         if not same_ray(step, m0):
             continue
         i = 0 if m0[0] != 0 else 1
+        # same_ray makes k > 0, so k >= 1 unless the step is a fractional
+        # multiple of m0, which exponents glued from rescaled lines can give
         k, r = divmod(step[i], m0[i])
-        if r or k < 1:
+        if r:
             continue
         # L times the pairing with n0; exponents are Fractions on glued segments
         pw = fam.a[0] * m_prev[0] + fam.a[1] * m_prev[1]

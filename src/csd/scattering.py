@@ -229,10 +229,9 @@ def complete_diagram(fd, diagram):
                     delta = d_j
                 elif delta != d_j:
                     raise ValueError("inconsistent correction at %r: %r vs %r" % (p, delta, d_j))
-            if delta is None:
-                raise ValueError("no generator pairs with correction direction %r" % (p,))
-            # some generator sees c != 0, so its w != 0 and its d_j != 0 or
-            # the loop has raised: delta != 0
+            # n0p != 0 pairs to w != 0 with some e_j, so delta is set; some
+            # generator sees c != 0, so its w != 0 and its d_j != 0 or the
+            # loop has raised: delta != 0
             _insert_correction(fd, walls, p, delta)
         current = Diagram(diagram.fd, walls, diagram.order, False)
     else:

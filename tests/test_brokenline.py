@@ -849,6 +849,10 @@ DOWN_AND_BENT = Segment((1, 1), (2, -1), [Piece((0, 1), 1, None, 1),
 
 
 @pytest.mark.parametrize("seg, bend", [
+    # the step (-1/2, 0) is m0/2 on the horizontal axis, m0 = (-1, 0)
+    (Segment((1, 1), (F(3, 2), -1), [Piece((0, 1), 1, None, 1),
+                                     Piece((F(-1, 2), 1), 1, None, 1)], 2),
+     "(0, 1) -> (Fraction(-1, 2), 1)"),
     # the step (12, 0) is -12 * m0
     (Segment((F(2), F(-6)), (F(-7, 2), F(-6)), [Piece((5, -12), 1, None, F(1, 2)),
                                                 Piece((17, -12), 1, None, F(1, 4))], F(3, 4)),
@@ -857,7 +861,7 @@ DOWN_AND_BENT = Segment((1, 1), (2, -1), [Piece((0, 1), 1, None, 1),
     (Segment((1, 0), (F(3, 2), 0), [Piece((1, 0), 1, None, F(1, 2)),
                                     Piece((-1, 0), 1, None, 1)], F(3, 2)),
      "(1, 0) -> (-1, 0)"),
-], ids=["negative-step", "zero-pairing"])
+], ids=["half-step", "negative-step", "zero-pairing"])
 def test_bend_no_wall_allows_is_named(a2, a2_diagram, seg, bend):
     ok, why = validate_segment(a2, a2_diagram, seg)
     assert not ok and why.startswith("bend %s at " % bend) and why.endswith(" is not allowed")
