@@ -155,7 +155,8 @@ class _Family:
         if len(ts) == 1:
             (j, c), = ts
             r, rest = divmod(k, j)
-            return 0 if rest else comb(pw, r) * c ** r
+            # r > pw would still raise c to the huge power r
+            return 0 if rest or r > pw else comb(pw, r) * c ** r
         return _pow_coeffs(self.f, pw, k)[k]
 
 

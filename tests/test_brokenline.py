@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csd import brokenline, serialize
+from csd import brokenline, convexity, serialize
 from csd.brokenline import (Piece, BrokenLine, Segment, wall_families,
                             allowed_bends, enumerate_lines, theta, theta_of_lines, reverse,
                             validate_segment, segment_coefficients,
@@ -16,7 +16,9 @@ from csd.geometry import (vadd, vsub, vscale, is_zero, homogeneous, cross, dot, 
                           primitive, line_key)
 from csd.lattice import (FixedData, pairing, n_circ_primitive, cone_order,
                          solve_linear, scaled_normal, dual_perp)
-from csd.scattering import Diagram, Wall, complete_rank2, initial_wall
+from csd.constructions import alpha_table
+from csd.scattering import (Diagram, Wall, complete_rank2, initial_wall, check_consistent,
+                            path_ordered_product)
 from csd.series import wf_mul, wf_pow, LaurentPoly, WallFunction
 from segments import line_bounded_segment
 
@@ -812,7 +814,6 @@ def _perturbed(seg, rng):
 def test_reversed_segment_validates_the_same(i, monkeypatch):
     # _walk reads a bend's step m_next - m_prev and |<n0', m_prev>|, and
     # reverse changes neither, so the witness search tries no reversed chord
-    from csd import convexity
     fd, diagram, order = _diff_diagram(i)
     chords = []
 
@@ -832,20 +833,6 @@ def test_reversed_segment_validates_the_same(i, monkeypatch):
     assert chords and bounded and True in verdicts and False in verdicts
     for seg, ok in zip(segs, verdicts):
         assert validate_segment(fd, diagram, reverse(seg))[0] == ok, seg
-
-
-def _negated_horizontal(a2):
-    """A2 with the wall function of the horizontal axis 1 - z^(-1, 0)."""
-    w0, w1 = initial_wall(a2, 0), initial_wall(a2, 1)
-    assert w1.normal == (0, 1) and w1.func == WallFunction((-1, 0), [1])
-    return Diagram(a2, [w0, Wall(w1.normal, "line", w1.direction, WallFunction((-1, 0), [-1]))],
-                   6, False)
-
-
-# down onto the horizontal axis at (1, 0), where <n0', (0, 1)> = 1, then bent
-# by one step m0 = (-1, 0)
-DOWN_AND_BENT = Segment((1, 1), (2, -1), [Piece((0, 1), 1, None, 1),
-                                         Piece((-1, 1), 1, None, 1)], 2)
 
 
 @pytest.mark.parametrize("seg, bend", [
@@ -870,12 +857,19 @@ def test_bend_no_wall_allows_is_named(a2, a2_diagram, seg, bend):
 
 
 def test_bend_with_negative_coefficient_is_not_allowed(a2, a2_diagram):
-    assert validate_segment(a2, a2_diagram, DOWN_AND_BENT) == (True, None)
-    negated = _negated_horizontal(a2)
-    assert validate_segment(a2, negated, DOWN_AND_BENT) == (
+    # down onto the horizontal axis at (1, 0), where <n0', (0, 1)> = 1, then
+    # bent by one step m0 = (-1, 0)
+    seg = Segment((1, 1), (2, -1), [Piece((0, 1), 1, None, 1), Piece((-1, 1), 1, None, 1)], 2)
+    assert validate_segment(a2, a2_diagram, seg) == (True, None)
+    # the same diagram with the axis's function 1 - z^(-1, 0)
+    w0, w1 = initial_wall(a2, 0), initial_wall(a2, 1)
+    assert w1.normal == (0, 1) and w1.func == WallFunction((-1, 0), [1])
+    negated = Diagram(a2, [w0, Wall(w1.normal, "line", w1.direction,
+                                    WallFunction((-1, 0), [-1]))], 6, False)
+    assert validate_segment(a2, negated, seg) == (
         False, "bend (0, 1) -> (-1, 1) at (1, 0) is not allowed")
     # the walk allows the bend and reports its sign; the coefficient is -1
-    assert segment_coefficients(a2, negated, DOWN_AND_BENT) == [1, -1]
+    assert segment_coefficients(a2, negated, seg) == [1, -1]
 
 
 def _split_ray(fd, diagram):
@@ -888,7 +882,7 @@ def _split_ray(fd, diagram):
     k1, c1 = f.terms()[0]
     f2 = WallFunction(f.direction, [0] * (k1 - 1) + [c1 + 1])
     f1 = wf_mul(f, wf_pow(f2, -1, top), top)
-    assert not f1.is_one() and wf_mul(f1, f2, top) == wf_mul(f, WallFunction(f.direction, []), top)
+    assert not f1.is_one() and wf_mul(f1, f2, top) == f
     walls = [v for v in diagram.walls if v is not w]
     walls += [Wall(w.normal, "ray", w.direction, f1), Wall(w.normal, "ray", w.direction, f2)]
     return Diagram(fd, walls, K, diagram.saturated), w.direction
@@ -898,9 +892,6 @@ def _split_ray(fd, diagram):
 def test_split_wall_function_changes_nothing(i):
     # the search multiplies the functions of the walls on one half-line
     # (_Family); crossing the two walls in turn is crossing their product
-    from csd.constructions import alpha_table
-    from csd.convexity import is_blc_2d, _random_polygon
-    from csd.scattering import check_consistent, path_ordered_product
     fd, diagram, order = _diff_diagram(i)
     split, (rx, ry) = _split_ray(fd, diagram)
     assert len(search_form(fd, split).walls_through((rx, ry))) == 2
@@ -913,13 +904,16 @@ def test_split_wall_function_changes_nothing(i):
     for p, q in [((1, 0), (0, 1)), ((1, -1), (-1, 2)), ((2, 1), (-1, -1)), ((-1, 0), (0, -1))]:
         assert alpha_table(fd, split, p, q) == alpha_table(fd, diagram, p, q), (p, q)
     # a leg across the split ray alone, then a path that sweeps three quadrants
-    for path in ([(3 * rx - F(ry, 7), 3 * ry + F(rx, 7)), (3 * rx + F(2 * ry, 13), 3 * ry - F(2 * rx, 13))],
-                 [(F(7, 3), F(5, 11)), (F(-13, 7), F(17, 5)), (F(-19, 9), F(-23, 7)),
-                  (F(29, 11), F(-31, 13))]):
+    across = [(3 * rx - F(ry, 7), 3 * ry + F(rx, 7)),
+              (3 * rx + F(2 * ry, 13), 3 * ry - F(2 * rx, 13))]
+    sweep = [(F(7, 3), F(5, 11)), (F(-13, 7), F(17, 5)), (F(-19, 9), F(-23, 7)),
+             (F(29, 11), F(-31, 13))]
+    for path in (across, sweep):
         for e in [(1, 0), (0, 1), (-1, 2)]:
             p = LaurentPoly.monomial(e, order)
             assert path_ordered_product(fd, split, path, p) == \
                 path_ordered_product(fd, diagram, path, p), (path, e)
     for _ in range(10):
-        cycle = _random_polygon(rng)
-        assert is_blc_2d(fd, split, cycle).verdict == is_blc_2d(fd, diagram, cycle).verdict
+        cycle = convexity._random_polygon(rng)
+        assert convexity.is_blc_2d(fd, split, cycle).verdict == \
+            convexity.is_blc_2d(fd, diagram, cycle).verdict

@@ -72,7 +72,7 @@ def test_theta_swaps(name):
     found = 0
     for _ in range(37):
         m = (rng.randint(-3, 3), rng.randint(-3, 3))
-        z = (F(rng.randint(-50, 50), rng.randint(7, 60)), F(rng.randint(-50, 50), rng.randint(7, 60)))
+        z = tuple(F(rng.randint(-50, 50), rng.randint(7, 60)) for _ in "xy")
         terms = _theta_terms(fd, diagram, m, z)
         want = None if terms is None else {swap(e): c for e, c in terms.items()}
         assert _theta_terms(swapped, other, swap(m), swap(z)) == want, (m, z)

@@ -114,6 +114,8 @@ def test_family_coefficient_huge_order_is_cheap():
     # binomial fast path: no series of length 10**5 is ever built
     assert fam.coefficient(2, 10) == 0
     assert fam.coefficient(200000, 200000) > 0
+    # a shift past the power is 0 without raising c to it
+    assert _family([0, 3]).coefficient(2, 10 ** 8) == 0
 
 
 def laurent(fd, terms, base, order):

@@ -117,11 +117,11 @@ def unrun(source, lines, steps):
     """[(line, what)] for one module: its statements that never ran and its
     ifs that only went one way, by line, given the lines that ran and the
     steps taken."""
-    tree = ast.parse(source)
-    stmts = _statements(tree)
-    ran = [s for s in stmts if _own_lines(s) & lines]
-    out = [(s.lineno, "never executed") for s in stmts if not _own_lines(s) & lines]
-    for s in ran:
+    out = []
+    for s in _statements(ast.parse(source)):
+        if not _own_lines(s) & lines:
+            out.append((s.lineno, "never executed"))
+            continue
         if not isinstance(s, ast.If):
             continue
         test = set(range(s.lineno, s.test.end_lineno + 1))
@@ -130,8 +130,8 @@ def unrun(source, lines, steps):
             continue
         ways = {to in into for frm, to in steps if frm in test and to not in test}
         if ways != {True, False}:
-            out.append((s.lineno, "if went only %s" % ("true" if True in ways
-                                                        else "false" if ways else "neither way")))
+            out.append((s.lineno, "if went " + ("only true" if True in ways
+                                                else "only false" if ways else "neither way")))
     return sorted(out)
 
 
