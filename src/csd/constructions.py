@@ -182,6 +182,10 @@ def _endpoint_first(gamma):
 
 
 def _support(fd, x0, ms, ns, a, b):
+    """The support polyline: x~_i where the chord from x~_(i-1) to m_(i-1)/a
+    meets the line of bend i.  A chord parallel to that line misses it:
+    its far end pairs to <n_i, m_(i-1)>/a with n_i, which ``_rho`` has
+    found nonzero, so its near end does too."""
     xt = [vscale(Fraction(1, a + b), x0)]
     for i in range(1, len(ms)):
         prev = xt[-1]
@@ -189,10 +193,7 @@ def _support(fd, x0, ms, ns, a, b):
         sa = pairing(fd, ns[i], prev)
         sb = pairing(fd, ns[i], tip)
         if sa == sb:
-            if sa != 0:
-                raise ValueError("support chord misses the bending wall")
-            xt.append(prev)
-            continue
+            raise ValueError("support chord misses the bending wall")
         t = sa / (sa - sb)
         xt.append(vadd(prev, vscale(t, vsub(tip, prev))))
     return xt + [vscale(Fraction(1, a), ms[-1])]
@@ -350,10 +351,8 @@ def _bend_normals_from(fd, mt):
     out = [None]
     for i in range(1, len(mt)):
         step = vsub(mt[i - 1], mt[i])
-        if is_zero(step):
-            out.append(None)
-        else:
-            out.append(n_circ_primitive(fd, dual_perp(fd, step)))
+        # a trivial bend, two pieces with one exponent, has no wall
+        out.append(None if is_zero(step) else n_circ_primitive(fd, dual_perp(fd, step)))
     return out
 
 

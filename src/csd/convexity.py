@@ -293,10 +293,11 @@ def _edge_fold_points(a, b, folds):
         if X * s[0] + Y * s[1] >= 0:
             g = gcd(X, Y, q)
             hits.append((c * bq, den, (X // g, Y // g, q // g)))
-    if len(hits) > 1:
-        # t = c*bq/den, compared over the common denominator D
-        D = lcm(*(den for _, den, _ in hits))
-        hits.sort(key=lambda h: h[0] * (D // h[1]))
+    if len(hits) < 2:
+        return [pt for _, _, pt in hits]
+    # t = c*bq/den, compared over the common denominator D
+    D = lcm(*(den for _, den, _ in hits))
+    hits.sort(key=lambda h: h[0] * (D // h[1]))
     return list(dict.fromkeys(pt for _, _, pt in hits))
 
 
@@ -327,8 +328,6 @@ def refine_cycle(cycle, folds):
     """The homogeneous cycle with the fold crossings of its edges inserted;
     only the edges whose ends have opposite ``_fold_sides`` bits are
     searched for crossings."""
-    if not folds:
-        return list(cycle)
     sides = _fold_sides(cycle, folds)
     out = []
     n = len(cycle)
@@ -365,8 +364,12 @@ def _linear_on(points):
             cut = cuts.get(line)
             if cut is None:
                 sx, sy = line
-                sides = [sx * Y - sy * X for X, Y, _ in points]
-                cut = cuts[line] = min(sides) < 0 < max(sides)
+                # bit 1: a point strictly left of the line, bit 2: strictly right
+                signs = 0
+                for X, Y, _ in points:
+                    c = sx * Y - sy * X
+                    signs |= 1 if c > 0 else 2 if c < 0 else 0
+                cut = cuts[line] = signs == 3
             if cut:
                 return False
         return True
@@ -441,9 +444,10 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     needs the closed set, otherwise the verdict is None (unknown).
 
     The first chart is the identity and decides whether the cycle itself is
-    convex.  A later chart none of whose fold lines cuts the cycle's points
-    is linear on them (``_linear_on``), so its image is convex exactly when
-    the cycle is: it is skipped without being mapped.
+    convex: its image is the cycle's own points, which are tested and handed
+    to the witness search unmapped.  A later chart none of whose fold lines
+    cuts the cycle's points is linear on them (``_linear_on``), so its image
+    is convex exactly when the cycle is: it is skipped without being mapped.
 
     A False report returns at the first chart whose image is not convex.
     Its witness is searched for in that chart (``_convexity_witness``) the
@@ -461,7 +465,7 @@ def is_blc_2d(fd, diagram, cycle, K=None):
     for k, phi in enumerate(charts):
         if k and linear(phi):
             continue
-        image = map_cycle(phi, points)
+        image = map_cycle(phi, points) if k else points
         if not cycle_is_convex(image):
             rep = CheckReport(False, order_checked=K, closed=closed)
             rep._find = functools.partial(_convexity_witness, fd, diagram, cycle, phi, image)
@@ -532,12 +536,21 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     chamber of a complete diagram of finite type (SearchForm.one_cone):
     their product is theta_{p+q}, and p + q lies in aP + bP = (a + b)P.
 
-    The scan is one integer pass: each dilation and its lattice points,
-    descending, are built once per degree, pairs with the origin are left
-    out of the lists (they cannot escape), the corners are tested on ints,
-    and products and alpha tables are read from the diagram's caches with
-    one key per pair; only a miss computes them.  The corner p + q itself is
-    not tested: P is convex, so aP + bP = (a + b)P holds it.
+    The scan is one integer pass over the one compiled hull of P: the
+    lattice points of each dilation, descending, are listed once when first
+    needed (those of bP only when aP holds one), the planes of (a + b)P are
+    those of P with N scaled, pairs with the origin are left out of the
+    lists (they cannot escape), the corners are tested on ints, and products
+    and alpha tables are read from the diagram's caches with one key per
+    pair; only a miss computes them.  The corner p + q itself is not tested:
+    P is convex, so aP + bP = (a + b)P holds it.
+
+    When a == b only the pairs with q <= p are scanned.  Every test of a
+    pair is symmetric in p and q (the corners, one_cone, and the product
+    and alpha table, keyed by the unordered pair), and with p then q
+    descending (u, v) comes before (v, u) for u > v, so the first violation
+    of the full scan has p >= q and the half scan finds it, with the same
+    witness, and computes the same products and tables.
     """
     cycle = _polygon(cycle, "cycle")
     _check_degree(max_degree)
@@ -552,31 +565,34 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
 
     def lattice(k):
         if k not in listed:
-            listed[k] = [p for p in reversed(region.dilate(k).lattice_points())
-                         if p != (0, 0)]
+            listed[k] = pts = region.lattice_points(k)
+            pts.reverse()
+            if (0, 0) in pts:
+                pts.remove((0, 0))
         return listed[k]
 
-    (g1x, g1y), (g2x, g2y) = fd.monoid_gens
-    k1x, k1y, k2x, k2y = K * g1x, K * g1y, K * g2x, K * g2y
     products, alphas, one_cone = form.products, form.alphas, form.one_cone
+    # (a + b)P has the planes A*x + B*y >= (a + b)*N, so both corners
+    # s + K*g1 and s + K*g2 of s = p + q lie in it exactly when
+    # A*sx + B*sy + m >= (a + b)*N for every plane, with
+    # m = K*min(A*g1x + B*g1y, A*g2x + B*g2y), as K >= 0
+    (g1x, g1y), (g2x, g2y) = fd.monoid_gens
+    corners = [(A, B, N, K * min(A * g1x + B * g1y, A * g2x + B * g2y))
+               for A, B, N in region.planes]
 
     for total in range(2, max_degree + 1):
-        target = region.dilate(total).planes
-
-        def inside(x, y):
-            for A, B, N in target:
-                if A * x + B * y < N:
-                    return False
-            return True
-
         for a in range(1, total // 2 + 1):
             b = total - a
-            pb = lattice(b)
-            for p in lattice(a):
+            pa = lattice(a)
+            pb = lattice(b) if pa else ()
+            for i, p in enumerate(pa):
                 px, py = p
-                for q in pb:
+                for q in pb[i:] if a == b else pb:
                     sx, sy = px + q[0], py + q[1]
-                    if inside(sx + k1x, sy + k1y) and inside(sx + k2x, sy + k2y):
+                    for A, B, N, m in corners:
+                        if A * sx + B * sy + m < total * N:
+                            break
+                    else:
                         continue
                     if one_cone(p, q):
                         continue
@@ -584,13 +600,13 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
                     prod = products.get(key)
                     if prod is None:
                         prod = _product_cached(fd, diagram, p, q, K)
-                    if all(inside(*e) for e in prod.terms):
+                    if all(region.contains(*e, total) for e in prod.terms):
                         continue
                     table = alphas.get(key)
                     if table is None:
                         table = _alpha_cached(fd, diagram, p, q, K)
                     for r in sorted(table):
-                        if not inside(*r):
+                        if not region.contains(*r, total):
                             w = {"p": p, "q": q, "r": r, "a": a, "b": b, "alpha": table[r]}
                             return CheckReport(False, [w], degree_checked=max_degree,
                                                order_checked=K)

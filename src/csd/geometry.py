@@ -183,12 +183,20 @@ def _chain(pts):
 
 
 def homogeneous(p):
-    """The point p as (X, Y, q), q > 0, gcd 1; homogeneous p is returned as is."""
+    """The point p as (X, Y, q), q > 0, gcd 1; homogeneous p is returned as is.
+
+    Ints and Fractions are read once each through ``as_integer_ratio``;
+    another rational type without it, through its numerator and denominator.
+    """
     if len(p) == 3:
         return p
     x, y = p
-    q = lcm(x.denominator, y.denominator)
-    return (x.numerator * (q // x.denominator), y.numerator * (q // y.denominator), q)
+    try:
+        (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+    except AttributeError:
+        (a, b), (c, d) = (x.numerator, x.denominator), (y.numerator, y.denominator)
+    q = lcm(b, d)
+    return (a * (q // b), c * (q // d), q)
 
 
 def rational(h):
@@ -226,45 +234,54 @@ def cycle_is_convex(cycle):
 
 
 class HalfPlanes:
-    """A hull as integer half-planes A*x + B*y >= N, plus its bounding box."""
+    """A hull as integer half-planes A*x + B*y >= N, plus its bounding box.
 
-    __slots__ = ("planes", "box")
+    The planes with B > 0 bound each column of the hull from below and those
+    with B < 0 from above; they are sorted into ``lower`` and ``upper`` once.
+    A plane with B = 0 is a vertical edge or cap at the box's least or
+    greatest x, which every column the box spans satisfies, so
+    ``lattice_points`` reads only ``lower`` and ``upper``.
+    """
+
+    __slots__ = ("planes", "box", "lower", "upper")
 
     def __init__(self, planes, box):
         self.planes = planes
         # (xmin, xmax, ymin, ymax, L): integer numerators over the denominator L
         self.box = box
-
-    def dilate(self, k):
-        """The hull scaled by the integer k > 0."""
-        x0, x1, y0, y1, L = self.box
-        return HalfPlanes([(A, B, k * N) for A, B, N in self.planes],
-                          (k * x0, k * x1, k * y0, k * y1, L))
+        self.lower = [p for p in planes if p[1] > 0]
+        self.upper = [p for p in planes if p[1] < 0]
 
     def contains(self, x, y, q=1):
-        """Whether the point (x/q, y/q), q > 0, lies in the hull (boundary counts)."""
+        """Whether the point (x/q, y/q), q > 0, lies in the hull (boundary
+        counts); in the hull scaled by the integer k > 0 when q is k times
+        the point's denominator."""
         for A, B, N in self.planes:
             if A * x + B * y < N * q:
                 return False
         return True
 
-    def lattice_points(self):
-        """Integer points of the hull in ascending order: by column, x
-        ascending, and y ascending within a column.  This is sorted order
-        of the (x, y) tuples, which ``check_positive`` relies on."""
+    def lattice_points(self, k=1):
+        """Integer points of the hull scaled by the integer k > 0, in
+        ascending order: by column, x ascending, and y ascending within a
+        column.  This is sorted order of the (x, y) tuples, which
+        ``check_positive`` relies on.  Column x runs from the greatest of
+        the box's least y and the lower bounds ceil((k*N - A*x)/B) to the
+        least of its greatest y and the upper bounds."""
         x0, x1, y0, y1, L = self.box
         out = []
-        for x in range(-(-x0 // L), x1 // L + 1):
-            lo, hi = -(-y0 // L), y1 // L
-            for A, B, N in self.planes:
-                r = N - A * x  # B*y >= r
-                if B > 0:
-                    lo = max(lo, -(-r // B))
-                elif B < 0:
-                    hi = min(hi, r // B)
-                elif r > 0:
-                    hi = lo - 1
-            out.extend((x, y) for y in range(lo, hi + 1))
+        for x in range(-(-k * x0 // L), k * x1 // L + 1):
+            lo, hi = -(-k * y0 // L), k * y1 // L
+            for A, B, N in self.lower:
+                y = (A * x - k * N) // B
+                if -y > lo:
+                    lo = -y
+            for A, B, N in self.upper:
+                y = (k * N - A * x) // B
+                if y < hi:
+                    hi = y
+            for y in range(lo, hi + 1):
+                out.append((x, y))
         return out
 
 

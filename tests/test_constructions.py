@@ -481,3 +481,35 @@ def test_split_rejects_a_bend_along_its_wall(a2, a2_diagram):
         pair_from_segment(a2, a2_diagram, seg, F(3, 2))
     with pytest.raises(ValueError, match="^piece runs parallel to its bending wall$"):
         pair_from_segment(a2, a2_diagram, seg, F(3, 2), 1, 1)
+
+
+def test_support_chord_parallel_to_its_wall_is_rejected(a2):
+    # the endpoint (2, 0) is 2*m_0 for m_0 = (1, 0), so with a = b = 1 the
+    # chord from x~_0 = (1, 0) to m_0/a = (1, 0) is a point off the wall of
+    # the bend from (1, 1), which it never meets
+    line = BrokenLine((2, 0), [Piece((1, 1), 1, (1, 0)), Piece((1, 0), 1)])
+    with pytest.raises(ValueError, match="^support chord misses the bending wall$"):
+        construct_segment(a2, line, 1, 1, 1)
+
+
+@pytest.mark.parametrize("tau", [F(1, 2), F(3, 2)])
+def test_trivial_bend_splits_like_no_bend(a2, a2_diagram, tau):
+    # two pieces with one exponent validate like the one piece they make;
+    # the side that holds the trivial bend has no wall normal there, so its
+    # line keeps the exponent twice, the bend at the base
+    bent = Segment((3, 1), (1, 1), [Piece((1, 0), 1, None, 1), Piece((1, 0), 1, None, 1)], 2)
+    straight = Segment((3, 1), (1, 1), [Piece((1, 0), 1, None, 2)], 2)
+    assert validate_segment(a2, a2_diagram, bent)[0]
+    assert validate_segment(a2, a2_diagram, straight)[0]
+    pair, tr = pair_from_segment(a2, a2_diagram, bent, tau)
+    ref, ref_tr = pair_from_segment(a2, a2_diagram, straight, tau)
+    assert pair.is_balanced() and pair.base == ref.base
+    assert (tr.a, tr.b) == (ref_tr.a, ref_tr.b)
+    bent_side = 2 if tau < 1 else 1
+    for i, (line, ref_line) in enumerate(((pair.line1, ref.line1), (pair.line2, ref.line2)), 1):
+        assert (line.initial, line.final) == (ref_line.initial, ref_line.final)
+        if i == bent_side:
+            assert [p.exponent for p in line.pieces] == [line.final] * 2
+            assert line.pieces[0].bend_point == pair.base
+        else:
+            assert repr(line.pieces) == repr(ref_line.pieces)

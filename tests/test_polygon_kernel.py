@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csd import constructions, convexity
-from csd.brokenline import Segment, Piece, validate_segment, reverse
+from csd.brokenline import Segment, Piece, SearchForm, validate_segment, reverse
 from csd.constructions import fixed_generic_endpoint, _theta_cached
 from csd.convexity import (PLMap, chart_maps, is_blc_2d, blc_hull_2d, check_positive,
                            mat_vec, _alpha_cached)
@@ -344,7 +344,7 @@ any_hull = st.one_of(hulls(1, 1),
        st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=10))
 def test_compiled_containment_matches_reference(hull, k, rational_pts, int_pts):
     dilated = [vscale(k, p) for p in hull]
-    compiled = compile_hull(hull).dilate(k)
+    compiled = compile_hull(hull)
     # every vertex of the dilation, edge midpoints and points just off them
     probes = list(dilated) + [vscale(k, p) for p in rational_pts] + rational_pts + int_pts
     for a, b in zip(dilated, dilated[1:] + dilated[:1]):
@@ -352,7 +352,8 @@ def test_compiled_containment_matches_reference(hull, k, rational_pts, int_pts):
         probes += [mid, vadd(mid, (F(1, 97), 0)), vadd(mid, (0, F(-1, 97)))]
     for pt in probes:
         expected = ref_point_in_hull(pt, dilated)
-        assert compiled.contains(*homogeneous(pt)) == expected, (hull, k, pt)
+        X, Y, q = homogeneous(pt)
+        assert compiled.contains(X, Y, q * k) == expected, (hull, k, pt)
         assert compile_hull(dilated).contains(*homogeneous(pt)) == expected
 
 
@@ -362,9 +363,65 @@ def test_lattice_points_match_bounding_box_scan(hull, k):
     dilated = [vscale(k, p) for p in hull]
     expected = ref_lattice_points(dilated)
     compiled = compile_hull(hull)
-    assert all(type(c) is int for c in compiled.box + compiled.dilate(k).box)
-    assert compiled.dilate(k).lattice_points() == expected
+    assert all(type(c) is int for c in compiled.box)
+    assert all(type(c) is int for p in compiled.lattice_points(k) for c in p)
+    assert compiled.lattice_points(k) == expected
     assert compile_hull(dilated).lattice_points() == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("pts", [
+    [(0, 0)], [(F(1, 2), F(-3, 4))],
+    # horizontal and vertical segments, off the grid and on it
+    [(F(-3, 2), F(1, 3)), (F(5, 4), F(1, 3))], [(-2, 1), (3, 1)],
+    [(F(2, 3), F(-5, 4)), (F(2, 3), F(7, 2))], [(-1, -2), (-1, 2)],
+    # hulls with vertical edges: on both sides, on the right, on the left
+    [(-1, -1), (1, -1), (1, 1), (-1, 1)],
+    [(F(-1, 2), 0), (F(3, 2), F(-1, 3)), (F(3, 2), F(5, 2))],
+    [(F(-2, 3), F(-1, 2)), (F(5, 3), 0), (F(-2, 3), F(3, 2))]],
+    ids=["origin", "point", "horizontal", "horizontal-int", "vertical", "vertical-int",
+         "square", "right-edge", "left-edge"])
+def test_lattice_points_of_points_segments_and_vertical_edges(pts, k):
+    # the planes with B = 0 bound no column: each is an edge or cap at the
+    # box's least or greatest x, which every column the box spans satisfies
+    hull = convex_hull(pts)
+    compiled = compile_hull(pts)
+    assert compiled.lattice_points(k) == ref_lattice_points([vscale(k, p) for p in hull])
+    vertical = [pl for pl in compiled.planes if pl[1] == 0]
+    assert vertical
+    assert len(vertical) + len(compiled.lower) + len(compiled.upper) == len(compiled.planes)
+    x0, x1, _, _, L = compiled.box
+    for x in range(-(-k * x0 // L), k * x1 // L + 1):
+        assert all(A * x >= k * N for A, _, N in vertical)
+
+
+class _Ratio:
+    """A rational without ``as_integer_ratio``, read through its numerator
+    and denominator."""
+
+    def __init__(self, f):
+        self.numerator, self.denominator = f.numerator, f.denominator
+
+
+def ref_homogeneous(p):
+    x, y = F(p[0]), F(p[1])
+    q = math.lcm(x.denominator, y.denominator)
+    return (int(x * q), int(y * q), q)
+
+
+entry = st.one_of(st.integers(-10 ** 12, 10 ** 12), st.fractions(max_denominator=10 ** 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(entry, entry))
+def test_homogeneous_matches_fraction_reference(p):
+    # ints, Fractions, the two mixed and negative entries; triples as they are
+    h = homogeneous(p)
+    assert h == ref_homogeneous(p)
+    assert all(type(c) is int for c in h) and h[2] > 0 and math.gcd(*h) == 1
+    assert rational(h) == (F(p[0]), F(p[1]))
+    assert homogeneous(h) is h
+    assert homogeneous((_Ratio(F(p[0])), _Ratio(F(p[1])))) == h
 
 
 def ref_planes(hull):
@@ -408,7 +465,7 @@ def test_compile_hull_of_any_point_set(pts, homog):
 @given(any_hull, st.integers(1, 4))
 def test_lattice_points_are_ascending(hull, k):
     # check_positive reverses this list to scan each dilation descending
-    pts = compile_hull(hull).dilate(k).lattice_points()
+    pts = compile_hull(hull).lattice_points(k)
     assert pts == sorted(set(pts))
 
 
@@ -417,7 +474,7 @@ def test_compiled_hull_shapes():
     assert len(compile_hull([(0, 0), (F(3, 2), F(1))]).planes) == 4
     square = compile_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert len(square.planes) == 4
-    assert square.dilate(3).lattice_points() == [(x, y) for x in range(4) for y in range(4)]
+    assert square.lattice_points(3) == [(x, y) for x in range(4) for y in range(4)]
     # a segment between lattice points: only the points on it
     seg = compile_hull([(0, 0), (2, 4)])
     assert seg.lattice_points() == [(0, 0), (1, 2), (2, 4)]
@@ -551,10 +608,10 @@ def test_verdicts_match_fraction_path(name, diagrams):
 
 # (map_cycle calls, witness chords pulled back, validate_segment calls) of
 # is_blc_2d at K 6 over _polygons("kernel:<name>", 100, 20), with every
-# report's witnesses read.  Charts linear on a cycle are never mapped and
-# chords that cross no fold are never pulled back; a change that loses
-# either skip fails here.
-CHART_WORK = {"A2": (272, 128, 87), "G2": (271, 113, 93), "Kronecker": (485, 128, 99)}
+# report's witnesses read.  The identity chart and charts linear on a cycle
+# are never mapped and chords that cross no fold are never pulled back; a
+# change that loses any of these skips fails here.
+CHART_WORK = {"A2": (152, 128, 87), "G2": (151, 113, 93), "Kronecker": (365, 128, 99)}
 
 
 def _chart_work(fd, diagram, name, read, monkeypatch):
@@ -647,6 +704,28 @@ def test_positivity_scan_matches_fraction_path(name, max_degree, K, diagrams):
 # max_degree 3 and K 6 over _polygons("kernel:<name>", 100, 20), cold caches;
 # a pair in one cluster cone (SearchForm.one_cone) needs neither
 SCAN_WORK = {"G2": (143, 67, 31), "A2": (214, 109, 46)}
+
+
+def test_equal_dilations_visit_each_unordered_pair_once(a2, a2_diagram, monkeypatch):
+    # at a == b == 1 the nine nonzero lattice points of the triangle make 45
+    # unordered pairs, every one escaping 2P at its corners; each reaches
+    # one_cone once, as (p, q) with q <= p, where the full scan made 81
+    # calls.  A first scan fills the caches, so alpha_table, which asks
+    # one_cone too, is not called in the counted one.
+    tri = [(-2, 0), (2, -2), (0, 2)]
+    check_positive(a2, a2_diagram, tri, 2, 6)
+    calls = []
+    one_cone = SearchForm.one_cone
+
+    def counted(self, p, q):
+        calls.append((p, q))
+        return one_cone(self, p, q)
+
+    monkeypatch.setattr(SearchForm, "one_cone", counted)
+    assert check_positive(a2, a2_diagram, tri, 2, 6).verdict is True
+    pts = [p for p in compile_hull(tri).lattice_points() if p != (0, 0)]
+    assert len(pts) == 9
+    assert sorted(calls) == sorted((p, q) for p in pts for q in pts if q <= p)
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_WORK))
