@@ -103,17 +103,30 @@ class Segment:
 
 
 class _Family:
-    """Walls through one support line: primitive normal n0 in N°, direction
-    m0 and product function f.  The normal is also kept scaled by L, so a
-    bending power is an integer dot product.  m0 = (cn*g1 + dn*g2)/D in the
-    monoid generators, D = |cross(g1, g2)|, so its cone order is the integer
-    numerator cn + dn over D, and the coordinates of k*m0 are integers
-    exactly when step = D / gcd(cn, dn, D) divides k.  Powers of f are
-    tabulated."""
+    """Walls through one support line, in diagram order: primitive normal n0
+    in N°, direction m0 and product function f.  The normal is also kept
+    scaled by L, so a bending power is an integer dot product.  m0 =
+    (cn*g1 + dn*g2)/D in the monoid generators, D = |cross(g1, g2)|, so its
+    cone order is the integer numerator cn + dn over D, and the coordinates
+    of k*m0 are integers exactly when step = D / gcd(cn, dn, D) divides k.
+    Powers of f are tabulated.
 
-    __slots__ = ("n0", "m0", "f", "a", "cn", "dn", "step", "order", "powers")
+    Crossing the family once, z^m -> z^m * f^(s*<n0', m>), is crossing its
+    walls one by one (scattering.apply_loop, path_ordered_product).  The
+    walls share m0 and <n0', m0> = 0, so each crossing keeps <n0', m> and
+    multiplies z^m by f_i to that one power: the crossings commute and
+    compose to (f_1 ... f_r)^(s*<n0', m>) = f^(s*<n0', m>), whichever
+    normal each wall has: a wall with normal -n0 crosses with the opposite
+    sign s and the opposite pairing, so with the same power.
+    Truncating after each crossing drops only terms above the order, and a
+    later crossing only raises the order of a term, so it changes nothing
+    below it.
+    """
+
+    __slots__ = ("walls", "n0", "m0", "f", "a", "cn", "dn", "step", "order", "powers")
 
     def __init__(self, fd, walls):
+        self.walls = walls
         self.n0 = n_circ_primitive(fd, walls[0].normal)
         self.m0 = walls[0].func.direction
         f = walls[0].func
@@ -178,18 +191,20 @@ class SearchForm:
     """A diagram's walls compiled into half-lines: the one wall index.
 
     The backward broken-line search, transport along a path and around the
-    origin (scattering.leg_crossings, apply_loop), bend checks
-    (bend_coefficient) and the expansion endpoint all read it.  Every wall
-    lies on the line of its normal, with its function direction on that
-    line and in the cone sigma of the monoid, as scattering.Diagram checks.
-    Each side of a support line that some wall covers is a half-line from
-    the origin, and the walls through a nonzero point are those of its
-    half-line.  The form keeps the half-lines as primitive directions in
-    counterclockwise order (geometry.ccw_key), a position on the circle of
-    directions as the pair (cw, ccw) of indices of its neighbouring
-    half-lines (see near), and, in lists indexed by half-line, the walls in
-    diagram order, their direction m0 and their _Family (family, built on
-    first use, with its power tables).
+    origin and completion (scattering.leg_crossings, apply_loop), bend
+    checks (bend_coefficient, allowed_bends) and the expansion endpoint all
+    read its families.  Every wall lies on the line of its normal, with its
+    function direction on that line and in the cone sigma of the monoid, as
+    scattering.Diagram checks.  Each side of a support line that some wall
+    covers is a half-line from the origin, and the walls through a nonzero
+    point are those of its half-line.  The form keeps the half-lines as
+    primitive directions in counterclockwise order (geometry.ccw_key), a
+    position on the circle of directions as the pair (cw, ccw) of indices
+    of its neighbouring half-lines (see near), and, in lists indexed by
+    half-line, the _Family of its walls in diagram order (fams, built with
+    the form; its power tables fill on use) and their direction m0.
+    families(point) gives the families through a point, the empty list off
+    every wall.
 
     walk is the one walker of that list.  Take a ray P + t*v, t > 0, with
     s = cross(P, v) != 0.  Seen from the origin its angle moves strictly
@@ -210,8 +225,7 @@ class SearchForm:
     them; the search builds its bend sites as triples (_site).  Bend
     coefficients are ints, read from tables of powers of f.
 
-    - families: wall families, one per wall tuple of a half-line (the two
-      halves of a line share one), plus the families at the origin;
+    - the families at the origin, one per support line, built on first use;
     - thetas: theta functions, keyed by (m, endpoint, K);
     - alphas: alpha tables, keyed by (unordered pair {p, q}, K);
     - products: theta products at the expansion endpoint, keyed by
@@ -246,10 +260,15 @@ class SearchForm:
         n = len(self._halves)
         self._index = {h: i for i, h in enumerate(self._halves)}
         self._around = [((i - 1) % n, (i + 1) % n) for i in range(n)]
-        self._walls = [tuple(walls_at[h]) for h in self._halves]
-        self._m0 = [ws[0].func.direction for ws in self._walls]
-        self._fams = [None] * n
-        self._families = {}
+        # the two halves of a line that no ray shares share one family
+        shared = {}
+        self.fams = []
+        for h in self._halves:
+            ws = tuple(walls_at[h])
+            if ws not in shared:
+                shared[ws] = _Family(fd, ws)
+            self.fams.append(shared[ws])
+        self._m0 = [fam.m0 for fam in self.fams]
         self._origin = None
         self.thetas = {}
         self.alphas = {}
@@ -263,13 +282,6 @@ class SearchForm:
         x, y, _ = homogeneous(point)
         g = gcd(x, y) or 1
         return self._index.get((x // g, y // g))
-
-    def walls_through(self, point):
-        """The walls whose support contains the point."""
-        i = self._half(point)
-        if i is None:
-            return () if any(point[:2]) else self._all
-        return self._walls[i]
 
     def near(self, x, y):
         """Indices (cw, ccw) of the half-lines next to the direction of (x, y) != 0.
@@ -427,50 +439,21 @@ class SearchForm:
             cones[m] = mask
         return mask
 
-    def family(self, i):
-        """The wall family of half-line i, built on first use and shared by
-        the half-lines with the same walls."""
-        fam = self._fams[i]
-        if fam is None:
-            walls = self._walls[i]
-            fam = self._families.get(walls)
-            if fam is None:
-                fam = self._families[walls] = _Family(self.fd, walls)
-            self._fams[i] = fam
-        return fam
-
     def families(self, point):
-        """Families of the walls through the point, grouped by support line."""
+        """Families of the walls through the point, grouped by support line:
+        the family of its half-line, every line's at the origin, and none
+        off the walls."""
         i = self._half(point)
         if i is not None:
-            return [self.family(i)]
+            return [self.fams[i]]
         if any(point[:2]):
             return []
         if self._origin is None:
             groups = {}
             for w in self._all:
                 groups.setdefault(line_key(w.normal), []).append(w)
-            self._origin = [_Family(self.fd, ws) for ws in groups.values()]
+            self._origin = [_Family(self.fd, tuple(ws)) for ws in groups.values()]
         return self._origin
-
-    def bends(self, point, m_in, K):
-        """Exponents reachable by bending m_in at the point, as in allowed_bends:
-        m_in itself and each m_in + k*m0 whose shift k*m0 has order at most
-        K, where the power table of f stops."""
-        fams = self.families(point)
-        if not fams:
-            raise ValueError("point %r lies on no wall" % (point,))
-        mx, my = m_in
-        top = K * self._cone[4]
-        out = [((mx, my), 1)]
-        for fam in fams:
-            pw = fam.a[0] * mx + fam.a[1] * my
-            if pw % self.L:
-                raise ValueError("non-integral bending power")
-            sx, sy = fam.m0
-            out += [((mx + k * sx, my + k * sy), c)
-                    for k, c in fam.power_terms(abs(pw) // self.L, top)]
-        return out
 
 
 class _Arcs(dict):
@@ -565,11 +548,26 @@ def allowed_bends(fd, diagram, point, m_in, K):
     """All exponents reachable by bending at the point, with coefficients.
 
     The point is a pair or a homogeneous triple.  Includes the trivial
-    no-bend term.  K bounds the order of the shift.  Coefficients are ints.
-    The search does not call it: _trace reads the same coefficients from
-    the power table of the site's family.
+    no-bend term m_in, then each m_in + k*m0 whose shift k*m0 has order at
+    most K, where the power table of f stops.  Coefficients are ints.  The
+    search does not call it: _trace reads the same coefficients from the
+    power table of the site's family.
     """
-    return search_form(fd, diagram).bends(point, m_in, K)
+    form = search_form(fd, diagram)
+    fams = form.families(point)
+    if not fams:
+        raise ValueError("point %r lies on no wall" % (point,))
+    mx, my = m_in
+    top = K * form._cone[4]
+    out = [((mx, my), 1)]
+    for fam in fams:
+        pw = fam.a[0] * mx + fam.a[1] * my
+        if pw % form.L:
+            raise ValueError("non-integral bending power")
+        sx, sy = fam.m0
+        out += [((mx + k * sx, my + k * sy), c)
+                for k, c in fam.power_terms(abs(pw) // form.L, top)]
+    return out
 
 
 def _endpoint(endpoint):
@@ -639,7 +637,7 @@ def _search(fd, diagram, initial, endpoint, K):
         raise ValueError("initial exponent must be nonzero")
     x, y, q = _endpoint(endpoint)
     form = search_form(fd, diagram)
-    if form.walls_through((x, y, q)):
+    if form.families((x, y, q)):
         raise ValueError("endpoint lies on a wall; perturb it first")
     near = form.near(x, y)
     orders = range(K + 1)
@@ -705,9 +703,9 @@ def _trace(form, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
     A, B = ux * px + uy * py, vx * px + vy * py
     top = K * D
     L = form.L
-    fams = form._fams
+    fams = form.fams
     for i, td, tn in form.walk(x, y, q, mx, my, near):
-        fam = fams[i] or form.family(i)
+        fam = fams[i]
         # the bending power only depends on the pairing with the wall
         # normal, which the bend itself preserves, so the forward
         # coefficients apply; it is integral because n0 lies in N°

@@ -111,7 +111,7 @@ def fixed_generic_endpoint(fd, diagram):
         for v in cands:
             # every wall covers a half of its line, so v misses every wall
             # line when neither v nor -v lies on a half-line
-            if not (form.walls_through(v) or form.walls_through(vneg(v))):
+            if not (form.families(v) or form.families(vneg(v))):
                 form.endpoint = v
                 break
         else:

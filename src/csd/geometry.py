@@ -49,14 +49,6 @@ def rot90(u):
     return (-u[1], u[0])
 
 
-def sgn(x):
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def primitive(v):
     """Primitive integer vector with the same direction as v (int or Fraction entries)."""
     if len(v) == 2 and type(v[0]) is int and type(v[1]) is int:

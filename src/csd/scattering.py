@@ -9,8 +9,8 @@ import functools
 from math import gcd
 
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, line_key, same_ray, rot90,
-                       sgn, cross, dot, homogeneous, _rational_points)
-from .lattice import (pairing, p1_star, n_circ_primitive, line_dir,
+                       cross, dot, homogeneous, _rational_points)
+from .lattice import (pairing, p1_star, n_circ_primitive, line_dir, scaled_normal,
                       cone_order, order_form, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross, _lattice_vector
 from .brokenline import SearchForm, search_form
@@ -97,25 +97,32 @@ def initial_diagram(fd, order):
     return Diagram(fd, walls, order, False)
 
 
-def _crossing_sign(fd, normal, travel):
-    s = sgn(pairing(fd, normal, travel))
-    if s == 0:
-        raise ValueError("path runs inside a wall")
-    return -s
+def _side(a, travel):
+    """The sign of a crossing along travel over walls whose normal n has the
+    scaled normal a (lattice.scaled_normal): -1 when <n, travel> > 0, else 1.
+
+    Its callers never pass a travel on the line of n, where <n, travel> = 0:
+    a is nonzero and a . h = 0 for a direction h of that line, so only a
+    travel parallel to h pairs to 0.  The loop travels along rot90(h) over
+    half-line h, a path crosses a half-line only on a leg that is not
+    parallel to it (leg_crossings), and completion travels along rot90(-p)
+    with p on the line of its outgoing normal n, since <n, p1*(n)> = {n, n}
+    = 0.
+    """
+    return -1 if a[0] * travel[0] + a[1] * travel[1] > 0 else 1
 
 
 def apply_loop(fd, diagram, p):
     """Transport a truncated Laurent polynomial once counterclockwise around the origin.
 
     The loop crosses the half-lines of the search form counterclockwise from
-    the positive x-axis, and the walls of one half-line in diagram order.
+    the positive x-axis, each with one wall_cross by its family's product
+    function, which is crossing its walls one by one (brokenline._Family).
     """
     form = search_form(fd, diagram)
     out = p
-    for h, walls in zip(form._halves, form._walls):
-        travel = rot90(h)
-        for w in walls:
-            out = wall_cross(fd, out, w.func, w.normal, _crossing_sign(fd, w.normal, travel))
+    for h, fam in zip(form._halves, form.fams):
+        out = wall_cross(fd, out, fam.f, fam.n0, _side(fam.a, rot90(h)))
     return out
 
 
@@ -210,7 +217,7 @@ def complete_diagram(fd, diagram):
         for p, by_gen in sorted(offenders.items()):
             n = _outgoing_normal(fd, p)
             n0p = n_circ_primitive(fd, n)
-            eps = _crossing_sign(fd, n, rot90(vneg(p)))
+            eps = _side(scaled_normal(fd, n), rot90(vneg(p)))
             delta = None
             for j, e in enumerate(((1, 0), (0, 1))):
                 w = pairing(fd, n0p, e)
@@ -243,23 +250,25 @@ def complete_diagram(fd, diagram):
 
 
 def leg_crossings(fd, diagram, a, b):
-    """The walls the open segment a -> b crosses, in order along the leg.
+    """The wall families (brokenline._Family) of the half-lines the open
+    segment a -> b crosses, in order along the leg; a family's walls are in
+    diagram order.
 
-    The walls of one half-line come in diagram order.  Raises when the leg
-    hits the origin, when an endpoint lies on a wall, or when the leg runs
-    inside a wall.  A leg that misses the origin turns through less than a
-    half-turn, so it crosses the half-lines of the search form that its walk
-    from a meets strictly before b.
+    Raises when the leg hits the origin, when an endpoint lies on a wall,
+    or when the leg runs inside a wall.  A leg that misses the origin turns
+    through less than a half-turn, so it crosses the half-lines of the
+    search form that its walk from a meets strictly before b.  A radial leg
+    crosses none, so every crossing leg is not parallel to its half-line.
     """
     if is_zero(a) or is_zero(b) or (cross(a, b) == 0 and dot(a, b) < 0):
         raise ValueError("path passes through the origin")
     form = search_form(fd, diagram)
     if cross(a, b) == 0:
         # a radial leg stays on the ray through a
-        if form.walls_through(a):
+        if form.families(a):
             raise ValueError("path runs inside a wall")
         return []
-    if form.walls_through(a) or form.walls_through(b):
+    if form.families(a) or form.families(b):
         raise ValueError("path endpoint lies on a wall")
     x, y, q = homogeneous(a)
     X, Y, Q = homogeneous(b)
@@ -269,13 +278,14 @@ def leg_crossings(fd, diagram, a, b):
         # h is before b while cross(h, b) has the sign of cross(a, b)
         if (hx * Y - hy * X > 0) != (x * Y - y * X > 0):
             break
-        out.extend(form._walls[i])
+        out.append(form.fams[i])
     return out
 
 
 def path_ordered_product(fd, diagram, path, p):
     """Transport a truncated Laurent polynomial along a generic polyline of
-    rational points."""
+    rational points: one wall_cross per half-line a leg crosses
+    (leg_crossings), by its family's product function."""
     path = _rational_points(path, "path", "path point %d")
     search_form(fd, diagram)  # fd must be the diagram's, whatever the path
     if not isinstance(p, LaurentPoly):
@@ -283,6 +293,6 @@ def path_ordered_product(fd, diagram, path, p):
     out = p
     for a, b in zip(path, path[1:]):
         travel = vsub(b, a)
-        for w in leg_crossings(fd, diagram, a, b):
-            out = wall_cross(fd, out, w.func, w.normal, _crossing_sign(fd, w.normal, travel))
+        for fam in leg_crossings(fd, diagram, a, b):
+            out = wall_cross(fd, out, fam.f, fam.n0, _side(fam.a, travel))
     return out

@@ -581,13 +581,12 @@ def test_bends_cap_is_monoid_test(exchange, d, order, edit, monkeypatch):
     for m in DIFF_EXPONENTS:
         for z in DIFF_ENDPOINTS[:2]:
             enumerate_lines(fd, diagram, m, z, order)
-    form = search_form(fd, diagram)
     sites = {}
     for (point, m_out, c), a, rest, K in seen:
         assert _in_monoid(fd, rest), (point, a, rest)
         # the bend a -> m_out is the step k*m0 = m_out - a, listed for m_out
         # as m_out + k*m0
-        every = form.bends(point, m_out, K)
+        every = allowed_bends(fd, diagram, point, m_out, K)
         assert dict(every)[vadd(m_out, vsub(m_out, a))] == c, (point, a, m_out)
         sites[point, m_out, vadd(rest, vsub(m_out, a))] = every
     dropped = 0
@@ -656,7 +655,7 @@ def test_theta_sums_the_lines_of_enumerate_lines(i, order):
     form = search_form(fd, diagram)
     h = form._halves[0]
     # off every wall, on the ray of -m for one m below
-    v = next(v for v in [(2, -1), (1, 2), (-1, 2), (1, 1)] if not form.walls_through(v))
+    v = next(v for v in [(2, -1), (1, 2), (-1, 2), (1, 1)] if not form.families(v))
     endpoints = DIFF_ENDPOINTS[:2] + [(F(3 * h[0], 7), F(3 * h[1], 7)),
                                       (F(3 * v[0], 7), F(3 * v[1], 7))]
     seen = set()
@@ -764,7 +763,7 @@ def test_straight_holds_for_any_walls():
         diagram = Diagram(fd, walls, 4, False)
         form = search_form(fd, diagram)
         z = (F(rng.randint(-300, 300), 101), F(rng.randint(-300, 300), 103))
-        if form.walls_through(homogeneous(z)):
+        if form.families(homogeneous(z)):
             continue
         near = form.near(*homogeneous(z)[:2])
         for m in ((x, y) for x in range(-3, 4) for y in range(-3, 4) if x or y):
@@ -894,7 +893,7 @@ def test_split_wall_function_changes_nothing(i):
     # (_Family); crossing the two walls in turn is crossing their product
     fd, diagram, order = _diff_diagram(i)
     split, (rx, ry) = _split_ray(fd, diagram)
-    assert len(search_form(fd, split).walls_through((rx, ry))) == 2
+    assert [len(fam.walls) for fam in search_form(fd, split).families((rx, ry))] == [2]
     assert check_consistent(fd, split)
     rng = random.Random(i)
     for _ in range(12):

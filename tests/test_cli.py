@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,16 +14,34 @@ from csd.constructions import pair_from_segment
 
 F = Fraction
 
-# each CLI run imports the csd package these tests import, whether or not
-# PYTHONPATH names its directory
+# a `python -m csd.cli` run imports the csd package these tests import,
+# whether or not PYTHONPATH names its directory
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(csd.__file__)))
 _ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
-def run_cli(*args):
+def run_module(*args):
+    """`python -m csd.cli` with args, in a subprocess."""
     return subprocess.run([sys.executable, "-m", "csd.cli"] + list(args),
                           capture_output=True, text=True, env=_ENV)
+
+
+def run_cli(*args):
+    """csd.cli.main(args) in this process, with its exit code, stdout and
+    stderr as run_module gives them.  main lifts the limit on int digits;
+    the limit is put back."""
+    out, err = io.StringIO(), io.StringIO()
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cli.main(list(args))
+    except SystemExit as e:
+        code = e.code
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -364,7 +384,7 @@ def test_successive_main_calls_match_separate_calls(paths, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(cmd)
         out = capsys.readouterr()
-        r = run_cli(*cmd)
+        r = run_module(*cmd)
         assert (exit_info.value.code, out.out, out.err) == (r.returncode, r.stdout, r.stderr)
 
 

@@ -290,15 +290,15 @@ def test_expansion_endpoint_computed_once(g2, monkeypatch):
     z0 = fixed_generic_endpoint(g2, diagram)
     form = search_form(g2, diagram)
     assert form.endpoint == z0
-    walls_through = form.walls_through
+    families = form.families
 
     def no_probe(point):
         # the endpoint scan probes pairs; the search asks about triples
         if len(point) == 2:
             raise AssertionError("endpoint recomputed")
-        return walls_through(point)
+        return families(point)
 
-    monkeypatch.setattr(form, "walls_through", no_probe)
+    monkeypatch.setattr(form, "families", no_probe)
     assert fixed_generic_endpoint(g2, diagram) == z0
     alpha_table(g2, diagram, (1, 0), (-1, 0), 8)
     check_positive(g2, diagram, [(F(-1), F(0)), (F(1), F(-3)), (F(2), F(-3))], 3, 8)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -344,3 +345,42 @@ def test_certify_failure_without_structure_constant(g2, g2_diagram, monkeypatch)
     monkeypatch.setattr(convexity, "structure_constant", non_generic)
     assert convexity._certify_failure(g2, g2_diagram, G2_QUAD, seg, 8) is None
     assert calls
+
+
+# per order, for the six types in SIX_TYPES order: False verdicts with no
+# witness, and witness chords that validate_segment rejected
+WITNESS_COVERAGE = {2: ([0, 1, 1, 3, 0, 0], [0, 3, 4, 5, 0, 0]),
+                    3: ([0] * 6, [0, 0, 2, 0, 0, 0]),
+                    4: ([0] * 6, [0, 0, 2, 0, 0, 0]),
+                    6: ([0] * 6, [0] * 6)}
+
+
+@pytest.mark.parametrize("order", sorted(WITNESS_COVERAGE))
+def test_witness_coverage_is_pinned(order, monkeypatch):
+    # harness seeds 0-5, 50 polygons each: at order 6 every False verdict
+    # has a witness whose first chord validates; low orders may lack the
+    # walls on the charts' fold rays that the chords bend on
+    failed = []
+
+    def counting(fd, diagram, seg):
+        ok, msg = validate_segment(fd, diagram, seg)
+        failed[-1] += not ok
+        return ok, msg
+
+    monkeypatch.setattr(convexity, "validate_segment", counting)
+    no_witness, false = [], 0
+    for exchange, d in SIX_TYPES:
+        fd = FixedData.from_exchange(exchange, d)
+        diagram = complete_rank2(fd, order)
+        failed.append(0)
+        no_witness.append(0)
+        for seed in range(6):
+            rng = random.Random(seed)
+            for _ in range(50):
+                report = is_blc_2d(fd, diagram, convexity._random_polygon(rng))
+                if report.verdict is False:
+                    false += 1
+                    no_witness[-1] += not report.witnesses
+    assert (no_witness, failed) == WITNESS_COVERAGE[order]
+    # the verdicts come from the charts, which do not depend on the order
+    assert false == 1577

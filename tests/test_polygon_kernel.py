@@ -22,12 +22,13 @@ from csd.brokenline import Segment, Piece, SearchForm, validate_segment, reverse
 from csd.constructions import fixed_generic_endpoint, _theta_cached
 from csd.convexity import (PLMap, chart_maps, is_blc_2d, blc_hull_2d, check_positive,
                            mat_vec, _alpha_cached)
-from csd.geometry import (vadd, vsub, vscale, is_zero, primitive, cross, dot, sgn,
+from csd.geometry import (vadd, vsub, vscale, is_zero, primitive, cross, dot,
                           ccw_key, convex_hull, compile_hull, cycle_is_convex,
                           homogeneous, rational)
 from csd.lattice import FixedData
 from csd.scattering import complete_rank2
 from csd.series import lp_mul
+from crossing_reference import sgn
 
 F = Fraction
 
