@@ -151,8 +151,14 @@ class _Family:
         return min(A // self.cn, B // self.dn)
 
     def power_terms(self, pw, top):
-        """Nonzero terms (k, c) of f^pw whose shift k*m0 has order numerator
-        at most top, by ascending k."""
+        """Nonzero terms (k, c) of f^pw, for any integer pw, whose shift k*m0
+        has order numerator at most top, by ascending k.
+
+        Each table is computed once per (pw, top) and kept with the family,
+        so with its diagram: the search (_trace, allowed_bends) asks for
+        |pw| at top = K * D, and series.wall_cross, which every crossing of
+        the loop, a path and theta's transport goes through, for the signed
+        pw at the order numerator of the polynomial it crosses."""
         terms = self.powers.get((pw, top))
         if terms is None:
             bs = _pow_coeffs(self.f, pw, top // self.order)
@@ -191,9 +197,9 @@ class SearchForm:
     """A diagram's walls compiled into half-lines: the one wall index.
 
     The backward broken-line search, transport along a path and around the
-    origin and completion (scattering.leg_crossings, apply_loop), bend
-    checks (bend_coefficient, allowed_bends) and the expansion endpoint all
-    read its families.  Every wall lies on the line of its normal, with its
+    origin, theta's transport and completion (scattering.leg_crossings,
+    apply_loop), bend checks (bend_coefficient, allowed_bends) and the
+    expansion endpoint all read its families.  Every wall lies on the line of its normal, with its
     function direction on that line and in the cone sigma of the monoid, as
     scattering.Diagram checks.  Each side of a support line that some wall
     covers is a half-line from the origin, and the walls through a nonzero
@@ -231,8 +237,9 @@ class SearchForm:
     - products: theta products at the expansion endpoint, keyed by
       (unordered pair {p, q}, K);
     - endpoint: the expansion endpoint, computed once;
-    - the closed chambers of each exponent one_cone has read, or False
-      when its rule is off for the diagram.
+    - whether the walls are a complete diagram of finite type
+      (complete_finite), computed once;
+    - the closed chambers of each exponent one_cone has read.
 
     Nothing is evicted.  Each entry is a value the diagram was asked for, so
     a cache grows only with the half-lines, (pair, K) and (m, endpoint, K)
@@ -274,7 +281,8 @@ class SearchForm:
         self.alphas = {}
         self.products = {}
         self.endpoint = None
-        self._cones = None
+        self._finite = None
+        self._cones = {}
 
     def _half(self, point):
         """The index of the half-line through the point, None if there is none
@@ -391,43 +399,51 @@ class SearchForm:
         sx, sy = ax + bx, ay + by
         return ux * sx + uy * sy > 0 or vx * sx + vy * sy > 0
 
+    def complete_finite(self):
+        """Whether the walls are those of the consistent diagram of a finite
+        type up to the order, computed once per form; one_cone and theta
+        read it.
+
+        The guard is exact: it holds only when fd is of finite type, the
+        form has as many half-lines as there are clusters (lattice.CLUSTERS)
+        and its walls are those of complete_rank2(fd, order) by value.  On
+        finite type the limit cone C is empty, the consistent diagram has one
+        half-line per cluster and its closed chambers are the cluster cones
+        (Reading, "Scattering fans", arXiv:1712.06968).  Completion at the
+        order agrees with that diagram in every term of order at most the
+        order, and with one half-line per cluster it has all of its
+        half-lines, so its chambers are the cluster cones too.  The guard
+        fails for a truncated diagram that misses a half-line, such as G2
+        below order 5, for an edited wall, and on every infinite type, whose
+        truncated chambers are wrong near C.
+        """
+        if self._finite is None:
+            fd = self.fd
+            # scattering imports this module, so it is read here
+            from .scattering import matches_completion
+            self._finite = (fd.is_finite_type() and len(self._halves) == CLUSTERS[fd.bc]
+                            and matches_completion(fd, self._all, self.order))
+        return self._finite
+
     def one_cone(self, p, q):
         """Whether theta_p * theta_q = theta_{p+q} holds because p and q lie
-        in one closed chamber of a complete diagram of finite type.
+        in one closed chamber of a complete diagram of finite type
+        (complete_finite).
 
         Cluster monomials are theta functions (GHKK, arXiv:1411.1394,
         Thm 0.3), and the cluster monomials of one cluster multiply to the
         cluster monomial of the summed g-vector.  In rank 2 the cones of the
-        cluster complex are the chambers of the diagram outside the limit
-        cone C (Reading, "Scattering fans", arXiv:1712.06968).  On finite
-        type C is empty, the complete diagram has one half-line per cluster
-        and its closed chambers are the cluster cones.  So for p and q in one
-        of them alpha(p, q, .) is 1 at p + q and 0 elsewhere.
-
-        The guard is exact: the rule is on only when fd is of finite type,
-        the form has as many half-lines as there are clusters (lattice.
-        CLUSTERS) and its walls are those of complete_rank2(fd, order) by
-        value.  Otherwise the answer is always False: a truncated diagram
-        that misses a half-line, such as G2 below order 5, an edited wall,
-        and every infinite type, whose truncated chambers are wrong near C.
-        The closed chambers of each exponent are kept as a bitmask, chamber i
-        running counterclockwise from half-line i to i + 1.
+        cluster complex are the chambers of the diagram outside C, which on
+        finite type are all of them.  So for p and q in one closed chamber
+        alpha(p, q, .) is 1 at p + q and 0 elsewhere.  Otherwise the answer
+        is False.
         """
-        cones = self._cones
-        if cones is None:
-            fd = self.fd
-            # scattering imports this module, so it is read here
-            from .scattering import matches_completion
-            on = (fd.is_finite_type() and len(self._halves) == CLUSTERS[fd.bc]
-                  and matches_completion(fd, self._all, self.order))
-            cones = self._cones = {} if on else False
-        if cones is False:
-            return False
-        return bool(self._chambers(p, cones) & self._chambers(q, cones))
+        return self.complete_finite() and bool(self._chambers(p) & self._chambers(q))
 
-    def _chambers(self, m, cones):
-        """The bitmask of closed chambers that hold the exponent m."""
-        mask = cones.get(m)
+    def _chambers(self, m):
+        """The bitmask of closed chambers that hold the exponent m, kept per m;
+        chamber i runs counterclockwise from half-line i to i + 1."""
+        mask = self._cones.get(m)
         if mask is None:
             if any(m):
                 cw, ccw = self.near(*m)
@@ -436,7 +452,7 @@ class SearchForm:
                 mask = 1 << cw | 1 << (ccw - 1) % len(self._halves)
             else:
                 mask = -1
-            cones[m] = mask
+            self._cones[m] = mask
         return mask
 
     def families(self, point):
@@ -751,32 +767,92 @@ def _assemble(endpoint, rev_steps):
 def theta(fd, diagram, m, endpoint, K=None):
     """The theta function of m at the endpoint: the sum of c * z^F over the
     broken lines with initial exponent m, final exponent F and coefficient
-    c, truncated at order K (the diagram order by default).
+    c, truncated at order K (the diagram order by default).  Its terms are
+    sorted by exponent, as theta_of_lines gives them, one order for both
+    paths below.
 
-    The lines are those of enumerate_lines, from the same search (_search),
-    but none is built: a line's coefficient is the product of its bend
-    coefficients, added to the term of its final exponent.  The terms come
-    in the order of the lines, as theta_of_lines gives them.
+    On a diagram that passes SearchForm.complete_finite and at K at most
+    its order, theta is z^m carried by the path-ordered product from a
+    point Q of a chamber of m (_transported).  Why: theta_{Q,m} = z^m for Q
+    in a chamber whose closure holds m (GHKK, arXiv:1411.1394, Prop. 3.8),
+    and on a consistent diagram a theta function moves between generic
+    endpoints by the path-ordered product (GHKK, section 3).  Both hold for
+    the consistent diagram of the type, whose chambers these walls share.
+    Up to order K the transport reads only wall terms of order at most
+    K <= order, where these walls agree with that diagram, so it gives that
+    diagram's theta; the search reads the same terms and finds the same.
+
+    The path: the chamber c of m runs from half-line c to c + 1, the one
+    that starts at m when m lies on a half-line, and Q is the sum of those
+    two half-lines.  Chambers are cluster cones, narrower than pi, so Q
+    lies strictly inside.  The path is the leg Q -> z, which misses the
+    origin unless z points opposite to Q; then it goes through
+    M = Q + h_(c+1), also strictly inside the chamber, and neither Q -> M
+    nor M -> z is radial: cross(Q, M) = cross(h_c, h_(c+1)) > 0, and
+    cross(M, z) = t * cross(Q, M) for z = -t*Q.  Q and M lie on no wall,
+    so every leg passes scattering.leg_crossings.
+
+    The errors are the search's.  An endpoint on a wall raises first.  The
+    search raises for a ray into the origin exactly at its first root
+    F = m + a*g1 + b*g2 (a + b <= K, F != 0, by ascending a, then b) with
+    cross(z, F) = 0 and dot(z, F) < 0: no later node has cross = 0
+    (_search, 1.), and where SearchForm.straight cuts the search short no
+    root runs into the origin.  The transport checks the roots in that
+    order, by the search's own test (_turn).
+
+    Every other diagram, and K above the order, run the search of
+    enumerate_lines (_search), which builds no line here: a line's
+    coefficient is the product of its bend coefficients, added to the term
+    of its final exponent.
     """
     m = _lattice_vector(m, "m")
-    K = _check_order(K, search_form(fd, diagram).order)
+    form = search_form(fd, diagram)
+    K = _check_order(K, form.order)
     if m == (0, 0):
-        # _search checks the endpoint otherwise
+        # both paths check the endpoint otherwise
         _endpoint(endpoint)
         return LaurentPoly({m: 1}, m, K)
-    terms = {}
-    for steps in _search(fd, diagram, m, endpoint, K):
-        f = steps[0][1]
-        terms[f] = terms.get(f, 0) + prod(c for _, _, c in steps)
-    return LaurentPoly(terms, m, K)
+    if K <= form.order and form.complete_finite():
+        terms = _transported(fd, diagram, form, m, endpoint, K)
+    else:
+        terms = {}
+        for steps in _search(fd, diagram, m, endpoint, K):
+            f = steps[0][1]
+            terms[f] = terms.get(f, 0) + prod(c for _, _, c in steps)
+    return LaurentPoly(dict(sorted(terms.items())), m, K)
+
+
+def _transported(fd, diagram, form, m, endpoint, K):
+    """The terms of theta_m at the endpoint by transport, with the search's
+    errors: the path and the proofs are in theta's docstring."""
+    x, y, q = _endpoint(endpoint)
+    if form.families((x, y, q)):
+        raise ValueError("endpoint lies on a wall; perturb it first")
+    (g1x, g1y), (g2x, g2y) = fd.monoid_gens
+    for a in range(K + 1):
+        for b in range(K + 1 - a):
+            fx, fy = m[0] + a * g1x + b * g2x, m[1] + a * g1y + b * g2y
+            if x * fy == y * fx and (fx or fy):
+                _turn(x, y, q, fx, fy)
+    n = len(form._halves)
+    c = (form.near(*m)[1] - 1) % n
+    h, k = form._halves[c], form._halves[(c + 1) % n]
+    Q = (h[0] + k[0], h[1] + k[1])
+    path = [Q, endpoint]
+    if Q[0] * y == Q[1] * x and Q[0] * x + Q[1] * y < 0:
+        path.insert(1, (Q[0] + k[0], Q[1] + k[1]))
+    # scattering imports this module, so it is read here
+    from .scattering import path_ordered_product
+    return path_ordered_product(fd, diagram, path, LaurentPoly.monomial(m, K)).terms
 
 
 def theta_of_lines(m, lines, K):
-    """The sum of c * z^F over the broken lines with initial exponent m."""
+    """The sum of c * z^F over the broken lines with initial exponent m,
+    its terms sorted by exponent, as theta gives them."""
     terms = {}
     for line in lines:
         terms[line.final] = terms.get(line.final, 0) + line.coeff
-    return LaurentPoly(terms, tuple(m), K)
+    return LaurentPoly(dict(sorted(terms.items())), tuple(m), K)
 
 
 def reverse(segment):

@@ -9,7 +9,7 @@ import functools
 from math import gcd
 
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, line_key, same_ray, rot90,
-                       cross, dot, homogeneous, _rational_points)
+                       homogeneous, _rational_points)
 from .lattice import (pairing, p1_star, n_circ_primitive, line_dir, scaled_normal,
                       cone_order, order_form, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross, _lattice_vector
@@ -122,7 +122,7 @@ def apply_loop(fd, diagram, p):
     form = search_form(fd, diagram)
     out = p
     for h, fam in zip(form._halves, form.fams):
-        out = wall_cross(fd, out, fam.f, fam.n0, _side(fam.a, rot90(h)))
+        out = wall_cross(fd, out, fam, _side(fam.a, rot90(h)))
     return out
 
 
@@ -252,7 +252,8 @@ def complete_diagram(fd, diagram):
 def leg_crossings(fd, diagram, a, b):
     """The wall families (brokenline._Family) of the half-lines the open
     segment a -> b crosses, in order along the leg; a family's walls are in
-    diagram order.
+    diagram order.  a and b are rational pairs or homogeneous triples
+    (geometry.homogeneous).
 
     Raises when the leg hits the origin, when an endpoint lies on a wall,
     or when the leg runs inside a wall.  A leg that misses the origin turns
@@ -260,18 +261,18 @@ def leg_crossings(fd, diagram, a, b):
     search form that its walk from a meets strictly before b.  A radial leg
     crosses none, so every crossing leg is not parallel to its half-line.
     """
-    if is_zero(a) or is_zero(b) or (cross(a, b) == 0 and dot(a, b) < 0):
+    x, y, q = a = homogeneous(a)
+    X, Y, Q = b = homogeneous(b)
+    if not (x or y) or not (X or Y) or (x * Y == y * X and x * X + y * Y < 0):
         raise ValueError("path passes through the origin")
     form = search_form(fd, diagram)
-    if cross(a, b) == 0:
+    if x * Y == y * X:
         # a radial leg stays on the ray through a
         if form.families(a):
             raise ValueError("path runs inside a wall")
         return []
     if form.families(a) or form.families(b):
         raise ValueError("path endpoint lies on a wall")
-    x, y, q = homogeneous(a)
-    X, Y, Q = homogeneous(b)
     out = []
     for i, _, _ in form.walk(x, y, q, X * q - x * Q, Y * q - y * Q, form.near(x, y)):
         hx, hy = form._halves[i]
@@ -285,14 +286,17 @@ def leg_crossings(fd, diagram, a, b):
 def path_ordered_product(fd, diagram, path, p):
     """Transport a truncated Laurent polynomial along a generic polyline of
     rational points: one wall_cross per half-line a leg crosses
-    (leg_crossings), by its family's product function."""
-    path = _rational_points(path, "path", "path point %d")
+    (leg_crossings), by its family's product function.  The points are read
+    as homogeneous integer triples, and the side of a crossing from the
+    direction of travel scaled to integers."""
+    path = [homogeneous(pt) for pt in _rational_points(path, "path", "path point %d")]
     search_form(fd, diagram)  # fd must be the diagram's, whatever the path
     if not isinstance(p, LaurentPoly):
         raise ValueError("p must be a LaurentPoly, got %r" % (p,))
     out = p
     for a, b in zip(path, path[1:]):
-        travel = vsub(b, a)
+        (x, y, q), (X, Y, Q) = a, b
+        travel = (X * q - x * Q, Y * q - y * Q)  # q * Q * (b - a)
         for fam in leg_crossings(fd, diagram, a, b):
-            out = wall_cross(fd, out, fam.f, fam.n0, _side(fam.a, travel))
+            out = wall_cross(fd, out, fam, _side(fam.a, travel))
     return out

@@ -9,14 +9,15 @@ constants of a cluster scattering diagram have integer coefficients (GHKK,
 arXiv:1411.1394).  WallFunction and LaurentPoly each have one constructor,
 and it checks each coefficient that enters through _integer, the kernels'
 results included; lp_truncate checks the terms it drops too.  The
-broken-line search takes its tables of powers of f from _pow_coeffs.
+tables of powers of f that the broken-line search and wall_cross read
+(brokenline._Family.power_terms) come from _pow_coeffs.
 """
 
 from math import gcd
 from numbers import Rational
 
 from .geometry import vadd
-from .lattice import n_circ_primitive, order_form, scaled_normal
+from .lattice import order_form
 
 
 def _integer(c):
@@ -176,37 +177,39 @@ def lp_mul(fd, a, b):
     return LaurentPoly(_kept(fd, terms, base, order), base, order)
 
 
-def wall_cross(fd, p, f, n0, sign):
-    """Apply the crossing automorphism z^m -> z^m * f^(sign * <n0', m>) termwise,
-    truncated at the order of p."""
+def wall_cross(fd, p, fam, sign):
+    """Cross the walls of one half-line with the given sign: z^m -> z^m *
+    f^(sign * <n0', m>) termwise, truncated at the order of p.
+
+    fam is the half-line's brokenline._Family: its primitive normal n0 in N°
+    (kept scaled by L), direction m0 and product function f.  The powers of
+    f come from fam.power_terms at the order numerator K * D of p, the key
+    the broken-line search uses too, so a diagram's crossings and searches
+    share one set of tables.  A term that needs f^pw only up to a lower
+    order reads a prefix of that table.
+    """
     K = p.order
     ux, uy, vx, vy, D = order_form(fd)
-    sx, sy = f.direction
-    su, sv = ux * sx + uy * sy, vx * sx + vy * sy
+    su, sv = fam.cn, fam.dn
     if su < 0 or sv < 0 or su + sv == 0:
         raise ValueError("wall function direction outside the cone")
     L = fd.L  # <n0', m> = (a . m) / L
-    ax, ay = scaled_normal(fd, n_circ_primitive(fd, n0))
+    ax, ay = fam.a
+    sx, sy = fam.m0
     bx, by = p.base
-    steps = []
-    kmaxes = {}  # power of f -> the highest order a term needs it to
-    for (ex, ey), n in p.terms.items():
-        pw, r = divmod(sign * (ax * ex + ay * ey), L)
+    top = K * D
+    out = {}
+    for (x, y), n in p.terms.items():
+        pw, r = divmod(sign * (ax * x + ay * y), L)
         if r:
             raise ValueError("non-integral crossing exponent")
-        x, y = ex - bx, ey - by
-        kmax = (K * D - (ux + vx) * x - (uy + vy) * y) // (su + sv)
-        if pw and kmax >= 1 and not f.is_one():
-            kmaxes[pw] = max(kmax, kmaxes.get(pw, 0))
-        steps.append((ex, ey, n, pw, kmax))
-    # one wf_pow per power: a lower truncation of f^pw is a prefix of the highest
-    powers = {pw: wf_pow(f, pw, kmax).terms() for pw, kmax in kmaxes.items()}
-    out = {}
-    for x, y, n, pw, kmax in steps:
         out[x, y] = out.get((x, y), 0) + n
-        for k, c in powers.get(pw, ()):
-            if k > kmax:
-                break
-            e = (x + k * sx, y + k * sy)
-            out[e] = out.get(e, 0) + n * c
+        # the highest k whose shift k*m0 keeps the term within order K
+        kmax = (top - (ux + vx) * (x - bx) - (uy + vy) * (y - by)) // (su + sv)
+        if pw and kmax >= 1:
+            for k, c in fam.power_terms(pw, top):
+                if k > kmax:
+                    break
+                e = (x + k * sx, y + k * sy)
+                out[e] = out.get(e, 0) + n * c
     return LaurentPoly(_kept(fd, out, p.base, K), p.base, K)

@@ -9,10 +9,10 @@ diagram order.  Each crossing takes the sign -sgn <n, travel> of the wall's
 own normal n and the direction of travel.
 """
 
-from csd.brokenline import search_form
+from csd.brokenline import _Family, search_form
 from csd.geometry import rot90, vsub
 from csd.lattice import pairing
-from csd.scattering import leg_crossings
+from csd.scattering import Wall, leg_crossings
 from csd.series import wall_cross
 
 
@@ -21,9 +21,16 @@ def sgn(x):
     return (x > 0) - (x < 0)
 
 
+def one_wall_family(fd, f, n0):
+    """The half-line family of one wall with function f and normal n0, the
+    argument through which series.wall_cross crosses that wall alone."""
+    return _Family(fd, (Wall(n0, "ray", f.direction, f),))
+
+
 def _cross_walls(fd, p, walls, travel):
     for w in walls:
-        p = wall_cross(fd, p, w.func, w.normal, -sgn(pairing(fd, w.normal, travel)))
+        p = wall_cross(fd, p, one_wall_family(fd, w.func, w.normal),
+                       -sgn(pairing(fd, w.normal, travel)))
     return p
 
 

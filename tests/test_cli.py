@@ -214,6 +214,17 @@ def test_malformed_point_files(paths, doc):
         assert flag in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("flag,value,line", [
+    ("--endpoint", "1,2,3", "csd theta: error: argument --endpoint: expected 'x,y', got '1,2,3'"),
+    ("--order", "x", "csd theta: error: argument --order: expected an integer, got 'x'"),
+])
+def test_theta_parse_errors(paths, flag, value, line):
+    args = {"--direction": "-1,0", "--endpoint": "2,1", flag: value}
+    r = run_cli("theta", "--diagram", str(paths["a2"]), *(x for kv in args.items() for x in kv))
+    assert r.returncode == 2
+    assert r.stderr.splitlines()[-1] == line
+
+
 def test_zero_denominators_rejected(paths):
     r = run_cli("theta", "--diagram", str(paths["a2"]), "--direction", "-1,0",
                 "--endpoint", "1/0,2")

@@ -8,6 +8,7 @@ from csd.lattice import FixedData
 from csd.scattering import Wall, initial_wall
 from csd.series import (WallFunction, wf_mul, wf_pow, LaurentPoly,
                         lp_truncate, lp_mul, wall_cross, _pow_coeffs)
+from crossing_reference import one_wall_family
 
 F = Fraction
 
@@ -177,17 +178,17 @@ def test_wall_cross_a2(a2):
     # crossing the vertical-axis wall sends z^(1,0) to z^(1,0)*(1+z^(0,1))
     f = WallFunction((0, 1), [1])
     p = LaurentPoly.monomial((1, 0), 6)
-    out = wall_cross(a2, p, f, (1, 0), 1)
+    out = wall_cross(a2, p, one_wall_family(a2, f, (1, 0)), 1)
     assert out.terms == {(1, 0): 1, (1, 1): 1}
     # the inverse crossing undoes it
-    back = wall_cross(a2, out, f, (1, 0), -1)
+    back = wall_cross(a2, out, one_wall_family(a2, f, (1, 0)), -1)
     assert back.terms == {(1, 0): 1}
 
 
 def test_wall_cross_invariant_monomial(a2):
     f = WallFunction((0, 1), [1])
     p = LaurentPoly.monomial((0, 1), 6)
-    out = wall_cross(a2, p, f, (1, 0), 1)
+    out = wall_cross(a2, p, one_wall_family(a2, f, (1, 0)), 1)
     assert out.terms == {(0, 1): 1}
 
 
@@ -196,5 +197,5 @@ def test_wall_cross_g2_weights(g2):
     # picks up the third power of the wall function
     f = WallFunction((-1, 0), [1])
     p = LaurentPoly.monomial((0, 3), 8)
-    out = wall_cross(g2, p, f, (0, 1), 1)
+    out = wall_cross(g2, p, one_wall_family(g2, f, (0, 1)), 1)
     assert out.terms == {(0, 3): 1, (-1, 3): 3, (-2, 3): 3, (-3, 3): 1}

@@ -20,6 +20,7 @@ from csd.geometry import vadd, vsub, vscale
 from csd.lattice import FixedData, cone_order, n_circ_primitive, pairing
 from csd.scattering import complete_rank2
 from csd.series import LaurentPoly, WallFunction, wf_pow, lp_truncate, lp_mul, wall_cross
+from crossing_reference import one_wall_family
 from segments import line_bounded_segment
 
 F = Fraction
@@ -180,7 +181,7 @@ def test_wall_cross_matches_reference(data, name, base, order):
     K = data.draw(st.sampled_from([None, 0, 1, 3, order]))
     # wall_cross truncates at the order of p: a lower K is a p of order K
     q = p if K is None else LaurentPoly(p.terms, p.base, min(K, p.order))
-    assert _outcome(wall_cross, fd, q, f, wall.normal, sign) == \
+    assert _outcome(wall_cross, fd, q, one_wall_family(fd, f, wall.normal), sign) == \
         _outcome(ref_wall_cross, fd, p, f, wall.normal, sign, K)
 
 
