@@ -8,7 +8,7 @@ coefficient (an int), and the point where it bends into the next piece.
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, prod
 
 from .geometry import (vsub, vneg, vscale, is_zero, line_key, same_ray, cross,
                        ccw_key, homogeneous, rational, is_rational, _rational_pair)
@@ -221,9 +221,7 @@ class SearchForm:
     neighbour of P on the side of s and goes on while the next half-line
     is still inside the arc.  meets tells, with two cross products,
     whether a walk has a first step, and dead asks it for a walk from a bend
-    site.  straight tells whether the sector between two neighbouring
-    half-lines is a wall-free chamber, where the search has only the
-    straight line to find.
+    site.
 
     The form also holds the cone coordinates that give the search its exact
     monoid test (_trace), and the diagram's caches.  Points are pairs or
@@ -358,46 +356,6 @@ class SearchForm:
             # raises for it
             return hx * mx + hy * my > 0
         return not self.meets(hx, hy, self._around[i][s > 0], mx, my)
-
-    def straight(self, near, mx, my):
-        """Whether the straight line is the only broken line with initial
-        exponent m that ends between the half-lines near, and no root of its
-        search runs into the origin.
-
-        Let sigma be the cone of the monoid and S the open sector from
-        a = h_cw counterclockwise to b = h_ccw.  The answer is yes when S is
-        narrower than pi, S misses -sigma and m lies in the closure of S;
-        the diagram has checked that every function direction m0 lies on its
-        wall's line and in sigma.
-        In a cluster scattering diagram every wall but the two initial lines
-        is a ray in -sigma, so such an S is a chamber of the whole diagram,
-        not only of a truncation, and this is GHKK (arXiv:1411.1394), Prop.
-        3.8: theta_{Q,m} = z^m for Q and m in one chamber.  For any walls:
-        S and -sigma are disjoint convex cones, S open, so some linear phi
-        is > 0 on S and >= 0 on sigma, hence phi(m) >= 0.  Every exponent
-        of a line, or of a node of its search, is m plus a sum of m0's in
-        sigma, so phi(exponent) >= phi(m) >= 0: the search moves away from
-        the endpoint z along exponents that never lower phi, and every
-        position y has phi(y) >= phi(z) > 0.  No exponent points into the
-        origin (phi(-z) < 0), and cross(y, exponent) never changes
-        (_search, 1.), so along a line the position turns strictly one way
-        inside the open half-plane phi > 0 and tends to the direction of m:
-        each of its bends lies strictly between z and m, in S, where no
-        half-line is.
-        With such walls nothing else in the search can raise.  S misses
-        -sigma exactly when neither -g1 nor -g2 lies in S and a + b, a
-        direction in S, is not in -sigma.
-        """
-        if not self._halves:
-            return False
-        (ax, ay), (bx, by) = self._halves[near[0]], self._halves[near[1]]
-        if ax * by - ay * bx <= 0 or ax * my - ay * mx < 0 or mx * by - my * bx < 0:
-            return False
-        if any(ax * gy - ay * gx < 0 and gx * by - gy * bx < 0 for gx, gy in self.fd.monoid_gens):
-            return False
-        ux, uy, vx, vy, _ = self._cone
-        sx, sy = ax + bx, ay + by
-        return ux * sx + uy * sy > 0 or vx * sx + vy * sy > 0
 
     def complete_finite(self):
         """Whether the walls are those of the consistent diagram of a finite
@@ -596,32 +554,30 @@ def enumerate_lines(fd, diagram, initial, endpoint, K=None):
     by BrokenLine.signature.
 
     Bounds the shift of the final exponent by the diagram order (or K).  The
-    lines are those of _search, which theta shares; Fractions are built only
-    here, for the bend points of the returned lines.
+    lines are those of _search, which theta shares; Fractions are built and
+    the lines sorted only here, since theta only adds their coefficients.
     """
     initial = _lattice_vector(initial, "initial")
     K = _check_order(K, search_form(fd, diagram).order)
-    return [_assemble(endpoint, steps) for steps in _search(fd, diagram, initial, endpoint, K)]
+    lines = [_assemble(endpoint, steps) for steps in _search(fd, diagram, initial, endpoint, K)]
+    lines.sort(key=BrokenLine.signature)
+    return lines
 
 
 def _search(fd, diagram, initial, endpoint, K):
-    """The broken lines of enumerate_lines as step lists, in its order.
+    """The broken lines of enumerate_lines as step lists, unsorted:
+    enumerate_lines sorts the lines it builds.
 
     A line is the list of its steps endpoint-first: (bend site (X, Y, Q),
     exponent after the bend, bend coefficient), ending with (None, initial
     exponent, 1).  The search runs on integers: bend sites are homogeneous
-    triples and coefficients ints.  The lines are sorted by the signatures
-    of the lines they make, in integers: every bend site is scaled to the
-    common denominator of all sites, so two bend points compare as their
-    Fractions do.
+    triples and coefficients ints.
 
-    After the input checks, an endpoint and exponent that SearchForm.straight
-    accepts give the straight line alone, with no search.  Otherwise the
-    search goes backward from the endpoint, one root per final exponent, and
-    drops every node that cannot end in a line.  Take a node at x (the
-    endpoint or a bend site) with exponent a, remaining shift r != 0 and so
-    initial exponent t = a - r, the same for every node of the search, and
-    let sigma be the cone of the monoid.
+    After the input checks the search goes backward from the endpoint, one
+    root per final exponent, and drops every node that cannot end in a
+    line.  Take a node at x (the endpoint or a bend site) with exponent a,
+    remaining shift r != 0 and so initial exponent t = a - r, the same for
+    every node of the search, and let sigma be the cone of the monoid.
 
     1. cross(y, exponent) is the same at every later point y of the line:
        along a piece y moves along the exponent, and at a bend on a
@@ -656,17 +612,13 @@ def _search(fd, diagram, initial, endpoint, K):
     if form.families((x, y, q)):
         raise ValueError("endpoint lies on a wall; perturb it first")
     near = form.near(x, y)
-    orders = range(K + 1)
-    # K < 0 leaves no root and so no line
-    if orders and form.straight(near, ix, iy):
-        return [[(None, (ix, iy), 1)]]
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
     arcs = (_Arcs(form, (ix, iy), False), _Arcs(form, (ix, iy), True))
     # meets needs a half-line; with none, a root with a shift never bends
     halves = form._halves
     cones = {}
     results = []
-    for a in orders:
+    for a in range(K + 1):
         for b in range(K + 1 - a):
             px, py = a * g1x + b * g2x, a * g1y + b * g2y
             mx, my = ix + px, iy + py
@@ -680,18 +632,7 @@ def _search(fd, diagram, initial, endpoint, K):
                         and form.meets(x, y, near[ccw], mx, my)):
                     continue
             _trace(form, x, y, q, near, mx, my, px, py, K, arcs[ccw], [], results)
-    if len(results) > 1:
-        Q = lcm(*{pt[2] for steps in results for pt, _, _ in steps[:-1]})
-        results.sort(key=lambda steps: _signature(steps, Q))
     return results
-
-
-def _signature(steps, Q):
-    """BrokenLine.signature of the line of the steps, with each bend point
-    (X, Y, q) as the integer pair (X, Y) * (Q / q)."""
-    # endpoint-first, a piece ends where the step before it bends
-    ends = [()] + [(X * (Q // q), Y * (Q // q)) for (X, Y, q), _, _ in steps[:-1]]
-    return [(m, end) for (_, m, _), end in zip(steps, ends)][::-1]
 
 
 def _trace(form, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
@@ -796,9 +737,8 @@ def theta(fd, diagram, m, endpoint, K=None):
     search raises for a ray into the origin exactly at its first root
     F = m + a*g1 + b*g2 (a + b <= K, F != 0, by ascending a, then b) with
     cross(z, F) = 0 and dot(z, F) < 0: no later node has cross = 0
-    (_search, 1.), and where SearchForm.straight cuts the search short no
-    root runs into the origin.  The transport checks the roots in that
-    order, by the search's own test (_turn).
+    (_search, 1.).  The transport checks the roots in that order, by the
+    search's own test (_turn).
 
     Every other diagram, and K above the order, run the search of
     enumerate_lines (_search), which builds no line here: a line's

@@ -165,6 +165,36 @@ def test_render(paths):
     assert out.read_text().startswith("<svg") or "<svg" in out.read_text()
 
 
+def test_hull_warns_when_the_chart_set_does_not_close(tmp_path, kron_diagram):
+    # the Kronecker charts never close, so the hull is only a lower bound
+    diagram, points = tmp_path / "kron.json", tmp_path / "tri.json"
+    serialize.save(diagram, serialize.diagram_to_json(kron_diagram))
+    serialize.save(points, [[0, 0], [1, 0], [0, 1]])
+    r = run_cli("hull", "--diagram", str(diagram), "--points", str(points))
+    assert r.returncode == 0
+    assert r.stderr == "warning: chart set did not close; hull is a lower bound\n"
+
+
+def test_harness_prints_each_disagreement(paths, monkeypatch):
+    report = {"trials": 2, "agree": 1, "skipped_unknown": 0, "certified_beyond_bound": 0,
+              "disagreements": [{"polygon": [(F(1, 2), F(0)), (F(0), F(1)), (F(-1), F(-1))],
+                                 "is_blc": True, "positive": False}]}
+    monkeypatch.setattr(cli, "main_theorem_harness", lambda *args, **kwargs: report)
+    r = run_cli("harness", "--diagram", str(paths["a2"]), "--trials", "2")
+    assert r.returncode == 1, r.stderr
+    assert r.stdout.splitlines() == [
+        "trials=2 agree=1 skipped_unknown=0 certified_beyond_bound=0 disagreements=1",
+        '{"is_blc": true, "polygon": [["1/2", 0], [0, 1], [-1, -1]], "positive": false}']
+
+
+def test_render_polygon(paths):
+    out = paths["dir"] / "quad.svg"
+    r = run_cli("render", "--diagram", str(paths["g2"]), "--polygon",
+                str(paths["quad"]), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert "<polygon" in out.read_text()
+
+
 def test_usage_errors(paths):
     r = run_cli("theta", "--diagram", str(paths["dir"] / "missing.json"),
                 "--direction", "1,0", "--endpoint", "2,1")
