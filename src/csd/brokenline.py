@@ -4,17 +4,16 @@ A broken line is traced backward from its endpoint: a ray escaping to
 infinity, bending at wall crossings.  Pieces are stored unbounded-first;
 each carries the exponent of its attached monomial, the cumulative
 coefficient (an int), and the point where it bends into the next piece.
+The search walks the half-line index of the diagram (scattering.Diagram).
 """
 
-from bisect import bisect_left
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import gcd, prod
 
-from .geometry import (vsub, vneg, vscale, is_zero, line_key, same_ray, cross,
-                       ccw_key, homogeneous, rational, is_rational, _rational_pair)
-from .lattice import CLUSTERS, n_circ_primitive, scaled_normal, order_form
-from .series import (wf_mul, _pow_coeffs, _integer, _check_order, _lattice_vector,
-                     LaurentPoly)
+from .geometry import (vsub, vneg, vscale, is_zero, same_ray, cross, homogeneous, rational,
+                       is_rational, _rational_pair)
+from .series import _integer, _check_order, _lattice_vector, LaurentPoly
+from .scattering import _turn, search_form, path_ordered_product
 
 
 def _rational(x, field):
@@ -102,334 +101,6 @@ class Segment:
         return "Segment(%r -> %r, T=%r, %r)" % (self.start, self.end, self.total_time, self.pieces)
 
 
-class _Family:
-    """Walls through one support line, in diagram order: primitive normal n0
-    in N°, direction m0 and product function f.  The normal is also kept
-    scaled by L, so a bending power is an integer dot product.  m0 =
-    (cn*g1 + dn*g2)/D in the monoid generators, D = |cross(g1, g2)|, so its
-    cone order is the integer numerator cn + dn over D, and the coordinates
-    of k*m0 are integers exactly when step = D / gcd(cn, dn, D) divides k.
-    Powers of f are tabulated.
-
-    Crossing the family once, z^m -> z^m * f^(s*<n0', m>), is crossing its
-    walls one by one (scattering.apply_loop, path_ordered_product).  The
-    walls share m0 and <n0', m0> = 0, so each crossing keeps <n0', m> and
-    multiplies z^m by f_i to that one power: the crossings commute and
-    compose to (f_1 ... f_r)^(s*<n0', m>) = f^(s*<n0', m>), whichever
-    normal each wall has: a wall with normal -n0 crosses with the opposite
-    sign s and the opposite pairing, so with the same power.
-    Truncating after each crossing drops only terms above the order, and a
-    later crossing only raises the order of a term, so it changes nothing
-    below it.
-    """
-
-    __slots__ = ("walls", "n0", "m0", "f", "a", "cn", "dn", "step", "order", "powers")
-
-    def __init__(self, fd, walls):
-        self.walls = walls
-        self.n0 = n_circ_primitive(fd, walls[0].normal)
-        self.m0 = walls[0].func.direction
-        f = walls[0].func
-        for w in walls[1:]:
-            f = wf_mul(f, w.func, len(f.coeffs) + len(w.func.coeffs))
-        self.f = f
-        self.a = scaled_normal(fd, self.n0)
-        ux, uy, vx, vy, D = order_form(fd)
-        sx, sy = self.m0
-        u, v = ux * sx + uy * sy, vx * sx + vy * sy
-        self.cn, self.dn = u, v
-        self.step = D // gcd(u, v, D)
-        self.order = u + v
-        self.powers = {}
-
-    def cap(self, A, B):
-        """The largest k with k*cn <= A and k*dn <= B, for A, B >= 0."""
-        if not self.cn:
-            return B // self.dn
-        if not self.dn:
-            return A // self.cn
-        return min(A // self.cn, B // self.dn)
-
-    def power_terms(self, pw, top):
-        """Nonzero terms (k, c) of f^pw, for any integer pw, whose shift k*m0
-        has order numerator at most top, by ascending k.
-
-        Each table is computed once per (pw, top) and kept with the family,
-        so with its diagram: the search (_trace, allowed_bends) asks for
-        |pw| at top = K * D, and series.wall_cross, which every crossing of
-        the loop, a path and theta's transport goes through, for the signed
-        pw at the order numerator of the polynomial it crosses."""
-        terms = self.powers.get((pw, top))
-        if terms is None:
-            bs = _pow_coeffs(self.f, pw, top // self.order)
-            terms = self.powers[(pw, top)] = [(n, b) for n, b in enumerate(bs) if n and b]
-        return terms
-
-    def coefficient(self, pw, k):
-        """The coefficient of z^(k*m0) in f^pw, for pw >= 0 and k >= 1.  For a
-        one-term f = 1 + c*z^(j*m0) it is the binomial C(pw, k/j) * c^(k/j),
-        cheap even at the very high orders that bend checks of glued segments
-        ask for."""
-        ts = self.f.terms()
-        if len(ts) == 1:
-            (j, c), = ts
-            r, rest = divmod(k, j)
-            # r > pw would still raise c to the huge power r
-            return 0 if rest or r > pw else comb(pw, r) * c ** r
-        return _pow_coeffs(self.f, pw, k)[k]
-
-
-def _turn(x, y, q, mx, my):
-    """cross((x, y), m), which is > 0 when the ray (x, y)/q + t*m, t > 0,
-    turns counterclockwise.  Raises ValueError when the ray runs into the
-    origin."""
-    s = x * my - y * mx
-    if s == 0 and x * mx + y * my < 0:
-        # the traced ray would pass through the singular origin, silently
-        # losing a family of lines; the endpoint must be perturbed
-        raise ValueError("trajectory with exponent %r from %r runs into the "
-                         "origin; endpoint is not generic, perturb it"
-                         % ((mx, my), (Fraction(x, q), Fraction(y, q))))
-    return s
-
-
-class SearchForm:
-    """A diagram's walls compiled into half-lines: the one wall index.
-
-    The backward broken-line search, transport along a path and around the
-    origin, theta's transport and completion (scattering.leg_crossings,
-    apply_loop), bend checks (bend_coefficient, allowed_bends) and the
-    expansion endpoint all read its families.  Every wall lies on the line of its normal, with its
-    function direction on that line and in the cone sigma of the monoid, as
-    scattering.Diagram checks.  Each side of a support line that some wall
-    covers is a half-line from the origin, and the walls through a nonzero
-    point are those of its half-line.  The form keeps the half-lines as
-    primitive directions in counterclockwise order (geometry.ccw_key), a
-    position on the circle of directions as the pair (cw, ccw) of indices
-    of its neighbouring half-lines (see near), and, in lists indexed by
-    half-line, the _Family of its walls in diagram order (fams, built with
-    the form; its power tables fill on use) and their direction m0.
-    families(point) gives the families through a point, the empty list off
-    every wall.
-
-    walk is the one walker of that list.  Take a ray P + t*v, t > 0, with
-    s = cross(P, v) != 0.  Seen from the origin its angle moves strictly
-    monotonically from arg P toward arg v, through an arc shorter than pi,
-    clockwise or counterclockwise as the sign of s says.  So the ray meets
-    a half-line h exactly when h lies strictly inside that arc, and it
-    meets such half-lines in their angular order: walk starts at the
-    neighbour of P on the side of s and goes on while the next half-line
-    is still inside the arc.  meets tells, with two cross products,
-    whether a walk has a first step, and dead asks it for a walk from a bend
-    site.
-
-    The form also holds the cone coordinates that give the search its exact
-    monoid test (_trace), and the diagram's caches.  Points are pairs or
-    reduced homogeneous triples (X, Y, Q) as geometry.homogeneous gives
-    them; the search builds its bend sites as triples (_site).  Bend
-    coefficients are ints, read from tables of powers of f.
-
-    - the families at the origin, one per support line, built on first use;
-    - thetas: theta functions, keyed by (m, endpoint, K);
-    - alphas: alpha tables, keyed by (unordered pair {p, q}, K);
-    - products: theta products at the expansion endpoint, keyed by
-      (unordered pair {p, q}, K);
-    - endpoint: the expansion endpoint, computed once;
-    - whether the walls are a complete diagram of finite type
-      (complete_finite), computed once;
-    - the closed chambers of each exponent one_cone has read.
-
-    Nothing is evicted.  Each entry is a value the diagram was asked for, so
-    a cache grows only with the half-lines, (pair, K) and (m, endpoint, K)
-    its callers request, and it is dropped with the form.  The form is
-    built with its diagram, which never changes, so no entry goes stale;
-    search_form hands it out.
-    """
-
-    def __init__(self, fd, walls, order):
-        self.fd = fd
-        self.L = fd.L
-        self.order = order
-        self._all = tuple(walls)
-        # m = (A*g1 + B*g2)/D with A = ux*m0 + uy*m1 and B = vx*m0 + vy*m1
-        self._cone = order_form(fd)
-        # each covered half-line, by its primitive direction: its walls in
-        # diagram order; the diagram has put every direction on the line of
-        # its wall's normal
-        walls_at = {}
-        for w in walls:
-            h = w.direction
-            for side in ((h,) if w.kind == "ray" else (h, (-h[0], -h[1]))):
-                walls_at.setdefault(side, []).append(w)
-        self._halves = sorted(walls_at, key=ccw_key)
-        n = len(self._halves)
-        self._index = {h: i for i, h in enumerate(self._halves)}
-        self._around = [((i - 1) % n, (i + 1) % n) for i in range(n)]
-        # the two halves of a line that no ray shares share one family
-        shared = {}
-        self.fams = []
-        for h in self._halves:
-            ws = tuple(walls_at[h])
-            if ws not in shared:
-                shared[ws] = _Family(fd, ws)
-            self.fams.append(shared[ws])
-        self._m0 = [fam.m0 for fam in self.fams]
-        self._origin = None
-        self.thetas = {}
-        self.alphas = {}
-        self.products = {}
-        self.endpoint = None
-        self._finite = None
-        self._cones = {}
-
-    def _half(self, point):
-        """The index of the half-line through the point, None if there is none
-        or the point is the origin."""
-        x, y, _ = homogeneous(point)
-        g = gcd(x, y) or 1
-        return self._index.get((x // g, y // g))
-
-    def near(self, x, y):
-        """Indices (cw, ccw) of the half-lines next to the direction of (x, y) != 0.
-
-        For a point on half-line i they are the neighbours of i.  With no
-        half-lines the pair is (0, 0), which walk never reads.
-        """
-        n = len(self._halves)
-        if not n:
-            return 0, 0
-        j = bisect_left(self._halves, ccw_key((x, y)), key=ccw_key)
-        if j < n:
-            hx, hy = self._halves[j]
-            if hx * y == hy * x and hx * x + hy * y > 0:
-                return self._around[j]
-        return (j - 1) % n, j % n
-
-    def walk(self, x, y, q, mx, my, near):
-        """The half-lines the open ray (x, y)/q + t*(mx, my), t > 0, meets, in t order.
-
-        near is the pair (cw, ccw) of half-lines next to (x, y), as near
-        gives it.  Yields (i, td, tn): the ray meets half-line i at
-        t = tn / (q * td), with td, tn > 0.  A ray that points straight
-        away from the origin meets none.  Raises ValueError when the ray
-        runs into the origin.
-        """
-        s = _turn(x, y, q, mx, my)
-        if s == 0:
-            return
-        halves = self._halves
-        n = len(halves)
-        step = 1 if s > 0 else -1
-        i = near[s > 0]
-        # at most one lap: the arc may hold every half-line
-        for _ in range(n):
-            hx, hy = halves[i]
-            # h lies inside the arc when cross(P, h) and cross(h, m) both
-            # have the sign of s
-            td = hx * my - hy * mx
-            tn = hy * x - hx * y
-            if s < 0:
-                td, tn = -td, -tn
-            if td <= 0 or tn <= 0:
-                return
-            yield i, td, tn
-            i = (i + step) % n
-
-    def meets(self, x, y, i, mx, my):
-        """Whether the ray (x, y) + t*(mx, my), t > 0, with s = cross((x, y), m)
-        != 0, meets half-line i: whether a walk that starts at i, the
-        neighbour of (x, y) on the side of s, has a first step."""
-        hx, hy = self._halves[i]
-        a, b = x * hy - y * hx, hx * my - hy * mx
-        if x * my - y * mx > 0:
-            return a > 0 and b > 0
-        return a < 0 and b < 0
-
-    def dead(self, i, mx, my):
-        """True when the ray from a point of half-line i along (mx, my) meets
-        no half-line and does not run into the origin: when the walk from
-        h_i has no first step."""
-        hx, hy = self._halves[i]
-        s = hx * my - hy * mx
-        if not s:
-            # straight out is dead; into the origin is not, so that walk
-            # raises for it
-            return hx * mx + hy * my > 0
-        return not self.meets(hx, hy, self._around[i][s > 0], mx, my)
-
-    def complete_finite(self):
-        """Whether the walls are those of the consistent diagram of a finite
-        type up to the order, computed once per form; one_cone and theta
-        read it.
-
-        The guard is exact: it holds only when fd is of finite type, the
-        form has as many half-lines as there are clusters (lattice.CLUSTERS)
-        and its walls are those of complete_rank2(fd, order) by value.  On
-        finite type the limit cone C is empty, the consistent diagram has one
-        half-line per cluster and its closed chambers are the cluster cones
-        (Reading, "Scattering fans", arXiv:1712.06968).  Completion at the
-        order agrees with that diagram in every term of order at most the
-        order, and with one half-line per cluster it has all of its
-        half-lines, so its chambers are the cluster cones too.  The guard
-        fails for a truncated diagram that misses a half-line, such as G2
-        below order 5, for an edited wall, and on every infinite type, whose
-        truncated chambers are wrong near C.
-        """
-        if self._finite is None:
-            fd = self.fd
-            # scattering imports this module, so it is read here
-            from .scattering import matches_completion
-            self._finite = (fd.is_finite_type() and len(self._halves) == CLUSTERS[fd.bc]
-                            and matches_completion(fd, self._all, self.order))
-        return self._finite
-
-    def one_cone(self, p, q):
-        """Whether theta_p * theta_q = theta_{p+q} holds because p and q lie
-        in one closed chamber of a complete diagram of finite type
-        (complete_finite).
-
-        Cluster monomials are theta functions (GHKK, arXiv:1411.1394,
-        Thm 0.3), and the cluster monomials of one cluster multiply to the
-        cluster monomial of the summed g-vector.  In rank 2 the cones of the
-        cluster complex are the chambers of the diagram outside C, which on
-        finite type are all of them.  So for p and q in one closed chamber
-        alpha(p, q, .) is 1 at p + q and 0 elsewhere.  Otherwise the answer
-        is False.
-        """
-        return self.complete_finite() and bool(self._chambers(p) & self._chambers(q))
-
-    def _chambers(self, m):
-        """The bitmask of closed chambers that hold the exponent m, kept per m;
-        chamber i runs counterclockwise from half-line i to i + 1."""
-        mask = self._cones.get(m)
-        if mask is None:
-            if any(m):
-                cw, ccw = self.near(*m)
-                # inside chamber cw, ccw is cw + 1; on half-line j they are
-                # j - 1 and j + 1, and j - 1 and j are its chambers
-                mask = 1 << cw | 1 << (ccw - 1) % len(self._halves)
-            else:
-                mask = -1
-            self._cones[m] = mask
-        return mask
-
-    def families(self, point):
-        """Families of the walls through the point, grouped by support line:
-        the family of its half-line, every line's at the origin, and none
-        off the walls."""
-        i = self._half(point)
-        if i is not None:
-            return [self.fams[i]]
-        if any(point[:2]):
-            return []
-        if self._origin is None:
-            groups = {}
-            for w in self._all:
-                groups.setdefault(line_key(w.normal), []).append(w)
-            self._origin = [_Family(self.fd, tuple(ws)) for ws in groups.values()]
-        return self._origin
-
-
 class _Arcs(dict):
     """Arc cones for one initial exponent t and one sense of turning:
     half-line i -> cone(h_i), built on first use.
@@ -441,9 +112,9 @@ class _Arcs(dict):
 
     __slots__ = ("halves", "m0", "order", "t", "ccw", "guard")
 
-    def __init__(self, form, t, ccw):
+    def __init__(self, diagram, t, ccw):
         super().__init__()
-        self.halves, self.m0, self.order = form._halves, form._m0, form._cone
+        self.halves, self.m0, self.order = diagram._halves, diagram._m0, diagram.fd.order_form
         ux, uy, vx, vy, _ = self.order
         self.t, self.ccw = t, ccw
         self.guard = ux * t[0] + uy * t[1] <= 0 and vx * t[0] + vy * t[1] <= 0
@@ -499,23 +170,9 @@ def _site(x, y, q, mx, my, td, tn):
     return px // g, py // g, Q // g
 
 
-def search_form(fd, diagram):
-    """The diagram's SearchForm; diagram must be a scattering.Diagram and fd
-    its fixed data, or equal to it.  Every entry point that takes
-    (fd, diagram) checks both here, before it reads the diagram."""
-    # a Diagram holds its form from construction on (scattering imports this module)
-    form = getattr(diagram, "compiled", None)
-    if type(form) is not SearchForm:
-        raise ValueError("diagram must be a Diagram, got %r" % (diagram,))
-    if fd is not form.fd and fd != form.fd:
-        raise ValueError("fixed data %r does not match the diagram's %r" % (fd, form.fd))
-    return form
-
-
 def wall_families(fd, diagram, point):
     """Walls through the point grouped by support line, as (n0_primitive, m0, func)."""
-    form = search_form(fd, diagram)
-    return [(fam.n0, fam.m0, fam.f) for fam in form.families(point)]
+    return [(fam.n0, fam.m0, fam.f) for fam in search_form(fd, diagram).families(point)]
 
 
 def allowed_bends(fd, diagram, point, m_in, K):
@@ -527,20 +184,19 @@ def allowed_bends(fd, diagram, point, m_in, K):
     search does not call it: _trace reads the same coefficients from the
     power table of the site's family.
     """
-    form = search_form(fd, diagram)
-    fams = form.families(point)
+    fams = search_form(fd, diagram).families(point)
     if not fams:
         raise ValueError("point %r lies on no wall" % (point,))
     mx, my = m_in
-    top = K * form._cone[4]
+    top = K * fd.order_form[4]
     out = [((mx, my), 1)]
     for fam in fams:
         pw = fam.a[0] * mx + fam.a[1] * my
-        if pw % form.L:
+        if pw % fd.L:
             raise ValueError("non-integral bending power")
         sx, sy = fam.m0
         out += [((mx + k * sx, my + k * sy), c)
-                for k, c in fam.power_terms(abs(pw) // form.L, top)]
+                for k, c in fam.power_terms(abs(pw) // fd.L, top)]
     return out
 
 
@@ -602,20 +258,19 @@ def _search(fd, diagram, initial, endpoint, K):
     (97/113, -123/151), 2 of the 7 lines sweep more than 2*pi.  The roots
     are tested here, with the two arc cones from the endpoint computed once
     per call, and so is the first step of a root's walk
-    (SearchForm.meets); _trace tests the children.
+    (Diagram.meets); _trace tests the children.
     """
     ix, iy = initial
     if not (ix or iy):
         raise ValueError("initial exponent must be nonzero")
     x, y, q = _endpoint(endpoint)
-    form = search_form(fd, diagram)
-    if form.families((x, y, q)):
+    if search_form(fd, diagram).families((x, y, q)):
         raise ValueError("endpoint lies on a wall; perturb it first")
-    near = form.near(x, y)
+    near = diagram.near(x, y)
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
-    arcs = (_Arcs(form, (ix, iy), False), _Arcs(form, (ix, iy), True))
+    arcs = (_Arcs(diagram, (ix, iy), False), _Arcs(diagram, (ix, iy), True))
     # meets needs a half-line; with none, a root with a shift never bends
-    halves = form._halves
+    halves = diagram._halves
     cones = {}
     results = []
     for a in range(K + 1):
@@ -629,13 +284,13 @@ def _search(fd, diagram, initial, endpoint, K):
                 if ccw not in cones:
                     cones[ccw] = arcs[ccw].cone((x, y))
                 if not (halves and arcs[ccw].admits(cones[ccw], mx, my, px, py)
-                        and form.meets(x, y, near[ccw], mx, my)):
+                        and diagram.meets(x, y, near[ccw], mx, my)):
                     continue
-            _trace(form, x, y, q, near, mx, my, px, py, K, arcs[ccw], [], results)
+            _trace(diagram, x, y, q, near, mx, my, px, py, K, arcs[ccw], [], results)
     return results
 
 
-def _trace(form, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
+def _trace(diagram, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
     """Backward search from (x, y)/q, between the half-lines near, with
     exponent (mx, my) and remaining shift (px, py); steps collect (bend site
     (X, Y, Q), exponent after the bend, coeff) endpoint-first.  arcs holds
@@ -645,9 +300,9 @@ def _trace(form, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
     monoid leaves -s in it, so it cannot bend.  Otherwise the walk over the
     half-lines the ray meets decides, from the half-line's family alone,
     which children k*m0 survive: the power of f must be nonzero, the
-    remaining shift must stay in the monoid (_Family.cap and step), and a
-    child that still has a shift must meet a half-line (SearchForm.dead)
-    and pass the arc test of _search.  Each survivor keeps its bend
+    remaining shift must stay in the monoid (scattering._Family.cap and
+    step), and a child that still has a shift must meet a half-line
+    (Diagram.dead) and pass the arc test of _search.  Each survivor keeps its bend
     coefficient, the term of f^power that selected it, and the site is
     built (_site) only when some child survives.  Children are traced by
     ascending k.
@@ -656,12 +311,12 @@ def _trace(form, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
         _turn(x, y, q, mx, my)
         results.append(steps + [(None, (mx, my), 1)])
         return
-    ux, uy, vx, vy, D = form._cone
+    ux, uy, vx, vy, D = diagram.fd.order_form
     A, B = ux * px + uy * py, vx * px + vy * py
     top = K * D
-    L = form.L
-    fams = form.fams
-    for i, td, tn in form.walk(x, y, q, mx, my, near):
+    L = diagram.fd.L
+    fams = diagram.fams
+    for i, td, tn in diagram.walk(x, y, q, mx, my, near):
         fam = fams[i]
         # the bending power only depends on the pairing with the wall
         # normal, which the bend itself preserves, so the forward
@@ -680,14 +335,14 @@ def _trace(form, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
                 continue
             ax, ay, rx, ry = mx - k * sx, my - k * sy, px - k * sx, py - k * sy
             if not (ax or ay) or (rx or ry) and (
-                    not arcs.admits(cone, ax, ay, rx, ry) or form.dead(i, ax, ay)):
+                    not arcs.admits(cone, ax, ay, rx, ry) or diagram.dead(i, ax, ay)):
                 continue
             children.append((c, ax, ay, rx, ry))
         if not children:
             continue
         pt = _site(x, y, q, mx, my, td, tn)
         for c, *child in children:
-            _trace(form, *pt, form._around[i], *child, K, arcs,
+            _trace(diagram, *pt, diagram._around[i], *child, K, arcs,
                    steps + [(pt, (mx, my), c)], results)
 
 
@@ -712,7 +367,7 @@ def theta(fd, diagram, m, endpoint, K=None):
     sorted by exponent, as theta_of_lines gives them, one order for both
     paths below.
 
-    On a diagram that passes SearchForm.complete_finite and at K at most
+    On a diagram that passes Diagram.complete_finite and at K at most
     its order, theta is z^m carried by the path-ordered product from a
     point Q of a chamber of m (_transported).  Why: theta_{Q,m} = z^m for Q
     in a chamber whose closure holds m (GHKK, arXiv:1411.1394, Prop. 3.8),
@@ -746,14 +401,13 @@ def theta(fd, diagram, m, endpoint, K=None):
     of its final exponent.
     """
     m = _lattice_vector(m, "m")
-    form = search_form(fd, diagram)
-    K = _check_order(K, form.order)
+    K = _check_order(K, search_form(fd, diagram).order)
     if m == (0, 0):
         # both paths check the endpoint otherwise
         _endpoint(endpoint)
         return LaurentPoly({m: 1}, m, K)
-    if K <= form.order and form.complete_finite():
-        terms = _transported(fd, diagram, form, m, endpoint, K)
+    if K <= diagram.order and diagram.complete_finite():
+        terms = _transported(fd, diagram, m, endpoint, K)
     else:
         terms = {}
         for steps in _search(fd, diagram, m, endpoint, K):
@@ -762,11 +416,11 @@ def theta(fd, diagram, m, endpoint, K=None):
     return LaurentPoly(dict(sorted(terms.items())), m, K)
 
 
-def _transported(fd, diagram, form, m, endpoint, K):
+def _transported(fd, diagram, m, endpoint, K):
     """The terms of theta_m at the endpoint by transport, with the search's
     errors: the path and the proofs are in theta's docstring."""
     x, y, q = _endpoint(endpoint)
-    if form.families((x, y, q)):
+    if diagram.families((x, y, q)):
         raise ValueError("endpoint lies on a wall; perturb it first")
     (g1x, g1y), (g2x, g2y) = fd.monoid_gens
     for a in range(K + 1):
@@ -774,15 +428,13 @@ def _transported(fd, diagram, form, m, endpoint, K):
             fx, fy = m[0] + a * g1x + b * g2x, m[1] + a * g1y + b * g2y
             if x * fy == y * fx and (fx or fy):
                 _turn(x, y, q, fx, fy)
-    n = len(form._halves)
-    c = (form.near(*m)[1] - 1) % n
-    h, k = form._halves[c], form._halves[(c + 1) % n]
+    halves = diagram._halves
+    c = (diagram.near(*m)[1] - 1) % len(halves)
+    h, k = halves[c], halves[(c + 1) % len(halves)]
     Q = (h[0] + k[0], h[1] + k[1])
     path = [Q, endpoint]
     if Q[0] * y == Q[1] * x and Q[0] * x + Q[1] * y < 0:
         path.insert(1, (Q[0] + k[0], Q[1] + k[1]))
-    # scattering imports this module, so it is read here
-    from .scattering import path_ordered_product
     return path_ordered_product(fd, diagram, path, LaurentPoly.monomial(m, K)).terms
 
 
@@ -807,10 +459,10 @@ def bend_coefficient(fd, diagram, point, m_prev, m_next):
     Raises ValueError when the point lies on no wall or when no wall
     through it gives the step a nonzero coefficient.
     """
-    form = search_form(fd, diagram)
+    search_form(fd, diagram)
     if tuple(m_prev) == tuple(m_next):
         return 1
-    fams = form.families(point)
+    fams = diagram.families(point)
     if not fams:
         raise ValueError("bend point %r lies on no wall" % (point,))
     step = vsub(m_next, m_prev)
@@ -826,9 +478,9 @@ def bend_coefficient(fd, diagram, point, m_prev, m_next):
             continue
         # L times the pairing with n0; exponents are Fractions on glued segments
         pw = fam.a[0] * m_prev[0] + fam.a[1] * m_prev[1]
-        if pw % form.L or pw == 0:
+        if pw % fd.L or pw == 0:
             continue
-        c = fam.coefficient(abs(pw) // form.L, k)
+        c = fam.coefficient(abs(pw) // fd.L, k)
         if c != 0:
             return c
     raise ValueError("bend %r -> %r at %r is not allowed" % (m_prev, m_next, point))

@@ -11,10 +11,10 @@ from fractions import Fraction
 from math import lcm
 
 from .geometry import vadd, vsub, vneg, vscale, is_zero
-from .lattice import pairing, n_circ_primitive, dual_perp, order_form, cone_order
+from .lattice import pairing, n_circ_primitive, dual_perp, cone_order
 from .series import lp_mul, _kept, _check_order, _lattice_vector
-from .brokenline import (Segment, Piece, theta, segment_coefficients, reverse,
-                         search_form, _assemble, _rational)
+from .scattering import search_form
+from .brokenline import Segment, Piece, theta, segment_coefficients, reverse, _assemble, _rational
 
 
 class BalancedPair:
@@ -55,7 +55,7 @@ def structure_constant(fd, diagram, p, q, r, K=None):
     cone order above K, since the order-K table does not determine alpha there.
     """
     p, q, r = (_lattice_vector(v, name) for v, name in ((p, "p"), (q, "q"), (r, "r")))
-    # the form checks fd before cone_order reads it
+    # search_form checks fd before cone_order reads it
     K = _check_order(K, search_form(fd, diagram).order)
     k = cone_order(fd, vsub(r, vadd(p, q)))
     if k is not None and k > K:
@@ -98,25 +98,25 @@ def _alpha_cached(fd, diagram, p, q, K):
 
 
 def fixed_generic_endpoint(fd, diagram):
-    """Endpoint for theta-basis expansions, computed once per search form.
+    """Endpoint for theta-basis expansions, computed once per diagram.
 
     Large coprime coordinates keep the ray through the endpoint clear of
     every exponent the truncated expansions can produce, so each theta
     keeps its leading monomial; wall-genericity is still checked.
     """
-    form = search_form(fd, diagram)
-    if form.endpoint is None:
+    search_form(fd, diagram)
+    if diagram.endpoint is None:
         cands = [(9973, 9967), (9973, -9967), (-9967, 9973), (-9973, -9967),
                  (9967, 10007), (10007, -9973)]
         for v in cands:
             # every wall covers a half of its line, so v misses every wall
             # line when neither v nor -v lies on a half-line
-            if not (form.families(v) or form.families(vneg(v))):
-                form.endpoint = v
+            if not (diagram.families(v) or diagram.families(vneg(v))):
+                diagram.endpoint = v
                 break
         else:
             raise ValueError("no generic probe point found")
-    return form.endpoint
+    return diagram.endpoint
 
 
 def alpha_table(fd, diagram, p, q, K=None):
@@ -129,20 +129,19 @@ def alpha_table(fd, diagram, p, q, K=None):
 
     A pair in one closed chamber of a complete diagram of finite type gives
     {p + q: 1} before any theta or product work: theta_p * theta_q =
-    theta_{p+q} there (SearchForm.one_cone states the theorem and its guard).
+    theta_{p+q} there (Diagram.one_cone states the theorem and its guard).
     """
     p, q = _lattice_vector(p, "p"), _lattice_vector(q, "q")
-    form = search_form(fd, diagram)
-    K = _check_order(K, form.order)
+    K = _check_order(K, search_form(fd, diagram).order)
     if is_zero(p):
         return {q: 1}
     if is_zero(q):
         return {p: 1}
     base = vadd(p, q)
-    if form.one_cone(p, q):
+    if diagram.one_cone(p, q):
         return {base: 1}
     z0 = fixed_generic_endpoint(fd, diagram)
-    ux, uy, vx, vy, _ = order_form(fd)
+    ux, uy, vx, vy, _ = fd.order_form
     wx, wy = ux + vx, uy + vy
 
     def key(e):

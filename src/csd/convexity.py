@@ -16,7 +16,8 @@ from .geometry import (vadd, vsub, vneg, vscale, primitive, line_key, cross,
                        cycle_is_convex, compile_hull, homogeneous, rational, _rational_points)
 from .lattice import FixedData, p1_star, skew_form, line_dir
 from .series import _check_order
-from .brokenline import Segment, Piece, validate_segment, search_form
+from .scattering import search_form
+from .brokenline import Segment, Piece, validate_segment
 from .constructions import (structure_constant, pair_from_segment, _alpha_cached,
                             _product_cached, _pair_key)
 
@@ -533,7 +534,7 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     nonnegative and each contributing exponent shows up in the product.
     Pairs whose whole truncation triangle p+q+{order <= K} sits inside are
     skipped without any series work, and so are the pairs in one closed
-    chamber of a complete diagram of finite type (SearchForm.one_cone):
+    chamber of a complete diagram of finite type (Diagram.one_cone):
     their product is theta_{p+q}, and p + q lies in aP + bP = (a + b)P.
 
     The scan is one integer pass over the one compiled hull of P: the
@@ -554,8 +555,7 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     """
     cycle = _polygon(cycle, "cycle")
     _check_degree(max_degree)
-    form = search_form(fd, diagram)
-    K = _check_order(K, form.order)
+    K = _check_order(K, search_form(fd, diagram).order)
     region = compile_hull(cycle)
     # the nonzero lattice points of each dilation kP, descending (the
     # ascending scan reversed), listed when first needed.  A pair with the
@@ -571,7 +571,7 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
                 pts.remove((0, 0))
         return listed[k]
 
-    products, alphas, one_cone = form.products, form.alphas, form.one_cone
+    products, alphas, one_cone = diagram.products, diagram.alphas, diagram.one_cone
     # (a + b)P has the planes A*x + B*y >= (a + b)*N, so both corners
     # s + K*g1 and s + K*g2 of s = p + q lie in it exactly when
     # A*sx + B*sy + m >= (a + b)*N for every plane, with

@@ -18,12 +18,18 @@ class FixedData:
 
     Holds integers only: the multipliers d (positive, gcd 1), the exchange
     matrix, the skew form s = {e_0, e_1} (a nonzero integer, since s*d_1 and
-    s*d_0 are integers and gcd(d) = 1), L = lcm(d) and the monoid generators
-    p1_star(e_0), p1_star(e_1).  Anything else is rejected here: a matrix
-    that is not 2x2 or not integral, a non-antisymmetric or a degenerate
-    skew form.  Seed files name the rank and the unfrozen indices too;
-    serialize.fd_from_json checks those fields.  Two fixed data are equal
-    when their exchange matrices and multipliers are.
+    s*d_0 are integers and gcd(d) = 1), L = lcm(d), the monoid generators
+    g1 = p1_star(e_0), g2 = p1_star(e_1) and their order form.  Anything
+    else is rejected here: a matrix that is not 2x2 or not integral, a
+    non-antisymmetric or a degenerate skew form.  Seed files name the rank
+    and the unfrozen indices too; serialize.fd_from_json checks those
+    fields.  Two fixed data are equal when their exchange matrices and
+    multipliers are.
+
+    The order form (ux, uy, vx, vy, D) gives the cone coordinates as
+    integers: m has cone coordinates (u/D, v/D) with u = ux*m0 + uy*m1 and
+    v = vx*m0 + vy*m1, and D = |cross(g1, g2)| > 0.  So m lies in the cone
+    when u, v >= 0, and its cone_order is (u + v)/D.
     """
 
     def __init__(self, exchange, d):
@@ -46,7 +52,11 @@ class FixedData:
         # b*c with b = |exchange[0][1]| and c = |exchange[1][0]|
         self.bc = -e01 * e10
         self.L = lcm(d0, d1)
-        self.monoid_gens = (p1_star(self, (1, 0)), p1_star(self, (0, 1)))
+        self.monoid_gens = p1_star(self, (1, 0)), p1_star(self, (0, 1))
+        (ax, ay), (bx, by) = self.monoid_gens
+        det = ax * by - ay * bx
+        sign = 1 if det > 0 else -1
+        self.order_form = sign * by, -sign * bx, -sign * ay, sign * ax, abs(det)
 
     def is_finite_type(self):
         """Whether the cluster algebra has finitely many clusters: bc <= 3, that
@@ -127,26 +137,13 @@ def solve_linear(cols, target):
     return Fraction(cross(target, cols[1]), det), Fraction(cross(cols[0], target), det)
 
 
-def order_form(fd):
-    """Integer form of the cone coordinates: (ux, uy, vx, vy, D).
-
-    m has cone coordinates (u/D, v/D) with u = ux*m0 + uy*m1 and
-    v = vx*m0 + vy*m1, and D = |cross(g1, g2)| > 0.  So m lies in the cone
-    when u, v >= 0, and its cone_order is (u + v)/D.
-    """
-    (ax, ay), (bx, by) = fd.monoid_gens
-    det = ax * by - ay * bx
-    s = 1 if det > 0 else -1
-    return s * by, -s * bx, -s * ay, s * ax, abs(det)
-
-
 def cone_order(fd, m):
     """Rational grading order of m in the cone spanned by the monoid generators.
 
     None when m is outside the cone.  Additive and positive on the nonzero
     part of the cone, which is all the truncation bookkeeping needs.
     """
-    ux, uy, vx, vy, D = order_form(fd)
+    ux, uy, vx, vy, D = fd.order_form
     u, v = ux * m[0] + uy * m[1], vx * m[0] + vy * m[1]
     if u < 0 or v < 0:
         return None

@@ -12,6 +12,7 @@ from .lattice import FixedData, line_dir
 from .series import WallFunction
 from .scattering import Wall, Diagram
 from .brokenline import Piece, BrokenLine, Segment
+from .constructions import BalancedPair
 
 
 def frac_to_str(x):
@@ -316,7 +317,6 @@ def pair_to_json(pair):
 
 def pair_from_json(doc):
     """A balanced pair from its document; errors name the line or field."""
-    from .constructions import BalancedPair
     if not isinstance(doc, dict):
         raise ValueError("pair must be a JSON object, got %s" % type(doc).__name__)
     return BalancedPair(brokenline_from_json(_field(doc, "line1", "pair"), "pair line1"),

@@ -10,14 +10,13 @@ arXiv:1411.1394).  WallFunction and LaurentPoly each have one constructor,
 and it checks each coefficient that enters through _integer, the kernels'
 results included; lp_truncate checks the terms it drops too.  The
 tables of powers of f that the broken-line search and wall_cross read
-(brokenline._Family.power_terms) come from _pow_coeffs.
+(scattering._Family.power_terms) come from _pow_coeffs.
 """
 
 from math import gcd
 from numbers import Rational
 
 from .geometry import vadd
-from .lattice import order_form
 
 
 def _integer(c):
@@ -146,7 +145,7 @@ def monomial_text(c, e):
 
 def _kept(fd, terms, base, order):
     """The nonzero terms whose shift from base has order at most order."""
-    ux, uy, vx, vy, D = order_form(fd)
+    ux, uy, vx, vy, D = fd.order_form
     bx, by = base
     top = order * D
     kept = {}
@@ -181,7 +180,7 @@ def wall_cross(fd, p, fam, sign):
     """Cross the walls of one half-line with the given sign: z^m -> z^m *
     f^(sign * <n0', m>) termwise, truncated at the order of p.
 
-    fam is the half-line's brokenline._Family: its primitive normal n0 in N°
+    fam is the half-line's scattering._Family: its primitive normal n0 in N°
     (kept scaled by L), direction m0 and product function f.  The powers of
     f come from fam.power_terms at the order numerator K * D of p, the key
     the broken-line search uses too, so a diagram's crossings and searches
@@ -189,7 +188,7 @@ def wall_cross(fd, p, fam, sign):
     order reads a prefix of that table.
     """
     K = p.order
-    ux, uy, vx, vy, D = order_form(fd)
+    ux, uy, vx, vy, D = fd.order_form
     su, sv = fam.cn, fam.dn
     if su < 0 or sv < 0 or su + sv == 0:
         raise ValueError("wall function direction outside the cone")

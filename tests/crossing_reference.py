@@ -1,7 +1,7 @@
 """Transport by crossing one wall at a time, for tests.
 
 scattering.apply_loop and path_ordered_product cross each half-line once,
-with the product function of its walls (brokenline._Family).  These
+with the product function of its walls (scattering._Family).  These
 references cross the walls themselves, one wall_cross per wall, in the
 order the engine crossed them before it crossed families: the half-lines
 in the order the loop or leg meets them, and the walls of one half-line in
@@ -9,10 +9,9 @@ diagram order.  Each crossing takes the sign -sgn <n, travel> of the wall's
 own normal n and the direction of travel.
 """
 
-from csd.brokenline import _Family, search_form
 from csd.geometry import rot90, vsub
 from csd.lattice import pairing
-from csd.scattering import Wall, leg_crossings
+from csd.scattering import Wall, leg_crossings, search_form, _Family
 from csd.series import wall_cross
 
 

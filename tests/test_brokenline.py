@@ -11,14 +11,14 @@ from csd import brokenline, convexity, serialize
 from csd.brokenline import (Piece, BrokenLine, Segment, wall_families,
                             allowed_bends, enumerate_lines, theta, theta_of_lines, reverse,
                             validate_segment, segment_coefficients,
-                            bend_coefficient, search_form, _assemble, _site)
+                            bend_coefficient, _assemble, _site)
 from csd.geometry import (vadd, vsub, vscale, is_zero, homogeneous, cross, dot, same_ray,
                           primitive, line_key)
 from csd.lattice import (FixedData, pairing, n_circ_primitive, cone_order,
                          solve_linear, scaled_normal, dual_perp)
 from csd.constructions import alpha_table
 from csd.scattering import (Diagram, Wall, complete_rank2, initial_wall, check_consistent,
-                            path_ordered_product)
+                            path_ordered_product, search_form)
 from csd.series import wf_mul, wf_pow, LaurentPoly, WallFunction
 from segments import line_bounded_segment
 
@@ -261,7 +261,7 @@ def on_support(fd, wall, pt):
     return is_zero(pt) or same_ray(pt, wall.direction)
 
 
-# Reference search for the differential test, independent of SearchForm:
+# Reference search for the differential test, independent of the wall index:
 # every wall pairing in rationals and the monoid test by Gaussian elimination.
 def _reference_lines(fd, diagram, initial, endpoint, K):
     def events(pos, m):

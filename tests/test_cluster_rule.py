@@ -1,4 +1,4 @@
-"""The product rule on the cluster complex: SearchForm.one_cone and its guard.
+"""The product rule on the cluster complex: Diagram.one_cone and its guard.
 
 The oracle multiplies theta functions from the broken-line search with
 lp_mul and never goes through the rule.
@@ -10,11 +10,11 @@ import json
 import pytest
 
 from csd import cli, serialize
-from csd.brokenline import SearchForm, search_form, theta
+from csd.brokenline import theta
 from csd.constructions import alpha_table, fixed_generic_endpoint
 from csd.geometry import vadd
 from csd.lattice import FixedData
-from csd.scattering import complete_rank2
+from csd.scattering import Diagram, complete_rank2, search_form
 from csd.series import lp_mul
 
 FINITE = {"A2": ([[0, 1], [-1, 0]], [1, 1]), "B2": ([[0, 2], [-1, 0]], [1, 2]),
@@ -106,7 +106,7 @@ def test_edited_diagram_keeps_the_series_path(tmp_path, capsys, monkeypatch):
     _run_multiply(path, "-2,-1", "0,-2")
     out = capsys.readouterr().out
     # the same run with the rule switched off is the series path
-    monkeypatch.setattr(SearchForm, "one_cone", lambda self, p, q: False)
+    monkeypatch.setattr(Diagram, "one_cone", lambda self, p, q: False)
     _run_multiply(path, "-2,-1", "0,-2")
     assert capsys.readouterr().out == out
     # and the edit shows: the rule's answer would have been wrong here

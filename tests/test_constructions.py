@@ -11,7 +11,7 @@ import csd.constructions as constructions
 from csd.geometry import vscale, vadd
 from csd.brokenline import (BrokenLine, Piece, Segment, enumerate_lines,
                             validate_segment, segment_coefficients,
-                            theta, search_form)
+                            theta)
 from csd.constructions import (BalancedPair, alpha_table, structure_constant,
                                construct_segment, glue_balanced,
                                pair_from_segment, fixed_generic_endpoint,
@@ -19,8 +19,9 @@ from csd.constructions import (BalancedPair, alpha_table, structure_constant,
                                _endpoint_first, _bend_normals_from)
 from csd.convexity import check_positive
 from csd.lattice import FixedData
-from csd.scattering import initial_diagram, complete_diagram, complete_rank2
+from csd.scattering import initial_diagram, complete_diagram, complete_rank2, search_form
 from csd.series import lp_mul
+from alpha_oracle import alpha_by_definition, candidates
 from balanced_pairs import generic_endpoint_near, oracle_alpha
 from segments import line_bounded_segment
 
@@ -513,3 +514,25 @@ def test_trivial_bend_splits_like_no_bend(a2, a2_diagram, tau):
             assert line.pieces[0].bend_point == pair.base
         else:
             assert repr(line.pieces) == repr(ref_line.pieces)
+
+
+def test_alpha_table_matches_the_definition():
+    # the oracle multiplies thetas at a point near each r and reads z^r; it
+    # checks every entry of the table, and every exponent of the product
+    # that the table omits must give 0
+    grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) != (0, 0)]
+    entries = 0
+    for exchange, d in [([[0, 1], [-1, 0]], [1, 1]), ([[0, 2], [-1, 0]], [1, 2]),
+                        ([[0, 3], [-1, 0]], [1, 3]), ([[0, 2], [-2, 0]], [1, 1])]:
+        fd = FixedData(exchange, d)
+        diagram = complete_rank2(fd, 8)
+        thetas = {}
+        for p in grid:
+            for q in grid:
+                if p <= q:
+                    table = alpha_table(fd, diagram, p, q, 8)
+                    for r in set(table) | set(candidates(fd, diagram, p, q, 8)):
+                        assert alpha_by_definition(fd, diagram, p, q, r, 8, thetas) == \
+                            table.get(r, 0), (fd, p, q, r)
+                    entries += len(table)
+    assert entries == 2741

@@ -46,6 +46,13 @@ def test_shear_map_rejects_non_integral(g2):
         shear_map(g2, (0, 1), 1)
 
 
+def test_mat_inv_rejects_a_matrix_that_is_not_unimodular():
+    assert convexity.mat_inv(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
+    with pytest.raises(ValueError) as info:
+        convexity.mat_inv(((2, 0), (0, 1)))
+    assert str(info.value) == "matrix is not unimodular"
+
+
 def test_plmap_continuity_on_fold(a2):
     # both sector matrices agree on the fold line itself
     t0 = shear_map(a2, (1, 0), 1)

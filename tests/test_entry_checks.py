@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from csd.brokenline import (SearchForm, Segment, Piece, theta, enumerate_lines, bend_coefficient,
+from csd import scattering
+from csd.brokenline import (Segment, Piece, theta, enumerate_lines, bend_coefficient,
                             validate_segment, segment_coefficients)
 from csd.constructions import alpha_table, structure_constant, pair_from_segment, glue_balanced
 from csd.convexity import is_blc_2d, blc_hull_2d, check_positive, main_theorem_harness
@@ -71,23 +72,24 @@ def test_every_entry_point_checks_the_fixed_data(a2, kron, a2_diagram, name):
 
 def test_equal_fixed_data_share_the_form(a2, monkeypatch):
     # an fd equal to the diagram's is the diagram's: theta calls that switch
-    # between two equal fds read one form and its caches
+    # between two equal fds read one diagram and its caches, so its
+    # finite-type guard compares the walls with completion once
     twin = FixedData([[0, 1], [-1, 0]], [1, 1])
     assert twin == a2 and twin is not a2 and hash(twin) == hash(a2)
     assert twin != FixedData([[0, 2], [-2, 0]], [1, 1])
     walls = complete_rank2(a2, 6).walls
-    builds = []
-    init = SearchForm.__init__
+    guards = []
+    matches = scattering.matches_completion
 
-    def counted(self, *args):
-        builds.append(args)
-        init(self, *args)
+    def counted(*args):
+        guards.append(args)
+        return matches(*args)
 
-    monkeypatch.setattr(SearchForm, "__init__", counted)
+    monkeypatch.setattr(scattering, "matches_completion", counted)
     diagram = Diagram(a2, walls, 6, True)
     for i in range(200):
         assert theta(twin if i % 2 else a2, diagram, (1, -1), Z).terms == {(1, -1): 1, (0, -1): 1}
-    assert len(builds) == 1
+    assert len(guards) == 1
 
 
 @pytest.mark.parametrize("name, call", [

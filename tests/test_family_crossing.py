@@ -41,7 +41,7 @@ def test_family_crossing_is_wall_by_wall(name):
     fd, diagrams = _diagrams(name)
     split = 0
     for diagram in diagrams:
-        split += any(len(fam.walls) > 1 for fam in diagram.compiled.fams)
+        split += any(len(fam.walls) > 1 for fam in diagram.fams)
         for m in MONOMIALS:
             p = LaurentPoly.monomial(m, diagram.order)
             assert apply_loop(fd, diagram, p) == loop_by_walls(fd, diagram, p), m

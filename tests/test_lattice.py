@@ -3,7 +3,7 @@ from math import gcd, lcm
 
 import pytest
 
-from csd.geometry import primitive
+from csd.geometry import primitive, cross
 from csd.lattice import (FixedData, pairing, skew_form, p1_star, line_dir, dual_perp,
                          scaled_normal, n_circ_primitive, solve_linear, cone_order)
 
@@ -122,6 +122,43 @@ def test_antisymmetry_enforced():
 def test_rank_other_than_two_rejected(exchange, d):
     with pytest.raises(ValueError, match="rank-2 construction only: exchange"):
         FixedData.from_exchange(exchange, d)
+
+
+def _message(call, *args):
+    with pytest.raises(ValueError) as e:
+        call(*args)
+    return str(e.value)
+
+
+def test_non_integral_exchange_entry_rejected():
+    assert _message(FixedData, [[0, 1.5], [-1, 0]], [1, 1]) == \
+        "exchange entries must be integers, got [[0, 1.5], [-1, 0]]"
+    assert _message(FixedData, [[0, F(3, 2)], [-1, 0]], [1, 1]) == \
+        "exchange entries must be integers, got [[0, Fraction(3, 2)], [-1, 0]]"
+
+
+def test_multipliers_without_gcd_one_rejected():
+    assert _message(FixedData, [[0, 2], [-2, 0]], [2, 2]) == \
+        "multipliers d_i must be positive with gcd 1, got (2, 2)"
+
+
+def test_pairing_rejects_a_three_vector(g2):
+    assert _message(pairing, g2, (1, 0, 0), (1, 0)) == "dimension mismatch"
+
+
+def test_n_circ_primitive_rejects_the_zero_normal(g2):
+    assert _message(n_circ_primitive, g2, (0, 0)) == "zero normal"
+
+
+@pytest.mark.parametrize("name", sorted(TYPES))
+def test_order_form_gives_cone_coordinates(name):
+    # g1 and g2 have cone coordinates (1, 0) and (0, 1): u and v are D and 0
+    fd = FixedData(*TYPES[name])
+    ux, uy, vx, vy, D = fd.order_form
+    (g1x, g1y), (g2x, g2y) = fd.monoid_gens
+    assert D == abs(cross(fd.monoid_gens[0], fd.monoid_gens[1])) > 0
+    assert (ux * g1x + uy * g1y, vx * g1x + vy * g1y) == (D, 0)
+    assert (ux * g2x + uy * g2y, vx * g2x + vy * g2y) == (0, D)
 
 
 def test_pairing(g2):

@@ -130,3 +130,79 @@ def test_src_defines_only_what_the_program_uses():
     texts.append((ROOT / "README.md").read_text())
     unused = unreferenced(sources, texts)
     assert not unused, "used by nothing in src/csd, bench/*.py or README.md: " + ", ".join(unused)
+
+
+def imports(sources):
+    """The internal import graph of a package, {module: set of modules}, and
+    the imports made inside a function or class body, as "module (line n)".
+
+    An internal import is a relative one: "from .x import y" reads module x,
+    and "from . import x" reads x too."""
+    graph, nested = {}, []
+
+    def visit(node, module, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                if inside:
+                    nested.append("%s (line %d)" % (module, child.lineno))
+                if isinstance(child, ast.ImportFrom) and child.level:
+                    graph[module].update([child.module] if child.module
+                                         else [a.name for a in child.names])
+            visit(child, module, inside or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+
+    for module, source in sources.items():
+        graph[module] = set()
+        visit(ast.parse(source), module, False)
+    return graph, nested
+
+
+def cycle(graph):
+    """A list of modules that import each other in a ring, or None."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):]
+        if module in done:
+            return None
+        path.append(module)
+        for dep in sorted(graph.get(module, ())):
+            found = visit(dep)
+            if found:
+                return found
+        path.pop()
+        done.add(module)
+        return None
+
+    for module in sorted(graph):
+        found = visit(module)
+        if found:
+            return found
+    return None
+
+
+LAYERED = {
+    "a": "from math import gcd\n",
+    "b": "from .a import x\nfrom . import c\n",
+    "c": "import os\nfrom .a import y\n\n\ndef f():\n    from .d import z\n",
+    "d": "class K:\n    import json\n",
+}
+
+
+def test_import_graph_fixture():
+    graph, nested = imports(LAYERED)
+    assert graph == {"a": set(), "b": {"a", "c"}, "c": {"a", "d"}, "d": set()}
+    assert nested == ["c (line 6)", "d (line 2)"]
+    assert cycle(graph) is None
+    assert cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c"]
+
+
+def test_src_imports_form_one_chain():
+    # every import sits at module level, so the package imports in one
+    # order, lattice and geometry first and the cli last
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "csd").glob("*.py"))}
+    graph, nested = imports(sources)
+    assert not nested, "imports inside a function or class body: " + ", ".join(nested)
+    assert cycle(graph) is None, "import cycle: " + " -> ".join(cycle(graph))
+    assert "brokenline" not in graph["scattering"]

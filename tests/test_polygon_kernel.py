@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csd import constructions, convexity
-from csd.brokenline import Segment, Piece, SearchForm, validate_segment, reverse
+from csd.brokenline import Segment, Piece, validate_segment, reverse
 from csd.constructions import fixed_generic_endpoint, _theta_cached
 from csd.convexity import (PLMap, chart_maps, is_blc_2d, blc_hull_2d, check_positive,
                            mat_vec, _alpha_cached)
@@ -26,7 +26,7 @@ from csd.geometry import (vadd, vsub, vscale, is_zero, primitive, cross, dot,
                           ccw_key, convex_hull, compile_hull, cycle_is_convex,
                           homogeneous, rational)
 from csd.lattice import FixedData
-from csd.scattering import complete_rank2
+from csd.scattering import Diagram, complete_rank2
 from csd.series import lp_mul
 from crossing_reference import sgn
 
@@ -703,7 +703,7 @@ def test_positivity_scan_matches_fraction_path(name, max_degree, K, diagrams):
 
 # (lp_mul calls, alpha_table calls, True verdicts) of the positivity scan at
 # max_degree 3 and K 6 over _polygons("kernel:<name>", 100, 20), cold caches;
-# a pair in one cluster cone (SearchForm.one_cone) needs neither
+# a pair in one cluster cone (Diagram.one_cone) needs neither
 SCAN_WORK = {"G2": (143, 67, 31), "A2": (214, 109, 46)}
 
 
@@ -716,13 +716,13 @@ def test_equal_dilations_visit_each_unordered_pair_once(a2, a2_diagram, monkeypa
     tri = [(-2, 0), (2, -2), (0, 2)]
     check_positive(a2, a2_diagram, tri, 2, 6)
     calls = []
-    one_cone = SearchForm.one_cone
+    one_cone = Diagram.one_cone
 
     def counted(self, p, q):
         calls.append((p, q))
         return one_cone(self, p, q)
 
-    monkeypatch.setattr(SearchForm, "one_cone", counted)
+    monkeypatch.setattr(Diagram, "one_cone", counted)
     assert check_positive(a2, a2_diagram, tri, 2, 6).verdict is True
     pts = [p for p in compile_hull(tri).lattice_points() if p != (0, 0)]
     assert len(pts) == 9

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from csd import scattering, serialize
-from csd.brokenline import search_form, theta
+from csd.brokenline import theta
 from csd.geometry import vadd, vsub, vscale, is_zero, same_ray, cross, dot, line_key
 from csd.lattice import FixedData, cone_order, line_dir, pairing
 from csd.series import WallFunction, LaurentPoly
 from csd.scattering import (Diagram, Wall, is_incoming, initial_diagram,
                             complete_rank2, complete_diagram, check_consistent,
                             loop_discrepancy, apply_loop, path_ordered_product,
-                            leg_crossings)
+                            leg_crossings, search_form)
 
 F = Fraction
 
@@ -308,6 +308,12 @@ def test_function_direction_outside_the_cone_is_rejected(a2, kind):
         assert str(info.value) == "wall %d: %s" % (i, msg)
 
 
+def test_wall_kind_other_than_line_or_ray_is_rejected():
+    with pytest.raises(ValueError) as info:
+        Wall((1, 0), "segment", (0, 1), WallFunction((0, 1), [1]))
+    assert str(info.value) == "kind must be 'line' or 'ray'"
+
+
 def test_zero_normal_is_rejected():
     with pytest.raises(ValueError) as info:
         Wall((0, 0), "line", (1, 0), WallFunction((0, 1), [1]))
@@ -386,27 +392,30 @@ def test_completion_is_pinned():
 
 
 def test_completion_drops_the_form(kron):
-    # a form built on the initial diagram, by a search or by the loop, never
-    # serves the completed diagram: its form holds the completed walls
+    # the index of the initial diagram, read by a search or by the loop,
+    # never serves the completed diagram: its families hold the completed
+    # walls
     for search_first in (False, True):
         diagram = initial_diagram(kron, 6)
         if search_first:
             theta(kron, diagram, (1, 0), (F(2), F(1)), 6)
         done = complete_diagram(kron, diagram)
-        assert search_form(kron, done)._all == done.walls
+        assert search_form(kron, done) is done
+        assert {w for fam in done.fams for w in fam.walls} == set(done.walls)
         assert check_consistent(kron, done)
 
 
 def test_completion_leaves_its_argument_unchanged(kron):
-    # the diagram given keeps its walls, their functions and its form, with
-    # the caches on it, and the complete diagram is a new value
+    # the diagram given keeps its walls, their functions and its families,
+    # with the caches on it, and the complete diagram is a new value
     diagram = initial_diagram(kron, 6)
-    walls, form = diagram.walls, search_form(kron, diagram)
+    walls, fams = diagram.walls, list(diagram.fams)
     shown = repr(walls)
     cached = theta(kron, diagram, (1, 0), (F(2), F(1)), 6)
     done = complete_diagram(kron, diagram)
     assert done is not diagram and done.walls != walls
     assert diagram.walls is walls and repr(diagram.walls) == shown
-    assert search_form(kron, diagram) is form and form._all == walls
+    assert search_form(kron, diagram) is diagram and diagram.fams == fams
+    assert {w for fam in fams for w in fam.walls} == set(walls)
     assert theta(kron, diagram, (1, 0), (F(2), F(1)), 6) == cached
     assert not check_consistent(kron, diagram) and not diagram.saturated

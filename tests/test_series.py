@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csd.brokenline import Piece, _Family
+from csd.brokenline import Piece
 from csd.lattice import FixedData
-from csd.scattering import Wall, initial_wall
+from csd.scattering import Wall, initial_wall, _Family
 from csd.series import (WallFunction, wf_mul, wf_pow, LaurentPoly,
                         lp_truncate, lp_mul, wall_cross, _pow_coeffs)
 from crossing_reference import one_wall_family
@@ -53,6 +53,9 @@ def test_wallfunction_direction_error_names_the_value(direction, shown):
 def test_wf_mul():
     f = WallFunction((0, 1), [1])
     assert wf_mul(f, f, 4).coeffs == (2, 1)
+    with pytest.raises(ValueError) as info:
+        wf_mul(f, WallFunction((1, 0), [1]), 4)
+    assert str(info.value) == "direction mismatch"
 
 
 def test_wf_pow_small():
