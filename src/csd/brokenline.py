@@ -260,34 +260,44 @@ def _search(fd, diagram, initial, endpoint, K):
     per call, and so is the first step of a root's walk
     (Diagram.meets); _trace tests the children.
     """
-    ix, iy = initial
-    if not (ix or iy):
+    if not any(initial):
         raise ValueError("initial exponent must be nonzero")
-    x, y, q = _endpoint(endpoint)
-    if search_form(fd, diagram).families((x, y, q)):
-        raise ValueError("endpoint lies on a wall; perturb it first")
+    (x, y, q), roots = _roots(fd, diagram, initial, endpoint, K)
     near = diagram.near(x, y)
-    (g1x, g1y), (g2x, g2y) = fd.monoid_gens
-    arcs = (_Arcs(diagram, (ix, iy), False), _Arcs(diagram, (ix, iy), True))
+    arcs = (_Arcs(diagram, initial, False), _Arcs(diagram, initial, True))
     # meets needs a half-line; with none, a root with a shift never bends
     halves = diagram._halves
     cones = {}
     results = []
+    for mx, my, px, py in roots:
+        ccw = x * my - y * mx > 0
+        if (px or py) and x * my != y * mx:
+            if ccw not in cones:
+                cones[ccw] = arcs[ccw].cone((x, y))
+            if not (halves and arcs[ccw].admits(cones[ccw], mx, my, px, py)
+                    and diagram.meets(x, y, near[ccw], mx, my)):
+                continue
+        _trace(diagram, x, y, q, near, mx, my, px, py, K, arcs[ccw], [], results)
+    return results
+
+
+def _roots(fd, diagram, m, endpoint, K):
+    """The entry that _search and _transported share: the endpoint as a
+    reduced homogeneous triple, which must lie on no wall, and the roots
+    (mx, my, px, py), one per final exponent m + p != 0 with p = a*g1 +
+    b*g2 and a + b <= K, by ascending a, then b."""
+    pt = _endpoint(endpoint)
+    if diagram.families(pt):
+        raise ValueError("endpoint lies on a wall; perturb it first")
+    (g1x, g1y), (g2x, g2y) = fd.monoid_gens
+    roots = []
     for a in range(K + 1):
         for b in range(K + 1 - a):
             px, py = a * g1x + b * g2x, a * g1y + b * g2y
-            mx, my = ix + px, iy + py
-            if not (mx or my):
-                continue
-            ccw = x * my - y * mx > 0
-            if (px or py) and x * my != y * mx:
-                if ccw not in cones:
-                    cones[ccw] = arcs[ccw].cone((x, y))
-                if not (halves and arcs[ccw].admits(cones[ccw], mx, my, px, py)
-                        and diagram.meets(x, y, near[ccw], mx, my)):
-                    continue
-            _trace(diagram, x, y, q, near, mx, my, px, py, K, arcs[ccw], [], results)
-    return results
+            mx, my = m[0] + px, m[1] + py
+            if mx or my:
+                roots.append((mx, my, px, py))
+    return pt, roots
 
 
 def _trace(diagram, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
@@ -419,15 +429,10 @@ def theta(fd, diagram, m, endpoint, K=None):
 def _transported(fd, diagram, m, endpoint, K):
     """The terms of theta_m at the endpoint by transport, with the search's
     errors: the path and the proofs are in theta's docstring."""
-    x, y, q = _endpoint(endpoint)
-    if diagram.families((x, y, q)):
-        raise ValueError("endpoint lies on a wall; perturb it first")
-    (g1x, g1y), (g2x, g2y) = fd.monoid_gens
-    for a in range(K + 1):
-        for b in range(K + 1 - a):
-            fx, fy = m[0] + a * g1x + b * g2x, m[1] + a * g1y + b * g2y
-            if x * fy == y * fx and (fx or fy):
-                _turn(x, y, q, fx, fy)
+    (x, y, q), roots = _roots(fd, diagram, m, endpoint, K)
+    for fx, fy, _, _ in roots:
+        if x * fy == y * fx:
+            _turn(x, y, q, fx, fy)
     halves = diagram._halves
     c = (diagram.near(*m)[1] - 1) % len(halves)
     h, k = halves[c], halves[(c + 1) % len(halves)]

@@ -78,14 +78,13 @@ def _pair_key(p, q, K):
 
 
 def _product_cached(fd, diagram, p, q, K):
-    """theta_p * theta_q at the expansion endpoint, built once per ({p, q}, K)."""
+    """theta_p * theta_q at EXPANSION_ENDPOINT, built once per ({p, q}, K)."""
     cache = search_form(fd, diagram).products
     key = _pair_key(p, q, K)
     if key not in cache:
-        z0 = fixed_generic_endpoint(fd, diagram)
         lo, hi = key[0]
-        cache[key] = lp_mul(fd, _theta_cached(fd, diagram, lo, z0, K),
-                            _theta_cached(fd, diagram, hi, z0, K))
+        cache[key] = lp_mul(fd, _theta_cached(fd, diagram, lo, EXPANSION_ENDPOINT, K),
+                            _theta_cached(fd, diagram, hi, EXPANSION_ENDPOINT, K))
     return cache[key]
 
 
@@ -97,26 +96,16 @@ def _alpha_cached(fd, diagram, p, q, K):
     return cache[key]
 
 
-def fixed_generic_endpoint(fd, diagram):
-    """Endpoint for theta-basis expansions, computed once per diagram.
-
-    Large coprime coordinates keep the ray through the endpoint clear of
-    every exponent the truncated expansions can produce, so each theta
-    keeps its leading monomial; wall-genericity is still checked.
-    """
-    search_form(fd, diagram)
-    if diagram.endpoint is None:
-        cands = [(9973, 9967), (9973, -9967), (-9967, 9973), (-9973, -9967),
-                 (9967, 10007), (10007, -9973)]
-        for v in cands:
-            # every wall covers a half of its line, so v misses every wall
-            # line when neither v nor -v lies on a half-line
-            if not (diagram.families(v) or diagram.families(vneg(v))):
-                diagram.endpoint = v
-                break
-        else:
-            raise ValueError("no generic probe point found")
-    return diagram.endpoint
+# The point at which every theta-basis expansion evaluates its theta
+# functions.  FixedData makes e01*e10 < 0, so the cone sigma of the monoid,
+# spanned by g1 = (0, e01) and g2 = (e10, 0), lies in {x*y <= 0}.  Diagram
+# puts every wall on the line of its function direction m0, a nonzero point
+# of sigma, and that whole line lies in {x*y <= 0} too.  This point has
+# x*y > 0, so neither it nor its negative lies on a wall line: it lies on
+# no wall of any diagram.  Its coordinates are coprime, so a traced ray runs
+# into the origin only for an exponent -k*(9973, 9967), k >= 1, where theta
+# raises.
+EXPANSION_ENDPOINT = (9973, 9967)
 
 
 def alpha_table(fd, diagram, p, q, K=None):
@@ -126,6 +115,17 @@ def alpha_table(fd, diagram, p, q, K=None):
     a heap keyed by (order over p + q, exponent).  Subtracting c * theta_e
     only adds terms of higher order than e, so the heap yields the exponents
     in the order of a full scan.
+
+    Each theta_e of the peel is read at EXPANSION_ENDPOINT and holds z^e
+    with coefficient 1, so subtracting n * theta_e clears the term at e.
+    theta either returns or raises, and what it returns holds z^e once.  The
+    search's lines end at the roots e + a*g1 + b*g2 (brokenline._search):
+    only a = b = 0 ends at e, and that line does not bend, so it has
+    coefficient 1.  The transport crosses one family at a time, z^t ->
+    z^t * f^pw, with f^pw = 1 + terms in k*m0, k >= 1, and m0 a nonzero
+    point of the pointed cone sigma.  So every term lies at e plus a sum of
+    such shifts, only the empty sum lands on e, and z^e is carried by the 1
+    of each f^pw alone.
 
     A pair in one closed chamber of a complete diagram of finite type gives
     {p + q: 1} before any theta or product work: theta_p * theta_q =
@@ -140,7 +140,6 @@ def alpha_table(fd, diagram, p, q, K=None):
     base = vadd(p, q)
     if diagram.one_cone(p, q):
         return {base: 1}
-    z0 = fixed_generic_endpoint(fd, diagram)
     ux, uy, vx, vy, _ = fd.order_form
     wx, wy = ux + vx, uy + vy
 
@@ -157,10 +156,7 @@ def alpha_table(fd, diagram, p, q, K=None):
         if not n:
             continue
         out[e] = n
-        th = _theta_cached(fd, diagram, e, z0, K)
-        if th.terms.get(e) != 1:
-            raise ValueError("theta at %r has no unit leading term; "
-                             "probe endpoint is not generic enough" % (e,))
+        th = _theta_cached(fd, diagram, e, EXPANSION_ENDPOINT, K)
         # the leading term cancels n exactly; every other term lies above e
         for t, m in _kept(fd, th.terms, base, K).items():
             if t != e:
@@ -259,7 +255,14 @@ def _check_scales(a, b):
 
 def glue_balanced(fd, diagram, pair, a, b):
     """Balanced pair -> segment from I(line1)/a to I(line2)/b through base/(a+b),
-    its piece coefficients from segment_coefficients."""
+    its piece coefficients from segment_coefficients.
+
+    Both lines must end at the base.  Then the two halves meet in one
+    exponent, with rho = rho1 * rho2 and m_i the final exponent of line i:
+    side 1 ends in (a+b)*rho*m_1 - a*rho*base, and the reversed side 2
+    starts in b*rho*base - (a+b)*rho*m_2, which is the same exponent
+    because m_1 + m_2 = base.
+    """
     search_form(fd, diagram)  # the gluing reads no wall, but fd must be the diagram's
     if not isinstance(pair, BalancedPair):
         raise ValueError("pair must be a BalancedPair, got %r" % (pair,))
@@ -267,6 +270,10 @@ def glue_balanced(fd, diagram, pair, a, b):
     if not pair.is_balanced():
         raise ValueError("pair is not balanced: %r" % (pair,))
     g1, g2 = pair.line1, pair.line2
+    for name, g in (("line1", g1), ("line2", g2)):
+        if g.endpoint != pair.base:
+            raise ValueError("pair %s: endpoint (%s) is not the base (%s)" % (
+                name, ", ".join(map(str, g.endpoint)), ", ".join(map(str, pair.base))))
     ms1, ms2 = _endpoint_first(g1), _endpoint_first(g2)
     ns1, ns2 = _bend_normals_from(fd, ms1), _bend_normals_from(fd, ms2)
     rhos = []
@@ -281,8 +288,6 @@ def glue_balanced(fd, diagram, pair, a, b):
     back = reverse(side2)
     pieces = list(side1.pieces)
     j1, j2 = pieces[-1], back.pieces[0]
-    if j1.exponent != j2.exponent:
-        raise ValueError("glued exponents disagree at the junction")
     # the junction piece lasts as long as its two halves together
     pieces[-1] = Piece(j1.exponent, 1, None, (j1.duration or 0) + (j2.duration or 0) or None)
     pieces.extend(back.pieces[1:])

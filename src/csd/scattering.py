@@ -150,18 +150,17 @@ class Diagram:
 
     The diagram is the one wall index.  The backward broken-line search,
     transport along a path and around the origin, theta's transport and
-    completion (leg_crossings, apply_loop), bend checks
-    (brokenline.bend_coefficient, allowed_bends) and the expansion endpoint
-    all read its families.  Each side of a support line that some wall
-    covers is a half-line from the origin, and the walls through a nonzero
-    point are those of its half-line.  The diagram keeps the half-lines as
-    primitive directions in counterclockwise order (geometry.ccw_key), a
-    position on the circle of directions as the pair (cw, ccw) of indices
-    of its neighbouring half-lines (see near), and, in lists indexed by
-    half-line, the _Family of its walls in diagram order (fams, built with
-    the diagram; its power tables fill on use) and their direction m0.
-    families(point) gives the families through a point, the empty list off
-    every wall.
+    completion (leg_crossings, apply_loop) and bend checks
+    (brokenline.bend_coefficient, allowed_bends) all read its families.
+    Each side of a support line that some wall covers is a half-line from
+    the origin, and the walls through a nonzero point are those of its
+    half-line.  The diagram keeps the half-lines as primitive directions in
+    counterclockwise order (geometry.ccw_key), a position on the circle of
+    directions as the pair (cw, ccw) of indices of its neighbouring
+    half-lines (see near), and, in lists indexed by half-line, the _Family
+    of its walls in diagram order (fams, built with the diagram; its power
+    tables fill on use) and their direction m0.  families(point) gives the
+    families through a point, the empty list off every wall.
 
     walk is the one walker of that list.  Take a ray P + t*v, t > 0, with
     s = cross(P, v) != 0.  Seen from the origin its angle moves strictly
@@ -183,9 +182,8 @@ class Diagram:
     - the families at the origin, one per support line, built on first use;
     - thetas: theta functions, keyed by (m, endpoint, K);
     - alphas: alpha tables, keyed by (unordered pair {p, q}, K);
-    - products: theta products at the expansion endpoint, keyed by
-      (unordered pair {p, q}, K);
-    - endpoint: the expansion endpoint, computed once;
+    - products: theta products at constructions.EXPANSION_ENDPOINT, keyed
+      by (unordered pair {p, q}, K);
     - whether the walls are a complete diagram of finite type
       (complete_finite), computed once;
     - the closed chambers of each exponent one_cone has read.
@@ -239,7 +237,6 @@ class Diagram:
         self.thetas = {}
         self.alphas = {}
         self.products = {}
-        self.endpoint = None
         self._finite = None
         self._cones = {}
 
@@ -469,12 +466,12 @@ def check_consistent(fd, diagram):
 
 
 def _outgoing_normal(fd, p):
-    """Primitive normal n with n mapped onto the ray of p by the skew form."""
-    target = primitive(p)
-    sol = solve_linear(fd.exchange, target)
-    if sol is None:
-        raise ValueError("skew form is degenerate in direction %r" % (p,))
-    return line_key(sol)
+    """Primitive normal n with n mapped onto the ray of p by the skew form.
+
+    solve_linear fails only on dependent columns, and the exchange rows
+    (0, e01) and (e10, 0) have determinant -e01*e10, which FixedData makes
+    nonzero."""
+    return line_key(solve_linear(fd.exchange, primitive(p)))
 
 
 def _insert_correction(fd, walls, p, delta):

@@ -91,9 +91,11 @@ def _pow_coeffs(f, e, K):
     """[b_0, ..., b_K]: the coefficients of f^e truncated at z^K.
 
     Uses the first-order recurrence implied by f * (f^e)' = e * f' * f^e,
-    which costs O(K * #terms(f)) instead of repeated convolution.  f has
-    integer coefficients and constant term 1, so each b_n is an integer and
-    every division by n is exact.
+    which costs O(K * #terms(f)) instead of repeated convolution: n * b_n = s
+    with s a sum over the b_j before it.  Every division by n is exact.  f
+    lies in 1 + z*Z[z], a unit of Z[[z]], so f^e has integer coefficients
+    for every integer e; the recurrence fixes b_n, so s is n times that
+    integer.
     """
     gs = f.terms()
     out = [1]
@@ -103,15 +105,17 @@ def _pow_coeffs(f, e, K):
             if j > n:
                 break
             s += ((e + 1) * j - n) * c * out[n - j]
-        b, r = divmod(s, n)
-        if r:
-            raise ArithmeticError("wf_pow: inexact division at order %d" % n)
-        out.append(b)
+        out.append(s // n)
     return out
 
 
 def wf_pow(f, e, K):
-    """Truncated integer power of f, negative powers included (see _pow_coeffs)."""
+    """Truncated integer power of f, negative powers included (see _pow_coeffs).
+
+    Every caller in the engine passes an int e; an e of any other type,
+    for which _pow_coeffs' division need not be exact, raises ValueError."""
+    if type(e) is not int:
+        raise ValueError("exponent must be an int, got %r" % (e,))
     return WallFunction(f.direction, _pow_coeffs(f, e, K)[1:])
 
 
@@ -186,15 +190,19 @@ def wall_cross(fd, p, fam, sign):
     the broken-line search uses too, so a diagram's crossings and searches
     share one set of tables.  A term that needs f^pw only up to a lower
     order reads a prefix of that table.
+
+    A family is built from the walls of a scattering.Diagram, which checks
+    that its m0 lies in the cone of the monoid, and m0 is primitive, so
+    nonzero.  So its cone coordinates cn and dn are >= 0, and cn + dn > 0
+    because the order form is invertible: the divisor of kmax, the order
+    numerator fam.order = cn + dn of m0, is positive.
     """
     K = p.order
     ux, uy, vx, vy, D = fd.order_form
-    su, sv = fam.cn, fam.dn
-    if su < 0 or sv < 0 or su + sv == 0:
-        raise ValueError("wall function direction outside the cone")
     L = fd.L  # <n0', m> = (a . m) / L
     ax, ay = fam.a
     sx, sy = fam.m0
+    m0_order = fam.order
     bx, by = p.base
     top = K * D
     out = {}
@@ -204,7 +212,7 @@ def wall_cross(fd, p, fam, sign):
             raise ValueError("non-integral crossing exponent")
         out[x, y] = out.get((x, y), 0) + n
         # the highest k whose shift k*m0 keeps the term within order K
-        kmax = (top - (ux + vx) * (x - bx) - (uy + vy) * (y - by)) // (su + sv)
+        kmax = (top - (ux + vx) * (x - bx) - (uy + vy) * (y - by)) // m0_order
         if pw and kmax >= 1:
             for k, c in fam.power_terms(pw, top):
                 if k > kmax:

@@ -9,7 +9,7 @@ taken as generic near r.
 from fractions import Fraction
 
 from csd.brokenline import theta
-from csd.constructions import fixed_generic_endpoint
+from csd.constructions import EXPANSION_ENDPOINT
 from csd.series import lp_mul
 
 NEAR = (Fraction(1, 99991), Fraction(1, 100003))
@@ -27,5 +27,5 @@ def alpha_by_definition(fd, diagram, p, q, r, K, thetas):
 def candidates(fd, diagram, p, q, K):
     """The exponents of theta_p * theta_q at the expansion endpoint: every r
     that can have alpha(p, q, r) != 0 at order K."""
-    z0 = fixed_generic_endpoint(fd, diagram)
+    z0 = EXPANSION_ENDPOINT
     return lp_mul(fd, theta(fd, diagram, p, z0, K), theta(fd, diagram, q, z0, K)).terms

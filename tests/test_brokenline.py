@@ -60,6 +60,12 @@ def test_allowed_bends_requires_wall(a2, a2_diagram):
         allowed_bends(a2, a2_diagram, (F(1), F(2)), (1, 0), 6)
 
 
+def test_allowed_bends_refuses_a_non_integral_power(a2, a2_diagram):
+    # (1/2, 0) pairs to 1/2 with the normal (1, 0) of the wall through (0, -2)
+    with pytest.raises(ValueError, match="^non-integral bending power$"):
+        allowed_bends(a2, a2_diagram, (0, -2), (F(1, 2), 0), 6)
+
+
 def test_enumerate_a2_two_lines(a2, a2_diagram):
     lines = enumerate_lines(a2, a2_diagram, (-1, 0), (F(2), F(1)), 6)
     finals = sorted((l.final, l.coeff) for l in lines)

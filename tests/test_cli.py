@@ -551,6 +551,22 @@ def test_glue_of_a_bend_along_its_wall_exits_2(paths):
                         "exponent (0, 51) pairs to 0 with the wall normal (-1, 0)\n")
 
 
+def test_glue_of_a_line_off_the_base_exits_2(paths):
+    # line2 ends at (-2, 0), not at the base (-2, 4)
+    def line(end, exponents, bends):
+        return {"endpoint": end, "pieces": [
+            {"exponent": m, "coeff": "1", "bend": bend} for m, bend in zip(exponents, bends)]}
+    path = paths["dir"] / "off_base_pair.json"
+    serialize.save(path, {"base": [-2, 4],
+                          "line1": line([-2, 4], [[2, -10], [2, -8], [-6, -8]],
+                                        [[0, -20], [-5, 0], None]),
+                          "line2": line([-2, 0], [[4, 8], [4, 12]], [[0, 10], None])})
+    r = run_cli("segment-from-pair", "--diagram", str(paths["a2"]), "--pair", str(path),
+                "-a", "2", "-b", "2")
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: pair line2: endpoint (-2, 0) is not the base (-2, 4)\n"
+
+
 @pytest.mark.parametrize("base", [["x", 1], [1, 2, 3]], ids=["not-rational", "three"])
 def test_malformed_pair_base(paths, a2, a2_diagram, base):
     seg = serialize.segment_from_json(json.loads(paths["seg"].read_text()))

@@ -11,7 +11,7 @@ import pytest
 
 from csd import cli, serialize
 from csd.brokenline import theta
-from csd.constructions import alpha_table, fixed_generic_endpoint
+from csd.constructions import alpha_table, EXPANSION_ENDPOINT
 from csd.geometry import vadd
 from csd.lattice import FixedData
 from csd.scattering import Diagram, complete_rank2, search_form
@@ -40,7 +40,7 @@ def test_pairs_in_one_cone_multiply_to_one_theta(name, order, K):
     fd = FixedData(*ORIENTED[name])
     diagram = complete_rank2(fd, order)
     form = search_form(fd, diagram)
-    z0 = fixed_generic_endpoint(fd, diagram)
+    z0 = EXPANSION_ENDPOINT
     thetas = {}
 
     def th(m):

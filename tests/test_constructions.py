@@ -14,7 +14,7 @@ from csd.brokenline import (BrokenLine, Piece, Segment, enumerate_lines,
                             theta)
 from csd.constructions import (BalancedPair, alpha_table, structure_constant,
                                construct_segment, glue_balanced,
-                               pair_from_segment, fixed_generic_endpoint,
+                               pair_from_segment, EXPANSION_ENDPOINT,
                                _theta_cached, _product_cached, _support,
                                _endpoint_first, _bend_normals_from)
 from csd.convexity import check_positive
@@ -114,7 +114,7 @@ def test_structure_constant_above_order_raises(a2, a2_diagram):
 
 
 def test_generic_endpoints(g2, g2_diagram):
-    z0 = fixed_generic_endpoint(g2, g2_diagram)
+    z0 = EXPANSION_ENDPOINT
     from csd.lattice import pairing
     assert all(pairing(g2, w.normal, z0) != 0 for w in g2_diagram.walls)
     v, eps = generic_endpoint_near(g2, g2_diagram, (0, 3))
@@ -170,6 +170,27 @@ def test_glue_rejects_unbalanced(g2, g2_diagram):
     pair = BalancedPair(l1, l1, (0, 3))
     with pytest.raises(ValueError):
         glue_balanced(g2, g2_diagram, pair, 1, 1)
+
+
+def pair_ending_at(end1, end2):
+    """A balanced A2 pair with base (-2, 4), its lines ending at end1 and end2."""
+    line1 = BrokenLine(end1, [Piece((2, -10), 1, (0, -20)), Piece((2, -8), 1, (-5, 0)),
+                              Piece((-6, -8), 1)])
+    line2 = BrokenLine(end2, [Piece((4, 8), 1, (0, 10)), Piece((4, 12), 1)])
+    return BalancedPair(line1, line2, (-2, 4))
+
+
+@pytest.mark.parametrize("moved", [1, 2])
+def test_glue_rejects_a_line_that_does_not_end_at_the_base(a2, moved):
+    # a moved endpoint used to fail later, at the junction, naming nothing
+    diagram = complete_rank2(a2, 4)
+    seg = glue_balanced(a2, diagram, pair_ending_at((-2, 4), (-2, 4)), 2, 2)
+    assert validate_segment(a2, diagram, seg) == (True, None)
+    ends = [(-2, 4), (-2, 4)]
+    ends[moved - 1] = (-2, 0)
+    with pytest.raises(ValueError, match=r"^pair line%d: endpoint \(-2, 0\) is not the "
+                                         r"base \(-2, 4\)$" % moved):
+        glue_balanced(a2, diagram, pair_ending_at(*ends), 2, 2)
 
 
 def test_glue_rejects_trivial_bend(g2, g2_diagram):
@@ -288,37 +309,33 @@ def test_theta_products_built_once_per_pair(g2, monkeypatch):
 
 def test_expansion_endpoint_computed_once(g2, monkeypatch):
     diagram = complete_rank2(g2, 8)
-    z0 = fixed_generic_endpoint(g2, diagram)
     form = search_form(g2, diagram)
-    assert form.endpoint == z0
     families = form.families
 
     def no_probe(point):
-        # the endpoint scan probes pairs; the search asks about triples
+        # an endpoint scan would probe pairs; the search asks about triples
         if len(point) == 2:
             raise AssertionError("endpoint recomputed")
         return families(point)
 
     monkeypatch.setattr(form, "families", no_probe)
-    assert fixed_generic_endpoint(g2, diagram) == z0
     alpha_table(g2, diagram, (1, 0), (-1, 0), 8)
     check_positive(g2, diagram, [(F(-1), F(0)), (F(1), F(-3)), (F(2), F(-3))], 3, 8)
 
 
 def test_products_and_endpoint_dropped_by_completion(a2):
-    # completion returns a new diagram, so products and the endpoint cached
-    # on the incomplete diagram are not served for the complete one
+    # completion returns a new diagram, so products cached on the
+    # incomplete diagram are not served for the complete one
     diagram = initial_diagram(a2, 6)
     p, q = (1, -2), (0, -2)
     before = _product_cached(a2, diagram, p, q, 6)
-    fixed_generic_endpoint(a2, diagram)
     form = search_form(a2, diagram)
-    assert form.products and form.endpoint is not None
+    assert form.products
     done = complete_diagram(a2, diagram)
     assert search_form(a2, diagram) is form
     fresh = search_form(a2, done)
-    assert fresh is not form and not fresh.products and fresh.endpoint is None
-    z0 = fixed_generic_endpoint(a2, done)
+    assert fresh is not form and not fresh.products
+    z0 = EXPANSION_ENDPOINT
     after = lp_mul(a2, theta(a2, done, q, z0, 6), theta(a2, done, p, z0, 6))
     assert after != before
     assert _product_cached(a2, done, p, q, 6) == after

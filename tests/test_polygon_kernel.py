@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from csd import constructions, convexity
 from csd.brokenline import Segment, Piece, validate_segment, reverse
-from csd.constructions import fixed_generic_endpoint, _theta_cached
+from csd.constructions import EXPANSION_ENDPOINT, _theta_cached
 from csd.convexity import (PLMap, chart_maps, is_blc_2d, blc_hull_2d, check_positive,
                            mat_vec, _alpha_cached)
 from csd.geometry import (vadd, vsub, vscale, is_zero, primitive, cross, dot,
@@ -245,7 +245,7 @@ def ref_blc_hull(fd, diagram, pts, max_rounds=64):
 
 def ref_check_positive(fd, diagram, cycle, max_degree, K):
     hull = ref_convex_hull([tuple(p) for p in cycle])
-    z0 = fixed_generic_endpoint(fd, diagram)
+    z0 = EXPANSION_ENDPOINT
 
     def dilate(k):
         return [vscale(k, p) for p in hull]

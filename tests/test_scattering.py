@@ -135,6 +135,16 @@ def test_apply_loop_identity(a2, a2_diagram):
     assert out.terms == {(1, 1): 1}
 
 
+def test_crossing_a_non_integral_exponent_raises(a2, a2_diagram):
+    # (1/2, 0) pairs to 1/2 with the normal (1, 0) of the positive y-axis,
+    # which the loop crosses and the leg at y = 1/2 crosses alone
+    p = LaurentPoly({(F(1, 2), 0): 1}, (F(1, 2), 0), 6)
+    with pytest.raises(ValueError, match="^non-integral crossing exponent$"):
+        apply_loop(a2, a2_diagram, p)
+    with pytest.raises(ValueError, match="^non-integral crossing exponent$"):
+        path_ordered_product(a2, a2_diagram, [(1, F(1, 2)), (-1, F(1, 2))], p)
+
+
 def test_leg_crossings(a2, a2_diagram):
     fams = leg_crossings(a2, a2_diagram, (F(1), F(1, 2)), (F(-1), F(1, 2)))
     hits = [w for fam in fams for w in fam.walls]

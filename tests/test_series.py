@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,13 @@ def test_wf_pow_small():
     assert wf_pow(f, 3, 5).coeffs == (3, 3, 1)
     assert wf_pow(f, -1, 4).coeffs == (-1, 1, -1, 1)
     assert wf_pow(f, 0, 4).is_one()
+
+
+@pytest.mark.parametrize("e", [F(1, 2), F(3), 0.5, True])
+def test_wf_pow_takes_an_int_exponent_only(e):
+    # a half power of 1 + z has no integer coefficients
+    with pytest.raises(ValueError, match=r"^exponent must be an int, got %s$" % re.escape(repr(e))):
+        wf_pow(WallFunction((0, 1), [1]), e, 4)
 
 
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4), st.integers(-4, 8))

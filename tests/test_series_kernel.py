@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csd.brokenline import enumerate_lines, theta
-from csd.constructions import (alpha_table, fixed_generic_endpoint, glue_balanced,
+from csd.constructions import (alpha_table, EXPANSION_ENDPOINT, glue_balanced,
                                pair_from_segment, structure_constant, _theta_cached)
 from csd.geometry import vadd, vsub, vscale
 from csd.lattice import FixedData, cone_order, n_circ_primitive, pairing
@@ -84,7 +84,7 @@ def ref_wall_cross(fd, p, f, n0, sign, K=None):
 
 
 def ref_alpha_table(fd, diagram, p, q, K):
-    z0 = fixed_generic_endpoint(fd, diagram)
+    z0 = EXPANSION_ENDPOINT
     base = vadd(p, q)
     rem = ref_truncate(fd, ref_mul(fd, _theta_cached(fd, diagram, p, z0, K),
                                    _theta_cached(fd, diagram, q, z0, K)).terms, base, K)
