@@ -64,7 +64,11 @@ def structure_constant(fd, diagram, p, q, r, K=None):
 
 
 def _theta_cached(fd, diagram, m, z0, K):
-    cache = search_form(fd, diagram).thetas
+    """theta_m at z0 and order K, built once per diagram.  This and the
+    two caches below read the diagram's own: each of their callers
+    (alpha_table, structure_constant, check_positive) has checked fd and
+    the diagram with search_form."""
+    cache = diagram.thetas
     key = (tuple(m), tuple(z0), K)
     if key not in cache:
         cache[key] = theta(fd, diagram, m, z0, K)
@@ -79,7 +83,7 @@ def _pair_key(p, q, K):
 
 def _product_cached(fd, diagram, p, q, K):
     """theta_p * theta_q at EXPANSION_ENDPOINT, built once per ({p, q}, K)."""
-    cache = search_form(fd, diagram).products
+    cache = diagram.products
     key = _pair_key(p, q, K)
     if key not in cache:
         lo, hi = key[0]
@@ -89,7 +93,7 @@ def _product_cached(fd, diagram, p, q, K):
 
 
 def _alpha_cached(fd, diagram, p, q, K):
-    cache = search_form(fd, diagram).alphas
+    cache = diagram.alphas
     key = _pair_key(p, q, K)
     if key not in cache:
         cache[key] = alpha_table(fd, diagram, p, q, K)

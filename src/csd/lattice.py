@@ -13,6 +13,18 @@ from math import gcd, lcm
 from .geometry import primitive, is_zero, cross
 
 
+def _integers(values):
+    """The entries of values as a tuple of ints, or None when values is not
+    iterable or an entry is not a whole number: 1.5, Fraction(3, 2), "1"
+    and None are none, and a whole float such as 2.0 is one."""
+    try:
+        vs = tuple(values)
+        out = tuple(int(x) for x in vs)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return out if out == vs else None
+
+
 class FixedData:
     """Cluster fixed data of rank 2 with both indices unfrozen: (exchange, d).
 
@@ -20,11 +32,11 @@ class FixedData:
     matrix, the skew form s = {e_0, e_1} (a nonzero integer, since s*d_1 and
     s*d_0 are integers and gcd(d) = 1), L = lcm(d), the monoid generators
     g1 = p1_star(e_0), g2 = p1_star(e_1) and their order form.  Anything
-    else is rejected here: a matrix that is not 2x2 or not integral, a
-    non-antisymmetric or a degenerate skew form.  Seed files name the rank
-    and the unfrozen indices too; serialize.fd_from_json checks those
-    fields.  Two fixed data are equal when their exchange matrices and
-    multipliers are.
+    else is rejected here: a matrix that is not 2x2 or not integral,
+    multipliers that are not a pair of integers, a non-antisymmetric or a
+    degenerate skew form.  Seed files name the rank and the unfrozen
+    indices too; serialize.fd_from_json checks those fields.  Two fixed
+    data are equal when their exchange matrices and multipliers are.
 
     The order form (ux, uy, vx, vy, D) gives the cone coordinates as
     integers: m has cone coordinates (u/D, v/D) with u = ux*m0 + uy*m1 and
@@ -36,10 +48,13 @@ class FixedData:
         if len(exchange) != 2 or any(len(row) != 2 for row in exchange):
             raise ValueError("rank-2 construction only: exchange must be a 2x2 "
                              "matrix, got rank %r" % (len(exchange),))
-        self.exchange = tuple(tuple(int(x) for x in row) for row in exchange)
-        if self.exchange != tuple(tuple(row) for row in exchange):
+        rows = tuple(_integers(row) for row in exchange)
+        if None in rows:
             raise ValueError("exchange entries must be integers, got %r" % (exchange,))
-        self.d = tuple(int(x) for x in d)
+        self.exchange = rows
+        self.d = _integers(d)
+        if self.d is None or len(self.d) != 2:
+            raise ValueError("d must be a pair of integers, got %r" % (d,))
         d0, d1 = self.d
         if min(d0, d1) < 1 or gcd(d0, d1) != 1:
             raise ValueError("multipliers d_i must be positive with gcd 1, got %r" % (self.d,))

@@ -15,13 +15,9 @@ from math import comb, gcd
 
 from .geometry import (vsub, vneg, vscale, is_zero, primitive, line_key, same_ray, rot90,
                        ccw_key, homogeneous, _rational_points)
-from .lattice import (CLUSTERS, pairing, p1_star, n_circ_primitive, line_dir, scaled_normal,
-                      cone_order, solve_linear)
+from .lattice import (FixedData, CLUSTERS, pairing, p1_star, n_circ_primitive, line_dir,
+                      scaled_normal, cone_order, solve_linear)
 from .series import WallFunction, LaurentPoly, wall_cross, wf_mul, _pow_coeffs, _lattice_vector
-
-# the most rounds complete_diagram runs; one that has not stabilized by then
-# raises RuntimeError("completion did not stabilize")
-MAX_ROUNDS = 100000
 
 
 class Wall:
@@ -37,6 +33,8 @@ class Wall:
         self.direction = _lattice_vector(direction, "direction")
         if gcd(*self.direction) != 1:
             raise ValueError("direction must be primitive, got %r" % (self.direction,))
+        if not isinstance(func, WallFunction):
+            raise ValueError("func must be a WallFunction, got %r" % (func,))
         self.func = func
 
     def __repr__(self):
@@ -140,13 +138,14 @@ class Diagram:
     completion saturated it, with its walls indexed into half-lines and its
     caches.  It never changes.
 
-    The walls are a tuple, checked against the fixed data once, here: a
-    wall's direction and its function direction lie on the line of its
-    normal, and the function direction lies in the cone sigma of the monoid.
-    The search reads a bend's power off the pairing with the normal alone,
-    and never meets a wall off that line; sigma is pointed, so the walls of
-    a line share one m0.  A wall that fails raises a ValueError that starts
-    "wall i: " and names the wall's normal.
+    The fixed data must be a FixedData, the order an int >= 0 and each wall
+    a Wall.  The walls are a tuple, checked against the fixed data once,
+    here: a wall's direction and its function direction lie on the line of
+    its normal, and the function direction lies in the cone sigma of the
+    monoid.  The search reads a bend's power off the pairing with the normal
+    alone, and never meets a wall off that line; sigma is pointed, so the
+    walls of a line share one m0.  A wall that fails raises a ValueError
+    that starts "wall i: ".
 
     The diagram is the one wall index.  The backward broken-line search,
     transport along a path and around the origin, theta's transport and
@@ -195,12 +194,18 @@ class Diagram:
     """
 
     def __init__(self, fd, walls, order, saturated):
+        if not isinstance(fd, FixedData):
+            raise ValueError("fd must be a FixedData, got %r" % (fd,))
+        if type(order) is not int or order < 0:
+            raise ValueError("order must be an integer >= 0, got %r" % (order,))
         self.fd = fd
         self.walls = tuple(walls)
         self.order = order
         self.saturated = saturated
         ux, uy, vx, vy, _ = fd.order_form
         for i, w in enumerate(self.walls):
+            if not isinstance(w, Wall):
+                raise ValueError("wall %d: not a Wall: %r" % (i, w))
             lx, ly = line_dir(fd, w.normal)
             (dx, dy), (mx, my) = w.direction, w.func.direction
             if lx * dy != ly * dx:
@@ -521,46 +526,58 @@ def complete_diagram(fd, diagram):
     left as it is.
 
     Each round's corrections go into a working wall list, and the next
-    round's loop reads a Diagram made of it.
+    round's loop reads a Diagram made of it.  A round cancels the
+    discrepancy of least order k, as in the Kontsevich-Soibelman lemma
+    (GHKK, arXiv:1411.1394, Thm 1.21).  What follows rests only on the wall
+    checks of Diagram (each normal orthogonal to its m0, and m0 in sigma
+    minus 0) and on FixedData, so it holds for every Diagram, an edited one
+    included.
+
+    One derivation per exponent.  Crossing a family is exp of an element of
+    the graded Lie algebra g = sum of z^p (x) p^perp over p in sigma minus 0
+    (GHKK 1.1).  g is closed under the bracket, and every nonzero cone
+    order is a multiple of 1/D, D = fd.order_form[4], so each graded piece
+    has order >= 1/D.  So the log of the loop is L = L_k + (order > k), and
+    the loop takes z^(e_j) to z^(e_j) * (1 + sum_p c_p*<n_p, e_j>*z^p) at
+    order k, with L_k = sum_p c_p * z^p (x) n_p over the exponents p of
+    order k and n_p = n_circ_primitive of _outgoing_normal(fd, p).  In rank
+    2, p^perp is the line of that normal n, as <n, p1*(n)> = {n, n} = 0.
+    So generator j sees c_p*<n_p, e_j> at p: nothing where the pairing is
+    0, and the same correction from both generators.  It is read once,
+    from e_0 when n_p[0] != 0 (<n_p, e_0> = n_p[0]/d_0) and from e_1
+    otherwise; n_p != 0, so the pairing read is nonzero, and every p listed
+    has c_p != 0, so the correction is nonzero.  It is an exact integer
+    division; wall functions have integer coefficients, so a remainder
+    raises ArithmeticError("non-integral correction ...").
+
+    A round bound read from the order.  The correction delta*z^p on the ray
+    through -p changes the log of the loop by eps*delta*z^p (x) n_p at order
+    k, whether _insert_correction appends a wall or adds to the function of
+    one it finds there; conjugating by the other crossings only adds
+    brackets, of order > k.  So the round cancels L_k, and the least order
+    of the discrepancy rises by at least 1/D.  It starts at 1/D or above,
+    and series._kept drops every term above the diagram's order, so at most
+    order*D rounds find a discrepancy, and round order*D + 1 finds none.  A
+    loop that is still not trivial then has met a wrong correction, and
+    raises RuntimeError("completion did not stabilize").
     """
-    walls = list(diagram.walls)
+    walls = list(search_form(fd, diagram).walls)
     current = diagram
-    for _ in range(MAX_ROUNDS):
+    for _ in range(diagram.order * fd.order_form[4] + 1):
         disc = loop_discrepancy(fd, current)
-        if all(not d for d in disc):
+        if not any(disc):
             break
         k = min(cone_order(fd, e) for d in disc for e in d)
-        # all shifts of minimal order, with the coefficient seen from each generator
-        offenders = {}
-        for j, d in enumerate(disc):
-            for e, c in d.items():
-                if cone_order(fd, e) == k:
-                    offenders.setdefault(e, {})[j] = c
-        for p, by_gen in sorted(offenders.items()):
+        for p in sorted({e for d in disc for e in d if cone_order(fd, e) == k}):
             n = _outgoing_normal(fd, p)
             n0p = n_circ_primitive(fd, n)
             eps = _side(scaled_normal(fd, n), rot90(vneg(p)))
-            delta = None
-            for j, e in enumerate(((1, 0), (0, 1))):
-                w = pairing(fd, n0p, e)
-                c = by_gen.get(j, 0)
-                if w == 0:
-                    if c != 0:
-                        raise ValueError("uncancellable discrepancy %r at %r" % (c, p))
-                    continue
-                # d_j = -c / (eps * w) exactly; wall functions have integer
-                # coefficients, so a remainder is an internal error
-                d_j, r = divmod(-c * w.denominator, eps * w.numerator)
-                if r:
-                    raise ArithmeticError("non-integral correction %s / %s at %r"
-                                          % (-c, eps * w, p))
-                if delta is None:
-                    delta = d_j
-                elif delta != d_j:
-                    raise ValueError("inconsistent correction at %r: %r vs %r" % (p, delta, d_j))
-            # n0p != 0 pairs to w != 0 with some e_j, so delta is set; some
-            # generator sees c != 0, so its w != 0 and its d_j != 0 or the
-            # loop has raised: delta != 0
+            j = 0 if n0p[0] else 1
+            w = pairing(fd, n0p, ((1, 0), (0, 1))[j])
+            c = disc[j].get(p, 0)
+            delta, r = divmod(-c * w.denominator, eps * w.numerator)
+            if r:
+                raise ArithmeticError("non-integral correction %s / %s at %r" % (-c, eps * w, p))
             _insert_correction(fd, walls, p, delta)
         current = Diagram(diagram.fd, walls, diagram.order, False)
     else:

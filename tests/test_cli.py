@@ -866,3 +866,13 @@ def test_every_command_names_a_bad_diagram(tmp_path, capsys, command, text, mess
         2, "", "error: --diagram: %s\n" % (message % diagram if text is None else message))
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if text is None else
                                                           ["diagram.json"])
+
+
+def test_main_without_argv_reads_the_command_line(paths, capsys, monkeypatch):
+    # `python -m csd.cli` calls main() with no argv: it parses sys.argv[1:]
+    cmd = ["theta", "--diagram", str(paths["a2"]), "--direction", "-1,0", "--endpoint", "2,1"]
+    monkeypatch.setattr(sys, "argv", ["csd"] + cmd)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    out = capsys.readouterr()
+    assert (exit_info.value.code, out.out, out.err) == (0, "z^(-1,0) + z^(-1,1)\n", "")

@@ -137,6 +137,29 @@ def test_non_integral_exchange_entry_rejected():
         "exchange entries must be integers, got [[0, Fraction(3, 2)], [-1, 0]]"
 
 
+@pytest.mark.parametrize("exchange, d, message", [
+    ([[0, 1], [-1, 0]], [1.5, 1], "d must be a pair of integers, got [1.5, 1]"),
+    ([[0, 1], [-1, 0]], [F(3, 2), 1], "d must be a pair of integers, got [Fraction(3, 2), 1]"),
+    ([[0, 1], [-1, 0]], ["1", 1], "d must be a pair of integers, got ['1', 1]"),
+    ([[0, 1], [-1, 0]], [1, 1, 1], "d must be a pair of integers, got [1, 1, 1]"),
+    ([[0, 1], [-1, 0]], [None, 1], "d must be a pair of integers, got [None, 1]"),
+    ([[0, 1], [-1, 0]], 5, "d must be a pair of integers, got 5"),
+    ([[0, "x"], [-1, 0]], [1, 1], "exchange entries must be integers, got [[0, 'x'], [-1, 0]]"),
+    ([[0, None], [-1, 0]], [1, 1], "exchange entries must be integers, got [[0, None], [-1, 0]]"),
+], ids=["d-float", "d-fraction", "d-str", "d-triple", "d-none", "d-int", "exchange-str",
+        "exchange-none"])
+def test_non_integral_or_misshapen_field_is_named(exchange, d, message):
+    # the first three were once truncated to d = (1, 1); the others raised
+    # an unpacking error, a TypeError or an "invalid literal" ValueError
+    assert _message(FixedData, exchange, d) == message
+
+
+def test_whole_floats_are_taken_as_ints():
+    fd = FixedData([[0, 2.0], [-1, 0]], [1, 2.0])
+    assert (fd.exchange, fd.d) == (((0, 2), (-1, 0)), (1, 2))
+    assert all(type(x) is int for x in fd.exchange[0] + fd.exchange[1] + fd.d)
+
+
 def test_multipliers_without_gcd_one_rejected():
     assert _message(FixedData, [[0, 2], [-2, 0]], [2, 2]) == \
         "multipliers d_i must be positive with gcd 1, got (2, 2)"

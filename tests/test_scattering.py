@@ -7,7 +7,7 @@ import pytest
 from csd import scattering, serialize
 from csd.brokenline import theta
 from csd.geometry import vadd, vsub, vscale, is_zero, same_ray, cross, dot, line_key
-from csd.lattice import FixedData, cone_order, line_dir, pairing
+from csd.lattice import FixedData, cone_order, line_dir, pairing, dual_perp, n_circ_primitive
 from csd.series import WallFunction, LaurentPoly
 from csd.scattering import (Diagram, Wall, is_incoming, initial_diagram,
                             complete_rank2, complete_diagram, check_consistent,
@@ -127,6 +127,51 @@ def test_non_integral_correction_raises(a2, monkeypatch):
     monkeypatch.setattr(scattering, "loop_discrepancy", lambda fd, diagram: next(rounds))
     with pytest.raises(ArithmeticError, match=r"non-integral correction .* at \(-1, 2\)"):
         complete_diagram(a2, initial_diagram(a2, 4))
+
+
+def test_each_least_order_exponent_has_one_derivation(a2, monkeypatch):
+    # the loop's log at the least order k is sum_p c_p z^p (x) n_p with n_p
+    # spanning p^perp, so generator e_j sees c_p <n_p, e_j> at p: the two
+    # generators' coefficients are proportional to the pairings, which the
+    # completion's single correction per exponent rests on.  On the eight
+    # types at order 8, and on A2 with an edited outgoing ray whose function
+    # the modify branch of the correction adds to
+    rounds = []
+    loop = scattering.loop_discrepancy
+    monkeypatch.setattr(scattering, "loop_discrepancy",
+                        lambda fd, diagram: rounds.append(loop(fd, diagram)) or rounds[-1])
+    edited = Diagram(a2, initial_diagram(a2, 8).walls
+                     + (Wall((1, 1), "ray", (1, -1), WallFunction((-1, 1), [1, 2])),), 8, False)
+    cases = [(FixedData(*TYPES[name]), None) for name in TYPES] + [(a2, edited)]
+    checked = 0
+    for fd, diagram in cases:
+        rounds.clear()
+        complete_diagram(fd, diagram or initial_diagram(fd, 8))
+        assert not any(rounds[-1])
+        for disc in rounds[:-1]:
+            k = min(cone_order(fd, e) for d in disc for e in d)
+            for p in {e for d in disc for e in d if cone_order(fd, e) == k}:
+                n = dual_perp(fd, p)
+                assert line_key(scattering._outgoing_normal(fd, p)) == line_key(n)
+                n0p = n_circ_primitive(fd, n)
+                w0, w1 = pairing(fd, n0p, (1, 0)), pairing(fd, n0p, (0, 1))
+                assert disc[0].get(p, 0) * w1 == disc[1].get(p, 0) * w0, (fd, p, disc)
+                checked += 1
+    assert checked == 71
+
+
+def test_completion_stops_after_order_times_d_rounds(a2, monkeypatch):
+    # the least discrepancy order rises by 1/D a round, so order*D + 1
+    # rounds find the loop trivial; with the corrections dropped the loop
+    # never is, and completion raises after exactly that many rounds
+    calls = []
+    loop = scattering.loop_discrepancy
+    monkeypatch.setattr(scattering, "_insert_correction", lambda fd, walls, p, delta: None)
+    monkeypatch.setattr(scattering, "loop_discrepancy",
+                        lambda fd, diagram: calls.append(diagram) or loop(fd, diagram))
+    with pytest.raises(RuntimeError, match="^completion did not stabilize$"):
+        complete_diagram(a2, initial_diagram(a2, 4))
+    assert len(calls) == 4 * a2.order_form[4] + 1 == 5
 
 
 def test_apply_loop_identity(a2, a2_diagram):
@@ -316,6 +361,39 @@ def test_function_direction_outside_the_cone_is_rejected(a2, kind):
         with pytest.raises(ValueError) as info:
             Diagram(a2, walls[:i] + (bad,) + walls[i:], 4, False)
         assert str(info.value) == "wall %d: %s" % (i, msg)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((None, (), 4), "fd must be a FixedData, got None"),
+    (("a2", (), -1), "order must be an integer >= 0, got -1"),
+    (("a2", (), "4"), "order must be an integer >= 0, got '4'"),
+    (("a2", (), 4.5), "order must be an integer >= 0, got 4.5"),
+    (("a2", (), True), "order must be an integer >= 0, got True"),
+    (("a2", ("x",), 4), "wall 2: not a Wall: 'x'"),
+], ids=["fd-none", "order-negative", "order-str", "order-float", "order-bool", "wall-str"])
+def test_diagram_names_a_field_it_cannot_use(a2, args, message):
+    # an order of -1 once gave the empty theta function, "4" and 4.5 a
+    # later TypeError, True a saved file that would not reload; None for
+    # fd and a wall that is not a Wall an AttributeError
+    fd, extra, order = args
+    walls = initial_diagram(a2, 4).walls + extra
+    with pytest.raises(ValueError) as info:
+        Diagram(a2 if fd == "a2" else fd, walls, order, False)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("order", [-1, True])
+def test_completion_names_an_order_it_cannot_use(a2, order):
+    # -1 once raised "zero vector has no direction"
+    with pytest.raises(ValueError) as info:
+        complete_rank2(a2, order)
+    assert str(info.value) == "order must be an integer >= 0, got %r" % (order,)
+
+
+def test_wall_function_must_be_a_wall_function():
+    with pytest.raises(ValueError) as info:
+        Wall((1, 0), "line", (0, 1), "x")
+    assert str(info.value) == "func must be a WallFunction, got 'x'"
 
 
 def test_wall_kind_other_than_line_or_ray_is_rejected():
