@@ -299,29 +299,35 @@ def _merge_negative_values(argv):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # exact piece coefficients can be huge binomials
-    if hasattr(sys, "set_int_max_str_digits"):
+    # exact piece coefficients can be huge binomials: the command runs with
+    # no limit on int digits, and the caller gets its own limit back
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
         sys.set_int_max_str_digits(0)
-    argv = _merge_negative_values(list(argv))
-    parser, commands = _parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        args = parser.parse_args(argv)
-    else:
-        # what parser.parse_args does for a known subcommand, without
-        # matching the whole command line against the parser first
-        args, extra = command.parse_known_args(argv[1:])
-        if extra:
-            parser.error("unrecognized arguments: %s" % " ".join(extra))
     try:
-        # the diagram, read before any other file the command names
-        d = (_load(args.diagram, "--diagram", serialize.diagram_from_json)
-             if "diagram" in args else None)
-        code = args.fn(args, d)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        code = 2
-    sys.exit(code)
+        argv = _merge_negative_values(list(argv))
+        parser, commands = _parser()
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # what parser.parse_args does for a known subcommand, without
+            # matching the whole command line against the parser first
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error("unrecognized arguments: %s" % " ".join(extra))
+        try:
+            # the diagram, read before any other file the command names
+            d = (_load(args.diagram, "--diagram", serialize.diagram_from_json)
+                 if "diagram" in args else None)
+            code = args.fn(args, d)
+        except (ValueError, KeyError, OSError) as e:
+            print("error: %s" % e, file=sys.stderr)
+            code = 2
+        sys.exit(code)
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -14,12 +14,12 @@ from math import gcd, lcm
 from .geometry import (vadd, vsub, vneg, vscale, primitive, line_key, cross,
                        ccw_key, sort_ccw, rot90, convex_hull,
                        cycle_is_convex, compile_hull, homogeneous, rational, _rational_points)
-from .lattice import FixedData, p1_star, skew_form, line_dir
+from .lattice import p1_star, skew_form, line_dir
 from .series import _check_order
 from .scattering import search_form
 from .brokenline import Segment, Piece, validate_segment
 from .constructions import (structure_constant, pair_from_segment, _alpha_cached,
-                            _product_cached, _pair_key)
+                            _product_cached)
 
 I2 = ((1, 0), (0, 1))
 
@@ -204,19 +204,19 @@ def chart_maps(fd):
     returned list is a fresh copy; the PLMap objects in it are shared and
     must not be mutated.
     """
-    maps, closed = _chart_maps_by_value(fd.exchange, fd.d)
+    maps, closed = _chart_maps_by_value(fd)
     return list(maps), closed
 
 
 @functools.lru_cache(maxsize=16)
-def _chart_maps_by_value(exchange, d):
+def _chart_maps_by_value(fd):
     """The mutation walk behind chart_maps, DEPTH_BOUND steps each way.
 
     In rank 2 every seed lies on one of the two alternating mutation walks
     from the initial seed.  Maps are collected modulo linear target
-    coordinates, which convexity cannot see.
+    coordinates, which convexity cannot see.  The cache is keyed by fd,
+    which hashes and compares by (exchange, d).
     """
-    fd = FixedData(exchange, d)
     phi0 = PLMap.identity().normalized()
     maps = dict.fromkeys([phi0])  # the charts, in the order first reached
     closed = True
@@ -542,9 +542,9 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     needed (those of bP only when aP holds one), the planes of (a + b)P are
     those of P with N scaled, pairs with the origin are left out of the
     lists (they cannot escape), the corners are tested on ints, and products
-    and alpha tables are read from the diagram's caches with one key per
-    pair; only a miss computes them.  The corner p + q itself is not tested:
-    P is convex, so aP + bP = (a + b)P holds it.
+    and alpha tables come from the caches of constructions (_product_cached,
+    _alpha_cached); only a miss computes them.  The corner p + q itself is
+    not tested: P is convex, so aP + bP = (a + b)P holds it.
 
     When a == b only the pairs with q <= p are scanned.  Every test of a
     pair is symmetric in p and q (the corners, one_cone, and the product
@@ -571,7 +571,7 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
                 pts.remove((0, 0))
         return listed[k]
 
-    products, alphas, one_cone = diagram.products, diagram.alphas, diagram.one_cone
+    one_cone = diagram.one_cone
     # (a + b)P has the planes A*x + B*y >= (a + b)*N, so both corners
     # s + K*g1 and s + K*g2 of s = p + q lie in it exactly when
     # A*sx + B*sy + m >= (a + b)*N for every plane, with
@@ -596,15 +596,10 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
                         continue
                     if one_cone(p, q):
                         continue
-                    key = _pair_key(p, q, K)
-                    prod = products.get(key)
-                    if prod is None:
-                        prod = _product_cached(fd, diagram, p, q, K)
+                    prod = _product_cached(fd, diagram, p, q, K)
                     if all(region.contains(*e, total) for e in prod.terms):
                         continue
-                    table = alphas.get(key)
-                    if table is None:
-                        table = _alpha_cached(fd, diagram, p, q, K)
+                    table = _alpha_cached(fd, diagram, p, q, K)
                     for r in sorted(table):
                         if not region.contains(*r, total):
                             w = {"p": p, "q": q, "r": r, "a": a, "b": b, "alpha": table[r]}

@@ -45,7 +45,11 @@ class FixedData:
     """
 
     def __init__(self, exchange, d):
-        if len(exchange) != 2 or any(len(row) != 2 for row in exchange):
+        try:
+            square = len(exchange) == 2 and all(len(row) == 2 for row in exchange)
+        except TypeError:
+            raise ValueError("exchange must be a 2x2 matrix, got %r" % (exchange,))
+        if not square:
             raise ValueError("rank-2 construction only: exchange must be a 2x2 "
                              "matrix, got rank %r" % (len(exchange),))
         rows = tuple(_integers(row) for row in exchange)

@@ -138,11 +138,11 @@ class Diagram:
     completion saturated it, with its walls indexed into half-lines and its
     caches.  It never changes.
 
-    The fixed data must be a FixedData, the order an int >= 0 and each wall
-    a Wall.  The walls are a tuple, checked against the fixed data once,
-    here: a wall's direction and its function direction lie on the line of
-    its normal, and the function direction lies in the cone sigma of the
-    monoid.  The search reads a bend's power off the pairing with the normal
+    The fixed data must be a FixedData, the order an int >= 0, saturated a
+    bool and each wall a Wall.  The walls are a tuple, checked against the
+    fixed data once, here: a wall's direction and its function direction lie
+    on the line of its normal, and the function direction lies in the cone
+    sigma of the monoid (lattice.cone_order is not None).  The search reads a bend's power off the pairing with the normal
     alone, and never meets a wall off that line; sigma is pointed, so the
     walls of a line share one m0.  A wall that fails raises a ValueError
     that starts "wall i: ".
@@ -198,11 +198,12 @@ class Diagram:
             raise ValueError("fd must be a FixedData, got %r" % (fd,))
         if type(order) is not int or order < 0:
             raise ValueError("order must be an integer >= 0, got %r" % (order,))
+        if type(saturated) is not bool:
+            raise ValueError("saturated must be true or false, got %r" % (saturated,))
         self.fd = fd
         self.walls = tuple(walls)
         self.order = order
         self.saturated = saturated
-        ux, uy, vx, vy, _ = fd.order_form
         for i, w in enumerate(self.walls):
             if not isinstance(w, Wall):
                 raise ValueError("wall %d: not a Wall: %r" % (i, w))
@@ -214,7 +215,7 @@ class Diagram:
             if lx * my != ly * mx:
                 raise ValueError("wall %d: wall with normal %r has function direction %r off "
                                  "the line of its normal" % (i, w.normal, w.func.direction))
-            if ux * mx + uy * my < 0 or vx * mx + vy * my < 0:
+            if cone_order(fd, w.func.direction) is None:
                 raise ValueError("wall %d: wall with normal %r has function direction %r "
                                  "outside the cone of the monoid" % (i, w.normal, w.func.direction))
         # each covered half-line, by its primitive direction: its walls in

@@ -173,14 +173,13 @@ def diagram_to_json(diagram):
 
 def diagram_from_json(doc):
     """A diagram from its document; a malformed top level raises ValueError
-    naming it, and a wall that Diagram refuses its "wall i: " message."""
+    naming it, and a wall, order or saturated flag that Diagram refuses its
+    message."""
     if not isinstance(doc, dict):
         raise ValueError("diagram must be a JSON object, got %s" % type(doc).__name__)
     if not isinstance(_field(doc, "walls", "diagram"), list):
         raise ValueError("walls must be a JSON list, got %s" % type(doc["walls"]).__name__)
     order = _field(doc, "order", "diagram")
-    if not (_is_int(order) and order >= 0):
-        raise ValueError("order must be an integer >= 0, got %r" % (order,))
     seed = _field(doc, "seed", "diagram")
     try:
         fd = fd_from_json(seed)
@@ -195,10 +194,7 @@ def diagram_from_json(doc):
             raise ValueError("wall %d: %s" % (i, e))
         except KeyError as e:
             raise ValueError("wall %d: missing field %s" % (i, e))
-    saturated = _field(doc, "saturated", "diagram")
-    if type(saturated) is not bool:
-        raise ValueError("saturated must be true or false, got %r" % (saturated,))
-    return Diagram(fd, walls, order, saturated)
+    return Diagram(fd, walls, order, _field(doc, "saturated", "diagram"))
 
 
 def _piece_to_json(p):

@@ -416,6 +416,27 @@ def test_parser_built_once():
     assert cli._parser() is cli._parser()
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int digits")
+@pytest.mark.parametrize("argv, code", [
+    (["theta", "--diagram", "a2", "--direction", "-1,0", "--endpoint", "2,1"], 0),
+    (["theta", "--diagram", "a2", "--direction", "1,0", "--endpoint", "0,1"], 2),
+    (["theta", "--diagram", "a2", "--direction", "1;0", "--endpoint", "2,1"], 2),
+], ids=["success", "engine-error", "parse-error"])
+def test_main_gives_the_caller_its_digit_limit_back(paths, capsys, argv, code):
+    # main lifts the limit while its command runs, whether it ends in the
+    # command, in an engine error or in argparse
+    argv = [str(paths[a]) if a == "a2" else a for a in argv]
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_successive_main_calls_match_separate_calls(paths, capsys):
     # one process running two commands prints what two processes print
     cmds = [["theta", "--diagram", str(paths["a2"]), "--direction", "-1,0", "--endpoint", "2,1"],

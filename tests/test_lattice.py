@@ -146,11 +146,15 @@ def test_non_integral_exchange_entry_rejected():
     ([[0, 1], [-1, 0]], 5, "d must be a pair of integers, got 5"),
     ([[0, "x"], [-1, 0]], [1, 1], "exchange entries must be integers, got [[0, 'x'], [-1, 0]]"),
     ([[0, None], [-1, 0]], [1, 1], "exchange entries must be integers, got [[0, None], [-1, 0]]"),
+    (5, [1, 1], "exchange must be a 2x2 matrix, got 5"),
+    ([5, 6], [1, 1], "exchange must be a 2x2 matrix, got [5, 6]"),
+    (None, [1, 1], "exchange must be a 2x2 matrix, got None"),
 ], ids=["d-float", "d-fraction", "d-str", "d-triple", "d-none", "d-int", "exchange-str",
-        "exchange-none"])
+        "exchange-none", "exchange-int", "exchange-int-rows", "exchange-none-matrix"])
 def test_non_integral_or_misshapen_field_is_named(exchange, d, message):
     # the first three were once truncated to d = (1, 1); the others raised
-    # an unpacking error, a TypeError or an "invalid literal" ValueError
+    # an unpacking error, a TypeError (the last three from len) or an
+    # "invalid literal" ValueError
     assert _message(FixedData, exchange, d) == message
 
 

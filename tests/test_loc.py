@@ -206,3 +206,44 @@ def test_src_imports_form_one_chain():
     assert not nested, "imports inside a function or class body: " + ", ".join(nested)
     assert cycle(graph) is None, "import cycle: " + " -> ".join(cycle(graph))
     assert "brokenline" not in graph["scattering"]
+
+
+CACHES = {"thetas", "products", "alphas"}
+
+
+def cache_readers(sources, owner):
+    """Where a module other than owner reads a diagram's expansion caches
+    (an attribute thetas, products or alphas, read rather than assigned) or
+    names the cache key _pair_key, as "module (line n)"."""
+    out = []
+    for module, source in sources.items():
+        if module == owner:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute):
+                read = node.attr == "_pair_key" or (
+                    node.attr in CACHES and isinstance(node.ctx, ast.Load))
+            else:
+                # a Name has an id, an imported alias a name
+                read = getattr(node, "id", getattr(node, "name", None)) == "_pair_key"
+            if read:
+                out.append("%s (line %d)" % (module, node.lineno))
+    return sorted(set(out))
+
+
+def test_cache_readers_fixture():
+    sources = {
+        "owner": "def f(d):\n    return d.products, _pair_key\n",
+        "index": "class D:\n    def __init__(self):\n        self.thetas = {}\n",
+        "scan": "from .owner import f, _pair_key\n\n\ndef g(d):\n    return d.alphas.get(1)\n",
+        "other": "import owner\nk = owner._pair_key\nx = d.one_cone\n",
+    }
+    assert cache_readers(sources, "owner") == ["other (line 2)", "scan (line 1)", "scan (line 5)"]
+
+
+def test_only_constructions_reads_the_expansion_caches():
+    # the layout of the theta, product and alpha caches is known to
+    # constructions alone; Diagram only creates them
+    sources = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "csd").glob("*.py"))}
+    readers = cache_readers(sources, "constructions")
+    assert not readers, "expansion caches read outside constructions: " + ", ".join(readers)

@@ -364,21 +364,26 @@ def test_function_direction_outside_the_cone_is_rejected(a2, kind):
 
 
 @pytest.mark.parametrize("args, message", [
-    ((None, (), 4), "fd must be a FixedData, got None"),
-    (("a2", (), -1), "order must be an integer >= 0, got -1"),
-    (("a2", (), "4"), "order must be an integer >= 0, got '4'"),
-    (("a2", (), 4.5), "order must be an integer >= 0, got 4.5"),
-    (("a2", (), True), "order must be an integer >= 0, got True"),
-    (("a2", ("x",), 4), "wall 2: not a Wall: 'x'"),
-], ids=["fd-none", "order-negative", "order-str", "order-float", "order-bool", "wall-str"])
+    ((None, (), 4, False), "fd must be a FixedData, got None"),
+    (("a2", (), -1, False), "order must be an integer >= 0, got -1"),
+    (("a2", (), "4", False), "order must be an integer >= 0, got '4'"),
+    (("a2", (), 4.5, False), "order must be an integer >= 0, got 4.5"),
+    (("a2", (), True, False), "order must be an integer >= 0, got True"),
+    (("a2", ("x",), 4, False), "wall 2: not a Wall: 'x'"),
+    (("a2", (), 4, "no"), "saturated must be true or false, got 'no'"),
+    (("a2", (), 4, 1), "saturated must be true or false, got 1"),
+    (("a2", (), 4, None), "saturated must be true or false, got None"),
+], ids=["fd-none", "order-negative", "order-str", "order-float", "order-bool", "wall-str",
+        "saturated-str", "saturated-int", "saturated-none"])
 def test_diagram_names_a_field_it_cannot_use(a2, args, message):
     # an order of -1 once gave the empty theta function, "4" and 4.5 a
     # later TypeError, True a saved file that would not reload; None for
-    # fd and a wall that is not a Wall an AttributeError
-    fd, extra, order = args
+    # fd and a wall that is not a Wall an AttributeError; a saturated of
+    # "no" was kept and saved as true
+    fd, extra, order, saturated = args
     walls = initial_diagram(a2, 4).walls + extra
     with pytest.raises(ValueError) as info:
-        Diagram(a2 if fd == "a2" else fd, walls, order, False)
+        Diagram(a2 if fd == "a2" else fd, walls, order, saturated)
     assert str(info.value) == message
 
 

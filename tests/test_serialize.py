@@ -257,6 +257,19 @@ def test_diagram_loader_wall_messages(g2, doc, message):
     assert str(info.value) == "wall 1: " + message
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("order", -1, "order must be an integer >= 0, got -1"),
+    ("saturated", "no", "saturated must be true or false, got 'no'"),
+])
+def test_diagram_loader_top_level_messages(g2, key, value, message):
+    # Diagram refuses these fields, with the messages the loader once gave itself
+    ddoc = dict({"seed": serialize.fd_to_json(g2), "order": 4, "saturated": False,
+                 "walls": [_wall_doc()]}, **{key: value})
+    with pytest.raises(ValueError) as info:
+        serialize.diagram_from_json(ddoc)
+    assert str(info.value) == message
+
+
 def test_wall_loader_accepts(g2):
     # on G2 the line of the normal (1, 1) is spanned by (-1, 3), in the cone
     w = serialize.wall_from_json(_wall_doc(normal=[1, 1], func={"dir": [-2, 6], "coeffs": ["3"]}), g2)
