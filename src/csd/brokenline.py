@@ -37,11 +37,14 @@ class Piece:
 
 
 class BrokenLine:
-    """Pieces unbounded-first; bend_point of a piece is where it ends."""
+    """Pieces unbounded-first; bend_point of a piece is where it ends.  A
+    line has at least one piece, the unbounded one."""
 
     def __init__(self, endpoint, pieces):
-        self.endpoint = tuple(endpoint)
-        self.pieces = list(pieces)
+        self.endpoint = _rational_pair(endpoint, "endpoint")
+        self.pieces = list(pieces) if isinstance(pieces, (list, tuple)) else ()
+        if not self.pieces or not all(isinstance(p, Piece) for p in self.pieces):
+            raise ValueError("pieces must be a nonempty list of Pieces, got %r" % (pieces,))
 
     @property
     def initial(self):
@@ -309,13 +312,17 @@ def _trace(diagram, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
     With no shift left the node is a line: no shift s != 0 of the pointed
     monoid leaves -s in it, so it cannot bend.  Otherwise the walk over the
     half-lines the ray meets decides, from the half-line's family alone,
-    which children k*m0 survive: the power of f must be nonzero, the
-    remaining shift must stay in the monoid (scattering._Family.cap and
-    step), and a child that still has a shift must meet a half-line
-    (Diagram.dead) and pass the arc test of _search.  Each survivor keeps its bend
-    coefficient, the term of f^power that selected it, and the site is
-    built (_site) only when some child survives.  Children are traced by
-    ascending k.
+    which children k*m0 survive: the remaining shift must stay in the
+    monoid (scattering._Family.cap and step), and a child that still has a
+    shift must meet a half-line (Diagram.dead) and pass the arc test of
+    _search.  Each survivor keeps its bend coefficient, the term of f^power
+    that selected it, and the site is built (_site) only when some child
+    survives.  Children are traced by ascending k.
+
+    Two tests need no code.  Diagram.walk yields half-line h only when
+    cross(h, m) != 0, and Diagram puts m0 on the line of h, where <n0', .>
+    vanishes.  So <n0', m> != 0 and the bending power, an integer, is at
+    least 1; and m - k*m0 != 0 for every k, so no child has exponent 0.
     """
     if not (px or py):
         _turn(x, y, q, mx, my)
@@ -333,7 +340,7 @@ def _trace(diagram, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
         # coefficients apply; it is integral because n0 lies in N°
         pw = abs(fam.a[0] * mx + fam.a[1] * my) // L
         kcap = fam.cap(A, B)
-        if not pw or kcap < fam.step:
+        if kcap < fam.step:
             continue
         sx, sy = fam.m0
         step, cone = fam.step, arcs[i]
@@ -344,7 +351,7 @@ def _trace(diagram, x, y, q, near, mx, my, px, py, K, arcs, steps, results):
             if k % step:
                 continue
             ax, ay, rx, ry = mx - k * sx, my - k * sy, px - k * sx, py - k * sy
-            if not (ax or ay) or (rx or ry) and (
+            if (rx or ry) and (
                     not arcs.admits(cone, ax, ay, rx, ry) or diagram.dead(i, ax, ay)):
                 continue
             children.append((c, ax, ay, rx, ry))

@@ -10,18 +10,22 @@ import heapq
 from fractions import Fraction
 from math import lcm
 
-from .geometry import vadd, vsub, vneg, vscale, is_zero
+from .geometry import vadd, vsub, vneg, vscale, is_zero, _rational_pair
 from .lattice import pairing, n_circ_primitive, dual_perp, cone_order
-from .series import lp_mul, _kept, _check_order, _lattice_vector
+from .series import lp_mul, _kept, _check_order, _int_at_least, _lattice_vector
 from .scattering import search_form
-from .brokenline import Segment, Piece, theta, segment_coefficients, reverse, _assemble, _rational
+from .brokenline import (BrokenLine, Segment, Piece, theta, segment_coefficients, reverse,
+                         _assemble, _rational)
 
 
 class BalancedPair:
     def __init__(self, line1, line2, base):
+        for name, line in (("line1", line1), ("line2", line2)):
+            if not isinstance(line, BrokenLine):
+                raise ValueError("%s must be a BrokenLine, got %r" % (name, line))
         self.line1 = line1
         self.line2 = line2
-        self.base = tuple(base)
+        self.base = _rational_pair(base, "base")
 
     def is_balanced(self):
         return vadd(self.line1.final, self.line2.final) == self.base
@@ -250,13 +254,6 @@ def _construct(fd, x0, ms, ns, rho, a, b, lam):
     return seg
 
 
-def _check_scales(a, b):
-    """The scales a and b must be ints >= 1."""
-    for name, v in (("a", a), ("b", b)):
-        if type(v) is not int or v < 1:
-            raise ValueError("%s must be an int >= 1, got %r" % (name, v))
-
-
 def glue_balanced(fd, diagram, pair, a, b):
     """Balanced pair -> segment from I(line1)/a to I(line2)/b through base/(a+b),
     its piece coefficients from segment_coefficients.
@@ -270,7 +267,8 @@ def glue_balanced(fd, diagram, pair, a, b):
     search_form(fd, diagram)  # the gluing reads no wall, but fd must be the diagram's
     if not isinstance(pair, BalancedPair):
         raise ValueError("pair must be a BalancedPair, got %r" % (pair,))
-    _check_scales(a, b)
+    _int_at_least(a, 1, "a")
+    _int_at_least(b, 1, "b")
     if not pair.is_balanced():
         raise ValueError("pair is not balanced: %r" % (pair,))
     g1, g2 = pair.line1, pair.line2
@@ -325,7 +323,8 @@ def pair_from_segment(fd, diagram, seg, tau, a=None, b=None):
     if (a is None) != (b is None):
         raise ValueError("give both scales a and b or neither, got a=%r b=%r" % (a, b))
     if a is not None:
-        _check_scales(a, b)
+        _int_at_least(a, 1, "a")
+        _int_at_least(b, 1, "b")
     T = seg.total_time
     if not (0 < tau < T):
         raise ValueError("tau must lie strictly inside (0, T)")

@@ -15,7 +15,7 @@ from .geometry import (vadd, vsub, vneg, vscale, primitive, line_key, cross,
                        ccw_key, sort_ccw, rot90, convex_hull,
                        cycle_is_convex, compile_hull, homogeneous, rational, _rational_points)
 from .lattice import p1_star, skew_form, line_dir
-from .series import _check_order
+from .series import _check_order, _int_at_least
 from .scattering import search_form
 from .brokenline import Segment, Piece, validate_segment
 from .constructions import (structure_constant, pair_from_segment, _alpha_cached,
@@ -277,7 +277,16 @@ class CheckReport:
 
 
 def _edge_fold_points(a, b, folds):
-    """Points where segment a->b crosses fold rays, ordered along the edge (homogeneous)."""
+    """Points where segment a->b crosses fold rays strictly inside, ordered
+    along the edge (homogeneous).
+
+    This is the one crossing test of the chart images.  Along a->b the side
+    of a fold's line, cross(s, a + t*(b - a)), is linear in t with slope
+    den; when den != 0 it vanishes at one t, and that t lies in (0, 1)
+    exactly when a and b lie strictly on opposite sides of the line.  So an
+    edge or chord whose ends no fold line separates gives [], and so do two
+    equal points, for which den == 0 for every fold.
+    """
     (ax, ay, aq), (bx, by, bq) = a, b
     vx, vy = bx * aq - ax * bq, by * aq - ay * bq  # (b - a)*aq*bq
     hits = []
@@ -302,42 +311,17 @@ def _edge_fold_points(a, b, folds):
     return list(dict.fromkeys(pt for _, _, pt in hits))
 
 
-def _fold_sides(points, folds):
-    """(left, right) bit masks per homogeneous point: bit k is set when the
-    point lies strictly on that side of the line of fold k.
-
-    A segment crosses a fold ray strictly inside only if its ends lie
-    strictly on opposite sides of the fold's line, that is when
-    ``la & rb or ra & lb`` for the masks of its ends.
-    """
-    sides = []
-    for X, Y, _ in points:
-        left = right = 0
-        bit = 1
-        for sx, sy in folds:
-            c = sx * Y - sy * X
-            if c > 0:
-                left |= bit
-            elif c < 0:
-                right |= bit
-            bit <<= 1
-        sides.append((left, right))
-    return sides
-
-
 def refine_cycle(cycle, folds):
-    """The homogeneous cycle with the fold crossings of its edges inserted;
-    only the edges whose ends have opposite ``_fold_sides`` bits are
-    searched for crossings."""
-    sides = _fold_sides(cycle, folds)
+    """The homogeneous cycle with the fold crossings of its edges inserted.
+
+    Every edge goes through ``_edge_fold_points``, which returns [] for an
+    edge whose ends no fold line separates strictly, so only the edges
+    that cross a fold ray strictly inside gain points."""
     out = []
     n = len(cycle)
     for i, a in enumerate(cycle):
         out.append(a)
-        j = i + 1 if i + 1 < n else 0
-        (la, ra), (lb, rb) = sides[i], sides[j]
-        if la & rb or ra & lb:
-            out.extend(_edge_fold_points(a, cycle[j], folds))
+        out.extend(_edge_fold_points(a, cycle[i + 1 if i + 1 < n else 0], folds))
     return out
 
 
@@ -354,9 +338,10 @@ def _linear_on(points):
     line lie strictly on the two sides of any other line, so that line is
     phi's only fold line, and the matrices of its two sectors agree on it.
     Hence ``map_cycle(phi, cycle)`` is M applied to the cycle's points:
-    ``refine_cycle`` inserts nothing, as it only searches an edge whose ends
-    lie strictly on opposite sides of a fold's line, and M, being
-    unimodular, changes the sign of every turn or of none.
+    ``refine_cycle`` inserts nothing, as ``_edge_fold_points`` finds a
+    crossing only on an edge whose ends lie strictly on opposite sides of a
+    fold's line, and M, being unimodular, changes the sign of every turn or
+    of none.
     """
     cuts = {}
 
@@ -413,14 +398,10 @@ def _convexity_witness(fd, diagram, cycle, phi, image):
     given = dict(zip(points, cycle))
     phi_inv = phi.inverse()
     folds = phi_inv.boundaries
-    sides = _fold_sides(image, folds)
     n = len(image)
     for i in range(n):
-        li, ri = sides[i]
         for j in range(i + 1, n):
-            lj, rj = sides[j]
-            if not (li & rj or ri & lj) or image[i] == image[j]:
-                continue
+            # [] for equal points and for a chord no fold line separates
             crossings = _edge_fold_points(image[i], image[j], folds)
             if not crossings:
                 continue
@@ -554,7 +535,8 @@ def check_positive(fd, diagram, cycle, max_degree, K=None):
     witness, and computes the same products and tables.
     """
     cycle = _polygon(cycle, "cycle")
-    _check_degree(max_degree)
+    # degree 2 is the first with a pair to check; below it a True would be a guess
+    _int_at_least(max_degree, 2, "max_degree")
     K = _check_order(K, search_form(fd, diagram).order)
     region = compile_hull(cycle)
     # the nonzero lattice points of each dilation kP, descending (the
@@ -618,12 +600,6 @@ def _polygon(points, name):
     return points
 
 
-def _check_degree(max_degree):
-    # degree 2 is the first with a pair to check; below it a True would be a guess
-    if type(max_degree) is not int or max_degree < 2:
-        raise ValueError("max_degree must be an int >= 2, got %r" % (max_degree,))
-
-
 def _random_polygon(rng):
     n = rng.randint(2, 5)
     pts = set()
@@ -670,7 +646,8 @@ def _certify_failure(fd, diagram, cycle, seg, K):
 
 def main_theorem_harness(fd, diagram, trials, max_degree=3, K=None, perturb_seed=0):
     """Random polygons: positivity scan verdict vs chart-convexity verdict."""
-    _check_degree(max_degree)
+    _int_at_least(trials, 0, "trials")
+    _int_at_least(max_degree, 2, "max_degree")
     # fd must be the diagram's, even for no trials
     K = _check_order(K, search_form(fd, diagram).order)
     rng = random.Random(perturb_seed)

@@ -40,6 +40,13 @@ def _lattice_vector(v, name):
     return x, y
 
 
+def _int_at_least(v, lo, name):
+    """Raises a ValueError naming the field name unless v is an int >= lo;
+    a bool is not one."""
+    if type(v) is not int or v < lo:
+        raise ValueError("%s must be an int >= %d, got %r" % (name, lo, v))
+
+
 def _check_order(K, default):
     """The truncation order K, or default when K is None; K must be None or an int >= 0."""
     if K is None:

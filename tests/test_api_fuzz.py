@@ -16,9 +16,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csd.brokenline import (Segment, Piece, theta, enumerate_lines, validate_segment,
+from csd.brokenline import (BrokenLine, Segment, Piece, theta, enumerate_lines, validate_segment,
                             segment_coefficients)
-from csd.constructions import alpha_table, structure_constant, pair_from_segment, glue_balanced
+from csd.constructions import (BalancedPair, alpha_table, structure_constant, pair_from_segment,
+                               glue_balanced)
 from csd.convexity import is_blc_2d, blc_hull_2d, check_positive
 from csd.lattice import FixedData
 from csd.scattering import complete_rank2, path_ordered_product
@@ -107,3 +108,44 @@ def test_a_bad_diagram_is_named(name, value):
     fn, kwargs = CALLS[name]
     with pytest.raises(ValueError, match=r"^diagram must be a Diagram, got "):
         fn(A2, value, **kwargs)
+
+
+# (constructor, arguments that build a value, a read of the value)
+CONSTRUCTORS = {
+    "BrokenLine": (BrokenLine, {"endpoint": Z, "pieces": [Piece((1, -1))]},
+                   lambda line: (line.initial, line.final, line.coeff)),
+    "BalancedPair": (BalancedPair, {"line1": PAIR.line1, "line2": PAIR.line2, "base": PAIR.base},
+                     lambda pair: pair.is_balanced()),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTORS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_bad_constructor_argument_is_named(name, data):
+    cls, kwargs, read = CONSTRUCTORS[name]
+    arg = data.draw(st.sampled_from(list(kwargs)), label="argument")
+    kwargs = dict(kwargs, **{arg: data.draw(VALUES, label="value")})
+    try:
+        value = cls(**kwargs)
+    except ValueError as e:
+        assert re.search(r"^%s " % arg, str(e)), (arg, kwargs[arg], str(e))
+    else:
+        read(value)
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("BrokenLine", (None, []), "endpoint must be a pair of rationals, got None"),
+    ("BrokenLine", (Z, []), "pieces must be a nonempty list of Pieces, got []"),
+    ("BrokenLine", (Z, [(1, 0)]), "pieces must be a nonempty list of Pieces, got [(1, 0)]"),
+    ("BalancedPair", (1, 2, 3), "line1 must be a BrokenLine, got 1"),
+    ("BalancedPair", (PAIR.line1, 2, 3), "line2 must be a BrokenLine, got 2"),
+    ("BalancedPair", (PAIR.line1, PAIR.line2, 3), "base must be a pair of rationals, got 3"),
+], ids=["line-none", "line-no-pieces", "line-pair-piece", "pair-ints", "pair-line2",
+        "pair-base"])
+def test_constructors_name_a_bad_argument(name, args, message):
+    # each of these once raised TypeError or IndexError, at once or on the
+    # first read of the value
+    with pytest.raises(ValueError) as info:
+        CONSTRUCTORS[name][0](*args)
+    assert str(info.value) == message

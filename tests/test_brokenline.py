@@ -554,6 +554,9 @@ def test_ray_events_match_scan(i, rays_only, root, data):
     # each site lies on the half-line it names
     assert all(cross(halves[h], site[:2]) == 0 and dot(halves[h], site[:2]) > 0
                for site, h in got)
+    # and is not parallel to m, so a bend there has a power >= 1 and no
+    # child exponent m - k*m0 is 0 (brokenline._trace)
+    assert all(cross(halves[h], m) for _, h in got)
 
 
 def _off_lattice(fd, diagram):

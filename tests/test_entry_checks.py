@@ -166,3 +166,12 @@ def test_path_ordered_product_checks_p(a2, path, p):
     with pytest.raises(ValueError) as info:
         path_ordered_product(a2, complete_rank2(a2, 4), path, p)
     assert str(info.value) == "p must be a LaurentPoly, got %r" % (p,)
+
+
+@pytest.mark.parametrize("trials", ["x", -1, True, 2.0])
+def test_harness_names_bad_trials(a2, a2_diagram, trials):
+    # "x" raised TypeError from range, -1 reported -1 trials and True ran one
+    # trial and reported True; 0 trials stays legal (CALLS)
+    with pytest.raises(ValueError) as info:
+        main_theorem_harness(a2, a2_diagram, trials)
+    assert str(info.value) == "trials must be an int >= 0, got %r" % (trials,)

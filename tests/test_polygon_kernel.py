@@ -537,6 +537,30 @@ def test_cycle_is_convex_matches_reference(cycle):
     assert cycle_is_convex([homogeneous(p) for p in cycle]) == expected
 
 
+small_point = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 4)).map(
+    lambda p: homogeneous((F(p[0], p[2]), F(p[1], p[2]))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_point, st.one_of(small_point, st.none()), st.lists(vec.map(primitive), max_size=4))
+def test_edge_fold_points_need_a_fold_line_between_the_ends(a, b, folds):
+    # the lemma that lets refine_cycle and the witness search send every
+    # edge and chord to _edge_fold_points: it finds nothing unless some
+    # fold's line has a and b strictly on opposite sides (so nothing for
+    # two equal points), and every point it finds lies strictly between a
+    # and b, on a fold ray
+    b = a if b is None else b
+    found = convexity._edge_fold_points(a, b, folds)
+    if not any(sgn(cross(s, a[:2])) * sgn(cross(s, b[:2])) < 0 for s in folds):
+        assert found == []
+    ra, rb = rational(a), rational(b)
+    v = vsub(rb, ra)
+    for p in found:
+        u = vsub(rational(p), ra)
+        assert cross(u, v) == 0 and 0 < dot(u, v) < dot(v, v)
+        assert any(cross(s, rational(p)) == 0 and dot(s, rational(p)) >= 0 for s in folds)
+
+
 # --- the polygon layer against the Fraction path ---------------------------
 
 def _bench_polygon(rng, vertices, origin, span):

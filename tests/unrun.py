@@ -19,6 +19,11 @@ Steps are kept per frame and not for comprehensions and generator
 expressions, whose frames end on the line that calls them.  Docstrings and
 global and nonlocal statements, which run no code, are left out, and so
 are ifs whose body shares the test's line.
+
+A line tracer sees lines, not expressions, so an operand of ``and`` or
+``or`` that never decides its test goes unseen: the if around it still
+goes both ways.  Such an operand is found by counting how often it
+decides, in a probe run of its own.
 """
 
 import ast
